@@ -40,9 +40,8 @@ struct Case {
     name: String,
     cost: OpCost,
     /// Dispatch-path label override: fused cases pin their row to
-    /// `codegen` or the interpreter's active path so the two execution
-    /// strategies hold separate baselines; `None` follows the process's
-    /// SIMD dispatch label.
+    /// `codegen` (compiled loop nests, not a per-op SIMD/scalar kernel);
+    /// `None` follows the process's SIMD dispatch label.
     path: Option<&'static str>,
     run: Box<dyn FnMut()>,
 }
@@ -115,14 +114,11 @@ fn elementwise_case(n: usize, rng: &mut ChaCha8Rng) -> Case {
     }
 }
 
-/// One fused `FusedInst` program timed through both execution
-/// strategies: the chunked interpreter (`[interp]`, row keyed to the
-/// active SIMD path) and the compiled kernel (`[codegen]`, its own
-/// `path: codegen` row so each strategy holds its own CI baseline). The
-/// FLOP/byte denominators come from the fused cost model (the compiled
-/// IR's count), identical for both rows, so the GFLOP/s columns compare
-/// the strategies directly.
-fn fused_cases(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> Vec<Case> {
+/// One fused `FusedInst` program timed through the compiled kernel (its
+/// own `path: codegen` row; the name keeps the `[codegen]` suffix the
+/// committed baselines are keyed by). The FLOP/byte denominators come
+/// from the fused cost model (the compiled IR's count).
+fn fused_case(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> Case {
     let op = HloOp::Fused {
         insts,
         n_inputs: inputs.len(),
@@ -135,76 +131,68 @@ fn fused_cases(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> 
         .expect("fused case has inputs")
         .clone();
     let cost = s4tf_xla::op_cost(&op, &in_shapes, &out_shape);
-    [("interp", false), ("codegen", true)]
-        .into_iter()
-        .map(|(tag, codegen)| {
-            let op = op.clone();
-            let inputs = inputs.clone();
-            Case {
-                kernel: "fused",
-                name: format!("{label} [{tag}]"),
-                cost,
-                path: codegen.then_some("codegen"),
-                run: Box::new(move || {
-                    s4tf_xla::set_codegen_enabled(codegen);
-                    let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
-                    black_box(s4tf_xla::eval_op(&op, &refs));
-                }),
-            }
-        })
-        .collect()
+    Case {
+        kernel: "fused",
+        name: format!("{label} [codegen]"),
+        cost,
+        path: Some("codegen"),
+        run: Box::new(move || {
+            let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
+            black_box(s4tf_xla::eval_op(&op, &refs));
+        }),
+    }
 }
 
 /// The three fused chains the tracer actually emits hot: an affine+relu
 /// map, the SGD parameter update, and a broadcast bias+relu epilogue.
 fn all_fused_cases(n: usize, channels: usize, rng: &mut ChaCha8Rng) -> Vec<Case> {
-    let mut cases = Vec::new();
-    // relu(x·1.0001 + 0.5) — mul+add collapse into one MulBin, relu rides
-    // as the epilogue: the `mulbin_act` specialization.
-    cases.extend(fused_cases(
-        &format!("map n={n}"),
-        vec![
-            FusedInst::Input(0),
-            FusedInst::Imm(1.0001),
-            FusedInst::Binary(ElemBinary::Mul, 0, 1),
-            FusedInst::Imm(0.5),
-            FusedInst::Binary(ElemBinary::Add, 2, 3),
-            FusedInst::Unary(ElemUnary::Relu, 4),
-        ],
-        vec![Tensor::<f32>::randn(&[n], rng)],
-    ));
-    // p ← p + g·(−lr) — the optimizer update: one MulBin traversal.
-    cases.extend(fused_cases(
-        &format!("sgd-update n={n}"),
-        vec![
-            FusedInst::Input(0),
-            FusedInst::Imm(-0.01),
-            FusedInst::Binary(ElemBinary::Mul, 0, 1),
-            FusedInst::Input(1),
-            FusedInst::Binary(ElemBinary::Add, 3, 2),
-        ],
-        vec![
-            Tensor::<f32>::randn(&[n], rng),
-            Tensor::<f32>::randn(&[n], rng),
-        ],
-    ));
-    // relu(x + bias) with a trailing-broadcast bias row — the layer
-    // epilogue: the `bin_act` specialization over a cycled operand.
     let rows = n / channels;
-    cases.extend(fused_cases(
-        &format!("bias+relu {rows}x{channels}"),
-        vec![
-            FusedInst::Input(0),
-            FusedInst::Input(1),
-            FusedInst::Binary(ElemBinary::Add, 0, 1),
-            FusedInst::Unary(ElemUnary::Relu, 2),
-        ],
-        vec![
-            Tensor::<f32>::randn(&[rows, channels], rng),
-            Tensor::<f32>::randn(&[channels], rng),
-        ],
-    ));
-    cases
+    vec![
+        // relu(x·1.0001 + 0.5) — mul+add collapse into one MulBin, relu rides
+        // as the epilogue: the `mulbin_act` specialization.
+        fused_case(
+            &format!("map n={n}"),
+            vec![
+                FusedInst::Input(0),
+                FusedInst::Imm(1.0001),
+                FusedInst::Binary(ElemBinary::Mul, 0, 1),
+                FusedInst::Imm(0.5),
+                FusedInst::Binary(ElemBinary::Add, 2, 3),
+                FusedInst::Unary(ElemUnary::Relu, 4),
+            ],
+            vec![Tensor::<f32>::randn(&[n], rng)],
+        ),
+        // p ← p + g·(−lr) — the optimizer update: one MulBin traversal.
+        fused_case(
+            &format!("sgd-update n={n}"),
+            vec![
+                FusedInst::Input(0),
+                FusedInst::Imm(-0.01),
+                FusedInst::Binary(ElemBinary::Mul, 0, 1),
+                FusedInst::Input(1),
+                FusedInst::Binary(ElemBinary::Add, 3, 2),
+            ],
+            vec![
+                Tensor::<f32>::randn(&[n], rng),
+                Tensor::<f32>::randn(&[n], rng),
+            ],
+        ),
+        // relu(x + bias) with a trailing-broadcast bias row — the layer
+        // epilogue: the `bin_act` specialization over a cycled operand.
+        fused_case(
+            &format!("bias+relu {rows}x{channels}"),
+            vec![
+                FusedInst::Input(0),
+                FusedInst::Input(1),
+                FusedInst::Binary(ElemBinary::Add, 0, 1),
+                FusedInst::Unary(ElemUnary::Relu, 2),
+            ],
+            vec![
+                Tensor::<f32>::randn(&[rows, channels], rng),
+                Tensor::<f32>::randn(&[channels], rng),
+            ],
+        ),
+    ]
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {

@@ -132,10 +132,10 @@ fn reduce_case(n: usize) -> Case {
 
 /// One full LeNet training step (forward, softmax cross-entropy,
 /// pullback, momentum SGD update, barrier) on the lazy backend — the
-/// end-to-end number the fused-kernel compiler has to move. Emitted as
-/// two rows: the chunked fused interpreter and the compiled path
-/// (`path: codegen`).
-fn train_step_cases(batch: usize) -> Vec<Case> {
+/// end-to-end number the fused-kernel compiler has to move. The row keeps
+/// the `[codegen]` suffix and `path: codegen` its committed baseline is
+/// keyed by.
+fn train_step_case(batch: usize) -> Case {
     use s4tf_models::LeNet;
     use s4tf_nn::optimizer::Sgd;
     use s4tf_nn::train::train_classifier_step;
@@ -156,30 +156,24 @@ fn train_step_cases(batch: usize) -> Vec<Case> {
         bytes: 3 * fwd.iter().map(|c| c.bytes).sum::<u64>(),
     };
 
-    [("interp", false), ("codegen", true)]
-        .into_iter()
-        .map(|(label, codegen)| Case {
-            op: "train-step",
-            name: format!("lenet b={batch} [{label}]"),
-            cost: step_cost,
-            backends: &["lazy"],
-            path: if codegen { Some("codegen") } else { None },
-            make: Box::new(move |device| {
-                let mut rng = ChaCha8Rng::seed_from_u64(23);
-                let mut model = LeNet::new(device, &mut rng);
-                let mut opt = Sgd::<LeNet>::with_momentum(0.05, 0.9);
-                let x = DTensor::from_tensor(
-                    Tensor::<f32>::randn(&[batch, 28, 28, 1], &mut rng),
-                    device,
-                );
-                let labels = DTensor::from_tensor(Tensor::zeros(&[batch, 10]), device);
-                Box::new(move || {
-                    s4tf_runtime::set_codegen_enabled(codegen);
-                    black_box(train_classifier_step(&mut model, &mut opt, &x, &labels));
-                })
-            }),
-        })
-        .collect()
+    Case {
+        op: "train-step",
+        name: format!("lenet b={batch} [codegen]"),
+        cost: step_cost,
+        backends: &["lazy"],
+        path: Some("codegen"),
+        make: Box::new(move |device| {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let mut model = LeNet::new(device, &mut rng);
+            let mut opt = Sgd::<LeNet>::with_momentum(0.05, 0.9);
+            let x =
+                DTensor::from_tensor(Tensor::<f32>::randn(&[batch, 28, 28, 1], &mut rng), device);
+            let labels = DTensor::from_tensor(Tensor::zeros(&[batch, 10]), device);
+            Box::new(move || {
+                black_box(train_classifier_step(&mut model, &mut opt, &x, &labels));
+            })
+        }),
+    }
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -235,8 +229,7 @@ fn main() {
             reduce_case(1 << 18),
         ]
     };
-    // Last so their codegen toggling cannot perturb the rows above.
-    cases.extend(train_step_cases(if smoke { 4 } else { 16 }));
+    cases.push(train_step_case(if smoke { 4 } else { 16 }));
 
     println!(
         "op bench: {} cases x {} backends, median of {trials} (+{warmup} warmup){}",

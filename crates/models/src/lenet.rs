@@ -239,7 +239,6 @@ mod tests {
         use s4tf_nn::optimizer::Sgd;
         use s4tf_nn::train::train_classifier_step;
 
-        s4tf_runtime::set_codegen_enabled(true);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let d = Device::lazy();
         let mut model = LeNet::new(&d, &mut rng);

@@ -260,7 +260,10 @@ mod tests {
     /// FMA doubles FLOPs per instruction).
     #[test]
     fn simd_probe_ceiling_is_sane() {
-        if !simd_probe_supported() {
+        // A performance assertion: at opt-level 0 the `#[inline(always)]`
+        // lane contract does not hold, so it means nothing in debug builds
+        // (the release bench gate pins the ceiling there).
+        if !simd_probe_supported() || cfg!(debug_assertions) {
             return;
         }
         let scalar = machine_probe_path(false).peak_gflops;

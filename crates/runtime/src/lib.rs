@@ -55,4 +55,4 @@ pub use s4tf_tensor::{FaultKind, RuntimeError};
 // counters surface here so training code can ask "which of my fused
 // kernels got specialized" without depending on `s4tf-xla` directly.
 pub use s4tf_xla::codegen;
-pub use s4tf_xla::{codegen_enabled, set_codegen_enabled, CacheStats, CodegenStats};
+pub use s4tf_xla::{CacheStats, CodegenStats};

@@ -13,6 +13,7 @@ use crate::diag;
 use crate::dtype::Scalar;
 use crate::met;
 use crate::pool;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,9 +21,26 @@ use std::sync::Arc;
 /// (Table 4): proves that unique mutation does not copy.
 static COW_COPIES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`COW_COPIES`].
+    static THREAD_COW_COPIES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Number of copy-on-write buffer copies performed process-wide so far.
 pub fn cow_copy_count() -> u64 {
     COW_COPIES.load(Ordering::Relaxed)
+}
+
+/// Number of copy-on-write buffer copies the *calling thread* has
+/// performed. A delta of this count cannot be raced by other threads —
+/// what a test asserting "this mutation copied exactly once" needs.
+pub fn thread_cow_copy_count() -> u64 {
+    THREAD_COW_COPIES.with(Cell::get)
+}
+
+fn count_cow_copy() {
+    COW_COPIES.fetch_add(1, Ordering::Relaxed);
+    THREAD_COW_COPIES.with(|c| c.set(c.get() + 1));
 }
 
 /// Element buffer with allocation accounting: reports its byte size to
@@ -201,7 +219,7 @@ impl<T: Scalar> Storage<T> {
     /// (copy-on-write); if uniquely owned, this is free.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         if Arc::strong_count(&self.data) > 1 {
-            COW_COPIES.fetch_add(1, Ordering::Relaxed);
+            count_cow_copy();
         }
         Arc::make_mut(&mut self.data).vec.as_mut_slice()
     }
@@ -222,7 +240,7 @@ impl<T: Scalar> Storage<T> {
         match Arc::try_unwrap(self.data) {
             Ok(buf) => buf.take(),
             Err(arc) => {
-                COW_COPIES.fetch_add(1, Ordering::Relaxed);
+                count_cow_copy();
                 arc.vec.clone()
             }
         }
@@ -256,11 +274,11 @@ mod tests {
 
     #[test]
     fn mutation_through_shared_copies() {
-        let before = cow_copy_count();
+        let before = thread_cow_copy_count();
         let mut a = Storage::from_vec(vec![1, 2, 3]);
         let b = a.clone();
         a.as_mut_slice()[0] = 42;
-        assert_eq!(cow_copy_count(), before + 1);
+        assert_eq!(thread_cow_copy_count(), before + 1);
         assert!(!a.ptr_eq(&b));
         assert_eq!(a.as_slice(), &[42, 2, 3]);
         assert_eq!(b.as_slice(), &[1, 2, 3]);
@@ -269,19 +287,19 @@ mod tests {
     #[test]
     fn unique_mutation_is_in_place() {
         let mut a = Storage::from_vec(vec![1, 2, 3]);
-        let before = cow_copy_count();
+        let before = thread_cow_copy_count();
         let ptr = a.as_slice().as_ptr();
         a.as_mut_slice()[1] = 7;
-        assert_eq!(cow_copy_count(), before);
+        assert_eq!(thread_cow_copy_count(), before);
         assert_eq!(a.as_slice().as_ptr(), ptr);
     }
 
     #[test]
     fn into_vec_unique_does_not_copy() {
         let a = Storage::from_vec(vec![1, 2, 3]);
-        let before = cow_copy_count();
+        let before = thread_cow_copy_count();
         let v = a.into_vec();
-        assert_eq!(cow_copy_count(), before);
+        assert_eq!(thread_cow_copy_count(), before);
         assert_eq!(v, vec![1, 2, 3]);
     }
 
@@ -289,9 +307,9 @@ mod tests {
     fn into_vec_shared_copies() {
         let a = Storage::from_vec(vec![1, 2, 3]);
         let _b = a.clone();
-        let before = cow_copy_count();
+        let before = thread_cow_copy_count();
         let v = a.into_vec();
-        assert_eq!(cow_copy_count(), before + 1);
+        assert_eq!(thread_cow_copy_count(), before + 1);
         assert_eq!(v, vec![1, 2, 3]);
     }
 

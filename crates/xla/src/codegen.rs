@@ -2,14 +2,14 @@
 //! register-allocated linear IR and executes them without per-element
 //! interpretation (DESIGN.md §6j).
 //!
-//! The fusion pass hands the executor a stack-machine program — one
-//! scratch register per instruction, immediates refilled per chunk, a
-//! dispatch branch per instruction per chunk. This module is the compile
-//! stage behind it:
+//! The fusion pass emits a stack-machine program — one slot per
+//! instruction, operands referring to earlier slots. This module is the
+//! compile stage behind it:
 //!
-//! 1. **Lowering** ([`get_or_compile`]): constant folding (same scalar
-//!    `apply` the interpreter uses, so folded values are bit-identical),
-//!    dead-code elimination, a mul+add/mul−sub peephole ([`IrInst::MulBin`]
+//! 1. **Lowering** ([`get_or_compile`]): constant folding (the same scalar
+//!    `apply` every execution path uses, so folded values are
+//!    bit-identical), dead-code elimination, a mul+add/mul−sub peephole
+//!    ([`IrInst::MulBin`]
 //!    — still two roundings, never a hardware FMA, so results match the
 //!    two-instruction spelling bit for bit), and liveness-based virtual
 //!    register allocation that replaces the one-row-per-instruction
@@ -28,60 +28,29 @@
 //!
 //! Compiled kernels are cached by FNV-1a hash of the instruction
 //! sequence (collisions checked structurally, mirroring the executable
-//! cache), gated by `S4TF_CODEGEN` / [`set_codegen_enabled`], and
-//! bit-identical to the interpreter by construction: every arithmetic
-//! step applies the same scalar operation in the same order, and the
+//! cache) and are the *only* executor of [`HloOp::Fused`](crate::op::HloOp):
+//! the fusion pass caps its groups at [`MAX_INSTS`], so every program the
+//! compiler emits lowers. The contract is per-element scalar semantics —
+//! element `e` of the output is the program evaluated with
+//! `ElemUnary::apply`/`ElemBinary::apply` over input `i` at `e % len(i)`,
+//! bit for bit (a NaN's sign and payload excepted — which operand a NaN
+//! result inherits them from is unspecified): every arithmetic step
+//! applies the same scalar operation in the same order, and the
 //! explicit-lane paths use only exact single-rounding IEEE ops
 //! (`add`/`sub`/`mul`/`div`).
 
 use crate::op::{ElemBinary, ElemUnary, FusedInst};
 use crate::{met, prof};
 use s4tf_tensor::simd::{L8, LANES};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI8, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Chunk width of one register row; matches the interpreter's chunking so
-/// broadcast/alias materialization is shared and cache-resident.
-pub(crate) const FUSED_CHUNK: usize = 512;
+/// Chunk width of one register row: big enough to amortize instruction
+/// dispatch, small enough that the whole row file stays cache-resident.
+const FUSED_CHUNK: usize = 512;
 /// Elements per pool task (several chunks amortize the row allocation).
-pub(crate) const FUSED_GRAIN: usize = 8 * FUSED_CHUNK;
-
-// ---------------------------------------------------------------------------
-// Gate
-// ---------------------------------------------------------------------------
-
-/// Runtime override for fused-kernel codegen (−1 = unset, 0 = off, 1 = on).
-static CODEGEN_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-/// `S4TF_CODEGEN` read once; codegen defaults to on.
-static CODEGEN_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Whether fused kernels execute through the compiled path.
-///
-/// Controlled by [`set_codegen_enabled`], else the `S4TF_CODEGEN`
-/// environment variable (`0`/`false`/`off`/`no` disable), else on.
-/// Results are bit-identical either way; the flag exists for A/B
-/// measurement and as a safety valve.
-pub fn codegen_enabled() -> bool {
-    match CODEGEN_OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *CODEGEN_ENV.get_or_init(|| {
-            !std::env::var("S4TF_CODEGEN")
-                .map(|v| {
-                    let v = v.trim().to_ascii_lowercase();
-                    v == "0" || v == "false" || v == "off" || v == "no"
-                })
-                .unwrap_or(false)
-        }),
-    }
-}
-
-/// Programmatic override of [`codegen_enabled`] (takes precedence over
-/// the environment). Process-wide, for tests and experiments.
-pub fn set_codegen_enabled(enabled: bool) {
-    CODEGEN_OVERRIDE.store(enabled as i8, Ordering::Relaxed);
-}
+const FUSED_GRAIN: usize = 8 * FUSED_CHUNK;
 
 // ---------------------------------------------------------------------------
 // Stats
@@ -315,8 +284,8 @@ impl CompiledKernel {
         &self.ir
     }
 
-    /// Virtual registers the fallback machine needs (vs one scratch row
-    /// per instruction in the interpreter).
+    /// Virtual registers the fallback machine needs (liveness reuse, not
+    /// one row per source instruction).
     pub fn register_count(&self) -> usize {
         self.n_regs
     }
@@ -361,12 +330,13 @@ enum PreOp {
 }
 
 /// Upper bound on compilable program length (virtual registers are `u8`
-/// with [`DST_OUT`] reserved; real fused chains are far shorter).
-const MAX_INSTS: usize = 128;
+/// with [`DST_OUT`] reserved; real fused chains are far shorter). The
+/// fusion pass stops growing a group here, so it never emits a program
+/// [`lower`] rejects.
+pub(crate) const MAX_INSTS: usize = 128;
 
-/// Lowers a fused program. `Err` means the program is outside the
-/// compilable envelope (too long, malformed operand references) and must
-/// run on the interpreter.
+/// Lowers a fused program. `Err` names what is malformed (too long,
+/// forward operand references, …) — only a hand-built program can be.
 fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
     if insts.is_empty() {
         return Err("empty program");
@@ -385,7 +355,7 @@ fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
         .unwrap_or(0);
 
     // 1. Classify slots, folding constants with the same scalar `apply`
-    // the interpreter's chunk loops use (bit-identical by construction).
+    // the execution loops use (bit-identical by construction).
     let mut val = Vec::with_capacity(len);
     for (i, inst) in insts.iter().enumerate() {
         let v = match inst {
@@ -744,82 +714,71 @@ pub fn fingerprint(insts: &[FusedInst]) -> u64 {
     h
 }
 
-#[derive(Default)]
-struct Cache {
-    kernels: HashMap<u64, Vec<Arc<CompiledKernel>>>,
-    /// Fingerprints of programs `lower` rejected, so the interpreter
-    /// fallback is decided once. (A colliding *compilable* program would
-    /// merely skip codegen — a perf miss, never a correctness issue.)
-    failed: HashSet<u64>,
-}
+type Cache = HashMap<u64, Vec<Arc<CompiledKernel>>>;
 
 fn cache() -> &'static Mutex<Cache> {
     static C: OnceLock<Mutex<Cache>> = OnceLock::new();
     C.get_or_init(Mutex::default)
 }
 
-fn lookup(insts: &[FusedInst], count: bool) -> Option<Arc<CompiledKernel>> {
+fn lookup(insts: &[FusedInst], count: bool) -> Result<Arc<CompiledKernel>, &'static str> {
     let h = fingerprint(insts);
     let mut c = cache().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(bucket) = c.kernels.get(&h) {
-        if let Some(k) = bucket.iter().find(|k| k.insts == insts) {
-            if count {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                hit_counter().inc();
-                prof::counter_add("xla.codegen.hit", 1);
-            }
-            return Some(k.clone());
+    if let Some(k) = c.get(&h).and_then(|b| b.iter().find(|k| k.insts == insts)) {
+        if count {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            hit_counter().inc();
+            prof::counter_add("xla.codegen.hit", 1);
         }
-    }
-    if c.failed.contains(&h) {
-        return None;
+        return Ok(k.clone());
     }
     if count {
         MISSES.fetch_add(1, Ordering::Relaxed);
         miss_counter().inc();
         prof::counter_add("xla.codegen.miss", 1);
     }
-    match lower(insts) {
-        Ok(k) => {
-            crate::diag::event!(
-                "xla.codegen.compile",
-                insts = insts.len(),
-                ir = k.ir.len(),
-                regs = k.n_regs,
-                spec = k.spec.map(Spec::name).unwrap_or("fallback"),
-            );
-            let arc = Arc::new(k);
-            c.kernels.entry(h).or_default().push(arc.clone());
-            Some(arc)
-        }
-        Err(why) => {
-            crate::diag::event!("xla.codegen.reject", insts = insts.len(), why = why);
-            c.failed.insert(h);
-            None
-        }
-    }
+    let k = Arc::new(lower(insts)?);
+    crate::diag::event!(
+        "xla.codegen.compile",
+        insts = insts.len(),
+        ir = k.ir.len(),
+        regs = k.n_regs,
+        spec = k.spec.map(Spec::name).unwrap_or("fallback"),
+    );
+    c.entry(h).or_default().push(k.clone());
+    Ok(k)
 }
 
-/// Compiles `insts` (or returns the cached kernel). `None` means the
-/// program is outside the compilable envelope and must be interpreted.
-pub fn get_or_compile(insts: &[FusedInst]) -> Option<Arc<CompiledKernel>> {
-    lookup(insts, true)
+fn lookup_or_panic(insts: &[FusedInst], count: bool) -> Arc<CompiledKernel> {
+    lookup(insts, count).unwrap_or_else(|why| panic!("malformed fused program: {why}"))
+}
+
+/// Compiles `insts` (or returns the cached kernel).
+///
+/// # Panics
+/// Panics with [`lower`]'s reason on a malformed program. The fusion pass
+/// never emits one; a hand-built [`HloOp::Fused`](crate::op::HloOp) can.
+pub fn get_or_compile(insts: &[FusedInst]) -> Arc<CompiledKernel> {
+    lookup_or_panic(insts, true)
 }
 
 /// [`get_or_compile`] without touching the hit/miss counters — for
 /// consumers that want the IR (cost model, introspection), not a launch.
-pub(crate) fn peek_or_compile(insts: &[FusedInst]) -> Option<Arc<CompiledKernel>> {
-    lookup(insts, false)
+pub(crate) fn peek_or_compile(insts: &[FusedInst]) -> Arc<CompiledKernel> {
+    lookup_or_panic(insts, false)
 }
 
-/// Per-node compiled-kernel table for an optimized graph, built at
-/// executable-compile time so launch-path lookups are a vector index.
-pub(crate) fn fused_table(graph: &crate::graph::HloGraph) -> Vec<Option<Arc<CompiledKernel>>> {
+/// Compiled kernels of a graph's `Fused` nodes by node index, built at
+/// executable-compile time so a launch does not re-hash its program. A
+/// malformed program gets no entry: compiling the plan succeeds, and
+/// launching that node fails it with [`get_or_compile`]'s panic.
+pub(crate) fn fused_table(graph: &crate::graph::HloGraph) -> HashMap<usize, Arc<CompiledKernel>> {
     graph
         .nodes
         .iter()
-        .map(|node| match &node.op {
-            crate::op::HloOp::Fused { insts, .. } => get_or_compile(insts),
+        .enumerate()
+        .filter_map(|(i, node)| match &node.op {
+            crate::op::HloOp::Fused { insts, .. } => Some((i, lookup(insts, true).ok()?)),
             _ => None,
         })
         .collect()
@@ -847,7 +806,7 @@ enum InClass {
 /// position `global` — the broadcast materialization `dst[j] =
 /// src[(global + j) % src.len()]`, as slice copies instead of a
 /// per-element modulo.
-pub(crate) fn fill_cycle(dst: &mut [f32], src: &[f32], global: usize) {
+fn fill_cycle(dst: &mut [f32], src: &[f32], global: usize) {
     let m = src.len();
     if m == 1 {
         dst.fill(src[0]);
@@ -1252,9 +1211,10 @@ fn mulbin_pass(dst: &mut [f32], a: &[f32], b: &[f32], c: &[f32], op: ElemBinary,
 
 impl CompiledKernel {
     /// Executes the compiled kernel. `slices[i] = None` marks input `i`
-    /// as aliasing `out` (in-place launch on a dying buffer), exactly as
-    /// in the interpreter. Returns `true` when the specialized path ran.
-    pub(crate) fn run(&self, slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) -> bool {
+    /// as aliasing `out` (in-place launch on a dying buffer): its
+    /// elements are read from each output chunk before that chunk is
+    /// written, so only full-shape inputs may alias.
+    pub(crate) fn run(&self, slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) {
         let use_spec = self.spec.is_some();
         if use_spec {
             SPECIALIZED.fetch_add(1, Ordering::Relaxed);
@@ -1323,7 +1283,7 @@ impl CompiledKernel {
                         self.run_spec(spec, &ctx, &[], out_chunk);
                     });
                 });
-                return true;
+                return;
             }
         }
 
@@ -1389,7 +1349,6 @@ impl CompiledKernel {
             });
             s4tf_tensor::pool::give_vec(rows);
         });
-        use_spec
     }
 
     /// One chunk through the matched specialized loop nest: a single
@@ -1545,17 +1504,20 @@ impl CompiledKernel {
     ) {
         match *inst {
             IrInst::Copy { a, .. } => dst.copy_from_slice(ctx.operand(lo, hi, split, a)),
-            IrInst::Unary { op, a, .. } => op.apply_slice(dst, ctx.operand(lo, hi, split, a)),
+            IrInst::Unary { op, a, .. } => {
+                let a = ctx.operand(lo, hi, split, a);
+                with_unary!(op, f1 => ew1(dst, a, f1));
+            }
             IrInst::Binary { op, a, b, .. } => {
                 let (a, b) = (ctx.operand(lo, hi, split, a), ctx.operand(lo, hi, split, b));
-                // Exact ops run over explicit lanes; the rest keep the
-                // interpreter's own hoisted-dispatch slice loops.
+                // Exact ops run over explicit lanes; the rest get one
+                // monomorphized scalar loop per op.
                 match op {
                     ElemBinary::Add => lanes2(dst, a, b, L8::add, |x, y| x + y),
                     ElemBinary::Sub => lanes2(dst, a, b, L8::sub, |x, y| x - y),
                     ElemBinary::Mul => lanes2(dst, a, b, L8::mul, |x, y| x * y),
                     ElemBinary::Div => lanes2(dst, a, b, L8::div, |x, y| x / y),
-                    op => op.apply_slice(dst, a, b),
+                    op => with_binary!(op, f2 => ew2(dst, a, b, f2)),
                 }
             }
             IrInst::MulBin {
@@ -1581,11 +1543,7 @@ impl CompiledKernel {
 mod tests {
     use super::*;
 
-    fn compile(insts: &[FusedInst]) -> Arc<CompiledKernel> {
-        get_or_compile(insts).expect("compilable")
-    }
-
-    /// Reference interpreter semantics, scalar and obvious.
+    /// The contract: per-element scalar semantics, obvious by inspection.
     fn reference(insts: &[FusedInst], inputs: &[Vec<f32>], n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n];
         let mut regs = vec![0.0f32; insts.len()];
@@ -1604,7 +1562,7 @@ mod tests {
     }
 
     fn run_compiled(insts: &[FusedInst], inputs: &[Vec<f32>], n: usize) -> Vec<f32> {
-        let k = compile(insts);
+        let k = get_or_compile(insts);
         let slices: Vec<Option<&[f32]>> = inputs.iter().map(|v| Some(&v[..])).collect();
         let mut out = vec![0.0f32; n];
         k.run(&slices, n, &mut out);
@@ -1625,7 +1583,7 @@ mod tests {
             FusedInst::Input(1),
             FusedInst::Binary(ElemBinary::Add, 3, 2),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.ir().len(), 1);
         assert!(matches!(
             k.ir()[0],
@@ -1654,7 +1612,7 @@ mod tests {
             FusedInst::Binary(ElemBinary::Add, 0, 1),
             FusedInst::Unary(ElemUnary::Relu, 2),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.specialization(), Some("bin_act"));
         let n = 700 * 6;
         let x: Vec<f32> = (0..n).map(|i| (i as f32) * 0.003 - 5.0).collect();
@@ -1678,7 +1636,7 @@ mod tests {
             FusedInst::Binary(ElemBinary::Mul, 3, 4),
             FusedInst::Binary(ElemBinary::Add, 2, 5),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.specialization(), Some("axpby"));
         let v: Vec<f32> = (0..513).map(|i| (i as f32).sin()).collect();
         let g: Vec<f32> = (0..513).map(|i| (i as f32).cos()).collect();
@@ -1699,7 +1657,7 @@ mod tests {
             FusedInst::Input(1),
             FusedInst::Binary(ElemBinary::Mul, 3, 2),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.specialization(), Some("bin_bin"));
         let x: Vec<f32> = (0..100).map(|i| i as f32 - 50.0).collect();
         let dy: Vec<f32> = (0..100).map(|i| (i as f32) * 0.1).collect();
@@ -1721,7 +1679,7 @@ mod tests {
             FusedInst::Binary(ElemBinary::Mul, 2, 3),
             FusedInst::Binary(ElemBinary::Add, 0, 4),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.ir().len(), 1, "dead exp and const mul eliminated");
         assert_eq!(k.flops_per_elem(), 1);
         assert_eq!(k.imms, vec![6.0]);
@@ -1735,13 +1693,13 @@ mod tests {
 
     #[test]
     fn register_reuse_beats_one_row_per_instruction() {
-        // A 9-instruction chain over one input: the interpreter spends 9
-        // scratch rows; liveness reuse needs a small constant.
+        // A 9-instruction chain over one input: one row per instruction
+        // would be 9; liveness reuse needs a small constant.
         let mut insts = vec![FusedInst::Input(0)];
         for i in 0..8 {
             insts.push(FusedInst::Unary(ElemUnary::Square, i));
         }
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert!(
             k.register_count() <= 2,
             "chain should reuse registers, used {}",
@@ -1766,7 +1724,7 @@ mod tests {
             FusedInst::Binary(ElemBinary::Add, 2, 3),
             FusedInst::Unary(ElemUnary::Recip, 4),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         assert_eq!(k.specialization(), None);
         // Lengths straddling lane, chunk and grain boundaries.
         for n in [1usize, 7, 8, 9, 511, 512, 513, 4095, 4096, 4097] {
@@ -1790,7 +1748,7 @@ mod tests {
             FusedInst::Input(1),
             FusedInst::Binary(ElemBinary::Add, 3, 2),
         ];
-        let k = compile(&insts);
+        let k = get_or_compile(&insts);
         let n = 1000;
         let g: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
         let p: Vec<f32> = (0..n).map(|i| i as f32 * -0.02).collect();
@@ -1809,8 +1767,8 @@ mod tests {
             FusedInst::Unary(ElemUnary::Square, 1),
         ];
         let before = stats();
-        let a = get_or_compile(&insts).unwrap();
-        let b = get_or_compile(&insts).unwrap();
+        let a = get_or_compile(&insts);
+        let b = get_or_compile(&insts);
         assert!(Arc::ptr_eq(&a, &b));
         let after = stats();
         assert!(after.hits > before.hits);
@@ -1822,12 +1780,12 @@ mod tests {
     #[test]
     fn degenerate_outputs_fill_and_copy() {
         let fill = vec![FusedInst::Imm(2.0), FusedInst::Unary(ElemUnary::Square, 0)];
-        let k = compile(&fill);
+        let k = get_or_compile(&fill);
         assert_eq!(k.specialization(), Some("fill"));
         assert_eq!(run_compiled(&fill, &[], 10), vec![4.0f32; 10]);
 
         let copy = vec![FusedInst::Input(0), FusedInst::Input(1)];
-        let k = compile(&copy);
+        let k = get_or_compile(&copy);
         assert_eq!(k.specialization(), Some("copy"));
         assert!(!k.input_live(0), "unreferenced input is dead");
         assert!(k.input_live(1));

@@ -7,7 +7,7 @@
 //! accounting — the denominator for achieved-GFLOP/s, GB/s and roofline
 //! reporting.
 
-use crate::op::{FusedInst, HloOp, ReduceKind};
+use crate::op::{HloOp, ReduceKind};
 use s4tf_tensor::cost as formulas;
 use s4tf_tensor::{OpCost, Shape};
 
@@ -107,22 +107,14 @@ pub fn op_cost(op: &HloOp, inputs: &[&Shape], out: &Shape) -> OpCost {
             // peephole-absorbed instructions do no per-element work, and
             // inputs the IR never reads move no bytes — summing the raw
             // instruction list overstates fused roofline intensity.
-            if let Some(k) = crate::codegen::peek_or_compile(insts) {
-                let live_in: usize = inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| k.input_live(i))
-                    .map(|(_, s)| s.num_elements())
-                    .sum();
-                return formulas::elementwise(out_elems, live_in, k.flops_per_elem() as usize);
-            }
-            // Outside the compilable envelope the interpreter runs the raw
-            // list, so the raw count is the honest one.
-            let ops = insts
+            let k = crate::codegen::peek_or_compile(insts);
+            let live_in: usize = inputs
                 .iter()
-                .filter(|i| matches!(i, FusedInst::Unary(..) | FusedInst::Binary(..)))
-                .count();
-            formulas::elementwise(out_elems, in_elems(), ops)
+                .enumerate()
+                .filter(|&(i, _)| k.input_live(i))
+                .map(|(_, s)| s.num_elements())
+                .sum();
+            formulas::elementwise(out_elems, live_in, k.flops_per_elem() as usize)
         }
     }
 }
@@ -130,7 +122,7 @@ pub fn op_cost(op: &HloOp, inputs: &[&Shape], out: &Shape) -> OpCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{ElemBinary, ElemUnary};
+    use crate::op::{ElemBinary, ElemUnary, FusedInst};
 
     fn s(dims: &[usize]) -> Shape {
         Shape::new(dims)

@@ -9,6 +9,7 @@ use crate::op::{FusedInst, HloOp, ReduceKind};
 use crate::passes::{self, MemoryPlan};
 use crate::prof;
 use s4tf_tensor::{panic_message, RuntimeError, Tensor};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -89,11 +90,9 @@ pub struct Executable {
     plan: MemoryPlan,
     /// Run-time plan outcomes, shared across clones of this program.
     counters: Arc<PlanCounters>,
-    /// Per-node compiled fused kernels (codegen IR), built once here so
-    /// launches index instead of hashing; `None` for non-fused nodes and
-    /// programs outside the compilable envelope. Built even when codegen
-    /// is disabled so the `S4TF_CODEGEN` toggle works per-run.
-    fused: Vec<Option<Arc<codegen::CompiledKernel>>>,
+    /// Compiled kernels of the `Fused` nodes by node index (see
+    /// [`codegen::fused_table`]).
+    fused: HashMap<usize, Arc<codegen::CompiledKernel>>,
 }
 
 /// Compiles a graph: runs the whole-program pass pipeline (constant
@@ -103,52 +102,37 @@ pub fn compile(graph: &HloGraph) -> Executable {
     let mut span = prof::span("xla.compile");
     let mut g = graph.clone();
     passes::optimize(&mut g);
-    let kernel_count = g
-        .nodes
-        .iter()
-        .filter(|n| !matches!(n.op, HloOp::Parameter(_) | HloOp::Constant(_)))
-        .count();
+    let exe = Executable::new(g);
     if span.is_recording() {
         span.annotate_f64("nodes_in", graph.len() as f64);
-        span.annotate_f64("kernels_out", kernel_count as f64);
-        let fused = g
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, HloOp::Fused { .. }))
-            .count();
-        prof::counter_add("xla.fused_kernels", fused as u64);
+        span.annotate_f64("kernels_out", exe.kernel_count as f64);
+        prof::counter_add("xla.fused_kernels", exe.fused.len() as u64);
     }
-    let plan = passes::plan_memory(&g);
-    let fused = codegen::fused_table(&g);
-    Executable {
-        graph: g,
-        kernel_count,
-        plan,
-        counters: Arc::default(),
-        fused,
-    }
+    exe
 }
 
 /// Compiles without optimization (for pass-effect comparisons).
 pub fn compile_unoptimized(graph: &HloGraph) -> Executable {
-    let g = graph.clone();
-    let kernel_count = g
-        .nodes
-        .iter()
-        .filter(|n| !matches!(n.op, HloOp::Parameter(_) | HloOp::Constant(_)))
-        .count();
-    let plan = passes::plan_memory(&g);
-    let fused = codegen::fused_table(&g);
-    Executable {
-        graph: g,
-        kernel_count,
-        plan,
-        counters: Arc::default(),
-        fused,
-    }
+    Executable::new(graph.clone())
 }
 
 impl Executable {
+    /// Fixes the execution plan of `graph` as it stands.
+    fn new(graph: HloGraph) -> Executable {
+        let kernel_count = graph
+            .nodes
+            .iter()
+            .filter(|n| !matches!(n.op, HloOp::Parameter(_) | HloOp::Constant(_)))
+            .count();
+        Executable {
+            kernel_count,
+            plan: passes::plan_memory(&graph),
+            counters: Arc::default(),
+            fused: codegen::fused_table(&graph),
+            graph,
+        }
+    }
+
     /// The optimized graph.
     pub fn graph(&self) -> &HloGraph {
         &self.graph
@@ -345,7 +329,7 @@ impl Executable {
                             // the plan (a trailing-broadcast input may tie
                             // the element count).
                             HloOp::Fused { insts, .. } => {
-                                run_fused(insts, &inputs, node.shape.dims(), self.fused[i].as_ref())
+                                run_fused(&self.fused_kernel(i, insts), &inputs, node.shape.dims())
                             }
                             op => eval_op(op, &inputs),
                         }))
@@ -394,13 +378,10 @@ impl Executable {
                     .collect();
                 deps.push(prev_id);
                 let id = prof::next_op_id();
-                // Fused nodes that executed through the compiled path get
-                // their own roofline rows (`fused@codegen`), keeping the
-                // interpreter's `simd8`/`scalar` rows comparable per path.
-                let path = if matches!(node.op, HloOp::Fused { .. })
-                    && self.fused[i].is_some()
-                    && codegen::codegen_enabled()
-                {
+                // Fused nodes get their own roofline rows (`fused@codegen`):
+                // compiled loop nests are not comparable with the per-op
+                // kernels' `simd8`/`scalar` rows.
+                let path = if matches!(node.op, HloOp::Fused { .. }) {
                     "codegen"
                 } else {
                     s4tf_tensor::path_label()
@@ -474,6 +455,16 @@ impl Executable {
             .collect())
     }
 
+    /// Node `i`'s compiled kernel. The table misses only a malformed
+    /// program, which fails here with `lower`'s reason — inside the
+    /// caller's `catch_unwind`, so it becomes that node's kernel error.
+    fn fused_kernel(&self, i: usize, insts: &[FusedInst]) -> Arc<codegen::CompiledKernel> {
+        match self.fused.get(&i) {
+            Some(k) => Arc::clone(k),
+            None => codegen::get_or_compile(insts),
+        }
+    }
+
     /// Runs node `i`'s kernel *in place* on `target` (the taken value of
     /// operand `k`, uniquely owned and shaped like the output). Per-element
     /// arithmetic, operand order and chunking are identical to the
@@ -520,7 +511,8 @@ impl Executable {
                     .collect();
                 let mut t = target;
                 let n = t.num_elements();
-                dispatch_fused(self.fused[i].as_ref(), insts, &slices, n, t.as_mut_slice());
+                self.fused_kernel(i, insts)
+                    .run(&slices, n, t.as_mut_slice());
                 t
             }
             op => unreachable!("plan marks only elementwise ops in-place, got {op:?}"),
@@ -632,7 +624,7 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
                 .max_by_key(|t| t.num_elements())
                 .map(|t| t.dims().to_vec())
                 .unwrap_or_default();
-            run_fused(insts, inputs, &dims, None)
+            run_fused(&codegen::get_or_compile(insts), inputs, &dims)
         }
     }
 }
@@ -688,167 +680,22 @@ pub(crate) fn apply_binary(
     }
 }
 
-/// Fused-kernel chunk width: big enough to amortize instruction dispatch,
-/// small enough that the whole register file stays cache-resident.
-const FUSED_CHUNK: usize = 512;
-
-/// Executes a fused elementwise program: one pass over the elements, no
-/// intermediate full-size buffers — the fusion payoff. Execution is a
-/// *vectorized interpreter*: instructions dispatch once per chunk and then
-/// run tight per-element loops, so dispatch cost is amortized 512×.
+/// Launches a compiled fused kernel into a fresh output: one pass over
+/// the elements, no intermediate full-size buffers — the fusion payoff.
 /// Inputs smaller than the output are trailing-suffix broadcasts, indexed
 /// modulo their length (bias vectors, batch-norm scales, …).
-/// Elements per pool task: several dispatch chunks, so a task amortizes
-/// its private register-file allocation.
-const FUSED_GRAIN: usize = 8 * FUSED_CHUNK;
-
 fn run_fused(
-    insts: &[FusedInst],
+    kernel: &codegen::CompiledKernel,
     inputs: &[&Tensor<f32>],
     out_dims: &[usize],
-    compiled: Option<&Arc<codegen::CompiledKernel>>,
 ) -> Tensor<f32> {
     let n: usize = out_dims.iter().product();
     let slices: Vec<Option<&[f32]>> = inputs.iter().map(|t| Some(t.as_slice())).collect();
     // The output buffer comes through the tensor constructors, which
     // recycle pooled capacity; the fill value is overwritten below.
     let mut out = Tensor::full(0.0f32, out_dims);
-    dispatch_fused(compiled, insts, &slices, n, out.as_mut_slice());
+    kernel.run(&slices, n, out.as_mut_slice());
     out
-}
-
-/// Routes one fused launch: the compiled kernel when codegen is enabled
-/// (from the executable's per-node table, or the codegen cache for ad-hoc
-/// [`eval_op`] launches), otherwise the interpreter below. Both paths are
-/// bit-identical, so the choice is purely a performance dispatch.
-fn dispatch_fused(
-    compiled: Option<&Arc<codegen::CompiledKernel>>,
-    insts: &[FusedInst],
-    slices: &[Option<&[f32]>],
-    n: usize,
-    out: &mut [f32],
-) {
-    if codegen::codegen_enabled() {
-        let looked_up;
-        let kernel = match compiled {
-            Some(k) => Some(k),
-            None => {
-                looked_up = codegen::get_or_compile(insts);
-                looked_up.as_ref()
-            }
-        };
-        if let Some(k) = kernel {
-            k.run(slices, n, out);
-            return;
-        }
-    }
-    run_fused_kernel(insts, slices, n, out);
-}
-
-/// The fused interpreter core, writing into a caller-provided output
-/// buffer. `slices[i]` is `None` when input `i` *aliases the output
-/// buffer* (in-place execution on a dying operand): reads then come from
-/// the output chunk itself, which still holds the operand's original
-/// elements because every chunk is fully read into registers before its
-/// output range is written. Only full-shape inputs may alias.
-fn run_fused_kernel(insts: &[FusedInst], slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) {
-    // Launch-wide instruction decode: input slices resolve their
-    // full-vs-broadcast-vs-alias class (and bound check) once here, not
-    // once per instruction per chunk.
-    enum Decoded<'a> {
-        Imm(f32),
-        Full(&'a [f32]),
-        Bcast(&'a [f32]),
-        Alias,
-        Unary(crate::op::ElemUnary, usize),
-        Binary(crate::op::ElemBinary, usize, usize),
-    }
-    let decoded: Vec<Decoded<'_>> = insts
-        .iter()
-        .map(|inst| match inst {
-            FusedInst::Imm(x) => Decoded::Imm(*x),
-            FusedInst::Input(i) => match slices[*i] {
-                Some(src) if src.len() == n => Decoded::Full(src),
-                Some(src) => Decoded::Bcast(src),
-                None => Decoded::Alias,
-            },
-            FusedInst::Unary(u, a) => Decoded::Unary(*u, *a),
-            FusedInst::Binary(b, a, c) => Decoded::Binary(*b, *a, *c),
-        })
-        .collect();
-    // Outputs above the grain split across the thread pool; each task
-    // interprets a disjoint output range with its own chunk-register
-    // file, so per-element evaluation is unchanged by the split
-    // (bit-identical for every thread count).
-    s4tf_threads::parallel_chunks_mut(out, 1, FUSED_GRAIN, |task_start, out_chunk| {
-        // Chunk-wide registers, one row per instruction — recycled
-        // scratch when the pool has capacity parked.
-        let regs_len = insts.len() * FUSED_CHUNK;
-        let mut regs = match s4tf_tensor::pool::take_vec::<f32>(regs_len) {
-            Some(mut v) => {
-                v.resize(regs_len, 0.0);
-                v
-            }
-            None => {
-                // Round capacity up to a power of two so the freed
-                // buffer parks in the bucket the next task searches.
-                let mut v = Vec::with_capacity(regs_len.next_power_of_two());
-                v.resize(regs_len, 0.0);
-                v
-            }
-        };
-        // The whole interpretation loop runs inside `vectorize`, so each
-        // instruction's `apply_slice` chunk loop compiles with the lane
-        // path's target features — fusion wins compound with vector
-        // width. Per-element arithmetic is identical on both dispatch
-        // paths (bit-identical results; see `s4tf_tensor::simd`).
-        s4tf_tensor::simd::vectorize(|| {
-            // Immediate rows materialize once per task: no later
-            // instruction writes them, so they persist across chunks (the
-            // chunk loop skips `Imm` entirely).
-            for (r, d) in decoded.iter().enumerate() {
-                if let Decoded::Imm(x) = d {
-                    regs[r * FUSED_CHUNK..(r + 1) * FUSED_CHUNK].fill(*x);
-                }
-            }
-            let mut start = 0usize;
-            while start < out_chunk.len() {
-                let len = FUSED_CHUNK.min(out_chunk.len() - start);
-                // Broadcast inputs index by *global* element position.
-                let global = task_start + start;
-                for (r, inst) in decoded.iter().enumerate() {
-                    // Split the register file so an instruction can read earlier
-                    // rows while writing its own.
-                    let (read, write) = regs.split_at_mut(r * FUSED_CHUNK);
-                    let dst = &mut write[..len];
-                    match inst {
-                        Decoded::Imm(_) => {}
-                        Decoded::Full(src) => {
-                            dst.copy_from_slice(&src[global..global + len]);
-                        }
-                        Decoded::Bcast(src) => {
-                            crate::codegen::fill_cycle(dst, src, global);
-                        }
-                        // Aliased input: its elements for this chunk sit
-                        // in the not-yet-written output range.
-                        Decoded::Alias => dst.copy_from_slice(&out_chunk[start..start + len]),
-                        Decoded::Unary(u, a) => {
-                            u.apply_slice(dst, &read[a * FUSED_CHUNK..a * FUSED_CHUNK + len]);
-                        }
-                        Decoded::Binary(b, a, c) => {
-                            let lhs = &read[a * FUSED_CHUNK..a * FUSED_CHUNK + len];
-                            let rhs = &read[c * FUSED_CHUNK..c * FUSED_CHUNK + len];
-                            b.apply_slice(dst, lhs, rhs);
-                        }
-                    }
-                }
-                let last = (insts.len() - 1) * FUSED_CHUNK;
-                out_chunk[start..start + len].copy_from_slice(&regs[last..last + len]);
-                start += len;
-            }
-        });
-        s4tf_tensor::pool::give_vec(regs);
-    });
 }
 
 #[cfg(test)]
@@ -1067,7 +914,7 @@ mod tests {
     #[test]
     fn inplace_fused_chain_matches_eval_op() {
         // A fusable chain over a donated buffer: in-place fused execution
-        // must agree exactly with the out-of-place interpreter.
+        // must agree exactly with the unfused per-op kernels.
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut g = HloGraph::new();
         let x = g.parameter(0, &[2000]);
@@ -1083,5 +930,43 @@ mod tests {
             got[0].as_slice(),
             "fused in-place must be bit-identical"
         );
+    }
+
+    /// Hand-built programs `lower` rejects, with the reason it gives.
+    fn malformed_programs() -> Vec<(Vec<FusedInst>, &'static str)> {
+        vec![
+            (vec![], "empty program"),
+            (
+                vec![FusedInst::Input(0), FusedInst::Unary(ElemUnary::Neg, 5)],
+                "forward operand reference",
+            ),
+        ]
+    }
+
+    #[test]
+    fn malformed_fused_program_panics_with_lowering_reason() {
+        for (insts, why) in malformed_programs() {
+            let op = HloOp::Fused { insts, n_inputs: 1 };
+            let x = t(&[1.0, 2.0], &[2]);
+            let payload = std::panic::catch_unwind(|| eval_op(&op, &[&x])).unwrap_err();
+            let msg = panic_message(&*payload);
+            assert!(msg.contains(why), "`{msg}` should name `{why}`");
+        }
+    }
+
+    #[test]
+    fn malformed_fused_node_is_a_typed_kernel_error() {
+        for (insts, why) in malformed_programs() {
+            let mut g = HloGraph::new();
+            let x = g.parameter(0, &[2]);
+            let f = g.add(HloOp::Fused { insts, n_inputs: 1 }, &[x]);
+            g.mark_output(f);
+            let err = compile(&g)
+                .try_run_with_backend(&[&t(&[1.0, 2.0], &[2])], "xla")
+                .unwrap_err();
+            assert_eq!(err.kind, s4tf_tensor::FaultKind::Kernel);
+            assert!(err.op.starts_with("fused["), "op: {}", err.op);
+            assert!(err.message.contains(why), "`{}`", err.message);
+        }
     }
 }

@@ -60,7 +60,7 @@ pub mod passes;
 mod prof;
 
 pub use cache::{CacheStats, ProgramCache};
-pub use codegen::{codegen_enabled, set_codegen_enabled, CodegenStats};
+pub use codegen::CodegenStats;
 pub use cost::op_cost;
 pub use exec::{
     compile, compile_unoptimized, eval_op, eval_op_owned, plan_enabled, set_plan_enabled,

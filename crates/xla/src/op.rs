@@ -41,32 +41,6 @@ impl ElemUnary {
             ElemUnary::Recip => 1.0 / x,
         }
     }
-
-    /// `dst[i] = op(src[i])` over a chunk, with the opcode match hoisted
-    /// out of the loop so each arm is a tight single-op loop the lane
-    /// path can vectorize (the fused interpreter calls this inside
-    /// `s4tf_tensor::simd::vectorize`; `inline(always)` keeps the loop
-    /// bodies inside that target-feature frame).
-    #[inline(always)]
-    pub fn apply_slice(self, dst: &mut [f32], src: &[f32]) {
-        #[inline(always)]
-        fn map1(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32) {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = f(s);
-            }
-        }
-        match self {
-            ElemUnary::Neg => map1(dst, src, |x| -x),
-            ElemUnary::Exp => map1(dst, src, f32::exp),
-            ElemUnary::Ln => map1(dst, src, f32::ln),
-            ElemUnary::Sqrt => map1(dst, src, f32::sqrt),
-            ElemUnary::Tanh => map1(dst, src, f32::tanh),
-            ElemUnary::Sigmoid => map1(dst, src, |x| 1.0 / (1.0 + (-x).exp())),
-            ElemUnary::Relu => map1(dst, src, |x| x.max(0.0)),
-            ElemUnary::Square => map1(dst, src, |x| x * x),
-            ElemUnary::Recip => map1(dst, src, |x| 1.0 / x),
-        }
-    }
 }
 
 /// Elementwise binary operations (fusable when shapes agree; broadcast
@@ -110,28 +84,6 @@ impl ElemBinary {
                 }
             }
             ElemBinary::Pow => a.powf(b),
-        }
-    }
-
-    /// `dst[i] = op(lhs[i], rhs[i])` over a chunk; see
-    /// [`ElemUnary::apply_slice`] for why the match is hoisted.
-    #[inline(always)]
-    pub fn apply_slice(self, dst: &mut [f32], lhs: &[f32], rhs: &[f32]) {
-        #[inline(always)]
-        fn map2(dst: &mut [f32], lhs: &[f32], rhs: &[f32], f: impl Fn(f32, f32) -> f32) {
-            for ((d, &a), &b) in dst.iter_mut().zip(lhs).zip(rhs) {
-                *d = f(a, b);
-            }
-        }
-        match self {
-            ElemBinary::Add => map2(dst, lhs, rhs, |a, b| a + b),
-            ElemBinary::Sub => map2(dst, lhs, rhs, |a, b| a - b),
-            ElemBinary::Mul => map2(dst, lhs, rhs, |a, b| a * b),
-            ElemBinary::Div => map2(dst, lhs, rhs, |a, b| a / b),
-            ElemBinary::Max => map2(dst, lhs, rhs, f32::max),
-            ElemBinary::Min => map2(dst, lhs, rhs, f32::min),
-            ElemBinary::GreaterMask => map2(dst, lhs, rhs, |a, b| if a > b { 1.0 } else { 0.0 }),
-            ElemBinary::Pow => map2(dst, lhs, rhs, f32::powf),
         }
     }
 }

@@ -183,7 +183,9 @@ pub fn algebraic_simplify(g: &mut HloGraph) -> bool {
 /// Elementwise fusion: maximal groups of same-shape elementwise nodes whose
 /// interior members have no consumers outside the group collapse into one
 /// [`HloOp::Fused`] kernel. Rank-0 constants feeding a group become
-/// immediates.
+/// immediates. A group stops growing when its program would exceed
+/// [`MAX_INSTS`](crate::codegen::MAX_INSTS) — the rest of a longer chain
+/// starts a new kernel — so every emitted program compiles.
 pub fn fuse_elementwise(g: &mut HloGraph) -> bool {
     // Consumers of each node.
     let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
@@ -207,6 +209,18 @@ pub fn fuse_elementwise(g: &mut HloGraph) -> bool {
                 || is_scalar_const(g, i)
                 || crate::op::is_trailing_broadcast(in_shape, shape)
         })
+    };
+
+    // Instructions a group's program has: one per member plus one
+    // (`Input` or `Imm`) per distinct external operand.
+    let program_len = |g: &HloGraph, group: &HashSet<NodeId>| {
+        let external: HashSet<NodeId> = group
+            .iter()
+            .flat_map(|&m| &g.node(m).inputs)
+            .filter(|i| !group.contains(i))
+            .copied()
+            .collect();
+        group.len() + external.len()
     };
 
     // Build groups: walk roots from the end (consumers come after
@@ -243,7 +257,11 @@ pub fn fuse_elementwise(g: &mut HloGraph) -> bool {
                             .unwrap_or(false);
                     if fusable {
                         group.insert(input);
-                        grew = true;
+                        if program_len(g, &group) > crate::codegen::MAX_INSTS {
+                            group.remove(&input);
+                        } else {
+                            grew = true;
+                        }
                     }
                 }
             }
@@ -360,6 +378,7 @@ pub fn fuse_elementwise(g: &mut HloGraph) -> bool {
                     insts.push(inst);
                     reg_of.insert(m, insts.len() - 1);
                 }
+                debug_assert!(insts.len() <= crate::codegen::MAX_INSTS);
                 let n_inputs = kernel_inputs.len();
                 let inputs: Vec<NodeId> = kernel_inputs.iter().map(|k| remap[k]).collect();
                 let shape = old_nodes[root.0 as usize].shape.clone();
@@ -461,9 +480,9 @@ impl MemoryPlan {
 ///   broadcasting) and are *distinct* nodes, and the chosen one dies
 ///   here. Position 0 writes through `zip_apply_assign`, position 1
 ///   through `zip_apply_assign_rev`, preserving operand order.
-/// * **Fused**: some *full-shape* input dies here. The interpreter reads
-///   each chunk of a full-shape input before writing that chunk of the
-///   output, so aliasing the two is safe; modulo-broadcast inputs are
+/// * **Fused**: some *full-shape* input dies here. The compiled kernel
+///   reads each chunk of a full-shape input before writing that chunk of
+///   the output, so aliasing the two is safe; modulo-broadcast inputs are
 ///   never aliased (they are smaller, hence a different buffer).
 pub fn plan_memory(g: &HloGraph) -> MemoryPlan {
     let n = g.nodes.len();
@@ -862,5 +881,63 @@ mod tests {
         let plan = plan_memory(&g);
         assert_eq!(plan.inplace[bc.0 as usize], None, "broadcast operand");
         assert_eq!(plan.inplace[dbl.0 as usize], None, "self-aliasing pair");
+    }
+
+    #[test]
+    fn fusion_caps_groups_at_the_codegen_envelope() {
+        use crate::codegen::MAX_INSTS;
+        // 300 chained ops, a second operand every third step so programs
+        // also spend instructions on inputs and immediates.
+        let mut g = HloGraph::new();
+        let x = g.parameter(0, &[64]);
+        let y = g.parameter(1, &[64]);
+        let k = g.constant(Tensor::scalar(0.999));
+        let mut v = x;
+        for i in 0..300 {
+            v = match i % 3 {
+                0 => g.unary(ElemUnary::Tanh, v),
+                1 => g.binary(ElemBinary::Add, v, y),
+                _ => g.binary(ElemBinary::Mul, v, k),
+            };
+        }
+        g.mark_output(v);
+        let mut opt = g.clone();
+        assert!(fuse_elementwise(&mut opt));
+        dce(&mut opt);
+        let lens: Vec<usize> = opt
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.op {
+                HloOp::Fused { insts, .. } => Some(insts.len()),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            lens.len() >= 3,
+            "a 300-op chain needs >= 3 kernels: {lens:?}"
+        );
+        assert!(lens.iter().all(|&l| l <= MAX_INSTS), "{lens:?}");
+        assert!(
+            !opt.nodes.iter().any(|n| n.op.is_elementwise()),
+            "every op still lands in some kernel"
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let xs = Tensor::<f32>::randn(&[64], &mut rng);
+        let ys = Tensor::<f32>::randn(&[64], &mut rng);
+        let want = compile_unoptimized(&g).run(&[&xs, &ys]);
+        let got = compile_unoptimized(&opt).run(&[&xs, &ys]);
+        assert_eq!(
+            want[0]
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            got[0]
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            "split kernels must stay bit-equal to the unfused chain"
+        );
     }
 }

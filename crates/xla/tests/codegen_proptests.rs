@@ -1,15 +1,15 @@
 //! Property-based bit-exactness contract for the fused-kernel compiler:
-//! on random `FusedInst` programs, the compiled path (`S4TF_CODEGEN=1`,
-//! specialized loop nests or the register machine) must produce the
-//! *same bits* as the chunked interpreter (`S4TF_CODEGEN=0`) — across
-//! the SIMD dispatch toggle and thread counts, for full-shape and
-//! trailing-broadcast inputs, at lengths straddling lane (8), chunk
-//! (512) and task-grain (4096) boundaries.
+//! on random `FusedInst` programs, the compiled kernel (specialized loop
+//! nests or the register machine) must produce the *same bits* as the
+//! program's per-element scalar semantics — across the SIMD dispatch
+//! toggle and thread counts, for full-shape and trailing-broadcast
+//! inputs, at lengths straddling lane (8), chunk (512) and task-grain
+//! (4096) boundaries.
 
 use proptest::prelude::*;
 use s4tf_tensor::Tensor;
 use s4tf_xla::op::FusedInst;
-use s4tf_xla::{eval_op, set_codegen_enabled, ElemBinary, ElemUnary, HloOp};
+use s4tf_xla::{eval_op, ElemBinary, ElemUnary, HloOp};
 use std::sync::Mutex;
 
 /// The toggles below are process-wide; every test in this binary flips
@@ -94,22 +94,52 @@ fn make_inputs(n: usize, n_inputs: usize, seed: u64) -> Vec<Tensor<f32>> {
         .collect()
 }
 
-fn run_once(insts: &[FusedInst], inputs: &[Tensor<f32>], codegen: bool) -> Vec<u32> {
-    set_codegen_enabled(codegen);
+/// The compared representation: exact bits, with every NaN folded to one
+/// pattern. Which operand's sign and payload a NaN result inherits is
+/// unspecified (`NaN₁ + NaN₂` depends on the operand order the compiler
+/// picked), so only *that* an element is NaN is part of the contract.
+fn bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// What a fused program means: every element evaluated on its own with
+/// the scalar `apply`s, input `i` indexed modulo its length.
+fn reference(insts: &[FusedInst], inputs: &[&[f32]], n: usize) -> Vec<u32> {
+    let mut regs = vec![0.0f32; insts.len()];
+    (0..n)
+        .map(|e| {
+            for (r, inst) in insts.iter().enumerate() {
+                regs[r] = match inst {
+                    FusedInst::Input(i) => inputs[*i][e % inputs[*i].len()],
+                    FusedInst::Imm(x) => *x,
+                    FusedInst::Unary(u, a) => u.apply(regs[*a]),
+                    FusedInst::Binary(b, a, c) => b.apply(regs[*a], regs[*c]),
+                };
+            }
+            bits(regs[insts.len() - 1])
+        })
+        .collect()
+}
+
+fn run_compiled(insts: &[FusedInst], inputs: &[Tensor<f32>]) -> Vec<u32> {
     let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
     let op = HloOp::Fused {
         insts: insts.to_vec(),
         n_inputs: inputs.len(),
     };
     let out = eval_op(&op, &refs);
-    out.as_slice().iter().map(|x| x.to_bits()).collect()
+    out.as_slice().iter().map(|&x| bits(x)).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn compiled_is_bit_identical_to_interpreter(
+    fn compiled_is_bit_identical_to_scalar_semantics(
         raw in prop::collection::vec(inst_strategy(), 0..31),
         len_ix in 0..LENGTHS.len(),
         n_inputs in 1usize..4,
@@ -119,27 +149,26 @@ proptest! {
         let n = LENGTHS[len_ix];
         let insts = assemble(&raw, n_inputs);
         let inputs = make_inputs(n, n_inputs, seed);
+        let slices: Vec<&[f32]> = inputs.iter().map(|t| t.as_slice()).collect();
+        let want = reference(&insts, &slices, n);
         for simd in [false, true] {
             s4tf_tensor::simd::set_simd_enabled(simd);
             for threads in [1usize, 4] {
                 s4tf_threads::set_num_threads(threads);
-                let interp = run_once(&insts, &inputs, false);
-                let compiled = run_once(&insts, &inputs, true);
                 prop_assert_eq!(
-                    &interp, &compiled,
+                    &want, &run_compiled(&insts, &inputs),
                     "bits diverged: n={} simd={} threads={} insts={:?}",
                     n, simd, threads, insts
                 );
             }
         }
         s4tf_tensor::simd::set_simd_enabled(true);
-        set_codegen_enabled(true);
     }
 }
 
 /// The donated in-place path (`p ← p − lr·g` on an owned parameter) must
-/// also be bit-identical between the compiled kernel and the interpreter
-/// — the compiled path honors the memory planner's aliasing the same way.
+/// meet the same contract — the compiled kernel honors the memory
+/// planner's aliasing without changing a bit.
 #[test]
 fn donated_in_place_update_is_bit_identical() {
     use s4tf_xla::graph::HloGraph;
@@ -159,18 +188,24 @@ fn donated_in_place_update_is_bit_identical() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let p0 = Tensor::<f32>::rand_uniform(&[n], -1.0, 1.0, &mut rng);
     let g0 = Tensor::<f32>::rand_uniform(&[n], -1.0, 1.0, &mut rng);
+    let insts = [
+        FusedInst::Input(0),
+        FusedInst::Input(1),
+        FusedInst::Imm(-0.05),
+        FusedInst::Binary(ElemBinary::Mul, 1, 2),
+        FusedInst::Binary(ElemBinary::Add, 0, 3),
+    ];
+    let want = reference(&insts, &[p0.as_slice(), g0.as_slice()], n);
 
-    let mut got = Vec::new();
-    for codegen in [false, true] {
-        set_codegen_enabled(codegen);
-        // Donated run: the planner overwrites p's buffer in place.
-        let out = exe
-            .try_run_owned(vec![p0.clone(), g0.clone()], "xla")
-            .expect("runs");
-        got.push(out[0].as_slice().to_vec());
+    // Donated run: the planner overwrites p's buffer in place.
+    let p_owned = p0.as_slice().to_vec();
+    let ptr = p_owned.as_ptr();
+    let out = exe
+        .try_run_owned(vec![Tensor::from_vec(p_owned, &[n]), g0.clone()], "xla")
+        .expect("runs");
+    if s4tf_xla::plan_enabled() {
+        assert_eq!(out[0].as_slice().as_ptr(), ptr, "update should alias p");
     }
-    set_codegen_enabled(true);
-    let interp: Vec<u32> = got[0].iter().map(|x| x.to_bits()).collect();
-    let compiled: Vec<u32> = got[1].iter().map(|x| x.to_bits()).collect();
-    assert_eq!(interp, compiled, "donated in-place update diverged");
+    let got: Vec<u32> = out[0].as_slice().iter().map(|&x| bits(x)).collect();
+    assert_eq!(want, got, "donated in-place update diverged");
 }

@@ -6,7 +6,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use s4tf::models::LeNet;
 use s4tf::prelude::*;
-use s4tf::tensor::storage::cow_copy_count;
+// Per-thread: sibling tests copying on other threads cannot race the
+// deltas asserted below.
+use s4tf::tensor::storage::thread_cow_copy_count;
 
 /// Paper Figure 5, third column: `var y = x; x[0] += 1` leaves `y`
 /// untouched.
@@ -25,23 +27,27 @@ fn copies_happen_lazily_upon_mutation_and_only_when_shared() {
     let mut a = Tensor::<f32>::zeros(&[1024]);
 
     // Unshared mutation: no copy.
-    let before = cow_copy_count();
+    let before = thread_cow_copy_count();
     a.add_scalar_assign(1.0);
-    assert_eq!(cow_copy_count(), before, "unique mutation must not copy");
+    assert_eq!(
+        thread_cow_copy_count(),
+        before,
+        "unique mutation must not copy"
+    );
 
     // Sharing alone: no copy.
     let b = a.clone();
-    assert_eq!(cow_copy_count(), before, "cloning must be O(1)");
+    assert_eq!(thread_cow_copy_count(), before, "cloning must be O(1)");
     assert!(a.shares_storage_with(&b));
 
     // First mutation through a shared handle: exactly one copy.
     a.add_scalar_assign(1.0);
-    assert_eq!(cow_copy_count(), before + 1);
+    assert_eq!(thread_cow_copy_count(), before + 1);
     assert!(!a.shares_storage_with(&b));
 
     // Subsequent mutations: unique again, no more copies.
     a.add_scalar_assign(1.0);
-    assert_eq!(cow_copy_count(), before + 1);
+    assert_eq!(thread_cow_copy_count(), before + 1);
 }
 
 /// §4.2: training updates the model in place — the optimizer's unique
@@ -51,12 +57,12 @@ fn optimizer_update_is_in_place_when_unshared() {
     let mut model = Tensor::<f32>::zeros(&[4096]);
     let grad = Tensor::<f32>::ones(&[4096]);
     let mut opt = Sgd::<Tensor<f32>>::new(0.1);
-    let before = cow_copy_count();
+    let before = thread_cow_copy_count();
     for _ in 0..10 {
         opt.update(&mut model, &grad);
     }
     assert_eq!(
-        cow_copy_count(),
+        thread_cow_copy_count(),
         before,
         "in-place updates must not copy the weights"
     );
