@@ -14,6 +14,14 @@ bank the win). The schema of the measured file is validated first, so a
 bench binary that drops a field fails here rather than producing an
 uncomparable artifact.
 
+A `kernels` artifact is also checked against itself: each
+`conv2d_backward_*` row must reach at least ``CONV_GRAD_FLOOR`` x the
+GFLOP/s of the `conv2d` row with the same case and dispatch path. The
+gradients run on the same packed GEMM engine as the forward kernel, so a
+row far below it means a gradient fell back to scalar loops while its
+roofline label still says `simd8`. Both rows come from one run on one
+machine, so this check fails on every machine.
+
 Throughput is only comparable between like machines. When the two
 artifacts' machine fingerprints differ, regressions are reported but
 downgraded to warnings (exit 0) unless ``--strict`` is given — CI runners
@@ -64,6 +72,11 @@ SCHEMAS = {
 }
 
 
+# A conv gradient row below this fraction of its forward row's gflops_1
+# fails the artifact (the lowering targets >= 0.66x; see DESIGN.md 6g).
+CONV_GRAD_FLOOR = 0.5
+
+
 def load(path):
     with open(path) as f:
         return json.load(f)
@@ -89,6 +102,26 @@ def validate(doc, path):
             if r[metric] < 0:
                 sys.exit(f"{path}: negative {metric}: {r}")
     return kind
+
+
+def conv_grad_failures(doc):
+    """Conv gradient rows slower than CONV_GRAD_FLOOR x their forward row."""
+    forward = {(r["case"], r["path"]): r["gflops_1"]
+               for r in doc["results"] if r["kernel"] == "conv2d"}
+    failures = []
+    for r in doc["results"]:
+        if not r["kernel"].startswith("conv2d_backward_"):
+            continue
+        fwd = forward.get((r["case"], r["path"]))
+        if fwd is None:
+            failures.append(f"{r['kernel']}/{r['case']}: no conv2d row "
+                            f"with path {r['path']} to compare against")
+        elif r["gflops_1"] < CONV_GRAD_FLOOR * fwd:
+            failures.append(
+                f"{r['kernel']}/{r['case']} [{r['path']}]: {r['gflops_1']:.3f} "
+                f"GFLOP/s is {r['gflops_1'] / fwd:.2f}x the forward kernel's "
+                f"{fwd:.3f} (floor {CONV_GRAD_FLOOR}x)")
+    return failures
 
 
 # Metrics measured on the scalar reference path regardless of the active
@@ -125,6 +158,10 @@ def main():
     if kind != base_kind:
         sys.exit(f"bench kind mismatch: {kind} vs {base_kind}")
     schema = SCHEMAS[kind]
+
+    grad_failures = conv_grad_failures(measured) if kind == "kernels" else []
+    for f in grad_failures:
+        print(f"  CONV GRADIENT OFF THE ENGINE: {f}")
 
     m_fp = measured["machine"]["fingerprint"]
     b_fp = baseline["machine"]["fingerprint"]
@@ -170,6 +207,9 @@ def main():
         print(f"  faster (consider re-baselining): {n}")
     for r in regressions:
         print(f"  REGRESSION: {r}")
+    if grad_failures:
+        sys.exit(f"{len(grad_failures)} conv gradient row(s) below "
+                 f"{CONV_GRAD_FLOOR}x their forward row")
     if regressions and (same_machine or args.strict):
         sys.exit(f"{len(regressions)} case(s) regressed below "
                  f"{args.fail_under}x baseline")

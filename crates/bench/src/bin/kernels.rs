@@ -1,6 +1,7 @@
-//! CPU kernel microbenchmarks: GEMM, conv2d and elementwise ops timed
-//! with the thread pool pinned to 1 thread and to N threads in the same
-//! process, writing the comparison to `BENCH_kernels.json`.
+//! CPU kernel microbenchmarks: GEMM, conv2d (forward and both gradients)
+//! and elementwise ops timed with the thread pool pinned to 1 thread and to
+//! N threads in the same process, writing the comparison to
+//! `BENCH_kernels.json`.
 //!
 //! ```sh
 //! cargo run -p s4tf-bench --release --bin kernels            # full sizes
@@ -74,31 +75,106 @@ fn matvec_case(m: usize, k: usize, rng: &mut ChaCha8Rng) -> Case {
     }
 }
 
-fn conv_case(
+/// One convolution shape as three rows sharing a case label: the forward
+/// kernel and both gradient kernels, so the regression gate can hold each
+/// gradient to its forward row (`ci/compare_bench.py`).
+fn conv_cases(
     label: &str,
     x_dims: &[usize],
     w_dims: &[usize],
+    strides: (usize, usize),
     padding: Padding,
     rng: &mut ChaCha8Rng,
-) -> Case {
+) -> Vec<Case> {
     let x = Tensor::<f32>::randn(x_dims, rng);
     let w = Tensor::<f32>::randn(w_dims, rng);
     let (n, ih, iw, c_in) = (x_dims[0], x_dims[1], x_dims[2], x_dims[3]);
     let (kh, kw, c_out) = (w_dims[0], w_dims[1], w_dims[3]);
-    let (oh, ow) = match padding {
-        Padding::Same => (ih, iw),
-        Padding::Valid => (ih - kh + 1, iw - kw + 1),
+    let oh = padding.output_dim(ih, kh, strides.0);
+    let ow = padding.output_dim(iw, kw, strides.1);
+    let dy = Tensor::<f32>::randn(&[n, oh, ow, c_out], rng);
+    let (x_elems, w_elems, dy_elems) = (x.num_elements(), w.num_elements(), dy.num_elements());
+    let grad_cost = |read_elems, out_elems| {
+        cost::conv2d_grad(n, c_in, kh, kw, c_out, oh, ow, read_elems, out_elems)
     };
-    let in_elems = n * ih * iw * c_in;
-    Case {
-        kernel: "conv2d",
+    let case = |kernel, cost, run| Case {
+        kernel,
         name: label.to_string(),
-        cost: cost::conv2d(n, c_in, kh, kw, c_out, oh, ow, in_elems),
+        cost,
         path: None,
-        run: Box::new(move || {
-            black_box(x.conv2d(&w, (1, 1), padding));
-        }),
-    }
+        run,
+    };
+    // Tensor clones share storage (CoW): each closure owns its handles.
+    let w_dims = w_dims.to_vec();
+    vec![
+        case(
+            "conv2d",
+            cost::conv2d(n, c_in, kh, kw, c_out, oh, ow, x_elems),
+            Box::new({
+                let (x, w) = (x.clone(), w.clone());
+                move || {
+                    black_box(x.conv2d(&w, strides, padding));
+                }
+            }),
+        ),
+        case(
+            "conv2d_backward_input",
+            grad_cost(w_elems + dy_elems, x_elems),
+            Box::new({
+                let (x, dy) = (x.clone(), dy.clone());
+                move || {
+                    black_box(x.conv2d_backward_input(&w, &dy, strides, padding));
+                }
+            }),
+        ),
+        case(
+            "conv2d_backward_filter",
+            grad_cost(x_elems + dy_elems, w_elems),
+            Box::new(move || {
+                black_box(x.conv2d_backward_filter(&w_dims, &dy, strides, padding));
+            }),
+        ),
+    ]
+}
+
+/// The conv shapes of the two training workloads, forward and both
+/// gradients each: LeNet's c1/c2 at batch `lenet_b`; ResNet-8's 16-channel
+/// 3×3 and its stride-2 16→32 downsampling conv at batch `resnet_b`.
+fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<Case> {
+    let (l, r) = (lenet_b, resnet_b);
+    let mut cases = conv_cases(
+        &format!("lenet-c1 {l}x28x28x1*5x5x1x6"),
+        &[l, 28, 28, 1],
+        &[5, 5, 1, 6],
+        (1, 1),
+        Padding::Same,
+        rng,
+    );
+    cases.extend(conv_cases(
+        &format!("lenet-c2 {l}x14x14x6*5x5x6x16"),
+        &[l, 14, 14, 6],
+        &[5, 5, 6, 16],
+        (1, 1),
+        Padding::Valid,
+        rng,
+    ));
+    cases.extend(conv_cases(
+        &format!("resnet-16 {r}x32x32x16*3x3x16x16"),
+        &[r, 32, 32, 16],
+        &[3, 3, 16, 16],
+        (1, 1),
+        Padding::Same,
+        rng,
+    ));
+    cases.extend(conv_cases(
+        &format!("resnet-s2 {r}x32x32x16*3x3x16x32/2"),
+        &[r, 32, 32, 16],
+        &[3, 3, 16, 32],
+        (2, 2),
+        Padding::Same,
+        rng,
+    ));
+    cases
 }
 
 fn elementwise_case(n: usize, rng: &mut ChaCha8Rng) -> Case {
@@ -223,13 +299,7 @@ fn main() {
     if smoke {
         cases.push(gemm_case(64, 64, 64, &mut rng));
         cases.push(matvec_case(256, 256, &mut rng));
-        cases.push(conv_case(
-            "lenet-c1 8x28x28x1*5x5x1x6",
-            &[8, 28, 28, 1],
-            &[5, 5, 1, 6],
-            Padding::Same,
-            &mut rng,
-        ));
+        cases.extend(all_conv_cases(8, 4, &mut rng));
         for n in [64usize, 4096, 65_536] {
             cases.push(elementwise_case(n, &mut rng));
         }
@@ -239,20 +309,7 @@ fn main() {
             cases.push(gemm_case(s, s, s, &mut rng));
         }
         cases.push(matvec_case(1024, 1024, &mut rng));
-        cases.push(conv_case(
-            "lenet-c1 32x28x28x1*5x5x1x6",
-            &[32, 28, 28, 1],
-            &[5, 5, 1, 6],
-            Padding::Same,
-            &mut rng,
-        ));
-        cases.push(conv_case(
-            "lenet-c2 32x14x14x6*5x5x6x16",
-            &[32, 14, 14, 6],
-            &[5, 5, 6, 16],
-            Padding::Valid,
-            &mut rng,
-        ));
+        cases.extend(all_conv_cases(32, 16, &mut rng));
         for n in [64usize, 4096, 1 << 20] {
             cases.push(elementwise_case(n, &mut rng));
         }

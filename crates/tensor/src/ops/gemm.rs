@@ -1,5 +1,5 @@
 //! Shared packed-GEMM engine behind `matmul` / `matmul_tn` / `matmul_nt`
-//! and the im2col convolution path.
+//! and the im2col convolution kernels (forward and both gradients).
 //!
 //! The design is the classic GotoBLAS decomposition, sized for the small
 //! matrices this workload sees (Dense layers, LeNet-scale convs):
@@ -79,20 +79,42 @@ pub(crate) struct PackedB<T> {
 }
 
 pub(crate) fn pack_b<T: Scalar>(b: &[T], layout: Layout, k: usize, n: usize) -> PackedB<T> {
-    let panels = n.div_ceil(NR);
-    let mut data = vec![T::zero(); panels * k * NR];
-    for p in 0..panels {
-        let j0 = p * NR;
-        let width = NR.min(n - j0);
-        let dst = &mut data[p * k * NR..(p + 1) * k * NR];
-        for kk in 0..k {
-            let row = &mut dst[kk * NR..kk * NR + width];
-            for (c, slot) in row.iter_mut().enumerate() {
-                *slot = b[kk * layout.rs + (j0 + c) * layout.cs];
-            }
+    let mut bp = PackedB::empty();
+    bp.repack(b, layout, k, n);
+    bp
+}
+
+impl<T: Scalar> PackedB<T> {
+    /// A `0 × 0` operand holding no allocation, to [`PackedB::repack`] into.
+    pub(crate) fn empty() -> PackedB<T> {
+        PackedB {
+            data: Vec::new(),
+            panels: 0,
+            k: 0,
         }
     }
-    PackedB { data, panels, k }
+
+    /// Packs a new `k × n` operand into this buffer, reusing its
+    /// allocation — for callers whose B changes per strip (the conv
+    /// filter gradient packs one `dy` strip at a time).
+    pub(crate) fn repack(&mut self, b: &[T], layout: Layout, k: usize, n: usize) {
+        let panels = n.div_ceil(NR);
+        self.data.clear();
+        self.data.resize(panels * k * NR, T::zero());
+        for p in 0..panels {
+            let j0 = p * NR;
+            let width = NR.min(n - j0);
+            let dst = &mut self.data[p * k * NR..(p + 1) * k * NR];
+            for kk in 0..k {
+                let row = &mut dst[kk * NR..kk * NR + width];
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot = b[kk * layout.rs + (j0 + c) * layout.cs];
+                }
+            }
+        }
+        self.panels = panels;
+        self.k = k;
+    }
 }
 
 /// `C[rows, :n] += A[rows, :k] × B` for one row range.

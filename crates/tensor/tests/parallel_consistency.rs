@@ -16,8 +16,11 @@
 //! The pool's thread count is process-global, so every comparison holds
 //! one mutex for its 1-vs-4 pair.
 
+mod common;
+
+use common::randn_f32;
 use proptest::prelude::*;
-use s4tf_tensor::{Padding, Tensor};
+use s4tf_tensor::Tensor;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes every `set_num_threads` flip in this test binary.
@@ -38,12 +41,6 @@ fn one_vs_four<R>(f: impl Fn() -> R) -> (R, R) {
     let parallel = f();
     s4tf_threads::set_num_threads(1);
     (serial, parallel)
-}
-
-fn randn_f32(dims: &[usize], seed: u64) -> Tensor<f32> {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    Tensor::randn(dims, &mut rng)
 }
 
 fn randi(dims: &[usize], seed: u64) -> Tensor<i32> {
@@ -97,32 +94,6 @@ proptest! {
         prop_assert_eq!(s.as_slice(), p.as_slice());
     }
 
-    // Spans the direct/im2col threshold (DIRECT_MAX_MACS = 2^15).
-    #[test]
-    fn conv2d_and_gradients_consistent(batch in 1usize..=3, hw in 8usize..=14,
-                                       in_c in 1usize..=4, out_c in 4usize..=8,
-                                       seed in any::<u64>()) {
-        let x = randn_f32(&[batch, hw, hw, in_c], seed);
-        let w = randn_f32(&[3, 3, in_c, out_c], seed ^ 1);
-        let (s, p) = one_vs_four(|| {
-            let y = x.conv2d(&w, (1, 1), Padding::Same);
-            let dx = x.conv2d_backward_input(&w, &y, (1, 1), Padding::Same);
-            let dw = x.conv2d_backward_filter(w.dims(), &y, (1, 1), Padding::Same);
-            (y, dx, dw)
-        });
-        // Forward and input gradient never reorder a summation.
-        prop_assert_eq!(s.0.as_slice(), p.0.as_slice());
-        prop_assert_eq!(s.1.as_slice(), p.1.as_slice());
-        // Filter gradient combines per-chunk partials: relative tolerance
-        // (allclose is absolute; dw entries accumulate batch*out_h*out_w
-        // products, so scale 1e-5 by the gradient's own magnitude).
-        let scale = s.2.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-        prop_assert!(
-            s.2.allclose(&p.2, 1e-5 * f64::from(scale)),
-            "dw diverged beyond relative 1e-5"
-        );
-    }
-
     // Spans ELEMWISE_GRAIN = 4096.
     #[test]
     fn elementwise_bit_identical(n in 1usize..=12_000, seed in any::<u64>()) {
@@ -173,6 +144,28 @@ proptest! {
         let a = randi(&[n], seed);
         let (s, p) = one_vs_four(|| a.sum().scalar_value());
         prop_assert_eq!(s, p);
+    }
+}
+
+/// conv2d and both gradients on the GEMM path, over the shared shape
+/// sweep (every stride, padding, channel width and strip length the
+/// im2col / col2im walks and the micro-kernel tiles distinguish).
+#[test]
+fn conv2d_and_gradients_consistent() {
+    for case in common::conv_cases() {
+        let (s, p) = one_vs_four(|| case.run());
+        let what = case.label();
+        // Forward and input gradient never reorder a summation.
+        assert_eq!(s.0.as_slice(), p.0.as_slice(), "y {what}");
+        assert_eq!(s.1.as_slice(), p.1.as_slice(), "dx {what}");
+        // Filter gradient combines per-chunk partials: relative tolerance
+        // (allclose is absolute; dw entries accumulate batch*out_h*out_w
+        // products, so scale 1e-5 by the gradient's own magnitude).
+        let scale = s.2.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        assert!(
+            s.2.allclose(&p.2, 1e-5 * f64::from(scale)),
+            "dw {what} diverged beyond relative 1e-5"
+        );
     }
 }
 

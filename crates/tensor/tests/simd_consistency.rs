@@ -24,6 +24,9 @@
 //! 1-thread and a 4-thread pool. The dispatch switch and the pool are
 //! process-global, so each comparison holds a mutex.
 
+mod common;
+
+use common::randn_f32;
 use proptest::prelude::*;
 use s4tf_tensor::{set_simd_enabled, simd_supported, Padding, Tensor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -48,12 +51,6 @@ fn scalar_vs_simd<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
     let simd = f();
     s4tf_threads::set_num_threads(1);
     (scalar, simd)
-}
-
-fn randn_f32(dims: &[usize], seed: u64) -> Tensor<f32> {
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    Tensor::randn(dims, &mut rng)
 }
 
 fn randi(dims: &[usize], seed: u64) -> Tensor<i32> {
@@ -103,6 +100,24 @@ fn gemm_remainders_match_scalar_reference() {
                     assert_close(&s.2, &v.2, k, &format!("nt {what}"));
                 }
             }
+        }
+    }
+}
+
+/// conv2d and both gradients on the GEMM path, over the shared shape
+/// sweep, under 1 and 4 threads: the lane kernels differ from the scalar
+/// reference by FMA rounding only, bounded by each output's product count.
+#[test]
+fn conv2d_paths_agree() {
+    for case in common::conv_cases() {
+        let (kdim, out_c) = (case.w.num_elements() / case.w.dims()[3], case.w.dims()[3]);
+        let positions = case.dy.num_elements() / out_c;
+        for &threads in &[1usize, 4] {
+            let (s, v) = scalar_vs_simd(threads, || case.run());
+            let what = format!("{} @{threads}T", case.label());
+            assert_close(&s.0, &v.0, kdim, &format!("y {what}"));
+            assert_close(&s.1, &v.1, kdim * out_c, &format!("dx {what}"));
+            assert_close(&s.2, &v.2, positions, &format!("dw {what}"));
         }
     }
 }
@@ -201,9 +216,9 @@ proptest! {
     // Spans the direct/im2col threshold; out_c straddles both the lane
     // width and the narrow-panel kernel (lenet-c1's out_c = 6).
     #[test]
-    fn conv2d_paths_agree(batch in 1usize..=2, hw in 5usize..=12,
-                          in_c in 1usize..=4, out_c in 1usize..=9,
-                          threads in 1usize..=4, seed in any::<u64>()) {
+    fn conv2d_small_paths_agree(batch in 1usize..=2, hw in 5usize..=12,
+                                in_c in 1usize..=4, out_c in 1usize..=9,
+                                threads in 1usize..=4, seed in any::<u64>()) {
         let x = randn_f32(&[batch, hw, hw, in_c], seed);
         let w = randn_f32(&[3, 3, in_c, out_c], seed ^ 1);
         let (s, v) = scalar_vs_simd(threads, || {
