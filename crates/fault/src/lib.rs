@@ -38,9 +38,7 @@
 //! not shift the fault stream another worker sees.
 //!
 //! The disabled path is one relaxed atomic load (the gate pattern shared
-//! with `s4tf-profile`/`s4tf-diag`), and with the consumer crates'
-//! `fault` feature off the whole layer compiles out through the shared
-//! no-op shim (`src/noop_shim.rs`).
+//! with `s4tf-profile`/`s4tf-diag`).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;

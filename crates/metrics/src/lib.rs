@@ -31,11 +31,8 @@
 //! by the allocating subsystem (eager slots, trace constants, checkpoint
 //! I/O, …).
 //!
-//! Recording defaults **on** when the `metrics` feature is compiled in;
-//! `S4TF_METRICS=0` (or [`set_enabled`]) turns it off at runtime, leaving
-//! one relaxed atomic load per call site. Consumer crates compile the
-//! whole surface out through the usual `include!` noop-shim pattern
-//! (`noop_shim.rs`).
+//! Recording defaults **on**; `S4TF_METRICS=0` (or [`set_enabled`]) turns
+//! it off at runtime, leaving one relaxed atomic load per call site.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};

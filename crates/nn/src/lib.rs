@@ -29,17 +29,19 @@
 
 pub mod activation;
 pub mod checkpoint;
-mod diag;
-mod fault;
 pub mod layer;
 pub mod layers;
 pub mod loss;
-mod met;
 pub mod metrics;
 pub mod optimizer;
-mod prof;
 pub mod schedule;
 pub mod train;
+
+// Short names for the instrumentation crates; each gates itself at run time.
+use s4tf_diag as diag;
+use s4tf_fault as fault;
+use s4tf_metrics as met;
+use s4tf_profile as prof;
 
 pub use activation::Activation;
 pub use checkpoint::{Checkpoint, Checkpointable, TrainingSession};

@@ -6,7 +6,6 @@
 //! Lives in its own integration-test binary: `diag::memory_stats()`
 //! counters are process-wide atomics, and the measurement window must not
 //! overlap other tests' allocations.
-#![cfg(feature = "diag")]
 
 use s4tf_diag::memory_stats;
 use s4tf_nn::{Optimizer, Sgd};

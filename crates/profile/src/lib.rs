@@ -491,7 +491,7 @@ pub fn register_pool_stats(provider: fn() -> PoolStats) {
 }
 
 /// Current kernel-pool counters, or `None` if no pool has announced
-/// itself yet (e.g. a build with the pool's `profile` feature off).
+/// itself yet (it registers when its thread count is first read or set).
 pub fn pool_stats() -> Option<PoolStats> {
     POOL_STATS_PROVIDER.get().map(|provider| provider())
 }

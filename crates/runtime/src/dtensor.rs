@@ -14,10 +14,11 @@
 
 use crate::device::Device;
 use crate::eager::EagerTensor;
-use crate::fault;
+use crate::fault::FaultSite;
 use crate::lazy::LazyTensor;
 use s4tf_core::{AdditiveArithmetic, Differentiable, LossValue, VectorSpace};
-use s4tf_tensor::{panic_message, Padding, RuntimeError, Shape, Tensor};
+use s4tf_tensor::{Padding, RuntimeError, Shape, Tensor};
+use s4tf_xla::scope::{injected_fault, sample_memory_gauges, KernelScope};
 use s4tf_xla::{ElemBinary, ElemUnary, HloOp, ReduceKind};
 use std::sync::Arc;
 
@@ -182,12 +183,18 @@ impl DTensor {
     /// The naive (synchronous) dispatch arm, with poison propagation,
     /// injection, and kernel-panic capture.
     fn apply_naive(op: HloOp, inputs: &[&DTensor]) -> DTensor {
+        let input_shapes =
+            || -> Vec<Shape> { inputs.iter().map(|t| Shape::new(&t.dims())).collect() };
         // Output dims the failed op *would* have produced (poison keeps
         // the shape so downstream shape inference stays accurate).
         let infer_dims = || -> Vec<usize> {
-            let shapes: Vec<Shape> = inputs.iter().map(|t| Shape::new(&t.dims())).collect();
+            let shapes = input_shapes();
             let refs: Vec<&Shape> = shapes.iter().collect();
             op.infer_shape(&refs).dims().to_vec()
+        };
+        let poisoned = |error: RuntimeError| {
+            let dims = infer_dims();
+            DTensor::Poisoned(Arc::new(Poison { dims, error }))
         };
         let poison = inputs.iter().find_map(|t| match t {
             DTensor::Poisoned(p) => Some(p.error.clone()),
@@ -195,95 +202,43 @@ impl DTensor {
         });
         if let Some(error) = poison {
             // Propagate the *first* error; the shape still checks out.
-            let dims = infer_dims();
-            return DTensor::Poisoned(Arc::new(Poison { dims, error }));
+            return poisoned(error);
         }
-        for (site, name) in [
-            (fault::FaultSite::Dispatch, "dispatch"),
-            (fault::FaultSite::Kernel, "kernel"),
-        ] {
-            if fault::should_inject(site) {
-                let dims = infer_dims();
-                let error = RuntimeError::injected(op.mnemonic(), "naive", name)
-                    .with_span(crate::prof::current_span());
-                crate::diag::event!(
-                    "fault.injected",
-                    site = name,
-                    op = op.mnemonic(),
-                    backend = "naive",
-                );
-                return DTensor::Poisoned(Arc::new(Poison { dims, error }));
-            }
+        let scope = KernelScope::enqueue("naive");
+        if let Some(error) = injected_fault(FaultSite::Dispatch, &op, "naive") {
+            return poisoned(error);
         }
         // Operands move into the kernel: `eval_op_owned` releases each
         // buffer as soon as it is consumed, and runs elementwise kernels
         // in place when a buffer turns out to be uniquely owned.
         let tensors: Vec<Tensor<f32>> = inputs.iter().map(|t| t.to_tensor()).collect();
-        let profiling = crate::prof::enabled();
-        let start_us = if profiling { crate::prof::now_us() } else { 0 };
-        let dispatch_timer = crate::met::enabled().then(std::time::Instant::now);
-        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s4tf_xla::eval_op_owned(&op, tensors)
-        })) {
-            Ok(t) => t,
-            Err(payload) => {
-                // Distinguish kernel faults from caller bugs: if shape
-                // inference rejects these inputs too, the panic was a
-                // shape error — those stay synchronous (paper §4).
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(infer_dims)) {
-                    Err(_) => std::panic::resume_unwind(payload),
-                    Ok(dims) => {
-                        let error =
-                            RuntimeError::kernel(op.mnemonic(), "naive", panic_message(&*payload))
-                                .with_span(crate::prof::current_span());
-                        crate::diag::event!(
-                            "fault.kernel_panic",
-                            op = op.mnemonic(),
-                            backend = "naive",
-                        );
-                        return DTensor::Poisoned(Arc::new(Poison { dims, error }));
-                    }
+        let result = scope.run(
+            &op,
+            || s4tf_xla::eval_op_owned(&op, tensors),
+            |out| {
+                // Synchronous execution: each op chains serially after
+                // the previous naive op on this thread.
+                thread_local! {
+                    static LAST_NAIVE_OP: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
                 }
+                let shapes = input_shapes();
+                let shape_refs: Vec<&Shape> = shapes.iter().collect();
+                let prev = LAST_NAIVE_OP.with(|last| last.replace(scope.op_id()));
+                (s4tf_xla::op_cost(&op, &shape_refs, out.shape()), vec![prev])
+            },
+            // Nothing checked these operands before the kernel did: if
+            // shape inference rejects them too, the panic was the caller's
+            // shape error, and those stay synchronous (paper §4).
+            || drop(infer_dims()),
+        );
+        match result {
+            Ok(result) => {
+                sample_memory_gauges("naive");
+                scope.scan(&op, &result);
+                DTensor::Cpu(result)
             }
-        };
-        if let Some(t0) = dispatch_timer {
-            crate::met::dispatch_hist("naive", op.family()).record(t0.elapsed().as_micros() as u64);
+            Err(error) => poisoned(error),
         }
-        if profiling {
-            // Synchronous execution: enqueue == start, and each op chains
-            // serially after the previous naive op on this thread.
-            thread_local! {
-                static LAST_NAIVE_OP: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-            }
-            let shapes: Vec<Shape> = inputs.iter().map(|t| Shape::new(&t.dims())).collect();
-            let shape_refs: Vec<&Shape> = shapes.iter().collect();
-            let cost = s4tf_xla::op_cost(&op, &shape_refs, result.shape());
-            let id = crate::prof::next_op_id();
-            let prev = LAST_NAIVE_OP.with(|last| last.replace(id));
-            crate::prof::op_event(
-                id,
-                op.family(),
-                "naive",
-                "kernel",
-                s4tf_tensor::path_label(),
-                start_us,
-                start_us,
-                crate::prof::now_us(),
-                vec![prev],
-                cost.flops,
-                cost.bytes,
-            );
-        }
-        if crate::diag::numerics_enabled() {
-            let _ = crate::diag::check_f32s(
-                &op.mnemonic(),
-                "naive",
-                result.dims(),
-                result.as_slice(),
-                crate::prof::current_span().as_deref(),
-            );
-        }
-        DTensor::Cpu(result)
     }
 
     fn unary(&self, op: ElemUnary) -> DTensor {

@@ -12,13 +12,14 @@
 //! Table 3 measures against the lazy backend.
 
 use crate::diag;
-use crate::fault;
+use crate::fault::FaultSite;
 use crate::met;
 use crate::prof;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use s4tf_tensor::{panic_message, RuntimeError, Shape, Tensor};
+use s4tf_tensor::{RuntimeError, Shape, Tensor};
 use s4tf_xla::exec::eval_op_owned;
+use s4tf_xla::scope::{injected_fault, sample_memory_gauges, KernelScope};
 use s4tf_xla::HloOp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -304,40 +305,29 @@ impl EagerTensor {
     pub fn dispatch_op(queue: &EagerQueue, op: HloOp, inputs: &[&EagerTensor]) -> EagerTensor {
         let shapes: Vec<&Shape> = inputs.iter().map(|t| &t.shape).collect();
         let shape = op.infer_shape(&shapes);
-        // Cost and identity for the performance observatory: an id is
-        // allocated unconditionally (one relaxed fetch-add) so dependency
-        // edges stay valid if profiling is switched on mid-run.
-        let cost = s4tf_xla::op_cost(&op, &shapes, &shape);
-        let op_id = prof::next_op_id();
-        let family = op.family();
-        let enqueue_us = prof::now_us();
-        // Clock for the registry's dispatch-latency histogram (enqueue →
-        // kernel completion); `None` keeps the disabled path free.
-        let dispatch_timer = met::enabled().then(std::time::Instant::now);
-        let flow_id = if prof::enabled() {
+        let scope = KernelScope::enqueue("eager");
+        let op_id = scope.op_id();
+        let flow_id = if scope.profiling() {
             prof::next_flow_id()
         } else {
             0
         };
-        let mut deps: Vec<u64> = inputs.iter().map(|t| t.op_id).collect();
         // The single worker lane serializes jobs: the previous dispatch is
         // a scheduling dependency even without a data edge.
-        deps.push(queue.inner.last_op.swap(op_id, Ordering::Relaxed));
+        let prev_op = queue.inner.last_op.swap(op_id, Ordering::Relaxed);
+        // What only this side knows about the launch, for its `OpEvent`.
+        let attribution = scope.profiling().then(|| {
+            let mut deps: Vec<u64> = inputs.iter().map(|t| t.op_id).collect();
+            deps.push(prev_op);
+            (s4tf_xla::op_cost(&op, &shapes, &shape), deps)
+        });
         let slot = Arc::new(Slot::default());
         let out = Arc::clone(&slot);
         let in_slots: Vec<Arc<Slot>> = inputs.iter().map(|t| Arc::clone(&t.slot)).collect();
         let completed = Arc::clone(&queue.inner.completed);
         let first_error = Arc::clone(&queue.inner.first_error);
         diag::event!("op.dispatch", op = op.mnemonic(), backend = "eager");
-        if fault::should_inject(fault::FaultSite::Dispatch) {
-            let e = RuntimeError::injected(op.mnemonic(), "eager", "dispatch")
-                .with_span(prof::current_span());
-            diag::event!(
-                "fault.injected",
-                site = "dispatch",
-                op = op.mnemonic(),
-                backend = "eager",
-            );
+        if let Some(e) = injected_fault(FaultSite::Dispatch, &op, "eager") {
             record_first(&first_error, &e);
             slot.fill(Err(e));
             return EagerTensor {
@@ -348,7 +338,6 @@ impl EagerTensor {
             };
         }
         let job = Box::new(move || {
-            let start_us = prof::now_us();
             // Result buffers allocated by this kernel are attributed to
             // the eager subsystem in `memory_by_site()`.
             let _site = met::mem_site("eager");
@@ -356,7 +345,9 @@ impl EagerTensor {
             if span.is_recording() {
                 span.annotate("op", op.mnemonic());
                 span.annotate_f64("threads_used", s4tf_threads::num_threads() as f64);
-                span.record_work(cost.flops, cost.bytes);
+                if let Some((cost, _)) = &attribution {
+                    span.record_work(cost.flops, cost.bytes);
+                }
                 if flow_id != 0 {
                     span.flow_end(flow_id);
                 }
@@ -389,88 +380,36 @@ impl EagerTensor {
                     }
                 }
             }
-            let result: SlotValue = if let Some(e) = poison {
-                Err(e)
-            } else if fault::should_inject(fault::FaultSite::Kernel) {
-                let e = RuntimeError::injected(op.mnemonic(), "eager", "kernel")
-                    .with_span(prof::current_span());
-                diag::event!(
-                    "fault.injected",
-                    site = "kernel",
-                    op = op.mnemonic(),
-                    backend = "eager",
-                );
-                record_first(&first_error, &e);
-                Err(e)
-            } else {
+            let result: SlotValue = match poison {
+                Some(e) => Err(e),
                 // Owned dispatch: operands move into the kernel, which
                 // releases (or reuses, via `eval_op_owned`) each input
                 // buffer as soon as it has executed instead of pinning
                 // all of them until the job completes.
-                let owned = std::mem::take(&mut operands);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    eval_op_owned(&op, owned)
-                })) {
-                    Ok(t) => Ok(t),
-                    Err(payload) => {
-                        let e =
-                            RuntimeError::kernel(op.mnemonic(), "eager", panic_message(&*payload))
-                                .with_span(prof::current_span());
-                        diag::event!("fault.kernel_panic", op = op.mnemonic(), backend = "eager");
-                        record_first(&first_error, &e);
-                        Err(e)
-                    }
-                }
+                None => scope
+                    .run(
+                        &op,
+                        || eval_op_owned(&op, operands),
+                        |_| attribution.expect("a profiling scope was given its attribution"),
+                        // `dispatch_op` inferred the shape synchronously.
+                        || (),
+                    )
+                    .inspect_err(|e| record_first(&first_error, e)),
             };
-            if let Some(t0) = dispatch_timer {
-                met::dispatch_hist("eager", family).record(t0.elapsed().as_micros() as u64);
-            }
-            if prof::enabled() {
-                prof::op_event(
-                    op_id,
-                    family,
-                    "eager",
-                    "kernel",
-                    s4tf_tensor::path_label(),
-                    enqueue_us,
-                    start_us,
-                    prof::now_us(),
-                    deps,
-                    cost.flops,
-                    cost.bytes,
-                );
-            }
-            if diag::numerics_enabled() {
-                // Fill the slot *before* scanning: in Panic mode the scan
-                // unwinds the worker thread, and an unfilled slot would
-                // deadlock any host thread already blocked in `to_host`.
-                // Observers get the (non-finite) value; the worker dies and
-                // the next dispatch poisons its result. The clone is an Arc
-                // bump, not a data copy.
-                let probe = result.clone();
-                out.fill(result);
-                if prof::enabled() {
-                    prof::gauge_set(
-                        "mem.live_bytes.eager",
-                        diag::memory_stats().live_bytes as f64,
-                    );
-                    let pool = s4tf_tensor::pool_stats();
-                    prof::gauge_set("pool.hits", pool.hits as f64);
-                    prof::gauge_set("pool.recycled_bytes", pool.recycled_bytes as f64);
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                if let Ok(t) = probe {
-                    let _ = diag::check_f32s(
-                        &op.mnemonic(),
-                        "eager",
-                        t.dims(),
-                        t.as_slice(),
-                        prof::current_span().as_deref(),
-                    );
-                }
-            } else {
-                out.fill(result);
-                completed.fetch_add(1, Ordering::Relaxed);
+            // Fill the slot *before* scanning: in Panic mode the scan
+            // unwinds the worker thread, and an unfilled slot would
+            // deadlock any host thread already blocked in `to_host`.
+            // Observers get the (non-finite) value; the worker dies and
+            // the next dispatch poisons its result.
+            let probe = match &result {
+                Ok(t) if diag::numerics_enabled() => Some(t.clone()),
+                _ => None,
+            };
+            out.fill(result);
+            sample_memory_gauges("eager");
+            completed.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = probe {
+                scope.scan(&op, &t);
             }
         });
         if let Err(e) = queue.dispatch(job, flow_id) {

@@ -14,11 +14,12 @@
 //! only on cache misses.
 
 use crate::diag;
-use crate::fault;
+use crate::fault::FaultSite;
 use crate::prof;
 use parking_lot::Mutex;
 use s4tf_tensor::{RuntimeError, Shape, Tensor};
 use s4tf_xla::graph::HloGraph;
+use s4tf_xla::scope::injected_fault;
 use s4tf_xla::{HloOp, NodeId, ProgramCache};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -475,28 +476,19 @@ impl LazyTensor {
             LazyState::Failed(e) => Some(e.clone()),
             _ => None,
         });
-        let injected = poison.is_none() && fault::should_inject(fault::FaultSite::Dispatch);
-        if poison.is_some() || injected {
+        let failed = poison.or_else(|| {
+            let e = injected_fault(FaultSite::Dispatch, &op, "lazy")?;
+            ctx.record_error(&e);
+            Some(e)
+        });
+        if let Some(e) = failed {
             // Shape inference stays synchronous (record time) even on
             // the poisoned paths, so shape bugs never hide behind a
             // fault.
             let shapes: Vec<&Shape> = inputs.iter().map(|t| &t.shape).collect();
-            let inferred = op.infer_shape(&shapes);
-            let e = poison.unwrap_or_else(|| {
-                let e = RuntimeError::injected(op.mnemonic(), "lazy", "dispatch")
-                    .with_span(prof::current_span());
-                diag::event!(
-                    "fault.injected",
-                    site = "dispatch",
-                    op = op.mnemonic(),
-                    backend = "lazy",
-                );
-                ctx.record_error(&e);
-                e
-            });
             return LazyTensor {
                 ctx: Arc::clone(ctx),
-                shape: inferred,
+                shape: op.infer_shape(&shapes),
                 state: Arc::new(Mutex::new(LazyState::Failed(e))),
             };
         }

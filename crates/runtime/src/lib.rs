@@ -39,14 +39,16 @@
 //! ```
 
 pub mod device;
-mod diag;
 pub mod dtensor;
 pub mod eager;
-mod fault;
 pub mod lazy;
-mod met;
-mod prof;
 pub mod sim;
+
+// Short names for the instrumentation crates; each gates itself at run time.
+use s4tf_diag as diag;
+use s4tf_fault as fault;
+use s4tf_metrics as met;
+use s4tf_profile as prof;
 
 pub use device::Device;
 pub use dtensor::DTensor;

@@ -1,8 +1,10 @@
 //! End-to-end checks that the eager and lazy devices feed the profiler
-//! the right spans and counters for a *known* op sequence.
+//! the right spans and counters for a *known* op sequence, and that all
+//! three backends run the same per-kernel protocol.
 //!
-//! The profiler is process-global, so these tests serialize on a mutex
-//! (this binary is its own process; other test binaries are unaffected).
+//! The profiler (like the numerics checker, the fault spec and the event
+//! ring) is process-global, so these tests serialize on a mutex (this
+//! binary is its own process; other test binaries are unaffected).
 
 use s4tf_runtime::eager::{EagerQueue, EagerTensor};
 use s4tf_runtime::lazy::{LazyContext, LazyTensor};
@@ -202,4 +204,111 @@ fn naive_dispatch_attaches_exact_matmul_cost() {
     assert_eq!(mm.flops, 48);
     assert_eq!(mm.bytes, 104);
     teardown();
+}
+
+/// `[2,3] x [3,4]` on `device`; `x00` is the first element of the left
+/// operand (a NaN there reaches the whole first output row).
+fn matmul_on(device: &Device, x00: f32) -> s4tf_runtime::DTensor {
+    let mut lhs = vec![1.0; 6];
+    lhs[0] = x00;
+    let a = s4tf_runtime::DTensor::from_tensor(Tensor::from_vec(lhs, &[2, 3]), device);
+    let b = s4tf_runtime::DTensor::from_tensor(Tensor::ones(&[3, 4]), device);
+    a.matmul(&b)
+}
+
+/// One op, the same inputs, every backend: the kernel scope must leave
+/// the same records whichever device launched the kernel. The only
+/// per-backend column is the span open where the kernel runs.
+#[test]
+fn every_backend_runs_the_same_kernel_protocol() {
+    use s4tf_diag::{clear_numerics, first_violation, set_numerics_mode, NumericsMode};
+    let table = [
+        ("naive", Device::naive(), None),
+        ("eager", Device::eager(), Some("eager.kernel_run")),
+        ("lazy", Device::lazy(), Some("xla.execute")),
+    ];
+    for (backend, device, kernel_span) in table {
+        let _guard = exclusive_profiler();
+        s4tf_metrics::set_enabled(true);
+        set_numerics_mode(NumericsMode::Off);
+
+        // A clean launch: one kernel-phase event with the analytic cost,
+        // one latency sample, the memory gauges (numerics off).
+        let hist = s4tf_metrics::dispatch_hist(backend, "matmul");
+        let samples = hist.count();
+        let out = matmul_on(&device, 1.0).to_tensor();
+        device.barrier();
+        assert_eq!(out.as_slice(), &[3.0; 8], "{backend}");
+        let kernels: Vec<_> = s4tf_profile::op_events()
+            .into_iter()
+            .filter(|o| o.phase == "kernel")
+            .collect();
+        assert_eq!(kernels.len(), 1, "{backend}: {kernels:?}");
+        let k = &kernels[0];
+        assert_eq!(
+            (k.name.as_ref(), k.backend, k.flops, k.bytes),
+            ("matmul", backend, 48, 104)
+        );
+        assert!(k.enqueue_us <= k.start_us && k.start_us <= k.end_us);
+        assert_eq!(hist.count(), samples + 1, "{backend}: one latency sample");
+        let report = s4tf_profile::report();
+        let per_backend = format!("mem.live_bytes.{backend}");
+        for gauge in [
+            "mem.live_bytes",
+            per_backend.as_str(),
+            "pool.hits",
+            "pool.misses",
+            "pool.recycled_bytes",
+            "pool.pooled_bytes",
+        ] {
+            assert!(
+                report.gauges().iter().any(|(name, _)| name == gauge),
+                "{backend}: gauge `{gauge}` not sampled: {:?}",
+                report.gauges()
+            );
+        }
+
+        // An injected kernel-site fault: same event fields, same error.
+        s4tf_diag::set_events_enabled(true);
+        s4tf_diag::clear_events();
+        s4tf_fault::set_fault_spec(Some("kernel:1:0")).unwrap();
+        let err = matmul_on(&device, 1.0).to_tensor_checked().unwrap_err();
+        s4tf_fault::set_fault_spec(None).unwrap();
+        s4tf_diag::set_events_enabled(false);
+        assert_eq!(err.kind, s4tf_runtime::FaultKind::Injected, "{backend}");
+        assert_eq!((err.op.as_str(), err.backend), ("matmul", backend));
+        assert_eq!(err.span.as_deref(), kernel_span, "{backend}");
+        let injected: Vec<_> = s4tf_diag::events()
+            .into_iter()
+            .filter(|e| e.kind == "fault.injected")
+            .collect();
+        assert_eq!(injected.len(), 1, "{backend}: {injected:?}");
+        let fields: Vec<(&str, &str)> = injected[0]
+            .fields
+            .iter()
+            .map(|(k, v)| (k.as_ref(), v.as_str()))
+            .collect();
+        assert_eq!(
+            fields,
+            [("site", "kernel"), ("op", "matmul"), ("backend", backend)]
+        );
+        s4tf_diag::clear_events();
+
+        // A NaN is attributed to the op that produced it.
+        set_numerics_mode(NumericsMode::Warn);
+        clear_numerics();
+        let out = matmul_on(&device, f32::NAN).to_tensor();
+        device.barrier();
+        set_numerics_mode(NumericsMode::Off);
+        assert!(out.as_slice()[0].is_nan(), "{backend}");
+        let v = first_violation().expect("violation recorded");
+        assert_eq!(
+            (v.op.as_str(), v.backend, v.kind),
+            ("matmul", backend, "NaN")
+        );
+        assert_eq!(v.shape, vec![2, 4]);
+        assert_eq!(v.span.as_deref(), kernel_span, "{backend}");
+        clear_numerics();
+        teardown();
+    }
 }

@@ -67,13 +67,15 @@
 
 pub mod ad;
 pub mod builder;
-mod diag;
 pub mod interp;
 pub mod ir;
 pub mod parser;
 pub mod passes;
 pub mod printer;
 pub mod verify;
+
+// Short names for the instrumentation crates; each gates itself at run time.
+use s4tf_diag as diag;
 
 pub use builder::FunctionBuilder;
 pub use interp::{EvalError, Interpreter, Value};

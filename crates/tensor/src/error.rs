@@ -88,9 +88,9 @@ impl Error for TensorError {}
 
 /// What category of fault a [`RuntimeError`] represents.
 ///
-/// Mirrors the fault-injection sites of `s4tf-fault`, but lives here (in
-/// the always-compiled tensor crate) because attributed errors are part of
-/// the public runtime API even when injection is compiled out.
+/// Mirrors the fault-injection sites of `s4tf-fault`, but lives here
+/// because attributed errors are part of every kernel-calling crate's
+/// public API, including the ones below the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Shape inference or validation failed.
@@ -138,8 +138,8 @@ pub struct RuntimeError {
     /// The backend the failure occurred on (`"naive"`, `"eager"`,
     /// `"lazy"`, or `"host"` for I/O).
     pub backend: &'static str,
-    /// The innermost profile span open when the fault originated, if the
-    /// `profile` feature captured one.
+    /// The innermost profile span open when the fault originated, if
+    /// profiling was on.
     pub span: Option<String>,
     /// Human-readable detail (panic payload, io error text, …).
     pub message: String,

@@ -43,10 +43,8 @@
 //! ```
 
 pub mod cost;
-mod diag;
 pub mod dtype;
 pub mod error;
-mod met;
 pub mod ops;
 mod par;
 pub mod pool;
@@ -54,6 +52,10 @@ pub mod shape;
 pub mod simd;
 pub mod storage;
 pub mod tensor;
+
+// Short names for the instrumentation crates; each gates itself at run time.
+use s4tf_diag as diag;
+use s4tf_metrics as met;
 
 pub use cost::OpCost;
 pub use dtype::{Float, Scalar};

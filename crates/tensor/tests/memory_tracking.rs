@@ -1,7 +1,6 @@
 //! Memory-tracking balance: tensor storage allocations and frees must
 //! pair up exactly, so live bytes return to baseline once every tensor is
-//! dropped. Only meaningful with the `diag` feature (the default
-//! workspace build); without it the whole file compiles away.
+//! dropped.
 //!
 //! Runs with the recycling pool pinned *off*: with the pool on, a drop
 //! parks the buffer instead of freeing it (by design, `allocs`/`frees`
@@ -9,7 +8,6 @@
 //! `S4TF_POOL=0` contract. `pool_respects_the_same_live_accounting`
 //! checks the pool-on half: live bytes still return to baseline even
 //! when the allocator counters diverge.
-#![cfg(feature = "diag")]
 
 use s4tf_diag::memory_stats;
 use s4tf_tensor::{clear_pools, pool_enabled, set_pool_enabled, Tensor};

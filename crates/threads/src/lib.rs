@@ -49,8 +49,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-mod met;
-mod prof;
+use s4tf_metrics as met;
+use s4tf_profile as prof;
 
 /// Cached handle for the pool's queue-depth gauge (set under the queue
 /// lock, so sampling never racily overshoots).
@@ -99,7 +99,7 @@ fn default_threads() -> usize {
 pub fn num_threads() -> usize {
     match CONFIGURED.load(Ordering::Relaxed) {
         0 => {
-            register_stats_provider();
+            prof::register_pool_stats(pool_stats);
             let n = default_threads();
             // Racing initializers compute the same value; only install
             // when still uninitialized so a concurrent `set_num_threads`
@@ -119,7 +119,7 @@ pub fn num_threads() -> usize {
 /// Panics if `n` is zero.
 pub fn set_num_threads(n: usize) {
     assert!(n >= 1, "thread count must be at least 1");
-    register_stats_provider();
+    prof::register_pool_stats(pool_stats);
     CONFIGURED.store(n, Ordering::Relaxed);
 }
 
@@ -135,22 +135,9 @@ pub fn in_worker() -> bool {
 
 // ------------------------------------------------------------------- stats
 
-/// Lifetime counters for the pool, in the style of
-/// `Device::cache_stats()`: cheap to read at any time, never reset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads currently spawned (excludes callers).
-    pub workers: usize,
-    /// Chunks executed by pool workers.
-    pub tasks_run: u64,
-    /// Chunks handed to the queue by `parallel_chunks` (excludes the
-    /// chunk the caller runs itself).
-    pub chunks_dispatched: u64,
-    /// Calls that ran inline (below grain, single-threaded, or nested).
-    pub inline_runs: u64,
-    /// Total wall time workers spent executing chunks, in microseconds.
-    pub busy_us: u64,
-}
+/// The pool's lifetime counters; the profiler, which reports them, owns
+/// the type.
+pub use prof::PoolStats;
 
 #[derive(Default)]
 struct Stats {
@@ -177,26 +164,6 @@ pub fn pool_stats() -> PoolStats {
         busy_us: STATS.busy_us.load(Ordering::Relaxed),
     }
 }
-
-#[cfg(feature = "profile")]
-fn register_stats_provider() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        s4tf_profile::register_pool_stats(|| {
-            let s = pool_stats();
-            s4tf_profile::PoolStats {
-                workers: s.workers,
-                tasks_run: s.tasks_run,
-                chunks_dispatched: s.chunks_dispatched,
-                inline_runs: s.inline_runs,
-                busy_us: s.busy_us,
-            }
-        });
-    });
-}
-
-#[cfg(not(feature = "profile"))]
-fn register_stats_provider() {}
 
 // -------------------------------------------------------------------- pool
 

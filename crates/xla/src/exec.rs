@@ -2,13 +2,13 @@
 //! topologically ordered kernel plan for one trace.
 
 use crate::codegen;
-use crate::fault;
 use crate::graph::HloGraph;
 use crate::met;
 use crate::op::{FusedInst, HloOp, ReduceKind};
 use crate::passes::{self, MemoryPlan};
 use crate::prof;
-use s4tf_tensor::{panic_message, RuntimeError, Tensor};
+use crate::scope::{sample_memory_gauges, KernelScope};
+use s4tf_tensor::{RuntimeError, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -250,15 +250,8 @@ impl Executable {
         let entry_root = if profiling { prof::op_root() } else { 0 };
         let mut prev_id = entry_root;
         let (mut step_flops, mut step_bytes) = (0u64, 0u64);
-        let met_on = met::enabled();
         let mut values: Vec<Option<Tensor<f32>>> = vec![None; self.graph.nodes.len()];
         for (i, node) in self.graph.nodes.iter().enumerate() {
-            let node_start = if profiling { prof::now_us() } else { 0 };
-            let node_timer = if met_on {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
             let out = match &node.op {
                 HloOp::Parameter(p) => {
                     let t = params[*p]
@@ -275,147 +268,55 @@ impl Executable {
                 }
                 HloOp::Constant(c) => c.clone(),
                 op => {
-                    let mnemonic = node.op.mnemonic();
-                    if fault::should_inject(fault::FaultSite::Kernel) {
-                        crate::diag::event!(
-                            "fault.injected",
-                            site = "kernel",
-                            op = mnemonic,
-                            backend = backend,
-                        );
-                        return Err(RuntimeError::injected(mnemonic, backend, "kernel")
-                            .with_span(prof::current_span()));
-                    }
-                    // The memory plan marks an operand this step may
-                    // overwrite; commit to it only if that operand's
-                    // buffer is uniquely owned right now (no other value
-                    // slot, parameter handle, or caller clone shares it).
-                    let inplace_at = if plan_on {
-                        self.plan.inplace[i].filter(|&k| {
-                            values[node.inputs[k].0 as usize]
-                                .as_ref()
-                                .is_some_and(|t| t.storage_unique())
-                        })
-                    } else {
-                        None
-                    };
-                    // Only the kernel itself is caught: the numerics scan
-                    // below stays outside so a Panic-mode abort unwinds to
-                    // the caller as requested, not as a poisoned value.
-                    let result = if let Some(k) = inplace_at {
-                        let target_id = node.inputs[k].0 as usize;
-                        self.counters.in_place.fetch_add(1, Ordering::Relaxed);
-                        plan_in_place_counter().inc();
-                        if matches!(self.graph.nodes[target_id].op, HloOp::Parameter(_)) {
-                            self.counters.donated.fetch_add(1, Ordering::Relaxed);
-                            plan_donated_counter().inc();
+                    let scope = KernelScope::enqueue(backend);
+                    let out = scope.run(
+                        op,
+                        || self.eval_node(i, plan_on, &mut values),
+                        |_| {
+                            let in_shapes: Vec<&s4tf_tensor::Shape> = node
+                                .inputs
+                                .iter()
+                                .map(|&id| &self.graph.nodes[id.0 as usize].shape)
+                                .collect();
+                            let cost = crate::cost::op_cost(op, &in_shapes, &node.shape);
+                            step_flops += cost.flops;
+                            step_bytes += cost.bytes;
+                            // `get`: the profiler may have been switched
+                            // on after this run sized `node_ids`.
+                            let mut deps: Vec<u64> = node
+                                .inputs
+                                .iter()
+                                .filter_map(|&id| node_ids.get(id.0 as usize).copied())
+                                .collect();
+                            deps.push(prev_id);
+                            (cost, deps)
+                        },
+                        // Shapes were inferred when the graph was built.
+                        || (),
+                    )?;
+                    if scope.profiling() {
+                        if let Some(id) = node_ids.get_mut(i) {
+                            *id = scope.op_id();
                         }
-                        let target = values[target_id]
-                            .take()
-                            .expect("topological order guarantees operands are ready");
-                        self.eval_inplace(i, k, target, &values)
-                    } else {
-                        let inputs: Vec<&Tensor<f32>> = node
-                            .inputs
-                            .iter()
-                            .map(|&id| {
-                                values[id.0 as usize]
-                                    .as_ref()
-                                    .expect("topological order guarantees operands are ready")
-                            })
-                            .collect();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
-                            // Fused kernels take their output shape from
-                            // the plan (a trailing-broadcast input may tie
-                            // the element count).
-                            HloOp::Fused { insts, .. } => {
-                                run_fused(&self.fused_kernel(i, insts), &inputs, node.shape.dims())
-                            }
-                            op => eval_op(op, &inputs),
-                        }))
-                    };
-                    match result {
-                        Ok(t) => t,
-                        Err(payload) => {
-                            let err =
-                                RuntimeError::kernel(mnemonic, backend, panic_message(&*payload))
-                                    .with_span(prof::current_span());
-                            crate::diag::event!(
-                                "fault.kernel_panic",
-                                op = node.op.mnemonic(),
-                                backend = backend,
-                            );
-                            return Err(err);
-                        }
+                        prev_id = scope.op_id();
                     }
+                    debug_assert_eq!(
+                        out.shape(),
+                        &node.shape,
+                        "{} produced {}, inference said {}",
+                        op.mnemonic(),
+                        out.shape(),
+                        node.shape
+                    );
+                    // Nodes execute in topological order, so the first
+                    // violating node here is the op that *introduced* the
+                    // NaN/Inf — not whichever downstream op a caller
+                    // observed it through. Nothing waits on `values`, so
+                    // the scan may run before the store.
+                    scope.scan(op, &out);
+                    out
                 }
             };
-            debug_assert_eq!(
-                out.shape(),
-                &node.shape,
-                "{} produced {}, inference said {}",
-                node.op.mnemonic(),
-                out.shape(),
-                node.shape
-            );
-            if let Some(t0) = node_timer {
-                if !matches!(node.op, HloOp::Parameter(_) | HloOp::Constant(_)) {
-                    met::dispatch_hist(backend, node.op.family())
-                        .record(t0.elapsed().as_micros() as u64);
-                }
-            }
-            if profiling && !matches!(node.op, HloOp::Parameter(_) | HloOp::Constant(_)) {
-                let in_shapes: Vec<&s4tf_tensor::Shape> = node
-                    .inputs
-                    .iter()
-                    .map(|&id| &self.graph.nodes[id.0 as usize].shape)
-                    .collect();
-                let cost = crate::cost::op_cost(&node.op, &in_shapes, &node.shape);
-                let mut deps: Vec<u64> = node
-                    .inputs
-                    .iter()
-                    .map(|&id| node_ids[id.0 as usize])
-                    .collect();
-                deps.push(prev_id);
-                let id = prof::next_op_id();
-                // Fused nodes get their own roofline rows (`fused@codegen`):
-                // compiled loop nests are not comparable with the per-op
-                // kernels' `simd8`/`scalar` rows.
-                let path = if matches!(node.op, HloOp::Fused { .. }) {
-                    "codegen"
-                } else {
-                    s4tf_tensor::path_label()
-                };
-                prof::op_event(
-                    id,
-                    node.op.family(),
-                    backend,
-                    "kernel",
-                    path,
-                    node_start,
-                    node_start,
-                    prof::now_us(),
-                    deps,
-                    cost.flops,
-                    cost.bytes,
-                );
-                node_ids[i] = id;
-                prev_id = id;
-                step_flops += cost.flops;
-                step_bytes += cost.bytes;
-            }
-            // Nodes execute in topological order, so the first violating
-            // node here is the op that *introduced* the NaN/Inf — not
-            // whichever downstream op a caller observed it through.
-            if crate::diag::numerics_enabled() {
-                let _ = crate::diag::check_f32s(
-                    &node.op.mnemonic(),
-                    backend,
-                    out.dims(),
-                    out.as_slice(),
-                    prof::current_span().as_deref(),
-                );
-            }
             values[i] = Some(out);
             if plan_on {
                 // Drop dead intermediates now: their buffers return to
@@ -435,18 +336,7 @@ impl Executable {
                 prof::set_op_root(prev_id);
             }
         }
-        // Per-backend live-bytes breakdown, surfaced through the profile
-        // gauge mechanism (report + Chrome-trace counter tracks).
-        if prof::enabled() {
-            let live = crate::diag::memory_stats().live_bytes as f64;
-            prof::gauge_set("mem.live_bytes", live);
-            prof::gauge_set(format!("mem.live_bytes.{backend}"), live);
-            let pool = s4tf_tensor::pool_stats();
-            prof::gauge_set("pool.hits", pool.hits as f64);
-            prof::gauge_set("pool.misses", pool.misses as f64);
-            prof::gauge_set("pool.recycled_bytes", pool.recycled_bytes as f64);
-            prof::gauge_set("pool.pooled_bytes", pool.pooled_bytes as f64);
-        }
+        sample_memory_gauges(backend);
         Ok(self
             .graph
             .outputs
@@ -457,7 +347,8 @@ impl Executable {
 
     /// Node `i`'s compiled kernel. The table misses only a malformed
     /// program, which fails here with `lower`'s reason — inside the
-    /// caller's `catch_unwind`, so it becomes that node's kernel error.
+    /// kernel scope's `catch_unwind`, so it becomes that node's kernel
+    /// error.
     fn fused_kernel(&self, i: usize, insts: &[FusedInst]) -> Arc<codegen::CompiledKernel> {
         match self.fused.get(&i) {
             Some(k) => Arc::clone(k),
@@ -465,40 +356,69 @@ impl Executable {
         }
     }
 
-    /// Runs node `i`'s kernel *in place* on `target` (the taken value of
-    /// operand `k`, uniquely owned and shaped like the output). Per-element
-    /// arithmetic, operand order and chunking are identical to the
-    /// out-of-place kernels, so results are bit-identical.
-    fn eval_inplace(
+    /// Node `i`'s kernel over the operand values computed so far. The
+    /// memory plan marks an operand this step may overwrite; the kernel
+    /// commits to it only if that operand's buffer is uniquely owned right
+    /// now (no other value slot, parameter handle, or caller clone shares
+    /// it), taking it out of `values` and writing the output into it.
+    /// Per-element arithmetic, operand order and chunking are identical on
+    /// both routes, so results are bit-identical.
+    fn eval_node(
         &self,
         i: usize,
-        k: usize,
-        target: Tensor<f32>,
-        values: &[Option<Tensor<f32>>],
-    ) -> std::thread::Result<Tensor<f32>> {
+        plan_on: bool,
+        values: &mut [Option<Tensor<f32>>],
+    ) -> Tensor<f32> {
         let node = &self.graph.nodes[i];
+        let slot = |id: crate::graph::NodeId| id.0 as usize;
+        let inplace_at = self.plan.inplace[i].filter(|&k| {
+            plan_on
+                && values[slot(node.inputs[k])]
+                    .as_ref()
+                    .is_some_and(|t| t.storage_unique())
+        });
+        let target = inplace_at.map(|k| {
+            let target_id = slot(node.inputs[k]);
+            self.counters.in_place.fetch_add(1, Ordering::Relaxed);
+            plan_in_place_counter().inc();
+            if matches!(self.graph.nodes[target_id].op, HloOp::Parameter(_)) {
+                self.counters.donated.fetch_add(1, Ordering::Relaxed);
+                plan_donated_counter().inc();
+            }
+            let taken = values[target_id]
+                .take()
+                .expect("topological order guarantees operands are ready");
+            (k, taken)
+        });
         let ready = |id: crate::graph::NodeId| -> &Tensor<f32> {
-            values[id.0 as usize]
+            values[slot(id)]
                 .as_ref()
                 .expect("topological order guarantees operands are ready")
         };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &node.op {
+        let Some((k, mut t)) = target else {
+            let inputs: Vec<&Tensor<f32>> = node.inputs.iter().map(|&id| ready(id)).collect();
+            return match &node.op {
+                // Fused kernels take their output shape from the plan (a
+                // trailing-broadcast input may tie the element count).
+                HloOp::Fused { insts, .. } => {
+                    run_fused(&self.fused_kernel(i, insts), &inputs, node.shape.dims())
+                }
+                op => eval_op(op, &inputs),
+            };
+        };
+        match &node.op {
             HloOp::Unary(u) => {
                 let u = *u;
-                let mut t = target;
                 t.map_assign(move |x| u.apply(x));
-                t
             }
             HloOp::Binary(b) => {
                 let b = *b;
                 let other = ready(node.inputs[1 - k]);
-                let mut t = target;
                 if k == 0 {
                     t.zip_apply_assign(other, move |x, y| b.apply(x, y));
                 } else {
                     t.zip_apply_assign_rev(other, move |x, y| b.apply(x, y));
                 }
-                t
             }
             HloOp::Fused { insts, .. } => {
                 // Input positions naming the aliased node read the output
@@ -509,14 +429,13 @@ impl Executable {
                     .iter()
                     .map(|&id| (id != alias).then(|| ready(id).as_slice()))
                     .collect();
-                let mut t = target;
                 let n = t.num_elements();
                 self.fused_kernel(i, insts)
                     .run(&slices, n, t.as_mut_slice());
-                t
             }
             op => unreachable!("plan marks only elementwise ops in-place, got {op:?}"),
-        }))
+        }
+        t
     }
 }
 
@@ -704,6 +623,7 @@ mod tests {
     use crate::op::{ElemBinary, ElemUnary};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use s4tf_tensor::panic_message;
 
     fn t(data: &[f32], dims: &[usize]) -> Tensor<f32> {
         Tensor::from_vec(data.to_vec(), dims)

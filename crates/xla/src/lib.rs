@@ -19,6 +19,9 @@
 //!   single fused kernels with no intermediate buffers;
 //! * [`exec`] — compilation to an [`Executable`]: a topologically ordered
 //!   kernel plan whose fused nodes run as single loops;
+//! * [`scope`] — the per-kernel instrumentation protocol every backend
+//!   launches kernels through (fault draw, panic capture, latency sample,
+//!   op event, numerics scan);
 //! * [`cache`] — the XLA-program cache: "trace fragments are hashed to
 //!   become keys in an XLA-program cache; each unique trace is only
 //!   compiled by XLA once" (§3.4).
@@ -50,14 +53,17 @@
 pub mod cache;
 pub mod codegen;
 pub mod cost;
-mod diag;
 pub mod exec;
-mod fault;
 pub mod graph;
-mod met;
 pub mod op;
 pub mod passes;
-mod prof;
+pub mod scope;
+
+// Short names for the instrumentation crates; each gates itself at run time.
+use s4tf_diag as diag;
+use s4tf_fault as fault;
+use s4tf_metrics as met;
+use s4tf_profile as prof;
 
 pub use cache::{CacheStats, ProgramCache};
 pub use codegen::CodegenStats;

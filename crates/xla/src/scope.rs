@@ -1,0 +1,181 @@
+//! The per-kernel instrumentation protocol, in one place.
+//!
+//! Every backend launches kernels through a [`KernelScope`]: the naive
+//! device around each op, the eager device split across its enqueue and
+//! its worker job, the compiled executor around each plan node. The scope
+//! owns the order of the bookkeeping:
+//!
+//! 1. [`KernelScope::enqueue`] fixes the op id and reads the clocks;
+//! 2. [`KernelScope::run`] draws the kernel-site fault, runs the kernel
+//!    under `catch_unwind`, turns a failure into an attributed
+//!    [`RuntimeError`] plus its `fault.*` event, and on success records
+//!    the dispatch-latency sample and the `OpEvent` with its cost;
+//! 3. [`KernelScope::scan`] checks the output's numerics. The caller
+//!    invokes it *after* handing the result to any other thread: in
+//!    [`NumericsMode::Panic`](s4tf_diag::NumericsMode) the scan unwinds,
+//!    and a waiter on an unpublished result would never wake.
+//!
+//! With every switch off a launch costs the relaxed loads of the gates
+//! and the `catch_unwind` frame; nothing is formatted, measured or
+//! allocated for a layer that is not recording.
+
+use crate::op::HloOp;
+use crate::{diag, fault, met, prof};
+use fault::FaultSite;
+use s4tf_tensor::{panic_message, OpCost, RuntimeError, Tensor};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Instant;
+
+/// Draws `site` for `op`: an injected fault comes back as the attributed
+/// error, with its `fault.injected` event already logged.
+pub fn injected_fault(site: FaultSite, op: &HloOp, backend: &'static str) -> Option<RuntimeError> {
+    if !fault::should_inject(site) {
+        return None;
+    }
+    let mnemonic = op.mnemonic();
+    diag::event!(
+        "fault.injected",
+        site = site.name(),
+        op = mnemonic,
+        backend = backend,
+    );
+    Some(RuntimeError::injected(mnemonic, backend, site.name()).with_span(prof::current_span()))
+}
+
+/// Samples the memory gauges into the profile (report and Chrome-trace
+/// counter tracks): live tensor bytes, overall and for `backend`, and the
+/// recycling pool's four counters. The same names on every backend.
+pub fn sample_memory_gauges(backend: &'static str) {
+    if !prof::enabled() {
+        return;
+    }
+    let live = diag::memory_stats().live_bytes as f64;
+    prof::gauge_set("mem.live_bytes", live);
+    prof::gauge_set(format!("mem.live_bytes.{backend}"), live);
+    let pool = s4tf_tensor::pool_stats();
+    prof::gauge_set("pool.hits", pool.hits as f64);
+    prof::gauge_set("pool.misses", pool.misses as f64);
+    prof::gauge_set("pool.recycled_bytes", pool.recycled_bytes as f64);
+    prof::gauge_set("pool.pooled_bytes", pool.pooled_bytes as f64);
+}
+
+/// One kernel launch's identity and clocks, fixed when the op is
+/// enqueued; see the module docs for the protocol.
+#[derive(Debug)]
+pub struct KernelScope {
+    backend: &'static str,
+    op_id: u64,
+    /// Whether the profiler was on at enqueue; the `OpEvent` is recorded
+    /// only then, so its clocks are always real.
+    profiling: bool,
+    enqueue_us: u64,
+    /// Start of the dispatch-latency sample (enqueue to completion).
+    timer: Option<Instant>,
+}
+
+impl KernelScope {
+    /// Opens the scope where the op is dispatched.
+    pub fn enqueue(backend: &'static str) -> KernelScope {
+        let profiling = prof::enabled();
+        KernelScope {
+            backend,
+            op_id: if profiling { prof::next_op_id() } else { 0 },
+            profiling,
+            enqueue_us: if profiling { prof::now_us() } else { 0 },
+            timer: met::enabled().then(Instant::now),
+        }
+    }
+
+    /// The profiler id of this launch, which downstream ops name as their
+    /// dependency; 0 (no edge) when the launch records no `OpEvent`.
+    pub fn op_id(&self) -> u64 {
+        self.op_id
+    }
+
+    /// Whether [`run`](KernelScope::run) will ask for `attribution`.
+    pub fn profiling(&self) -> bool {
+        self.profiling
+    }
+
+    /// Runs `kernel` for `op`. An injected kernel-site fault or a kernel
+    /// panic returns the attributed error; the caller poisons its result
+    /// with it. `attribution` gives the launch's cost and the op ids it
+    /// depends on, and runs only when the scope is profiling.
+    ///
+    /// # Panics
+    /// Resumes the kernel's panic when `validate` panics too: the operands
+    /// were invalid, and shape errors stay synchronous (paper §4). It runs
+    /// only after a kernel panic; backends that infer shapes before
+    /// dispatching pass `|| ()`.
+    pub fn run(
+        &self,
+        op: &HloOp,
+        kernel: impl FnOnce() -> Tensor<f32>,
+        attribution: impl FnOnce(&Tensor<f32>) -> (OpCost, Vec<u64>),
+        validate: impl FnOnce(),
+    ) -> Result<Tensor<f32>, RuntimeError> {
+        if let Some(e) = injected_fault(FaultSite::Kernel, op, self.backend) {
+            return Err(e);
+        }
+        let start_us = if self.profiling { prof::now_us() } else { 0 };
+        // Only the kernel is caught: the numerics scan stays outside so a
+        // Panic-mode abort unwinds as requested, not as a poisoned value.
+        let out = match catch_unwind(AssertUnwindSafe(kernel)) {
+            Ok(out) => out,
+            Err(payload) => {
+                if catch_unwind(AssertUnwindSafe(validate)).is_err() {
+                    resume_unwind(payload);
+                }
+                let mnemonic = op.mnemonic();
+                diag::event!("fault.kernel_panic", op = mnemonic, backend = self.backend);
+                return Err(
+                    RuntimeError::kernel(mnemonic, self.backend, panic_message(&*payload))
+                        .with_span(prof::current_span()),
+                );
+            }
+        };
+        if let Some(t0) = self.timer {
+            met::dispatch_hist(self.backend, op.family()).record(t0.elapsed().as_micros() as u64);
+        }
+        if self.profiling {
+            let (cost, deps) = attribution(&out);
+            // Fused nodes get their own roofline rows (`fused@codegen`):
+            // compiled loop nests are not comparable with the per-op
+            // kernels' `simd8`/`scalar` rows.
+            let path = if matches!(op, HloOp::Fused { .. }) {
+                "codegen"
+            } else {
+                s4tf_tensor::path_label()
+            };
+            prof::op_event(
+                self.op_id,
+                op.family(),
+                self.backend,
+                "kernel",
+                path,
+                self.enqueue_us,
+                start_us,
+                prof::now_us(),
+                deps,
+                cost.flops,
+                cost.bytes,
+            );
+        }
+        Ok(out)
+    }
+
+    /// Scans `out` for the first non-finite value and attributes it to
+    /// `op` (a no-op unless numerics checking is on). Call it after the
+    /// result is visible to every thread that may be waiting for it.
+    pub fn scan(&self, op: &HloOp, out: &Tensor<f32>) {
+        if diag::numerics_enabled() {
+            let _ = diag::check_f32s(
+                &op.mnemonic(),
+                self.backend,
+                out.dims(),
+                out.as_slice(),
+                prof::current_span().as_deref(),
+            );
+        }
+    }
+}

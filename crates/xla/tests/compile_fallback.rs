@@ -5,8 +5,6 @@
 //! The fault spec is process-global, so these tests live in their own
 //! integration binary and serialize on one mutex.
 
-#![cfg(feature = "fault")]
-
 use s4tf_fault::{set_fault_spec, FaultSite};
 use s4tf_tensor::Tensor;
 use s4tf_xla::graph::HloGraph;
