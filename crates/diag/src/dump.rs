@@ -49,7 +49,7 @@ pub fn dump_enabled() -> bool {
 /// `None`. Overrides `S4TF_DUMP`.
 pub fn set_dump_dir(dir: Option<&Path>) {
     *lock_unpoisoned(&DIR) = dir.map(Path::to_path_buf);
-    GATE.set(if dir.is_some() { GATE_ON } else { GATE_OFF });
+    GATE.set_on(dir.is_some());
 }
 
 /// The current dump directory, if dumping is enabled.

@@ -7,24 +7,14 @@
 //! or [`set_events_enabled`]); numerics violations bypass the gate so a
 //! violation is never lost just because event streaming was off.
 
-use crate::{
-    env_truthy, lock_unpoisoned, now_us, push_json_string, FieldList, Gate, GATE_OFF, GATE_ON,
-};
+use crate::{env_gate, lock_unpoisoned, now_us, push_json_string, FieldList, Gate};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Upper bound on retained events; the oldest are dropped first.
 pub const RING_CAPACITY: usize = 4096;
 
-fn init_from_env() -> u8 {
-    if env_truthy("S4TF_DIAG_EVENTS") {
-        GATE_ON
-    } else {
-        GATE_OFF
-    }
-}
-
-static GATE: Gate = Gate::new(init_from_env);
+static GATE: Gate = Gate::new(|| env_gate("S4TF_DIAG_EVENTS", false));
 
 /// Whether the event log is recording (one relaxed load). The
 /// [`event!`](crate::event!) macro checks this before evaluating any of
@@ -36,7 +26,7 @@ pub fn events_enabled() -> bool {
 
 /// Turns event recording on or off, overriding `S4TF_DIAG_EVENTS`.
 pub fn set_events_enabled(on: bool) {
-    GATE.set(if on { GATE_ON } else { GATE_OFF });
+    GATE.set_on(on);
 }
 
 /// One recorded event.

@@ -19,18 +19,16 @@
 //! | training metrics | `S4TF_METRICS_FILE=<path>` | [`set_metrics_path`], [`record_step`] |
 //!
 //! Memory tracking ([`track_alloc`] / [`track_free`] / [`memory_stats`])
-//! has no gate of its own: the counters are plain relaxed atomics bumped
-//! by `tensor::storage`, in the same spirit as the tensor crate's
-//! copy-on-write counter — the cost is a few relaxed RMWs per buffer
-//! allocation, dwarfed by the allocation itself.
+//! is a view of the one ledger in `s4tf-metrics`; what this crate adds
+//! is the `mem.high_water` event.
 //!
-//! This crate is std-only with zero dependencies so that `s4tf-tensor`
-//! (which itself must stay dependency-light) can sit above it.
+//! Crate order: `s4tf-profile` ← `s4tf-metrics` ← this crate ← `threads`,
+//! `tensor` and everything above. The gate type, the flag parser and the
+//! JSON writers come from `s4tf-profile`, the JSONL sink and the memory
+//! ledger from `s4tf-metrics`.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 mod dump;
@@ -44,10 +42,7 @@ pub use events::{
     clear_events, events, events_enabled, events_jsonl, record_event, set_events_enabled,
     EventRecord,
 };
-pub use memory::{
-    memory_stats, reset_peak_bytes, track_alloc, track_free, track_recycled_alloc,
-    track_recycled_free, MemoryStats,
-};
+pub use memory::{memory_stats, reset_peak_bytes, track_alloc, track_free, MemoryStats};
 pub use metrics::{
     metrics_enabled, next_step, record_step, reset_step_counter, set_metrics_path, StepRecord,
 };
@@ -58,61 +53,9 @@ pub use numerics::{
 
 // ----------------------------------------------------------- shared bits
 
-/// Tri-state atomic gate shared by the pillars: `0` = uninitialized
-/// (consult the environment once), [`GATE_OFF`], [`GATE_ON`].
-pub(crate) struct Gate {
-    state: AtomicU8,
-    init: fn() -> u8,
-}
-
-pub(crate) const GATE_OFF: u8 = 1;
-pub(crate) const GATE_ON: u8 = 2;
-
-impl Gate {
-    pub(crate) const fn new(init: fn() -> u8) -> Self {
-        Gate {
-            state: AtomicU8::new(0),
-            init,
-        }
-    }
-
-    /// The hot-path check: one relaxed load once initialized.
-    #[inline]
-    pub(crate) fn raw(&self) -> u8 {
-        match self.state.load(Ordering::Relaxed) {
-            0 => self.init_slow(),
-            state => state,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on(&self) -> bool {
-        self.raw() >= GATE_ON
-    }
-
-    #[cold]
-    fn init_slow(&self) -> u8 {
-        let computed = (self.init)();
-        // Racing initializers compute the same value; only install when
-        // still uninitialized so an explicit `set` in between wins.
-        let _ = self
-            .state
-            .compare_exchange(0, computed, Ordering::Relaxed, Ordering::Relaxed);
-        self.state.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set(&self, state: u8) {
-        self.state.store(state, Ordering::Relaxed);
-    }
-}
-
-/// `1`/`true`/`on` (any case) counts as set.
-pub(crate) fn env_truthy(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"),
-        Err(_) => false,
-    }
-}
+pub(crate) use s4tf_metrics::{
+    env_gate, lock_unpoisoned, push_json_f64, push_json_string, Gate, GATE_OFF, GATE_ON,
+};
 
 /// Microseconds since this crate's (lazily fixed) epoch.
 pub(crate) fn now_us() -> u64 {
@@ -121,70 +64,4 @@ pub(crate) fn now_us() -> u64 {
     Instant::now().duration_since(epoch).as_micros() as u64
 }
 
-/// Locks a mutex, shrugging off poisoning: diagnostics must keep working
-/// after a `NumericsMode::Panic` unwound through a holder.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// JSON string escaping shared by the JSONL exporters.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Renders an `f64` as JSON: finite values print plainly, non-finite
-/// values (legal in a metrics stream that *reports on* NaNs) become
-/// strings `"NaN"` / `"Infinity"` / `"-Infinity"`.
-pub(crate) fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        out.push_str("\"Infinity\"");
-    } else {
-        out.push_str("\"-Infinity\"");
-    }
-}
-
 pub(crate) type FieldList = Vec<(Cow<'static, str>, String)>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_f64_non_finite() {
-        let mut out = String::new();
-        push_json_f64(&mut out, f64::NAN);
-        out.push(',');
-        push_json_f64(&mut out, f64::INFINITY);
-        out.push(',');
-        push_json_f64(&mut out, 1.5);
-        assert_eq!(out, "\"NaN\",\"Infinity\",1.5");
-    }
-}

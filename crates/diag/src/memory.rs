@@ -1,144 +1,44 @@
-//! Pillar 3: tensor-storage memory tracking.
+//! Pillar 3: tensor-storage memory tracking — a view of the one ledger
+//! in `s4tf-metrics`, which `tensor::storage` books every buffer into
+//! through [`track_alloc`]/[`track_free`].
 //!
-//! `tensor::storage` reports every buffer allocation and free here;
-//! live-bytes / peak-bytes / alloc / free counters are plain relaxed
-//! atomics with no gate (cost: a few relaxed RMWs per buffer, dwarfed by
-//! the allocation itself — the same bargain as the tensor crate's
-//! copy-on-write counter). The runtime layers sample [`memory_stats`]
-//! into profile gauges so the numbers show up in `profile::report()` and
-//! the Chrome trace as counter tracks.
-//!
-//! When the event log is on, crossing a new high-water mark by at least
-//! [`HIGH_WATER_STEP`] bytes emits a `mem.high_water` event — enough to
-//! see the allocation envelope without flooding the ring.
+//! What this module adds is the event: when the event log is on,
+//! crossing a new high-water mark by at least [`HIGH_WATER_STEP`] bytes
+//! emits `mem.high_water` — enough to see the allocation envelope
+//! without flooding the ring. (The ledger sits below this crate and
+//! cannot raise events itself.)
 
 use crate::events;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pub use s4tf_metrics::{mem_free as track_free, memory_stats, MemoryStats};
+
 /// Minimum peak growth between `mem.high_water` events.
 pub const HIGH_WATER_STEP: u64 = 64 * 1024;
 
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+/// The peak the last `mem.high_water` event reported (event throttle).
 static LAST_REPORTED_PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the storage counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Bytes currently held by live tensor-storage buffers.
-    pub live_bytes: u64,
-    /// Highest `live_bytes` ever observed (see [`reset_peak_bytes`]).
-    pub peak_bytes: u64,
-    /// Buffers allocated (includes copy-on-write clones).
-    pub allocs: u64,
-    /// Buffers freed.
-    pub frees: u64,
-}
-
-/// Records a buffer allocation of `bytes`.
+/// Books a buffer of `bytes` into the ledger — `fresh` from the
+/// allocator, or recycled from the pool — and returns the site to hand
+/// back to [`track_free`].
 #[inline]
-pub fn track_alloc(bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    bump_live(bytes);
-}
-
-/// Records a buffer handed out by the storage recycling pool: the bytes
-/// become live again (and can set a new peak), but no allocator call
-/// happened, so [`MemoryStats::allocs`] is not incremented. Keeping
-/// `allocs`/`frees` as *real allocator traffic* is what makes the pool's
-/// effect measurable through [`memory_stats`].
-#[inline]
-pub fn track_recycled_alloc(bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    bump_live(bytes);
-}
-
-/// Records a buffer returned to the recycling pool: no longer live, but
-/// not an allocator free either ([`MemoryStats::frees`] is untouched).
-#[inline]
-pub fn track_recycled_free(bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-#[inline]
-fn bump_live(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    let mut peak = PEAK.load(Ordering::Relaxed);
-    while live > peak {
-        match PEAK.compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                if events::events_enabled() {
-                    let reported = LAST_REPORTED_PEAK.load(Ordering::Relaxed);
-                    if live >= reported + HIGH_WATER_STEP {
-                        LAST_REPORTED_PEAK.store(live, Ordering::Relaxed);
-                        crate::event!("mem.high_water", live_bytes = live);
-                    }
-                }
-                break;
-            }
-            Err(current) => peak = current,
+pub fn track_alloc(bytes: usize, fresh: bool) -> &'static str {
+    let (site, new_peak) = s4tf_metrics::mem_alloc(bytes, fresh);
+    if let Some(live) = new_peak {
+        if events::events_enabled()
+            && live >= LAST_REPORTED_PEAK.load(Ordering::Relaxed) + HIGH_WATER_STEP
+        {
+            LAST_REPORTED_PEAK.store(live, Ordering::Relaxed);
+            crate::event!("mem.high_water", live_bytes = live);
         }
     }
+    site
 }
 
-/// Records that a buffer of `bytes` was freed.
-#[inline]
-pub fn track_free(bytes: usize) {
-    if bytes == 0 {
-        return;
-    }
-    FREES.fetch_add(1, Ordering::Relaxed);
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-/// Current storage counters.
-pub fn memory_stats() -> MemoryStats {
-    MemoryStats {
-        live_bytes: LIVE.load(Ordering::Relaxed),
-        peak_bytes: PEAK.load(Ordering::Relaxed),
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        frees: FREES.load(Ordering::Relaxed),
-    }
-}
-
-/// Restarts the peak-bytes watermark from the current live-bytes value
-/// (e.g. per training step, so per-step peaks are meaningful).
+/// Restarts the peak-bytes watermark — the total's and every site's —
+/// from the current live bytes (e.g. per training step, so per-step
+/// peaks are meaningful).
 pub fn reset_peak_bytes() {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    LAST_REPORTED_PEAK.store(live, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn alloc_free_balance() {
-        let before = memory_stats();
-        track_alloc(1 << 20);
-        let during = memory_stats();
-        assert!(during.live_bytes >= before.live_bytes + (1 << 20));
-        assert!(during.peak_bytes >= before.live_bytes + (1 << 20));
-        track_free(1 << 20);
-        let after = memory_stats();
-        assert_eq!(after.allocs, before.allocs + 1);
-        assert_eq!(after.frees, before.frees + 1);
-        // Live returns to baseline (other tests may run concurrently, so
-        // compare against what this test added, not an absolute value).
-        assert_eq!(
-            after.live_bytes.wrapping_sub(before.live_bytes),
-            during.live_bytes.wrapping_sub(before.live_bytes) - (1 << 20)
-        );
-    }
+    LAST_REPORTED_PEAK.store(s4tf_metrics::reset_peak_bytes(), Ordering::Relaxed);
 }

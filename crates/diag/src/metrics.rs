@@ -15,23 +15,14 @@
 //! schema, discriminated by `kind`.
 
 use crate::push_json_f64;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static STEP: AtomicU64 = AtomicU64::new(0);
 
 /// Whether a metrics sink is configured — the one-relaxed-load branch
-/// the training loop takes before computing gradient norms or timings.
-#[inline]
-pub fn metrics_enabled() -> bool {
-    s4tf_metrics::jsonl_enabled()
-}
-
-/// Points the stream at `path` (`None` disables). Overrides
-/// `S4TF_METRICS_FILE`.
-pub fn set_metrics_path(path: Option<&Path>) {
-    s4tf_metrics::set_jsonl_path(path);
-}
+/// the training loop takes before computing gradient norms or timings —
+/// and the override of `S4TF_METRICS_FILE` (`None` disables).
+pub use s4tf_metrics::{jsonl_enabled as metrics_enabled, set_jsonl_path as set_metrics_path};
 
 /// Next 1-based global step number (process-wide, shared by every
 /// training loop so the stream stays monotonic).

@@ -37,16 +37,11 @@ pub enum NumericsMode {
 const GATE_PANIC: u8 = 3;
 
 fn init_from_env() -> u8 {
-    match std::env::var("S4TF_CHECK_NUMERICS").as_deref() {
-        Ok("panic") | Ok("PANIC") | Ok("Panic") => GATE_PANIC,
-        Ok(v)
-            if matches!(
-                v.to_ascii_lowercase().as_str(),
-                "1" | "true" | "on" | "yes" | "warn"
-            ) =>
-        {
-            crate::GATE_ON
-        }
+    let value = std::env::var("S4TF_CHECK_NUMERICS").unwrap_or_default();
+    match value.trim().to_ascii_lowercase().as_str() {
+        "panic" => GATE_PANIC,
+        "warn" => crate::GATE_ON,
+        other if s4tf_metrics::parse_flag(other) == Some(true) => crate::GATE_ON,
         _ => GATE_OFF,
     }
 }

@@ -22,21 +22,25 @@
 //! - **Periodic snapshots** — [`start_sampler`] (or
 //!   `S4TF_METRICS_INTERVAL`) appends registry snapshots as JSONL to the
 //!   `S4TF_METRICS_FILE` sink (shared with the per-step training stream
-//!   in `s4tf-diag`) and feeds every gauge to the profiler so Chrome
-//!   traces carry live-bytes/queue-depth counter tracks.
+//!   in `s4tf-diag`).
+//! - **The profiler** — every counter increment and gauge sample is
+//!   forwarded to `s4tf-profile` under the instrument's registry name
+//!   (one relaxed load while the profiler is off), so
+//!   `profile::report()` and the Chrome trace's counter tracks are views
+//!   of this registry, not a second store.
 //!
-//! Memory attribution: the storage layer reports allocations through
-//! [`mem_alloc`]/[`mem_free`]; subsystems scope allocations to a site
-//! with [`mem_site`], and [`memory_by_site`] breaks live/peak bytes down
-//! by the allocating subsystem (eager slots, trace constants, checkpoint
-//! I/O, …).
+//! Memory: the storage layer books every buffer into the one ledger
+//! here: process totals ([`memory_stats`]) plus, per
+//! [`mem_site`] scope, [`memory_by_site`]'s split by allocating
+//! subsystem (eager slots, trace constants, checkpoint I/O, …).
 //!
-//! Recording defaults **on**; `S4TF_METRICS=0` (or [`set_enabled`]) turns
-//! it off at runtime, leaving one relaxed atomic load per call site.
+//! Counters, gauges and the memory totals always count (a relaxed RMW
+//! each). `S4TF_METRICS=0` (or [`set_enabled`]) turns off what costs
+//! more: clocks and histograms, per-site attribution, the exporters.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Once, OnceLock, RwLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{LazyLock, Mutex, Once};
 
 pub mod hist;
 mod mem;
@@ -48,9 +52,16 @@ mod text;
 
 pub use hist::Histogram;
 pub use mem::{
-    mem_alloc, mem_free, mem_site, memory_by_site, reset_memory_by_site, MemSiteGuard, SiteMem,
+    mem_alloc, mem_free, mem_site, memory_by_site, memory_stats, reset_peak_bytes, MemSiteGuard,
+    MemoryStats, SiteMem,
 };
 pub use rate::rate_per_sec;
+/// The switch, lock and JSON plumbing of the lowest crate, passed up to crates
+/// (`s4tf-diag`, `s4tf-tensor`) that depend on this one only.
+pub use s4tf_profile::{
+    env_gate, lock_unpoisoned, parse_flag, push_json_f64, push_json_sep, push_json_string, Gate,
+    GATE_OFF, GATE_ON,
+};
 pub use sampler::{sample_now, start_sampler};
 pub use serve::start_server;
 pub use snapshot::{append_jsonl, jsonl_enabled, jsonl_path, set_jsonl_path, snapshot_json};
@@ -58,42 +69,24 @@ pub use text::prometheus_text;
 
 // ----------------------------------------------------------------- gate
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+static STATE: Gate = Gate::new(|| {
+    init_exporters_from_env();
+    env_gate("S4TF_METRICS", true)
+});
 
-/// Tri-state recording gate: 0 = consult `S4TF_METRICS` once, then 1/2.
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Whether the registry records. Defaults to **on**; `S4TF_METRICS=0`
-/// (or [`set_enabled`]`(false)`) disables recording at runtime. The hot
-/// path is one relaxed load.
+/// Whether the gated half of the registry records (histograms, per-site
+/// memory attribution) and callers should read clocks for it. Defaults
+/// to **on**; `S4TF_METRICS=0` or [`set_enabled`]`(false)` turns it
+/// off. The hot path is one relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_UNINIT => init_slow(),
-        s => s == STATE_ON,
-    }
-}
-
-#[cold]
-fn init_slow() -> bool {
-    let off = matches!(
-        std::env::var("S4TF_METRICS").as_deref().map(str::trim),
-        Ok("0") | Ok("false") | Ok("off")
-    );
-    let target = if off { STATE_OFF } else { STATE_ON };
-    // Racing initializers compute the same value; a concurrent
-    // `set_enabled` wins.
-    let _ = STATE.compare_exchange(STATE_UNINIT, target, Ordering::Relaxed, Ordering::Relaxed);
-    init_exporters_from_env();
-    STATE.load(Ordering::Relaxed) == STATE_ON
+    STATE.on()
 }
 
 /// Overrides the recording gate (and, on enable, starts any exporters
 /// the environment requests).
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    STATE.set_on(on);
     if on {
         init_exporters_from_env();
     }
@@ -132,17 +125,19 @@ fn init_exporters_from_env() {
 /// A monotonically increasing `u64` instrument.
 #[derive(Debug)]
 pub struct Counter {
+    name: &'static str,
     help: &'static str,
     value: AtomicU64,
 }
 
 impl Counter {
-    /// Adds `delta` (no-op while recording is disabled).
+    /// Adds `delta` — always, so views such as `pool::stats()` keep
+    /// counting under `S4TF_METRICS=0` — and forwards it to the
+    /// profiler's window when that is on.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        s4tf_profile::counter_add(self.name, delta);
     }
 
     /// Adds one.
@@ -160,25 +155,24 @@ impl Counter {
 /// A signed level instrument (bytes live, queue depth).
 #[derive(Debug)]
 pub struct Gauge {
+    name: &'static str,
     help: &'static str,
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// Sets the level (no-op while recording is disabled).
+    /// Sets the level, and samples it into the profiler when that is on.
     #[inline]
     pub fn set(&self, value: i64) {
-        if enabled() {
-            self.value.store(value, Ordering::Relaxed);
-        }
+        self.value.store(value, Ordering::Relaxed);
+        s4tf_profile::gauge_set(self.name, value as f64);
     }
 
     /// Moves the level by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        let level = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
+        s4tf_profile::gauge_set(self.name, level as f64);
     }
 
     /// Current level.
@@ -187,66 +181,93 @@ impl Gauge {
     }
 }
 
+/// Expands to the interned instrument with its handle cached in a
+/// static at the call site, so a hot path pays one `OnceLock` load
+/// instead of a registry lookup.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __cached_instrument {
+    ($ty:ident, $make:ident, $name:expr, $help:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::$ty> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::$make($name, $help))
+    }};
+}
+
+/// `counter!(name, help)`: [`counter()`] with the handle cached at the
+/// call site.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr, $help:expr) => {
+        $crate::__cached_instrument!(Counter, counter, $name, $help)
+    };
+}
+
+/// `gauge!(name, help)`: [`gauge()`] with the handle cached at the call
+/// site.
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr, $help:expr) => {
+        $crate::__cached_instrument!(Gauge, gauge, $name, $help)
+    };
+}
+
+/// `histogram!(name, help)`: [`histogram()`] with the handle cached at
+/// the call site.
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr, $help:expr) => {
+        $crate::__cached_instrument!(Histogram, histogram, $name, $help)
+    };
+}
+
 // -------------------------------------------------------------- registry
 
 struct Registry<T: 'static> {
-    map: RwLock<HashMap<String, &'static T>>,
+    map: Mutex<HashMap<&'static str, &'static T>>,
 }
 
 impl<T> Default for Registry<T> {
     fn default() -> Self {
         Registry {
-            map: RwLock::new(HashMap::new()),
+            map: Mutex::new(HashMap::new()),
         }
     }
 }
 
 impl<T> Registry<T> {
-    /// Returns the interned instrument, creating (and leaking — the
-    /// registry is process-lived by design) on first use.
-    fn get_or(&self, name: &str, make: impl FnOnce() -> T) -> &'static T {
-        if let Some(v) = read_unpoisoned(&self.map).get(name) {
-            return v;
-        }
-        let mut map = write_unpoisoned(&self.map);
+    /// Returns the interned instrument, creating (and leaking, with its
+    /// name — the registry is process-lived by design) on first use.
+    fn get_or(&self, name: &str, make: impl FnOnce(&'static str) -> T) -> &'static T {
+        let mut map = lock_unpoisoned(&self.map);
         if let Some(v) = map.get(name) {
             return v;
         }
-        let leaked: &'static T = Box::leak(Box::new(make()));
-        map.insert(name.to_string(), leaked);
+        let name: &'static str = Box::leak(name.into());
+        let leaked: &'static T = Box::leak(Box::new(make(name)));
+        map.insert(name, leaked);
         leaked
     }
 
     /// All instruments, sorted by name (the deterministic export order).
-    fn sorted(&self) -> Vec<(String, &'static T)> {
-        let mut out: Vec<(String, &'static T)> = read_unpoisoned(&self.map)
+    fn sorted(&self) -> Vec<(&'static str, &'static T)> {
+        let mut out: Vec<_> = lock_unpoisoned(&self.map)
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(k, v)| (*k, *v))
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by_key(|(name, _)| *name);
         out
     }
 }
 
-fn counters() -> &'static Registry<Counter> {
-    static R: OnceLock<Registry<Counter>> = OnceLock::new();
-    R.get_or_init(Registry::default)
-}
-
-fn gauges() -> &'static Registry<Gauge> {
-    static R: OnceLock<Registry<Gauge>> = OnceLock::new();
-    R.get_or_init(Registry::default)
-}
-
-fn histograms() -> &'static Registry<Histogram> {
-    static R: OnceLock<Registry<Histogram>> = OnceLock::new();
-    R.get_or_init(Registry::default)
-}
+static COUNTERS: LazyLock<Registry<Counter>> = LazyLock::new(Registry::default);
+static GAUGES: LazyLock<Registry<Gauge>> = LazyLock::new(Registry::default);
+static HISTOGRAMS: LazyLock<Registry<Histogram>> = LazyLock::new(Registry::default);
 
 /// The counter named `name` (interned on first use). `help` is kept from
 /// the first registration and rendered as the Prometheus `# HELP` line.
 pub fn counter(name: &str, help: &'static str) -> &'static Counter {
-    counters().get_or(name, || Counter {
+    COUNTERS.get_or(name, |name| Counter {
+        name,
         help,
         value: AtomicU64::new(0),
     })
@@ -254,7 +275,8 @@ pub fn counter(name: &str, help: &'static str) -> &'static Counter {
 
 /// The gauge named `name` (interned on first use).
 pub fn gauge(name: &str, help: &'static str) -> &'static Gauge {
-    gauges().get_or(name, || Gauge {
+    GAUGES.get_or(name, |name| Gauge {
+        name,
         help,
         value: AtomicI64::new(0),
     })
@@ -262,7 +284,7 @@ pub fn gauge(name: &str, help: &'static str) -> &'static Gauge {
 
 /// The histogram named `name` (interned on first use).
 pub fn histogram(name: &str, help: &'static str) -> &'static Histogram {
-    histograms().get_or(name, || Histogram::new(help))
+    HISTOGRAMS.get_or(name, |_| Histogram::new(help))
 }
 
 /// The per-backend, per-op-family dispatch-latency histogram
@@ -289,67 +311,24 @@ pub fn dispatch_hist(backend: &'static str, family: &'static str) -> &'static Hi
 }
 
 /// Sorted counter (name, total) pairs — the export view.
-pub fn counter_values() -> Vec<(String, u64)> {
-    counters()
-        .sorted()
-        .into_iter()
-        .map(|(n, c)| (n, c.value()))
-        .collect()
+pub fn counter_values() -> Vec<(&'static str, u64)> {
+    let sorted = COUNTERS.sorted();
+    sorted.into_iter().map(|(n, c)| (n, c.value())).collect()
 }
 
 /// Sorted gauge (name, level) pairs — the export view.
-pub fn gauge_values() -> Vec<(String, i64)> {
-    gauges()
-        .sorted()
-        .into_iter()
-        .map(|(n, g)| (n, g.value()))
-        .collect()
+pub fn gauge_values() -> Vec<(&'static str, i64)> {
+    let sorted = sorted_gauges();
+    sorted.into_iter().map(|(n, g)| (n, g.value())).collect()
 }
 
-pub(crate) fn sorted_counters() -> Vec<(String, &'static Counter)> {
-    counters().sorted()
-}
-
-pub(crate) fn sorted_gauges() -> Vec<(String, &'static Gauge)> {
-    gauges().sorted()
-}
-
-pub(crate) fn sorted_histograms() -> Vec<(String, &'static Histogram)> {
-    histograms().sorted()
-}
-
-pub(crate) fn counter_help(c: &Counter) -> &'static str {
-    c.help
-}
-
-pub(crate) fn gauge_help(g: &Gauge) -> &'static str {
-    g.help
+/// Every gauge, after refreshing the memory gauges from the ledger.
+pub(crate) fn sorted_gauges() -> Vec<(&'static str, &'static Gauge)> {
+    mem::publish();
+    GAUGES.sorted()
 }
 
 // ---------------------------------------------------------------- shared
-
-/// Read-locks ignoring poisoning: the registry holds no invariant a
-/// panicked holder could have broken mid-update.
-fn read_unpoisoned<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    match l.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn write_unpoisoned<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    match l.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Microseconds since the Unix epoch (snapshot timestamps; Chrome-track
 /// timestamps come from the profiler's own clock).
@@ -365,35 +344,6 @@ pub(crate) fn split_family(name: &str) -> (&str, Option<&str>) {
     match (name.find('{'), name.ends_with('}')) {
         (Some(i), true) => (&name[..i], Some(&name[i + 1..name.len() - 1])),
         _ => (name, None),
-    }
-}
-
-/// Appends a JSON string literal (quotes, backslashes and control bytes
-/// escaped).
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends an `f64` as a JSON-legal number (non-finite → 0).
-pub(crate) fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&v.to_string());
-    } else {
-        out.push('0');
     }
 }
 
@@ -426,12 +376,5 @@ mod tests {
         );
         // A stray brace without the closer is left alone.
         assert_eq!(split_family("a{b"), ("a{b", None));
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

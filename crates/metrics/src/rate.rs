@@ -16,7 +16,7 @@ use std::time::Duration;
 /// two minutes of history.
 const RING_CAP: usize = 128;
 
-type Sample = (u64, Vec<(String, u64)>);
+type Sample = (u64, Vec<(&'static str, u64)>);
 
 fn ring() -> &'static Mutex<VecDeque<Sample>> {
     static RING: OnceLock<Mutex<VecDeque<Sample>>> = OnceLock::new();
@@ -41,7 +41,7 @@ pub fn rate_per_sec(name: &str, window: Duration) -> Option<f64> {
     let now = crate::now_unix_us();
     let current = crate::counter_values()
         .into_iter()
-        .find(|(n, _)| n == name)
+        .find(|(n, _)| *n == name)
         .map(|(_, v)| v)?;
     let floor = now.saturating_sub(window.as_micros() as u64);
     let ring = lock_unpoisoned(ring());
@@ -58,7 +58,7 @@ pub fn rate_per_sec(name: &str, window: Duration) -> Option<f64> {
     let then = base
         .1
         .iter()
-        .find(|(n, _)| n == name)
+        .find(|(n, _)| *n == name)
         .map(|(_, v)| *v)
         .unwrap_or(0);
     Some(current.saturating_sub(then) as f64 * 1e6 / dt_us as f64)
@@ -66,7 +66,7 @@ pub fn rate_per_sec(name: &str, window: Duration) -> Option<f64> {
 
 /// `(name, rate/sec)` for every counter that moved within the window
 /// (the snapshot export view; empty before the first tick).
-pub(crate) fn all_rates(window: Duration) -> Vec<(String, f64)> {
+pub(crate) fn all_rates(window: Duration) -> Vec<(&'static str, f64)> {
     let now = crate::now_unix_us();
     let floor = now.saturating_sub(window.as_micros() as u64);
     let base = {

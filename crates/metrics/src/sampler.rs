@@ -5,9 +5,9 @@
 //!
 //! 1. appends a counter snapshot to the rate ring (powers
 //!    [`crate::rate_per_sec`]);
-//! 2. forwards every gauge to `s4tf_profile::gauge_set`, so the Chrome
-//!    trace grows `"ph":"C"` counter tracks (live bytes, queue depths)
-//!    alongside the span flame graph;
+//! 2. refreshes the memory gauges from the ledger (gauges forward every
+//!    `set` to the profiler, so this is also what samples peak and
+//!    per-site bytes into the Chrome trace's counter tracks);
 //! 3. appends one `"kind":"snapshot"` line to the JSONL sink, when one
 //!    is configured.
 //!
@@ -21,11 +21,6 @@ use std::time::Duration;
 pub fn sample_now() {
     crate::mem::publish();
     crate::rate::tick();
-    if s4tf_profile::enabled() {
-        for (name, value) in crate::gauge_values() {
-            s4tf_profile::gauge_set(name, value as f64);
-        }
-    }
     if crate::jsonl_enabled() {
         crate::append_jsonl(&crate::snapshot_json());
     }

@@ -20,10 +20,11 @@
 //! The file is opened in append mode per write, so several short runs
 //! can share one log and a crashed run loses at most the in-flight line.
 
-use crate::{lock_unpoisoned, push_json_f64, push_json_string};
+use crate::{
+    lock_unpoisoned, push_json_f64, push_json_sep as sep, push_json_string, Gate, GATE_OFF, GATE_ON,
+};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -32,42 +33,28 @@ const RATE_WINDOW: Duration = Duration::from_secs(60);
 
 static PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-const SINK_UNINIT: u8 = 0;
-const SINK_OFF: u8 = 1;
-const SINK_ON: u8 = 2;
-static SINK: AtomicU8 = AtomicU8::new(SINK_UNINIT);
-
-#[cold]
-fn sink_init() -> bool {
-    let state = match std::env::var("S4TF_METRICS_FILE") {
-        Ok(p) if !p.is_empty() => {
-            *lock_unpoisoned(&PATH) = Some(PathBuf::from(p));
-            SINK_ON
-        }
-        _ => SINK_OFF,
-    };
-    let _ = SINK.compare_exchange(SINK_UNINIT, state, Ordering::Relaxed, Ordering::Relaxed);
-    SINK.load(Ordering::Relaxed) == SINK_ON
-}
+/// On when a sink path is configured; the first read resolves
+/// `S4TF_METRICS_FILE` into [`PATH`].
+static SINK: Gate = Gate::new(|| match std::env::var("S4TF_METRICS_FILE") {
+    Ok(p) if !p.is_empty() => {
+        *lock_unpoisoned(&PATH) = Some(PathBuf::from(p));
+        GATE_ON
+    }
+    _ => GATE_OFF,
+});
 
 /// Whether a JSONL sink is configured (`S4TF_METRICS_FILE` or
 /// [`set_jsonl_path`]) — one relaxed load.
 #[inline]
 pub fn jsonl_enabled() -> bool {
-    match SINK.load(Ordering::Relaxed) {
-        SINK_UNINIT => sink_init(),
-        s => s == SINK_ON,
-    }
+    SINK.on()
 }
 
 /// Points the JSONL sink at `path` (`None` disables). Overrides
 /// `S4TF_METRICS_FILE`.
 pub fn set_jsonl_path(path: Option<&Path>) {
     *lock_unpoisoned(&PATH) = path.map(Path::to_path_buf);
-    SINK.store(
-        if path.is_some() { SINK_ON } else { SINK_OFF },
-        Ordering::Relaxed,
-    );
+    SINK.set_on(path.is_some());
 }
 
 /// The configured sink path, if any.
@@ -102,7 +89,6 @@ pub fn append_jsonl(line: &str) {
 /// Renders the whole registry as one `"kind":"snapshot"` JSON line (no
 /// trailing newline).
 pub fn snapshot_json() -> String {
-    crate::mem::publish();
     let mut out = String::with_capacity(1024);
     out.push_str("{\"kind\":\"snapshot\",\"ts_us\":");
     out.push_str(&crate::now_unix_us().to_string());
@@ -111,7 +97,7 @@ pub fn snapshot_json() -> String {
     let mut first = true;
     for (name, value) in crate::counter_values() {
         sep(&mut out, &mut first);
-        push_json_string(&mut out, &name);
+        push_json_string(&mut out, name);
         out.push(':');
         out.push_str(&value.to_string());
     }
@@ -120,16 +106,16 @@ pub fn snapshot_json() -> String {
     let mut first = true;
     for (name, value) in crate::gauge_values() {
         sep(&mut out, &mut first);
-        push_json_string(&mut out, &name);
+        push_json_string(&mut out, name);
         out.push(':');
         out.push_str(&value.to_string());
     }
 
     out.push_str("},\"histograms\":{");
     let mut first = true;
-    for (name, h) in crate::sorted_histograms() {
+    for (name, h) in crate::HISTOGRAMS.sorted() {
         sep(&mut out, &mut first);
-        push_json_string(&mut out, &name);
+        push_json_string(&mut out, name);
         out.push_str(":{\"count\":");
         out.push_str(&h.count().to_string());
         out.push_str(",\"sum\":");
@@ -163,18 +149,10 @@ pub fn snapshot_json() -> String {
     let mut first = true;
     for (name, rate) in crate::rate::all_rates(RATE_WINDOW) {
         sep(&mut out, &mut first);
-        push_json_string(&mut out, &name);
+        push_json_string(&mut out, name);
         out.push(':');
         push_json_f64(&mut out, rate);
     }
     out.push_str("}}");
     out
-}
-
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
 }

@@ -24,10 +24,9 @@ enum Series<'a> {
 /// Renders the whole registry (refreshing the memory gauges first) as
 /// Prometheus text.
 pub fn prometheus_text() -> String {
-    crate::mem::publish();
-    let counters = crate::sorted_counters();
+    let counters = crate::COUNTERS.sorted();
     let gauges = crate::sorted_gauges();
-    let hists = crate::sorted_histograms();
+    let hists = crate::HISTOGRAMS.sorted();
 
     // family → (type, help, series) — BTreeMap gives the sorted, grouped
     // exposition order.
@@ -36,7 +35,7 @@ pub fn prometheus_text() -> String {
         let (family, _) = split_family(name);
         families
             .entry(family)
-            .or_insert_with(|| ("counter", crate::counter_help(c), Vec::new()))
+            .or_insert_with(|| ("counter", c.help, Vec::new()))
             .2
             .push(Series::Counter(name, c.value()));
     }
@@ -44,7 +43,7 @@ pub fn prometheus_text() -> String {
         let (family, _) = split_family(name);
         families
             .entry(family)
-            .or_insert_with(|| ("gauge", crate::gauge_help(g), Vec::new()))
+            .or_insert_with(|| ("gauge", g.help, Vec::new()))
             .2
             .push(Series::Gauge(name, g.value()));
     }

@@ -171,7 +171,7 @@ fn snapshot_json_shape() {
     }
     let site = {
         let _g = mem_site("export-test");
-        mem_alloc(4096)
+        mem_alloc(4096, true).0
     };
 
     let line = snapshot_json();
@@ -214,7 +214,7 @@ fn snapshot_json_shape() {
     }
     assert!(value.get("rates").is_some());
 
-    mem_free(site, 4096);
+    mem_free(site, 4096, true);
     let after = memory_by_site();
     let m = after.iter().find(|m| m.site == "export-test").unwrap();
     assert_eq!(m.live_bytes, 0);
@@ -229,10 +229,10 @@ fn memory_gauges_reach_the_exposition() {
     set_enabled(true);
     let site = {
         let _g = mem_site("export-gauge-test");
-        mem_alloc(1 << 20)
+        mem_alloc(1 << 20, true).0
     };
     let text = prometheus_text();
     assert!(text.contains("# TYPE s4tf_mem_live_bytes gauge"));
     assert!(text.contains("s4tf_mem_site_live_bytes{site=\"export-gauge-test\"} 1048576"));
-    mem_free(site, 1 << 20);
+    mem_free(site, 1 << 20, true);
 }

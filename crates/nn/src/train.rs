@@ -7,7 +7,7 @@ use crate::checkpoint::Checkpointable;
 use crate::diag;
 use crate::fault;
 use crate::layer::Layer;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::{softmax_cross_entropy, LossPullback};
 use crate::met;
 use crate::optimizer::Optimizer;
 use crate::prof;
@@ -24,40 +24,24 @@ fn record_step_instruments(loss: f64, examples: usize, elapsed: std::time::Durat
     if !met::enabled() {
         return;
     }
-    fn h(name: &str, help: &'static str) -> &'static met::Histogram {
-        met::histogram(name, help)
-    }
-    static STEP: std::sync::OnceLock<&'static met::Histogram> = std::sync::OnceLock::new();
-    static LOSS: std::sync::OnceLock<&'static met::Histogram> = std::sync::OnceLock::new();
-    static STEPS: std::sync::OnceLock<&'static met::Counter> = std::sync::OnceLock::new();
-    static EXAMPLES: std::sync::OnceLock<&'static met::Counter> = std::sync::OnceLock::new();
-    STEP.get_or_init(|| {
-        h(
-            "s4tf_train_step_us",
-            "Wall time of one training step, microseconds",
-        )
-    })
+    met::histogram!(
+        "s4tf_train_step_us",
+        "Wall time of one training step, microseconds"
+    )
     .record(elapsed.as_micros() as u64);
     // The histogram is integer-valued; losses live near zero, so scale to
     // micro-loss units to keep sub-unit resolution (p50 of 0.3 → 300000).
-    LOSS.get_or_init(|| {
-        h(
-            "s4tf_train_loss_micros",
-            "Per-step training loss, scaled by 1e6 (micro-loss units)",
-        )
-    })
+    met::histogram!(
+        "s4tf_train_loss_micros",
+        "Per-step training loss, scaled by 1e6 (micro-loss units)"
+    )
     .record((loss.max(0.0) * 1e6) as u64);
-    STEPS
-        .get_or_init(|| met::counter("s4tf_train_steps_total", "Training steps completed"))
-        .inc();
-    EXAMPLES
-        .get_or_init(|| {
-            met::counter(
-                "s4tf_train_examples_total",
-                "Training examples consumed across all steps",
-            )
-        })
-        .add(examples as u64);
+    met::counter!("s4tf_train_steps_total", "Training steps completed").inc();
+    met::counter!(
+        "s4tf_train_examples_total",
+        "Training examples consumed across all steps"
+    )
+    .add(examples as u64);
 }
 
 /// Emits one [`diag::StepRecord`] to the `S4TF_METRICS_FILE` stream.
@@ -100,12 +84,83 @@ fn emit_step_metrics<G: VectorSpace>(
     diag::reset_peak_bytes();
 }
 
+/// The body every single-device step shares: forward → loss → pullback →
+/// in-place optimizer update → the automatic barrier, which cuts (and on
+/// the lazy device compiles and runs) the step's trace, materializing
+/// loss and updated parameters. Returns the on-device loss and the
+/// gradients — a first-class `Model::TangentVector` value (paper §4.2:
+/// "both the model and its gradient are first class values").
+fn step_body<L, O>(
+    model: &mut L,
+    optimizer: &mut O,
+    inputs: &DTensor,
+    targets: &DTensor,
+    loss_fn: fn(&DTensor, &DTensor) -> (DTensor, LossPullback),
+) -> (DTensor, L::TangentVector)
+where
+    L: Layer,
+    O: Optimizer<L>,
+{
+    let (pred, pullback) = model.forward_with_pullback(inputs);
+    let (loss, loss_pullback) = loss_fn(&pred, targets);
+    let dpred = loss_pullback(&loss.scalar_like(1.0));
+    let (gradients, _dinput) = pullback(&dpred);
+    optimizer.update(model, &gradients);
+    inputs.device().barrier();
+    (loss, gradients)
+}
+
+/// The epilogue every metered step shares: the loss onto the step's
+/// span, the registry instruments, and — with a metrics file — the step
+/// record. Returns `loss`.
+fn finish_step<G: VectorSpace>(
+    mut span: prof::SpanGuard,
+    start: std::time::Instant,
+    loss: f64,
+    gradients: &G,
+    examples: usize,
+    backend: &'static str,
+) -> f64 {
+    if span.is_recording() {
+        span.annotate_f64("loss", loss);
+    }
+    record_step_instruments(loss, examples, start.elapsed());
+    if diag::metrics_enabled() {
+        emit_step_metrics(loss, gradients, examples, start.elapsed(), backend);
+    }
+    loss
+}
+
+/// [`step_body`] under the `train.step` span, then [`finish_step`].
+fn metered_step<L, O>(
+    model: &mut L,
+    optimizer: &mut O,
+    inputs: &DTensor,
+    targets: &DTensor,
+    loss_fn: fn(&DTensor, &DTensor) -> (DTensor, LossPullback),
+) -> f64
+where
+    L: Layer,
+    O: Optimizer<L>,
+{
+    let span = prof::span("train.step");
+    let start = std::time::Instant::now();
+    let (loss, gradients) = step_body(model, optimizer, inputs, targets, loss_fn);
+    let examples = inputs.dims().first().copied().unwrap_or(1);
+    let backend = inputs.device().kind();
+    finish_step(
+        span,
+        start,
+        loss.loss_value(),
+        &gradients,
+        examples,
+        backend,
+    )
+}
+
 /// One classifier training step (paper Figure 7, one loop body):
 /// forward → softmax cross-entropy → pullback → in-place optimizer update →
 /// barrier. Returns the minibatch loss.
-///
-/// The gradients are a first-class `Model::TangentVector` value (paper
-/// §4.2: "both the model and its gradient are first class values").
 pub fn train_classifier_step<L, O>(
     model: &mut L,
     optimizer: &mut O,
@@ -116,27 +171,7 @@ where
     L: Layer,
     O: Optimizer<L>,
 {
-    let mut span = prof::span("train.step");
-    let start = std::time::Instant::now();
-    let device = images.device();
-    let (logits, pullback) = model.forward_with_pullback(images);
-    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
-    let dlogits = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _dinput) = pullback(&dlogits);
-    optimizer.update(model, &gradients);
-    // The automatic barrier: cut (and on the lazy device, compile+run) the
-    // step's trace, materializing loss and updated parameters.
-    device.barrier();
-    let loss = loss.loss_value();
-    if span.is_recording() {
-        span.annotate_f64("loss", loss);
-    }
-    let examples = images.dims().first().copied().unwrap_or(1);
-    record_step_instruments(loss, examples, start.elapsed());
-    if diag::metrics_enabled() {
-        emit_step_metrics(loss, &gradients, examples, start.elapsed(), device.kind());
-    }
-    loss
+    metered_step(model, optimizer, images, labels, softmax_cross_entropy)
 }
 
 /// Like [`train_classifier_step`] but without reading the loss back — for
@@ -152,13 +187,7 @@ pub fn train_classifier_step_no_metrics<L, O>(
     O: Optimizer<L>,
 {
     let _span = prof::span("train.step");
-    let device = images.device();
-    let (logits, pullback) = model.forward_with_pullback(images);
-    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
-    let dlogits = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _dinput) = pullback(&dlogits);
-    optimizer.update(model, &gradients);
-    device.barrier();
+    step_body(model, optimizer, images, labels, softmax_cross_entropy);
 }
 
 /// How a data-parallel step reacts to a failing shard (a kernel fault, a
@@ -450,18 +479,13 @@ where
     }
 
     let loss = losses / survivors as f64;
-    if span.is_recording() {
-        span.annotate_f64("loss", loss);
-    }
     let examples: usize = shards
         .iter()
         .map(|(x, _)| x.dims().first().copied().unwrap_or(1))
         .sum();
-    record_step_instruments(loss, examples, start.elapsed());
-    if diag::metrics_enabled() {
-        emit_step_metrics(loss, &mean_grad, examples, start.elapsed(), backend);
-    }
-    Ok(loss)
+    Ok(finish_step(
+        span, start, loss, &mean_grad, examples, backend,
+    ))
 }
 
 /// One regression training step with mean-squared error.
@@ -475,25 +499,7 @@ where
     L: Layer,
     O: Optimizer<L>,
 {
-    let mut span = prof::span("train.step");
-    let start = std::time::Instant::now();
-    let device = inputs.device();
-    let (pred, pullback) = model.forward_with_pullback(inputs);
-    let (loss, loss_pullback) = crate::loss::mse(&pred, targets);
-    let dpred = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _) = pullback(&dpred);
-    optimizer.update(model, &gradients);
-    device.barrier();
-    let loss = loss.loss_value();
-    if span.is_recording() {
-        span.annotate_f64("loss", loss);
-    }
-    let examples = inputs.dims().first().copied().unwrap_or(1);
-    record_step_instruments(loss, examples, start.elapsed());
-    if diag::metrics_enabled() {
-        emit_step_metrics(loss, &gradients, examples, start.elapsed(), device.kind());
-    }
-    loss
+    metered_step(model, optimizer, inputs, targets, crate::loss::mse)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{push_json_string, thread_names, Recorder};
+use crate::{push_json_f64, push_json_sep as sep, push_json_string, thread_names, Recorder};
 
 const PID: u64 = 1;
 
@@ -112,30 +112,13 @@ pub(crate) fn render(recorder: &mut Recorder) -> String {
     out
 }
 
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-}
-
 fn counter_event(out: &mut String, name: &str, ts_us: u64, value: f64) {
     out.push_str("{\"name\":");
     push_json_string(out, name);
     let _ = write!(
         out,
-        ",\"cat\":\"s4tf\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":{PID},\"args\":{{\"value\":{}}}}}",
-        json_number(value)
+        ",\"cat\":\"s4tf\",\"ph\":\"C\",\"ts\":{ts_us},\"pid\":{PID},\"args\":{{\"value\":"
     );
-}
-
-/// Formats an f64 as a JSON-legal number (no NaN/inf, no `1e5` for
-/// round values the `f64::to_string` already avoids).
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        value.to_string()
-    } else {
-        "0".to_string()
-    }
+    push_json_f64(out, value);
+    out.push_str("}}");
 }

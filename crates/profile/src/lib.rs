@@ -7,7 +7,7 @@
 //! leave instrumentation in every dispatch path of the eager, lazy and
 //! XLA backends. It is enabled either programmatically via
 //! [`set_enabled`] or by setting the `S4TF_PROFILE` environment
-//! variable (`1`, `true`, `on`) before first use.
+//! variable (any [`parse_flag`] spelling) before first use.
 //!
 //! ```
 //! s4tf_profile::set_enabled(true);
@@ -25,17 +25,21 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 mod chrome;
 mod critical_path;
+mod gate;
+mod json;
 mod machine;
 mod report;
 mod roofline;
 
 pub use critical_path::{critical_path, CriticalPathReport, PathStep};
+pub use gate::{env_gate, parse_flag, Gate, GATE_OFF, GATE_ON};
+pub use json::{push_json_f64, push_json_sep, push_json_string};
 pub use machine::{
     machine_fingerprint, machine_probe, machine_probe_path, simd_probe_supported, MachineProfile,
 };
@@ -44,12 +48,7 @@ pub use roofline::{roofline, RooflineReport, RooflineRow};
 
 // --------------------------------------------------------------- state
 
-/// Tri-state enable flag: 0 = uninitialized (consult `S4TF_PROFILE`),
-/// 1 = disabled, 2 = enabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+static STATE: Gate = Gate::new(|| env_gate("S4TF_PROFILE", false));
 
 /// Returns whether profiling is currently enabled.
 ///
@@ -57,29 +56,12 @@ const STATE_ON: u8 = 2;
 /// the profiler is off it is exactly one relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        state => state == STATE_ON,
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = matches!(
-        std::env::var("S4TF_PROFILE").as_deref(),
-        Ok("1") | Ok("true") | Ok("on") | Ok("TRUE") | Ok("ON")
-    );
-    let state = if on { STATE_ON } else { STATE_OFF };
-    // Racing initializers compute the same value; last store wins
-    // harmlessly unless `set_enabled` ran in between, so only install
-    // when still uninitialized.
-    let _ = STATE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed);
-    STATE.load(Ordering::Relaxed) == STATE_ON
+    STATE.on()
 }
 
 /// Turns the profiler on or off, overriding `S4TF_PROFILE`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    STATE.set_on(on);
 }
 
 /// Microseconds since the profiler's (lazily fixed) epoch.
@@ -203,12 +185,15 @@ pub(crate) struct Recorder {
 
 static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
 
+/// Locks `m`, shrugging off poisoning: telemetry must keep working after
+/// a panic unwound through a holder, and no update here (or in the two
+/// telemetry crates above, which share this) leaves its data half-written.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
-    let mut guard = match RECORDER.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    f(guard.get_or_insert_with(Recorder::default))
+    f(lock_unpoisoned(&RECORDER).get_or_insert_with(Recorder::default))
 }
 
 // -------------------------------------------------------------- spans
@@ -327,7 +312,10 @@ impl Drop for SpanGuard {
 
 // -------------------------------------------- counters and gauges
 
-/// Adds `delta` to the named monotonic counter (no-op when disabled).
+/// Adds `delta` to the named counter's total over the recording window
+/// (no-op when disabled). Runtime layers do not call this: they count
+/// into `s4tf-metrics`, whose instruments forward here under their
+/// registry names, so a fact has one name in every report.
 #[inline]
 pub fn counter_add(name: impl Into<Cow<'static, str>>, delta: u64) {
     if !enabled() {
@@ -336,8 +324,8 @@ pub fn counter_add(name: impl Into<Cow<'static, str>>, delta: u64) {
     with_recorder(|r| *r.counters.entry(name.into()).or_insert(0) += delta);
 }
 
-/// Records an instantaneous gauge sample, e.g. a queue depth
-/// (no-op when disabled).
+/// Records an instantaneous gauge sample, e.g. a queue depth (no-op
+/// when disabled). Like [`counter_add`], fed by the registry's gauges.
 #[inline]
 pub fn gauge_set(name: impl Into<Cow<'static, str>>, value: f64) {
     if !enabled() {
@@ -441,10 +429,7 @@ static THREAD_NAMES: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
 pub fn set_thread_name(name: impl Into<String>) {
     let id = thread_id();
     let name = name.into();
-    let mut guard = match THREAD_NAMES.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut guard = lock_unpoisoned(&THREAD_NAMES);
     if let Some(entry) = guard.iter_mut().find(|(tid, _)| *tid == id) {
         entry.1 = name;
     } else {
@@ -453,47 +438,7 @@ pub fn set_thread_name(name: impl Into<String>) {
 }
 
 pub(crate) fn thread_names() -> Vec<(u64, String)> {
-    match THREAD_NAMES.lock() {
-        Ok(g) => g.clone(),
-        Err(poisoned) => poisoned.into_inner().clone(),
-    }
-}
-
-// ------------------------------------------------------- pool statistics
-
-/// Lifetime counters for the kernel thread pool (`s4tf-threads`), in the
-/// style of `Device::cache_stats()`: independent of the span recorder and
-/// never reset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads currently spawned (excludes callers).
-    pub workers: usize,
-    /// Chunks executed by pool workers.
-    pub tasks_run: u64,
-    /// Chunks handed to the pool queue.
-    pub chunks_dispatched: u64,
-    /// Parallel calls that ran inline (below grain, single-threaded, or
-    /// nested inside a worker).
-    pub inline_runs: u64,
-    /// Total wall time workers spent executing chunks, in microseconds.
-    pub busy_us: u64,
-}
-
-/// Snapshot provider installed by the thread-pool crate; `s4tf-profile`
-/// sits below `s4tf-threads` in the dependency graph, so the pool pushes
-/// its accessor up here instead of being linked directly.
-static POOL_STATS_PROVIDER: OnceLock<fn() -> PoolStats> = OnceLock::new();
-
-/// Registers the pool's stats accessor (called by `s4tf-threads` on
-/// first use; later registrations are ignored).
-pub fn register_pool_stats(provider: fn() -> PoolStats) {
-    let _ = POOL_STATS_PROVIDER.set(provider);
-}
-
-/// Current kernel-pool counters, or `None` if no pool has announced
-/// itself yet (it registers when its thread count is first read or set).
-pub fn pool_stats() -> Option<PoolStats> {
-    POOL_STATS_PROVIDER.get().map(|provider| provider())
+    lock_unpoisoned(&THREAD_NAMES).clone()
 }
 
 // ------------------------------------------------------------ exports
@@ -518,13 +463,8 @@ pub fn reset() {
 /// Whether the user asked for a performance report via
 /// `S4TF_PERF_REPORT=1` (checked once, cached).
 pub fn perf_report_requested() -> bool {
-    static REQUESTED: OnceLock<bool> = OnceLock::new();
-    *REQUESTED.get_or_init(|| {
-        matches!(
-            std::env::var("S4TF_PERF_REPORT").as_deref(),
-            Ok("1") | Ok("true") | Ok("on") | Ok("TRUE") | Ok("ON")
-        )
-    })
+    static REQUESTED: Gate = Gate::new(|| env_gate("S4TF_PERF_REPORT", false));
+    REQUESTED.on()
 }
 
 /// Renders the full performance observatory — aggregated span report,
@@ -533,42 +473,10 @@ pub fn perf_report_requested() -> bool {
 pub fn perf_report() -> String {
     let mut out = String::new();
     let _ = write!(out, "{}", report());
-    let machine = machine_probe();
-    let _ = write!(out, "\n{}", roofline().with_machine(machine));
+    // Ceilings for the path the recorded kernels actually ran on.
+    let roof = roofline();
+    let simd = !roof.rows().iter().any(|r| r.path == "scalar");
+    let _ = write!(out, "\n{}", roof.with_machine(machine_probe_path(simd)));
     let _ = write!(out, "\n{}", critical_path());
     out
-}
-
-// Hand-rolled string formatting helpers shared by the exporters.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    // The profiler is process-global state; tests that flip it live in
-    // `tests/profiler.rs` behind a serializing lock. Unit tests here
-    // only touch pure helpers.
-    use super::push_json_string;
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
 }

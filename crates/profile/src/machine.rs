@@ -15,12 +15,11 @@
 //! for like. (An earlier revision probed `mul_add` *without* the
 //! target-feature frame; it lowered to a libm call and under-reported
 //! the ceiling ~60×, pinned by `simd_probe_ceiling_is_sane` below.)
-//! Which path [`machine_probe`] reports follows the same `S4TF_SIMD` +
-//! CPU-detection rule the kernels use — duplicated here because this
-//! crate sits *below* `s4tf-tensor` (where the dispatch switch lives) in
-//! the dependency graph. Programmatic `set_simd_enabled` overrides are
-//! not visible at this level; benches that flip paths ask for
-//! [`machine_probe_path`] explicitly.
+//! This crate sits *below* `s4tf-tensor`, where the dispatch switch
+//! lives, so it cannot see which path is active: [`machine_probe`]
+//! reports the default (SIMD) path, and callers that know the path a
+//! run took — the roofline rows' path labels, `tensor::path_label()` —
+//! ask for [`machine_probe_path`].
 
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -75,25 +74,12 @@ pub fn simd_probe_supported() -> bool {
     }
 }
 
-/// The dispatch path the kernels select by default: `S4TF_SIMD` (off
-/// values `0`/`false`/`off`/`no`, default on) ANDed with CPU support.
-fn simd_env_active() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        !std::env::var("S4TF_SIMD")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "0" || v == "false" || v == "off" || v == "no"
-            })
-            .unwrap_or(false)
-    }) && simd_probe_supported()
-}
-
 /// Probes (once per process, then cached) the machine's practical peak
-/// FLOP rate and memory bandwidth *on the active dispatch path* (see the
-/// module docs). Costs roughly 100 ms on first call.
+/// FLOP rate and memory bandwidth on the default dispatch path: SIMD
+/// where the CPU supports it (see the module docs). Costs roughly 100 ms
+/// on first call.
 pub fn machine_probe() -> MachineProfile {
-    machine_probe_path(simd_env_active())
+    machine_probe_path(true)
 }
 
 /// Ceilings for one dispatch path: `simd = true` probes the lane-chunked

@@ -18,7 +18,7 @@ use crate::fault::FaultSite;
 use crate::lazy::LazyTensor;
 use s4tf_core::{AdditiveArithmetic, Differentiable, LossValue, VectorSpace};
 use s4tf_tensor::{Padding, RuntimeError, Shape, Tensor};
-use s4tf_xla::scope::{injected_fault, sample_memory_gauges, KernelScope};
+use s4tf_xla::scope::{injected_fault, KernelScope};
 use s4tf_xla::{ElemBinary, ElemUnary, HloOp, ReduceKind};
 use std::sync::Arc;
 
@@ -233,7 +233,6 @@ impl DTensor {
         );
         match result {
             Ok(result) => {
-                sample_memory_gauges("naive");
                 scope.scan(&op, &result);
                 DTensor::Cpu(result)
             }

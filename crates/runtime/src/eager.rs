@@ -19,22 +19,11 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use s4tf_tensor::{RuntimeError, Shape, Tensor};
 use s4tf_xla::exec::eval_op_owned;
-use s4tf_xla::scope::{injected_fault, sample_memory_gauges, KernelScope};
+use s4tf_xla::scope::{injected_fault, KernelScope};
 use s4tf_xla::HloOp;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// The eager dispatch queue's registry gauge (kernels in flight).
-fn eager_queue_gauge() -> &'static met::Gauge {
-    static G: OnceLock<&'static met::Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        met::gauge(
-            "s4tf_queue_depth{queue=\"eager\"}",
-            "Kernels dispatched to the eager worker but not yet executed",
-        )
-    })
-}
 
 /// The value a slot resolves to: a materialized tensor, or the attributed
 /// error that *poisoned* it (paper §4: asynchronous failures attach to
@@ -224,10 +213,11 @@ impl EagerQueue {
         }
         self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
         let sent = self.inner.sender().send(job);
-        if prof::enabled() {
-            prof::gauge_set("eager.queue_depth", self.queue_depth() as f64);
-        }
-        eager_queue_gauge().set(self.queue_depth() as i64);
+        met::gauge!(
+            "s4tf_queue_depth{queue=\"eager\"}",
+            "Kernels dispatched to the eager worker but not yet executed"
+        )
+        .set(self.queue_depth() as i64);
         sent.map_err(|_| {
             let e = RuntimeError::kernel(
                 "eager.dispatch",
@@ -406,7 +396,6 @@ impl EagerTensor {
                 _ => None,
             };
             out.fill(result);
-            sample_memory_gauges("eager");
             completed.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = probe {
                 scope.scan(&op, &t);

@@ -15,6 +15,7 @@
 
 use crate::diag;
 use crate::fault::FaultSite;
+use crate::met;
 use crate::prof;
 use parking_lot::Mutex;
 use s4tf_tensor::{RuntimeError, Shape, Tensor};
@@ -304,7 +305,7 @@ impl LazyContext {
         let params = std::mem::take(&mut trace.params);
         // Kernel outputs materialized by this barrier are credited to the
         // lazy executor in `memory_by_site()`.
-        let mem_site = crate::met::mem_site("lazy");
+        let mem_site = met::mem_site("lazy");
         let run_result = exe.try_run_owned(params, "lazy");
         drop(mem_site);
         if profiling {
@@ -505,7 +506,11 @@ impl LazyTensor {
         }));
         trace.pending.push(Arc::downgrade(&state));
         trace.trace_time += start.elapsed();
-        prof::counter_add("lazy.trace_append", 1);
+        met::counter!(
+            "s4tf_lazy_trace_append_total",
+            "Ops appended to a lazy trace"
+        )
+        .inc();
         LazyTensor {
             ctx: Arc::clone(ctx),
             shape,

@@ -43,16 +43,20 @@ fn lazy_device_reports_trace_compile_and_cache_activity() {
     assert_eq!(run(vec![2.0, 3.0]).as_slice(), &[6.0, 12.0]);
     assert_eq!(run(vec![1.0, 4.0]).as_slice(), &[2.0, 20.0]);
 
+    // The profiler reports the registry's counters, under their registry
+    // names, as deltas over its window.
     let report = s4tf_profile::report();
     // Two record_op calls per run.
-    assert_eq!(report.counter("lazy.trace_append"), Some(4));
-    assert_eq!(report.counter("xla.cache_miss"), Some(1));
-    assert_eq!(report.counter("xla.cache_hit"), Some(1));
+    assert_eq!(report.counter("s4tf_lazy_trace_append_total"), Some(4));
+    let (miss, hit) = (
+        report.counter("s4tf_xla_cache_total{result=\"miss\"}"),
+        report.counter("s4tf_xla_cache_total{result=\"hit\"}"),
+    );
+    assert_eq!((miss, hit), (Some(1), Some(1)));
     // The profiler counters agree with the Device cache-stats API.
     let device = Device::Lazy(Arc::clone(&ctx));
     let stats = device.cache_stats().expect("lazy device has a cache");
-    assert_eq!(Some(stats.misses), report.counter("xla.cache_miss"));
-    assert_eq!(Some(stats.hits), report.counter("xla.cache_hit"));
+    assert_eq!((Some(stats.misses), Some(stats.hits)), (miss, hit));
 
     assert_eq!(report.span("lazy.barrier").unwrap().count, 2);
     assert_eq!(report.span("xla.compile").unwrap().count, 1);
@@ -66,7 +70,7 @@ fn lazy_device_reports_trace_compile_and_cache_activity() {
     ] {
         assert_eq!(report.span(pass).unwrap().count, 1, "{pass}");
     }
-    assert!(report.counter("xla.kernels_run").unwrap_or(0) >= 2);
+    assert!(report.counter("s4tf_xla_kernels_run_total").unwrap_or(0) >= 2);
     teardown();
 }
 
@@ -91,7 +95,9 @@ fn eager_device_reports_dispatch_and_observe_activity() {
     assert_eq!(report.span("eager.block_on_observe").unwrap().count, 1);
     let gauges = report.gauges();
     assert!(
-        gauges.iter().any(|(name, _)| name == "eager.queue_depth"),
+        gauges
+            .iter()
+            .any(|(name, _)| name == "s4tf_queue_depth{queue=\"eager\"}"),
         "queue-depth gauge sampled"
     );
     teardown();
@@ -233,7 +239,7 @@ fn every_backend_runs_the_same_kernel_protocol() {
         set_numerics_mode(NumericsMode::Off);
 
         // A clean launch: one kernel-phase event with the analytic cost,
-        // one latency sample, the memory gauges (numerics off).
+        // one latency sample, the live-bytes track (numerics off).
         let hist = s4tf_metrics::dispatch_hist(backend, "matmul");
         let samples = hist.count();
         let out = matmul_on(&device, 1.0).to_tensor();
@@ -252,21 +258,14 @@ fn every_backend_runs_the_same_kernel_protocol() {
         assert!(k.enqueue_us <= k.start_us && k.start_us <= k.end_us);
         assert_eq!(hist.count(), samples + 1, "{backend}: one latency sample");
         let report = s4tf_profile::report();
-        let per_backend = format!("mem.live_bytes.{backend}");
-        for gauge in [
-            "mem.live_bytes",
-            per_backend.as_str(),
-            "pool.hits",
-            "pool.misses",
-            "pool.recycled_bytes",
-            "pool.pooled_bytes",
-        ] {
-            assert!(
-                report.gauges().iter().any(|(name, _)| name == gauge),
-                "{backend}: gauge `{gauge}` not sampled: {:?}",
-                report.gauges()
-            );
-        }
+        assert!(
+            report
+                .gauges()
+                .iter()
+                .any(|(name, _)| name == "s4tf_mem_live_bytes"),
+            "{backend}: live bytes not sampled: {:?}",
+            report.gauges()
+        );
 
         // An injected kernel-site fault: same event fields, same error.
         s4tf_diag::set_events_enabled(true);

@@ -23,10 +23,10 @@
 //! [`MAX_ENTRIES_PER_BUCKET`] buffers and the pool as a whole at most
 //! [`MAX_POOLED_BYTES`], so the cache cannot grow without bound.
 //!
-//! Interaction with the `s4tf-diag` live/peak accounting: a pool *hit*
-//! raises live-bytes (`track_recycled_alloc`) without counting an
-//! allocator call, and a buffer accepted by the pool lowers live-bytes
-//! (`track_recycled_free`) without counting an allocator free — so
+//! Interaction with the memory ledger's live/peak accounting: a pool
+//! *hit* raises live-bytes (`track_alloc(.., fresh = false)`) without
+//! counting an allocator call, and a buffer accepted by the pool lowers
+//! live-bytes without counting an allocator free — so
 //! `MemoryStats::allocs`/`frees` keep meaning *real allocator traffic*,
 //! which is exactly what `bench/src/bin/memory.rs` measures. Buffers
 //! evicted by [`clear_pools`] are dropped without touching the
@@ -41,7 +41,7 @@
 use crate::dtype::Scalar;
 use crate::met;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Maximum buffers kept per size bucket. Sized so a whole traced step's
@@ -65,35 +65,25 @@ pub const MIN_BUFFER_BYTES: usize = 1;
 
 // ------------------------------------------------------------- enable gate
 
-/// Runtime override: -1 = unset (consult `S4TF_POOL`), 0 = off, 1 = on.
-static POOL_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-static POOL_ENV: OnceLock<bool> = OnceLock::new();
+static POOL: met::Gate = met::Gate::new(|| met::env_gate("S4TF_POOL", true));
 
 /// True if buffer recycling is enabled (default: on; `S4TF_POOL=0`
 /// disables, [`set_pool_enabled`] overrides either way).
 #[inline]
 pub fn pool_enabled() -> bool {
-    match POOL_OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *POOL_ENV.get_or_init(|| match std::env::var("S4TF_POOL") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        }),
-    }
+    POOL.on()
 }
 
 /// Forces buffer recycling on or off, overriding `S4TF_POOL`.
 /// Process-wide; intended for tests and benchmarks.
 pub fn set_pool_enabled(enabled: bool) {
-    POOL_OVERRIDE.store(if enabled { 1 } else { 0 }, Ordering::Relaxed);
+    POOL.set_on(enabled);
 }
 
 // ------------------------------------------------------------------ stats
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static RECYCLED_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Capacity bytes parked in the free lists — state `give` reads to
+/// enforce [`MAX_POOLED_BYTES`], published as `s4tf_pool_resident_bytes`.
 static POOLED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the pool counters (process-wide, across element types).
@@ -109,22 +99,18 @@ pub struct PoolStats {
     pub pooled_bytes: u64,
 }
 
-/// Current pool counters.
-pub fn pool_stats() -> PoolStats {
+/// Current pool counters: a view of the registry's `s4tf_pool_*`
+/// instruments, which count whether or not `S4TF_METRICS` is on.
+pub fn stats() -> PoolStats {
     PoolStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        recycled_bytes: RECYCLED_BYTES.load(Ordering::Relaxed),
+        hits: HIT_COUNTERS.total(),
+        misses: MISS_COUNTERS.total(),
+        recycled_bytes: recycled_bytes_counter().value(),
         pooled_bytes: POOLED_BYTES.load(Ordering::Relaxed),
     }
 }
 
-/// Current pool counters — the public mirror of the provider the
-/// profiler polls (`profile::pool_stats`), so callers can watch hit
-/// rates without enabling the profiler.
-pub fn stats() -> PoolStats {
-    pool_stats()
-}
+pub use stats as pool_stats;
 
 // -------------------------------------------------- registry instruments
 
@@ -158,6 +144,12 @@ impl BucketCounters {
             )
         })
     }
+
+    /// Sum over every bucket that has counted.
+    fn total(&self) -> u64 {
+        let counted = self.slots.iter().filter_map(OnceLock::get);
+        counted.map(|c| c.value()).sum()
+    }
 }
 
 static HIT_COUNTERS: BucketCounters = BucketCounters::new(
@@ -173,14 +165,18 @@ static RECYCLE_COUNTERS: BucketCounters = BucketCounters::new(
     "Dead buffers accepted back into the free list, by power-of-two byte bucket",
 );
 
+fn recycled_bytes_counter() -> &'static met::Counter {
+    met::counter!(
+        "s4tf_pool_recycled_bytes_total",
+        "Capacity bytes served from the buffer-recycling free lists"
+    )
+}
+
 fn resident_gauge() -> &'static met::Gauge {
-    static G: OnceLock<&'static met::Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        met::gauge(
-            "s4tf_pool_resident_bytes",
-            "Capacity bytes currently parked in the buffer-recycling free lists",
-        )
-    })
+    met::gauge!(
+        "s4tf_pool_resident_bytes",
+        "Capacity bytes currently parked in the buffer-recycling free lists"
+    )
 }
 
 // -------------------------------------------------------- bucket rounding
@@ -264,15 +260,13 @@ impl<T> TypedPool<T> {
             Some(v) => {
                 debug_assert!(v.capacity() >= n);
                 let cap_bytes = (v.capacity() * std::mem::size_of::<T>()) as u64;
-                HITS.fetch_add(1, Ordering::Relaxed);
-                RECYCLED_BYTES.fetch_add(cap_bytes, Ordering::Relaxed);
                 let pooled = POOLED_BYTES.fetch_sub(cap_bytes, Ordering::Relaxed) - cap_bytes;
                 HIT_COUNTERS.get(bucket).inc();
+                recycled_bytes_counter().add(cap_bytes);
                 resident_gauge().set(pooled as i64);
                 Some(v)
             }
             None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
                 MISS_COUNTERS.get(bucket).inc();
                 None
             }

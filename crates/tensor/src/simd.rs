@@ -41,17 +41,15 @@
 //! * Integer kernels never take the lane path (it is f32-only), so i32 /
 //!   i64 results are exact and path-independent by construction.
 
+use crate::met;
 use std::any::TypeId;
-use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::OnceLock;
 
 /// Lane width of the chunked-f32 kernels (one AVX2 register).
 pub const LANES: usize = 8;
 
-/// Runtime override for SIMD dispatch (−1 = unset, 0 = off, 1 = on).
-static SIMD_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-/// `S4TF_SIMD` read once; the lane path defaults to on (where supported).
-static SIMD_ENV: OnceLock<bool> = OnceLock::new();
+/// `S4TF_SIMD`, else on: whether the lane path is *requested*.
+static SIMD: met::Gate = met::Gate::new(|| met::env_gate("S4TF_SIMD", true));
 
 /// True when this CPU can run the lane path's target features.
 ///
@@ -85,25 +83,13 @@ pub fn simd_supported() -> bool {
 /// with [`simd_supported`], so requesting SIMD on unsupported hardware
 /// quietly runs the scalar reference path.
 pub fn simd_enabled() -> bool {
-    let requested = match SIMD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *SIMD_ENV.get_or_init(|| {
-            !std::env::var("S4TF_SIMD")
-                .map(|v| {
-                    let v = v.trim().to_ascii_lowercase();
-                    v == "0" || v == "false" || v == "off" || v == "no"
-                })
-                .unwrap_or(false)
-        }),
-    };
-    requested && simd_supported()
+    SIMD.on() && simd_supported()
 }
 
 /// Programmatic override of [`simd_enabled`] (takes precedence over the
 /// environment). Process-wide, for tests and experiments.
 pub fn set_simd_enabled(enabled: bool) {
-    SIMD_OVERRIDE.store(enabled as i8, Ordering::Relaxed);
+    SIMD.set_on(enabled);
 }
 
 /// The lane width the active dispatch path computes with: [`LANES`] on
@@ -456,7 +442,7 @@ mod tests {
 
     #[test]
     fn path_label_tracks_override() {
-        let before = SIMD_OVERRIDE.load(Ordering::Relaxed);
+        let before = SIMD.raw();
         set_simd_enabled(false);
         assert_eq!(path_label(), "scalar");
         assert_eq!(lane_width(), 1);
@@ -467,7 +453,7 @@ mod tests {
         } else {
             assert_eq!(path_label(), "scalar");
         }
-        SIMD_OVERRIDE.store(before, Ordering::Relaxed);
+        SIMD.set(before);
     }
 
     #[test]
@@ -534,7 +520,7 @@ mod tests {
 
     #[test]
     fn vectorize_runs_closure_on_both_paths() {
-        let before = SIMD_OVERRIDE.load(Ordering::Relaxed);
+        let before = SIMD.raw();
         for on in [false, true] {
             set_simd_enabled(on);
             // mul_add is single-rounding on both paths, so the value is
@@ -542,6 +528,6 @@ mod tests {
             let v = vectorize(|| 1.5f32.mul_add(2.0, 0.25));
             assert_eq!(v, 3.25);
         }
-        SIMD_OVERRIDE.store(before, Ordering::Relaxed);
+        SIMD.set(before);
     }
 }

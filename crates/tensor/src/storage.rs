@@ -11,7 +11,6 @@
 
 use crate::diag;
 use crate::dtype::Scalar;
-use crate::met;
 use crate::pool;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,34 +42,28 @@ fn count_cow_copy() {
     THREAD_COW_COPIES.with(|c| c.set(c.get() + 1));
 }
 
-/// Element buffer with allocation accounting: reports its byte size to
-/// the `s4tf-diag` memory tracker when created and when released. The
-/// `Drop` runs exactly once — when the last `Storage` sharing the buffer
-/// goes away — so live-bytes bookkeeping is race-free by construction.
+/// Element buffer with allocation accounting: books its byte size into
+/// the memory ledger (`s4tf-metrics`, through `s4tf-diag`) when created
+/// and when released. The `Drop` runs exactly once — when the last
+/// `Storage` sharing the buffer goes away — so live-bytes bookkeeping is
+/// race-free by construction.
 #[derive(Debug, Default)]
 struct Buf<T: Scalar> {
     vec: Vec<T>,
-    /// Bytes reported to the tracker (buffer capacity at creation).
+    /// Bytes booked into the ledger (buffer capacity at creation).
     bytes: usize,
-    /// Allocation site credited in the metrics registry's per-subsystem
-    /// attribution (`""` when metrics are disabled — frees then no-op).
+    /// Allocation site the ledger credited (`""` when per-site
+    /// attribution is off), handed back with the release.
     site: &'static str,
 }
 
 impl<T: Scalar> Buf<T> {
-    fn new(vec: Vec<T>) -> Self {
+    /// Wraps `vec`; `fresh` says it came from the allocator, not out of
+    /// the recycling pool (live/peak accounting moves either way, an
+    /// allocator call is counted only when fresh).
+    fn new(vec: Vec<T>, fresh: bool) -> Self {
         let bytes = vec.capacity() * std::mem::size_of::<T>();
-        diag::track_alloc(bytes);
-        let site = met::mem_alloc(bytes);
-        Buf { vec, bytes, site }
-    }
-
-    /// Wraps a buffer that came out of the recycling pool: live/peak
-    /// accounting moves, but no allocator call is counted.
-    fn recycled(vec: Vec<T>) -> Self {
-        let bytes = vec.capacity() * std::mem::size_of::<T>();
-        diag::track_recycled_alloc(bytes);
-        let site = met::mem_alloc(bytes);
+        let site = diag::track_alloc(bytes, fresh);
         Buf { vec, bytes, site }
     }
 
@@ -79,12 +72,12 @@ impl<T: Scalar> Buf<T> {
         match pool::take_vec::<T>(data.len()) {
             Some(mut v) => {
                 v.extend_from_slice(data);
-                Buf::recycled(v)
+                Buf::new(v, false)
             }
             None => {
                 let mut v = Vec::with_capacity(pool::recycle_capacity::<T>(data.len()));
                 v.extend_from_slice(data);
-                Buf::new(v)
+                Buf::new(v, true)
             }
         }
     }
@@ -92,8 +85,7 @@ impl<T: Scalar> Buf<T> {
     /// Moves the elements out, settling the tracker account immediately
     /// (the subsequent `Drop` then has nothing left to report).
     fn take(mut self) -> Vec<T> {
-        diag::track_free(self.bytes);
-        met::mem_free(self.site, self.bytes);
+        diag::track_free(self.site, self.bytes, true);
         self.bytes = 0;
         std::mem::take(&mut self.vec)
     }
@@ -124,13 +116,8 @@ impl<T: Scalar> Drop for Buf<T> {
         }
         // The bytes leave tensor-live accounting either way: capacity the
         // pool keeps is reported separately as `s4tf_pool_resident_bytes`.
-        met::mem_free(self.site, self.bytes);
-        let vec = std::mem::take(&mut self.vec);
-        if pool::give_vec(vec) {
-            diag::track_recycled_free(self.bytes);
-        } else {
-            diag::track_free(self.bytes);
-        }
+        let pooled = pool::give_vec(std::mem::take(&mut self.vec));
+        diag::track_free(self.site, self.bytes, !pooled);
     }
 }
 
@@ -153,15 +140,7 @@ impl<T: Scalar> Storage<T> {
     /// Creates storage owning `data`.
     pub fn from_vec(data: Vec<T>) -> Self {
         Storage {
-            data: Arc::new(Buf::new(data)),
-        }
-    }
-
-    /// Creates storage from a buffer obtained via [`crate::pool`]
-    /// (tracked as recycled, not as a fresh allocation).
-    pub(crate) fn from_recycled_vec(data: Vec<T>) -> Self {
-        Storage {
-            data: Arc::new(Buf::recycled(data)),
+            data: Arc::new(Buf::new(data, true)),
         }
     }
 
@@ -173,29 +152,20 @@ impl<T: Scalar> Storage<T> {
         }
     }
 
-    /// Wraps a buffer whose pool provenance the caller tracked.
+    /// Wraps a buffer whose pool provenance the caller tracked (one out
+    /// of [`crate::pool`] is booked as recycled, not as a fresh
+    /// allocation).
     pub(crate) fn from_vec_flagged(data: Vec<T>, recycled: bool) -> Self {
-        if recycled {
-            Storage::from_recycled_vec(data)
-        } else {
-            Storage::from_vec(data)
+        Storage {
+            data: Arc::new(Buf::new(data, !recycled)),
         }
     }
 
     /// Creates storage of `n` copies of `value`, recycling pooled
     /// capacity when available.
     pub fn filled(n: usize, value: T) -> Self {
-        match pool::take_vec::<T>(n) {
-            Some(mut v) => {
-                v.resize(n, value);
-                Storage::from_recycled_vec(v)
-            }
-            None => {
-                let mut v = Vec::with_capacity(pool::recycle_capacity::<T>(n));
-                v.resize(n, value);
-                Storage::from_vec(v)
-            }
-        }
+        let (v, recycled) = pool::filled_vec(n, value);
+        Storage::from_vec_flagged(v, recycled)
     }
 
     /// Number of elements.

@@ -107,3 +107,31 @@ fn pool_respects_the_same_live_accounting() {
     // divergence *is* the pool's saving.
     clear_pools();
 }
+
+/// With the event log on, a buffer that lifts the ledger's peak by at
+/// least 64 KiB raises one `mem.high_water` event carrying the new
+/// peak; growth below that step raises none.
+#[test]
+fn new_peak_raises_a_high_water_event() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    s4tf_diag::set_events_enabled(true);
+    s4tf_diag::clear_events();
+    s4tf_diag::reset_peak_bytes();
+    let big = Tensor::<f32>::zeros(&[1 << 18]); // 1 MiB over the restarted mark
+    let peak = memory_stats().peak_bytes;
+    let small = Tensor::<f32>::zeros(&[16]); // a new peak, but under the step
+    s4tf_diag::set_events_enabled(false);
+    let marks: Vec<_> = s4tf_diag::events()
+        .into_iter()
+        .filter(|e| e.kind == "mem.high_water")
+        .collect();
+    s4tf_diag::clear_events();
+    assert_eq!(marks.len(), 1, "{marks:?}");
+    assert_eq!(marks[0].fields[0].0, "live_bytes");
+    assert_eq!(marks[0].fields[0].1, peak.to_string());
+    assert!(
+        memory_stats().peak_bytes > peak,
+        "the small buffer set a peak"
+    );
+    drop((big, small));
+}

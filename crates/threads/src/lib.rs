@@ -52,27 +52,13 @@ use std::time::Instant;
 use s4tf_metrics as met;
 use s4tf_profile as prof;
 
-/// Cached handle for the pool's queue-depth gauge (set under the queue
-/// lock, so sampling never racily overshoots).
+/// The pool's queue-depth gauge (set under the queue lock, so sampling
+/// never racily overshoots).
 fn queue_depth_gauge() -> &'static met::Gauge {
-    static G: OnceLock<&'static met::Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        met::gauge(
-            "s4tf_queue_depth{queue=\"threadpool\"}",
-            "Chunks waiting in the kernel thread pool queue",
-        )
-    })
-}
-
-/// Cached handle for the worker task-latency histogram.
-fn task_latency_hist() -> &'static met::Histogram {
-    static H: OnceLock<&'static met::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        met::histogram(
-            "s4tf_pool_task_us",
-            "Thread-pool chunk execution latency in microseconds",
-        )
-    })
+    met::gauge!(
+        "s4tf_queue_depth{queue=\"threadpool\"}",
+        "Chunks waiting in the kernel thread pool queue"
+    )
 }
 
 // ------------------------------------------------------------ configuration
@@ -99,7 +85,6 @@ fn default_threads() -> usize {
 pub fn num_threads() -> usize {
     match CONFIGURED.load(Ordering::Relaxed) {
         0 => {
-            prof::register_pool_stats(pool_stats);
             let n = default_threads();
             // Racing initializers compute the same value; only install
             // when still uninitialized so a concurrent `set_num_threads`
@@ -119,7 +104,6 @@ pub fn num_threads() -> usize {
 /// Panics if `n` is zero.
 pub fn set_num_threads(n: usize) {
     assert!(n >= 1, "thread count must be at least 1");
-    prof::register_pool_stats(pool_stats);
     CONFIGURED.store(n, Ordering::Relaxed);
 }
 
@@ -135,9 +119,23 @@ pub fn in_worker() -> bool {
 
 // ------------------------------------------------------------------- stats
 
-/// The pool's lifetime counters; the profiler, which reports them, owns
-/// the type.
-pub use prof::PoolStats;
+/// Lifetime counters for the kernel thread pool, in the style of
+/// `Device::cache_stats()`: independent of the span recorder and never
+/// reset.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Worker threads currently spawned (excludes callers).
+    pub workers: usize,
+    /// Chunks executed by pool workers.
+    pub tasks_run: u64,
+    /// Chunks handed to the pool queue.
+    pub chunks_dispatched: u64,
+    /// Parallel calls that ran inline (below grain, single-threaded, or
+    /// nested inside a worker).
+    pub inline_runs: u64,
+    /// Total wall time workers spent executing chunks, in microseconds.
+    pub busy_us: u64,
+}
 
 #[derive(Default)]
 struct Stats {
@@ -252,7 +250,11 @@ impl Pool {
                 run_chunk(task);
             }
             let elapsed_us = start.elapsed().as_micros() as u64;
-            task_latency_hist().record(elapsed_us);
+            met::histogram!(
+                "s4tf_pool_task_us",
+                "Thread-pool chunk execution latency in microseconds"
+            )
+            .record(elapsed_us);
             STATS.tasks_run.fetch_add(1, Ordering::Relaxed);
             STATS.busy_us.fetch_add(elapsed_us, Ordering::Relaxed);
         }
@@ -357,9 +359,6 @@ where
                 batch: erased,
                 range: r.clone(),
             });
-        }
-        if prof::enabled() {
-            prof::gauge_set("pool.queue_depth", queue.len() as f64);
         }
         queue_depth_gauge().set(queue.len() as i64);
         drop(queue);

@@ -12,11 +12,10 @@ use crate::exec::{compile, compile_unoptimized, Executable};
 use crate::fault;
 use crate::graph::HloGraph;
 use crate::met;
-use crate::prof;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cache statistics.
@@ -80,45 +79,7 @@ impl std::fmt::Debug for ProgramCache {
     }
 }
 
-fn cache_hit_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_xla_cache_total{result=\"hit\"}",
-            "Program-cache lookups, by whether a compiled program was found",
-        )
-    })
-}
-
-fn cache_miss_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_xla_cache_total{result=\"miss\"}",
-            "Program-cache lookups, by whether a compiled program was found",
-        )
-    })
-}
-
-fn compile_fallback_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_xla_compile_fallback_total",
-            "Compilations that exhausted retries and degraded to the trace interpreter",
-        )
-    })
-}
-
-fn compile_time_hist() -> &'static met::Histogram {
-    static H: OnceLock<&'static met::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        met::histogram(
-            "s4tf_xla_compile_us",
-            "Wall time of one XLA-program compilation, microseconds",
-        )
-    })
-}
+const LOOKUP_HELP: &str = "Program-cache lookups, by whether a compiled program was found";
 
 impl ProgramCache {
     /// An empty cache.
@@ -135,15 +96,13 @@ impl ProgramCache {
             if let Some((_, exe)) = bucket.iter().find(|(g, _)| g == graph) {
                 let exe = Arc::clone(exe);
                 inner.stats.hits += 1;
-                cache_hit_counter().inc();
-                prof::counter_add("xla.cache_hit", 1);
+                met::counter!("s4tf_xla_cache_total{result=\"hit\"}", LOOKUP_HELP).inc();
                 diag::event!("xla.cache.hit", fingerprint = format_args!("{key:016x}"));
                 return exe;
             }
         }
         inner.stats.misses += 1;
-        cache_miss_counter().inc();
-        prof::counter_add("xla.cache_miss", 1);
+        met::counter!("s4tf_xla_cache_total{result=\"miss\"}", LOOKUP_HELP).inc();
         diag::event!("xla.cache.miss", fingerprint = format_args!("{key:016x}"));
         diag::event!(
             "xla.compile.start",
@@ -159,9 +118,17 @@ impl ProgramCache {
         let exe = Arc::new(exe);
         if fell_back {
             inner.stats.compile_fallbacks += 1;
-            compile_fallback_counter().inc();
+            met::counter!(
+                "s4tf_xla_compile_fallback_total",
+                "Compilations that exhausted retries and degraded to the trace interpreter"
+            )
+            .inc();
         }
-        compile_time_hist().record(start.elapsed().as_micros() as u64);
+        met::histogram!(
+            "s4tf_xla_compile_us",
+            "Wall time of one XLA-program compilation, microseconds"
+        )
+        .record(start.elapsed().as_micros() as u64);
         inner.compile_time += start.elapsed();
         diag::event!(
             "xla.compile.finish",
@@ -242,7 +209,6 @@ fn compile_resilient(graph: &HloGraph, key: u64) -> (Executable, bool) {
         };
         let failure = failure.unwrap_or_default();
         if attempt >= COMPILE_RETRIES {
-            prof::counter_add("xla.compile_fallback", 1);
             diag::event!(
                 "xla.compile.fallback",
                 fingerprint = format_args!("{key:016x}"),
@@ -256,7 +222,11 @@ fn compile_resilient(graph: &HloGraph, key: u64) -> (Executable, bool) {
             );
             return (compile_unoptimized(graph), true);
         }
-        prof::counter_add("xla.compile_retry", 1);
+        met::counter!(
+            "s4tf_xla_compile_retry_total",
+            "Failed compilation attempts that were retried"
+        )
+        .inc();
         diag::event!(
             "xla.compile.retry",
             fingerprint = format_args!("{key:016x}"),

@@ -39,11 +39,11 @@
 //! explicit-lane paths use only exact single-rounding IEEE ops
 //! (`add`/`sub`/`mul`/`div`).
 
+use crate::met;
 use crate::op::{ElemBinary, ElemUnary, FusedInst};
-use crate::{met, prof};
 use s4tf_tensor::simd::{L8, LANES};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Chunk width of one register row: big enough to amortize instruction
@@ -55,12 +55,6 @@ const FUSED_GRAIN: usize = 8 * FUSED_CHUNK;
 // ---------------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------------
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static SPECIALIZED: AtomicU64 = AtomicU64::new(0);
-static FALLBACK: AtomicU64 = AtomicU64::new(0);
-static DISTINCT_SPECIALIZED: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the codegen cache and execution counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,64 +72,47 @@ pub struct CodegenStats {
     pub distinct_specialized: u64,
 }
 
-/// Process-wide codegen counters (also exported as
-/// `s4tf_xla_codegen_total{result=…}` metrics and `xla.codegen.*`
-/// profile counters).
+/// Process-wide codegen counters: a view of the registry's
+/// `s4tf_xla_codegen_total{result=…}` and `s4tf_xla_codegen_patterns`.
 pub fn stats() -> CodegenStats {
     CodegenStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        specialized: SPECIALIZED.load(Ordering::Relaxed),
-        fallback: FALLBACK.load(Ordering::Relaxed),
-        distinct_specialized: DISTINCT_SPECIALIZED.load(Ordering::Relaxed),
+        hits: hits().value(),
+        misses: misses().value(),
+        specialized: specialized().value(),
+        fallback: fallback().value(),
+        distinct_specialized: patterns().value(),
     }
 }
 
-fn result_counter(result: &str, help: &'static str) -> &'static met::Counter {
-    met::counter(
-        &format!("s4tf_xla_codegen_total{{result=\"{result}\"}}"),
-        help,
+const LOOKUP_HELP: &str = "Fused-kernel codegen cache lookups, by outcome";
+
+fn hits() -> &'static met::Counter {
+    met::counter!("s4tf_xla_codegen_total{result=\"hit\"}", LOOKUP_HELP)
+}
+
+fn misses() -> &'static met::Counter {
+    met::counter!("s4tf_xla_codegen_total{result=\"miss\"}", LOOKUP_HELP)
+}
+
+fn specialized() -> &'static met::Counter {
+    met::counter!(
+        "s4tf_xla_codegen_total{result=\"specialized\"}",
+        "Fused-kernel launches that ran a specialized loop nest"
     )
 }
 
-fn hit_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| result_counter("hit", "Fused-kernel codegen cache lookups, by outcome"))
+fn fallback() -> &'static met::Counter {
+    met::counter!(
+        "s4tf_xla_codegen_total{result=\"fallback\"}",
+        "Fused-kernel launches that ran the generic register machine"
+    )
 }
 
-fn miss_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| result_counter("miss", "Fused-kernel codegen cache lookups, by outcome"))
-}
-
-fn specialized_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        result_counter(
-            "specialized",
-            "Fused-kernel launches that ran a specialized loop nest",
-        )
-    })
-}
-
-fn fallback_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        result_counter(
-            "fallback",
-            "Fused-kernel launches that ran the generic register machine",
-        )
-    })
-}
-
-fn patterns_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_xla_codegen_patterns",
-            "Distinct compiled fused kernels that have run specialized",
-        )
-    })
+fn patterns() -> &'static met::Counter {
+    met::counter!(
+        "s4tf_xla_codegen_patterns",
+        "Distinct compiled fused kernels that have run specialized"
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -726,16 +703,12 @@ fn lookup(insts: &[FusedInst], count: bool) -> Result<Arc<CompiledKernel>, &'sta
     let mut c = cache().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(k) = c.get(&h).and_then(|b| b.iter().find(|k| k.insts == insts)) {
         if count {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            hit_counter().inc();
-            prof::counter_add("xla.codegen.hit", 1);
+            hits().inc();
         }
         return Ok(k.clone());
     }
     if count {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        miss_counter().inc();
-        prof::counter_add("xla.codegen.miss", 1);
+        misses().inc();
     }
     let k = Arc::new(lower(insts)?);
     crate::diag::event!(
@@ -1217,17 +1190,12 @@ impl CompiledKernel {
     pub(crate) fn run(&self, slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) {
         let use_spec = self.spec.is_some();
         if use_spec {
-            SPECIALIZED.fetch_add(1, Ordering::Relaxed);
-            specialized_counter().inc();
-            prof::counter_add("xla.codegen.specialized", 1);
+            specialized().inc();
             if !self.ran_specialized.swap(true, Ordering::Relaxed) {
-                DISTINCT_SPECIALIZED.fetch_add(1, Ordering::Relaxed);
-                patterns_counter().inc();
+                patterns().inc();
             }
         } else {
-            FALLBACK.fetch_add(1, Ordering::Relaxed);
-            fallback_counter().inc();
-            prof::counter_add("xla.codegen.fallback", 1);
+            fallback().inc();
         }
 
         // Launch-wide input classification and row layout: registers

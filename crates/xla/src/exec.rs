@@ -7,16 +7,14 @@ use crate::met;
 use crate::op::{FusedInst, HloOp, ReduceKind};
 use crate::passes::{self, MemoryPlan};
 use crate::prof;
-use crate::scope::{sample_memory_gauges, KernelScope};
+use crate::scope::KernelScope;
 use s4tf_tensor::{RuntimeError, Tensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Runtime override for the memory planner (−1 = unset, 0 = off, 1 = on).
-static PLAN_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-/// `S4TF_PLAN` read once; the planner defaults to on.
-static PLAN_ENV: OnceLock<bool> = OnceLock::new();
+/// `S4TF_PLAN`, else on.
+static PLAN: met::Gate = met::Gate::new(|| met::env_gate("S4TF_PLAN", true));
 
 /// Whether compiled executions apply their memory plan (drop values at
 /// last use, run elementwise kernels in place on dying unique buffers).
@@ -25,44 +23,13 @@ static PLAN_ENV: OnceLock<bool> = OnceLock::new();
 /// variable (`0`/`false`/`off`/`no` disable), else on. Results are
 /// bit-identical either way; the plan changes only allocation traffic.
 pub fn plan_enabled() -> bool {
-    match PLAN_OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => *PLAN_ENV.get_or_init(|| {
-            !std::env::var("S4TF_PLAN")
-                .map(|v| {
-                    let v = v.trim().to_ascii_lowercase();
-                    v == "0" || v == "false" || v == "off" || v == "no"
-                })
-                .unwrap_or(false)
-        }),
-    }
+    PLAN.on()
 }
 
 /// Programmatic override of [`plan_enabled`] (takes precedence over the
 /// environment). Process-wide, for tests and experiments.
 pub fn set_plan_enabled(enabled: bool) {
-    PLAN_OVERRIDE.store(enabled as i8, Ordering::Relaxed);
-}
-
-fn plan_in_place_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_plan_in_place_total",
-            "Kernels that wrote their output in place into a dying operand's buffer",
-        )
-    })
-}
-
-fn plan_donated_counter() -> &'static met::Counter {
-    static C: OnceLock<&'static met::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        met::counter(
-            "s4tf_plan_donated_total",
-            "In-place kernel commits that overwrote a caller-donated parameter buffer",
-        )
-    })
+    PLAN.set_on(enabled);
 }
 
 /// What the memory plan actually did at run time, accumulated across
@@ -106,8 +73,12 @@ pub fn compile(graph: &HloGraph) -> Executable {
     if span.is_recording() {
         span.annotate_f64("nodes_in", graph.len() as f64);
         span.annotate_f64("kernels_out", exe.kernel_count as f64);
-        prof::counter_add("xla.fused_kernels", exe.fused.len() as u64);
     }
+    met::counter!(
+        "s4tf_xla_fused_kernels_total",
+        "Fused kernels in compiled programs"
+    )
+    .add(exe.fused.len() as u64);
     exe
 }
 
@@ -225,8 +196,12 @@ impl Executable {
         if span.is_recording() {
             span.annotate_f64("kernels", self.kernel_count as f64);
             span.annotate_f64("threads_used", s4tf_threads::num_threads() as f64);
-            prof::counter_add("xla.kernels_run", self.kernel_count as u64);
         }
+        met::counter!(
+            "s4tf_xla_kernels_run_total",
+            "Kernels launched by compiled-program executions"
+        )
+        .add(self.kernel_count as u64);
         assert_eq!(
             params.len(),
             self.graph.n_params,
@@ -336,7 +311,6 @@ impl Executable {
                 prof::set_op_root(prev_id);
             }
         }
-        sample_memory_gauges(backend);
         Ok(self
             .graph
             .outputs
@@ -380,10 +354,18 @@ impl Executable {
         let target = inplace_at.map(|k| {
             let target_id = slot(node.inputs[k]);
             self.counters.in_place.fetch_add(1, Ordering::Relaxed);
-            plan_in_place_counter().inc();
+            met::counter!(
+                "s4tf_plan_in_place_total",
+                "Kernels that wrote their output in place into a dying operand's buffer"
+            )
+            .inc();
             if matches!(self.graph.nodes[target_id].op, HloOp::Parameter(_)) {
                 self.counters.donated.fetch_add(1, Ordering::Relaxed);
-                plan_donated_counter().inc();
+                met::counter!(
+                    "s4tf_plan_donated_total",
+                    "In-place kernel commits that overwrote a caller-donated parameter buffer"
+                )
+                .inc();
             }
             let taken = values[target_id]
                 .take()

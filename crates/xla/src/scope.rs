@@ -42,23 +42,6 @@ pub fn injected_fault(site: FaultSite, op: &HloOp, backend: &'static str) -> Opt
     Some(RuntimeError::injected(mnemonic, backend, site.name()).with_span(prof::current_span()))
 }
 
-/// Samples the memory gauges into the profile (report and Chrome-trace
-/// counter tracks): live tensor bytes, overall and for `backend`, and the
-/// recycling pool's four counters. The same names on every backend.
-pub fn sample_memory_gauges(backend: &'static str) {
-    if !prof::enabled() {
-        return;
-    }
-    let live = diag::memory_stats().live_bytes as f64;
-    prof::gauge_set("mem.live_bytes", live);
-    prof::gauge_set(format!("mem.live_bytes.{backend}"), live);
-    let pool = s4tf_tensor::pool_stats();
-    prof::gauge_set("pool.hits", pool.hits as f64);
-    prof::gauge_set("pool.misses", pool.misses as f64);
-    prof::gauge_set("pool.recycled_bytes", pool.recycled_bytes as f64);
-    prof::gauge_set("pool.pooled_bytes", pool.pooled_bytes as f64);
-}
-
 /// One kernel launch's identity and clocks, fixed when the op is
 /// enqueued; see the module docs for the protocol.
 #[derive(Debug)]

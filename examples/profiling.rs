@@ -62,7 +62,8 @@ fn main() {
         // machine's probed ceilings, and the longest dependency chain with
         // its queue/kernel/compile/trace decomposition. Training dispatched
         // real ops on every backend, so neither view may come back empty.
-        let roofline = profile::roofline().with_machine(profile::machine_probe());
+        let on_simd = s4tf::tensor::path_label() == "simd8";
+        let roofline = profile::roofline().with_machine(profile::machine_probe_path(on_simd));
         assert!(
             !roofline.is_empty(),
             "{}: training steps must produce roofline rows",
@@ -89,7 +90,7 @@ fn main() {
         }
     }
 
-    // Memory tracking (s4tf::diag) is always on: the training loops above
+    // The memory ledger's totals are always on: the training loops above
     // allocated tensor storage, so the counters must have moved.
     let mem = s4tf::diag::memory_stats();
     assert!(mem.allocs > 0, "tensor allocations must be counted");
@@ -99,7 +100,7 @@ fn main() {
         mem.live_bytes, mem.peak_bytes, mem.allocs, mem.frees
     );
 
-    let stats = profile::pool_stats().expect("kernel pool ran, so stats must be registered");
+    let stats = s4tf::threads::pool_stats();
     assert!(
         stats.tasks_run + stats.inline_runs > 0,
         "the training loops above must have driven the kernel pool"

@@ -7,9 +7,20 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use s4tf::metrics;
+use s4tf::models::LeNet;
 use s4tf::nn::train::train_classifier_step;
 use s4tf::prelude::*;
 use s4tf::tensor::pool;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
+
+// The registry, the profiler, the memory ledger and the JSONL sink are
+// process-global; tests that compare exact values serialize here.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Trains a small dense classifier for a few steps on `device`.
 fn train_on(device: &Device, steps: usize) {
@@ -26,6 +37,7 @@ fn train_on(device: &Device, steps: usize) {
 
 #[test]
 fn training_populates_the_registry_on_every_backend() {
+    let _serial = serial();
     metrics::set_enabled(true);
     for device in [Device::naive(), Device::eager(), Device::lazy()] {
         train_on(&device, 3);
@@ -89,32 +101,20 @@ fn training_populates_the_registry_on_every_backend() {
     assert!(sites.iter().any(|m| m.site == "host" && m.allocs > 0));
 }
 
-/// A sampler tick forwards every registry gauge to the profiler, so the
-/// Chrome trace grows `"ph":"C"` counter tracks — live bytes and the
-/// eager queue depth render as graphs alongside the span flame graph.
+/// Registry gauges forward their samples to the profiler, so the Chrome
+/// trace grows `"ph":"C"` counter tracks — live bytes and the eager queue
+/// depth render as graphs alongside the span flame graph.
 #[test]
 fn sampler_feeds_chrome_trace_counter_tracks() {
+    let _serial = serial();
     metrics::set_enabled(true);
     s4tf::profile::set_enabled(true);
 
     train_on(&Device::eager(), 2);
     metrics::sample_now();
 
-    let json = s4tf::profile::chrome_trace_json();
+    let counter_tracks = chrome_counter_tracks();
     s4tf::profile::set_enabled(false);
-    let value: serde_json::Value = serde_json::from_str(&json).expect("valid chrome JSON");
-    let events = match value.get("traceEvents") {
-        Some(serde_json::Value::Array(events)) => events.clone(),
-        other => panic!("traceEvents must be an array, got {other:?}"),
-    };
-    let counter_tracks: Vec<String> = events
-        .iter()
-        .filter(|e| e.get("ph") == Some(&serde_json::Value::Str("C".to_string())))
-        .filter_map(|e| match e.get("name") {
-            Some(serde_json::Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
     assert!(
         counter_tracks.iter().any(|n| n == "s4tf_mem_live_bytes"),
         "live-bytes counter track missing: {counter_tracks:?}"
@@ -129,6 +129,7 @@ fn sampler_feeds_chrome_trace_counter_tracks() {
 
 #[test]
 fn pool_stats_and_planner_outcomes_are_public() {
+    let _serial = serial();
     metrics::set_enabled(true);
 
     // The pool keeps public counters; recycling must show up in them.
@@ -152,4 +153,260 @@ fn pool_stats_and_planner_outcomes_are_public() {
         stats.planned_bytes > 0,
         "planner budget missing from cache stats: {stats:?}"
     );
+}
+
+/// `(ph == "C")` event names of the profiler's current Chrome trace.
+fn chrome_counter_tracks() -> Vec<String> {
+    let json = s4tf::profile::chrome_trace_json();
+    let value: serde_json::Value = serde_json::from_str(&json).expect("valid chrome JSON");
+    let Some(serde_json::Value::Array(events)) = value.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    events
+        .iter()
+        .filter(|e| e.get("ph") == Some(&serde_json::Value::Str("C".to_string())))
+        .filter_map(|e| match e.get("name") {
+            Some(serde_json::Value::Str(s)) => Some(s.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every fact has one store and one name: what the profiler reports over
+/// a window is the registry's delta over that window, the `stats()`
+/// views read the registry, and the Chrome trace names no counter track
+/// the registry does not.
+#[test]
+fn each_fact_has_one_value() {
+    let _serial = serial();
+    metrics::set_enabled(true);
+    let sum = |counters: &BTreeMap<&str, u64>, family: &str| -> u64 {
+        let of_family = counters.iter().filter(|(name, _)| name.starts_with(family));
+        of_family.map(|(_, v)| *v).sum()
+    };
+    for backend in ["naive", "eager", "lazy"] {
+        let before: BTreeMap<_, _> = metrics::counter_values().into_iter().collect();
+        s4tf::profile::set_enabled(true);
+        s4tf::profile::reset();
+        // Everything device-bound lives in this block: once the last
+        // handle drops the eager worker has been joined, so nothing
+        // counts between reading the profiler and reading the registry.
+        let cache_stats = {
+            let device = match backend {
+                "naive" => Device::naive(),
+                "eager" => Device::eager(),
+                _ => Device::lazy(),
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            let mut model = LeNet::new(&device, &mut rng);
+            let mut opt = Sgd::with_momentum(0.05, 0.9);
+            let x = DTensor::from_tensor(Tensor::randn(&[8, 28, 28, 1], &mut rng), &device);
+            let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
+            let y = DTensor::from_tensor(Tensor::one_hot(&labels, 10), &device);
+            for _ in 0..3 {
+                train_classifier_step(&mut model, &mut opt, &x, &y);
+            }
+            device.cache_stats()
+        };
+        let report = s4tf::profile::report();
+        let tracks = chrome_counter_tracks();
+        s4tf::profile::set_enabled(false);
+        s4tf::profile::reset();
+        let after: BTreeMap<_, _> = metrics::counter_values().into_iter().collect();
+
+        // Profiler counters are registry deltas, name for name.
+        assert!(!report.counters().is_empty(), "{backend}: no counters");
+        for c in report.counters() {
+            let was = before.get(c.name.as_str()).copied().unwrap_or(0);
+            let delta = after.get(c.name.as_str()).map(|now| now - was);
+            assert_eq!(Some(c.total), delta, "{backend}: counter `{}`", c.name);
+        }
+
+        // The per-cache stats agree with the process-wide registry
+        // deltas (this device's cache is the only one in use).
+        if let Some(stats) = cache_stats {
+            for (result, mine) in [("hit", stats.hits), ("miss", stats.misses)] {
+                let name = format!("s4tf_xla_cache_total{{result=\"{result}\"}}");
+                let delta = after[name.as_str()] - before.get(name.as_str()).unwrap_or(&0);
+                assert_eq!(mine, delta, "{backend}: cache {result}");
+            }
+        }
+
+        // The stats() views are reads of the registry.
+        let codegen = s4tf::xla::codegen::stats();
+        for (result, mine) in [
+            ("hit", codegen.hits),
+            ("miss", codegen.misses),
+            ("specialized", codegen.specialized),
+            ("fallback", codegen.fallback),
+        ] {
+            let name = format!("s4tf_xla_codegen_total{{result=\"{result}\"}}");
+            let theirs = after.get(name.as_str()).copied().unwrap_or(0);
+            assert_eq!(mine, theirs, "{backend}: codegen {result}");
+        }
+        let pool = pool::stats();
+        assert_eq!(pool.hits, sum(&after, "s4tf_pool_hits_total{"));
+        assert_eq!(pool.misses, sum(&after, "s4tf_pool_misses_total{"));
+        assert_eq!(
+            pool.recycled_bytes,
+            sum(&after, "s4tf_pool_recycled_bytes_total")
+        );
+
+        // No counter track the registry does not name.
+        let gauges: Vec<&str> = metrics::gauge_values().into_iter().map(|g| g.0).collect();
+        assert!(tracks.iter().any(|t| t == "s4tf_mem_live_bytes"));
+        for track in &tracks {
+            assert!(
+                after.contains_key(track.as_str()) || gauges.contains(&track.as_str()),
+                "{backend}: Chrome counter track `{track}` is not a registry name"
+            );
+        }
+    }
+}
+
+/// One ledger, one watermark: the per-step reset behind the
+/// `"kind":"step"` records restarts the peak the `"kind":"snapshot"`
+/// records report too, and the per-site split sums to the totals.
+#[test]
+fn step_records_and_snapshots_share_one_peak() {
+    let _serial = serial();
+    metrics::set_enabled(true);
+    let path = std::env::temp_dir().join(format!("s4tf-one-peak-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    metrics::set_jsonl_path(Some(&path));
+    let device = Device::lazy();
+    train_on(&device, 2);
+    // No tensor is allocated between the last step's reset and here, so
+    // the watermark still stands where that reset put it.
+    metrics::sample_now();
+    let stats = s4tf::diag::memory_stats();
+    metrics::set_jsonl_path(None);
+
+    let text = std::fs::read_to_string(&path).expect("metrics file written");
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<serde_json::Value> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("JSONL line parses"))
+        .collect();
+    let of_kind = |kind: &str| -> Vec<&serde_json::Value> {
+        let want = serde_json::Value::Str(kind.to_string());
+        lines
+            .iter()
+            .filter(|l| l.get("kind") == Some(&want))
+            .collect()
+    };
+    let uint = |v: Option<&serde_json::Value>| -> u64 {
+        match v {
+            Some(serde_json::Value::UInt(n)) => *n,
+            Some(serde_json::Value::Int(n)) => *n as u64,
+            other => panic!("expected an integer, got {other:?}"),
+        }
+    };
+    let steps = of_kind("step");
+    assert_eq!(steps.len(), 2, "{text}");
+    for step in &steps {
+        assert!(uint(step.get("peak_bytes")) >= uint(step.get("live_bytes")));
+    }
+    let snapshot = of_kind("snapshot").pop().expect("a snapshot line");
+    let gauges = snapshot.get("gauges").expect("gauges object");
+    let peak = uint(gauges.get("s4tf_mem_peak_bytes"));
+    assert_eq!(peak, stats.peak_bytes, "the gauge is the ledger's peak");
+    assert_eq!(
+        peak,
+        uint(steps[1].get("live_bytes")),
+        "the step's reset restarted the snapshot's watermark too"
+    );
+
+    drop(device);
+    let by_site: i64 = metrics::memory_by_site().iter().map(|m| m.live_bytes).sum();
+    assert_eq!(by_site as u64, s4tf::diag::memory_stats().live_bytes);
+    for site in metrics::memory_by_site() {
+        assert!(site.peak_bytes >= site.live_bytes, "{site:?}");
+    }
+}
+
+/// The spellings every boolean `S4TF_*` switch accepts, and what each
+/// means (`None`: keep the switch's default).
+const SPELLINGS: [(Option<&str>, Option<bool>); 11] = [
+    (Some("0"), Some(false)),
+    (Some("1"), Some(true)),
+    (Some("true"), Some(true)),
+    (Some("True"), Some(true)),
+    (Some("TRUE"), Some(true)),
+    (Some("on"), Some(true)),
+    (Some("off"), Some(false)),
+    (Some("OFF"), Some(false)),
+    (Some("no"), Some(false)),
+    (Some(""), None),
+    (None, None),
+];
+
+/// Every boolean switch: its variable, its default, and the runtime's
+/// answer in this process.
+fn boolean_switches() -> [(&'static str, bool, bool); 8] {
+    [
+        ("S4TF_PROFILE", false, s4tf::profile::enabled()),
+        (
+            "S4TF_PERF_REPORT",
+            false,
+            s4tf::profile::perf_report_requested(),
+        ),
+        ("S4TF_METRICS", true, metrics::enabled()),
+        ("S4TF_DIAG_EVENTS", false, s4tf::diag::events_enabled()),
+        ("S4TF_CHECK_NUMERICS", false, s4tf::diag::numerics_enabled()),
+        ("S4TF_POOL", true, pool::pool_enabled()),
+        // "Requested": the kernels AND this with CPU support.
+        (
+            "S4TF_SIMD",
+            true,
+            s4tf::tensor::simd_enabled() || !s4tf::tensor::simd_supported(),
+        ),
+        ("S4TF_PLAN", true, s4tf::xla::plan_enabled()),
+    ]
+}
+
+/// Child half of [`every_boolean_switch_reads_the_same_spellings`]: with
+/// `SWITCH_PROBE` set, prints what every switch resolved to from this
+/// process's environment. A no-op in a normal test run.
+#[test]
+fn switch_probe() {
+    if std::env::var_os("SWITCH_PROBE").is_none() {
+        return;
+    }
+    let states: Vec<String> = boolean_switches()
+        .iter()
+        .map(|(var, _, on)| format!("{var}={}", u8::from(*on)))
+        .collect();
+    println!("switches: {}", states.join(" "));
+}
+
+/// Switches read their variable once per process, so each spelling gets
+/// a child process with every switch set to it.
+#[test]
+fn every_boolean_switch_reads_the_same_spellings() {
+    let exe = std::env::current_exe().expect("test binary path");
+    for (spelling, meaning) in SPELLINGS {
+        let mut child = std::process::Command::new(&exe);
+        child
+            .args(["switch_probe", "--exact", "--nocapture", "--test-threads=1"])
+            .env("SWITCH_PROBE", "1");
+        for (var, _, _) in boolean_switches() {
+            match spelling {
+                Some(value) => child.env(var, value),
+                None => child.env_remove(var),
+            };
+        }
+        let out = child.output().expect("spawn the probe");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{spelling:?}: {stdout}");
+        let line = stdout
+            .lines()
+            .find_map(|l| l.split_once("switches: ").map(|(_, rest)| rest))
+            .unwrap_or_else(|| panic!("{spelling:?}: no probe line in {stdout}"));
+        let want: Vec<String> = boolean_switches()
+            .iter()
+            .map(|(var, default, _)| format!("{var}={}", u8::from(meaning.unwrap_or(*default))))
+            .collect();
+        assert_eq!(line.trim(), want.join(" "), "spelling {spelling:?}");
+    }
 }
