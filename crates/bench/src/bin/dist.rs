@@ -104,7 +104,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 fn main() {
     // This binary is also the worker executable: the launcher re-execs it
-    // with S4TF_DIST_ROLE=worker.
+    // with S4TF_DIST_WORKER set.
     lenet::worker_main_if_spawned();
 
     let args: Vec<String> = std::env::args().skip(1).collect();

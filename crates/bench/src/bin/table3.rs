@@ -23,7 +23,7 @@ use s4tf_models::{ResNet, ResNetConfig};
 use s4tf_nn::optimizer::Sgd;
 use s4tf_nn::train::train_classifier_step_no_metrics;
 use s4tf_runtime::eager::{EagerQueue, EagerTensor};
-use s4tf_runtime::sim::cost::{node_cost, AcceleratorModel};
+use s4tf_runtime::sim::AcceleratorModel;
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::Tensor;
 use s4tf_xla::{compile, compile_unoptimized, HloOp};
@@ -45,17 +45,7 @@ fn program_time(graph: &s4tf_xla::HloGraph, model: &AcceleratorModel, launch: f6
         launch_overhead: launch,
         ..*model
     };
-    let mut total = 0.0;
-    for node in &graph.nodes {
-        if matches!(
-            node.op,
-            HloOp::Parameter(_) | HloOp::Constant(_) | HloOp::Reshape(_)
-        ) {
-            continue;
-        }
-        total += m.kernel_time(node_cost(graph, node));
-    }
-    total
+    m.program_time(graph)
 }
 
 /// Measures this machine's real per-op eager-dispatch cost (boxing +

@@ -52,13 +52,7 @@ pub fn trace_resnet_training_step(
     let mut span = s4tf_profile::span("bench.trace_resnet_step");
     let trace_before = ctx.trace_time();
     let wall = std::time::Instant::now();
-    // The exact body of `train_classifier_step`, minus the barrier.
-    let (logits, pullback) = model.forward_with_pullback(&images);
-    let (loss, loss_pullback) = softmax_cross_entropy(&logits, &labels);
-    let dlogits = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _) = pullback(&dlogits);
-    let mut opt = Sgd::<ResNet>::new(0.1);
-    opt.update(&mut model, &gradients);
+    record_training_step(&mut model, &images, &labels);
     let wall_elapsed = wall.elapsed().as_secs_f64();
     let recorded = (ctx.trace_time() - trace_before).as_secs_f64();
 
@@ -78,8 +72,21 @@ pub fn trace_resnet_training_step(
     }
 }
 
+/// The exact body of `train_classifier_step`, minus the barrier: on a lazy
+/// device it only appends to the trace.
+fn record_training_step<L: Layer>(model: &mut L, images: &DTensor, labels: &DTensor)
+where
+    Sgd<L>: Optimizer<L>,
+{
+    let (logits, pullback) = model.forward_with_pullback(images);
+    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
+    let dlogits = loss_pullback(&loss.scalar_like(1.0));
+    let (gradients, _) = pullback(&dlogits);
+    Sgd::<L>::new(0.1).update(model, &gradients);
+}
+
 /// Counts a ResNet's trainable parameters.
-pub fn resnet_param_count(model: &ResNet) -> usize {
+fn resnet_param_count(model: &ResNet) -> usize {
     let mut count = model.stem.filter.num_elements()
         + model.stem.bias.num_elements()
         + model.stem_bn.scale.num_elements()
@@ -125,5 +132,47 @@ mod tests {
         // The graph compiles (passes run) even though we never execute it.
         let exe = s4tf_xla::compile(&step.graph);
         assert!(exe.kernel_count() > 0);
+    }
+
+    /// A LeNet training step's trace, recorded like the ResNet one above.
+    fn lenet_step_graph() -> HloGraph {
+        let device = Device::lazy();
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut model = s4tf_models::LeNet::new(&device, &mut rng);
+        let images = DTensor::from_tensor(Tensor::zeros(&[8, 28, 28, 1]), &device);
+        let labels: Vec<usize> = (0..8).collect();
+        let labels = DTensor::from_tensor(Tensor::one_hot(&labels, 10), &device);
+        record_training_step(&mut model, &images, &labels);
+        let Device::Lazy(ctx) = &device else {
+            unreachable!()
+        };
+        let graph = ctx.snapshot_trace();
+        ctx.abandon_trace();
+        graph
+    }
+
+    /// The simulated accelerator and the profiler's roofline read one
+    /// cost model: on every node of the compiled LeNet and ResNet-8 step
+    /// graphs, `sim::cost::node_cost` is `xla::op_cost` — in particular a
+    /// fused kernel costs its compiled IR, not `elements × insts.len()`.
+    #[test]
+    fn simulated_node_cost_is_the_roofline_op_cost() {
+        let resnet = trace_resnet_training_step(ResNetConfig::resnet8_cifar(), 4, 16, 16).graph;
+        for graph in [lenet_step_graph(), resnet] {
+            let exe = s4tf_xla::compile(&graph);
+            let graph = exe.graph();
+            let mut fused = 0;
+            for node in &graph.nodes {
+                let inputs: Vec<_> = node.inputs.iter().map(|&i| &graph.node(i).shape).collect();
+                let want = s4tf_xla::op_cost(&node.op, &inputs, &node.shape);
+                assert_eq!(s4tf_runtime::sim::cost::node_cost(graph, node), want);
+                if let s4tf_xla::HloOp::Fused { insts, .. } = &node.op {
+                    fused += 1;
+                    let raw = (node.shape.num_elements() * insts.len()) as u64;
+                    assert!(want.flops < raw, "{} vs raw count {raw}", want.flops);
+                }
+            }
+            assert!(fused > 0, "a training step has fused kernels");
+        }
     }
 }

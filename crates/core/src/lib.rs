@@ -24,8 +24,8 @@
 //!    (Figure 2).
 //! 3. **Custom base derivatives** (paper §2.1, `@derivative(of:)`): the
 //!    [`registry`] maps operation names to user-registered derivative
-//!    functions; the recursive derivative-synthesis in `s4tf-sil` (and the
-//!    op library in [`ops`]) terminates at these registered base cases.
+//!    functions; the recursive derivative-synthesis in `s4tf-sil`
+//!    terminates at these registered base cases.
 //!
 //! The compile-time *code transformation* itself (paper §2.2: activity
 //! analysis, differentiability checking, derivative synthesis over an
@@ -34,8 +34,6 @@
 //!
 //! Additionally this crate contains:
 //!
-//! * [`ops`] — VJP wrappers for the Tensor kernel suite, the "known base
-//!   derivatives" everything else composes from;
 //! * [`tape`] — a define-by-run, runtime-taped reverse-mode AD (the
 //!   *alternative* design the paper positions itself against in §2.3);
 //!   kept as an ablation baseline for the benchmarks;
@@ -59,7 +57,6 @@
 pub mod differentiable;
 pub mod function;
 mod macros;
-pub mod ops;
 pub mod registry;
 pub mod subscript;
 pub mod tape;

@@ -111,15 +111,6 @@ pub fn register_unary(name: &str, d: UnaryDerivative) {
         .insert(name.to_string(), d);
 }
 
-/// Registers (or overrides) a custom derivative for a binary operation.
-pub fn register_binary(name: &str, d: BinaryDerivative) {
-    registry()
-        .write()
-        .expect("derivative registry poisoned")
-        .binary
-        .insert(name.to_string(), d);
-}
-
 /// Looks up the registered derivative of a unary operation.
 pub fn lookup_unary(name: &str) -> Option<UnaryDerivative> {
     registry()

@@ -50,18 +50,6 @@ impl ImageSpec {
         }
     }
 
-    /// ImageNet-like geometry (224×224×3, 1000 classes). Used only for
-    /// cost-model tracing; generate small sample counts.
-    pub fn imagenet_like() -> Self {
-        ImageSpec {
-            height: 224,
-            width: 224,
-            channels: 3,
-            classes: 1000,
-            noise: 0.35,
-        }
-    }
-
     fn prototype_pixel(&self, class: usize, y: usize, x: usize, c: usize) -> f32 {
         let fy = (class % 5 + 1) as f32;
         let fx = (class % 3 + 1) as f32;

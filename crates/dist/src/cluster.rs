@@ -1,19 +1,22 @@
 //! The launcher: spawns worker processes, supervises them, and runs the
 //! coordinator to completion.
 //!
-//! Workers are this very executable re-exec'd with `S4TF_DIST_ROLE=worker`
-//! and the run's parameters in `S4TF_DIST_*` environment variables. The
-//! hosting binary (test, example, or bench) checks
+//! Workers are this very executable re-exec'd with `S4TF_DIST_WORKER` set
+//! to the encoded [`WorkerEnv`]: the launcher's whole [`ClusterConfig`]
+//! plus the child's rank and the control port, one value the worker
+//! parses strictly. The hosting binary (test, example, or bench) checks
 //! [`crate::worker::is_worker_process`] first thing in `main` and branches
 //! into its worker entry point, so one artifact plays both roles.
 //!
 //! Chaos hooks: [`ClusterConfig::abort`] plants a deterministic
-//! `kill -9`-style death in one worker (see `S4TF_DIST_ABORT_SPEC`), and
-//! [`ClusterConfig::restart_ms`] makes the supervisor respawn a dead
-//! worker once — without the abort spec — so it registers again and
-//! exercises the checkpoint rejoin path.
+//! `kill -9`-style death in one worker, and [`ClusterConfig::restart_ms`]
+//! makes the supervisor respawn a dead worker once — with `abort: None`
+//! encoded — so it registers again and exercises the checkpoint rejoin
+//! path.
 
 use crate::coordinator::{self, ClusterReport};
+use crate::wire::{PayloadReader, PayloadWriter};
+use crate::worker::WorkerEnv;
 use s4tf_nn::FaultPolicy;
 use s4tf_tensor::RuntimeError;
 use std::net::TcpListener;
@@ -23,9 +26,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Everything a cluster run needs. Fields mirror the `S4TF_DIST_*`
-/// environment the launcher sets on each worker.
-#[derive(Debug, Clone)]
+/// Everything a cluster run needs. Each worker receives the whole value
+/// (see [`WorkerEnv`]), so launcher and workers cannot disagree on a field.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Initial number of workers.
     pub world: u32,
@@ -58,7 +61,7 @@ pub struct ClusterConfig {
     /// `kill -9` death at the step, with phase `midring` or `precommit`.
     pub abort: Option<(u32, u64, String)>,
     /// When set, the supervisor respawns a dead worker once after this
-    /// many milliseconds (without the abort spec), exercising rejoin.
+    /// many milliseconds (with `abort: None`), exercising rejoin.
     pub restart_ms: Option<u64>,
     /// `S4TF_FAULT_SPEC` for the workers (e.g. `net:0.01:seed=7`), on top
     /// of whatever the parent environment carries.
@@ -91,36 +94,117 @@ impl ClusterConfig {
             net_mode: None,
         }
     }
+
+    /// Appends every field to `w`, in declaration order.
+    pub(crate) fn write(&self, w: &mut PayloadWriter) -> Result<(), RuntimeError> {
+        let opt_str = |w: &mut PayloadWriter, v: &Option<String>| {
+            w.u16(u16::from(v.is_some()));
+            w.str(v.as_deref().unwrap_or(""));
+        };
+        w.u32(self.world);
+        w.u64(self.steps);
+        w.u64(self.shard_batch as u64);
+        w.f64(self.learning_rate);
+        w.u64(self.seed);
+        w.u64(self.data_seed);
+        w.u64(self.bucket_bytes as u64);
+        w.u64(self.heartbeat_ms);
+        w.u64(self.timeout_ms);
+        w.u64(self.deadline_ms);
+        w.u32(self.max_retries);
+        w.str(self.ckpt_dir.to_str().ok_or_else(|| {
+            net_err(
+                "dist.spawn",
+                format!("ckpt_dir {} is not UTF-8", self.ckpt_dir.display()),
+            )
+        })?);
+        let (tag, retries) = match self.fault_policy {
+            FaultPolicy::FailFast => (0, 0),
+            FaultPolicy::DropShard => (1, 0),
+            FaultPolicy::Retry(n) => (2, n),
+        };
+        w.u16(tag);
+        w.u32(retries);
+        let (rank, step, phase) = self.abort.clone().unwrap_or_default();
+        w.u16(u16::from(self.abort.is_some()));
+        w.u32(rank);
+        w.u64(step);
+        w.str(&phase);
+        w.u16(u16::from(self.restart_ms.is_some()));
+        w.u64(self.restart_ms.unwrap_or(0));
+        opt_str(w, &self.fault_spec);
+        opt_str(w, &self.net_mode);
+        Ok(())
+    }
+
+    /// Reads what [`write`](ClusterConfig::write) wrote. A short payload
+    /// or an unknown tag is an error; no field has a fallback value.
+    pub(crate) fn read(r: &mut PayloadReader<'_>) -> Result<ClusterConfig, RuntimeError> {
+        fn present(r: &mut PayloadReader<'_>) -> Result<bool, RuntimeError> {
+            match r.u16()? {
+                0 => Ok(false),
+                1 => Ok(true),
+                tag => Err(net_err("dist.worker", format!("bad presence tag {tag}"))),
+            }
+        }
+        fn opt_str(r: &mut PayloadReader<'_>) -> Result<Option<String>, RuntimeError> {
+            let (some, value) = (present(r)?, r.str()?);
+            Ok(some.then_some(value))
+        }
+        Ok(ClusterConfig {
+            world: r.u32()?,
+            steps: r.u64()?,
+            shard_batch: r.u64()? as usize,
+            learning_rate: r.f64()?,
+            seed: r.u64()?,
+            data_seed: r.u64()?,
+            bucket_bytes: r.u64()? as usize,
+            heartbeat_ms: r.u64()?,
+            timeout_ms: r.u64()?,
+            deadline_ms: r.u64()?,
+            max_retries: r.u32()?,
+            ckpt_dir: PathBuf::from(r.str()?),
+            fault_policy: match (r.u16()?, r.u32()?) {
+                (0, _) => FaultPolicy::FailFast,
+                (1, _) => FaultPolicy::DropShard,
+                (2, n) => FaultPolicy::Retry(n),
+                (tag, _) => return Err(net_err("dist.worker", format!("bad policy tag {tag}"))),
+            },
+            abort: {
+                let (some, value) = (present(r)?, (r.u32()?, r.u64()?, r.str()?));
+                some.then_some(value)
+            },
+            restart_ms: {
+                let (some, value) = (present(r)?, r.u64()?);
+                some.then_some(value)
+            },
+            fault_spec: opt_str(r)?,
+            net_mode: opt_str(r)?,
+        })
+    }
 }
 
 fn net_err(op: &'static str, msg: impl Into<String>) -> RuntimeError {
     RuntimeError::net(op, None, msg.into())
 }
 
-/// Builds the child command for one worker rank. `with_abort` controls
-/// whether the configured abort spec is planted (restarts omit it so the
-/// rejoined incarnation lives).
+/// Builds the child command for one worker rank from `cfg` as given: a
+/// restart passes a copy with `abort: None` so the rejoined incarnation
+/// lives.
 fn worker_command(
     cfg: &ClusterConfig,
     coord_port: u16,
     rank: u32,
-    with_abort: bool,
 ) -> Result<Command, RuntimeError> {
     let exe = std::env::current_exe()
         .map_err(|e| net_err("dist.spawn", format!("current_exe failed: {e}")))?;
+    let env = WorkerEnv {
+        rank,
+        coord_port,
+        cfg: cfg.clone(),
+    };
     let mut cmd = Command::new(exe);
-    cmd.env("S4TF_DIST_ROLE", "worker")
-        .env("S4TF_DIST_RANK", rank.to_string())
-        .env("S4TF_DIST_COORD", coord_port.to_string())
-        .env("S4TF_DIST_SHARD_BATCH", cfg.shard_batch.to_string())
-        .env("S4TF_DIST_LR", cfg.learning_rate.to_string())
-        .env("S4TF_DIST_SEED", cfg.seed.to_string())
-        .env("S4TF_DIST_DATA_SEED", cfg.data_seed.to_string())
-        .env("S4TF_DIST_BUCKET_BYTES", cfg.bucket_bytes.to_string())
-        .env("S4TF_DIST_HEARTBEAT_MS", cfg.heartbeat_ms.to_string())
-        .env("S4TF_DIST_TIMEOUT_MS", cfg.timeout_ms.to_string())
-        .env("S4TF_DIST_DEADLINE_MS", cfg.deadline_ms.to_string())
-        .env("S4TF_DIST_CKPT_DIR", &cfg.ckpt_dir)
+    cmd.env(crate::worker::WORKER_VAR, env.encode()?)
         // Bit-determinism across process shapes: one compute thread.
         .env("S4TF_NUM_THREADS", "1")
         .stdin(Stdio::null())
@@ -131,14 +215,6 @@ fn worker_command(
     }
     if let Some(mode) = &cfg.net_mode {
         cmd.env("S4TF_DIST_NET_MODE", mode);
-    }
-    match &cfg.abort {
-        Some((at_rank, step, phase)) if with_abort && *at_rank == rank => {
-            cmd.env("S4TF_DIST_ABORT_SPEC", format!("{step}:{phase}"));
-        }
-        _ => {
-            cmd.env_remove("S4TF_DIST_ABORT_SPEC");
-        }
     }
     Ok(cmd)
 }
@@ -167,7 +243,7 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
     {
         let mut kids = children.lock().expect("fresh mutex");
         for rank in 0..cfg.world {
-            let child = worker_command(cfg, coord_port, rank, true)?
+            let child = worker_command(cfg, coord_port, rank)?
                 .spawn()
                 .map_err(|e| net_err("dist.spawn", format!("spawning rank {rank}: {e}")))?;
             kids.push((rank, child));
@@ -179,7 +255,10 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
     let supervisor = {
         let stop = Arc::clone(&stop);
         let children = Arc::clone(&children);
-        let cfg = cfg.clone();
+        let cfg = ClusterConfig {
+            abort: None,
+            ..cfg.clone()
+        };
         std::thread::spawn(move || {
             let mut restarted: Vec<u32> = Vec::new();
             while !stop.load(Ordering::Relaxed) {
@@ -204,7 +283,7 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let Ok(mut cmd) = worker_command(&cfg, coord_port, rank, false) else {
+                    let Ok(mut cmd) = worker_command(&cfg, coord_port, rank) else {
                         continue;
                     };
                     if let Ok(child) = cmd.spawn() {

@@ -19,7 +19,7 @@
 //! what lets the tests demand *bit-identical* convergence between a real
 //! multi-process run and the single-process baseline.
 
-use crate::faults::{corrupt_encoded, delay_ms, LinkFaults, NetFaultMode};
+use crate::faults::{corrupt_encoded, LinkFaults, NetFaultMode, NET_DELAY_MS};
 use crate::protocol::kind;
 use crate::wire::{read_frame, write_encoded, Frame};
 use s4tf_core::VisitTangent;
@@ -142,7 +142,7 @@ impl RingConnection {
                 let tx = self.tx.as_ref().ok_or_else(|| {
                     RuntimeError::net("dist.send", Some(self.right_rank as usize), "link closed")
                 })?;
-                tx.send(WriterCmd::Delay(delay_ms())).map_err(|_| {
+                tx.send(WriterCmd::Delay(NET_DELAY_MS)).map_err(|_| {
                     RuntimeError::net(
                         "dist.send",
                         Some(self.right_rank as usize),

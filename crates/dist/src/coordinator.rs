@@ -74,13 +74,6 @@ pub struct ClusterReport {
     pub ckpt_dir: PathBuf,
 }
 
-impl ClusterReport {
-    /// Step the final sync checkpoint was saved at (== steps completed).
-    pub fn final_checkpoint_step(&self) -> u64 {
-        self.steps_completed
-    }
-}
-
 enum Event {
     /// A new control connection finished its `Register` handshake.
     Connected {

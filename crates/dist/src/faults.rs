@@ -17,9 +17,9 @@
 //!   so the receiver's checksum rejects it as a typed net error;
 //! * `drop`    — the frame is never written; the receiver hits its
 //!   straggler read timeout;
-//! * `delay`   — the writer stalls `S4TF_DIST_NET_DELAY_MS` (default 50)
-//!   before sending, exercising the timeout/retry path without a failure
-//!   when the delay fits the budget.
+//! * `delay`   — the writer stalls [`NET_DELAY_MS`] before sending,
+//!   exercising the timeout/retry path without a failure when the delay
+//!   fits the budget.
 
 use s4tf_fault as fault;
 
@@ -111,13 +111,9 @@ impl LinkFaults {
     }
 }
 
-/// The configured delay for [`NetFaultMode::Delay`] faults.
-pub fn delay_ms() -> u64 {
-    std::env::var("S4TF_DIST_NET_DELAY_MS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(50)
-}
+/// How long a [`NetFaultMode::Delay`] fault stalls the writer: a visible
+/// straggler, well under the default 3 s timeout.
+pub const NET_DELAY_MS: u64 = 50;
 
 /// Corrupts one byte of an encoded frame *after* the digest trailer was
 /// computed, guaranteeing the receiver's checksum rejects it. The flipped

@@ -70,9 +70,10 @@ pub fn worker_main_if_spawned() {
 fn lenet_worker() -> Result<u64, RuntimeError> {
     let env = WorkerEnv::from_env()?;
     let device = Device::naive();
-    let model = build_model(&device, env.seed);
-    let optimizer: Sgd<LeNet> = Sgd::new(env.learning_rate);
-    let data = shard_data(&device, env.shard_batch, env.data_seed, env.rank);
+    let cfg = &env.cfg;
+    let model = build_model(&device, cfg.seed);
+    let optimizer: Sgd<LeNet> = Sgd::new(cfg.learning_rate);
+    let data = shard_data(&device, cfg.shard_batch, cfg.data_seed, env.rank);
     run_worker(&env, model, optimizer, data, &device)
 }
 

@@ -3,8 +3,8 @@
 //! reproduced std-only).
 //!
 //! One launcher process ([`cluster::run`]) spawns `world` worker
-//! processes — this same executable re-exec'd with
-//! `S4TF_DIST_ROLE=worker` — and drives them through a typed control
+//! processes — this same executable re-exec'd with its whole
+//! configuration in `S4TF_DIST_WORKER` — and drives them through a typed control
 //! protocol ([`protocol::Control`]) while gradients travel the data plane
 //! as a bucketed ring all-reduce ([`collective::ring_all_reduce`]) with
 //! length-prefixed, checksummed frames ([`wire`]).
@@ -29,8 +29,8 @@
 //! * **Deterministic chaos.** The `net` fault site
 //!   (`S4TF_FAULT_SPEC=net:p:seed=s`) injects corrupt/drop/delay wire
 //!   faults with per-link replayable draws ([`faults`]), and
-//!   `S4TF_DIST_ABORT_SPEC` plants a `kill -9`-style death at an exact
-//!   step and phase.
+//!   [`ClusterConfig::abort`] plants a `kill -9`-style death at an exact
+//!   rank, step and phase.
 //!
 //! Every socket and thread-join path returns typed per-peer
 //! [`s4tf_tensor::RuntimeError`]s (`FaultKind::Net`, message prefixed

@@ -114,16 +114,6 @@ pub fn io_err(op: &'static str, peer: Option<usize>, e: &std::io::Error) -> Runt
     RuntimeError::net(op, peer, detail)
 }
 
-/// Writes one frame to `w`. `peer` is the destination's rank, for error
-/// attribution.
-pub fn write_frame(
-    w: &mut impl Write,
-    frame: &Frame,
-    peer: Option<usize>,
-) -> Result<(), RuntimeError> {
-    write_encoded(w, &frame.encode(), peer)
-}
-
 /// Writes pre-encoded frame bytes (the send path encodes once, so the
 /// injector can corrupt the serialized form after the digest is computed).
 pub fn write_encoded(
@@ -256,6 +246,11 @@ impl<'a> PayloadReader<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
     }
 
     /// Reads a `u16`.

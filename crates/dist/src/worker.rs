@@ -18,115 +18,124 @@
 //! optimizer is stateless ([`Sgd`] without momentum) and shard data is
 //! keyed by original rank and step, not by ring position.
 
+use crate::cluster::ClusterConfig;
 use crate::collective::{
     flatten_tangent, ring_all_reduce, unflatten_tangent, RingConnection, RingHeader,
 };
 use crate::protocol::{kind, Control, Member};
-use crate::wire::{read_frame, write_encoded, Frame, COORDINATOR};
+use crate::wire::{
+    fnv1a, read_frame, write_encoded, Frame, PayloadReader, PayloadWriter, COORDINATOR,
+};
 use s4tf_core::{LossValue, VisitTangent};
 use s4tf_nn::checkpoint::{latest, Checkpoint, Checkpointable};
 use s4tf_nn::loss::softmax_cross_entropy;
 use s4tf_nn::{Layer, Optimizer};
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::RuntimeError;
+use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The one variable the launcher sets on a worker: the hex-encoded
+/// [`WorkerEnv`].
+pub(crate) const WORKER_VAR: &str = "S4TF_DIST_WORKER";
 
 /// Role marker: is this process a spawned dist worker?
 ///
 /// Binaries that host workers (tests, examples, benches) call this first
 /// and hand control to their worker entry point when it returns true.
 pub fn is_worker_process() -> bool {
-    std::env::var("S4TF_DIST_ROLE").as_deref() == Ok("worker")
+    std::env::var_os(WORKER_VAR).is_some()
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// Worker-side configuration, read from the `S4TF_DIST_*` environment the
-/// launcher sets on each child.
-#[derive(Debug, Clone)]
+/// Worker-side configuration: the launcher's [`ClusterConfig`], whole,
+/// plus the two values that differ per child.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerEnv {
     /// This worker's rank (stable across restarts).
     pub rank: u32,
     /// Coordinator control port on 127.0.0.1.
     pub coord_port: u16,
-    /// Examples per shard per step.
-    pub shard_batch: usize,
-    /// SGD learning rate.
-    pub learning_rate: f64,
-    /// Model-init seed (identical on every worker).
-    pub seed: u64,
-    /// Base seed for shard data (mixed with the rank).
-    pub data_seed: u64,
-    /// All-reduce bucket size, bytes of f32 payload.
-    pub bucket_bytes: usize,
-    /// Heartbeat interval, milliseconds.
-    pub heartbeat_ms: u64,
-    /// Straggler timeout for ring and control I/O, milliseconds.
-    pub timeout_ms: u64,
-    /// Overall worker deadline, milliseconds.
-    pub deadline_ms: u64,
-    /// Directory for sync checkpoints (shared with the coordinator).
-    pub ckpt_dir: PathBuf,
-    /// Deterministic chaos hook: `"<step>:<phase>"` with phase `midring`
-    /// (abort with the ring established, peers mid-collective) or
-    /// `precommit` (abort after `StepDone`, before `Commit` applies).
-    pub abort_spec: Option<(u64, String)>,
+    /// The run's configuration, exactly as the launcher holds it (a
+    /// restarted worker's copy has `abort: None`).
+    pub cfg: ClusterConfig,
+}
+
+fn bad_env(msg: impl Into<String>) -> RuntimeError {
+    RuntimeError::net("dist.worker", None, msg.into())
 }
 
 impl WorkerEnv {
-    /// Reads the configuration from the environment. Fails with a typed
-    /// error when a required variable is missing or malformed.
-    pub fn from_env() -> Result<WorkerEnv, RuntimeError> {
-        let req = |name: &str| -> Result<String, RuntimeError> {
-            std::env::var(name)
-                .map_err(|_| RuntimeError::net("dist.worker", None, format!("{name} is not set")))
-        };
-        let rank: u32 = req("S4TF_DIST_RANK")?.trim().parse().map_err(|_| {
-            RuntimeError::net("dist.worker", None, "S4TF_DIST_RANK is not a number")
-        })?;
-        let coord_port: u16 = req("S4TF_DIST_COORD")?
-            .trim()
-            .parse()
-            .map_err(|_| RuntimeError::net("dist.worker", None, "S4TF_DIST_COORD is not a port"))?;
-        let ckpt_dir = PathBuf::from(req("S4TF_DIST_CKPT_DIR")?);
-        let abort_spec = std::env::var("S4TF_DIST_ABORT_SPEC").ok().and_then(|v| {
-            let (step, phase) = v.split_once(':')?;
-            Some((step.trim().parse().ok()?, phase.trim().to_string()))
-        });
+    /// The [`WORKER_VAR`] value: every field through the wire payload
+    /// writer, an FNV-1a digest of those bytes, all in lowercase hex.
+    pub(crate) fn encode(&self) -> Result<String, RuntimeError> {
+        let mut w = PayloadWriter::default();
+        w.u32(self.rank);
+        w.u16(self.coord_port);
+        self.cfg.write(&mut w)?;
+        let digest = fnv1a(&w.0);
+        w.u64(digest);
+        let mut hex = String::with_capacity(2 * w.0.len());
+        for byte in &w.0 {
+            write!(hex, "{byte:02x}").expect("writing to a String cannot fail");
+        }
+        Ok(hex)
+    }
+
+    /// Inverse of [`encode`](WorkerEnv::encode). Anything but exactly what
+    /// `encode` produces — odd length, a non-hex digit, missing or extra
+    /// bytes, a digest mismatch — is a typed error; no field is defaulted.
+    pub(crate) fn decode(hex: &str) -> Result<WorkerEnv, RuntimeError> {
+        if !hex.len().is_multiple_of(2) || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(bad_env(format!(
+                "{WORKER_VAR} is not an even run of hex digits"
+            )));
+        }
+        let nibble = |b: u8| (b as char).to_digit(16).expect("checked above") as u8;
+        let bytes: Vec<u8> = hex
+            .as_bytes()
+            .chunks_exact(2)
+            .map(|pair| nibble(pair[0]) << 4 | nibble(pair[1]))
+            .collect();
+        let body_len = bytes
+            .len()
+            .checked_sub(8)
+            .ok_or_else(|| bad_env(format!("{WORKER_VAR} is truncated")))?;
+        let (body, digest) = bytes.split_at(body_len);
+        if fnv1a(body).to_le_bytes() != digest {
+            return Err(bad_env(format!(
+                "{WORKER_VAR} digest mismatch (truncated or corrupt)"
+            )));
+        }
+        let mut r = PayloadReader::new(body, None);
+        let env =
+            WorkerEnv::read(&mut r).map_err(|e| bad_env(format!("{WORKER_VAR}: {}", e.message)))?;
+        if !r.is_empty() {
+            return Err(bad_env(format!("{WORKER_VAR} has trailing bytes")));
+        }
+        Ok(env)
+    }
+
+    fn read(r: &mut PayloadReader<'_>) -> Result<WorkerEnv, RuntimeError> {
         Ok(WorkerEnv {
-            rank,
-            coord_port,
-            shard_batch: env_u64("S4TF_DIST_SHARD_BATCH", 8) as usize,
-            learning_rate: env_f64("S4TF_DIST_LR", 0.05),
-            seed: env_u64("S4TF_DIST_SEED", 7),
-            data_seed: env_u64("S4TF_DIST_DATA_SEED", 11),
-            bucket_bytes: env_u64("S4TF_DIST_BUCKET_BYTES", 64 * 1024) as usize,
-            heartbeat_ms: env_u64("S4TF_DIST_HEARTBEAT_MS", 200),
-            timeout_ms: env_u64("S4TF_DIST_TIMEOUT_MS", 3000),
-            deadline_ms: env_u64("S4TF_DIST_DEADLINE_MS", 120_000),
-            ckpt_dir,
-            abort_spec,
+            rank: r.u32()?,
+            coord_port: r.u16()?,
+            cfg: ClusterConfig::read(r)?,
         })
     }
 
+    /// Reads the configuration the launcher set. Fails with a typed error
+    /// when [`WORKER_VAR`] is missing or malformed.
+    pub fn from_env() -> Result<WorkerEnv, RuntimeError> {
+        let hex = std::env::var(WORKER_VAR)
+            .map_err(|e| bad_env(format!("{WORKER_VAR} is unusable: {e}")))?;
+        WorkerEnv::decode(&hex)
+    }
+
     fn bucket_elems(&self) -> usize {
-        (self.bucket_bytes / 4).max(1)
+        (self.cfg.bucket_bytes / 4).max(1)
     }
 }
 
@@ -197,13 +206,13 @@ impl ControlLink {
             )
         })?;
         stream
-            .set_write_timeout(Some(Duration::from_millis(env.timeout_ms.max(1))))
+            .set_write_timeout(Some(Duration::from_millis(env.cfg.timeout_ms.max(1))))
             .map_err(|e| RuntimeError::net("dist.control", None, e.to_string()))?;
         // Control reads wait on the coordinator's pacing (commits arrive
         // only after the slowest member), so the read budget is the run
         // deadline, not the straggler timeout.
         stream
-            .set_read_timeout(Some(Duration::from_millis(env.deadline_ms.max(1))))
+            .set_read_timeout(Some(Duration::from_millis(env.cfg.deadline_ms.max(1))))
             .map_err(|e| RuntimeError::net("dist.control", None, e.to_string()))?;
         let reader = stream
             .try_clone()
@@ -367,7 +376,7 @@ fn establish_ring(
 ) -> Result<RingConnection, RuntimeError> {
     let (right_rank, right_port) = view.right();
     let (left_rank, _) = view.left();
-    let deadline = Instant::now() + Duration::from_millis(env.timeout_ms.max(1));
+    let deadline = Instant::now() + Duration::from_millis(env.cfg.timeout_ms.max(1));
 
     // Dial the right neighbor, retrying while it (re)binds its acceptor.
     let right = loop {
@@ -385,7 +394,7 @@ fn establish_ring(
             }
         }
     };
-    let timeout = Some(Duration::from_millis(env.timeout_ms.max(1)));
+    let timeout = Some(Duration::from_millis(env.cfg.timeout_ms.max(1)));
     right
         .set_write_timeout(timeout)
         .and_then(|()| right.set_read_timeout(timeout))
@@ -466,10 +475,13 @@ enum CycleOutcome {
     Failed(RuntimeError),
 }
 
-/// Deterministic chaos: `S4TF_DIST_ABORT_SPEC="<step>:<phase>"`.
+/// Deterministic chaos: dies when [`ClusterConfig::abort`] names this
+/// rank, step and phase — `midring` (the ring established, peers
+/// mid-collective) or `precommit` (after `StepDone`, before `Commit`
+/// applies).
 fn maybe_abort(env: &WorkerEnv, step: u64, phase: &str) {
-    if let Some((at_step, at_phase)) = &env.abort_spec {
-        if *at_step == step && at_phase == phase {
+    if let Some((at_rank, at_step, at_phase)) = &env.cfg.abort {
+        if *at_rank == env.rank && *at_step == step && at_phase == phase {
             eprintln!(
                 "s4tf-dist: worker rank {} dying at step {step} phase {phase} (injected kill -9)",
                 env.rank
@@ -508,11 +520,11 @@ where
         .local_addr()
         .map_err(|e| RuntimeError::net("dist.worker", None, e.to_string()))?
         .port();
-    let incoming = spawn_data_acceptor(listener, env.timeout_ms);
+    let incoming = spawn_data_acceptor(listener, env.cfg.timeout_ms);
     let mut pending: Vec<PendingConn> = Vec::new();
 
     ctl.send(&Control::Register { data_port })?;
-    let _pump = HeartbeatPump::start(Arc::clone(&ctl.writer), env.rank, env.heartbeat_ms);
+    let _pump = HeartbeatPump::start(Arc::clone(&ctl.writer), env.rank, env.cfg.heartbeat_ms);
 
     let mut view: Option<ViewState> = None;
     let mut completed: u64 = 0;
@@ -747,7 +759,7 @@ fn save_sync_checkpoint<L: Checkpointable>(
     model: &L,
 ) -> Result<(), RuntimeError> {
     let ckpt = Checkpoint::from_model(step, model)?;
-    ckpt.save(&env.ckpt_dir)?;
+    ckpt.save(&env.cfg.ckpt_dir)?;
     s4tf_diag::event!("dist.sync_checkpoint", rank = env.rank, step = step);
     Ok(())
 }
@@ -758,11 +770,11 @@ fn load_sync_checkpoint<L: Checkpointable>(
     model: &mut L,
     device: &Device,
 ) -> Result<(), RuntimeError> {
-    let path = latest(&env.ckpt_dir)?.ok_or_else(|| {
+    let path = latest(&env.cfg.ckpt_dir)?.ok_or_else(|| {
         RuntimeError::net(
             "dist.rejoin",
             Some(env.rank as usize),
-            format!("no sync checkpoint in {}", env.ckpt_dir.display()),
+            format!("no sync checkpoint in {}", env.cfg.ckpt_dir.display()),
         )
     })?;
     let ckpt = Checkpoint::load(&path)?;
@@ -779,4 +791,81 @@ fn load_sync_checkpoint<L: Checkpointable>(
     ckpt.restore(model, device)?;
     s4tf_diag::event!("dist.rejoin_load", rank = env.rank, step = step);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use s4tf_nn::FaultPolicy;
+    use s4tf_tensor::FaultKind;
+    use std::path::PathBuf;
+
+    /// A config with no field at its `ClusterConfig::new` value, so a
+    /// decoder that defaulted anything would fail the comparison.
+    fn sample(abort: Option<(u32, u64, String)>) -> WorkerEnv {
+        WorkerEnv {
+            rank: 3,
+            coord_port: 50_123,
+            cfg: ClusterConfig {
+                world: 5,
+                steps: 17,
+                shard_batch: 6,
+                learning_rate: 0.1 + 0.2, // not representable in short decimal
+                seed: u64::MAX,
+                data_seed: 12,
+                bucket_bytes: 4096,
+                heartbeat_ms: 150,
+                timeout_ms: 2500,
+                deadline_ms: 90_000,
+                max_retries: 2,
+                ckpt_dir: PathBuf::from("/tmp/ckpt dir;a=b"),
+                fault_policy: FaultPolicy::Retry(4),
+                abort,
+                restart_ms: Some(0),
+                fault_spec: Some("net:0.01:seed=7".to_string()),
+                net_mode: None,
+            },
+        }
+    }
+
+    #[test]
+    fn worker_env_round_trips_every_field() {
+        for abort in [None, Some((3, 2, "midring".to_string()))] {
+            let env = sample(abort);
+            let hex = env.encode().expect("UTF-8 ckpt_dir");
+            assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()), "{hex}");
+            let back = WorkerEnv::decode(&hex).expect("own encoding decodes");
+            assert_eq!(back, env);
+            assert_eq!(
+                back.cfg.learning_rate.to_bits(),
+                env.cfg.learning_rate.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_worker_env_is_a_typed_error_never_a_default() {
+        let hex = sample(None).encode().expect("encodes");
+        let mut flipped = hex.clone().into_bytes();
+        flipped[20] = if flipped[20] == b'0' { b'1' } else { b'0' };
+        let corruptions = [
+            ("truncated", hex[..hex.len() - 16].to_string()),
+            (
+                "non-hex",
+                hex.replacen(|c: char| c.is_ascii_hexdigit(), "g", 1),
+            ),
+            ("flipped digit", String::from_utf8(flipped).expect("ascii")),
+            ("odd length", hex[1..].to_string()),
+            ("empty", String::new()),
+        ];
+        for (what, bad) in corruptions {
+            let err = WorkerEnv::decode(&bad).expect_err(what);
+            assert_eq!(err.kind, FaultKind::Net, "{what}: {err}");
+            assert_eq!(err.op, "dist.worker", "{what}: {err}");
+        }
+        // The test process was not spawned by a launcher.
+        let err = WorkerEnv::from_env().expect_err("variable is not set");
+        assert_eq!(err.op, "dist.worker", "{err}");
+        assert!(!is_worker_process());
+    }
 }

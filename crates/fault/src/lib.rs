@@ -234,26 +234,6 @@ pub fn set_fault_spec(spec: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-/// The active spec rendered back in grammar form (`None` when injection
-/// is off).
-pub fn active_spec() -> Option<String> {
-    if !injection_enabled() {
-        return None;
-    }
-    let specs = lock_specs();
-    let mut parts = Vec::new();
-    for site in FaultSite::ALL {
-        if let Some(s) = specs[site.index()] {
-            parts.push(format!("{}:{}:{}", site.name(), s.prob, s.seed));
-        }
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join(","))
-    }
-}
-
 /// The `(prob, seed)` configured for `site`, or `None` when the site (or
 /// injection as a whole) is off. Consumers that need their own draw-index
 /// streams — `s4tf-dist` keeps one per peer link — read the spec here and
@@ -396,16 +376,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_render_round_trip() {
+    fn parsed_spec_reaches_its_sites() {
         let _g = guard();
         set_fault_spec(Some("kernel:0.25:42, compile:1:7")).unwrap();
-        let spec = active_spec().unwrap();
-        assert!(spec.contains("kernel:0.25:42"));
-        assert!(spec.contains("compile:1:7"));
+        assert_eq!(site_params(FaultSite::Kernel), Some((0.25, 42)));
+        assert_eq!(site_params(FaultSite::Compile), Some((1.0, 7)));
+        assert_eq!(site_params(FaultSite::Net), None);
         assert!(injection_enabled());
         set_fault_spec(None).unwrap();
         assert!(!injection_enabled());
-        assert!(active_spec().is_none());
+        assert_eq!(site_params(FaultSite::Kernel), None);
     }
 
     #[test]

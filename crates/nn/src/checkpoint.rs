@@ -419,25 +419,6 @@ pub fn latest(dir: &Path) -> Result<Option<PathBuf>, RuntimeError> {
     Ok(best.map(|(_, p)| p))
 }
 
-/// The checkpoint directory: `S4TF_CHECKPOINT_DIR` if set, else `default`.
-/// Lets a launcher relocate checkpoints without touching training code.
-pub fn env_dir(default: impl Into<PathBuf>) -> PathBuf {
-    std::env::var_os("S4TF_CHECKPOINT_DIR")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| default.into())
-}
-
-/// The checkpoint interval in steps: `S4TF_CHECKPOINT_EVERY` if set to a
-/// positive integer, else `default`.
-pub fn env_every(default: u64) -> u64 {
-    std::env::var("S4TF_CHECKPOINT_EVERY")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(default)
-}
-
 /// A resumable training loop: owns the model, counts steps, checkpoints
 /// every `every` steps, and restores from the newest checkpoint in `dir` on
 /// construction.
@@ -508,12 +489,6 @@ impl<M: Checkpointable> TrainingSession<M> {
             Checkpoint::from_model(self.step, &self.model)?.save(&self.dir)?;
         }
         Ok(loss)
-    }
-
-    /// Snapshots the current state unconditionally (e.g. at end of
-    /// training).
-    pub fn save_now(&self) -> Result<PathBuf, RuntimeError> {
-        Checkpoint::from_model(self.step, &self.model)?.save(&self.dir)
     }
 
     /// The device restored parameters are placed on.
@@ -692,16 +667,6 @@ mod tests {
         let mut target = mlp(&d);
         let err = sparse.restore(&mut target, &d).unwrap_err();
         assert!(err.to_string().contains("no parameter"), "{err}");
-    }
-
-    #[test]
-    fn env_knobs_fall_back_to_defaults() {
-        // Only tests the unset path: mutating the process environment
-        // races with parallel tests, and the parse logic is trivial.
-        std::env::remove_var("S4TF_CHECKPOINT_DIR");
-        std::env::remove_var("S4TF_CHECKPOINT_EVERY");
-        assert_eq!(env_dir("/tmp/ckpts"), PathBuf::from("/tmp/ckpts"));
-        assert_eq!(env_every(25), 25);
     }
 
     #[test]

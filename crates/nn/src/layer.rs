@@ -8,19 +8,6 @@ use s4tf_runtime::DTensor;
 pub type PullbackFn<L> =
     Box<dyn Fn(&DTensor) -> (<L as Differentiable>::TangentVector, DTensor) + Send>;
 
-/// The pullback of two composed layers (see [`compose_pullbacks`]).
-pub type ComposedPullbackFn<F, G> = Box<
-    dyn Fn(
-            &DTensor,
-        ) -> (
-            (
-                <F as Differentiable>::TangentVector,
-                <G as Differentiable>::TangentVector,
-            ),
-            DTensor,
-        ) + Send,
->;
-
 /// A neural-network layer: a `Differentiable` value whose application to an
 /// input is differentiable with respect to *both* the parameters and the
 /// input.
@@ -39,49 +26,4 @@ pub trait Layer: Differentiable {
     /// Applies the layer, returning the output together with the pullback
     /// with respect to (parameters, input).
     fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>);
-}
-
-/// Chains two layers' pullbacks: given `x --f--> h --g--> y`, returns the
-/// pullback of the composite with tangent `(f-tangent, g-tangent)`.
-///
-/// Model implementations typically open-code this (paper Figure 6 models
-/// are explicit structs), but the helper keeps hand-written pullbacks
-/// honest and is used by the layer tests.
-pub fn compose_pullbacks<F: Layer, G: Layer>(
-    f_pb: PullbackFn<F>,
-    g_pb: PullbackFn<G>,
-) -> ComposedPullbackFn<F, G> {
-    Box::new(move |dy: &DTensor| {
-        let (g_grad, dh) = g_pb(dy);
-        let (f_grad, dx) = f_pb(&dh);
-        ((f_grad, g_grad), dx)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::activation::Activation;
-    use crate::layers::Dense;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use s4tf_runtime::Device;
-    use s4tf_tensor::Tensor;
-
-    #[test]
-    fn compose_pullbacks_chains() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let d = Device::naive();
-        let f = Dense::new(3, 4, Activation::Tanh, &d, &mut rng);
-        let g = Dense::new(4, 2, Activation::Identity, &d, &mut rng);
-        let x = DTensor::from_tensor(Tensor::randn(&[5, 3], &mut rng), &d);
-
-        let (h, f_pb) = f.forward_with_pullback(&x);
-        let (y, g_pb) = g.forward_with_pullback(&h);
-        let pb = compose_pullbacks::<Dense, Dense>(f_pb, g_pb);
-        let ((df, dg), dx) = pb(&y.ones_like());
-        assert_eq!(df.weight.dims(), vec![3, 4]);
-        assert_eq!(dg.weight.dims(), vec![4, 2]);
-        assert_eq!(dx.dims(), vec![5, 3]);
-    }
 }

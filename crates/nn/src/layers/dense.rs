@@ -44,16 +44,6 @@ impl Dense {
             activation,
         }
     }
-
-    /// Input feature count.
-    pub fn input_size(&self) -> usize {
-        self.weight.dims()[0]
-    }
-
-    /// Output feature count.
-    pub fn output_size(&self) -> usize {
-        self.weight.dims()[1]
-    }
 }
 
 impl Layer for Dense {
@@ -103,10 +93,8 @@ mod tests {
     }
 
     #[test]
-    fn forward_shapes_and_sizes() {
+    fn forward_shapes() {
         let (l, x) = layer(Activation::Identity);
-        assert_eq!(l.input_size(), 4);
-        assert_eq!(l.output_size(), 3);
         assert_eq!(l.forward(&x).dims(), vec![5, 3]);
     }
 

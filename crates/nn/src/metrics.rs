@@ -19,40 +19,6 @@ pub fn accuracy(logits: &Tensor<f32>, labels: &[usize]) -> f64 {
     correct as f64 / labels.len().max(1) as f64
 }
 
-/// A streaming average (for loss curves over minibatches).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunningMean::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// The current mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,15 +43,5 @@ mod tests {
         let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
         assert_eq!(accuracy(&logits, &[0, 1]), 1.0);
         assert_eq!(accuracy(&logits, &[1, 0]), 0.0);
-    }
-
-    #[test]
-    fn running_mean() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        m.push(2.0);
-        m.push(4.0);
-        assert_eq!(m.mean(), 3.0);
-        assert_eq!(m.count(), 2);
     }
 }

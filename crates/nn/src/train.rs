@@ -7,7 +7,7 @@ use crate::checkpoint::Checkpointable;
 use crate::diag;
 use crate::fault;
 use crate::layer::Layer;
-use crate::loss::{softmax_cross_entropy, LossPullback};
+use crate::loss::softmax_cross_entropy;
 use crate::met;
 use crate::optimizer::Optimizer;
 use crate::prof;
@@ -95,14 +95,13 @@ fn step_body<L, O>(
     optimizer: &mut O,
     inputs: &DTensor,
     targets: &DTensor,
-    loss_fn: fn(&DTensor, &DTensor) -> (DTensor, LossPullback),
 ) -> (DTensor, L::TangentVector)
 where
     L: Layer,
     O: Optimizer<L>,
 {
     let (pred, pullback) = model.forward_with_pullback(inputs);
-    let (loss, loss_pullback) = loss_fn(&pred, targets);
+    let (loss, loss_pullback) = softmax_cross_entropy(&pred, targets);
     let dpred = loss_pullback(&loss.scalar_like(1.0));
     let (gradients, _dinput) = pullback(&dpred);
     optimizer.update(model, &gradients);
@@ -131,36 +130,9 @@ fn finish_step<G: VectorSpace>(
     loss
 }
 
-/// [`step_body`] under the `train.step` span, then [`finish_step`].
-fn metered_step<L, O>(
-    model: &mut L,
-    optimizer: &mut O,
-    inputs: &DTensor,
-    targets: &DTensor,
-    loss_fn: fn(&DTensor, &DTensor) -> (DTensor, LossPullback),
-) -> f64
-where
-    L: Layer,
-    O: Optimizer<L>,
-{
-    let span = prof::span("train.step");
-    let start = std::time::Instant::now();
-    let (loss, gradients) = step_body(model, optimizer, inputs, targets, loss_fn);
-    let examples = inputs.dims().first().copied().unwrap_or(1);
-    let backend = inputs.device().kind();
-    finish_step(
-        span,
-        start,
-        loss.loss_value(),
-        &gradients,
-        examples,
-        backend,
-    )
-}
-
 /// One classifier training step (paper Figure 7, one loop body):
 /// forward → softmax cross-entropy → pullback → in-place optimizer update →
-/// barrier. Returns the minibatch loss.
+/// barrier, under the `train.step` span. Returns the minibatch loss.
 pub fn train_classifier_step<L, O>(
     model: &mut L,
     optimizer: &mut O,
@@ -171,7 +143,19 @@ where
     L: Layer,
     O: Optimizer<L>,
 {
-    metered_step(model, optimizer, images, labels, softmax_cross_entropy)
+    let span = prof::span("train.step");
+    let start = std::time::Instant::now();
+    let (loss, gradients) = step_body(model, optimizer, images, labels);
+    let examples = images.dims().first().copied().unwrap_or(1);
+    let backend = images.device().kind();
+    finish_step(
+        span,
+        start,
+        loss.loss_value(),
+        &gradients,
+        examples,
+        backend,
+    )
 }
 
 /// Like [`train_classifier_step`] but without reading the loss back — for
@@ -187,7 +171,7 @@ pub fn train_classifier_step_no_metrics<L, O>(
     O: Optimizer<L>,
 {
     let _span = prof::span("train.step");
-    step_body(model, optimizer, images, labels, softmax_cross_entropy);
+    step_body(model, optimizer, images, labels);
 }
 
 /// How a data-parallel step reacts to a failing shard (a kernel fault, a
@@ -488,20 +472,6 @@ where
     ))
 }
 
-/// One regression training step with mean-squared error.
-pub fn train_regressor_step<L, O>(
-    model: &mut L,
-    optimizer: &mut O,
-    inputs: &DTensor,
-    targets: &DTensor,
-) -> f64
-where
-    L: Layer,
-    O: Optimizer<L>,
-{
-    metered_step(model, optimizer, inputs, targets, crate::loss::mse)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,27 +614,5 @@ mod tests {
         }
         let logits = model.forward(&x).to_tensor();
         assert!(accuracy(&logits, &labels) > 0.95);
-    }
-
-    #[test]
-    fn regressor_trains() {
-        let device = Device::naive();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        // Fit y = 2x + 1.
-        let xs = Tensor::<f32>::rand_uniform(&[32, 1], -1.0, 1.0, &mut rng);
-        let ys = xs.mul_scalar(2.0).add_scalar(1.0);
-        let x = DTensor::from_tensor(xs, &device);
-        let y = DTensor::from_tensor(ys, &device);
-        let mut model = Dense::new(1, 1, Activation::Identity, &device, &mut rng);
-        let mut opt = Sgd::new(0.5);
-        let mut loss = f64::INFINITY;
-        for _ in 0..100 {
-            loss = train_regressor_step(&mut model, &mut opt, &x, &y);
-        }
-        assert!(loss < 1e-4, "final loss {loss}");
-        let w = model.weight.to_tensor().scalar_value();
-        let b = model.bias.to_tensor().scalar_value();
-        assert!((w - 2.0).abs() < 0.05);
-        assert!((b - 1.0).abs() < 0.05);
     }
 }

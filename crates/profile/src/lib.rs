@@ -460,13 +460,6 @@ pub fn reset() {
     with_recorder(|r| *r = Recorder::default());
 }
 
-/// Whether the user asked for a performance report via
-/// `S4TF_PERF_REPORT=1` (checked once, cached).
-pub fn perf_report_requested() -> bool {
-    static REQUESTED: Gate = Gate::new(|| env_gate("S4TF_PERF_REPORT", false));
-    REQUESTED.on()
-}
-
 /// Renders the full performance observatory — aggregated span report,
 /// roofline table (against the machine probe), and critical-path
 /// decomposition — as one printable string.

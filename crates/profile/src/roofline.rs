@@ -84,13 +84,6 @@ impl RooflineReport {
             .find(|r| r.backend == backend && r.name == name)
     }
 
-    /// Looks up the row for one op on one backend and dispatch path.
-    pub fn row_on_path(&self, backend: &str, name: &str, path: &str) -> Option<&RooflineRow> {
-        self.rows
-            .iter()
-            .find(|r| r.backend == backend && r.name == name && r.path == path)
-    }
-
     /// True when no kernel op events were recorded.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()

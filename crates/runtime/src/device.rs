@@ -80,16 +80,6 @@ impl Device {
             _ => None,
         }
     }
-
-    /// True if both handles denote the same device instance.
-    pub fn same_device(&self, other: &Device) -> bool {
-        match (self, other) {
-            (Device::Naive, Device::Naive) => true,
-            (Device::Eager(a), Device::Eager(b)) => a.same_queue(b),
-            (Device::Lazy(a), Device::Lazy(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,19 +91,6 @@ mod tests {
         assert_eq!(Device::naive().kind(), "naive");
         assert_eq!(Device::eager().kind(), "eager");
         assert_eq!(Device::lazy().kind(), "lazy");
-    }
-
-    #[test]
-    fn identity() {
-        let a = Device::lazy();
-        let b = a.clone();
-        assert!(a.same_device(&b));
-        assert!(!a.same_device(&Device::lazy()));
-        assert!(Device::naive().same_device(&Device::naive()));
-        assert!(!Device::naive().same_device(&a));
-        let e = Device::eager();
-        assert!(e.same_device(&e.clone()));
-        assert!(!e.same_device(&Device::eager()));
     }
 
     #[test]

@@ -350,11 +350,10 @@ impl EagerTensor {
             // died and no later dispatch captured it) can never be read
             // again, so its value is *stolen* rather than cloned — the
             // kernel then owns the buffer uniquely and may run in place.
-            let steal = s4tf_xla::plan_enabled();
             let mut operands: Vec<Tensor<f32>> = Vec::with_capacity(in_slots.len());
             let mut poison: Option<RuntimeError> = None;
             for s in &in_slots {
-                let value = if steal && Arc::strong_count(s) == 1 {
+                let value = if Arc::strong_count(s) == 1 {
                     s.value
                         .lock()
                         .take()

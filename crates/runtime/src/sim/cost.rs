@@ -1,128 +1,14 @@
-//! Analytic kernel costs: FLOPs and memory traffic per compiled HLO node,
-//! and a roofline accelerator model.
+//! The roofline accelerator model, over the one analytic cost model
+//! ([`s4tf_xla::op_cost`]) the profiler's roofline also reads.
 
+use s4tf_tensor::OpCost;
 use s4tf_xla::graph::{HloGraph, HloNode};
-use s4tf_xla::{Executable, HloOp};
-
-/// The cost of one kernel launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelCost {
-    /// Floating-point operations.
-    pub flops: f64,
-    /// Bytes moved to/from device memory.
-    pub bytes: f64,
-}
-
-impl KernelCost {
-    /// Component-wise sum.
-    pub fn plus(self, other: KernelCost) -> KernelCost {
-        KernelCost {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-        }
-    }
-}
-
-const F32: f64 = 4.0;
+use s4tf_xla::HloOp;
 
 /// The cost of one node, given its (shape-inferred) graph context.
-pub fn node_cost(graph: &HloGraph, node: &HloNode) -> KernelCost {
-    let out_elems = node.shape.num_elements() as f64;
-    let in_bytes: f64 = node
-        .inputs
-        .iter()
-        .map(|&i| graph.node(i).shape.num_elements() as f64 * F32)
-        .sum();
-    let touch = in_bytes + out_elems * F32;
-    match &node.op {
-        // Leaves are resident; no kernel.
-        HloOp::Parameter(_) | HloOp::Constant(_) => KernelCost::default(),
-        HloOp::Unary(_) => KernelCost {
-            flops: out_elems,
-            bytes: touch,
-        },
-        HloOp::Binary(_) => KernelCost {
-            flops: out_elems,
-            bytes: touch,
-        },
-        // Fusion's payoff: k ops of work but one input/output sweep —
-        // no intermediate buffers.
-        HloOp::Fused { insts, .. } => KernelCost {
-            flops: out_elems * insts.len() as f64,
-            bytes: touch,
-        },
-        HloOp::MatMul { .. } => {
-            let k =
-                graph.node(node.inputs[0]).shape.num_elements() as f64 / node.shape.dim(0) as f64;
-            KernelCost {
-                flops: 2.0 * node.shape.num_elements() as f64 * k,
-                bytes: touch,
-            }
-        }
-        HloOp::Conv2D { .. } => {
-            let f = &graph.node(node.inputs[1]).shape;
-            let work_per_out = 2.0 * (f.dim(0) * f.dim(1) * f.dim(2)) as f64;
-            KernelCost {
-                flops: out_elems * work_per_out,
-                bytes: touch,
-            }
-        }
-        HloOp::Conv2DBackwardInput { .. } | HloOp::Conv2DBackwardFilter { .. } => {
-            // Same asymptotic work as the forward convolution.
-            let f_elems = match &node.op {
-                HloOp::Conv2DBackwardInput { .. } => {
-                    graph.node(node.inputs[0]).shape.num_elements() as f64
-                }
-                _ => node.shape.num_elements() as f64,
-            };
-            let grad = &graph.node(node.inputs[1]).shape;
-            // out_elems of the *forward* output ≈ grad elements.
-            let per_out = 2.0 * f_elems / node.shape.dim(3).max(1) as f64;
-            KernelCost {
-                flops: grad.num_elements() as f64 * per_out.max(2.0),
-                bytes: touch,
-            }
-        }
-        HloOp::AvgPool { pool, .. }
-        | HloOp::MaxPool { pool, .. }
-        | HloOp::AvgPoolGrad { pool, .. }
-        | HloOp::MaxPoolGrad { pool, .. } => KernelCost {
-            flops: out_elems * (pool.0 * pool.1) as f64,
-            bytes: touch,
-        },
-        HloOp::Reduce { .. } | HloOp::ReduceToShape(_) => KernelCost {
-            flops: in_bytes / F32,
-            bytes: touch,
-        },
-        // Pure data movement.
-        HloOp::GatherRows | HloOp::GatherRowsGrad { .. } => KernelCost {
-            flops: out_elems,
-            bytes: touch,
-        },
-        HloOp::Transpose(_) | HloOp::Broadcast(_) => KernelCost {
-            flops: 0.0,
-            bytes: touch,
-        },
-        // Metadata-only.
-        HloOp::Reshape(_) => KernelCost::default(),
-    }
-}
-
-/// Total cost of a graph (sum over kernels) plus the launch count.
-pub fn graph_cost(graph: &HloGraph) -> (KernelCost, usize) {
-    let mut total = KernelCost::default();
-    let mut launches = 0usize;
-    for node in &graph.nodes {
-        let c = node_cost(graph, node);
-        if !matches!(
-            node.op,
-            HloOp::Parameter(_) | HloOp::Constant(_) | HloOp::Reshape(_)
-        ) {
-            launches += 1;
-        }
-        total = total.plus(c);
-    }
-    (total, launches)
+pub fn node_cost(graph: &HloGraph, node: &HloNode) -> OpCost {
+    let inputs: Vec<_> = node.inputs.iter().map(|&i| &graph.node(i).shape).collect();
+    s4tf_xla::op_cost(&node.op, &inputs, &node.shape)
 }
 
 /// A roofline accelerator: each kernel takes
@@ -163,9 +49,9 @@ impl AcceleratorModel {
     }
 
     /// Time for one kernel.
-    pub fn kernel_time(&self, cost: KernelCost) -> f64 {
-        let compute = cost.flops / (self.peak_flops * self.efficiency);
-        let memory = cost.bytes / self.mem_bandwidth;
+    pub fn kernel_time(&self, cost: OpCost) -> f64 {
+        let compute = cost.flops as f64 / (self.peak_flops * self.efficiency);
+        let memory = cost.bytes as f64 / self.mem_bandwidth;
         compute.max(memory) + self.launch_overhead
     }
 
@@ -185,16 +71,10 @@ impl AcceleratorModel {
     }
 }
 
-/// Simulated compute time of a compiled executable on `model`.
-pub fn exec_compute_time(exe: &Executable, model: &AcceleratorModel) -> f64 {
-    model.program_time(exe.graph())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s4tf_tensor::Tensor;
-    use s4tf_xla::{compile, compile_unoptimized, ElemBinary, ElemUnary, HloGraph};
+    use s4tf_xla::{compile, compile_unoptimized, ElemUnary, HloGraph};
 
     fn chain_graph(n_ops: usize, dim: usize) -> HloGraph {
         let mut g = HloGraph::new();
@@ -221,8 +101,8 @@ mod tests {
         g.mark_output(m);
         let node = g.node(m);
         let c = node_cost(&g, node);
-        assert_eq!(c.flops, 2.0 * 16.0 * 32.0 * 8.0);
-        assert_eq!(c.bytes, (16.0 * 32.0 + 32.0 * 8.0 + 16.0 * 8.0) * 4.0);
+        assert_eq!(c.flops, 2 * 16 * 32 * 8);
+        assert_eq!(c.bytes, (16 * 32 + 32 * 8 + 16 * 8) * 4);
     }
 
     #[test]
@@ -239,8 +119,8 @@ mod tests {
         );
         g.mark_output(c);
         let cost = node_cost(&g, g.node(c));
-        let out_elems = 2.0 * 8.0 * 8.0 * 16.0;
-        assert_eq!(cost.flops, out_elems * 2.0 * 27.0);
+        let out_elems = 2 * 8 * 8 * 16;
+        assert_eq!(cost.flops, out_elems * 2 * 27);
     }
 
     #[test]
@@ -249,8 +129,8 @@ mod tests {
         let model = AcceleratorModel::gtx_1080();
         let fused = compile(&g);
         let unfused = compile_unoptimized(&g);
-        let t_fused = exec_compute_time(&fused, &model);
-        let t_unfused = exec_compute_time(&unfused, &model);
+        let t_fused = model.program_time(fused.graph());
+        let t_unfused = model.program_time(unfused.graph());
         assert!(
             t_fused < t_unfused / 2.0,
             "fusion must cut launch + traffic costs: {t_fused} vs {t_unfused}"
@@ -267,19 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_cost_counts_launches() {
-        let mut g = chain_graph(3, 8);
-        let c = g.constant(Tensor::scalar(1.0));
-        let last = s4tf_xla::NodeId(g.len() as u32 - 2);
-        let y = g.binary(ElemBinary::Add, last, c);
-        let r = g.add(s4tf_xla::HloOp::Reshape(vec![8, 1]), &[y]);
-        g.mark_output(r);
-        let (total, launches) = graph_cost(&g);
-        assert_eq!(launches, 4, "3 tanh + 1 add; reshape/const/param free");
-        assert!(total.flops > 0.0);
-    }
-
-    #[test]
     fn roofline_picks_the_max() {
         let m = AcceleratorModel {
             peak_flops: 1e12,
@@ -288,15 +155,15 @@ mod tests {
             launch_overhead: 0.0,
         };
         // Memory-bound kernel.
-        let t = m.kernel_time(KernelCost {
-            flops: 1e6,
-            bytes: 1e9,
+        let t = m.kernel_time(OpCost {
+            flops: 1_000_000,
+            bytes: 1_000_000_000,
         });
         assert!((t - 1.0).abs() < 1e-9);
         // Compute-bound kernel.
-        let t = m.kernel_time(KernelCost {
-            flops: 1e12,
-            bytes: 1e3,
+        let t = m.kernel_time(OpCost {
+            flops: 1_000_000_000_000,
+            bytes: 1000,
         });
         assert!((t - 1.0).abs() < 1e-9);
     }

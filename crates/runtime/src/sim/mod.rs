@@ -3,8 +3,9 @@
 //!
 //! The simulation boundary is deliberately narrow: *real* models are traced
 //! by the *real* lazy backend and optimized by the *real* compiler; only
-//! the kernel clock is analytic. [`cost`] assigns each compiled kernel a
-//! FLOP count and memory traffic, [`AcceleratorModel`] turns those into
+//! the kernel clock is analytic. [`cost`] reads each compiled kernel's
+//! FLOP count and memory traffic off `xla::op_cost` (the profiler's own
+//! roofline model), [`AcceleratorModel`] turns those into
 //! time (roofline-style), and [`cluster`] adds synchronous data-parallel
 //! semantics with a ring all-reduce — the regime Table 1 measures.
 
@@ -12,4 +13,4 @@ pub mod cluster;
 pub mod cost;
 
 pub use cluster::ClusterModel;
-pub use cost::{exec_compute_time, graph_cost, AcceleratorModel, KernelCost};
+pub use cost::AcceleratorModel;

@@ -3,7 +3,7 @@
 //! differentiable inputs), which are *useful* (contribute to the output),
 //! and hence which instructions are *active* and need a derivative.
 
-use crate::ir::{Function, Inst, Terminator, Type, ValueId};
+use crate::ir::{Function, Inst, Terminator, ValueId};
 use std::collections::{HashMap, HashSet};
 
 /// The result of activity analysis over one function.
@@ -142,16 +142,6 @@ fn useful_set(f: &Function) -> HashSet<ValueId> {
         }
     }
     useful
-}
-
-/// Returns the f64-typed values of a function (helper for synthesis: only
-/// these can carry tangents/adjoints).
-pub fn f64_values(f: &Function, module: &crate::ir::Module) -> HashSet<ValueId> {
-    f.value_types(module)
-        .into_iter()
-        .filter(|&(_, ty)| ty == Type::F64)
-        .map(|(v, _)| v)
-        .collect()
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! The JVP transform ([`crate::ad::jvp`]) is IR-to-IR, so it needs partials
 //! expressed as instructions (not as Rust closures). The builtin rules below
 //! mirror the `s4tf-core` registry's scalar derivatives; custom IR-level
-//! derivatives can be added with [`RuleSet::with_custom_unary`] /
-//! [`RuleSet::with_custom_binary`] — the `@derivative(of:)` extension point
-//! at the IR level.
+//! derivatives can be added with [`RuleSet::with_custom_unary`] — the
+//! `@derivative(of:)` extension point at the IR level.
 
 use crate::ir::{Block, Function, Inst, ValueId};
 use std::collections::HashMap;
@@ -196,16 +195,6 @@ impl RuleSet {
         emitter: impl Fn(&mut Emitter<'_>, ValueId) -> ValueId + 'static,
     ) -> Self {
         self.unary.insert(name.to_string(), Rc::new(emitter));
-        self
-    }
-
-    /// Registers a custom binary partial emitter (overrides builtins).
-    pub fn with_custom_binary(
-        mut self,
-        name: &str,
-        emitter: impl Fn(&mut Emitter<'_>, ValueId, ValueId) -> (ValueId, ValueId) + 'static,
-    ) -> Self {
-        self.binary.insert(name.to_string(), Rc::new(emitter));
         self
     }
 

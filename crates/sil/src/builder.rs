@@ -59,11 +59,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// Overrides the result types (default `[f64]`).
-    pub fn set_result_types(&mut self, types: &[Type]) {
-        self.func.result_types = types.to_vec();
-    }
-
     /// The `i`-th function parameter.
     ///
     /// # Panics

@@ -60,7 +60,7 @@ use s4tf_metrics as met;
 pub use cost::OpCost;
 pub use dtype::{Float, Scalar};
 pub use error::{panic_message, FaultKind, Result, RuntimeError, TensorError};
-pub use pool::{clear_pools, pool_enabled, pool_stats, set_pool_enabled, PoolStats};
+pub use pool::{clear_pools, pool_stats, PoolStats};
 pub use shape::Shape;
 pub use simd::{lane_width, path_label, set_simd_enabled, simd_enabled, simd_supported};
 pub use storage::Storage;

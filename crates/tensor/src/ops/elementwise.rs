@@ -108,14 +108,6 @@ impl<T: Scalar> Tensor<T> {
         broadcast_binary(self, rhs, "max", |a, b| a.maximum(b))
     }
 
-    /// Element-wise minimum with broadcasting.
-    ///
-    /// # Panics
-    /// Panics if the shapes are not broadcast-compatible.
-    pub fn min_elements(&self, rhs: &Tensor<T>) -> Tensor<T> {
-        broadcast_binary(self, rhs, "min", |a, b| a.minimum(b))
-    }
-
     /// Element-wise `1.0 where self > rhs else 0.0` mask (broadcasting).
     ///
     /// # Panics
@@ -209,19 +201,6 @@ impl<T: Scalar> Tensor<T> {
         } else {
             let r = rhs.broadcast_to(self.dims());
             self.sub_assign_tensor(&r);
-        }
-    }
-
-    /// In-place element-wise product (see [`Tensor::add_assign_tensor`]).
-    ///
-    /// # Panics
-    /// Panics if `rhs` does not broadcast to `self`'s shape.
-    pub fn mul_assign_tensor(&mut self, rhs: &Tensor<T>) {
-        if self.shape() == rhs.shape() {
-            zip_assign(self.as_mut_slice(), rhs.as_slice(), |d, s| *d *= s);
-        } else {
-            let r = rhs.broadcast_to(self.dims());
-            self.mul_assign_tensor(&r);
         }
     }
 
@@ -351,7 +330,6 @@ mod tests {
         assert_eq!(a.mul(&b).as_slice(), &[10.0, 40.0, 90.0]);
         assert_eq!(b.div(&a).as_slice(), &[10.0, 10.0, 10.0]);
         assert_eq!(a.max_elements(&b).as_slice(), &[10.0, 20.0, 30.0]);
-        assert_eq!(a.min_elements(&b).as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -422,11 +400,9 @@ mod tests {
         assert_eq!(a.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
         a.sub_assign_tensor(&t(&[1.0, 1.0, 1.0, 1.0], &[2, 2]));
         assert_eq!(a.as_slice(), &[10.0, 21.0, 12.0, 23.0]);
-        a.mul_assign_tensor(&Tensor::scalar(2.0));
-        assert_eq!(a.as_slice(), &[20.0, 42.0, 24.0, 46.0]);
         a.add_scalar_assign(1.0);
         a.mul_scalar_assign(0.5);
-        assert_eq!(a.as_slice(), &[10.5, 21.5, 12.5, 23.5]);
+        assert_eq!(a.as_slice(), &[5.5, 11.0, 6.5, 12.0]);
     }
 
     #[test]

@@ -263,16 +263,6 @@ impl<T: Float> Tensor<T> {
             .div_scalar(T::from_usize(self.dims()[axis]))
     }
 
-    /// Variance along `axis` (population variance).
-    ///
-    /// # Panics
-    /// Panics if `axis >= rank`.
-    pub fn var_axis(&self, axis: usize, keep_dims: bool) -> Tensor<T> {
-        let mean = self.mean_axis(axis, true);
-        let centered = self.sub(&mean);
-        centered.square().mean_axis(axis, keep_dims)
-    }
-
     /// Euclidean (L2) norm of all elements, as a plain scalar.
     pub fn norm(&self) -> T {
         self.square().sum().scalar_value().sqrt_()
@@ -364,12 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_var_norm_dot() {
+    fn mean_norm_dot() {
         let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         assert_eq!(a.mean().scalar_value(), 2.5);
         assert_eq!(a.mean_axis(0, false).as_slice(), &[2.0, 3.0]);
-        let v = a.var_axis(0, false);
-        assert_eq!(v.as_slice(), &[1.0, 1.0]);
         assert_eq!(t(&[3.0, 4.0], &[2]).norm(), 5.0);
         assert_eq!(t(&[1.0, 2.0], &[2]).dot(&t(&[3.0, 4.0], &[2])), 11.0);
     }

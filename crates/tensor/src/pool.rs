@@ -28,15 +28,14 @@
 //! counting an allocator call, and a buffer accepted by the pool lowers
 //! live-bytes without counting an allocator free — so
 //! `MemoryStats::allocs`/`frees` keep meaning *real allocator traffic*,
-//! which is exactly what `bench/src/bin/memory.rs` measures. Buffers
-//! evicted by [`clear_pools`] are dropped without touching the
+//! which is what the step benchmark's `tensor.allocs_per_op` reports.
+//! Buffers evicted by [`clear_pools`] are dropped without touching the
 //! alloc/free counters (their original allocation was already counted).
 //!
-//! Knobs: `S4TF_POOL=0` disables recycling entirely (every drop goes to
-//! the allocator, every alloc is fresh — byte-for-byte the pre-pool
-//! behavior); [`set_pool_enabled`] overrides the environment at runtime.
-//! Results are bit-identical either way: the pool only changes *where*
-//! bytes come from, never what is written into them.
+//! There is no off-switch: the pool only changes *where* bytes come
+//! from, never what is written into them (every taker fills or pushes
+//! before it reads), which `runtime/tests/memory_bit_identity.rs` checks
+//! by pre-loading the free lists with NaN-filled buffers.
 
 use crate::dtype::Scalar;
 use crate::met;
@@ -59,26 +58,9 @@ pub const MAX_BUFFER_BYTES: usize = 64 * 1024 * 1024;
 /// Smallest buffer the pool recycles. Everything non-empty qualifies:
 /// tiny buffers are individually cheap to malloc, but scalar constants
 /// dominate a traced graph's allocation *count* (tens per LeNet step),
-/// and the per-step allocator-call number is exactly what the memory
-/// benchmark measures and CI gates on.
+/// and the per-step allocator-call number is what the step benchmark
+/// reports and `tests/telemetry.rs` puts a ceiling on.
 pub const MIN_BUFFER_BYTES: usize = 1;
-
-// ------------------------------------------------------------- enable gate
-
-static POOL: met::Gate = met::Gate::new(|| met::env_gate("S4TF_POOL", true));
-
-/// True if buffer recycling is enabled (default: on; `S4TF_POOL=0`
-/// disables, [`set_pool_enabled`] overrides either way).
-#[inline]
-pub fn pool_enabled() -> bool {
-    POOL.on()
-}
-
-/// Forces buffer recycling on or off, overriding `S4TF_POOL`.
-/// Process-wide; intended for tests and benchmarks.
-pub fn set_pool_enabled(enabled: bool) {
-    POOL.set_on(enabled);
-}
 
 // ------------------------------------------------------------------ stats
 
@@ -202,7 +184,7 @@ pub(crate) fn bucket_for_capacity(bytes: usize) -> u32 {
 /// this, any non-power-of-two tensor size would miss the pool on every
 /// single step (capacities round *down* into buckets, requests round
 /// *up*). Returns `n` unchanged when the pool would not keep the buffer
-/// anyway (disabled, or out of the min/max size range). The slack is
+/// anyway (out of the min/max size range). The slack is
 /// real memory and is reported to the live/peak tracker as such.
 #[inline]
 pub(crate) fn recycle_capacity<T>(n: usize) -> usize {
@@ -210,7 +192,7 @@ pub(crate) fn recycle_capacity<T>(n: usize) -> usize {
     let Some(need) = n.checked_mul(size) else {
         return n;
     };
-    if !(MIN_BUFFER_BYTES..=MAX_BUFFER_BYTES).contains(&need) || !pool_enabled() {
+    if !(MIN_BUFFER_BYTES..=MAX_BUFFER_BYTES).contains(&need) {
         return n;
     }
     // `MAX_BUFFER_BYTES` is itself a power of two, so the round-up never
@@ -339,26 +321,20 @@ pub fn clear_pools() {
 
 // ------------------------------------------- storage-facing entry points
 
-/// Pool-aware take: `None` when the pool is disabled, the size is out of
-/// range, or no parked buffer fits. Public so runtime layers can recycle
+/// Pool-aware take: `None` when the size is out of range or no parked
+/// buffer fits. Public so runtime layers can recycle
 /// *scratch* buffers (e.g. the fused-kernel register file) that never
 /// become tensor storage; scratch is untracked by the memory stats both
 /// ways, so taking and giving it back keeps the accounting consistent.
 #[inline]
 pub fn take_vec<T: Scalar>(n: usize) -> Option<Vec<T>> {
-    if n == 0 || !pool_enabled() {
-        return None;
-    }
     T::buffer_pool().take(n)
 }
 
 /// Pool-aware give: `false` (caller drops to the allocator) when the
-/// pool is disabled or rejects the buffer.
+/// pool rejects the buffer.
 #[inline]
 pub fn give_vec<T: Scalar>(v: Vec<T>) -> bool {
-    if !pool_enabled() {
-        return false;
-    }
     T::buffer_pool().give(v)
 }
 
@@ -476,12 +452,6 @@ mod tests {
 
     #[test]
     fn recycle_capacity_rounds_fresh_allocations_to_the_lookup_bucket() {
-        if !pool_enabled() {
-            // With recycling off (S4TF_POOL=0 CI leg) nothing will park,
-            // so fresh allocations must stay exact-size.
-            assert_eq!(recycle_capacity::<f32>(37), 37);
-            return;
-        }
         // The steady-state guarantee: allocate n, free it, request n again
         // — the request must find the freed buffer.
         for n in [1usize, 16, 37, 100, 960, 37_632 / 4, 150_528 / 4] {

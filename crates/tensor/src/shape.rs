@@ -116,21 +116,6 @@ impl Shape {
         index
     }
 
-    /// Validates an axis, returning it unchanged.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
-    pub fn check_axis(&self, axis: usize) -> Result<usize> {
-        if axis < self.rank() {
-            Ok(axis)
-        } else {
-            Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
-        }
-    }
-
     /// The shape with `axis` removed.
     ///
     /// # Panics
@@ -329,13 +314,6 @@ mod tests {
         assert_eq!(s.keeping(1), Shape::new(&[2, 1, 4]));
         assert_eq!(s.inserting(0), Shape::new(&[1, 2, 3, 4]));
         assert_eq!(s.inserting(3), Shape::new(&[2, 3, 4, 1]));
-    }
-
-    #[test]
-    fn check_axis() {
-        let s = Shape::new(&[2, 3]);
-        assert_eq!(s.check_axis(1).unwrap(), 1);
-        assert!(s.check_axis(2).is_err());
     }
 
     #[test]

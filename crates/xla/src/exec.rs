@@ -13,25 +13,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// `S4TF_PLAN`, else on.
-static PLAN: met::Gate = met::Gate::new(|| met::env_gate("S4TF_PLAN", true));
-
-/// Whether compiled executions apply their memory plan (drop values at
-/// last use, run elementwise kernels in place on dying unique buffers).
-///
-/// Controlled by [`set_plan_enabled`], else the `S4TF_PLAN` environment
-/// variable (`0`/`false`/`off`/`no` disable), else on. Results are
-/// bit-identical either way; the plan changes only allocation traffic.
-pub fn plan_enabled() -> bool {
-    PLAN.on()
-}
-
-/// Programmatic override of [`plan_enabled`] (takes precedence over the
-/// environment). Process-wide, for tests and experiments.
-pub fn set_plan_enabled(enabled: bool) {
-    PLAN.set_on(enabled);
-}
-
 /// What the memory plan actually did at run time, accumulated across
 /// every execution of one program (clones share the tally via `Arc`).
 /// "Planned" numbers live on [`MemoryPlan`]; these are the outcomes.
@@ -128,32 +109,22 @@ impl Executable {
     /// Executes the plan on runtime parameters.
     ///
     /// # Panics
-    /// Panics if the number or shapes of `params` disagree with the trace.
+    /// Panics if the number or shapes of `params` disagree with the trace,
+    /// and with the attributed [`RuntimeError`] if a kernel fails (use
+    /// [`try_run_with_backend`](Executable::try_run_with_backend) to get
+    /// it as a value).
     pub fn run(&self, params: &[&Tensor<f32>]) -> Vec<Tensor<f32>> {
-        self.run_with_backend(params, "xla")
-    }
-
-    /// [`run`](Executable::run) with an explicit backend label for
-    /// numerics-violation provenance: the lazy device executes through
-    /// this plan too, and its violations should say `lazy`, not `xla`.
-    ///
-    /// # Panics
-    /// Panics with the attributed [`RuntimeError`] if a kernel fails; the
-    /// lazy device uses [`try_run_with_backend`](Executable::try_run_with_backend)
-    /// to poison its handles instead.
-    pub fn run_with_backend(
-        &self,
-        params: &[&Tensor<f32>],
-        backend: &'static str,
-    ) -> Vec<Tensor<f32>> {
-        self.try_run_with_backend(params, backend)
+        self.try_run_with_backend(params, "xla")
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Executes the plan, returning the *first* kernel failure (a panic
-    /// caught on this node, or an injected fault) as an attributed error
-    /// instead of unwinding. Nodes run in topological order, so the error
-    /// names the op that introduced the failure, not a downstream consumer.
+    /// Executes the plan under an explicit backend label (numerics and
+    /// fault provenance: the lazy device runs through this plan too, and
+    /// its violations should say `lazy`, not `xla`), returning the *first*
+    /// kernel failure (a panic caught on this node, or an injected fault)
+    /// as an attributed error instead of unwinding. Nodes run in
+    /// topological order, so the error names the op that introduced the
+    /// failure, not a downstream consumer.
     ///
     /// # Panics
     /// Still panics on caller bugs: wrong parameter count or shapes
@@ -209,7 +180,6 @@ impl Executable {
             self.graph.n_params,
             params.len()
         );
-        let plan_on = plan_enabled();
         // Per-node op events for roofline and critical-path analysis.
         // `node_ids` maps graph nodes to the op ids of *this run* so data
         // dependencies become event edges; `prev_id` chains nodes serially
@@ -246,7 +216,7 @@ impl Executable {
                     let scope = KernelScope::enqueue(backend);
                     let out = scope.run(
                         op,
-                        || self.eval_node(i, plan_on, &mut values),
+                        || self.eval_node(i, &mut values),
                         |_| {
                             let in_shapes: Vec<&s4tf_tensor::Shape> = node
                                 .inputs
@@ -293,13 +263,11 @@ impl Executable {
                 }
             };
             values[i] = Some(out);
-            if plan_on {
-                // Drop dead intermediates now: their buffers return to
-                // the recycling pool for reuse by later steps instead of
-                // staying live until the end of the run.
-                for &dead in &self.plan.drop_after[i] {
-                    values[dead as usize] = None;
-                }
+            // Drop dead intermediates now: their buffers return to the
+            // recycling pool for reuse by later steps instead of staying
+            // live until the end of the run.
+            for &dead in &self.plan.drop_after[i] {
+                values[dead as usize] = None;
             }
         }
         if profiling {
@@ -337,19 +305,13 @@ impl Executable {
     /// it), taking it out of `values` and writing the output into it.
     /// Per-element arithmetic, operand order and chunking are identical on
     /// both routes, so results are bit-identical.
-    fn eval_node(
-        &self,
-        i: usize,
-        plan_on: bool,
-        values: &mut [Option<Tensor<f32>>],
-    ) -> Tensor<f32> {
+    fn eval_node(&self, i: usize, values: &mut [Option<Tensor<f32>>]) -> Tensor<f32> {
         let node = &self.graph.nodes[i];
         let slot = |id: crate::graph::NodeId| id.0 as usize;
         let inplace_at = self.plan.inplace[i].filter(|&k| {
-            plan_on
-                && values[slot(node.inputs[k])]
-                    .as_ref()
-                    .is_some_and(|t| t.storage_unique())
+            values[slot(node.inputs[k])]
+                .as_ref()
+                .is_some_and(|t| t.storage_unique())
         });
         let target = inplace_at.map(|k| {
             let target_id = slot(node.inputs[k]);
@@ -530,36 +492,33 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
     }
 }
 
-/// [`eval_op`] over *owned* operands: when the planner is enabled and an
-/// operand's buffer is uniquely owned (its handle died and no other value
-/// shares the storage), elementwise kernels write into it instead of
-/// allocating. The eager and naive devices route through here; results
-/// are bit-identical to [`eval_op`].
+/// [`eval_op`] over *owned* operands: when an operand's buffer is
+/// uniquely owned (its handle died and no other value shares the
+/// storage), elementwise kernels write into it instead of allocating.
+/// The eager and naive devices route through here; results are
+/// bit-identical to [`eval_op`].
 pub fn eval_op_owned(op: &HloOp, mut operands: Vec<Tensor<f32>>) -> Tensor<f32> {
-    if plan_enabled() {
-        match op {
-            HloOp::Unary(u) if operands[0].storage_unique() => {
-                let u = *u;
+    match op {
+        HloOp::Unary(u) if operands[0].storage_unique() => {
+            let u = *u;
+            let mut t = operands.swap_remove(0);
+            t.map_assign(move |x| u.apply(x));
+            return t;
+        }
+        HloOp::Binary(b) if operands[0].shape() == operands[1].shape() => {
+            let b = *b;
+            if operands[0].storage_unique() {
                 let mut t = operands.swap_remove(0);
-                t.map_assign(move |x| u.apply(x));
+                t.zip_apply_assign(&operands[0], move |x, y| b.apply(x, y));
                 return t;
             }
-            HloOp::Binary(b) if operands[0].shape() == operands[1].shape() => {
-                let b = *b;
-                if operands[0].storage_unique() {
-                    let t = operands.swap_remove(0);
-                    let mut t = t;
-                    t.zip_apply_assign(&operands[0], move |x, y| b.apply(x, y));
-                    return t;
-                }
-                if operands[1].storage_unique() {
-                    let mut t = operands.swap_remove(1);
-                    t.zip_apply_assign_rev(&operands[0], move |x, y| b.apply(x, y));
-                    return t;
-                }
+            if operands[1].storage_unique() {
+                let mut t = operands.swap_remove(1);
+                t.zip_apply_assign_rev(&operands[0], move |x, y| b.apply(x, y));
+                return t;
             }
-            _ => {}
         }
+        _ => {}
     }
     let refs: Vec<&Tensor<f32>> = operands.iter().collect();
     eval_op(op, &refs)
@@ -769,9 +728,6 @@ mod tests {
 
     #[test]
     fn owned_run_donates_unique_param_buffer() {
-        if !plan_enabled() {
-            return; // planner switched off for this process
-        }
         let n = 1000;
         let exe = compile(&update_graph(n));
         let param = Tensor::full(1.0f32, &[n]);

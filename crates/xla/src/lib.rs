@@ -68,10 +68,7 @@ use s4tf_profile as prof;
 pub use cache::{CacheStats, ProgramCache};
 pub use codegen::CodegenStats;
 pub use cost::op_cost;
-pub use exec::{
-    compile, compile_unoptimized, eval_op, eval_op_owned, plan_enabled, set_plan_enabled,
-    Executable, PlanCounters,
-};
+pub use exec::{compile, compile_unoptimized, eval_op, eval_op_owned, Executable, PlanCounters};
 pub use graph::{HloGraph, NodeId};
 pub use op::{ElemBinary, ElemUnary, HloOp, ReduceKind};
 pub use passes::{plan_memory, MemoryPlan};

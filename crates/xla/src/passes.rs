@@ -465,13 +465,6 @@ pub struct MemoryPlan {
     pub planned_bytes: u64,
 }
 
-impl MemoryPlan {
-    /// Number of in-place-eligible steps — surfaced in tests and stats.
-    pub fn inplace_count(&self) -> usize {
-        self.inplace.iter().filter(|p| p.is_some()).count()
-    }
-}
-
 /// Computes per-node last-use liveness and in-place eligibility.
 ///
 /// In-place eligibility is deliberately conservative:

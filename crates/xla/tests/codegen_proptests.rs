@@ -203,9 +203,7 @@ fn donated_in_place_update_is_bit_identical() {
     let out = exe
         .try_run_owned(vec![Tensor::from_vec(p_owned, &[n]), g0.clone()], "xla")
         .expect("runs");
-    if s4tf_xla::plan_enabled() {
-        assert_eq!(out[0].as_slice().as_ptr(), ptr, "update should alias p");
-    }
+    assert_eq!(out[0].as_slice().as_ptr(), ptr, "update should alias p");
     let got: Vec<u32> = out[0].as_slice().iter().map(|&x| bits(x)).collect();
     assert_eq!(want, got, "donated in-place update diverged");
 }

@@ -56,27 +56,23 @@ fn main() {
             "=== device: {} — {steps} steps in {elapsed:.2}s, final loss {loss:.4} ===",
             device.kind()
         );
-        println!("{}", profile::report());
 
-        // The performance observatory: per-op achieved GFLOP/s against the
-        // machine's probed ceilings, and the longest dependency chain with
-        // its queue/kernel/compile/trace decomposition. Training dispatched
-        // real ops on every backend, so neither view may come back empty.
-        let on_simd = s4tf::tensor::path_label() == "simd8";
-        let roofline = profile::roofline().with_machine(profile::machine_probe_path(on_simd));
+        // The performance observatory in one rendering: the span report,
+        // per-op achieved GFLOP/s against the machine's probed ceilings,
+        // and the longest dependency chain with its queue / kernel /
+        // compile / trace decomposition. Training dispatched real ops on
+        // every backend, so neither derived view may come back empty.
         assert!(
-            !roofline.is_empty(),
+            !profile::roofline().is_empty(),
             "{}: training steps must produce roofline rows",
             device.kind()
         );
-        println!("{roofline}");
-        let critical = profile::critical_path();
         assert!(
-            !critical.is_empty(),
+            !profile::critical_path().is_empty(),
             "{}: training steps must produce a critical path",
             device.kind()
         );
-        println!("{critical}");
+        println!("{}", profile::perf_report());
 
         if let Some(stats) = device.cache_stats() {
             println!(
@@ -109,14 +105,6 @@ fn main() {
         "kernel pool: {} workers, {} tasks ({} chunks), {} inline runs, {}us busy",
         stats.workers, stats.tasks_run, stats.chunks_dispatched, stats.inline_runs, stats.busy_us
     );
-
-    // S4TF_PERF_REPORT=1 asks for the combined observatory rendering
-    // (span report + roofline + critical path) in one block — the same
-    // string any embedding binary can print at exit.
-    if profile::perf_report_requested() {
-        println!("--- S4TF_PERF_REPORT (lazy run) ---");
-        println!("{}", profile::perf_report());
-    }
 
     // The profiler still holds the lazy run's events; export them.
     if let Some(path) = trace_path {

@@ -260,7 +260,7 @@ fn wire_corruption_is_typed_and_bounded() -> Result<(), String> {
 
 fn main() {
     // Worker role: the launcher re-execs this binary with
-    // S4TF_DIST_ROLE=worker; everything below is launcher-only.
+    // S4TF_DIST_WORKER set; everything below is launcher-only.
     lenet::worker_main_if_spawned();
     // The in-process reference must see the same determinism knobs the
     // launcher forces on the workers.

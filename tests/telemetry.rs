@@ -35,6 +35,16 @@ fn train_on(device: &Device, steps: usize) {
     }
 }
 
+/// A seeded LeNet, a momentum optimizer and one batch of 8 on `device`.
+fn lenet_batch(device: &Device) -> (LeNet, Sgd<LeNet>, DTensor, DTensor) {
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let model = LeNet::new(device, &mut rng);
+    let x = DTensor::from_tensor(Tensor::randn(&[8, 28, 28, 1], &mut rng), device);
+    let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
+    let y = DTensor::from_tensor(Tensor::one_hot(&labels, 10), device);
+    (model, Sgd::with_momentum(0.05, 0.9), x, y)
+}
+
 #[test]
 fn training_populates_the_registry_on_every_backend() {
     let _serial = serial();
@@ -155,6 +165,32 @@ fn pool_stats_and_planner_outcomes_are_public() {
     );
 }
 
+/// Once the pool is warm a LeNet step recycles its buffers: at most 25
+/// fresh tensor allocations per step on the eager device (measured ~1),
+/// and the lazy device, whose planner drops values at last use, meets the
+/// same ceiling (measured ~7, its traced scalar constants).
+#[test]
+fn steady_state_lenet_steps_stay_under_the_allocation_ceiling() {
+    let _serial = serial();
+    const STEPS: u64 = 10;
+    for device in [Device::eager(), Device::lazy()] {
+        let (mut model, mut opt, x, y) = lenet_batch(&device);
+        // First-touch allocations (velocity, program cache, pool
+        // population) are setup cost, not steady-state traffic.
+        train_classifier_step(&mut model, &mut opt, &x, &y);
+        let before = s4tf::diag::memory_stats().allocs;
+        for _ in 0..STEPS {
+            train_classifier_step(&mut model, &mut opt, &x, &y);
+        }
+        let per_step = (s4tf::diag::memory_stats().allocs - before) / STEPS;
+        assert!(
+            per_step <= 25,
+            "{}: {per_step} fresh tensor allocations per steady-state step",
+            device.kind()
+        );
+    }
+}
+
 /// `(ph == "C")` event names of the profiler's current Chrome trace.
 fn chrome_counter_tracks() -> Vec<String> {
     let json = s4tf::profile::chrome_trace_json();
@@ -197,12 +233,7 @@ fn each_fact_has_one_value() {
                 "eager" => Device::eager(),
                 _ => Device::lazy(),
             };
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let mut model = LeNet::new(&device, &mut rng);
-            let mut opt = Sgd::with_momentum(0.05, 0.9);
-            let x = DTensor::from_tensor(Tensor::randn(&[8, 28, 28, 1], &mut rng), &device);
-            let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
-            let y = DTensor::from_tensor(Tensor::one_hot(&labels, 10), &device);
+            let (mut model, mut opt, x, y) = lenet_batch(&device);
             for _ in 0..3 {
                 train_classifier_step(&mut model, &mut opt, &x, &y);
             }
@@ -343,25 +374,18 @@ const SPELLINGS: [(Option<&str>, Option<bool>); 11] = [
 
 /// Every boolean switch: its variable, its default, and the runtime's
 /// answer in this process.
-fn boolean_switches() -> [(&'static str, bool, bool); 8] {
+fn boolean_switches() -> [(&'static str, bool, bool); 5] {
     [
         ("S4TF_PROFILE", false, s4tf::profile::enabled()),
-        (
-            "S4TF_PERF_REPORT",
-            false,
-            s4tf::profile::perf_report_requested(),
-        ),
         ("S4TF_METRICS", true, metrics::enabled()),
         ("S4TF_DIAG_EVENTS", false, s4tf::diag::events_enabled()),
         ("S4TF_CHECK_NUMERICS", false, s4tf::diag::numerics_enabled()),
-        ("S4TF_POOL", true, pool::pool_enabled()),
         // "Requested": the kernels AND this with CPU support.
         (
             "S4TF_SIMD",
             true,
             s4tf::tensor::simd_enabled() || !s4tf::tensor::simd_supported(),
         ),
-        ("S4TF_PLAN", true, s4tf::xla::plan_enabled()),
     ]
 }
 
