@@ -22,6 +22,12 @@ row far below it means a gradient fell back to scalar loops while its
 roofline label still says `simd8`. Both rows come from one run on one
 machine, so this check fails on every machine.
 
+Likewise each broadcasting elementwise row (`add …+[C]`, `greater_mask …
+vs scalar`) may take at most ``BROADCAST_CEILING`` x the time of the
+same-shape `add …+same` row over the same dims: a broadcast operand is
+indexed in the kernel's inner loop, so a row far above it means an operand
+was materialized at the output shape again.
+
 Throughput is only comparable between like machines. When the two
 artifacts' machine fingerprints differ, regressions are reported but
 downgraded to warnings (exit 0) unless ``--strict`` is given — CI runners
@@ -77,6 +83,11 @@ SCHEMAS = {
 CONV_GRAD_FLOOR = 0.5
 
 
+# A broadcasting elementwise row above this multiple of its same-shape
+# row's time fails the artifact (same element count, fewer bytes read).
+BROADCAST_CEILING = 1.5
+
+
 def load(path):
     with open(path) as f:
         return json.load(f)
@@ -124,6 +135,29 @@ def conv_grad_failures(doc):
     return failures
 
 
+def broadcast_failures(doc):
+    """Broadcasting elementwise rows slower than BROADCAST_CEILING x the
+    same-shape add over the same dims (case names are `<op> <dims>...`)."""
+    rows = [r for r in doc["results"] if r["kernel"] == "elementwise"]
+    same = {r["case"].split()[1].split("+")[0]: r["threads_1_ms"]
+            for r in rows if r["case"].endswith("+same")}
+    failures = []
+    for r in rows:
+        case = r["case"]
+        if not ("+[" in case or case.endswith(" vs scalar")):
+            continue
+        dims = case.split()[1].split("+")[0]
+        base = same.get(dims)
+        if base is None:
+            failures.append(f"{case}: no `add {dims}+same` row to compare against")
+        elif r["threads_1_ms"] > BROADCAST_CEILING * base:
+            failures.append(
+                f"{case}: {r['threads_1_ms']:.4f} ms is "
+                f"{r['threads_1_ms'] / base:.2f}x the same-shape add's "
+                f"{base:.4f} ms (ceiling {BROADCAST_CEILING}x)")
+    return failures
+
+
 # Metrics measured on the scalar reference path regardless of the active
 # dispatch path; these stay comparable even when measured and baseline
 # artifacts ran with different S4TF_SIMD settings.
@@ -162,6 +196,9 @@ def main():
     grad_failures = conv_grad_failures(measured) if kind == "kernels" else []
     for f in grad_failures:
         print(f"  CONV GRADIENT OFF THE ENGINE: {f}")
+    bcast_failures = broadcast_failures(measured) if kind == "kernels" else []
+    for f in bcast_failures:
+        print(f"  BROADCAST MATERIALIZED: {f}")
 
     m_fp = measured["machine"]["fingerprint"]
     b_fp = baseline["machine"]["fingerprint"]
@@ -210,6 +247,9 @@ def main():
     if grad_failures:
         sys.exit(f"{len(grad_failures)} conv gradient row(s) below "
                  f"{CONV_GRAD_FLOOR}x their forward row")
+    if bcast_failures:
+        sys.exit(f"{len(bcast_failures)} broadcast row(s) above "
+                 f"{BROADCAST_CEILING}x their same-shape row")
     if regressions and (same_machine or args.strict):
         sys.exit(f"{len(regressions)} case(s) regressed below "
                  f"{args.fail_under}x baseline")

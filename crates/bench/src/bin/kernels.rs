@@ -1,6 +1,7 @@
-//! CPU kernel microbenchmarks: GEMM, conv2d (forward and both gradients)
-//! and elementwise ops timed with the thread pool pinned to 1 thread and to
-//! N threads in the same process, writing the comparison to
+//! CPU kernel microbenchmarks: GEMM, conv2d (forward and both gradients),
+//! elementwise ops (same-shape and broadcasting), column reductions and
+//! fused chains timed with the thread pool pinned to 1 thread and to N
+//! threads in the same process, writing the comparison to
 //! `BENCH_kernels.json`.
 //!
 //! ```sh
@@ -190,6 +191,72 @@ fn elementwise_case(n: usize, rng: &mut ChaCha8Rng) -> Case {
     }
 }
 
+/// ResNet-8's first-stage activation at the step benchmark's batch.
+const RESNET_ACTIVATION: [usize; 4] = [16, 32, 32, 16];
+
+/// The broadcasting rows of an `[N,H,W,C]` activation, each next to the
+/// same-shape `add` the regression gate holds it to per element
+/// (`ci/compare_bench.py`): a `[C]` bias add, a mask against a rank-0
+/// threshold, and the `[C]` column sum that is their pullback.
+fn broadcast_cases(dims: [usize; 4], rng: &mut ChaCha8Rng) -> Vec<Case> {
+    let label = dims.map(|d| d.to_string()).join("x");
+    let (n, c) = (dims.iter().product::<usize>(), dims[3]);
+    let x = Tensor::<f32>::randn(&dims, rng);
+    let y = Tensor::<f32>::randn(&dims, rng);
+    let bias = Tensor::<f32>::randn(&[c], rng);
+    let zero = Tensor::scalar(0.0f32);
+    let case = |kernel, name: String, cost, run| Case {
+        kernel,
+        name,
+        cost,
+        path: None,
+        run,
+    };
+    vec![
+        case(
+            "elementwise",
+            format!("add {label}+same"),
+            cost::elementwise(n, 2 * n, 1),
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.add(&y));
+                }
+            }),
+        ),
+        case(
+            "elementwise",
+            format!("add {label}+[{c}]"),
+            cost::elementwise(n, n + c, 1),
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.add(&bias));
+                }
+            }),
+        ),
+        case(
+            "elementwise",
+            format!("greater_mask {label} vs scalar"),
+            cost::elementwise(n, n + 1, 1),
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.greater_mask(&zero));
+                }
+            }),
+        ),
+        case(
+            "reduce",
+            format!("reduce_to {label}→[{c}]"),
+            cost::reduce(n, c, false),
+            Box::new(move || {
+                black_box(x.reduce_to_shape(&[c]));
+            }),
+        ),
+    ]
+}
+
 /// One fused `FusedInst` program timed through the compiled kernel (its
 /// own `path: codegen` row; the name keeps the `[codegen]` suffix the
 /// committed baselines are keyed by). The FLOP/byte denominators come
@@ -198,14 +265,10 @@ fn fused_case(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> C
     let op = HloOp::Fused {
         insts,
         n_inputs: inputs.len(),
+        reduce_to: None,
     };
     let in_shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-    let out_shape = inputs
-        .iter()
-        .map(|t| t.shape())
-        .max_by_key(|s| s.num_elements())
-        .expect("fused case has inputs")
-        .clone();
+    let out_shape = s4tf_xla::op::fused_extent(&in_shapes);
     let cost = s4tf_xla::op_cost(&op, &in_shapes, &out_shape);
     Case {
         kernel: "fused",
@@ -219,11 +282,43 @@ fn fused_case(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> C
     }
 }
 
-/// The three fused chains the tracer actually emits hot: an affine+relu
-/// map, the SGD parameter update, and a broadcast bias+relu epilogue.
-fn all_fused_cases(n: usize, channels: usize, rng: &mut ChaCha8Rng) -> Vec<Case> {
+/// The fused chains the tracer actually emits hot: an affine+relu map,
+/// the SGD parameter update, a broadcast bias+relu epilogue, and batch
+/// norm's normalise+relu over `bn_dims` with its four `[C]` operands.
+fn all_fused_cases(
+    n: usize,
+    channels: usize,
+    bn_dims: [usize; 4],
+    rng: &mut ChaCha8Rng,
+) -> Vec<Case> {
     let rows = n / channels;
+    // x, μ, σ, γ, β — σ and γ kept away from zero.
+    let mut bn_inputs = vec![Tensor::<f32>::randn(&bn_dims, rng)];
+    for lo in [-0.5f32, 0.5, 0.5, -0.5] {
+        bn_inputs.push(Tensor::rand_uniform(&[bn_dims[3]], lo, lo + 1.0, rng));
+    }
     vec![
+        // relu((x − μ)/σ·γ + β) — the register machine's row: four `[C]`
+        // broadcast operands cycled per chunk.
+        fused_case(
+            &format!(
+                "bn-normalise+relu {}",
+                bn_dims.map(|d| d.to_string()).join("x")
+            ),
+            vec![
+                FusedInst::Input(0),
+                FusedInst::Input(1),
+                FusedInst::Binary(ElemBinary::Sub, 0, 1),
+                FusedInst::Input(2),
+                FusedInst::Binary(ElemBinary::Div, 2, 3),
+                FusedInst::Input(3),
+                FusedInst::Binary(ElemBinary::Mul, 4, 5),
+                FusedInst::Input(4),
+                FusedInst::Binary(ElemBinary::Add, 6, 7),
+                FusedInst::Unary(ElemUnary::Relu, 8),
+            ],
+            bn_inputs,
+        ),
         // relu(x·1.0001 + 0.5) — mul+add collapse into one MulBin, relu rides
         // as the epilogue: the `mulbin_act` specialization.
         fused_case(
@@ -303,7 +398,10 @@ fn main() {
         for n in [64usize, 4096, 65_536] {
             cases.push(elementwise_case(n, &mut rng));
         }
-        cases.extend(all_fused_cases(65_536, 64, &mut rng));
+        // Full size in smoke too: at a cache-resident size the broadcast
+        // rows' gate would compare loop overheads, not memory passes.
+        cases.extend(broadcast_cases(RESNET_ACTIVATION, &mut rng));
+        cases.extend(all_fused_cases(65_536, 64, RESNET_ACTIVATION, &mut rng));
     } else {
         for s in [128usize, 256, 512] {
             cases.push(gemm_case(s, s, s, &mut rng));
@@ -313,7 +411,8 @@ fn main() {
         for n in [64usize, 4096, 1 << 20] {
             cases.push(elementwise_case(n, &mut rng));
         }
-        cases.extend(all_fused_cases(1 << 20, 128, &mut rng));
+        cases.extend(broadcast_cases(RESNET_ACTIVATION, &mut rng));
+        cases.extend(all_fused_cases(1 << 20, 128, RESNET_ACTIVATION, &mut rng));
     }
 
     println!(

@@ -168,11 +168,117 @@ mod tests {
                 assert_eq!(s4tf_runtime::sim::cost::node_cost(graph, node), want);
                 if let s4tf_xla::HloOp::Fused { insts, .. } = &node.op {
                     fused += 1;
-                    let raw = (node.shape.num_elements() * insts.len()) as u64;
+                    // A `reduce_to` kernel runs over its inputs' extent.
+                    let extent = s4tf_xla::op::fused_extent(&inputs).num_elements();
+                    let raw = (extent * insts.len()) as u64;
                     assert!(want.flops < raw, "{} vs raw count {raw}", want.flops);
                 }
             }
             assert!(fused > 0, "a training step has fused kernels");
         }
+    }
+
+    /// What fusion left of a graph: `(kernels, transcendentals, largest
+    /// elementwise node still outside a fused kernel)`. Transcendentals
+    /// are counted wherever they sit — plain nodes and fused programs —
+    /// so a duplicated one shows as a higher count.
+    fn fusion_structure(graph: &HloGraph) -> (usize, usize, usize) {
+        use s4tf_xla::op::FusedInst;
+        use s4tf_xla::{ElemBinary as B, ElemUnary as U, HloOp};
+        let costly_unary = |u: &U| matches!(u, U::Exp | U::Ln | U::Tanh | U::Sigmoid);
+        let (mut kernels, mut transcendentals, mut largest_unfused) = (0, 0, 0);
+        for node in &graph.nodes {
+            kernels += usize::from(!matches!(node.op, HloOp::Parameter(_) | HloOp::Constant(_)));
+            match &node.op {
+                HloOp::Unary(_) | HloOp::Binary(_) => {
+                    largest_unfused = largest_unfused.max(node.shape.num_elements());
+                }
+                _ => {}
+            }
+            transcendentals += match &node.op {
+                HloOp::Unary(u) => usize::from(costly_unary(u)),
+                HloOp::Binary(B::Pow) => 1,
+                HloOp::Fused { insts, .. } => insts
+                    .iter()
+                    .filter(|inst| match inst {
+                        FusedInst::Unary(u, _) => costly_unary(u),
+                        FusedInst::Binary(b, _, _) => *b == B::Pow,
+                        _ => false,
+                    })
+                    .count(),
+                _ => 0,
+            };
+        }
+        (kernels, transcendentals, largest_unfused)
+    }
+
+    /// Asserts the fusion contract on `graph` and returns its optimized
+    /// kernel count: no elementwise node of a full activation's size is
+    /// left outside a fused kernel, and producer duplication recomputes no
+    /// transcendental.
+    fn assert_fused_where_no_value_must_exist(graph: &HloGraph) -> usize {
+        use s4tf_xla::passes;
+        let mut g = graph.clone();
+        passes::constant_fold(&mut g);
+        passes::cse(&mut g);
+        passes::algebraic_simplify(&mut g);
+        passes::dce(&mut g);
+        let (_, transcendentals_before, _) = fusion_structure(&g);
+        let mut optimized = graph.clone();
+        passes::optimize(&mut optimized);
+        let (kernels, transcendentals, largest_unfused) = fusion_structure(&optimized);
+        assert!(
+            largest_unfused < 4096,
+            "a {largest_unfused}-element elementwise node stayed unfused"
+        );
+        assert_eq!(
+            transcendentals, transcendentals_before,
+            "a transcendental was duplicated"
+        );
+        kernels
+    }
+
+    /// Batch-norm forward + pullback is the pattern the duplication rule
+    /// and the reduction epilogue exist for. Pinned at 11 kernels: six
+    /// passes over the activation — `mean` (a plain reduction: its operand
+    /// is the input), `var` with `(x − μ)²` as its epilogue input, `y`,
+    /// `dβ`, `dγ` and `dx`, each recomputing `x − μ` and `x̂` instead of
+    /// reading them — and five `[C]`-sized ones.
+    #[test]
+    fn batchnorm_step_fuses_to_a_pinned_kernel_count() {
+        use s4tf_nn::layers::BatchNorm;
+        let device = Device::lazy();
+        let layer = BatchNorm::new(8, &device);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let x = DTensor::from_tensor(Tensor::randn(&[4, 16, 16, 8], &mut rng), &device);
+        let (y, pullback) = layer.forward_with_pullback(&x);
+        let (tangent, dx) = pullback(&y.relu());
+        let Device::Lazy(ctx) = &device else {
+            unreachable!()
+        };
+        // Only what a training step keeps: the output and the gradients.
+        drop(pullback);
+        let graph = ctx.snapshot_trace();
+        ctx.abandon_trace();
+        drop((y, tangent, dx));
+        let unfused = s4tf_xla::compile_unoptimized(&graph).kernel_count();
+        let kernels = assert_fused_where_no_value_must_exist(&graph);
+        assert_eq!(
+            (unfused, kernels),
+            (22, 11),
+            "batch-norm kernel count moved"
+        );
+    }
+
+    #[test]
+    fn resnet8_step_fuses_to_a_pinned_kernel_count() {
+        let step = trace_resnet_training_step(ResNetConfig::resnet8_cifar(), 16, 32, 32);
+        let unfused = s4tf_xla::compile_unoptimized(&step.graph).kernel_count();
+        let kernels = assert_fused_where_no_value_must_exist(&step.graph);
+        assert_eq!(
+            (unfused, kernels),
+            (318, 168),
+            "ResNet-8 step kernel count moved"
+        );
     }
 }

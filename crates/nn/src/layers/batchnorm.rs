@@ -41,22 +41,10 @@ impl BatchNorm {
     fn reduce_count(dims: &[usize]) -> f32 {
         dims[..dims.len() - 1].iter().product::<usize>() as f32
     }
-}
 
-impl Layer for BatchNorm {
-    fn forward(&self, input: &DTensor) -> DTensor {
-        let dims = input.dims();
-        let c = *dims.last().expect("batchnorm needs a feature axis");
-        let m = Self::reduce_count(&dims);
-        let mean = input.reduce_to_shape(&[c]).div_scalar(m);
-        let centered = input.sub(&mean);
-        let var = centered.square().reduce_to_shape(&[c]).div_scalar(m);
-        let std = var.add_scalar(self.epsilon).sqrt();
-        let xhat = centered.div(&std);
-        xhat.mul(&self.scale).add(&self.offset)
-    }
-
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    /// The forward computation: `(y, x̂, σ)` — the normalized input and the
+    /// per-feature standard deviation are what the pullback needs.
+    fn normalize(&self, input: &DTensor) -> (DTensor, DTensor, DTensor) {
         let dims = input.dims();
         let c = *dims.last().expect("batchnorm needs a feature axis");
         let m = Self::reduce_count(&dims);
@@ -66,7 +54,20 @@ impl Layer for BatchNorm {
         let std = var.add_scalar(self.epsilon).sqrt();
         let xhat = centered.div(&std);
         let y = xhat.mul(&self.scale).add(&self.offset);
+        (y, xhat, std)
+    }
+}
 
+impl Layer for BatchNorm {
+    fn forward(&self, input: &DTensor) -> DTensor {
+        self.normalize(input).0
+    }
+
+    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+        let (y, xhat, std) = self.normalize(input);
+        let dims = input.dims();
+        let c = dims[dims.len() - 1];
+        let m = Self::reduce_count(&dims);
         let gamma = self.scale.clone();
         (
             y,

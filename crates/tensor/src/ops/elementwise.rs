@@ -17,6 +17,13 @@ fn broadcast_binary<T: Scalar>(
     try_broadcast_binary(lhs, rhs, op, f).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The broadcasting binary kernel of every backend. No operand is ever
+/// materialized at the output shape: a one-element operand is hoisted to
+/// a scalar, a trailing-suffix (`[C]` against `[N,H,W,C]`) or leading
+/// (`[B,1]` against `[B,K]`) operand is indexed in the inner loop, and
+/// anything else walks coalesced strides. Per-element arithmetic is `f`
+/// on the same operand pair in the same order on every route, so results
+/// are bit-identical to `zip_map` over materialized broadcasts.
 fn try_broadcast_binary<T: Scalar>(
     lhs: &Tensor<T>,
     rhs: &Tensor<T>,
@@ -34,9 +41,243 @@ fn try_broadcast_binary<T: Scalar>(
             op,
         }
     })?;
-    let l = lhs.broadcast_to(out_shape.dims());
-    let r = rhs.broadcast_to(out_shape.dims());
-    Ok(l.zip_map(&r, f))
+    let n = out_shape.num_elements();
+    let (mut out, recycled) = crate::pool::zeroed_vec::<T>(n);
+    let (l, r) = (lhs.as_slice(), rhs.as_slice());
+    if n == 0 {
+        // A zero-extent dim: nothing to compute (and no period to index by).
+    } else if let Some(index) = SmallIndex::of(rhs.shape(), &out_shape).filter(|_| l.len() == n) {
+        broadcast_zip(&mut out, Some(l), r, index, f);
+    } else if let Some(index) = SmallIndex::of(lhs.shape(), &out_shape).filter(|_| r.len() == n) {
+        broadcast_zip(&mut out, Some(r), l, index, |x, s| f(s, x));
+    } else {
+        let (dims, [sl, sr]) = broadcast_walk(&out_shape, [lhs.shape(), rhs.shape()]);
+        let (il, ir) = (sl[sl.len() - 1], sr[sr.len() - 1]);
+        for_each_row(&mut out, &dims, [&sl, &sr], |row, [ol, or]| {
+            for (i, o) in row.iter_mut().enumerate() {
+                *o = f(l[ol + i * il], r[or + i * ir]);
+            }
+        });
+    }
+    Ok(Tensor::from_pooled_vec((out, recycled), out_shape.dims()))
+}
+
+/// How the smaller operand of a broadcasting kernel is indexed against
+/// flat output position `e`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SmallIndex {
+    /// One element: `small[0]`, hoisted out of the loop.
+    Scalar,
+    /// Trailing suffix of the output dims, `m` elements: `small[e % m]`.
+    Suffix(usize),
+    /// Leading output dims followed by ones, each element spanning
+    /// `inner` outputs: `small[e / inner]`.
+    Prefix(usize),
+}
+
+impl SmallIndex {
+    /// Classifies `small` (which must broadcast to `out`); `None` when it
+    /// needs the general stride walk.
+    fn of(small: &Shape, out: &Shape) -> Option<SmallIndex> {
+        if small.num_elements() == 1 {
+            return Some(SmallIndex::Scalar);
+        }
+        if small.is_trailing_suffix_of(out) {
+            return Some(SmallIndex::Suffix(small.num_elements()));
+        }
+        // Right-align: `o[pad + j]` faces `s[j]`.
+        let (s, o) = (small.dims(), out.dims());
+        let pad = o.len().checked_sub(s.len())?;
+        let last = s.iter().rposition(|&d| d != 1)?;
+        (o[..pad].iter().all(|&d| d == 1) && s[..=last] == o[pad..=pad + last])
+            .then(|| SmallIndex::Prefix(o[pad + last + 1..].iter().product()))
+    }
+}
+
+/// Shortest period, in elements, that a small trailing-suffix operand is
+/// tiled to so the inner loop runs over whole vectors instead of `C`-long
+/// rows.
+const TILE_MIN: usize = 256;
+
+/// `dst[e] = g(x[e], small[index(e)])` where `x` is `full`, or `dst`
+/// itself when `full` is `None` (the in-place form). Thread-pooled at the
+/// element-wise grain on boundaries that keep every chunk phase-aligned
+/// with `small`; each output element is written by exactly one chunk.
+/// `dst` must not be empty (the periods are then non-zero).
+fn broadcast_zip<T: Scalar>(
+    dst: &mut [T],
+    full: Option<&[T]>,
+    small: &[T],
+    index: SmallIndex,
+    g: impl Fn(T, T) -> T + Sync,
+) {
+    let grain = crate::par::ELEMWISE_GRAIN;
+    let at = |start: usize, len: usize| full.map(|x| &x[start..start + len]);
+    match index {
+        SmallIndex::Scalar => {
+            let s = small[0];
+            s4tf_threads::parallel_chunks_mut(dst, 1, grain, |start, chunk| {
+                let x = at(start, chunk.len());
+                crate::simd::vectorize(|| zip_row(chunk, x, |_| s, &g));
+            });
+        }
+        SmallIndex::Suffix(m) => {
+            // A short pattern repeats into a stack tile (at most
+            // `TILE_MIN + m` elements, never the output extent).
+            let mut tile = [T::zero(); 2 * TILE_MIN];
+            let reps = if m >= TILE_MIN {
+                1
+            } else {
+                TILE_MIN.div_ceil(m).min(dst.len() / m)
+            };
+            let pattern: &[T] = if reps <= 1 {
+                small
+            } else {
+                for t in tile[..m * reps].chunks_mut(m) {
+                    t.copy_from_slice(small);
+                }
+                &tile[..m * reps]
+            };
+            s4tf_threads::parallel_chunks_mut(dst, m, grain, |start, chunk| {
+                crate::simd::vectorize(|| {
+                    let mut off = start;
+                    for piece in chunk.chunks_mut(pattern.len()) {
+                        let p = &pattern[..piece.len()];
+                        zip_row(piece, at(off, p.len()), |i| p[i], &g);
+                        off += p.len();
+                    }
+                });
+            });
+        }
+        SmallIndex::Prefix(inner) => {
+            s4tf_threads::parallel_chunks_mut(dst, inner, grain, |start, chunk| {
+                crate::simd::vectorize(|| {
+                    let mut off = start;
+                    for row in chunk.chunks_mut(inner) {
+                        let s = small[off / inner];
+                        zip_row(row, at(off, row.len()), |_| s, &g);
+                        off += row.len();
+                    }
+                });
+            });
+        }
+    }
+}
+
+/// One contiguous run of [`broadcast_zip`]: `dst[i] = g(x[i], s(i))`,
+/// reading `dst[i]` itself for `x` when there is no separate operand.
+#[inline(always)]
+fn zip_row<T: Scalar>(
+    dst: &mut [T],
+    x: Option<&[T]>,
+    s: impl Fn(usize) -> T,
+    g: impl Fn(T, T) -> T,
+) {
+    match x {
+        Some(x) => {
+            for (i, (d, &xv)) in dst.iter_mut().zip(x).enumerate() {
+                *d = g(xv, s(i));
+            }
+        }
+        None => {
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = g(*d, s(i));
+            }
+        }
+    }
+}
+
+/// The coalesced iteration space of `N` operands broadcast to `out`:
+/// extents outermost first (extent-1 dims dropped, adjacent dims merged
+/// wherever every operand stays contiguous or stays broadcast across
+/// them) and, per operand, its element stride along each — 0 where it
+/// broadcasts. Never empty: an all-ones space is `[1]` with strides 0.
+pub(crate) fn broadcast_walk<const N: usize>(
+    out: &Shape,
+    operands: [&Shape; N],
+) -> (Vec<usize>, [Vec<usize>; N]) {
+    let rank = out.rank();
+    let aligned: [Vec<usize>; N] = operands.map(|s| {
+        let pad = rank - s.rank();
+        let strides = s.strides();
+        (0..rank)
+            .map(|i| match i.checked_sub(pad) {
+                Some(j) if s.dim(j) != 1 => strides[j],
+                _ => 0,
+            })
+            .collect()
+    });
+    // Built innermost first, reversed at the end.
+    let mut dims: Vec<usize> = Vec::with_capacity(rank);
+    let mut strides: [Vec<usize>; N] = std::array::from_fn(|_| Vec::with_capacity(rank));
+    for i in (0..rank).rev() {
+        let d = out.dim(i);
+        if d == 1 {
+            continue;
+        }
+        let merges = dims.last().is_some_and(|&inner| {
+            (0..N).all(|k| aligned[k][i] == strides[k][strides[k].len() - 1] * inner)
+        });
+        if merges {
+            *dims.last_mut().expect("merging into a built dim") *= d;
+        } else {
+            dims.push(d);
+            for k in 0..N {
+                strides[k].push(aligned[k][i]);
+            }
+        }
+    }
+    if dims.is_empty() {
+        dims.push(1);
+        strides.iter_mut().for_each(|s| s.push(0));
+    }
+    dims.reverse();
+    strides.iter_mut().for_each(|s| s.reverse());
+    (dims, strides)
+}
+
+/// Runs `row(out_row, operand_offsets)` over every innermost row of a
+/// [`broadcast_walk`] space, thread-pooled on whole rows at the
+/// element-wise grain. Offsets are each operand's flat position of the
+/// row's first element.
+pub(crate) fn for_each_row<T: Scalar, const N: usize>(
+    out: &mut [T],
+    dims: &[usize],
+    strides: [&[usize]; N],
+    row: impl Fn(&mut [T], [usize; N]) + Sync,
+) {
+    let (&inner, outer) = dims.split_last().expect("walk spaces are never empty");
+    s4tf_threads::parallel_chunks_mut(out, inner, crate::par::ELEMWISE_GRAIN, |start, chunk| {
+        // Odometer over the outer dims, seeded at this chunk's first row.
+        let mut idx = vec![0usize; outer.len()];
+        let mut offs = [0usize; N];
+        let mut r = start / inner;
+        for ax in (0..outer.len()).rev() {
+            idx[ax] = r % outer[ax];
+            r /= outer[ax];
+            for k in 0..N {
+                offs[k] += idx[ax] * strides[k][ax];
+            }
+        }
+        crate::simd::vectorize(|| {
+            for out_row in chunk.chunks_mut(inner) {
+                row(out_row, offs);
+                for ax in (0..outer.len()).rev() {
+                    idx[ax] += 1;
+                    for k in 0..N {
+                        offs[k] += strides[k][ax];
+                    }
+                    if idx[ax] < outer[ax] {
+                        break;
+                    }
+                    idx[ax] = 0;
+                    for k in 0..N {
+                        offs[k] -= strides[k][ax] * outer[ax];
+                    }
+                }
+            }
+        });
+    });
 }
 
 /// `f(dst[i], src[i])` over two equal-length slices, thread-pooled
@@ -59,6 +300,17 @@ fn zip_assign<T: Scalar>(dst: &mut [T], src: &[T], f: impl Fn(&mut T, T) + Sync)
 
 impl<T: Scalar> Tensor<T> {
     // -------------------------------------------------------------- binary
+
+    /// `f` over two broadcast-compatible tensors — the kernel behind
+    /// [`Tensor::add`] and friends, for callers that bring their own
+    /// per-element function (no operand is materialized at the output
+    /// shape; see [`Tensor::zip_map`] for the same-shape-only form).
+    ///
+    /// # Panics
+    /// Panics if the shapes are not broadcast-compatible.
+    pub fn zip_broadcast(&self, rhs: &Tensor<T>, f: impl Fn(T, T) -> T + Sync) -> Tensor<T> {
+        broadcast_binary(self, rhs, "zip_broadcast", f)
+    }
 
     /// Element-wise sum with broadcasting.
     ///
@@ -183,12 +435,7 @@ impl<T: Scalar> Tensor<T> {
     /// # Panics
     /// Panics if `rhs` does not broadcast to `self`'s shape.
     pub fn add_assign_tensor(&mut self, rhs: &Tensor<T>) {
-        if self.shape() == rhs.shape() {
-            zip_assign(self.as_mut_slice(), rhs.as_slice(), |d, s| *d += s);
-        } else {
-            let r = rhs.broadcast_to(self.dims());
-            self.add_assign_tensor(&r);
-        }
+        self.zip_apply_assign(rhs, |d, s| d + s);
     }
 
     /// In-place element-wise difference (see [`Tensor::add_assign_tensor`]).
@@ -196,12 +443,7 @@ impl<T: Scalar> Tensor<T> {
     /// # Panics
     /// Panics if `rhs` does not broadcast to `self`'s shape.
     pub fn sub_assign_tensor(&mut self, rhs: &Tensor<T>) {
-        if self.shape() == rhs.shape() {
-            zip_assign(self.as_mut_slice(), rhs.as_slice(), |d, s| *d -= s);
-        } else {
-            let r = rhs.broadcast_to(self.dims());
-            self.sub_assign_tensor(&r);
-        }
+        self.zip_apply_assign(rhs, |d, s| d - s);
     }
 
     /// Adds a scalar to every element in place.
@@ -229,40 +471,59 @@ impl<T: Scalar> Tensor<T> {
     }
 
     /// `self[i] = f(self[i], rhs[i])` in place — the in-place spelling of
-    /// [`Tensor::zip_map`] with `self` as the *left* operand. Runs the
-    /// same per-element function over the same chunking, so the result is
-    /// bit-identical to `self.zip_map(rhs, f)`; the memory planner uses
-    /// it to overwrite a dying operand instead of allocating.
+    /// the broadcasting binary kernel with `self` as the *left*,
+    /// full-shape operand; `rhs` may broadcast up to `self`'s shape. Runs
+    /// the same per-element function over the same indexing, so the
+    /// result is bit-identical to the out-of-place kernel; the memory
+    /// planner uses it to overwrite a dying operand instead of allocating.
     ///
     /// # Panics
-    /// Panics if the shapes differ (no broadcasting, like `zip_map`).
+    /// Panics if `rhs` does not broadcast to `self`'s shape.
     pub fn zip_apply_assign(&mut self, rhs: &Tensor<T>, f: impl Fn(T, T) -> T + Sync) {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "zip_apply_assign requires identical shapes ({} vs {})",
-            self.shape(),
-            rhs.shape()
-        );
-        zip_assign(self.as_mut_slice(), rhs.as_slice(), |d, s| *d = f(*d, s));
+        if self.shape() == rhs.shape() {
+            return zip_assign(self.as_mut_slice(), rhs.as_slice(), |d, s| *d = f(*d, s));
+        }
+        match self.small_index_of(rhs, "zip_apply_assign") {
+            Some(index) => broadcast_zip(self.as_mut_slice(), None, rhs.as_slice(), index, f),
+            None => *self = broadcast_binary(self, rhs, "zip_apply_assign", f),
+        }
     }
 
     /// `self[i] = f(lhs[i], self[i])` in place — like
     /// [`Tensor::zip_apply_assign`] but with `self` as the *right*
-    /// operand, preserving the argument order of `lhs.zip_map(self, f)`
+    /// operand, preserving the argument order of the out-of-place kernel
     /// so non-commutative ops stay bit-identical.
     ///
     /// # Panics
-    /// Panics if the shapes differ.
+    /// Panics if `lhs` does not broadcast to `self`'s shape.
     pub fn zip_apply_assign_rev(&mut self, lhs: &Tensor<T>, f: impl Fn(T, T) -> T + Sync) {
-        assert_eq!(
-            self.shape(),
-            lhs.shape(),
-            "zip_apply_assign_rev requires identical shapes ({} vs {})",
-            self.shape(),
-            lhs.shape()
+        if self.shape() == lhs.shape() {
+            return zip_assign(self.as_mut_slice(), lhs.as_slice(), |d, s| *d = f(s, *d));
+        }
+        match self.small_index_of(lhs, "zip_apply_assign_rev") {
+            Some(index) => {
+                broadcast_zip(self.as_mut_slice(), None, lhs.as_slice(), index, |x, s| {
+                    f(s, x)
+                });
+            }
+            None => *self = broadcast_binary(lhs, self, "zip_apply_assign_rev", f),
+        }
+    }
+
+    /// How `small` indexes against `self` in an in-place kernel; `None`
+    /// when there is nothing to do in place (empty, or a general stride
+    /// walk).
+    ///
+    /// # Panics
+    /// Panics if broadcasting `small` would change `self`'s shape.
+    fn small_index_of(&self, small: &Tensor<T>, op: &'static str) -> Option<SmallIndex> {
+        assert!(
+            small.shape().broadcasts_to(self.shape()),
+            "{op}: {} does not broadcast to {}",
+            small.shape(),
+            self.shape()
         );
-        zip_assign(self.as_mut_slice(), lhs.as_slice(), |d, s| *d = f(s, *d));
+        SmallIndex::of(small.shape(), self.shape()).filter(|_| self.num_elements() > 0)
     }
 }
 

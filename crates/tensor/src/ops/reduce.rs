@@ -45,6 +45,94 @@ fn min_slice<T: Scalar>(xs: &[T]) -> T {
     xs.iter().copied().fold(xs[0], |a, b| a.minimum(b))
 }
 
+/// The per-chunk accumulator [`column_sums`] hands its producer: `cols`
+/// running totals plus the column the next pushed element belongs to.
+#[derive(Debug)]
+pub struct ColumnAcc<'a, T> {
+    acc: &'a mut [T],
+    phase: usize,
+}
+
+impl<T: Scalar> ColumnAcc<'_, T> {
+    /// Adds the next `xs.len()` elements of the row-major stream to their
+    /// columns, in stream order (so each column sees its rows in order).
+    #[inline]
+    pub fn push(&mut self, xs: &[T]) {
+        let cols = self.acc.len();
+        let mut xs = xs;
+        simd::vectorize(|| {
+            // Finish a row a previous push left open, then whole rows.
+            if self.phase != 0 {
+                let (head, rest) = xs.split_at(xs.len().min(cols - self.phase));
+                for (a, &x) in self.acc[self.phase..].iter_mut().zip(head) {
+                    *a += x;
+                }
+                self.phase = (self.phase + head.len()) % cols;
+                xs = rest;
+            }
+            for row in xs.chunks(cols) {
+                for (a, &x) in self.acc.iter_mut().zip(row) {
+                    *a += x;
+                }
+            }
+        });
+        self.phase = (self.phase + xs.len()) % cols;
+    }
+}
+
+/// Rows per [`column_sums`] chunk: about one reduction grain of elements,
+/// and at least 8 rows so the partials stay an eighth of the stream.
+fn column_chunk_rows(cols: usize) -> usize {
+    (crate::par::REDUCE_GRAIN / cols.max(1)).max(8)
+}
+
+/// Column sums of a row-major `[n / cols, cols]` element stream that the
+/// caller produces chunk by chunk — the one routine behind
+/// [`Tensor::reduce_to_shape`] onto a trailing suffix, `sum_axis(0)` and
+/// the compiler's fused reduction epilogue, so all three agree bit for
+/// bit.
+///
+/// **Summation order.** Rows are cut into chunks of
+/// `R = max(8, 4096 / cols)` rows. `produce(elements, acc)` must
+/// [`push`](ColumnAcc::push) exactly the stream elements `elements`
+/// (whole rows of chunk `k`) in order; each chunk starts from zeros and
+/// adds its rows top to bottom, then the chunk partials are added, in
+/// chunk order, onto zeros. The order depends on `n` and `cols` only —
+/// never on the thread count (chunks are merely *scheduled* across the
+/// pool) nor on how a producer slices its pushes.
+///
+/// # Panics
+/// Panics if `n` is not a multiple of `cols`.
+pub fn column_sums<T: Scalar>(
+    n: usize,
+    cols: usize,
+    produce: impl Fn(std::ops::Range<usize>, &mut ColumnAcc<'_, T>) + Sync,
+) -> Tensor<T> {
+    let (mut total, recycled) = crate::pool::zeroed_vec::<T>(cols);
+    if n > 0 {
+        assert!(
+            n.is_multiple_of(cols),
+            "{n} elements are not rows of {cols}"
+        );
+        let chunk_len = column_chunk_rows(cols) * cols;
+        let (mut partials, _) = crate::pool::zeroed_vec::<T>(n.div_ceil(chunk_len) * cols);
+        s4tf_threads::parallel_chunks_mut(&mut partials, cols, cols, |first, accs| {
+            for (k, acc) in accs.chunks_mut(cols).enumerate() {
+                let start = (first / cols + k) * chunk_len;
+                let mut acc = ColumnAcc { acc, phase: 0 };
+                produce(start..n.min(start + chunk_len), &mut acc);
+            }
+        });
+        for partial in partials.chunks(cols) {
+            for (t, &p) in total.iter_mut().zip(partial) {
+                *t += p;
+            }
+        }
+        crate::pool::give_vec(partials);
+    }
+    Tensor::from_pooled_vec((total, recycled), &[cols])
+}
+
 impl<T: Scalar> Tensor<T> {
     /// Sum of all elements, as a rank-0 tensor.
     ///
@@ -71,7 +159,24 @@ impl<T: Scalar> Tensor<T> {
     /// # Panics
     /// Panics if `axis >= rank`.
     pub fn sum_axis(&self, axis: usize, keep_dims: bool) -> Tensor<T> {
+        if axis == 0 && self.rank() > 0 {
+            // A column sum: one routine, one order (see `column_sums`).
+            let kept = if keep_dims {
+                self.shape().keeping(0)
+            } else {
+                self.shape().removing(0)
+            };
+            return self.column_sum_to(kept.dims());
+        }
         self.reduce_axis(axis, keep_dims, T::zero(), |acc, x| acc + x)
+    }
+
+    /// [`column_sums`] of the materialized elements, shaped `dims` (a
+    /// trailing suffix of `self`'s dims up to extent-1 dims).
+    fn column_sum_to(&self, dims: &[usize]) -> Tensor<T> {
+        let src = self.as_slice();
+        let cols = dims.iter().product();
+        column_sums(src.len(), cols, |elements, acc| acc.push(&src[elements])).reshape(dims)
     }
 
     /// Sum along several axes (deduplicated), keeping dims.
@@ -90,7 +195,10 @@ impl<T: Scalar> Tensor<T> {
     }
 
     /// Reduces a gradient of shape `self.dims()` back to `target_dims` by
-    /// summing over broadcast axes — the pullback of broadcasting.
+    /// summing over broadcast axes — the pullback of broadcasting. A
+    /// target that is a trailing suffix of `self`'s dims (a `[C]` bias
+    /// against `[N,H,W,C]`) is summed by [`column_sums`], in its
+    /// documented order.
     ///
     /// # Panics
     /// Panics if `target_dims` does not broadcast to `self.dims()`.
@@ -98,6 +206,9 @@ impl<T: Scalar> Tensor<T> {
         let target = crate::Shape::new(target_dims);
         if self.shape() == &target {
             return self.clone();
+        }
+        if target.is_trailing_suffix_of(self.shape()) {
+            return self.column_sum_to(target_dims);
         }
         let axes = target.broadcast_reduction_axes(self.shape());
         let summed = self.sum_axes_keep(&axes);

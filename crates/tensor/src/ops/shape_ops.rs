@@ -3,6 +3,7 @@
 
 use crate::dtype::Scalar;
 use crate::error::{Result, TensorError};
+use crate::ops::elementwise::{broadcast_walk, for_each_row};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -80,27 +81,20 @@ impl<T: Scalar> Tensor<T> {
             target
         );
         let src = self.as_slice();
-        let src_dims = self.dims();
-        let offset = target.rank() - self.rank();
-        let src_strides = self.shape().strides();
         let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(target.num_elements());
-        let mut idx = vec![0usize; target.rank()];
-        for slot in out.iter_mut() {
-            let mut src_flat = 0;
-            for (i, &coord) in idx.iter().enumerate().skip(offset) {
-                let sdim = src_dims[i - offset];
-                let c = if sdim == 1 { 0 } else { coord };
-                src_flat += c * src_strides[i - offset];
-            }
-            *slot = src[src_flat];
-            // increment multi-index
-            for axis in (0..target.rank()).rev() {
-                idx[axis] += 1;
-                if idx[axis] < target.dim(axis) {
-                    break;
+        if !out.is_empty() {
+            // Whole runs, not elements: each innermost row of the
+            // coalesced walk is one contiguous copy of the source, or one
+            // source element repeated.
+            let (walk, [strides]) = broadcast_walk(&target, [self.shape()]);
+            let contiguous = strides[strides.len() - 1] == 1;
+            for_each_row(&mut out, &walk, [&strides], |row, [at]| {
+                if contiguous {
+                    row.copy_from_slice(&src[at..at + row.len()]);
+                } else {
+                    row.fill(src[at]);
                 }
-                idx[axis] = 0;
-            }
+            });
         }
         Tensor::from_pooled_vec((out, out_recycled), dims)
     }

@@ -177,7 +177,8 @@ impl Shape {
                 rhs.0[i - (rank - rhs.rank())]
             };
             if l == r || l == 1 || r == 1 {
-                *dim = l.max(r);
+                // The extent that is not 1 wins — a zero extent too.
+                *dim = if l == 1 { r } else { l };
             } else {
                 return Err(TensorError::ShapeMismatch {
                     lhs: lhs.0.clone(),
@@ -187,6 +188,31 @@ impl Shape {
             }
         }
         Ok(Shape(dims))
+    }
+
+    /// True if broadcasting `self` against `target` yields exactly
+    /// `target` — `self` fits into it without growing it.
+    pub fn broadcasts_to(&self, target: &Shape) -> bool {
+        Shape::broadcast(self, target).is_ok_and(|out| out == *target)
+    }
+
+    /// True if `self`, leading extent-1 dims aside, is the trailing dims of
+    /// `full`: broadcasting `self` to `full` then repeats it every
+    /// `self.num_elements()` flat positions (a `[C]` bias against
+    /// `[N,H,W,C]`, a scalar against anything), and reducing `full` back
+    /// onto it is a column sum.
+    ///
+    /// ```
+    /// use s4tf_tensor::Shape;
+    /// let full = Shape::new(&[2, 4, 3]);
+    /// assert!(Shape::new(&[3]).is_trailing_suffix_of(&full));
+    /// assert!(Shape::new(&[1, 4, 3]).is_trailing_suffix_of(&full));
+    /// assert!(Shape::scalar().is_trailing_suffix_of(&full));
+    /// assert!(!Shape::new(&[2, 1, 1]).is_trailing_suffix_of(&full));
+    /// ```
+    pub fn is_trailing_suffix_of(&self, full: &Shape) -> bool {
+        let first = self.0.iter().position(|&d| d != 1).unwrap_or(self.0.len());
+        full.0.ends_with(&self.0[first..])
     }
 
     /// Axes of `self` (aligned to `target`'s trailing dimensions) along which
@@ -286,10 +312,26 @@ mod tests {
     }
 
     #[test]
+    fn trailing_suffix_detection() {
+        let suffix = |a: &[usize], b: &[usize]| Shape::new(a).is_trailing_suffix_of(&Shape::new(b));
+        assert!(suffix(&[3], &[2, 3]));
+        assert!(suffix(&[4, 3], &[2, 4, 3]));
+        assert!(suffix(&[1, 1, 3], &[2, 4, 3]));
+        assert!(suffix(&[], &[2, 3]));
+        assert!(suffix(&[2, 3], &[2, 3]), "a shape is its own suffix");
+        // Interior broadcasts are not suffixes.
+        assert!(!suffix(&[2, 1], &[2, 3]));
+        assert!(!suffix(&[4, 1, 3], &[4, 2, 3]));
+        // Bigger than the full shape is never a suffix.
+        assert!(!suffix(&[5, 2, 3], &[2, 3]));
+    }
+
+    #[test]
     fn broadcast_rules() {
         let b = |a: &[usize], b: &[usize]| Shape::broadcast(&Shape::new(a), &Shape::new(b));
         assert_eq!(b(&[2, 3], &[2, 3]).unwrap(), Shape::new(&[2, 3]));
         assert_eq!(b(&[2, 1], &[1, 3]).unwrap(), Shape::new(&[2, 3]));
+        assert_eq!(b(&[0, 3], &[1, 3]).unwrap(), Shape::new(&[0, 3]));
         assert_eq!(b(&[3], &[2, 3]).unwrap(), Shape::new(&[2, 3]));
         assert_eq!(b(&[], &[2, 3]).unwrap(), Shape::new(&[2, 3]));
         assert_eq!(b(&[4, 1, 3], &[2, 3]).unwrap(), Shape::new(&[4, 2, 3]));

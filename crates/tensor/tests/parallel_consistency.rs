@@ -8,6 +8,10 @@
 //!   elementwise maps and axis reductions are **bit-identical** across
 //!   thread counts — the parallel split never reorders any per-element
 //!   summation.
+//! - Broadcasting binary kernels, `broadcast_to` and column sums
+//!   (`reduce_to_shape` onto a trailing suffix, `sum_axis(0)`) are
+//!   **bit-identical** too: the column-sum chunking is fixed by the shape,
+//!   not by the pool width.
 //! - Full reductions (`sum`, `dot`) and `conv2d_backward_filter` combine
 //!   per-chunk partials, so f32 results may differ by rounding (bounded
 //!   here by a tolerance scaled to the magnitude of the operands) while
@@ -18,7 +22,7 @@
 
 mod common;
 
-use common::randn_f32;
+use common::{bits, broadcast_shape_pairs, column_sums_oracle, operand, randn_f32};
 use proptest::prelude::*;
 use s4tf_tensor::Tensor;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -150,6 +154,40 @@ proptest! {
 /// conv2d and both gradients on the GEMM path, over the shared shape
 /// sweep (every stride, padding, channel width and strip length the
 /// im2col / col2im walks and the micro-kernel tiles distinguish).
+/// Broadcasting kernels (every route, out of place and in place),
+/// `broadcast_to` and the column-sum routine: bit-identical at 1 and 4
+/// threads — each output element has one writer, and column sums add
+/// fixed chunks in chunk order whatever the pool width.
+#[test]
+fn broadcast_kernels_and_column_sums_bit_identical() {
+    for (case, (da, db)) in broadcast_shape_pairs().into_iter().enumerate() {
+        let a = operand(&da, case as u64, case % 2 == 1);
+        let b = operand(&db, case as u64 ^ 0x55, false);
+        let (s, p) = one_vs_four(|| {
+            let out = a.div(&b);
+            let mut left = a.broadcast_to(out.dims());
+            left.zip_apply_assign(&b, |x, y| x / y);
+            (bits(&out), bits(&left), bits(&out.reduce_to_shape(&db)))
+        });
+        assert_eq!(s, p, "{da:?} / {db:?}");
+        assert_eq!(
+            s.0, s.1,
+            "in place differs from out of place: {da:?} / {db:?}"
+        );
+    }
+    // Past several column-sum chunks and the parallel grain.
+    for cols in [1usize, 3, 16, 17, 600] {
+        let t = operand(&[9000 / cols.min(90), cols], cols as u64, false);
+        let (s, p) = one_vs_four(|| bits(&t.reduce_to_shape(&[cols])));
+        assert_eq!(s, p, "column sums, cols={cols}");
+        let want: Vec<u32> = column_sums_oracle(t.as_slice(), cols)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(s, want, "column sums vs oracle, cols={cols}");
+    }
+}
+
 #[test]
 fn conv2d_and_gradients_consistent() {
     for case in common::conv_cases() {

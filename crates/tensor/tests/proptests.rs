@@ -1,6 +1,11 @@
 //! Property-based tests for the tensor substrate: broadcast algebra,
 //! copy-on-write invariants, shape round-trips and kernel identities.
 
+mod common;
+
+use common::{
+    bits, broadcast_shape_pairs, column_sums_oracle, materialize, materialized_binary, operand,
+};
 use proptest::prelude::*;
 use s4tf_tensor::{Shape, Tensor};
 
@@ -187,5 +192,69 @@ proptest! {
         let b = t.broadcast_to(&target);
         let reduced = b.reduce_to_shape(&dims);
         prop_assert!(reduced.allclose(&t.mul_scalar(lead as f64), 1e-9));
+    }
+
+    // ------------------------------------------- broadcasts are never materialized
+
+    /// The indexed broadcast kernel, its in-place forms and the
+    /// run-copying `broadcast_to` against the materializing
+    /// implementation they replaced: equal bits on every route, NaN
+    /// operands included.
+    #[test]
+    fn broadcast_kernels_match_the_materializing_oracle(
+        case in 0..broadcast_shape_pairs().len(),
+        seed in any::<u64>(),
+        nans in any::<bool>(),
+    ) {
+        let (da, db) = &broadcast_shape_pairs()[case];
+        let a = operand(da, seed, nans);
+        let b = operand(db, seed ^ 1, nans);
+        let out = Shape::broadcast(a.shape(), b.shape()).unwrap();
+        prop_assert_eq!(bits(&a.broadcast_to(out.dims())), bits(&materialize(&a, out.dims())));
+        prop_assert_eq!(bits(&b.broadcast_to(out.dims())), bits(&materialize(&b, out.dims())));
+        // Non-commutative ops, so a swapped operand order shows.
+        let sub = |x: f32, y: f32| x - y;
+        let got = a.zip_broadcast(&b, sub);
+        prop_assert_eq!(got.dims(), out.dims());
+        prop_assert_eq!(bits(&got), bits(&materialized_binary(&a, &b, sub)));
+        prop_assert_eq!(bits(&a.div(&b)), bits(&materialized_binary(&a, &b, |x, y| x / y)));
+        prop_assert_eq!(
+            bits(&a.greater_mask(&b)),
+            bits(&materialized_binary(&a, &b, |x, y| if x > y { 1.0 } else { 0.0 }))
+        );
+        // In place, on whichever side already has the output's shape.
+        if a.shape() == &out {
+            let mut t = a.clone();
+            t.zip_apply_assign(&b, sub);
+            prop_assert_eq!(bits(&t), bits(&got));
+            prop_assert_eq!(bits(&a), bits(&operand(da, seed, nans)), "value semantics");
+        }
+        if b.shape() == &out {
+            let mut t = b.clone();
+            t.zip_apply_assign_rev(&a, sub);
+            prop_assert_eq!(bits(&t), bits(&got));
+        }
+    }
+
+    /// `reduce_to_shape` onto a trailing suffix and `sum_axis(0)` are the
+    /// column-sum routine: equal bits with a scalar left-to-right loop
+    /// over its documented chunk order.
+    #[test]
+    fn column_sums_follow_their_documented_order(
+        rows in 0usize..=700,
+        cols_ix in 0usize..7,
+        seed in any::<u64>(),
+        nans in any::<bool>(),
+    ) {
+        let cols = [1usize, 3, 6, 8, 16, 17, 600][cols_ix];
+        let t = operand(&[rows, cols], seed, nans);
+        let want: Vec<u32> = column_sums_oracle(t.as_slice(), cols)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        prop_assert_eq!(bits(&t.reduce_to_shape(&[cols])), want.clone());
+        prop_assert_eq!(bits(&t.reduce_to_shape(&[1, cols])), want.clone());
+        prop_assert_eq!(bits(&t.sum_axis(0, false)), want.clone());
+        prop_assert_eq!(bits(&t.reshape(&[rows, 1, cols]).reduce_to_shape(&[cols])), want);
     }
 }

@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::randn_f32;
+use common::{bits, broadcast_shape_pairs, operand, randn_f32};
 use proptest::prelude::*;
 use s4tf_tensor::{set_simd_enabled, simd_supported, Padding, Tensor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -140,6 +140,27 @@ fn elementwise_remainders_bit_identical() {
             assert_eq!(s.0.as_slice(), v.0.as_slice(), "map n={n} @{threads}T");
             assert_eq!(s.1.as_slice(), v.1.as_slice(), "zip n={n} @{threads}T");
             assert_eq!(s.2.as_slice(), v.2.as_slice(), "assign n={n} @{threads}T");
+        }
+    }
+}
+
+/// Broadcasting kernels on every route, `broadcast_to` and column sums:
+/// `vectorize` only changes their codegen, never the per-element
+/// arithmetic or a column's summation order — bit-identical across paths.
+#[test]
+fn broadcast_kernels_and_column_sums_bit_identical() {
+    for &threads in &[1usize, 2] {
+        for (case, (da, db)) in broadcast_shape_pairs().into_iter().enumerate() {
+            let a = operand(&da, case as u64, case % 2 == 0);
+            let b = operand(&db, case as u64 ^ 0x33, false);
+            let (s, v) = scalar_vs_simd(threads, || {
+                let out = a.sub(&b);
+                let mut right = b.broadcast_to(out.dims());
+                right.zip_apply_assign_rev(&a, |x, y| x - y);
+                (bits(&out), bits(&right), bits(&out.reduce_to_shape(&db)))
+            });
+            assert_eq!(s, v, "{da:?} - {db:?} @{threads}T");
+            assert_eq!(s.0, s.1, "in place differs: {da:?} - {db:?}");
         }
     }
 }

@@ -42,6 +42,7 @@
 use crate::met;
 use crate::op::{ElemBinary, ElemUnary, FusedInst};
 use s4tf_tensor::simd::{L8, LANES};
+use s4tf_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -777,24 +778,25 @@ enum InClass {
 
 /// Cyclically copies `src` into `dst` starting at global element
 /// position `global` — the broadcast materialization `dst[j] =
-/// src[(global + j) % src.len()]`, as slice copies instead of a
-/// per-element modulo.
+/// src[(global + j) % src.len()]`: one pass over `src` as slice copies,
+/// then the filled prefix doubled over the rest (a `[16]` bias fills a
+/// 512-wide row in 1 + 5 copies, not 32).
 fn fill_cycle(dst: &mut [f32], src: &[f32], global: usize) {
     let m = src.len();
     if m == 1 {
         dst.fill(src[0]);
         return;
     }
-    let mut pos = global % m;
-    let mut w = 0;
-    while w < dst.len() {
-        let take = (m - pos).min(dst.len() - w);
-        dst[w..w + take].copy_from_slice(&src[pos..pos + take]);
-        w += take;
-        pos += take;
-        if pos == m {
-            pos = 0;
-        }
+    let pos = global % m;
+    let period = m.min(dst.len());
+    let head = (m - pos).min(period);
+    dst[..head].copy_from_slice(&src[pos..pos + head]);
+    dst[head..period].copy_from_slice(&src[..period - head]);
+    let mut filled = period;
+    while filled < dst.len() {
+        let take = filled.min(dst.len() - filled);
+        dst.copy_within(..take, filled);
+        filled += take;
     }
 }
 
@@ -804,7 +806,6 @@ struct ChunkCtx<'a> {
     classes: &'a [InClass],
     input_row: &'a [Option<usize>],
     imm_base: usize,
-    reg_base: usize,
     /// Global element index of this chunk's first element.
     global: usize,
     len: usize,
@@ -862,7 +863,7 @@ impl<'a> ChunkCtx<'a> {
         'a: 'r,
     {
         let row = match s {
-            Src::Reg(r) => self.reg_base + r as usize,
+            Src::Reg(r) => r as usize,
             Src::Imm(k) => self.imm_base + k as usize,
             Src::In(i) => match self.classes[i as usize] {
                 InClass::Full => {
@@ -1182,28 +1183,38 @@ fn mulbin_pass(dst: &mut [f32], a: &[f32], b: &[f32], c: &[f32], op: ElemBinary,
     }
 }
 
-impl CompiledKernel {
-    /// Executes the compiled kernel. `slices[i] = None` marks input `i`
-    /// as aliasing `out` (in-place launch on a dying buffer): its
-    /// elements are read from each output chunk before that chunk is
-    /// written, so only full-shape inputs may alias.
-    pub(crate) fn run(&self, slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) {
-        let use_spec = self.spec.is_some();
-        if use_spec {
+/// One launch of a compiled kernel: the operand classification and
+/// row-file layout shared by every task of the launch.
+struct Launch<'a> {
+    kernel: &'a CompiledKernel,
+    slices: &'a [Option<&'a [f32]>],
+    classes: Vec<InClass>,
+    input_row: Vec<Option<usize>>,
+    imm_base: usize,
+    n_rows: usize,
+    /// Whether tasks read the row file at all. A specialized loop with no
+    /// broadcast/alias input to materialize and its immediates hoisted to
+    /// scalars (`BinBin` is the one specialization that still reads
+    /// immediate rows) covers a whole task in one call, with no 512-wide
+    /// chunk stepping.
+    needs_rows: bool,
+}
+
+impl<'a> Launch<'a> {
+    /// Classifies the operands of a launch over `n` elements and counts
+    /// it. `slices[i] = None` marks input `i` as aliasing the output.
+    fn new(kernel: &'a CompiledKernel, slices: &'a [Option<&'a [f32]>], n: usize) -> Self {
+        if kernel.spec.is_some() {
             specialized().inc();
-            if !self.ran_specialized.swap(true, Ordering::Relaxed) {
+            if !kernel.ran_specialized.swap(true, Ordering::Relaxed) {
                 patterns().inc();
             }
         } else {
             fallback().inc();
         }
-
-        // Launch-wide input classification and row layout: registers
-        // first (fallback only), immediates, then one row per
-        // broadcast/alias input the IR reads.
         let classes: Vec<InClass> = (0..slices.len())
             .map(|i| {
-                if !self.input_live(i) {
+                if !kernel.input_live(i) {
                     return InClass::Dead;
                 }
                 match slices[i] {
@@ -1213,9 +1224,14 @@ impl CompiledKernel {
                 }
             })
             .collect();
-        let reg_base = 0usize;
-        let imm_base = if use_spec { 0 } else { self.n_regs };
-        let mut next_row = imm_base + self.imms.len();
+        // Row layout: registers first (fallback only), immediates, then
+        // one row per broadcast/alias input the IR reads.
+        let imm_base = if kernel.spec.is_some() {
+            0
+        } else {
+            kernel.n_regs
+        };
+        let mut next_row = imm_base + kernel.imms.len();
         let input_row: Vec<Option<usize>> = classes
             .iter()
             .map(|c| match c {
@@ -1226,97 +1242,138 @@ impl CompiledKernel {
                 _ => None,
             })
             .collect();
-        let n_rows = next_row;
-
-        // Whole-task fast path: when the specialized loop reads nothing
-        // from the row file — no broadcast/alias inputs to materialize,
-        // and immediates hoisted to scalars (`BinBin` is the one
-        // specialization that still reads immediate rows) — one loop
-        // call covers the entire task, with no 512-wide chunk stepping.
-        if let Some(spec) = self.spec {
-            let needs_rows = input_row.iter().any(|r| r.is_some())
-                || (matches!(spec, Spec::BinBin(..)) && !self.imms.is_empty());
-            if !needs_rows {
-                s4tf_threads::parallel_chunks_mut(out, 1, FUSED_GRAIN, |task_start, out_chunk| {
-                    s4tf_tensor::simd::vectorize(|| {
-                        let ctx = ChunkCtx {
-                            slices,
-                            classes: &classes,
-                            input_row: &input_row,
-                            imm_base,
-                            reg_base,
-                            global: task_start,
-                            len: out_chunk.len(),
-                        };
-                        self.run_spec(spec, &ctx, &[], out_chunk);
-                    });
-                });
-                return;
+        let needs_rows = match kernel.spec {
+            Some(spec) => {
+                input_row.iter().any(|r| r.is_some())
+                    || (matches!(spec, Spec::BinBin(..)) && !kernel.imms.is_empty())
             }
+            None => true,
+        };
+        Launch {
+            kernel,
+            slices,
+            classes,
+            input_row,
+            imm_base,
+            n_rows: next_row,
+            needs_rows,
         }
+    }
 
-        s4tf_threads::parallel_chunks_mut(out, 1, FUSED_GRAIN, |task_start, out_chunk| {
-            let rows_len = n_rows * FUSED_CHUNK;
-            let mut rows = match s4tf_tensor::pool::take_vec::<f32>(rows_len) {
-                Some(mut v) => {
-                    v.resize(rows_len, 0.0);
-                    v
-                }
-                None => {
-                    let mut v = Vec::with_capacity(rows_len.next_power_of_two());
-                    v.resize(rows_len, 0.0);
-                    v
-                }
-            };
-            s4tf_tensor::simd::vectorize(|| {
-                // Immediates materialize once per task, never per chunk.
-                for (k, &v) in self.imms.iter().enumerate() {
-                    let off = (imm_base + k) * FUSED_CHUNK;
-                    rows[off..off + FUSED_CHUNK].fill(v);
-                }
-                let mut start = 0usize;
-                while start < out_chunk.len() {
-                    let len = FUSED_CHUNK.min(out_chunk.len() - start);
-                    let global = task_start + start;
-                    // Materialize broadcast and alias rows for this chunk
-                    // (alias rows must copy before the output range is
-                    // written).
-                    for (i, class) in classes.iter().enumerate() {
-                        match class {
-                            InClass::Bcast => {
-                                let row = input_row[i].unwrap();
-                                let off = row * FUSED_CHUNK;
-                                let src = slices[i].expect("broadcast input has a slice");
+    fn ctx(&self, global: usize, len: usize) -> ChunkCtx<'_> {
+        ChunkCtx {
+            slices: self.slices,
+            classes: &self.classes,
+            input_row: &self.input_row,
+            imm_base: self.imm_base,
+            global,
+            len,
+        }
+    }
+
+    /// Computes output elements `task_start .. task_start + out.len()`
+    /// into `out` (for an alias input, `out` holds its elements on entry).
+    fn task(&self, task_start: usize, out_chunk: &mut [f32]) {
+        let kernel = self.kernel;
+        if let (Some(spec), false) = (kernel.spec, self.needs_rows) {
+            return s4tf_tensor::simd::vectorize(|| {
+                let ctx = self.ctx(task_start, out_chunk.len());
+                kernel.run_spec(spec, &ctx, &[], out_chunk);
+            });
+        }
+        let rows_len = self.n_rows * FUSED_CHUNK;
+        let mut rows = match s4tf_tensor::pool::take_vec::<f32>(rows_len) {
+            Some(mut v) => {
+                v.resize(rows_len, 0.0);
+                v
+            }
+            None => {
+                let mut v = Vec::with_capacity(rows_len.next_power_of_two());
+                v.resize(rows_len, 0.0);
+                v
+            }
+        };
+        s4tf_tensor::simd::vectorize(|| {
+            // Immediates materialize once per task, never per chunk.
+            for (k, &v) in kernel.imms.iter().enumerate() {
+                let off = (self.imm_base + k) * FUSED_CHUNK;
+                rows[off..off + FUSED_CHUNK].fill(v);
+            }
+            let mut start = 0usize;
+            while start < out_chunk.len() {
+                let len = FUSED_CHUNK.min(out_chunk.len() - start);
+                let global = task_start + start;
+                // Materialize broadcast and alias rows for this chunk
+                // (alias rows must copy before the output range is
+                // written). A broadcast row whose cycle divides the chunk
+                // width reads the same in every chunk of the task.
+                for (i, class) in self.classes.iter().enumerate() {
+                    match class {
+                        InClass::Bcast => {
+                            let off = self.input_row[i].unwrap() * FUSED_CHUNK;
+                            let src = self.slices[i].expect("broadcast input has a slice");
+                            if start == 0 || !FUSED_CHUNK.is_multiple_of(src.len()) {
                                 fill_cycle(&mut rows[off..off + len], src, global);
                             }
-                            InClass::Alias => {
-                                let row = input_row[i].unwrap();
-                                let off = row * FUSED_CHUNK;
-                                rows[off..off + len]
-                                    .copy_from_slice(&out_chunk[start..start + len]);
-                            }
-                            _ => {}
                         }
+                        InClass::Alias => {
+                            let off = self.input_row[i].unwrap() * FUSED_CHUNK;
+                            rows[off..off + len].copy_from_slice(&out_chunk[start..start + len]);
+                        }
+                        _ => {}
                     }
-                    let ctx = ChunkCtx {
-                        slices,
-                        classes: &classes,
-                        input_row: &input_row,
-                        imm_base,
-                        reg_base,
-                        global,
-                        len,
-                    };
-                    let dst = &mut out_chunk[start..start + len];
-                    match self.spec {
-                        Some(spec) => self.run_spec(spec, &ctx, &rows, dst),
-                        None => self.run_machine(&ctx, &mut rows, dst),
-                    }
-                    start += len;
                 }
-            });
-            s4tf_tensor::pool::give_vec(rows);
+                let ctx = self.ctx(global, len);
+                let dst = &mut out_chunk[start..start + len];
+                match kernel.spec {
+                    Some(spec) => kernel.run_spec(spec, &ctx, &rows, dst),
+                    None => kernel.run_machine(&ctx, &mut rows, dst),
+                }
+                start += len;
+            }
         });
+        s4tf_tensor::pool::give_vec(rows);
+    }
+}
+
+impl CompiledKernel {
+    /// Executes the compiled kernel. `slices[i] = None` marks input `i`
+    /// as aliasing `out` (in-place launch on a dying buffer): its
+    /// elements are read from each output chunk before that chunk is
+    /// written, so only full-shape inputs may alias.
+    pub(crate) fn run(&self, slices: &[Option<&[f32]>], n: usize, out: &mut [f32]) {
+        let launch = Launch::new(self, slices, n);
+        s4tf_threads::parallel_chunks_mut(out, 1, FUSED_GRAIN, |start, chunk| {
+            launch.task(start, chunk);
+        });
+    }
+
+    /// Executes the kernel over `n` elements with the reduction epilogue
+    /// of [`HloOp::Fused`](crate::op::HloOp)'s `reduce_to`: the program's
+    /// values are never stored, only summed onto `cols` columns by
+    /// [`column_sums`](s4tf_tensor::ops::reduce::column_sums) — one grain
+    /// of them at a time through a cache-resident block — so the result
+    /// is bit-identical to `reduce_to_shape` of the materialized values
+    /// and independent of the thread count.
+    pub(crate) fn run_reduce(
+        &self,
+        slices: &[Option<&[f32]>],
+        n: usize,
+        cols: usize,
+    ) -> Tensor<f32> {
+        let launch = Launch::new(self, slices, n);
+        s4tf_tensor::ops::reduce::column_sums(n, cols, |elements, acc| {
+            let block_len = FUSED_GRAIN.min(elements.len());
+            let mut block = s4tf_tensor::pool::take_vec::<f32>(block_len)
+                .unwrap_or_else(|| Vec::with_capacity(block_len));
+            block.resize(block_len, 0.0);
+            for start in elements.clone().step_by(FUSED_GRAIN) {
+                let values = &mut block[..block_len.min(elements.end - start)];
+                launch.task(start, values);
+                acc.push(values);
+            }
+            s4tf_tensor::pool::give_vec(block);
+        })
     }
 
     /// One chunk through the matched specialized loop nest: a single
@@ -1452,7 +1509,7 @@ impl CompiledKernel {
                 let split = usize::MAX;
                 Self::exec_inst(inst, ctx, rows, &[], split, out);
             } else {
-                let row = ctx.reg_base + dst as usize;
+                let row = dst as usize;
                 let off = row * FUSED_CHUNK;
                 let (lo, rest) = rows.split_at_mut(off);
                 let (d, hi) = rest.split_at_mut(FUSED_CHUNK);

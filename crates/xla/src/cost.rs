@@ -102,7 +102,9 @@ pub fn op_cost(op: &HloOp, inputs: &[&Shape], out: &Shape) -> OpCost {
             formulas::data_movement(inputs[0].num_elements(), out_elems)
         }
         HloOp::ReduceToShape(_) => formulas::reduce(inputs[0].num_elements(), out_elems, false),
-        HloOp::Fused { insts, .. } => {
+        HloOp::Fused {
+            insts, reduce_to, ..
+        } => {
             // Recount against the compiled IR: constant-folded, dead and
             // peephole-absorbed instructions do no per-element work, and
             // inputs the IR never reads move no bytes — summing the raw
@@ -114,7 +116,16 @@ pub fn op_cost(op: &HloOp, inputs: &[&Shape], out: &Shape) -> OpCost {
                 .filter(|&(i, _)| k.input_live(i))
                 .map(|(_, s)| s.num_elements())
                 .sum();
-            formulas::elementwise(out_elems, live_in, k.flops_per_elem() as usize)
+            let ops = k.flops_per_elem() as usize;
+            match reduce_to {
+                None => formulas::elementwise(out_elems, live_in, ops),
+                // The program runs over the inputs' extent, one more add
+                // per element folds it away, and only the sums are stored.
+                Some(_) => OpCost {
+                    flops: (crate::op::fused_extent(inputs).num_elements() * (ops + 1)) as u64,
+                    bytes: formulas::elementwise(out_elems, live_in, 0).bytes,
+                },
+            }
         }
     }
 }
@@ -213,7 +224,11 @@ mod tests {
             FusedInst::Binary(ElemBinary::Add, 2, 3),
             FusedInst::Unary(ElemUnary::Recip, 4),
         ];
-        let fused = HloOp::Fused { insts, n_inputs: 1 };
+        let fused = HloOp::Fused {
+            insts,
+            n_inputs: 1,
+            reduce_to: None,
+        };
         let fused_cost = op_cost(&fused, &[&x], &x);
         // FLOPs: exactly the sum of the four constituent elementwise ops.
         let constituents: u64 = (0..4)
@@ -251,7 +266,11 @@ mod tests {
             FusedInst::Input(1),                      // y
             FusedInst::Binary(ElemBinary::Add, 7, 6), // y + x·6 → MulBin
         ];
-        let fused = HloOp::Fused { insts, n_inputs: 3 };
+        let fused = HloOp::Fused {
+            insts,
+            n_inputs: 3,
+            reduce_to: None,
+        };
         let c = op_cost(&fused, &[&x, &y, &dead], &x);
         assert_eq!(c.flops, 2 * n as u64, "one MulBin = 2 FLOPs/element");
         assert_eq!(

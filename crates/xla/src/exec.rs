@@ -8,7 +8,7 @@ use crate::op::{FusedInst, HloOp, ReduceKind};
 use crate::passes::{self, MemoryPlan};
 use crate::prof;
 use crate::scope::KernelScope;
-use s4tf_tensor::{RuntimeError, Tensor};
+use s4tf_tensor::{RuntimeError, Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -218,7 +218,7 @@ impl Executable {
                         op,
                         || self.eval_node(i, &mut values),
                         |_| {
-                            let in_shapes: Vec<&s4tf_tensor::Shape> = node
+                            let in_shapes: Vec<&Shape> = node
                                 .inputs
                                 .iter()
                                 .map(|&id| &self.graph.nodes[id.0 as usize].shape)
@@ -342,11 +342,23 @@ impl Executable {
         let Some((k, mut t)) = target else {
             let inputs: Vec<&Tensor<f32>> = node.inputs.iter().map(|&id| ready(id)).collect();
             return match &node.op {
-                // Fused kernels take their output shape from the plan (a
-                // trailing-broadcast input may tie the element count).
-                HloOp::Fused { insts, .. } => {
-                    run_fused(&self.fused_kernel(i, insts), &inputs, node.shape.dims())
-                }
+                // A kernel that stores its values runs over the node's own
+                // shape; only a reduction has to ask its inputs.
+                HloOp::Fused {
+                    insts,
+                    reduce_to: None,
+                    ..
+                } => run_fused(&self.fused_kernel(i, insts), &inputs, &node.shape, None),
+                HloOp::Fused {
+                    insts,
+                    reduce_to: Some(dims),
+                    ..
+                } => run_fused(
+                    &self.fused_kernel(i, insts),
+                    &inputs,
+                    &input_extent(&inputs),
+                    Some(dims),
+                ),
                 op => eval_op(op, &inputs),
             };
         };
@@ -402,7 +414,7 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
         }
         HloOp::Binary(b) => {
             let b = *b;
-            apply_binary(inputs[0], inputs[1], move |a, c| b.apply(a, c))
+            inputs[0].zip_broadcast(inputs[1], move |a, c| b.apply(a, c))
         }
         HloOp::MatMul { t_lhs, t_rhs } => match (t_lhs, t_rhs) {
             (false, false) => inputs[0].matmul(inputs[1]),
@@ -479,24 +491,30 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
         HloOp::Transpose(perm) => inputs[0].transpose(perm),
         HloOp::Broadcast(dims) => inputs[0].broadcast_to(dims),
         HloOp::ReduceToShape(dims) => inputs[0].reduce_to_shape(dims),
-        HloOp::Fused { insts, .. } => {
-            // Outside a compiled plan the output shape is the largest
-            // input's (the fusion criteria guarantee one full-shape input).
-            let dims = inputs
-                .iter()
-                .max_by_key(|t| t.num_elements())
-                .map(|t| t.dims().to_vec())
-                .unwrap_or_default();
-            run_fused(&codegen::get_or_compile(insts), inputs, &dims)
-        }
+        HloOp::Fused {
+            insts, reduce_to, ..
+        } => run_fused(
+            &codegen::get_or_compile(insts),
+            inputs,
+            &input_extent(inputs),
+            reduce_to.as_deref(),
+        ),
     }
+}
+
+/// The extent a fused kernel over `inputs` runs across.
+fn input_extent(inputs: &[&Tensor<f32>]) -> Shape {
+    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+    crate::op::fused_extent(&shapes)
 }
 
 /// [`eval_op`] over *owned* operands: when an operand's buffer is
 /// uniquely owned (its handle died and no other value shares the
-/// storage), elementwise kernels write into it instead of allocating.
-/// The eager and naive devices route through here; results are
-/// bit-identical to [`eval_op`].
+/// storage), elementwise kernels write into it instead of allocating —
+/// through a broadcast too, as long as the owned operand already has the
+/// output's shape (`conv + bias` lands in the conv output's buffer). The
+/// eager and naive devices route through here; results are bit-identical
+/// to [`eval_op`].
 pub fn eval_op_owned(op: &HloOp, mut operands: Vec<Tensor<f32>>) -> Tensor<f32> {
     match op {
         HloOp::Unary(u) if operands[0].storage_unique() => {
@@ -505,14 +523,17 @@ pub fn eval_op_owned(op: &HloOp, mut operands: Vec<Tensor<f32>>) -> Tensor<f32> 
             t.map_assign(move |x| u.apply(x));
             return t;
         }
-        HloOp::Binary(b) if operands[0].shape() == operands[1].shape() => {
+        HloOp::Binary(b) => {
             let b = *b;
-            if operands[0].storage_unique() {
+            let fits = |t: &Tensor<f32>, other: &Tensor<f32>| {
+                t.storage_unique() && other.shape().broadcasts_to(t.shape())
+            };
+            if fits(&operands[0], &operands[1]) {
                 let mut t = operands.swap_remove(0);
                 t.zip_apply_assign(&operands[0], move |x, y| b.apply(x, y));
                 return t;
             }
-            if operands[1].storage_unique() {
+            if fits(&operands[1], &operands[0]) {
                 let mut t = operands.swap_remove(1);
                 t.zip_apply_assign_rev(&operands[0], move |x, y| b.apply(x, y));
                 return t;
@@ -524,38 +545,33 @@ pub fn eval_op_owned(op: &HloOp, mut operands: Vec<Tensor<f32>>) -> Tensor<f32> 
     eval_op(op, &refs)
 }
 
-pub(crate) fn apply_binary(
-    a: &Tensor<f32>,
-    b: &Tensor<f32>,
-    f: impl Fn(f32, f32) -> f32 + Copy + Sync,
-) -> Tensor<f32> {
-    if a.shape() == b.shape() {
-        a.zip_map(b, f)
-    } else {
-        let target =
-            s4tf_tensor::Shape::broadcast(a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-        let ab = a.broadcast_to(target.dims());
-        let bb = b.broadcast_to(target.dims());
-        ab.zip_map(&bb, f)
-    }
-}
-
-/// Launches a compiled fused kernel into a fresh output: one pass over
-/// the elements, no intermediate full-size buffers — the fusion payoff.
-/// Inputs smaller than the output are trailing-suffix broadcasts, indexed
-/// modulo their length (bias vectors, batch-norm scales, …).
+/// Launches a compiled fused kernel over `extent`, the broadcast of its
+/// input shapes: one pass over the elements, no intermediate full-size
+/// buffers — the fusion payoff. Inputs smaller than that extent are
+/// trailing-suffix broadcasts, indexed modulo their length (bias vectors,
+/// batch-norm scales, …). With `reduce_to` the values are summed onto
+/// those dims instead of stored.
 fn run_fused(
     kernel: &codegen::CompiledKernel,
     inputs: &[&Tensor<f32>],
-    out_dims: &[usize],
+    extent: &Shape,
+    reduce_to: Option<&[usize]>,
 ) -> Tensor<f32> {
-    let n: usize = out_dims.iter().product();
+    let n = extent.num_elements();
     let slices: Vec<Option<&[f32]>> = inputs.iter().map(|t| Some(t.as_slice())).collect();
-    // The output buffer comes through the tensor constructors, which
-    // recycle pooled capacity; the fill value is overwritten below.
-    let mut out = Tensor::full(0.0f32, out_dims);
-    kernel.run(&slices, n, out.as_mut_slice());
-    out
+    match reduce_to {
+        Some(dims) => kernel
+            .run_reduce(&slices, n, dims.iter().product())
+            .reshape(dims),
+        None => {
+            // The output buffer comes through the tensor constructors,
+            // which recycle pooled capacity; the fill value is
+            // overwritten below.
+            let mut out = Tensor::full(0.0f32, extent.dims());
+            kernel.run(&slices, n, out.as_mut_slice());
+            out
+        }
+    }
 }
 
 #[cfg(test)]
@@ -804,7 +820,11 @@ mod tests {
     #[test]
     fn malformed_fused_program_panics_with_lowering_reason() {
         for (insts, why) in malformed_programs() {
-            let op = HloOp::Fused { insts, n_inputs: 1 };
+            let op = HloOp::Fused {
+                insts,
+                n_inputs: 1,
+                reduce_to: None,
+            };
             let x = t(&[1.0, 2.0], &[2]);
             let payload = std::panic::catch_unwind(|| eval_op(&op, &[&x])).unwrap_err();
             let msg = panic_message(&*payload);
@@ -817,7 +837,14 @@ mod tests {
         for (insts, why) in malformed_programs() {
             let mut g = HloGraph::new();
             let x = g.parameter(0, &[2]);
-            let f = g.add(HloOp::Fused { insts, n_inputs: 1 }, &[x]);
+            let f = g.add(
+                HloOp::Fused {
+                    insts,
+                    n_inputs: 1,
+                    reduce_to: None,
+                },
+                &[x],
+            );
             g.mark_output(f);
             let err = compile(&g)
                 .try_run_with_backend(&[&t(&[1.0, 2.0], &[2])], "xla")

@@ -99,26 +99,6 @@ pub enum ReduceKind {
     Max,
 }
 
-/// True if `input` broadcasts to `out` as a *trailing suffix*: after
-/// stripping leading extent-1 dims, `input`'s dims equal the last dims of
-/// `out`. Such an input can be indexed inside a fused elementwise kernel as
-/// `flat_index % input_len` (e.g. a `[C]` bias against `[N,H,W,C]`).
-pub fn is_trailing_broadcast(input: &Shape, out: &Shape) -> bool {
-    let dims: Vec<usize> = input
-        .dims()
-        .iter()
-        .copied()
-        .skip_while(|&d| d == 1)
-        .collect();
-    if dims.len() > out.rank() || input == out {
-        return false;
-    }
-    dims.iter()
-        .rev()
-        .zip(out.dims().iter().rev())
-        .all(|(a, b)| a == b)
-}
-
 /// One instruction of a fused elementwise kernel (register machine over
 /// per-element values).
 #[derive(Debug, Clone, PartialEq)]
@@ -240,14 +220,32 @@ pub enum HloOp {
     Broadcast(Vec<usize>),
     /// Sum-reduce a gradient back to dims (inverse of broadcast).
     ReduceToShape(Vec<usize>),
-    /// A fused elementwise kernel (created by the fusion pass; all inputs
-    /// share the output shape or are scalars folded to immediates).
+    /// A fused elementwise kernel (created by the fusion pass). The
+    /// kernel's extent is the broadcast of its input shapes; every input
+    /// has that shape or is a trailing suffix of it, indexed `e % len`
+    /// (rank-0 constants fold to immediates).
     Fused {
         /// The register program; the last instruction is the output.
         insts: Vec<FusedInst>,
         /// Number of kernel inputs.
         n_inputs: usize,
+        /// `Some(dims)`: the program's value is not stored but summed
+        /// onto `dims`, a trailing suffix of the kernel extent, in the
+        /// order of `s4tf_tensor::ops::reduce::column_sums` — a
+        /// [`HloOp::ReduceToShape`] fused onto its producer.
+        reduce_to: Option<Vec<usize>>,
     },
+}
+
+/// The extent a fused kernel runs over: the broadcast of its input
+/// shapes (rank 0 for a program of immediates only).
+///
+/// # Panics
+/// Panics if the shapes are not broadcast-compatible.
+pub fn fused_extent(inputs: &[&Shape]) -> Shape {
+    inputs.iter().fold(Shape::scalar(), |acc, s| {
+        Shape::broadcast(&acc, s).unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 impl HloOp {
@@ -287,7 +285,9 @@ impl HloOp {
             HloOp::Transpose(p) => format!("transpose{p:?}"),
             HloOp::Broadcast(d) => format!("broadcast{d:?}"),
             HloOp::ReduceToShape(d) => format!("reduce_to{d:?}"),
-            HloOp::Fused { insts, .. } => {
+            HloOp::Fused {
+                insts, reduce_to, ..
+            } => {
                 // Name the constituent ops, not just the count: error
                 // attribution and trace dumps both read this.
                 let ops: Vec<String> = insts
@@ -298,7 +298,10 @@ impl HloOp {
                         _ => None,
                     })
                     .collect();
-                format!("fused[{}]", ops.join(","))
+                match reduce_to {
+                    Some(d) => format!("fused[{}]→reduce_to{d:?}", ops.join(",")),
+                    None => format!("fused[{}]", ops.join(",")),
+                }
             }
         }
     }
@@ -467,9 +470,16 @@ impl HloOp {
                 expect(1);
                 Shape::new(dims)
             }
-            HloOp::Fused { n_inputs, .. } => {
+            HloOp::Fused {
+                n_inputs,
+                reduce_to,
+                ..
+            } => {
                 expect(*n_inputs);
-                operands[0].clone()
+                match reduce_to {
+                    Some(dims) => Shape::new(dims),
+                    None => fused_extent(operands),
+                }
             }
         }
     }
@@ -583,22 +593,6 @@ mod tests {
             t_rhs: false,
         }
         .infer_shape(&[&Shape::new(&[2, 3]), &Shape::new(&[4, 5])]);
-    }
-
-    #[test]
-    fn trailing_broadcast_detection() {
-        let s = |d: &[usize]| Shape::new(d);
-        assert!(is_trailing_broadcast(&s(&[3]), &s(&[2, 3])));
-        assert!(is_trailing_broadcast(&s(&[4, 3]), &s(&[2, 4, 3])));
-        assert!(is_trailing_broadcast(&s(&[1, 1, 3]), &s(&[2, 4, 3])));
-        assert!(is_trailing_broadcast(&Shape::scalar(), &s(&[2, 3])));
-        // Same shape is not a *broadcast*.
-        assert!(!is_trailing_broadcast(&s(&[2, 3]), &s(&[2, 3])));
-        // Interior broadcasts are not suffixes.
-        assert!(!is_trailing_broadcast(&s(&[2, 1]), &s(&[2, 3])));
-        assert!(!is_trailing_broadcast(&s(&[4, 1, 3]), &s(&[4, 2, 3])));
-        // Bigger than the output is never a suffix.
-        assert!(!is_trailing_broadcast(&s(&[5, 2, 3]), &s(&[2, 3])));
     }
 
     #[test]

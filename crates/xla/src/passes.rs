@@ -4,7 +4,6 @@
 //! most importantly — *fuse* chains of elementwise operations into single
 //! kernels.
 
-use crate::exec::apply_binary;
 use crate::graph::{HloGraph, HloNode, NodeId};
 use crate::op::{FusedInst, HloOp};
 use s4tf_tensor::Tensor;
@@ -91,11 +90,10 @@ pub fn constant_fold(g: &mut HloGraph) -> bool {
             }
             (HloOp::Binary(b), 2) => {
                 let b = *b;
-                apply_binary(
-                    inputs[0].as_ref().unwrap(),
-                    inputs[1].as_ref().unwrap(),
-                    move |x, y| b.apply(x, y),
-                )
+                inputs[0]
+                    .as_ref()
+                    .unwrap()
+                    .zip_broadcast(inputs[1].as_ref().unwrap(), move |x, y| b.apply(x, y))
             }
             _ => continue,
         };
@@ -180,218 +178,266 @@ pub fn algebraic_simplify(g: &mut HloGraph) -> bool {
     changed
 }
 
-/// Elementwise fusion: maximal groups of same-shape elementwise nodes whose
-/// interior members have no consumers outside the group collapse into one
-/// [`HloOp::Fused`] kernel. Rank-0 constants feeding a group become
-/// immediates. A group stops growing when its program would exceed
-/// [`MAX_INSTS`](crate::codegen::MAX_INSTS) — the rest of a longer chain
-/// starts a new kernel — so every emitted program compiles.
+/// One kernel under construction in [`fuse_elementwise`].
+struct Kernel {
+    /// The node whose value the kernel materializes.
+    root: usize,
+    /// Elementwise nodes computed inside the kernel, in decreasing node
+    /// order (the reduction node of a reduce kernel is not a member).
+    members: Vec<usize>,
+    /// Distinct nodes the members read from outside the kernel.
+    externals: Vec<usize>,
+}
+
+impl Kernel {
+    /// Instructions of the kernel's program: one per member plus one
+    /// (`Input` or `Imm`) per external.
+    fn program_len(&self) -> usize {
+        self.members.len() + self.externals.len()
+    }
+
+    fn reads(&self, node: usize) -> bool {
+        self.externals.contains(&node) || self.members.contains(&node)
+    }
+}
+
+/// Elementwise fusion: a value is materialized only where it must exist.
+///
+/// Every *fusible* elementwise node (each input edge has the node's shape,
+/// is a rank-0 constant — an immediate — or a trailing-suffix broadcast
+/// the kernels index `e % len`) ends up inside one or more
+/// [`HloOp::Fused`] kernels; a kernel of one node is a one-instruction
+/// program, so in a compiled plan the fused executor runs all of them.
+/// Walking consumers before producers, a node is computed *inside* the
+/// kernels of its consumers instead of being stored when
+///
+/// * it is not a graph output and every consumer is a fusible elementwise
+///   node of the same shape or a reduction root (below) — anything else
+///   (a convolution, a consumer that broadcasts it) needs the value;
+/// * every receiving kernel's program stays within
+///   [`MAX_INSTS`](crate::codegen::MAX_INSTS), so each emitted program
+///   compiles; and
+/// * when that is more than one kernel (producer duplication): the node
+///   is cheap — no `Exp`/`Ln`/`Tanh`/`Sigmoid`/`Pow`, which are never
+///   recomputed — and recomputing moves fewer full-shape streams than
+///   storing would: the streams it adds to those kernels number less
+///   than its own reads plus one write plus one read per kernel (on a
+///   tie the value is stored, which releases its operands sooner).
+///
+/// A `ReduceToShape` — or `Reduce { Sum, axis: Some(0) }` — onto a proper
+/// trailing suffix of its operand's shape is a *reduction root*: a fusible
+/// operand moves into it and the pair becomes a `Fused` node with
+/// `reduce_to`, summing the program's values as they are produced. A
+/// reduction whose operand must exist anyway stays as it is.
+///
+/// Unreachable nodes are removed first ([`dce`]).
 pub fn fuse_elementwise(g: &mut HloGraph) -> bool {
-    // Consumers of each node.
-    let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for (i, node) in g.nodes.iter().enumerate() {
-        for &input in &node.inputs {
-            consumers.entry(input).or_default().push(NodeId(i as u32));
-        }
-    }
-    let output_set: HashSet<NodeId> = g.outputs.iter().copied().collect();
-
+    use crate::op::{ElemBinary, ElemUnary, ReduceKind};
+    // What may move into its consumers depends on who the consumers are:
+    // dead ones (a trace keeps every recorded op) must not hold a value.
+    let pruned = dce(g);
+    let n = g.nodes.len();
     let is_scalar_const =
-        |g: &HloGraph, id: NodeId| matches!(&g.node(id).op, HloOp::Constant(t) if t.rank() == 0);
-    // A node can sit inside a fused kernel of `shape` only if every input
-    // edge indexes elementwise: same shape, a scalar immediate, or a
-    // trailing-suffix broadcast (e.g. a `[C]` bias against `[N,H,W,C]`),
-    // which the fused executor indexes as `e % len`.
-    let inputs_fusable = |g: &HloGraph, id: NodeId, shape: &s4tf_tensor::Shape| {
-        g.node(id).inputs.iter().all(|&i| {
-            let in_shape = &g.node(i).shape;
-            in_shape == shape
-                || is_scalar_const(g, i)
-                || crate::op::is_trailing_broadcast(in_shape, shape)
-        })
+        |id: NodeId| matches!(&g.node(id).op, HloOp::Constant(t) if t.rank() == 0);
+    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, node) in g.nodes.iter().enumerate() {
+        for input in &node.inputs {
+            consumers[input.0 as usize].push(i);
+        }
+    }
+    let mut is_output = vec![false; n];
+    for o in &g.outputs {
+        is_output[o.0 as usize] = true;
+    }
+    let fusible = |i: usize| {
+        let node = &g.nodes[i];
+        node.op.is_elementwise()
+            && node.inputs.iter().all(|&input| {
+                let shape = &g.node(input).shape;
+                *shape == node.shape
+                    || is_scalar_const(input)
+                    || shape.is_trailing_suffix_of(&node.shape)
+            })
     };
-
-    // Instructions a group's program has: one per member plus one
-    // (`Input` or `Imm`) per distinct external operand.
-    let program_len = |g: &HloGraph, group: &HashSet<NodeId>| {
-        let external: HashSet<NodeId> = group
-            .iter()
-            .flat_map(|&m| &g.node(m).inputs)
-            .filter(|i| !group.contains(i))
-            .copied()
-            .collect();
-        group.len() + external.len()
+    let reduce_root = |i: usize| {
+        let node = &g.nodes[i];
+        let column_sum = matches!(
+            node.op,
+            HloOp::ReduceToShape(_)
+                | HloOp::Reduce {
+                    kind: ReduceKind::Sum,
+                    axis: Some(0)
+                }
+        );
+        column_sum && {
+            let operand = &g.node(node.inputs[0]).shape;
+            node.shape != *operand && node.shape.is_trailing_suffix_of(operand)
+        }
     };
-
-    // Build groups: walk roots from the end (consumers come after
-    // producers in topological order).
-    let mut assigned: HashSet<NodeId> = HashSet::new();
-    let mut groups: Vec<Vec<NodeId>> = Vec::new(); // members, topo order
-    for i in (0..g.nodes.len()).rev() {
-        let root = NodeId(i as u32);
-        if assigned.contains(&root) || !g.node(root).op.is_elementwise() {
+    let cheap = |i: usize| {
+        !matches!(
+            g.nodes[i].op,
+            HloOp::Unary(ElemUnary::Exp | ElemUnary::Ln | ElemUnary::Tanh | ElemUnary::Sigmoid)
+                | HloOp::Binary(ElemBinary::Pow)
+        )
+    };
+    // Consumers before producers: `kernels_of[i]` lists the kernels node
+    // `i` is computed in.
+    let mut kernels: Vec<Kernel> = Vec::new();
+    let mut kernels_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in (0..n).rev() {
+        let is_reduce_root = reduce_root(i);
+        if !is_reduce_root && !fusible(i) {
             continue;
         }
-        let shape = g.node(root).shape.clone();
-        if !inputs_fusable(g, root, &shape) {
-            continue;
+        let shape = &g.nodes[i].shape;
+        let mut reads: Vec<usize> = Vec::with_capacity(2);
+        for input in &g.nodes[i].inputs {
+            if !reads.contains(&(input.0 as usize)) {
+                reads.push(input.0 as usize);
+            }
         }
-        let mut group: HashSet<NodeId> = HashSet::from([root]);
-        // Grow towards producers until stable.
-        loop {
-            let mut grew = false;
-            let members: Vec<NodeId> = group.iter().copied().collect();
-            for m in members {
-                for &input in &g.node(m).inputs {
-                    if group.contains(&input) || assigned.contains(&input) {
-                        continue;
+        // The kernels of `i`'s consumers — where `i` would move — if each
+        // consumer computes over `i`'s extent (an elementwise member runs
+        // over its own shape, a reduction root over its operand's).
+        let mut into: Vec<usize> = Vec::new();
+        let movable = !is_reduce_root
+            && !is_output[i]
+            && !consumers[i].is_empty()
+            && consumers[i].iter().all(|&c| {
+                for &k in &kernels_of[c] {
+                    if !into.contains(&k) {
+                        into.push(k);
                     }
-                    let n = g.node(input);
-                    let fusable = n.op.is_elementwise()
-                        && n.shape == shape
-                        && inputs_fusable(g, input, &shape)
-                        && !output_set.contains(&input)
-                        && consumers
-                            .get(&input)
-                            .map(|cs| cs.iter().all(|c| group.contains(c)))
-                            .unwrap_or(false);
-                    if fusable {
-                        group.insert(input);
-                        if program_len(g, &group) > crate::codegen::MAX_INSTS {
-                            group.remove(&input);
-                        } else {
-                            grew = true;
-                        }
+                }
+                !kernels_of[c].is_empty()
+                    && (!g.nodes[c].op.is_elementwise() || g.nodes[c].shape == *shape)
+            });
+        // `i` itself stops being an external there and becomes a member.
+        let fits = |k: &Kernel| {
+            let added = reads.iter().filter(|&&e| !k.reads(e)).count();
+            k.program_len() + added <= crate::codegen::MAX_INSTS
+        };
+        let cheaper_recomputed = || {
+            let streams: Vec<usize> = reads
+                .iter()
+                .copied()
+                .filter(|&e| g.nodes[e].shape == *shape && !is_scalar_const(NodeId(e as u32)))
+                .collect();
+            let added: usize = into
+                .iter()
+                .map(|&k| streams.iter().filter(|&&e| !kernels[k].reads(e)).count())
+                .sum();
+            cheap(i) && added < streams.len() + 1 + into.len()
+        };
+        if movable
+            && into.iter().all(|&k| fits(&kernels[k]))
+            && (into.len() == 1 || cheaper_recomputed())
+        {
+            for &k in &into {
+                let kernel = &mut kernels[k];
+                kernel.externals.retain(|&e| e != i);
+                kernel.members.push(i);
+                for &e in &reads {
+                    if !kernel.externals.contains(&e) {
+                        kernel.externals.push(e);
                     }
                 }
             }
-            if !grew {
-                break;
-            }
-        }
-        if group.len() >= 2 {
-            let mut members: Vec<NodeId> = group.iter().copied().collect();
-            members.sort(); // topological within the graph
-            assigned.extend(&members);
-            groups.push(members);
+            kernels_of[i] = into;
+        } else {
+            kernels_of[i] = vec![kernels.len()];
+            kernels.push(Kernel {
+                root: i,
+                members: if is_reduce_root { Vec::new() } else { vec![i] },
+                externals: reads,
+            });
         }
     }
-    if groups.is_empty() {
-        return false;
+    // A reduction root nothing moved into stays a plain reduction.
+    kernels.retain(|k| !k.members.is_empty());
+    if kernels.is_empty() {
+        return pruned;
+    }
+    let mut kernel_at: Vec<Option<usize>> = vec![None; n];
+    let mut stored = vec![true; n];
+    for (k, kernel) in kernels.iter().enumerate() {
+        kernel_at[kernel.root] = Some(k);
+        for &m in &kernel.members {
+            stored[m] = false;
+        }
+    }
+    for kernel in &kernels {
+        stored[kernel.root] = true;
     }
 
-    // Root (last member) of each group, and membership lookup.
-    let mut group_of: HashMap<NodeId, usize> = HashMap::new();
-    for (gi, members) in groups.iter().enumerate() {
-        for &m in members {
-            group_of.insert(m, gi);
-        }
-    }
-
-    // Rebuild the graph.
+    // Rebuild the graph: stored nodes keep their order; a kernel is
+    // emitted at its root's position.
     let old_nodes = std::mem::take(&mut g.nodes);
-    let old_outputs = std::mem::take(&mut g.outputs);
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut emitted_groups: HashSet<usize> = HashSet::new();
-
+    let mut remap: Vec<Option<NodeId>> = vec![None; n];
+    let renamed = |remap: &[Option<NodeId>], old: usize| remap[old].expect("operands are stored");
     for (i, node) in old_nodes.iter().enumerate() {
-        let old_id = NodeId(i as u32);
-        match group_of.get(&old_id) {
+        if !stored[i] {
+            continue;
+        }
+        let emitted = match kernel_at[i] {
             None => {
-                let mut n = node.clone();
-                for input in &mut n.inputs {
-                    *input = remap[input];
+                let mut copy = node.clone();
+                for input in &mut copy.inputs {
+                    *input = renamed(&remap, input.0 as usize);
                 }
-                g.nodes.push(n);
-                remap.insert(old_id, NodeId(g.nodes.len() as u32 - 1));
+                copy
             }
-            Some(&gi) => {
-                let members = &groups[gi];
-                let root = *members.last().expect("non-empty group");
-                if old_id != root {
-                    continue; // interior nodes emit with the root
-                }
-                debug_assert!(emitted_groups.insert(gi));
+            Some(k) => {
+                let kernel = &kernels[k];
                 // Kernel inputs: external edges; rank-0 constants inline.
-                let mut kernel_inputs: Vec<NodeId> = Vec::new(); // old ids
-                let mut insts: Vec<FusedInst> = Vec::new();
-                let mut reg_of: HashMap<NodeId, usize> = HashMap::new();
-                let member_set: HashSet<NodeId> = members.iter().copied().collect();
-                for &m in members {
-                    let mnode = &old_nodes[m.0 as usize];
-                    let arg_reg = |input: NodeId,
-                                   insts: &mut Vec<FusedInst>,
-                                   kernel_inputs: &mut Vec<NodeId>,
-                                   reg_of: &mut HashMap<NodeId, usize>|
-                     -> usize {
-                        if member_set.contains(&input) {
-                            return reg_of[&input];
-                        }
-                        if let Some(r) = reg_of.get(&input) {
-                            return *r;
-                        }
-                        let inst = match &old_nodes[input.0 as usize].op {
-                            HloOp::Constant(t) if t.rank() == 0 => FusedInst::Imm(t.scalar_value()),
-                            _ => {
-                                let pos = kernel_inputs
-                                    .iter()
-                                    .position(|&k| k == input)
-                                    .unwrap_or_else(|| {
-                                        kernel_inputs.push(input);
-                                        kernel_inputs.len() - 1
-                                    });
-                                FusedInst::Input(pos)
-                            }
-                        };
-                        insts.push(inst);
-                        let r = insts.len() - 1;
-                        reg_of.insert(input, r);
-                        r
-                    };
-                    let inst = match &mnode.op {
-                        HloOp::Unary(u) => {
-                            let a = arg_reg(
-                                mnode.inputs[0],
-                                &mut insts,
-                                &mut kernel_inputs,
-                                &mut reg_of,
-                            );
-                            FusedInst::Unary(*u, a)
-                        }
-                        HloOp::Binary(b) => {
-                            let a = arg_reg(
-                                mnode.inputs[0],
-                                &mut insts,
-                                &mut kernel_inputs,
-                                &mut reg_of,
-                            );
-                            let c = arg_reg(
-                                mnode.inputs[1],
-                                &mut insts,
-                                &mut kernel_inputs,
-                                &mut reg_of,
-                            );
-                            FusedInst::Binary(*b, a, c)
-                        }
-                        _ => unreachable!("groups contain only elementwise ops"),
-                    };
-                    insts.push(inst);
+                let mut kernel_inputs: Vec<usize> = Vec::new();
+                let mut insts: Vec<FusedInst> = Vec::with_capacity(kernel.program_len());
+                let mut reg_of: HashMap<usize, usize> =
+                    HashMap::with_capacity(kernel.program_len());
+                for &m in kernel.members.iter().rev() {
+                    let member = &old_nodes[m];
+                    let mut args = [0usize; 2];
+                    for (arg, input) in args.iter_mut().zip(&member.inputs) {
+                        let input = input.0 as usize;
+                        *arg = *reg_of.entry(input).or_insert_with(|| {
+                            insts.push(match &old_nodes[input].op {
+                                HloOp::Constant(t) if t.rank() == 0 => {
+                                    FusedInst::Imm(t.scalar_value())
+                                }
+                                _ => {
+                                    kernel_inputs.push(input);
+                                    FusedInst::Input(kernel_inputs.len() - 1)
+                                }
+                            });
+                            insts.len() - 1
+                        });
+                    }
+                    insts.push(match &member.op {
+                        HloOp::Unary(u) => FusedInst::Unary(*u, args[0]),
+                        HloOp::Binary(b) => FusedInst::Binary(*b, args[0], args[1]),
+                        _ => unreachable!("kernel members are elementwise"),
+                    });
                     reg_of.insert(m, insts.len() - 1);
                 }
                 debug_assert!(insts.len() <= crate::codegen::MAX_INSTS);
-                let n_inputs = kernel_inputs.len();
-                let inputs: Vec<NodeId> = kernel_inputs.iter().map(|k| remap[k]).collect();
-                let shape = old_nodes[root.0 as usize].shape.clone();
-                g.nodes.push(HloNode {
-                    op: HloOp::Fused { insts, n_inputs },
-                    inputs,
-                    shape,
-                });
-                remap.insert(root, NodeId(g.nodes.len() as u32 - 1));
+                HloNode {
+                    op: HloOp::Fused {
+                        insts,
+                        n_inputs: kernel_inputs.len(),
+                        reduce_to: (!node.op.is_elementwise()).then(|| node.shape.dims().to_vec()),
+                    },
+                    inputs: kernel_inputs.iter().map(|&e| renamed(&remap, e)).collect(),
+                    shape: node.shape.clone(),
+                }
             }
-        }
+        };
+        g.nodes.push(emitted);
+        remap[i] = Some(NodeId(g.nodes.len() as u32 - 1));
     }
-    g.outputs = old_outputs.iter().map(|o| remap[o]).collect();
+    for o in &mut g.outputs {
+        *o = renamed(&remap, o.0 as usize);
+    }
     true
 }
 
@@ -469,14 +515,18 @@ pub struct MemoryPlan {
 ///
 /// In-place eligibility is deliberately conservative:
 /// * **Unary**: the sole operand dies here (unary preserves shape).
-/// * **Binary**: both operands have the node's exact shape (no
-///   broadcasting) and are *distinct* nodes, and the chosen one dies
-///   here. Position 0 writes through `zip_apply_assign`, position 1
-///   through `zip_apply_assign_rev`, preserving operand order.
+/// * **Binary**: the operands are *distinct* nodes and the chosen one
+///   has the node's exact shape and dies here; the other may broadcast
+///   up to it (`conv + bias` overwrites the conv output). A dying
+///   operand that is itself the broadcast one is never chosen — it is
+///   smaller than the output. Position 0 writes through
+///   `zip_apply_assign`, position 1 through `zip_apply_assign_rev`,
+///   preserving operand order.
 /// * **Fused**: some *full-shape* input dies here. The compiled kernel
 ///   reads each chunk of a full-shape input before writing that chunk of
 ///   the output, so aliasing the two is safe; modulo-broadcast inputs are
-///   never aliased (they are smaller, hence a different buffer).
+///   never aliased (they are smaller, hence a different buffer), and a
+///   `reduce_to` kernel has no full-shape output to alias.
 pub fn plan_memory(g: &HloGraph) -> MemoryPlan {
     let n = g.nodes.len();
     let mut last_use: Vec<Option<usize>> = vec![None; n];
@@ -512,17 +562,21 @@ pub fn plan_memory(g: &HloGraph) -> MemoryPlan {
             }
             HloOp::Binary(_) => {
                 let (a, b) = (node.inputs[0], node.inputs[1]);
-                if a == b || !full_shape(a) || !full_shape(b) {
+                if a == b {
                     None
-                } else if dies_here(a) {
+                } else if full_shape(a) && dies_here(a) {
                     Some(0)
-                } else if dies_here(b) {
+                } else if full_shape(b) && dies_here(b) {
                     Some(1)
                 } else {
                     None
                 }
             }
-            HloOp::Fused { insts, .. } => {
+            HloOp::Fused {
+                insts,
+                reduce_to: None,
+                ..
+            } => {
                 let qualifies = |id: NodeId| full_shape(id) && dies_here(id);
                 // The accumulator pattern `p ← p ⊕ f(…)` (the fused
                 // optimizer update) has the updated value as the lhs of
@@ -680,6 +734,98 @@ mod tests {
         fuse_elementwise(&mut opt);
         dce(&mut opt);
         assert_equivalent(&g, &opt, &[&[4]]);
+    }
+
+    fn fused_programs(g: &HloGraph) -> Vec<(Vec<String>, bool)> {
+        g.nodes
+            .iter()
+            .filter_map(|n| match &n.op {
+                HloOp::Fused {
+                    insts, reduce_to, ..
+                } => Some((
+                    insts
+                        .iter()
+                        .filter_map(|i| match i {
+                            FusedInst::Unary(u, _) => Some(format!("{u:?}")),
+                            FusedInst::Binary(b, _, _) => Some(format!("{b:?}")),
+                            _ => None,
+                        })
+                        .collect(),
+                    reduce_to.is_some(),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cheap_producers_are_recomputed_and_reductions_take_them_as_input() {
+        // Batch-norm's variance and normalize steps: `x − μ` feeds a
+        // squared column sum *and* the division; it is computed in both
+        // kernels rather than stored, and the sum never stores the square.
+        let mut g = HloGraph::new();
+        let x = g.parameter(0, &[4, 6, 3]);
+        let mean = g.parameter(1, &[3]);
+        let std = g.parameter(2, &[3]);
+        let centered = g.binary(ElemBinary::Sub, x, mean);
+        let squared = g.unary(ElemUnary::Square, centered);
+        let var = g.add(HloOp::ReduceToShape(vec![3]), &[squared]);
+        let xhat = g.binary(ElemBinary::Div, centered, std);
+        g.mark_output(var);
+        g.mark_output(xhat);
+        let mut opt = g.clone();
+        optimize(&mut opt);
+        let names = |ops: &[&str]| ops.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            fused_programs(&opt),
+            vec![
+                (names(&["Sub", "Square"]), true),
+                (names(&["Sub", "Div"]), false)
+            ]
+        );
+        assert!(!opt.nodes.iter().any(|n| n.op.is_elementwise()));
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let params: Vec<Tensor<f32>> = [&[4, 6, 3][..], &[3], &[3]]
+            .iter()
+            .map(|d| Tensor::<f32>::randn(d, &mut rng))
+            .collect();
+        let refs: Vec<&Tensor<f32>> = params.iter().collect();
+        assert_eq!(
+            compile_unoptimized(&g).run(&refs),
+            compile_unoptimized(&opt).run(&refs),
+            "same bits, reduction epilogue included"
+        );
+    }
+
+    #[test]
+    fn transcendentals_and_wide_fanout_are_stored_not_recomputed() {
+        // exp(x) has two consumer kernels: stored once. `a + b` (two
+        // full-shape streams) feeding three kernels would re-read six
+        // streams where storing it moves five: stored too.
+        let mut g = HloGraph::new();
+        let a = g.parameter(0, &[8]);
+        let b = g.parameter(1, &[8]);
+        let e = g.unary(ElemUnary::Exp, a);
+        let sum = g.binary(ElemBinary::Add, e, b);
+        for u in [ElemUnary::Neg, ElemUnary::Relu, ElemUnary::Square] {
+            let out = g.unary(u, sum);
+            g.mark_output(out);
+        }
+        let out = g.unary(ElemUnary::Sqrt, e);
+        g.mark_output(out);
+        let mut opt = g.clone();
+        optimize(&mut opt);
+        let programs = fused_programs(&opt);
+        let count = |op: &str| {
+            programs
+                .iter()
+                .flat_map(|(p, _)| p)
+                .filter(|o| *o == op)
+                .count()
+        };
+        assert_eq!((count("Exp"), count("Add")), (1, 1), "{programs:?}");
+        assert_eq!(programs.len(), 6, "exp, add and their four consumers");
+        assert_equivalent(&g, &opt, &[&[8], &[8]]);
     }
 
     #[test]
@@ -864,16 +1010,37 @@ mod tests {
     }
 
     #[test]
-    fn plan_refuses_inplace_on_broadcast_or_self_pairs() {
+    fn plan_inplace_through_a_broadcast_only_on_the_full_shape_operand() {
         let mut g = HloGraph::new();
         let x = g.parameter(0, &[2, 3]);
         let bias = g.parameter(1, &[3]);
-        let bc = g.binary(ElemBinary::Add, x, bias); // shapes differ
-        let dbl = g.binary(ElemBinary::Add, bc, bc); // same node twice
+        let scale = g.parameter(2, &[3]);
+        let bc = g.binary(ElemBinary::Add, x, bias); // x dies, bias broadcasts
+        let rev = g.binary(ElemBinary::Mul, scale, bc); // bc dies on the right
+        let keep = g.binary(ElemBinary::Sub, bias, rev); // bias dies, but is small
+        let dbl = g.binary(ElemBinary::Add, keep, keep); // same node twice
+        g.mark_output(rev);
         g.mark_output(dbl);
         let plan = plan_memory(&g);
-        assert_eq!(plan.inplace[bc.0 as usize], None, "broadcast operand");
+        assert_eq!(plan.inplace[bc.0 as usize], Some(0), "full-shape lhs dies");
+        assert_eq!(plan.inplace[rev.0 as usize], Some(1), "full-shape rhs dies");
+        assert_eq!(
+            plan.inplace[keep.0 as usize], None,
+            "the dying operand is the broadcast one (and `rev` is an output)"
+        );
         assert_eq!(plan.inplace[dbl.0 as usize], None, "self-aliasing pair");
+        // The plan's in-place route computes what the plain kernels do.
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let params: Vec<Tensor<f32>> = [&[2, 3][..], &[3], &[3]]
+            .iter()
+            .map(|d| Tensor::<f32>::randn(d, &mut rng))
+            .collect();
+        let refs: Vec<&Tensor<f32>> = params.iter().collect();
+        let want = compile_unoptimized(&g).run(&refs);
+        let got = compile_unoptimized(&g)
+            .try_run_owned(params.clone(), "xla")
+            .unwrap();
+        assert_eq!(want, got);
     }
 
     #[test]

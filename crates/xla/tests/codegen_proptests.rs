@@ -4,7 +4,8 @@
 //! program's per-element scalar semantics — across the SIMD dispatch
 //! toggle and thread counts, for full-shape and trailing-broadcast
 //! inputs, at lengths straddling lane (8), chunk (512) and task-grain
-//! (4096) boundaries.
+//! (4096) boundaries — and the reduction epilogue must sum those values
+//! exactly as `Tensor::reduce_to_shape` sums the stored ones.
 
 use proptest::prelude::*;
 use s4tf_tensor::Tensor;
@@ -82,15 +83,26 @@ fn assemble(raw: &[RawInst], n_inputs: usize) -> Vec<FusedInst> {
     insts
 }
 
-/// Input tensors: input 0 is full-shape, the rest broadcast with lengths
-/// that exercise the modulo-indexed path (scalar, short cycle, co-prime
-/// to the chunk width, and full).
+/// The cycle a broadcast input of an `n`-element kernel repeats with: the
+/// largest proper divisor of `n` up to 37 (7, 32, 27, 35, 17, 25 for the
+/// long [`LENGTHS`] — several co-prime to the chunk width).
+fn cycle(n: usize) -> usize {
+    (1..=37.min(n / 2))
+        .rev()
+        .find(|&c| n.is_multiple_of(c))
+        .unwrap_or(1)
+}
+
+/// Input tensors: input 0 is full-shape `[n / c, c]`, the rest exercise
+/// the modulo-indexed path — a one-element input, the trailing suffix
+/// `[c]`, and a second full one.
 fn make_inputs(n: usize, n_inputs: usize, seed: u64) -> Vec<Tensor<f32>> {
     use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let lens = [n, 1.min(n), (n / 3).clamp(1, 37), n];
+    let c = cycle(n);
+    let dims: [&[usize]; 4] = [&[n / c, c], &[1], &[c], &[n / c, c]];
     (0..n_inputs)
-        .map(|i| Tensor::<f32>::rand_uniform(&[lens[i % lens.len()].max(1)], -2.0, 2.0, &mut rng))
+        .map(|i| Tensor::<f32>::rand_uniform(dims[i % dims.len()], -2.0, 2.0, &mut rng))
         .collect()
 }
 
@@ -125,14 +137,24 @@ fn reference(insts: &[FusedInst], inputs: &[&[f32]], n: usize) -> Vec<u32> {
         .collect()
 }
 
-fn run_compiled(insts: &[FusedInst], inputs: &[Tensor<f32>]) -> Vec<u32> {
+/// Runs the program through the compiled kernel; with `reduce_to`, through
+/// its reduction epilogue.
+fn run_compiled(
+    insts: &[FusedInst],
+    inputs: &[Tensor<f32>],
+    reduce_to: Option<Vec<usize>>,
+) -> Tensor<f32> {
     let refs: Vec<&Tensor<f32>> = inputs.iter().collect();
     let op = HloOp::Fused {
         insts: insts.to_vec(),
         n_inputs: inputs.len(),
+        reduce_to,
     };
-    let out = eval_op(&op, &refs);
-    out.as_slice().iter().map(|&x| bits(x)).collect()
+    eval_op(&op, &refs)
+}
+
+fn tensor_bits(t: &Tensor<f32>) -> Vec<u32> {
+    t.as_slice().iter().map(|&x| bits(x)).collect()
 }
 
 proptest! {
@@ -151,18 +173,32 @@ proptest! {
         let inputs = make_inputs(n, n_inputs, seed);
         let slices: Vec<&[f32]> = inputs.iter().map(|t| t.as_slice()).collect();
         let want = reference(&insts, &slices, n);
+        let mut epilogues = Vec::new();
         for simd in [false, true] {
             s4tf_tensor::simd::set_simd_enabled(simd);
             for threads in [1usize, 4] {
                 s4tf_threads::set_num_threads(threads);
+                let stored = run_compiled(&insts, &inputs, None);
                 prop_assert_eq!(
-                    &want, &run_compiled(&insts, &inputs),
+                    &want, &tensor_bits(&stored),
                     "bits diverged: n={} simd={} threads={} insts={:?}",
                     n, simd, threads, insts
                 );
+                // The reduction epilogue sums the very values the plain
+                // launch stores, in `reduce_to_shape`'s order — one
+                // routine — whatever the path or the pool width.
+                let c = cycle(n);
+                let summed = run_compiled(&insts, &inputs, Some(vec![c]));
+                prop_assert_eq!(
+                    tensor_bits(&stored.reduce_to_shape(&[c])), tensor_bits(&summed),
+                    "epilogue diverged: n={} simd={} threads={} insts={:?}",
+                    n, simd, threads, insts
+                );
+                epilogues.push(tensor_bits(&summed));
             }
         }
         s4tf_tensor::simd::set_simd_enabled(true);
+        prop_assert!(epilogues.windows(2).all(|w| w[0] == w[1]), "epilogue depends on path/threads");
     }
 }
 

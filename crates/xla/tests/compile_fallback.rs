@@ -102,3 +102,45 @@ fn fallback_program_is_cached_and_reused() {
         (1, 1, 1)
     );
 }
+
+/// The interpreter (`eval_op`, which a fallback program and the naive and
+/// eager devices run node by node) derives a fused node's output shape
+/// from the op: the broadcast of its input shapes, or `reduce_to` when
+/// set — not from "the largest input", which a `[1,C]` vs `[C]` tie and a
+/// reduction epilogue both get wrong.
+#[test]
+fn interpreter_derives_a_fused_nodes_shape_from_the_op() {
+    use s4tf_xla::op::FusedInst;
+    use s4tf_xla::{eval_op, HloOp};
+    let add = |reduce_to| HloOp::Fused {
+        insts: vec![
+            FusedInst::Input(0),
+            FusedInst::Input(1),
+            FusedInst::Binary(ElemBinary::Add, 0, 1),
+        ],
+        n_inputs: 2,
+        reduce_to,
+    };
+    let row = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
+    let bias = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[3]);
+    // Three elements each: the tie used to resolve to the *last* input.
+    for inputs in [[&row, &bias], [&bias, &row]] {
+        let out = eval_op(&add(None), &inputs);
+        assert_eq!(out.dims(), &[1, 3]);
+        assert_eq!(out.as_slice(), &[11.0, 22.0, 33.0]);
+    }
+    let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+    let summed = eval_op(&add(Some(vec![3])), &[&x, &bias]);
+    assert_eq!(summed.dims(), &[3]);
+    assert_eq!(summed.as_slice(), &[25.0, 47.0, 69.0]);
+    assert_eq!(
+        add(Some(vec![3]))
+            .infer_shape(&[x.shape(), bias.shape()])
+            .dims(),
+        &[3]
+    );
+    assert_eq!(
+        add(None).infer_shape(&[bias.shape(), row.shape()]).dims(),
+        &[1, 3]
+    );
+}

@@ -1,7 +1,10 @@
 //! Property-based tests for the XLA-like compiler: on random operation
-//! DAGs, the optimized executable must be semantically identical to the
-//! unoptimized one, and trace fingerprints must be stable and injective
-//! enough for cache correctness.
+//! DAGs — multi-consumer elementwise nodes, trailing-broadcast operands,
+//! reductions onto a trailing suffix — the optimized executable must
+//! produce the *same bits* as the unoptimized one (every pass, producer
+//! duplication and the fused reduction epilogue keep per-element
+//! arithmetic and summation order), and trace fingerprints must be stable
+//! and injective enough for cache correctness.
 
 use proptest::prelude::*;
 use s4tf_tensor::Tensor;
@@ -15,6 +18,9 @@ enum Step {
     ScalarConst(f32),
     BiasAdd(usize), // trailing-broadcast add against a [C] parameter
     ReduceSumAxis0(usize),
+    /// `v · reduce_to_shape(w, [C])`: a reduction root whose result comes
+    /// back as a trailing-broadcast operand.
+    ScaleByColumnSums(usize, usize),
     MarkExtraOutput(usize),
 }
 
@@ -42,13 +48,36 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (-2.0f32..2.0).prop_map(Step::ScalarConst),
         any::<usize>().prop_map(Step::BiasAdd),
         any::<usize>().prop_map(Step::ReduceSumAxis0),
+        (any::<usize>(), any::<usize>()).prop_map(|(v, w)| Step::ScaleByColumnSums(v, w)),
         any::<usize>().prop_map(Step::MarkExtraOutput),
+    ]
+}
+
+/// Steps that rarely cut a kernel — cheap ops only (a transcendental is
+/// never duplicated), no materialized broadcast, no extra output,
+/// built with a window of 2 (operands drawn from the two newest values):
+/// long chains with diamonds, duplicated producers and the odd reduction
+/// root hanging off them.
+fn chain_step_strategy() -> impl Strategy<Value = Step> {
+    const CHEAP: [usize; 3] = [0, 4, 5]; // Neg, Relu, Square
+    prop_oneof![
+        (0..CHEAP.len(), any::<usize>()).prop_map(|(o, p)| Step::Unary(CHEAP[o], p)),
+        (0..BINARY.len(), any::<usize>(), any::<usize>())
+            .prop_map(|(o, a, b)| Step::Binary(o, a, b)),
+        (-2.0f32..2.0).prop_map(Step::ScalarConst),
+        any::<usize>().prop_map(Step::BiasAdd),
+        (0usize..40, any::<usize>()).prop_map(|(rare, w)| match rare {
+            0 => Step::ScaleByColumnSums(0, w),
+            _ => Step::BiasAdd(w),
+        }),
     ]
 }
 
 /// Builds a random graph over a `[R, C]` parameter and a `[C]` bias
 /// parameter. Tracks each live value's shape class so ops stay valid.
-fn build(steps: &[Step], r: usize, c: usize) -> HloGraph {
+/// Operand picks count back from the newest value, within `window`.
+fn build_within(steps: &[Step], r: usize, c: usize, window: usize) -> HloGraph {
+    let pick = |full: &[NodeId], back: usize| full[full.len() - 1 - back % full.len().min(window)];
     let mut g = HloGraph::new();
     let x = g.parameter(0, &[r, c]);
     let bias = g.parameter(1, &[c]);
@@ -58,29 +87,29 @@ fn build(steps: &[Step], r: usize, c: usize) -> HloGraph {
     for step in steps {
         match step {
             Step::Unary(o, p) => {
-                let v = full[p % full.len()];
+                let v = pick(&full, *p);
                 let n = g.unary(UNARY[o % UNARY.len()], v);
                 full.push(n);
             }
             Step::Binary(o, a, b) => {
-                let (x1, x2) = (full[a % full.len()], full[b % full.len()]);
+                let (x1, x2) = (pick(&full, *a), pick(&full, *b));
                 let n = g.binary(BINARY[o % BINARY.len()], x1, x2);
                 full.push(n);
             }
             Step::ScalarConst(v) => {
                 let k = g.constant(Tensor::scalar(*v));
                 scalars.push(k);
-                let base = full[scalars.len() % full.len()];
+                let base = pick(&full, scalars.len());
                 let n = g.binary(ElemBinary::Add, base, k);
                 full.push(n);
             }
             Step::BiasAdd(p) => {
-                let v = full[p % full.len()];
+                let v = pick(&full, *p);
                 let n = g.binary(ElemBinary::Mul, v, bias);
                 full.push(n);
             }
             Step::ReduceSumAxis0(p) => {
-                let v = full[p % full.len()];
+                let v = pick(&full, *p);
                 let reduced = g.add(
                     HloOp::Reduce {
                         kind: ReduceKind::Sum,
@@ -91,14 +120,23 @@ fn build(steps: &[Step], r: usize, c: usize) -> HloGraph {
                 let back = g.add(HloOp::Broadcast(vec![r, c]), &[reduced]);
                 full.push(back);
             }
+            Step::ScaleByColumnSums(p, q) => {
+                let (v, w) = (pick(&full, *p), pick(&full, *q));
+                let sums = g.add(HloOp::ReduceToShape(vec![c]), &[w]);
+                full.push(g.binary(ElemBinary::Mul, v, sums));
+            }
             Step::MarkExtraOutput(p) => {
-                let v = full[p % full.len()];
+                let v = pick(&full, *p);
                 g.mark_output(v);
             }
         }
     }
     g.mark_output(*full.last().expect("non-empty"));
     g
+}
+
+fn build(steps: &[Step], r: usize, c: usize) -> HloGraph {
+    build_within(steps, r, c, usize::MAX)
 }
 
 fn inputs(r: usize, c: usize, seed: u64) -> (Tensor<f32>, Tensor<f32>) {
@@ -110,30 +148,61 @@ fn inputs(r: usize, c: usize, seed: u64) -> (Tensor<f32>, Tensor<f32>) {
     )
 }
 
+/// Exact bits, every NaN folded to one pattern (which operand a NaN
+/// result inherits its sign and payload from is unspecified).
+fn bits(t: &Tensor<f32>) -> Vec<u32> {
+    t.as_slice()
+        .iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+fn assert_same_bits(g: &HloGraph, r: usize, c: usize, seed: u64) -> Result<(), TestCaseError> {
+    let (x, b) = inputs(r, c, seed);
+    let fast = compile(g).run(&[&x, &b]);
+    let slow = compile_unoptimized(g).run(&[&x, &b]);
+    prop_assert_eq!(fast.len(), slow.len());
+    for (f, s) in fast.iter().zip(&slow) {
+        prop_assert_eq!(f.dims(), s.dims());
+        prop_assert_eq!(bits(f), bits(s), "optimization changed bits");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `[700, 6]` is past the elementwise grain and two column-sum
+    /// chunks, so epilogues combine partials.
     #[test]
     fn optimized_equals_unoptimized_on_random_dags(
         steps in prop::collection::vec(step_strategy(), 1..20),
+        big in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (r, c) = (3usize, 4usize);
-        let g = build(&steps, r, c);
-        let (x, b) = inputs(r, c, seed);
-        let fast = compile(&g).run(&[&x, &b]);
-        let slow = compile_unoptimized(&g).run(&[&x, &b]);
-        prop_assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            prop_assert_eq!(f.dims(), s.dims());
-            if s.all_finite() {
-                prop_assert!(
-                    f.allclose(s, 1e-4),
-                    "optimization changed semantics by {}",
-                    f.max_abs_diff(s)
-                );
-            }
-        }
+        let (r, c) = if big { (700usize, 6usize) } else { (3, 4) };
+        assert_same_bits(&build(&steps, r, c), r, c, seed)?;
+    }
+
+    /// Long programs: kernels grow to the codegen envelope and split, with
+    /// duplicated producers and reduction roots on both sides of the cut.
+    #[test]
+    fn optimized_equals_unoptimized_across_the_codegen_envelope(
+        steps in prop::collection::vec(chain_step_strategy(), 300..420),
+        seed in any::<u64>(),
+    ) {
+        let g = build_within(&steps, 5, 3, 2);
+        let longest = compile(&g)
+            .graph()
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.op {
+                HloOp::Fused { insts, .. } => Some(insts.len()),
+                _ => None,
+            })
+            .max();
+        prop_assert!(longest > Some(100), "no kernel near the envelope: {:?}", longest);
+        assert_same_bits(&g, 5, 3, seed)?;
     }
 
     #[test]

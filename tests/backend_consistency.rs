@@ -191,3 +191,63 @@ fn simd_paths_agree_on_every_backend() {
         per_path[0].max_abs_diff(&per_path[1])
     );
 }
+
+/// A reduction fused onto its producer sums exactly what
+/// `Tensor::reduce_to_shape` sums from the stored values — one routine,
+/// one order — so the lazy backend's epilogue agrees bit for bit with the
+/// naive backend's two kernels, at 1 and at 2 kernel threads. The shape is
+/// past several column-sum chunks and the parallel grain.
+#[test]
+fn fused_reduction_epilogue_is_the_reduce_to_shape_routine() {
+    let dims = [8usize, 24, 24, 6];
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let x = Tensor::<f32>::randn(&dims, &mut rng);
+    let mean = Tensor::<f32>::randn(&[6], &mut rng);
+    let materialized = x.sub(&mean).square();
+
+    let mut per_threads = Vec::new();
+    for threads in [1usize, 2] {
+        s4tf::threads::set_num_threads(threads);
+        let lazy = Device::lazy();
+        let on = |t: &Tensor<f32>| DTensor::from_tensor(t.clone(), &lazy);
+        let var = on(&x).sub(&on(&mean)).square().reduce_to_shape(&[6]);
+        let Device::Lazy(ctx) = &lazy else {
+            unreachable!()
+        };
+        let compiled = s4tf::xla::compile(&ctx.snapshot_trace());
+        assert!(
+            compiled.graph().nodes.iter().any(|n| matches!(
+                &n.op,
+                s4tf::xla::HloOp::Fused { reduce_to: Some(d), .. } if d == &[6]
+            )),
+            "the reduction should have fused onto (x − mean)²"
+        );
+        assert_eq!(compiled.kernel_count(), 1, "and nothing else should run");
+        let fused = var.to_tensor();
+        let stored = materialized.reduce_to_shape(&[6]);
+        let naive = Device::naive();
+        let two_kernels = DTensor::from_tensor(x.clone(), &naive)
+            .sub(&DTensor::from_tensor(mean.clone(), &naive))
+            .square()
+            .reduce_to_shape(&[6])
+            .to_tensor();
+        let bits =
+            |t: &Tensor<f32>| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(
+            bits(&fused),
+            bits(&stored),
+            "epilogue vs stored, {threads} thread(s)"
+        );
+        assert_eq!(
+            bits(&fused),
+            bits(&two_kernels),
+            "lazy vs naive, {threads} thread(s)"
+        );
+        per_threads.push(bits(&fused));
+    }
+    s4tf::threads::set_num_threads(1);
+    assert_eq!(
+        per_threads[0], per_threads[1],
+        "the sum depends on the thread count"
+    );
+}
