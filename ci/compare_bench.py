@@ -22,6 +22,15 @@ row far below it means a gradient fell back to scalar loops while its
 roofline label still says `simd8`. Both rows come from one run on one
 machine, so this check fails on every machine.
 
+And each forward `conv2d` row with at least ``CONV_GEMM_MIN_IN_C`` input
+channels and a kernel larger than 1x1 must reach ``CONV_GEMM_FLOOR`` x the
+artifact's own `gemm 256x256x256` row: with that many channels the im2col
+scratch is filled in runs and multiplied a block of rows at a time, so the
+kernel is the GEMM plus a copy, and a row far below the GEMM means patches
+are being gathered element by element or multiplied a strip at a time
+again. (A 1x1 kernel reduces over its channels alone; a GEMM that shallow
+is bound by its write-back, not by the engine.)
+
 Likewise each broadcasting elementwise row (`add …+[C]`, `greater_mask …
 vs scalar`) may take at most ``BROADCAST_CEILING`` x the time of the
 same-shape `add …+same` row over the same dims: a broadcast operand is
@@ -83,6 +92,14 @@ SCHEMAS = {
 CONV_GRAD_FLOOR = 0.5
 
 
+# A forward conv row with at least this many input channels (and a kernel
+# past 1x1) must reach CONV_GEMM_FLOOR x the GEMM_REFERENCE row of its own
+# artifact (DESIGN.md 6g).
+CONV_GEMM_MIN_IN_C = 16
+CONV_GEMM_FLOOR = 0.6
+GEMM_REFERENCE = "256x256x256"
+
+
 # A broadcasting elementwise row above this multiple of its same-shape
 # row's time fails the artifact (same element count, fewer bytes read).
 BROADCAST_CEILING = 1.5
@@ -132,6 +149,32 @@ def conv_grad_failures(doc):
                 f"{r['kernel']}/{r['case']} [{r['path']}]: {r['gflops_1']:.3f} "
                 f"GFLOP/s is {r['gflops_1'] / fwd:.2f}x the forward kernel's "
                 f"{fwd:.3f} (floor {CONV_GRAD_FLOOR}x)")
+    return failures
+
+
+def conv_gemm_failures(doc):
+    """Forward conv rows (case `<name> NxHxWxC*KhxKwxCxO[/s]`, C >=
+    CONV_GEMM_MIN_IN_C, Kh*Kw > 1) slower than CONV_GEMM_FLOOR x the same
+    artifact's reference GEMM row."""
+    gemm = {r["path"]: r["gflops_1"] for r in doc["results"]
+            if r["kernel"] == "gemm" and r["case"] == GEMM_REFERENCE}
+    failures = []
+    for r in doc["results"]:
+        if r["kernel"] != "conv2d":
+            continue
+        k_h, k_w, in_c = (int(d) for d in
+                          r["case"].split()[1].split("*")[1].split("x")[:3])
+        if in_c < CONV_GEMM_MIN_IN_C or k_h * k_w == 1:
+            continue
+        ref = gemm.get(r["path"])
+        if ref is None:
+            failures.append(f"conv2d/{r['case']}: no gemm {GEMM_REFERENCE} row "
+                            f"with path {r['path']} to compare against")
+        elif r["gflops_1"] < CONV_GEMM_FLOOR * ref:
+            failures.append(
+                f"conv2d/{r['case']} [{r['path']}]: {r['gflops_1']:.3f} GFLOP/s "
+                f"is {r['gflops_1'] / ref:.2f}x gemm {GEMM_REFERENCE}'s "
+                f"{ref:.3f} (floor {CONV_GEMM_FLOOR}x)")
     return failures
 
 
@@ -196,6 +239,9 @@ def main():
     grad_failures = conv_grad_failures(measured) if kind == "kernels" else []
     for f in grad_failures:
         print(f"  CONV GRADIENT OFF THE ENGINE: {f}")
+    gemm_failures = conv_gemm_failures(measured) if kind == "kernels" else []
+    for f in gemm_failures:
+        print(f"  CONV BELOW THE GEMM: {f}")
     bcast_failures = broadcast_failures(measured) if kind == "kernels" else []
     for f in bcast_failures:
         print(f"  BROADCAST MATERIALIZED: {f}")
@@ -247,6 +293,9 @@ def main():
     if grad_failures:
         sys.exit(f"{len(grad_failures)} conv gradient row(s) below "
                  f"{CONV_GRAD_FLOOR}x their forward row")
+    if gemm_failures:
+        sys.exit(f"{len(gemm_failures)} conv row(s) below "
+                 f"{CONV_GEMM_FLOOR}x gemm {GEMM_REFERENCE}")
     if bcast_failures:
         sys.exit(f"{len(bcast_failures)} broadcast row(s) above "
                  f"{BROADCAST_CEILING}x their same-shape row")

@@ -139,42 +139,29 @@ fn conv_cases(
 }
 
 /// The conv shapes of the two training workloads, forward and both
-/// gradients each: LeNet's c1/c2 at batch `lenet_b`; ResNet-8's 16-channel
-/// 3×3 and its stride-2 16→32 downsampling conv at batch `resnet_b`.
+/// gradients each: LeNet's c1/c2 at batch `lenet_b`; one ResNet-8 3×3 per
+/// stage (`out_w` 32, 16 and 8 — the GEMM's M per output row), its
+/// stride-2 16→32 downsampling conv and the 1×1 stride-2 shortcut beside
+/// it, at batch `resnet_b`.
 fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<Case> {
     let (l, r) = (lenet_b, resnet_b);
-    let mut cases = conv_cases(
-        &format!("lenet-c1 {l}x28x28x1*5x5x1x6"),
-        &[l, 28, 28, 1],
-        &[5, 5, 1, 6],
-        (1, 1),
-        Padding::Same,
-        rng,
-    );
-    cases.extend(conv_cases(
-        &format!("lenet-c2 {l}x14x14x6*5x5x6x16"),
-        &[l, 14, 14, 6],
-        &[5, 5, 6, 16],
-        (1, 1),
-        Padding::Valid,
-        rng,
-    ));
-    cases.extend(conv_cases(
-        &format!("resnet-16 {r}x32x32x16*3x3x16x16"),
-        &[r, 32, 32, 16],
-        &[3, 3, 16, 16],
-        (1, 1),
-        Padding::Same,
-        rng,
-    ));
-    cases.extend(conv_cases(
-        &format!("resnet-s2 {r}x32x32x16*3x3x16x32/2"),
-        &[r, 32, 32, 16],
-        &[3, 3, 16, 32],
-        (2, 2),
-        Padding::Same,
-        rng,
-    ));
+    let same = Padding::Same;
+    let shapes = [
+        ("lenet-c1", [l, 28, 28, 1], [5, 5, 1, 6], 1, same),
+        ("lenet-c2", [l, 14, 14, 6], [5, 5, 6, 16], 1, Padding::Valid),
+        ("resnet-16", [r, 32, 32, 16], [3, 3, 16, 16], 1, same),
+        ("resnet-32", [r, 16, 16, 32], [3, 3, 32, 32], 1, same),
+        ("resnet-64", [r, 8, 8, 64], [3, 3, 64, 64], 1, same),
+        ("resnet-s2", [r, 32, 32, 16], [3, 3, 16, 32], 2, same),
+        ("resnet-sc", [r, 32, 32, 16], [1, 1, 16, 32], 2, same),
+    ];
+    let dims = |d: [usize; 4]| d.map(|v| v.to_string()).join("x");
+    let mut cases = Vec::new();
+    for (name, x, w, stride, padding) in shapes {
+        let suffix = if stride == 1 { "" } else { "/2" };
+        let label = format!("{name} {}*{}{suffix}", dims(x), dims(w));
+        cases.extend(conv_cases(&label, &x, &w, (stride, stride), padding, rng));
+    }
     cases
 }
 
@@ -392,7 +379,11 @@ fn main() {
 
     let mut cases: Vec<Case> = Vec::new();
     if smoke {
-        cases.push(gemm_case(64, 64, 64, &mut rng));
+        // 256³ in smoke too: it is the row `ci/compare_bench.py` holds the
+        // ≥ 16-channel conv rows to.
+        for s in [64usize, 256] {
+            cases.push(gemm_case(s, s, s, &mut rng));
+        }
         cases.push(matvec_case(256, 256, &mut rng));
         cases.extend(all_conv_cases(8, 4, &mut rng));
         for n in [64usize, 4096, 65_536] {

@@ -3,28 +3,40 @@
 //! kernels the `Conv2D` pullback needs.
 //!
 //! Past [`DIRECT_MAX_MACS`] all three kernels lower to the packed GEMM in
-//! [`super::gemm`], one `(image, output row)` strip at a time, around the
-//! same k-major im2col scratch ([`im2col_strip_t`], `kdim × out_w` with
-//! `kdim = k_h·k_w·in_c`):
+//! [`super::gemm`], one *block* of output rows at a time: as many rows of
+//! one image as fit [`BLOCK_SCRATCH_BYTES`] of im2col scratch, `P`
+//! positions × `kdim = k_h·k_w·in_c` patch elements, one GEMM per block.
+//!
+//! **Scratch layout.** Patch-major `col[P, kdim]` ([`im2col_block`]):
+//! position `p`'s patch is `k_h` runs of `k_w·in_c` input floats, each one
+//! `copy_from_slice` clipped at the image's left and right edge —
+//! [`col2im_strip`] is the same walk run backwards, and the two share the
+//! clipping ([`ConvGeom::kx_range`]). Single-channel stride-1 inputs
+//! (LeNet's first layer), whose runs would be `k_w` floats long, keep the
+//! k-major `colt[kdim, P]` instead ([`im2col_block_t`]), where each
+//! `(ky, kx)` of an output row is one `out_w`-long row copy. The GEMM reads
+//! either through a [`Layout`]; the layout changes neither the values nor
+//! any element's summation order.
 //!
 //! * **forward** — HWIO filters flatten row-major to exactly the
-//!   `[kdim, out_c]` B operand; each strip is `col[out_w, kdim] · W`.
-//! * **input gradient** — `dcol[out_w, kdim] = dy_strip[out_w, out_c] · Wᵀ`
-//!   (`Wᵀ` packed once per call, the NHWC `dy` rows read in place), then
-//!   [`col2im_strip`] scatter-adds `dcol` into the image's `dx` rows: the
-//!   inverse of the im2col index walk, so every stride and both paddings
-//!   share one routine. Single-channel stride-1 inputs (LeNet's first
-//!   layer) take the transposed product `dcolᵀ = W · dy_stripᵀ` instead,
-//!   whose k-major result scatters as whole contiguous rows
-//!   ([`col2im_strip_t`]) rather than `k_w`-element runs.
-//! * **filter gradient** — `dw += colt[kdim, out_w] · dy_strip[out_w, out_c]`:
-//!   the k-major scratch is already the row-major A operand, accumulated
-//!   over strips with the engine's `C +=`.
+//!   `[kdim, out_c]` B operand; each block is `col[P, kdim] · W`.
+//! * **input gradient** — `dcol[P, kdim] = dy_block[P, out_c] · Wᵀ` (`Wᵀ`
+//!   packed once per call, the NHWC `dy` rows read in place), then
+//!   [`col2im_strip`] scatter-adds `dcol` into the image's `dx` rows, one
+//!   output row at a time in row order. The k-major case computes
+//!   `dcolᵀ = W · dy_blockᵀ` and scatters whole rows ([`col2im_strip_t`]).
+//! * **filter gradient** — `dw += colᵀ[kdim, P] · dy_block[P, out_c]`: the
+//!   reduction runs over the block's `P` positions in registers, with `dy`
+//!   packed once per block.
 //!
-//! Scratch is one strip per task for every kernel. Smaller problems run
-//! the direct loops below, which are also the tests' oracle. Work splits
-//! across the thread pool over `batch × out_h` strips (forward) and over
-//! images (both gradients).
+//! Scratch is one block per task, taken from and returned to
+//! [`crate::pool`]. Smaller problems run the direct loops below, which are
+//! also the unit tests' oracle. Work splits across the thread pool over
+//! `batch × out_h` output rows (forward) and over images (both gradients);
+//! blocks are cut inside a task's share, so the block height never limits
+//! how evenly a layer splits.
+
+use std::ops::Range;
 
 use super::gemm::{self, Layout, PackedB};
 use crate::dtype::Float;
@@ -35,8 +47,13 @@ use crate::Padding;
 /// im2col + GEMM lowering (scratch setup dominates).
 const DIRECT_MAX_MACS: usize = 1 << 15;
 
-/// Target multiply-accumulates per parallel chunk.
+/// Target multiply-accumulates per parallel task.
 const CHUNK_MACS: usize = 1 << 16;
+
+/// Upper bound on one block's im2col scratch. Blocks of 4 rows, 8 rows and
+/// a whole 32×32×16 image measured within 4 % of each other, so the bound
+/// only keeps a task's scratch inside L2 next to the packed filter.
+const BLOCK_SCRATCH_BYTES: usize = 192 << 10;
 
 /// Validated geometry for one conv2d application.
 #[derive(Debug, Clone, Copy)]
@@ -86,10 +103,62 @@ impl ConvGeom {
         (ox_lo, ox_hi)
     }
 
-    /// Images per parallel chunk for the gradient kernels.
-    fn grain_imgs(&self) -> usize {
-        (CHUNK_MACS / (self.macs() / self.batch.max(1)).max(1)).max(1)
+    /// The kernel columns `kx_lo..kx_hi` whose tap for output column `ox`
+    /// reads inside the image, i.e. `ix = ox·sw − pad_left + kx ∈
+    /// [0, in_w)`, and the first such `ix`. Never empty: `−k_w < ix0 <
+    /// in_w` for both paddings.
+    fn kx_range(&self, ox: usize) -> (usize, usize, usize) {
+        let ix0 = (ox * self.stride.1) as isize - self.pad_left as isize;
+        let kx_lo = (-ix0).clamp(0, self.k_w as isize) as usize;
+        let kx_hi = (self.in_w as isize - ix0).clamp(kx_lo as isize, self.k_w as isize) as usize;
+        (kx_lo, kx_hi, (ix0 + kx_lo as isize) as usize)
     }
+
+    /// Whether the scratch is k-major: single-channel stride-1 inputs,
+    /// where a k-major row is one contiguous copy of an input row.
+    fn k_major(&self) -> bool {
+        self.in_c == 1 && self.stride.1 == 1
+    }
+
+    /// Output rows per block: the most that fit [`BLOCK_SCRATCH_BYTES`],
+    /// evened out over the image so the last block is not a sliver.
+    fn block_rows<T>(&self) -> usize {
+        let row_bytes = (self.out_w * self.kdim() * std::mem::size_of::<T>()).max(1);
+        let fit = (BLOCK_SCRATCH_BYTES / row_bytes).max(1);
+        let blocks = self.out_h.div_ceil(fit).max(1);
+        self.out_h.div_ceil(blocks).max(1)
+    }
+
+    /// Output rows per parallel task of the forward kernel.
+    fn grain_rows(&self) -> usize {
+        CHUNK_MACS
+            .div_ceil((self.out_w * self.out_c * self.kdim()).max(1))
+            .max(1)
+    }
+
+    /// Images per parallel task of the gradient kernels.
+    fn grain_imgs(&self) -> usize {
+        self.grain_rows().div_ceil(self.out_h.max(1)).max(1)
+    }
+}
+
+/// Cuts the output rows `rows` (global ids `n·out_h + oy`) into blocks of
+/// at most `block_rows` rows of one image: `(n, oy range)` in order.
+fn blocks(
+    g: &ConvGeom,
+    rows: Range<usize>,
+    block_rows: usize,
+) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let out_h = g.out_h;
+    let mut id = rows.start;
+    std::iter::from_fn(move || {
+        (id < rows.end).then(|| {
+            let (n, oy) = (id / out_h, id % out_h);
+            let len = block_rows.min(out_h - oy).min(rows.end - id);
+            id += len;
+            (n, oy..oy + len)
+        })
+    })
 }
 
 fn geometry(
@@ -127,49 +196,55 @@ fn geometry(
     }
 }
 
-/// Fills `colt` (`kdim × out_w`, *k-major*) with the transposed patch
-/// matrix for output row `oy` of image `n`; padded positions become
-/// zeros.
-///
-/// k-major layout makes each `(ky, kx, ic)` scratch row a strided walk
-/// along one input row, so single-channel stride-1 convolutions (the
-/// LeNet c1 shape) fill a whole row with one `copy_from_slice` instead
-/// of `out_w` single-element copies — the scratch fill was the dominant
-/// cost of small-channel strips, not the GEMM. The GEMM reads the
-/// scratch through a transposed [`Layout`] (stride swap), which changes
-/// neither the values nor any element's summation order.
-fn im2col_strip_t<T: Float>(x: &[T], g: &ConvGeom, n: usize, oy: usize, colt: &mut [T]) {
-    let (sh, sw) = g.stride;
-    let krow = g.in_c * g.out_w;
-    for ky in 0..g.k_h {
-        let iy = (oy * sh + ky) as isize - g.pad_top as isize;
-        let krows = &mut colt[ky * g.k_w * krow..(ky + 1) * g.k_w * krow];
-        if iy < 0 || iy as usize >= g.in_h {
-            krows.fill(T::zero());
-            continue;
-        }
-        let row_base = (n * g.in_h + iy as usize) * g.in_w * g.in_c;
-        for kx in 0..g.k_w {
-            let off = kx as isize - g.pad_left as isize;
-            let (ox_lo, ox_hi) = g.ox_range(off);
-            let rows = &mut krows[kx * krow..(kx + 1) * krow];
-            if g.in_c == 1 && sw == 1 {
-                rows[..ox_lo].fill(T::zero());
-                rows[ox_hi..].fill(T::zero());
-                // A kernel column wholly outside a narrow image is empty.
-                if ox_lo < ox_hi {
-                    let src0 = (row_base as isize + ox_lo as isize + off) as usize;
-                    rows[ox_lo..ox_hi].copy_from_slice(&x[src0..src0 + (ox_hi - ox_lo)]);
+/// Fills patch-major `col` (`P × kdim`, `P = oys.len()·out_w`) with the
+/// patch matrix of output rows `oys` of image `n`; padded positions become
+/// zeros. Each `(position, ky)` is one run of `k_w·in_c` consecutive input
+/// floats, clipped at the image's left and right edge.
+fn im2col_block<T: Float>(x: &[T], g: &ConvGeom, n: usize, oys: Range<usize>, col: &mut [T]) {
+    let kdim = g.kdim();
+    let krow = g.k_w * g.in_c;
+    let x_row = g.in_w * g.in_c;
+    for (oy, col_strip) in oys.zip(col.chunks_exact_mut(g.out_w * kdim)) {
+        let iy0 = (oy * g.stride.0) as isize - g.pad_top as isize;
+        for (ox, patch) in col_strip.chunks_exact_mut(kdim).enumerate() {
+            let (kx_lo, kx_hi, ix) = g.kx_range(ox);
+            let (lo, hi) = (kx_lo * g.in_c, kx_hi * g.in_c);
+            for (ky, run) in patch.chunks_exact_mut(krow).enumerate() {
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy as usize >= g.in_h {
+                    run.fill(T::zero());
+                    continue;
                 }
-            } else {
-                for ic in 0..g.in_c {
-                    let row = &mut rows[ic * g.out_w..(ic + 1) * g.out_w];
-                    row[..ox_lo].fill(T::zero());
-                    row[ox_hi..].fill(T::zero());
-                    for (ox, slot) in row[ox_lo..ox_hi].iter_mut().enumerate() {
-                        let ix = ((ox_lo + ox) * sw) as isize + off;
-                        *slot = x[row_base + ix as usize * g.in_c + ic];
-                    }
+                let src0 = (n * g.in_h + iy as usize) * x_row + ix * g.in_c;
+                run[..lo].fill(T::zero());
+                run[hi..].fill(T::zero());
+                run[lo..hi].copy_from_slice(&x[src0..src0 + (hi - lo)]);
+            }
+        }
+    }
+}
+
+/// [`im2col_block`] for the k-major case ([`ConvGeom::k_major`]): fills
+/// `colt` (`kdim × P`) so that each `(ky, kx)` row holds, per output row of
+/// the block, one `out_w`-long copy of an input row.
+fn im2col_block_t<T: Float>(x: &[T], g: &ConvGeom, n: usize, oys: Range<usize>, colt: &mut [T]) {
+    let p = oys.len() * g.out_w;
+    for (r, oy) in oys.enumerate() {
+        for ky in 0..g.k_h {
+            let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
+            let inside = iy >= 0 && (iy as usize) < g.in_h;
+            for kx in 0..g.k_w {
+                let at = (ky * g.k_w + kx) * p + r * g.out_w;
+                let row = &mut colt[at..at + g.out_w];
+                let off = kx as isize - g.pad_left as isize;
+                // A kernel column wholly outside a narrow image is empty.
+                let (ox_lo, ox_hi) = if inside { g.ox_range(off) } else { (0, 0) };
+                row[..ox_lo].fill(T::zero());
+                row[ox_hi..].fill(T::zero());
+                if ox_lo < ox_hi {
+                    let src0 =
+                        (n * g.in_h + iy as usize) * g.in_w + (ox_lo as isize + off) as usize;
+                    row[ox_lo..ox_hi].copy_from_slice(&x[src0..src0 + (ox_hi - ox_lo)]);
                 }
             }
         }
@@ -178,36 +253,27 @@ fn im2col_strip_t<T: Float>(x: &[T], g: &ConvGeom, n: usize, oy: usize, colt: &m
 
 /// Scatter-adds `dcol` (`out_w × kdim`, patch-major: the gradient of
 /// output row `oy`'s im2col matrix) into one image's `dx` rows — the
-/// inverse of [`im2col_strip_t`]'s index walk, so every stride and both
-/// paddings go through the same clipping.
-///
-/// Patch-major makes each `(ox, ky)` a single run: the `k_w × in_c`
-/// gradient values of one kernel row land on consecutive `(ix, ic)`
-/// input positions, clipped at the image's left and right edge.
+/// inverse of [`im2col_block`]'s walk for one output row, run by run, so
+/// every stride and both paddings go through the same clipping.
 ///
 /// `inline(always)` so the add loops compile inside the caller's
 /// [`crate::simd::vectorize`] frame (8-wide on the lane path; plain adds,
 /// so the values are the same on both paths).
 #[inline(always)]
 fn col2im_strip<T: Float>(dcol: &[T], g: &ConvGeom, oy: usize, dx_img: &mut [T]) {
-    let (sh, sw) = g.stride;
     let kdim = g.kdim();
     let krow = g.k_w * g.in_c;
     for ky in 0..g.k_h {
-        let iy = (oy * sh + ky) as isize - g.pad_top as isize;
+        let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
         if iy < 0 || iy as usize >= g.in_h {
             continue;
         }
         let row = iy as usize * g.in_w * g.in_c;
         let dx_row = &mut dx_img[row..row + g.in_w * g.in_c];
         for ox in 0..g.out_w {
-            // `ix = ix0 + kx` must stay in `[0, in_w)`; never empty, as
-            // `-k_w < ix0 < in_w` for both paddings.
-            let ix0 = (ox * sw) as isize - g.pad_left as isize;
-            let kx_lo = (-ix0).clamp(0, g.k_w as isize) as usize;
-            let kx_hi = (g.in_w as isize - ix0).clamp(kx_lo as isize, g.k_w as isize) as usize;
+            let (kx_lo, kx_hi, ix) = g.kx_range(ox);
             let src = &dcol[ox * kdim + ky * krow..][kx_lo * g.in_c..kx_hi * g.in_c];
-            let dst0 = (ix0 + kx_lo as isize) as usize * g.in_c;
+            let dst0 = ix * g.in_c;
             for (d, &s) in dx_row[dst0..dst0 + src.len()].iter_mut().zip(src) {
                 *d += s;
             }
@@ -215,11 +281,17 @@ fn col2im_strip<T: Float>(dcol: &[T], g: &ConvGeom, oy: usize, dx_img: &mut [T])
     }
 }
 
-/// [`col2im_strip`] for a k-major `dcolt` (`kdim × out_w`) of a
-/// single-channel stride-1 input: the exact inverse of
-/// [`im2col_strip_t`]'s `copy_from_slice` fast path, one contiguous
-/// add per `(ky, kx)` row.
-fn col2im_strip_t<T: Float>(dcolt: &[T], g: &ConvGeom, oy: usize, dx_img: &mut [T]) {
+/// [`col2im_strip`] for the k-major case: `dcolt` is the block's
+/// `kdim × p` gradient and `r` the output row's index inside the block.
+/// The exact inverse of [`im2col_block_t`]'s copies, one contiguous add
+/// per `(ky, kx)` row.
+fn col2im_strip_t<T: Float>(
+    dcolt: &[T],
+    (p, r): (usize, usize),
+    g: &ConvGeom,
+    oy: usize,
+    dx_img: &mut [T],
+) {
     for ky in 0..g.k_h {
         let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
         if iy < 0 || iy as usize >= g.in_h {
@@ -232,12 +304,26 @@ fn col2im_strip_t<T: Float>(dcolt: &[T], g: &ConvGeom, oy: usize, dx_img: &mut [
             if ox_lo == ox_hi {
                 continue;
             }
-            let src = &dcolt[(ky * g.k_w + kx) * g.out_w..][ox_lo..ox_hi];
+            let src = &dcolt[(ky * g.k_w + kx) * p + r * g.out_w..][ox_lo..ox_hi];
             let dst0 = (ox_lo as isize + off) as usize;
             for (d, &s) in dx_row[dst0..dst0 + src.len()].iter_mut().zip(src) {
                 *d += s;
             }
         }
+    }
+}
+
+/// Fills the scratch for one block in the geometry's layout and returns
+/// the [`Layout`] under which it reads as the logical `[P, kdim]` patch
+/// matrix.
+fn im2col<T: Float>(x: &[T], g: &ConvGeom, n: usize, oys: Range<usize>, col: &mut [T]) -> Layout {
+    if g.k_major() {
+        let p = oys.len() * g.out_w;
+        im2col_block_t(x, g, n, oys, col);
+        Layout::transposed(p)
+    } else {
+        im2col_block(x, g, n, oys, col);
+        Layout::row_major(g.kdim())
     }
 }
 
@@ -343,9 +429,10 @@ impl<T: Float> Tensor<T> {
     /// 2-D convolution: input `[N,H,W,Cin]` ⊛ filter `[Kh,Kw,Cin,Cout]` →
     /// `[N,H',W',Cout]`.
     ///
-    /// Large problems run as im2col + packed GEMM, parallel over
-    /// `batch × out_h` strips; results are bit-identical for every
-    /// thread count.
+    /// Large problems run as im2col + packed GEMM, a block of output rows
+    /// at a time, parallel over `batch × out_h` output rows; every output
+    /// element is one k-order sum, so results are bit-identical for every
+    /// thread count and block height.
     ///
     /// # Panics
     /// Panics on rank or channel mismatches, zero strides, or (for
@@ -368,29 +455,25 @@ impl<T: Float> Tensor<T> {
             // HWIO row-major is already the [kdim, out_c] GEMM operand.
             let wp = gemm::pack_b(w, Layout::row_major(g.out_c), kdim, g.out_c);
             let strip = g.out_w * g.out_c;
-            let strip_macs = (strip * kdim).max(1);
-            let grain_strips = (CHUNK_MACS / strip_macs).max(1);
+            let block_rows = g.block_rows::<T>();
             s4tf_threads::parallel_chunks_mut(
                 &mut out,
                 strip,
-                grain_strips * strip,
+                g.grain_rows() * strip,
                 |start, chunk| {
-                    // One im2col scratch per chunk, reused across strips.
-                    let mut colt = vec![T::zero(); g.out_w * kdim];
-                    let strip0 = start / strip;
-                    for (u, cslice) in chunk.chunks_mut(strip).enumerate() {
-                        let id = strip0 + u;
-                        let (n, oy) = (id / g.out_h, id % g.out_h);
-                        im2col_strip_t(x, &g, n, oy, &mut colt);
-                        gemm::gemm_rows(
-                            &colt,
-                            Layout::transposed(g.out_w),
-                            &wp,
-                            cslice,
-                            g.out_c,
-                            0..g.out_w,
-                        );
+                    // One im2col scratch per task, reused across blocks;
+                    // every slot a GEMM reads is written first.
+                    let (mut col, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
+                    let row0 = start / strip;
+                    for (n, oys) in blocks(&g, row0..row0 + chunk.len() / strip, block_rows) {
+                        let p = oys.len() * g.out_w;
+                        let y0 = ((n * g.out_h + oys.start) * g.out_w) * g.out_c - start;
+                        let y = &mut chunk[y0..y0 + p * g.out_c];
+                        let col = &mut col[..p * kdim];
+                        let la = im2col(x, &g, n, oys, col);
+                        gemm::gemm_rows(col, la, &wp, y, g.out_c, 0..p);
                     }
+                    crate::pool::give_vec(col);
                 },
             );
         }
@@ -400,9 +483,10 @@ impl<T: Float> Tensor<T> {
     /// Gradient of [`Tensor::conv2d`] with respect to its *input*,
     /// parallel over images (each image's `dx` slice is disjoint).
     ///
-    /// Large problems run as packed GEMM + col2im per output row (see the
-    /// module docs); every `dx` element's summation order is fixed by its
-    /// image alone, so results are bit-identical for every thread count.
+    /// Large problems run as one packed GEMM per block of output rows, then
+    /// col2im per row in row order (see the module docs); every `dx`
+    /// element's summation order is fixed by its image alone, so results
+    /// are bit-identical for every thread count and block height.
     ///
     /// `self` is the input (only its shape matters for geometry); `grad_out`
     /// has the forward output's shape.
@@ -429,11 +513,11 @@ impl<T: Float> Tensor<T> {
         let img = g.in_h * g.in_w * g.in_c;
         let kdim = g.kdim();
         let use_gemm = g.macs() >= DIRECT_MAX_MACS;
-        // Single-channel stride-1: dcolᵀ = W · dyᵀ, scattered row-wise.
-        let k_major = g.in_c == 1 && g.stride.1 == 1;
-        // Otherwise Wᵀ is the [out_c, kdim] B operand, packed once per call.
-        let wtp = (use_gemm && !k_major)
+        // k-major: dcolᵀ = W · dyᵀ, scattered row-wise. Otherwise Wᵀ is the
+        // [out_c, kdim] B operand, packed once per call.
+        let wtp = (use_gemm && !g.k_major())
             .then(|| gemm::pack_b(w, Layout::transposed(g.out_c), g.out_c, kdim));
+        let block_rows = g.block_rows::<T>();
         s4tf_threads::parallel_chunks_mut(&mut dx, img, g.grain_imgs() * img, |start, chunk| {
             let n0 = start / img;
             if !use_gemm {
@@ -442,52 +526,45 @@ impl<T: Float> Tensor<T> {
                 }
                 return;
             }
-            // One patch-gradient scratch per chunk, reused across strips.
-            let mut dcol = vec![T::zero(); g.out_w * kdim];
+            // One patch-gradient scratch per task, reused across blocks.
+            let (mut dcol, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
             let mut dyt = PackedB::empty();
-            for (u, dx_img) in chunk.chunks_mut(img).enumerate() {
-                for oy in 0..g.out_h {
-                    let row0 = ((n0 + u) * g.out_h + oy) * g.out_w;
-                    dcol.fill(T::zero());
-                    if let Some(wtp) = &wtp {
-                        gemm::gemm_rows(
-                            dy,
-                            Layout::row_major(g.out_c),
-                            wtp,
-                            &mut dcol,
-                            kdim,
-                            row0..row0 + g.out_w,
-                        );
-                        crate::simd::vectorize(|| col2im_strip(&dcol, &g, oy, dx_img));
-                    } else {
-                        dyt.repack(
-                            &dy[row0 * g.out_c..(row0 + g.out_w) * g.out_c],
-                            Layout::transposed(g.out_c),
-                            g.out_c,
-                            g.out_w,
-                        );
-                        gemm::gemm_rows(
-                            w,
-                            Layout::row_major(g.out_c),
-                            &dyt,
-                            &mut dcol,
-                            g.out_w,
-                            0..kdim,
-                        );
-                        col2im_strip_t(&dcol, &g, oy, dx_img);
+            let rows = n0 * g.out_h..(n0 + chunk.len() / img) * g.out_h;
+            for (n, oys) in blocks(&g, rows, block_rows) {
+                let dx_img = &mut chunk[(n - n0) * img..(n - n0 + 1) * img];
+                let p = oys.len() * g.out_w;
+                let pos0 = (n * g.out_h + oys.start) * g.out_w;
+                let dcol = &mut dcol[..p * kdim];
+                dcol.fill(T::zero());
+                if let Some(wtp) = &wtp {
+                    let la = Layout::row_major(g.out_c);
+                    gemm::gemm_rows(dy, la, wtp, dcol, kdim, pos0..pos0 + p);
+                    crate::simd::vectorize(|| {
+                        for (oy, dcol_strip) in oys.zip(dcol.chunks_exact(g.out_w * kdim)) {
+                            col2im_strip(dcol_strip, &g, oy, dx_img);
+                        }
+                    });
+                } else {
+                    let dy_block = &dy[pos0 * g.out_c..(pos0 + p) * g.out_c];
+                    dyt.repack(dy_block, Layout::transposed(g.out_c), g.out_c, p);
+                    gemm::gemm_rows(w, Layout::row_major(g.out_c), &dyt, dcol, p, 0..kdim);
+                    for (r, oy) in oys.enumerate() {
+                        col2im_strip_t(dcol, (p, r), &g, oy, dx_img);
                     }
                 }
             }
+            crate::pool::give_vec(dcol);
         });
         Tensor::from_pooled_vec((dx, dx_recycled), &[g.batch, g.in_h, g.in_w, g.in_c])
     }
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *filter*,
-    /// parallel over images: each chunk accumulates a private partial
-    /// `dw`, combined in chunk order afterwards (so within every chunk
-    /// the summation order is the serial one, and thread counts differ by
-    /// rounding only). Large problems accumulate each partial as one
-    /// im2col GEMM per output row (see the module docs).
+    /// parallel over images: each task accumulates a private partial
+    /// `dw`, combined in task order afterwards. Large problems add one
+    /// im2col GEMM per block of output rows to the partial (see the module
+    /// docs), so the summation order is per block per task: fixed for a
+    /// given thread count, and different thread counts differ by rounding
+    /// only.
     ///
     /// # Panics
     /// Panics on geometry mismatches.
@@ -509,46 +586,36 @@ impl<T: Float> Tensor<T> {
         let kdim = g.kdim();
         let dw_len = kdim * g.out_c;
         let use_gemm = g.macs() >= DIRECT_MAX_MACS;
+        let block_rows = g.block_rows::<T>();
         let partials = s4tf_threads::parallel_map_chunks(0..g.batch, g.grain_imgs(), |imgs| {
-            let mut partial = vec![T::zero(); dw_len];
+            let (mut partial, _) = crate::pool::zeroed_vec::<T>(dw_len);
             if !use_gemm {
                 for n in imgs {
                     backward_filter_image(x, dy, &mut partial, &g, n);
                 }
                 return partial;
             }
-            // The k-major im2col scratch is the row-major [kdim, out_w] A
-            // operand; the strip's dy rows are the [out_w, out_c] B operand.
-            let mut colt = vec![T::zero(); kdim * g.out_w];
-            let strip = g.out_w * g.out_c;
+            let (mut col, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
             let mut dyp = PackedB::empty();
-            for n in imgs {
-                for oy in 0..g.out_h {
-                    im2col_strip_t(x, &g, n, oy, &mut colt);
-                    let dy0 = (n * g.out_h + oy) * strip;
-                    dyp.repack(
-                        &dy[dy0..dy0 + strip],
-                        Layout::row_major(g.out_c),
-                        g.out_w,
-                        g.out_c,
-                    );
-                    gemm::gemm_rows(
-                        &colt,
-                        Layout::row_major(g.out_w),
-                        &dyp,
-                        &mut partial,
-                        g.out_c,
-                        0..kdim,
-                    );
-                }
+            for (n, oys) in blocks(&g, imgs.start * g.out_h..imgs.end * g.out_h, block_rows) {
+                let p = oys.len() * g.out_w;
+                let dy0 = (n * g.out_h + oys.start) * g.out_w * g.out_c;
+                let dy_block = &dy[dy0..dy0 + p * g.out_c];
+                dyp.repack(dy_block, Layout::row_major(g.out_c), p, g.out_c);
+                let col = &mut col[..p * kdim];
+                // A is the patch matrix transposed: [kdim, P].
+                let la = im2col(x, &g, n, oys, col).t();
+                gemm::gemm_rows(col, la, &dyp, &mut partial, g.out_c, 0..kdim);
             }
+            crate::pool::give_vec(col);
             partial
         });
         let (mut dw, dw_recycled) = crate::pool::zeroed_vec::<T>(dw_len);
         for partial in partials {
-            for (acc, p) in dw.iter_mut().zip(partial) {
+            for (acc, &p) in dw.iter_mut().zip(&partial) {
                 *acc += p;
             }
+            crate::pool::give_vec(partial);
         }
         Tensor::from_pooled_vec((dw, dw_recycled), filter_dims)
     }

@@ -1,6 +1,7 @@
 //! Cases and oracles shared by the property, thread-count and
-//! dispatch-path suites: the conv2d shape sweep, and the broadcast-kernel
-//! and column-sum oracles.
+//! dispatch-path suites: the conv2d shape sweep and the strip-at-a-time
+//! conv kernels the block kernels replaced, and the broadcast-kernel and
+//! column-sum oracles.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -49,12 +50,37 @@ pub fn randn_f32(dims: &[usize], seed: u64) -> Tensor<f32> {
     Tensor::randn(dims, &mut rng)
 }
 
+/// One case: `x` of `x_dims` ⊛ a `k × k` filter to `out_c` channels, with
+/// a `dy` of the output's shape; tensors seeded from `seed`.
+pub fn conv_case(
+    x_dims: [usize; 4],
+    (k, out_c): (usize, usize),
+    strides: (usize, usize),
+    padding: Padding,
+    seed: u64,
+) -> ConvCase {
+    let [batch, in_h, in_w, in_c] = x_dims;
+    let out_h = padding.output_dim(in_h, k, strides.0);
+    let out_w = padding.output_dim(in_w, k, strides.1);
+    ConvCase {
+        x: randn_f32(&x_dims, seed),
+        w: randn_f32(&[k, k, in_c, out_c], seed ^ 0x100),
+        dy: randn_f32(&[batch, out_h, out_w, out_c], seed ^ 0x200),
+        strides,
+        padding,
+    }
+}
+
 /// stride ∈ {1, 2} × {Same, Valid} × `in_c` ∈ {1, 3, 6} (single-channel
 /// k-major dx, odd, LeNet-c2) × `out_c` straddling the 8-wide lane and
 /// the 16-column panel × `out_w` straddling the 6-row micro-tile, 5×5
-/// kernels. The batch is sized so every case is past the direct-loop
-/// threshold (2^15 MACs) and splits into several chunks at the kernels'
-/// 2^16-MAC grain.
+/// kernels; then the shapes ResNet-8 runs — 3×3 at 16 and 32 input
+/// channels, stride 1 and 2, and its 1×1 stride-2 shortcut — and one image
+/// taller than a block in each scratch layout (`in_c` 64 at `out_w` 24
+/// fits 3 rows of a 20-row image in the kernels' 192 KiB of scratch; a
+/// single-channel 51 × 45 image is cut 26 + 25). The batch is sized so every
+/// case is past the direct-loop threshold (2^15 MACs) and splits into
+/// several chunks at the kernels' 2^16-MAC grain.
 pub fn conv_cases() -> Vec<ConvCase> {
     const K: usize = 5;
     const IN_H: usize = 12;
@@ -72,19 +98,304 @@ pub fn conv_cases() -> Vec<ConvCase> {
                         let img_macs = out_h * out_w * out_c * K * K * in_c;
                         let batch = (1usize << 17).div_ceil(img_macs).max(4);
                         let seed = cases.len() as u64;
-                        cases.push(ConvCase {
-                            x: randn_f32(&[batch, IN_H, in_w, in_c], seed),
-                            w: randn_f32(&[K, K, in_c, out_c], seed ^ 0x100),
-                            dy: randn_f32(&[batch, out_h, out_w, out_c], seed ^ 0x200),
-                            strides: (stride, stride),
+                        let x_dims = [batch, IN_H, in_w, in_c];
+                        cases.push(conv_case(
+                            x_dims,
+                            (K, out_c),
+                            (stride, stride),
                             padding,
-                        });
+                            seed,
+                        ));
                     }
                 }
             }
         }
     }
+    cases.extend(resnet_conv_cases());
     cases
+}
+
+/// The tail of [`conv_cases`]: ResNet-8's shapes and the two images taller
+/// than a block.
+pub fn resnet_conv_cases() -> Vec<ConvCase> {
+    let shapes = [
+        ([5, 32, 32, 16], (3, 16), 1),
+        ([5, 32, 32, 16], (3, 32), 2),
+        ([5, 16, 16, 32], (3, 32), 1),
+        ([5, 32, 32, 16], (1, 32), 2),
+        ([3, 20, 24, 64], (3, 8), 1),
+        ([3, 51, 45, 1], (5, 6), 1),
+    ];
+    let case = |(i, (x_dims, filter, stride))| {
+        conv_case(
+            x_dims,
+            filter,
+            (stride, stride),
+            Padding::Same,
+            0x1000 + i as u64,
+        )
+    };
+    shapes.into_iter().enumerate().map(case).collect()
+}
+
+// ------------------------------------------------- conv strip-kernel oracle
+
+/// The conv kernels as they ran before they moved to blocks: one
+/// `(image, output row)` strip at a time around a k-major im2col scratch
+/// filled element by element, with the packed GEMM replaced by the sum it
+/// computes per element. Kept as the oracle for the block kernels, which
+/// must give the forward output and the input gradient the same bits and
+/// the filter gradient the same value up to rounding.
+pub mod conv_strips {
+    use s4tf_tensor::{Padding, Tensor};
+
+    struct Geom {
+        batch: usize,
+        in_h: usize,
+        in_w: usize,
+        in_c: usize,
+        k_h: usize,
+        k_w: usize,
+        out_c: usize,
+        out_h: usize,
+        out_w: usize,
+        pad_top: usize,
+        pad_left: usize,
+        stride: (usize, usize),
+    }
+
+    impl Geom {
+        fn new(x: &[usize], w: &[usize], stride: (usize, usize), padding: Padding) -> Geom {
+            Geom {
+                batch: x[0],
+                in_h: x[1],
+                in_w: x[2],
+                in_c: x[3],
+                k_h: w[0],
+                k_w: w[1],
+                out_c: w[3],
+                out_h: padding.output_dim(x[1], w[0], stride.0),
+                out_w: padding.output_dim(x[2], w[1], stride.1),
+                pad_top: padding.amounts(x[1], w[0], stride.0).0,
+                pad_left: padding.amounts(x[2], w[1], stride.1).0,
+                stride,
+            }
+        }
+
+        fn kdim(&self) -> usize {
+            self.k_h * self.k_w * self.in_c
+        }
+
+        /// Multiply-accumulates of one pass: the kernels switch to direct
+        /// loops below 2^15, which this oracle does not model.
+        fn assert_gemm_path(&self) {
+            let macs = self.batch * self.out_h * self.out_w * self.out_c * self.kdim();
+            assert!(macs >= 1 << 15, "case below the direct-loop threshold");
+        }
+
+        /// Output columns whose tap at `off = kx − pad_left` is inside.
+        fn ox_range(&self, off: isize) -> (usize, usize) {
+            let sw = self.stride.1;
+            let ox_lo = if off >= 0 {
+                0
+            } else {
+                ((-off) as usize).div_ceil(sw).min(self.out_w)
+            };
+            let ox_hi = if (self.in_w as isize) <= off {
+                ox_lo
+            } else {
+                ((self.in_w as isize - off) as usize)
+                    .div_ceil(sw)
+                    .clamp(ox_lo, self.out_w)
+            };
+            (ox_lo, ox_hi)
+        }
+    }
+
+    /// `acc + a·b` the way the active dispatch path's micro-kernel does it:
+    /// fused on the lane path, two roundings on the scalar path.
+    fn mac(acc: f32, a: f32, b: f32) -> f32 {
+        if s4tf_tensor::simd_enabled() {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    }
+
+    /// `c[i, j] += Σ_kk a(i, kk) · b(kk, j)`: a register sum from zero in
+    /// k-order, then one add into `c` — the packed engine's arithmetic.
+    fn gemm_acc(
+        (m, k, n): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let sum = (0..k).fold(0.0f32, |acc, kk| mac(acc, a(i, kk), b(kk, j)));
+                c[i * n + j] += sum;
+            }
+        }
+    }
+
+    /// `kdim × out_w`, k-major: the patch matrix of output row `oy`.
+    fn im2col_strip_t(x: &[f32], g: &Geom, n: usize, oy: usize, colt: &mut [f32]) {
+        let (sh, sw) = g.stride;
+        colt.fill(0.0);
+        for ky in 0..g.k_h {
+            let iy = (oy * sh + ky) as isize - g.pad_top as isize;
+            if iy < 0 || iy as usize >= g.in_h {
+                continue;
+            }
+            let row_base = (n * g.in_h + iy as usize) * g.in_w * g.in_c;
+            for kx in 0..g.k_w {
+                let off = kx as isize - g.pad_left as isize;
+                let (ox_lo, ox_hi) = g.ox_range(off);
+                for ic in 0..g.in_c {
+                    let row = &mut colt[((ky * g.k_w + kx) * g.in_c + ic) * g.out_w..][..g.out_w];
+                    for (ox, slot) in row.iter_mut().enumerate().take(ox_hi).skip(ox_lo) {
+                        let ix = ((ox * sw) as isize + off) as usize;
+                        *slot = x[row_base + ix * g.in_c + ic];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scatter-adds patch-major `dcol` (`out_w × kdim`) into `dx_img`.
+    fn col2im_strip(dcol: &[f32], g: &Geom, oy: usize, dx_img: &mut [f32]) {
+        let (sh, sw) = g.stride;
+        let krow = g.k_w * g.in_c;
+        for ky in 0..g.k_h {
+            let iy = (oy * sh + ky) as isize - g.pad_top as isize;
+            if iy < 0 || iy as usize >= g.in_h {
+                continue;
+            }
+            let row = iy as usize * g.in_w * g.in_c;
+            for ox in 0..g.out_w {
+                let ix0 = (ox * sw) as isize - g.pad_left as isize;
+                let kx_lo = (-ix0).clamp(0, g.k_w as isize) as usize;
+                let kx_hi = (g.in_w as isize - ix0).clamp(kx_lo as isize, g.k_w as isize) as usize;
+                let src = &dcol[ox * g.kdim() + ky * krow..][kx_lo * g.in_c..kx_hi * g.in_c];
+                let dst0 = row + (ix0 + kx_lo as isize) as usize * g.in_c;
+                for (d, &s) in dx_img[dst0..dst0 + src.len()].iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        }
+    }
+
+    /// [`col2im_strip`] for k-major `dcolt` (`kdim × out_w`) of a
+    /// single-channel stride-1 input: one row add per `(ky, kx)`.
+    fn col2im_strip_t(dcolt: &[f32], g: &Geom, oy: usize, dx_img: &mut [f32]) {
+        for ky in 0..g.k_h {
+            let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
+            if iy < 0 || iy as usize >= g.in_h {
+                continue;
+            }
+            for kx in 0..g.k_w {
+                let off = kx as isize - g.pad_left as isize;
+                let (ox_lo, ox_hi) = g.ox_range(off);
+                let src = &dcolt[(ky * g.k_w + kx) * g.out_w..][ox_lo..ox_hi];
+                let dst0 = iy as usize * g.in_w + (ox_lo as isize + off) as usize;
+                for (d, &s) in dx_img[dst0..dst0 + src.len()].iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        }
+    }
+
+    pub fn forward(
+        x: &Tensor<f32>,
+        w: &Tensor<f32>,
+        stride: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<f32> {
+        let g = Geom::new(x.dims(), w.dims(), stride, padding);
+        g.assert_gemm_path();
+        let (xs, ws) = (x.as_slice(), w.as_slice());
+        let (kdim, strip) = (g.kdim(), g.out_w * g.out_c);
+        let mut out = vec![0.0f32; g.batch * g.out_h * strip];
+        let mut colt = vec![0.0f32; kdim * g.out_w];
+        for (id, y) in out.chunks_mut(strip).enumerate() {
+            im2col_strip_t(xs, &g, id / g.out_h, id % g.out_h, &mut colt);
+            gemm_acc(
+                (g.out_w, kdim, g.out_c),
+                |ox, kk| colt[kk * g.out_w + ox],
+                |kk, oc| ws[kk * g.out_c + oc],
+                y,
+            );
+        }
+        Tensor::from_vec(out, &[g.batch, g.out_h, g.out_w, g.out_c])
+    }
+
+    pub fn backward_input(
+        x: &Tensor<f32>,
+        w: &Tensor<f32>,
+        dy: &Tensor<f32>,
+        stride: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<f32> {
+        let g = Geom::new(x.dims(), w.dims(), stride, padding);
+        g.assert_gemm_path();
+        let (ws, dys) = (w.as_slice(), dy.as_slice());
+        let (kdim, img) = (g.kdim(), g.in_h * g.in_w * g.in_c);
+        let mut dx = vec![0.0f32; g.batch * img];
+        let mut dcol = vec![0.0f32; g.out_w * kdim];
+        for (n, dx_img) in dx.chunks_mut(img).enumerate() {
+            for oy in 0..g.out_h {
+                let dy_strip = &dys[(n * g.out_h + oy) * g.out_w * g.out_c..][..g.out_w * g.out_c];
+                dcol.fill(0.0);
+                if g.in_c == 1 && g.stride.1 == 1 {
+                    // dcolᵀ[kdim, out_w] = W · dy_stripᵀ
+                    gemm_acc(
+                        (kdim, g.out_c, g.out_w),
+                        |kk, oc| ws[kk * g.out_c + oc],
+                        |oc, ox| dy_strip[ox * g.out_c + oc],
+                        &mut dcol,
+                    );
+                    col2im_strip_t(&dcol, &g, oy, dx_img);
+                } else {
+                    // dcol[out_w, kdim] = dy_strip · Wᵀ
+                    gemm_acc(
+                        (g.out_w, g.out_c, kdim),
+                        |ox, oc| dy_strip[ox * g.out_c + oc],
+                        |oc, kk| ws[kk * g.out_c + oc],
+                        &mut dcol,
+                    );
+                    col2im_strip(&dcol, &g, oy, dx_img);
+                }
+            }
+        }
+        Tensor::from_vec(dx, x.dims())
+    }
+
+    pub fn backward_filter(
+        x: &Tensor<f32>,
+        w_dims: &[usize],
+        dy: &Tensor<f32>,
+        stride: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<f32> {
+        let g = Geom::new(x.dims(), w_dims, stride, padding);
+        g.assert_gemm_path();
+        let (xs, dys) = (x.as_slice(), dy.as_slice());
+        let kdim = g.kdim();
+        let mut dw = vec![0.0f32; kdim * g.out_c];
+        let mut colt = vec![0.0f32; kdim * g.out_w];
+        for id in 0..g.batch * g.out_h {
+            im2col_strip_t(xs, &g, id / g.out_h, id % g.out_h, &mut colt);
+            let dy_strip = &dys[id * g.out_w * g.out_c..][..g.out_w * g.out_c];
+            // dw[kdim, out_c] += colt · dy_strip
+            gemm_acc(
+                (kdim, g.out_w, g.out_c),
+                |kk, ox| colt[kk * g.out_w + ox],
+                |ox, oc| dy_strip[ox * g.out_c + oc],
+                &mut dw,
+            );
+        }
+        Tensor::from_vec(dw, w_dims)
+    }
 }
 
 // ------------------------------------------------- broadcast kernel oracles

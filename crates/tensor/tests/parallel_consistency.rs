@@ -1,6 +1,6 @@
 //! Thread-count consistency for every parallelized kernel: each property
 //! computes the same op with the pool pinned to 1 thread and to 4 threads
-//! and compares.
+//! (the convolutions also to 2) and compares.
 //!
 //! The determinism contract (DESIGN.md §"CPU parallelism"):
 //!
@@ -18,7 +18,7 @@
 //!   integer results stay exact (integer addition is associative).
 //!
 //! The pool's thread count is process-global, so every comparison holds
-//! one mutex for its 1-vs-4 pair.
+//! one mutex across its thread-count flips.
 
 mod common;
 
@@ -188,23 +188,55 @@ fn broadcast_kernels_and_column_sums_bit_identical() {
     }
 }
 
+/// conv2d and both gradients over the shared shape sweep at 1, 2 and 4
+/// threads (2 is what the ResNet step benchmark runs).
 #[test]
 fn conv2d_and_gradients_consistent() {
+    let _guard = pool_lock();
     for case in common::conv_cases() {
-        let (s, p) = one_vs_four(|| case.run());
-        let what = case.label();
-        // Forward and input gradient never reorder a summation.
-        assert_eq!(s.0.as_slice(), p.0.as_slice(), "y {what}");
-        assert_eq!(s.1.as_slice(), p.1.as_slice(), "dx {what}");
-        // Filter gradient combines per-chunk partials: relative tolerance
-        // (allclose is absolute; dw entries accumulate batch*out_h*out_w
-        // products, so scale 1e-5 by the gradient's own magnitude).
-        let scale = s.2.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-        assert!(
-            s.2.allclose(&p.2, 1e-5 * f64::from(scale)),
-            "dw {what} diverged beyond relative 1e-5"
-        );
+        s4tf_threads::set_num_threads(1);
+        let s = case.run();
+        for threads in [2usize, 4] {
+            s4tf_threads::set_num_threads(threads);
+            let p = case.run();
+            let what = format!("{} @{threads}T", case.label());
+            // Forward and input gradient never reorder a summation.
+            assert_eq!(s.0.as_slice(), p.0.as_slice(), "y {what}");
+            assert_eq!(s.1.as_slice(), p.1.as_slice(), "dx {what}");
+            // Filter gradient combines per-task partials: relative tolerance
+            // (allclose is absolute; dw entries accumulate batch*out_h*out_w
+            // products, so scale 1e-5 by the gradient's own magnitude).
+            let scale = s.2.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            assert!(
+                s.2.allclose(&p.2, 1e-5 * f64::from(scale)),
+                "dw {what} diverged beyond relative 1e-5"
+            );
+        }
     }
+    s4tf_threads::set_num_threads(1);
+}
+
+/// A layer of 8 × 8 images — each image one block — still splits evenly:
+/// the forward conv of ResNet-8's last stage at 2 threads runs as 2 tasks
+/// (one handed to the pool, one on the caller), never inline.
+#[test]
+fn whole_image_blocks_still_split_across_two_threads() {
+    let _guard = pool_lock();
+    let case = common::conv_case(
+        [16, 8, 8, 64],
+        (3, 64),
+        (1, 1),
+        s4tf_tensor::Padding::Same,
+        1,
+    );
+    s4tf_threads::set_num_threads(2);
+    let before = s4tf_threads::pool_stats();
+    let y = case.x.conv2d(&case.w, case.strides, case.padding);
+    let after = s4tf_threads::pool_stats();
+    s4tf_threads::set_num_threads(1);
+    assert_eq!(y.dims(), [16, 8, 8, 64]);
+    assert_eq!(after.chunks_dispatched - before.chunks_dispatched, 1);
+    assert_eq!(after.inline_runs, before.inline_runs);
 }
 
 /// The 4-thread halves above must actually split work: pin the pool to 4

@@ -4,10 +4,11 @@
 mod common;
 
 use common::{
-    bits, broadcast_shape_pairs, column_sums_oracle, materialize, materialized_binary, operand,
+    bits, broadcast_shape_pairs, column_sums_oracle, conv_case, conv_strips, materialize,
+    materialized_binary, operand,
 };
 use proptest::prelude::*;
-use s4tf_tensor::{Shape, Tensor};
+use s4tf_tensor::{Padding, Shape, Tensor};
 
 /// Strategy: a small shape (rank ≤ 4, dims ≤ 5, non-empty).
 fn small_shape() -> impl Strategy<Value = Vec<usize>> {
@@ -256,5 +257,87 @@ proptest! {
         prop_assert_eq!(bits(&t.reduce_to_shape(&[1, cols])), want.clone());
         prop_assert_eq!(bits(&t.sum_axis(0, false)), want.clone());
         prop_assert_eq!(bits(&t.reshape(&[rows, 1, cols]).reduce_to_shape(&[cols])), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // ------------------------------------------------ conv blocks vs. strips
+
+    /// The block kernels against the strip-at-a-time kernels they
+    /// replaced, over the geometries the scratch walks, the block cut and
+    /// the micro-kernel's tile and panel edges distinguish: every stride
+    /// pattern and padding, `in_c` on both sides of the k-major rule and
+    /// the lane width, `out_c` across the narrow and the full panel,
+    /// `out_w` across the 6-row tile, 1×1 stride-2 included, images of one
+    /// block and of two unequal ones (`out_h` 27 at `out_w` 13 and ≥ 16
+    /// channels), and an odd batch, so no thread count divides it.
+    /// Forward and `dx` must match bit for bit — same sums, same order —
+    /// and `dw`, whose reduction is now cut per block, to 1e-4 of its
+    /// largest entry.
+    #[test]
+    fn conv_blocks_match_the_strip_kernels(
+        stride_ix in 0usize..3,
+        same in any::<bool>(),
+        k_ix in 0usize..3,
+        in_c_ix in 0usize..5,
+        out_c_ix in 0usize..7,
+        out_w_ix in 0usize..5,
+        out_h_ix in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let (sh, sw) = [(1usize, 1usize), (2, 2), (2, 1)][stride_ix];
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let k = [1usize, 3, 5][k_ix];
+        let in_c = [1usize, 2, 3, 16, 17][in_c_ix];
+        let out_c = [1usize, 6, 8, 9, 16, 17, 33][out_c_ix];
+        let out_w = [1usize, 5, 6, 7, 13][out_w_ix];
+        let out_h = [1usize, 2, 7, 9, 27][out_h_ix];
+        // The input extent that yields `out` outputs.
+        let extent = |out: usize, s: usize| if same { out * s } else { (out - 1) * s + k };
+        let img_macs = out_h * out_w * out_c * k * k * in_c;
+        let batch = (1usize << 15).div_ceil(img_macs).max(3) | 1;
+        prop_assume!(batch * img_macs <= 6 << 20);
+        let case = conv_case(
+            [batch, extent(out_h, sh), extent(out_w, sw), in_c],
+            (k, out_c),
+            (sh, sw),
+            padding,
+            seed,
+        );
+        assert_matches_strips(&case);
+    }
+}
+
+/// Forward and `dx` bit for bit, `dw` to 1e-4 of its largest entry,
+/// against the strip-at-a-time kernels.
+fn assert_matches_strips(case: &common::ConvCase) {
+    let (y, dx, dw) = case.run();
+    let what = case.label();
+    let common::ConvCase {
+        x,
+        w,
+        dy,
+        strides,
+        padding,
+    } = case;
+    let strips = conv_strips::forward(x, w, *strides, *padding);
+    assert_eq!(y.dims(), strips.dims(), "{what}");
+    assert!(bits(&y) == bits(&strips), "y {what}");
+    let strips = conv_strips::backward_input(x, w, dy, *strides, *padding);
+    assert!(bits(&dx) == bits(&strips), "dx {what}");
+    let strips = conv_strips::backward_filter(x, w.dims(), dy, *strides, *padding);
+    let scale = strips.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+    assert!(dw.allclose(&strips, 1e-4 * f64::from(scale)), "dw {what}");
+}
+
+/// The shapes ResNet-8 runs and the images cut into unequal blocks, in
+/// both scratch layouts — fixed cases, since the property above draws a
+/// multi-block geometry only now and then.
+#[test]
+fn resnet_conv_shapes_match_the_strip_kernels() {
+    for case in common::resnet_conv_cases() {
+        assert_matches_strips(&case);
     }
 }
