@@ -37,6 +37,13 @@ same-shape `add …+same` row over the same dims: a broadcast operand is
 indexed in the kernel's inner loop, so a row far above it means an operand
 was materialized at the output shape again.
 
+And each LeNet average-pool row (`avg_pool2d` / `avg_pool2d_backward`,
+case `lenet-…`) may take at most ``POOL_CEILING`` x the time of the
+same-shape `add …+same` row over its input: pooling walks rows and folds
+each window in vector registers, so a row far above that means the kernels
+went back to visiting the window cell by cell (the per-element loops took
+7-18x).
+
 Throughput is only comparable between like machines. When the two
 artifacts' machine fingerprints differ, regressions are reported but
 downgraded to warnings (exit 0) unless ``--strict`` is given — CI runners
@@ -103,6 +110,12 @@ GEMM_REFERENCE = "256x256x256"
 # A broadcasting elementwise row above this multiple of its same-shape
 # row's time fails the artifact (same element count, fewer bytes read).
 BROADCAST_CEILING = 1.5
+
+
+# A LeNet average-pool row above this multiple of the same-input add row's
+# time fails the artifact (DESIGN.md 6g).
+POOL_CEILING = 4.0
+POOL_KERNELS = ("avg_pool2d", "avg_pool2d_backward")
 
 
 def load(path):
@@ -201,6 +214,29 @@ def broadcast_failures(doc):
     return failures
 
 
+def pool_failures(doc):
+    """LeNet average-pool rows (case `lenet-<n> <dims> ...`) slower than
+    POOL_CEILING x the `add <dims>+same` row over the same input."""
+    add = {r["case"].split()[1].split("+")[0]: r["threads_1_ms"]
+           for r in doc["results"]
+           if r["kernel"] == "elementwise" and r["case"].endswith("+same")}
+    failures = []
+    for r in doc["results"]:
+        if r["kernel"] not in POOL_KERNELS or not r["case"].startswith("lenet-"):
+            continue
+        dims = r["case"].split()[1]
+        base = add.get(dims)
+        if base is None:
+            failures.append(f"{r['kernel']}/{r['case']}: no `add {dims}+same` "
+                            "row to compare against")
+        elif r["threads_1_ms"] > POOL_CEILING * base:
+            failures.append(
+                f"{r['kernel']}/{r['case']}: {r['threads_1_ms']:.4f} ms is "
+                f"{r['threads_1_ms'] / base:.2f}x the same-input add's "
+                f"{base:.4f} ms (ceiling {POOL_CEILING}x)")
+    return failures
+
+
 # Metrics measured on the scalar reference path regardless of the active
 # dispatch path; these stay comparable even when measured and baseline
 # artifacts ran with different S4TF_SIMD settings.
@@ -245,6 +281,9 @@ def main():
     bcast_failures = broadcast_failures(measured) if kind == "kernels" else []
     for f in bcast_failures:
         print(f"  BROADCAST MATERIALIZED: {f}")
+    pooling_failures = pool_failures(measured) if kind == "kernels" else []
+    for f in pooling_failures:
+        print(f"  POOLING CELL BY CELL: {f}")
 
     m_fp = measured["machine"]["fingerprint"]
     b_fp = baseline["machine"]["fingerprint"]
@@ -299,6 +338,9 @@ def main():
     if bcast_failures:
         sys.exit(f"{len(bcast_failures)} broadcast row(s) above "
                  f"{BROADCAST_CEILING}x their same-shape row")
+    if pooling_failures:
+        sys.exit(f"{len(pooling_failures)} LeNet pooling row(s) above "
+                 f"{POOL_CEILING}x their same-input add row")
     if regressions and (same_machine or args.strict):
         sys.exit(f"{len(regressions)} case(s) regressed below "
                  f"{args.fail_under}x baseline")

@@ -1,8 +1,8 @@
 //! CPU kernel microbenchmarks: GEMM, conv2d (forward and both gradients),
-//! elementwise ops (same-shape and broadcasting), column reductions and
-//! fused chains timed with the thread pool pinned to 1 thread and to N
-//! threads in the same process, writing the comparison to
-//! `BENCH_kernels.json`.
+//! elementwise ops (same-shape and broadcasting), column reductions, fused
+//! chains and pooling (forward and gradient) timed with the thread pool
+//! pinned to 1 thread and to N threads in the same process, writing the
+//! comparison to `BENCH_kernels.json`.
 //!
 //! ```sh
 //! cargo run -p s4tf-bench --release --bin kernels            # full sizes
@@ -161,6 +161,107 @@ fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<
         let suffix = if stride == 1 { "" } else { "/2" };
         let label = format!("{name} {}*{}{suffix}", dims(x), dims(w));
         cases.extend(conv_cases(&label, &x, &w, (stride, stride), padding, rng));
+    }
+    cases
+}
+
+/// One pooling shape as four rows sharing a case label — average and max
+/// pooling, forward and gradient — after a same-shape `add` over its input,
+/// the row `ci/compare_bench.py` holds LeNet's average-pool rows to.
+fn pool_cases(
+    name: &str,
+    x_dims: [usize; 4],
+    (pool, stride): ((usize, usize), usize),
+    padding: Padding,
+    rng: &mut ChaCha8Rng,
+) -> Vec<Case> {
+    let dims = x_dims.map(|d| d.to_string()).join("x");
+    let label = format!("{name} {dims} {}x{}/{stride} {padding:?}", pool.0, pool.1);
+    let strides = (stride, stride);
+    let x = Tensor::<f32>::randn(&x_dims, rng);
+    let other = Tensor::<f32>::randn(&x_dims, rng);
+    let dy = Tensor::<f32>::randn(x.avg_pool2d(pool, strides, padding).dims(), rng);
+    let (x_elems, dy_elems) = (x.num_elements(), dy.num_elements());
+    let window = pool.0 * pool.1;
+    let forward = cost::pool2d(x_elems, dy_elems, window);
+    let gradient = cost::pool2d(x_elems + dy_elems, x_elems, window);
+    let case = |kernel, name: String, cost, run| Case {
+        kernel,
+        name,
+        cost,
+        path: None,
+        run,
+    };
+    // Tensor clones share storage (CoW): each closure owns its handles.
+    vec![
+        case(
+            "elementwise",
+            format!("add {dims}+same"),
+            cost::elementwise(x_elems, 2 * x_elems, 1),
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.add(&other));
+                }
+            }),
+        ),
+        case(
+            "avg_pool2d",
+            label.clone(),
+            forward,
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.avg_pool2d(pool, strides, padding));
+                }
+            }),
+        ),
+        case(
+            "avg_pool2d_backward",
+            label.clone(),
+            gradient,
+            Box::new({
+                let (x, dy) = (x.clone(), dy.clone());
+                move || {
+                    black_box(x.avg_pool2d_backward(&dy, pool, strides, padding));
+                }
+            }),
+        ),
+        case(
+            "max_pool2d",
+            label.clone(),
+            forward,
+            Box::new({
+                let x = x.clone();
+                move || {
+                    black_box(x.max_pool2d(pool, strides, padding));
+                }
+            }),
+        ),
+        case(
+            "max_pool2d_backward",
+            label,
+            gradient,
+            Box::new(move || {
+                black_box(x.max_pool2d_backward(&dy, pool, strides, padding));
+            }),
+        ),
+    ]
+}
+
+/// LeNet's two 2×2/2 average pools at batch 32 and one overlapping 3×3/1
+/// `Same` window. Full size in smoke mode too: the gate compares them with
+/// an `add` over the same input, which at a cache-resident size would
+/// compare loop overheads, not passes over the data.
+fn all_pool_cases(rng: &mut ChaCha8Rng) -> Vec<Case> {
+    let shapes = [
+        ("lenet-p1", [32, 28, 28, 6], ((2, 2), 2), Padding::Valid),
+        ("lenet-p2", [32, 10, 10, 16], ((2, 2), 2), Padding::Valid),
+        ("overlap", [16, 16, 16, 16], ((3, 3), 1), Padding::Same),
+    ];
+    let mut cases = Vec::new();
+    for (name, x, window, padding) in shapes {
+        cases.extend(pool_cases(name, x, window, padding, rng));
     }
     cases
 }
@@ -393,6 +494,7 @@ fn main() {
         // rows' gate would compare loop overheads, not memory passes.
         cases.extend(broadcast_cases(RESNET_ACTIVATION, &mut rng));
         cases.extend(all_fused_cases(65_536, 64, RESNET_ACTIVATION, &mut rng));
+        cases.extend(all_pool_cases(&mut rng));
     } else {
         for s in [128usize, 256, 512] {
             cases.push(gemm_case(s, s, s, &mut rng));
@@ -404,6 +506,7 @@ fn main() {
         }
         cases.extend(broadcast_cases(RESNET_ACTIVATION, &mut rng));
         cases.extend(all_fused_cases(1 << 20, 128, RESNET_ACTIVATION, &mut rng));
+        cases.extend(all_pool_cases(&mut rng));
     }
 
     println!(

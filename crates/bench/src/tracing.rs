@@ -7,8 +7,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use s4tf_models::{ResNet, ResNetConfig};
-use s4tf_nn::loss::softmax_cross_entropy;
 use s4tf_nn::optimizer::{Optimizer, Sgd};
+use s4tf_nn::train::loss_and_gradient;
 use s4tf_nn::Layer;
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::Tensor;
@@ -72,16 +72,13 @@ pub fn trace_resnet_training_step(
     }
 }
 
-/// The exact body of `train_classifier_step`, minus the barrier: on a lazy
-/// device it only appends to the trace.
+/// The body of `train_classifier_step` minus the barrier (with plain SGD):
+/// on a lazy device it only appends to the trace.
 fn record_training_step<L: Layer>(model: &mut L, images: &DTensor, labels: &DTensor)
 where
     Sgd<L>: Optimizer<L>,
 {
-    let (logits, pullback) = model.forward_with_pullback(images);
-    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
-    let dlogits = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _) = pullback(&dlogits);
+    let (_, gradients) = loss_and_gradient(model, images, labels);
     Sgd::<L>::new(0.1).update(model, &gradients);
 }
 

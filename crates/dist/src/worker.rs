@@ -28,7 +28,7 @@ use crate::wire::{
 };
 use s4tf_core::{LossValue, VisitTangent};
 use s4tf_nn::checkpoint::{latest, Checkpoint, Checkpointable};
-use s4tf_nn::loss::softmax_cross_entropy;
+use s4tf_nn::train::loss_and_gradient;
 use s4tf_nn::{Layer, Optimizer};
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::RuntimeError;
@@ -165,19 +165,16 @@ where
     Ok(())
 }
 
-/// Forward + loss + pullback for one shard batch, without applying the
-/// update (that waits for `Commit`). Returns the shard loss and the
-/// gradient tangent.
+/// [`loss_and_gradient`] for one shard batch and the barrier that
+/// materializes them, without applying the update (that waits for
+/// `Commit`). Returns the shard loss and the gradient tangent.
 pub fn shard_gradient<L: Layer>(
     model: &L,
     images: &DTensor,
     labels: &DTensor,
 ) -> (f64, L::TangentVector) {
     let _span = s4tf_profile::span("dist.shard_grad");
-    let (logits, pullback) = model.forward_with_pullback(images);
-    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
-    let dlogits = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _dinput) = pullback(&dlogits);
+    let (loss, gradients) = loss_and_gradient(model, images, labels);
     images.device().barrier();
     (loss.loss_value(), gradients)
 }

@@ -2,6 +2,13 @@
 //! `LazyTensorBarrier()` after the optimizer update (paper §3.4: "a
 //! training-loop library can automatically call `LazyTensorBarrier()` after
 //! the optimizer update step on behalf of the user").
+//!
+//! Every step — single-device, the data-parallel shards here and the
+//! distributed workers in `s4tf-dist` — gets its loss and gradient from
+//! [`loss_and_gradient`], the one forward → loss → pullback sequence, which
+//! keeps only those two values: like the paper's `gradient(at: model)` it
+//! never asks for the gradient of the data, so on the lazy device the
+//! barrier's program does not compute it.
 
 use crate::checkpoint::Checkpointable;
 use crate::diag;
@@ -84,12 +91,35 @@ fn emit_step_metrics<G: VectorSpace>(
     diag::reset_peak_bytes();
 }
 
-/// The body every single-device step shares: forward → loss → pullback →
+/// The classifier's `valueWithGradient(at: model)`: forward → softmax
+/// cross-entropy → pullback, returning the on-device loss and the
+/// gradient with respect to the model — a first-class
+/// `Model::TangentVector` value (paper §4.2: "both the model and its
+/// gradient are first class values").
+///
+/// Everything else the pullback produced or captured — the predictions,
+/// both pullback closures and the input's cotangent — is dropped before
+/// returning. On the lazy device every live handle is an output of the
+/// step's program, so what is dropped here is never computed past what
+/// the loss and the gradient need (the input gradient of the first layer
+/// is dead code); on every device, `Optimizer::update` then finds no
+/// captured parameter handle sharing a buffer it updates in place.
+pub fn loss_and_gradient<L: Layer>(
+    model: &L,
+    images: &DTensor,
+    labels: &DTensor,
+) -> (DTensor, L::TangentVector) {
+    let (logits, pullback) = model.forward_with_pullback(images);
+    let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
+    let (gradients, _) = pullback(&loss_pullback(&loss.scalar_like(1.0)));
+    (loss, gradients)
+}
+
+/// The body every single-device step shares: [`loss_and_gradient`] →
 /// in-place optimizer update → the automatic barrier, which cuts (and on
-/// the lazy device compiles and runs) the step's trace, materializing
-/// loss and updated parameters. Returns the on-device loss and the
-/// gradients — a first-class `Model::TangentVector` value (paper §4.2:
-/// "both the model and its gradient are first class values").
+/// the lazy device compiles and runs) the step's trace, materializing the
+/// loss, the gradients and the updated parameters — the only values alive
+/// at that point.
 fn step_body<L, O>(
     model: &mut L,
     optimizer: &mut O,
@@ -100,10 +130,7 @@ where
     L: Layer,
     O: Optimizer<L>,
 {
-    let (pred, pullback) = model.forward_with_pullback(inputs);
-    let (loss, loss_pullback) = softmax_cross_entropy(&pred, targets);
-    let dpred = loss_pullback(&loss.scalar_like(1.0));
-    let (gradients, _dinput) = pullback(&dpred);
+    let (loss, gradients) = loss_and_gradient(model, inputs, targets);
     optimizer.update(model, &gradients);
     inputs.device().barrier();
     (loss, gradients)
@@ -268,10 +295,7 @@ where
     // carrying their original op attribution in the panic message.
     let compute = |images: &DTensor, labels: &DTensor| {
         catch_unwind(AssertUnwindSafe(|| {
-            let (logits, pullback) = model_ref.forward_with_pullback(images);
-            let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
-            let dlogits = loss_pullback(&loss.scalar_like(1.0));
-            let (gradients, _) = pullback(&dlogits);
+            let (loss, gradients) = loss_and_gradient(model_ref, images, labels);
             // Observation probe in a protected region: existing poison
             // still surfaces (and is caught above), but the probe's own
             // ops draw no fresh injections.

@@ -55,21 +55,40 @@ const CHUNK_MACS: usize = 1 << 16;
 /// only keeps a task's scratch inside L2 next to the packed filter.
 const BLOCK_SCRATCH_BYTES: usize = 192 << 10;
 
-/// Validated geometry for one conv2d application.
+/// Validated geometry for one conv2d application — and, with `k_h × k_w`
+/// the pool and `in_c == out_c` the channels, for one pooling window
+/// ([`super::pool`] clips its windows with the same methods).
 #[derive(Debug, Clone, Copy)]
-struct ConvGeom {
-    batch: usize,
-    in_h: usize,
-    in_w: usize,
-    in_c: usize,
-    k_h: usize,
-    k_w: usize,
-    out_c: usize,
-    out_h: usize,
-    out_w: usize,
-    pad_top: usize,
-    pad_left: usize,
-    stride: (usize, usize),
+pub(super) struct ConvGeom {
+    pub(super) batch: usize,
+    pub(super) in_h: usize,
+    pub(super) in_w: usize,
+    pub(super) in_c: usize,
+    pub(super) k_h: usize,
+    pub(super) k_w: usize,
+    pub(super) out_c: usize,
+    pub(super) out_h: usize,
+    pub(super) out_w: usize,
+    pub(super) pad_top: usize,
+    pub(super) pad_left: usize,
+    pub(super) stride: (usize, usize),
+}
+
+/// The taps `lo..hi` of a `k`-wide window at output index `o` (stride
+/// `stride`, `pad` cells of leading padding) that read inside `[0, extent)`,
+/// and the input index of tap `lo`. Never empty for either padding: the
+/// window's first cell is above `−k` and below `extent`.
+fn clip_window(
+    o: usize,
+    stride: usize,
+    pad: usize,
+    k: usize,
+    extent: usize,
+) -> (usize, usize, usize) {
+    let i0 = (o * stride) as isize - pad as isize;
+    let lo = (-i0).clamp(0, k as isize) as usize;
+    let hi = (extent as isize - i0).clamp(lo as isize, k as isize) as usize;
+    (lo, hi, (i0 + lo as isize) as usize)
 }
 
 impl ConvGeom {
@@ -107,11 +126,15 @@ impl ConvGeom {
     /// reads inside the image, i.e. `ix = ox·sw − pad_left + kx ∈
     /// [0, in_w)`, and the first such `ix`. Never empty: `−k_w < ix0 <
     /// in_w` for both paddings.
-    fn kx_range(&self, ox: usize) -> (usize, usize, usize) {
-        let ix0 = (ox * self.stride.1) as isize - self.pad_left as isize;
-        let kx_lo = (-ix0).clamp(0, self.k_w as isize) as usize;
-        let kx_hi = (self.in_w as isize - ix0).clamp(kx_lo as isize, self.k_w as isize) as usize;
-        (kx_lo, kx_hi, (ix0 + kx_lo as isize) as usize)
+    pub(super) fn kx_range(&self, ox: usize) -> (usize, usize, usize) {
+        clip_window(ox, self.stride.1, self.pad_left, self.k_w, self.in_w)
+    }
+
+    /// [`ConvGeom::kx_range`] for rows: the kernel rows `ky_lo..ky_hi`
+    /// whose tap for output row `oy` reads inside the image, and the first
+    /// such `iy`.
+    pub(super) fn ky_range(&self, oy: usize) -> (usize, usize, usize) {
+        clip_window(oy, self.stride.0, self.pad_top, self.k_h, self.in_h)
     }
 
     /// Whether the scratch is k-major: single-channel stride-1 inputs,
@@ -161,7 +184,7 @@ fn blocks(
     })
 }
 
-fn geometry(
+pub(super) fn geometry(
     input: &[usize],
     filter: &[usize],
     strides: (usize, usize),

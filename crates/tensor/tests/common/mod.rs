@@ -1,12 +1,13 @@
 //! Cases and oracles shared by the property, thread-count and
 //! dispatch-path suites: the conv2d shape sweep and the strip-at-a-time
-//! conv kernels the block kernels replaced, and the broadcast-kernel and
-//! column-sum oracles.
+//! conv kernels the block kernels replaced, the models' pooling shapes and
+//! the per-element pooling loops the row walks replaced, and the
+//! broadcast-kernel and column-sum oracles.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
-use s4tf_tensor::{Padding, Tensor};
+use s4tf_tensor::{Float, Padding, Tensor};
 
 pub struct ConvCase {
     pub x: Tensor<f32>,
@@ -398,6 +399,275 @@ pub mod conv_strips {
     }
 }
 
+// ---------------------------------------------------- pooling loop oracle
+
+/// One pooling case: `x` pooled by `pool` at `strides`, and a `dy` of the
+/// output's shape.
+pub struct PoolCase<T: Float> {
+    pub x: Tensor<T>,
+    pub dy: Tensor<T>,
+    pub pool: (usize, usize),
+    pub strides: (usize, usize),
+    pub padding: Padding,
+}
+
+impl<T: Float> PoolCase<T> {
+    /// Average and max pooling and both gradients, in that order.
+    pub fn run(&self) -> [Tensor<T>; 4] {
+        let PoolCase {
+            x,
+            dy,
+            pool,
+            strides,
+            padding,
+        } = self;
+        let (p, s, pad) = (*pool, *strides, *padding);
+        [
+            x.avg_pool2d(p, s, pad),
+            x.avg_pool2d_backward(dy, p, s, pad),
+            x.max_pool2d(p, s, pad),
+            x.max_pool2d_backward(dy, p, s, pad),
+        ]
+    }
+
+    /// [`PoolCase::run`] through the per-element loops of [`pool_loops`].
+    pub fn run_loops(&self) -> [Tensor<T>; 4] {
+        let PoolCase {
+            x,
+            dy,
+            pool,
+            strides,
+            padding,
+        } = self;
+        let (p, s, pad) = (*pool, *strides, *padding);
+        [
+            pool_loops::avg_pool2d(x, p, s, pad),
+            pool_loops::avg_pool2d_backward(x, dy, p, s, pad),
+            pool_loops::max_pool2d(x, p, s, pad),
+            pool_loops::max_pool2d_backward(x, dy, p, s, pad),
+        ]
+    }
+
+    pub fn label(&self) -> String {
+        format!(
+            "{:?} pool {:?} /{:?} {:?}",
+            self.x.dims(),
+            self.pool,
+            self.strides,
+            self.padding
+        )
+    }
+}
+
+/// An f32 pooling case with randn `x` and `dy`, seeded from `seed`.
+pub fn pool_case(
+    x_dims: [usize; 4],
+    pool: (usize, usize),
+    strides: (usize, usize),
+    padding: Padding,
+    seed: u64,
+) -> PoolCase<f32> {
+    let [batch, in_h, in_w, ch] = x_dims;
+    let out_h = padding.output_dim(in_h, pool.0, strides.0);
+    let out_w = padding.output_dim(in_w, pool.1, strides.1);
+    PoolCase {
+        x: randn_f32(&x_dims, seed),
+        dy: randn_f32(&[batch, out_h, out_w, ch], seed ^ 0x300),
+        pool,
+        strides,
+        padding,
+    }
+}
+
+/// The pools the two training workloads run, at small batches: LeNet's
+/// two 2×2/2 average pools (6 and 16 channels), ResNet-8's global average
+/// pool (8×8 over 64 channels), the ImageNet stem's 3×3/2 `Same` max pool
+/// and an overlapping 3×3/1 `Same` window.
+pub fn model_pool_cases() -> Vec<PoolCase<f32>> {
+    let valid = Padding::Valid;
+    let same = Padding::Same;
+    [
+        ([3, 28, 28, 6], (2, 2), (2, 2), valid),
+        ([3, 10, 10, 16], (2, 2), (2, 2), valid),
+        ([3, 8, 8, 64], (8, 8), (1, 1), valid),
+        ([2, 32, 32, 16], (3, 3), (2, 2), same),
+        ([2, 16, 16, 16], (3, 3), (1, 1), same),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (x, pool, strides, padding))| pool_case(x, pool, strides, padding, 0x2000 + i as u64))
+    .collect()
+}
+
+/// The pooling kernels as they ran before they walked rows: every output
+/// element visits its window cell by cell, testing each against the
+/// padding. Kept as the oracle the row walks must match bit for bit.
+pub mod pool_loops {
+    use s4tf_tensor::{Float, Padding, Tensor};
+
+    struct Geom {
+        batch: usize,
+        in_h: usize,
+        in_w: usize,
+        ch: usize,
+        k_h: usize,
+        k_w: usize,
+        out_h: usize,
+        out_w: usize,
+        pad_top: usize,
+        pad_left: usize,
+        stride: (usize, usize),
+    }
+
+    fn geometry(x: &[usize], pool: (usize, usize), stride: (usize, usize), p: Padding) -> Geom {
+        Geom {
+            batch: x[0],
+            in_h: x[1],
+            in_w: x[2],
+            ch: x[3],
+            k_h: pool.0,
+            k_w: pool.1,
+            out_h: p.output_dim(x[1], pool.0, stride.0),
+            out_w: p.output_dim(x[2], pool.1, stride.1),
+            pad_top: p.amounts(x[1], pool.0, stride.0).0,
+            pad_left: p.amounts(x[2], pool.1, stride.1).0,
+            stride,
+        }
+    }
+
+    impl Geom {
+        fn out_dims(&self) -> [usize; 4] {
+            [self.batch, self.out_h, self.out_w, self.ch]
+        }
+
+        /// Flat input indices (channel 0) of the in-image cells of output
+        /// `(n, oy, ox)`'s window, ky-major.
+        fn cells(&self, n: usize, oy: usize, ox: usize) -> Vec<usize> {
+            let mut cells = Vec::new();
+            for ky in 0..self.k_h {
+                let iy = (oy * self.stride.0 + ky) as isize - self.pad_top as isize;
+                if iy < 0 || iy as usize >= self.in_h {
+                    continue;
+                }
+                for kx in 0..self.k_w {
+                    let ix = (ox * self.stride.1 + kx) as isize - self.pad_left as isize;
+                    if ix < 0 || ix as usize >= self.in_w {
+                        continue;
+                    }
+                    cells.push(((n * self.in_h + iy as usize) * self.in_w + ix as usize) * self.ch);
+                }
+            }
+            cells
+        }
+
+        /// Every output `(flat index of channel 0, window cells)` in
+        /// raster order.
+        fn windows(&self) -> impl Iterator<Item = (usize, Vec<usize>)> + '_ {
+            (0..self.batch * self.out_h * self.out_w).map(move |id| {
+                let (n, rest) = (
+                    id / (self.out_h * self.out_w),
+                    id % (self.out_h * self.out_w),
+                );
+                (
+                    id * self.ch,
+                    self.cells(n, rest / self.out_w, rest % self.out_w),
+                )
+            })
+        }
+    }
+
+    pub fn avg_pool2d<T: Float>(
+        x: &Tensor<T>,
+        pool: (usize, usize),
+        strides: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<T> {
+        let g = geometry(x.dims(), pool, strides, padding);
+        let xs = x.as_slice();
+        let mut out = vec![T::zero(); g.out_dims().iter().product()];
+        for (o, cells) in g.windows() {
+            for &cell in &cells {
+                for c in 0..g.ch {
+                    out[o + c] += xs[cell + c];
+                }
+            }
+            let inv = T::one() / T::from_usize(cells.len().max(1));
+            for c in 0..g.ch {
+                out[o + c] *= inv;
+            }
+        }
+        Tensor::from_vec(out, &g.out_dims())
+    }
+
+    pub fn avg_pool2d_backward<T: Float>(
+        x: &Tensor<T>,
+        dy: &Tensor<T>,
+        pool: (usize, usize),
+        strides: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<T> {
+        let g = geometry(x.dims(), pool, strides, padding);
+        let dys = dy.as_slice();
+        let mut dx = vec![T::zero(); x.num_elements()];
+        for (o, cells) in g.windows() {
+            let inv = T::one() / T::from_usize(cells.len().max(1));
+            for &cell in &cells {
+                for c in 0..g.ch {
+                    dx[cell + c] += dys[o + c] * inv;
+                }
+            }
+        }
+        Tensor::from_vec(dx, x.dims())
+    }
+
+    pub fn max_pool2d<T: Float>(
+        x: &Tensor<T>,
+        pool: (usize, usize),
+        strides: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<T> {
+        let g = geometry(x.dims(), pool, strides, padding);
+        let xs = x.as_slice();
+        let mut out = vec![T::neg_infinity(); g.out_dims().iter().product()];
+        for (o, cells) in g.windows() {
+            for &cell in &cells {
+                for c in 0..g.ch {
+                    out[o + c] = out[o + c].maximum(xs[cell + c]);
+                }
+            }
+        }
+        Tensor::from_vec(out, &g.out_dims())
+    }
+
+    pub fn max_pool2d_backward<T: Float>(
+        x: &Tensor<T>,
+        dy: &Tensor<T>,
+        pool: (usize, usize),
+        strides: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<T> {
+        let g = geometry(x.dims(), pool, strides, padding);
+        let (xs, dys) = (x.as_slice(), dy.as_slice());
+        let mut dx = vec![T::zero(); x.num_elements()];
+        for (o, cells) in g.windows() {
+            for c in 0..g.ch {
+                let mut best = T::neg_infinity();
+                let mut best_flat = None;
+                for &cell in &cells {
+                    if xs[cell + c] > best {
+                        best = xs[cell + c];
+                        best_flat = Some(cell + c);
+                    }
+                }
+                if let Some(flat) = best_flat {
+                    dx[flat] += dys[o + c];
+                }
+            }
+        }
+        Tensor::from_vec(dx, x.dims())
+    }
+}
+
 // ------------------------------------------------- broadcast kernel oracles
 
 /// `t` broadcast to `dims` the way the kernels did it before they indexed
@@ -477,6 +747,21 @@ pub fn operand(dims: &[usize], seed: u64, nans: bool) -> Tensor<f32> {
 /// treat a NaN as equal to itself.
 pub fn bits(t: &Tensor<f32>) -> Vec<u32> {
     t.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] for either float type (widening to f64 is exact and keeps the
+/// sign of a zero), with every NaN as one value: which NaN `∞ − ∞ + NaN`
+/// yields depends on the operand order the compiler picks for a
+/// commutative add, in the kernels and in the oracles alike.
+pub fn float_bits<T: Float>(t: &Tensor<T>) -> Vec<u64> {
+    let bits = |x: f64| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    t.as_slice().iter().map(|x| bits(x.to_f64())).collect()
 }
 
 /// `column_sums`' documented order, spelled out: rows in chunks of

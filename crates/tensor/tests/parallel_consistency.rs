@@ -188,6 +188,16 @@ fn broadcast_kernels_and_column_sums_bit_identical() {
     }
 }
 
+/// The pooling kernels and their gradients on the pools LeNet and ResNet
+/// run: bit-identical at 1 and 4 threads.
+#[test]
+fn pooling_bit_identical() {
+    for case in common::model_pool_cases() {
+        let (s, p) = one_vs_four(|| case.run().map(|t| bits(&t)));
+        assert_eq!(s, p, "{}", case.label());
+    }
+}
+
 /// conv2d and both gradients over the shared shape sweep at 1, 2 and 4
 /// threads (2 is what the ResNet step benchmark runs).
 #[test]

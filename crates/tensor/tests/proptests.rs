@@ -310,6 +310,101 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    // --------------------------------------------- pooling rows vs. loops
+
+    /// The row-walking pooling kernels against the per-element loops they
+    /// replaced, bit for bit: square, 1×1 and non-square windows, strides
+    /// equal to the pool and overlapping (1, 1), both paddings, images of
+    /// any size (so not divisible by the stride), channel counts below, at
+    /// and past every lane block, in f32 and f64 — over plain values,
+    /// values rounded to halves (tied maxima, ±0), and NaN/±∞ cells.
+    #[test]
+    fn pool_rows_match_the_loops(
+        pool_ix in 0usize..4,
+        overlap in any::<bool>(),
+        same in any::<bool>(),
+        ch_ix in 0usize..6,
+        batch in 1usize..=3,
+        in_h in 0usize..=10,
+        in_w in 0usize..=10,
+        values in 0u8..3,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let pool = [(1usize, 1usize), (2, 2), (3, 3), (2, 3)][pool_ix];
+        let strides = if overlap { (1, 1) } else { pool };
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let ch = [1usize, 3, 6, 8, 16, 17][ch_ix];
+        // Valid needs the image to hold the pool; Same also pools images
+        // narrower than the window, clipped on both sides.
+        let extent = |k: usize, extra: usize| if same { 1 + extra } else { k + extra };
+        let x_dims = [batch, extent(pool.0, in_h), extent(pool.1, in_w), ch];
+        let case = common::pool_case(x_dims, pool, strides, padding, seed);
+        let case = common::PoolCase {
+            x: with_values(&case.x, values),
+            dy: with_values(&case.dy, values),
+            ..case
+        };
+        if wide {
+            assert_pool_matches_loops(&common::PoolCase {
+                x: case.x.map(f64::from),
+                dy: case.dy.map(f64::from),
+                pool,
+                strides,
+                padding,
+            });
+        } else {
+            assert_pool_matches_loops(&case);
+        }
+    }
+}
+
+/// `t` as plain randn values (`values == 0`), rounded to halves so maxima
+/// tie and small values become ±0 (`1`), or with every 5th cell NaN, every
+/// 7th +∞ and every 11th −∞ (`2`).
+fn with_values(t: &Tensor<f32>, values: u8) -> Tensor<f32> {
+    let mut t = t.clone();
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        *v = match values {
+            0 => *v,
+            1 => (*v * 2.0).round() / 2.0,
+            _ if i % 5 == 0 => f32::NAN,
+            _ if i % 7 == 0 => f32::INFINITY,
+            _ if i % 11 == 0 => f32::NEG_INFINITY,
+            _ => *v,
+        };
+    }
+    t
+}
+
+fn assert_pool_matches_loops<T: s4tf_tensor::Float>(case: &common::PoolCase<T>) {
+    let names = ["avg", "avg dx", "max", "max dx"];
+    let loops = case.run_loops();
+    for ((name, got), want) in names.iter().zip(case.run()).zip(loops) {
+        assert_eq!(got.dims(), want.dims(), "{name} {}", case.label());
+        let (g, w) = (common::float_bits(&got), common::float_bits(&want));
+        let first = g.iter().zip(&w).position(|(a, b)| a != b);
+        assert!(
+            first.is_none(),
+            "{name} {}: first difference at {first:?}: {:?} vs {:?}",
+            case.label(),
+            first.map(|i| got.as_slice()[i]),
+            first.map(|i| want.as_slice()[i]),
+        );
+    }
+}
+
+/// The pools LeNet and ResNet run, against the loops.
+#[test]
+fn model_pool_shapes_match_the_loops() {
+    for case in common::model_pool_cases() {
+        assert_pool_matches_loops(&case);
+    }
+}
+
 /// Forward and `dx` bit for bit, `dw` to 1e-4 of its largest entry,
 /// against the strip-at-a-time kernels.
 fn assert_matches_strips(case: &common::ConvCase) {

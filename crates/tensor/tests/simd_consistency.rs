@@ -165,6 +165,17 @@ fn broadcast_kernels_and_column_sums_bit_identical() {
     }
 }
 
+/// The pooling kernels and their gradients on the pools LeNet and ResNet
+/// run: adds, multiplies, comparisons and selects only, so the two
+/// dispatch paths agree bit for bit.
+#[test]
+fn pooling_bit_identical() {
+    for case in common::model_pool_cases() {
+        let (s, v) = scalar_vs_simd(1, || case.run().map(|t| bits(&t)));
+        assert_eq!(s, v, "{}", case.label());
+    }
+}
+
 /// Reductions at lane-remainder and stripe-remainder sizes (the SIMD
 /// `sum` walks 32-element stripes with 4 accumulators): `sum`/`dot`
 /// within rounding tolerance, `max`/`min`/argmax and axis reductions
