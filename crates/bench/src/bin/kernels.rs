@@ -42,7 +42,7 @@ struct Case {
     name: String,
     cost: OpCost,
     /// Dispatch-path label override: fused cases pin their row to
-    /// `codegen` (compiled loop nests, not a per-op SIMD/scalar kernel);
+    /// `codegen` (a compiled fused program, not a per-op SIMD/scalar kernel);
     /// `None` follows the process's SIMD dispatch label.
     path: Option<&'static str>,
     run: Box<dyn FnMut()>,
@@ -371,8 +371,9 @@ fn fused_case(label: &str, insts: Vec<FusedInst>, inputs: Vec<Tensor<f32>>) -> C
 }
 
 /// The fused chains the tracer actually emits hot: an affine+relu map,
-/// the SGD parameter update, a broadcast bias+relu epilogue, and batch
-/// norm's normalise+relu over `bn_dims` with its four `[C]` operands.
+/// the SGD and momentum parameter updates, a broadcast bias+relu
+/// epilogue, and batch norm's normalise+relu over `bn_dims` with its four
+/// `[C]` operands.
 fn all_fused_cases(
     n: usize,
     channels: usize,
@@ -386,8 +387,8 @@ fn all_fused_cases(
         bn_inputs.push(Tensor::rand_uniform(&[bn_dims[3]], lo, lo + 1.0, rng));
     }
     vec![
-        // relu((x − μ)/σ·γ + β) — the register machine's row: four `[C]`
-        // broadcast operands cycled per chunk.
+        // relu((x − μ)/σ·γ + β) — values staged through register rows, four
+        // `[C]` broadcast operands cycled per chunk.
         fused_case(
             &format!(
                 "bn-normalise+relu {}",
@@ -407,8 +408,8 @@ fn all_fused_cases(
             ],
             bn_inputs,
         ),
-        // relu(x·1.0001 + 0.5) — mul+add collapse into one MulBin, relu rides
-        // as the epilogue: the `mulbin_act` specialization.
+        // relu(x·1.0001 + 0.5) — mul+add collapse into one MulBin and relu
+        // rides on it as the epilogue: one pass, two scalar operands.
         fused_case(
             &format!("map n={n}"),
             vec![
@@ -421,7 +422,7 @@ fn all_fused_cases(
             ],
             vec![Tensor::<f32>::randn(&[n], rng)],
         ),
-        // p ← p + g·(−lr) — the optimizer update: one MulBin traversal.
+        // p ← p + g·(−lr) — the SGD update: one MulBin pass.
         fused_case(
             &format!("sgd-update n={n}"),
             vec![
@@ -436,8 +437,26 @@ fn all_fused_cases(
                 Tensor::<f32>::randn(&[n], rng),
             ],
         ),
+        // v ← v·μ + g·(−lr) — the momentum update: two products combined
+        // in one pass.
+        fused_case(
+            &format!("momentum-update n={n}"),
+            vec![
+                FusedInst::Input(0),
+                FusedInst::Imm(0.9),
+                FusedInst::Binary(ElemBinary::Mul, 0, 1),
+                FusedInst::Input(1),
+                FusedInst::Imm(-0.01),
+                FusedInst::Binary(ElemBinary::Mul, 3, 4),
+                FusedInst::Binary(ElemBinary::Add, 2, 5),
+            ],
+            vec![
+                Tensor::<f32>::randn(&[n], rng),
+                Tensor::<f32>::randn(&[n], rng),
+            ],
+        ),
         // relu(x + bias) with a trailing-broadcast bias row — the layer
-        // epilogue: the `bin_act` specialization over a cycled operand.
+        // epilogue: one Add with a relu epilogue over a cycled operand.
         fused_case(
             &format!("bias+relu {rows}x{channels}"),
             vec![

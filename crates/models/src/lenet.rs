@@ -229,39 +229,63 @@ mod tests {
         }
     }
 
+    /// The codegen launch counters are process-wide: the tests that run
+    /// LeNet on the lazy device take turns.
+    static LAZY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
-    fn lazy_training_specializes_fused_kernels() {
-        // The fused-kernel compiler must close over LeNet's hot training
-        // patterns with *specialized* loop nests (not the fallback
-        // register machine): bias+relu epilogues, loss-gradient
-        // scalings, the momentum/SGD parameter updates. Three distinct
-        // specialized kernels is the acceptance floor.
+    fn lazy_momentum_steps_merge_their_fused_programs() {
+        // Two momentum-SGD steps stage values through register rows only
+        // in the programs no peephole can merge (relu backward, the loss
+        // gradient). Bias+relu is one instruction with an activation
+        // epilogue, the momentum update one two-product instruction, the
+        // parameter update one mul+add: if a peephole stops firing, its
+        // launches join the staged count pinned here. The losses match
+        // the naive device.
         use s4tf_nn::optimizer::Sgd;
         use s4tf_nn::train::train_classifier_step;
 
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let d = Device::lazy();
-        let mut model = LeNet::new(&d, &mut rng);
-        let mut opt = Sgd::<LeNet>::with_momentum(0.05, 0.9);
-        let x = DTensor::from_tensor(Tensor::<f32>::randn(&[4, 28, 28, 1], &mut rng), &d);
-        let labels = DTensor::from_tensor(Tensor::zeros(&[4, 10]), &d);
-        for _ in 0..2 {
-            let loss = train_classifier_step(&mut model, &mut opt, &x, &labels);
-            assert!(loss.is_finite(), "training diverged");
+        let _turn = LAZY.lock().unwrap_or_else(|e| e.into_inner());
+        let mut one_hot = vec![0.0f32; 40];
+        for i in 0..4 {
+            one_hot[i * 10 + (3 * i + 1) % 10] = 1.0;
         }
-        let stats = s4tf_runtime::codegen::stats();
-        assert!(
-            stats.distinct_specialized >= 3,
-            "expected >=3 distinct specialized fused kernels in a LeNet \
-             training step, got {} (stats: {:?})",
-            stats.distinct_specialized,
-            stats
+        let mut losses = Vec::new();
+        let mut launches = (0, 0);
+        for d in [Device::naive(), Device::lazy()] {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut model = LeNet::new(&d, &mut rng);
+            let mut opt = Sgd::<LeNet>::with_momentum(0.05, 0.9);
+            let x = DTensor::from_tensor(Tensor::<f32>::randn(&[4, 28, 28, 1], &mut rng), &d);
+            let labels = DTensor::from_tensor(Tensor::from_vec(one_hot.clone(), &[4, 10]), &d);
+            let before = s4tf_runtime::codegen::stats();
+            for _ in 0..2 {
+                losses.push(train_classifier_step(&mut model, &mut opt, &x, &labels));
+            }
+            let after = s4tf_runtime::codegen::stats();
+            launches = (
+                after.specialized - before.specialized,
+                after.fallback - before.fallback,
+            );
+        }
+        let (single, staged) = launches;
+        assert_eq!(
+            staged, 12,
+            "staged fused launches ({single} single-instruction)"
         );
-        assert!(stats.specialized > 0, "no specialized launches recorded");
+        assert!(single > staged, "{single} single-instruction launches");
+        let (naive, lazy) = losses.split_at(2);
+        for (n, l) in naive.iter().zip(lazy) {
+            assert!(
+                (n - l).abs() <= 1e-4 * (1.0 + n.abs()),
+                "naive {n} vs lazy {l}"
+            );
+        }
     }
 
     #[test]
     fn identical_on_all_devices() {
+        let _turn = LAZY.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let naive = Device::naive();
         let reference_model = LeNet::new(&naive, &mut rng);

@@ -53,8 +53,8 @@ use s4tf_profile as prof;
 pub use device::Device;
 pub use dtensor::DTensor;
 pub use s4tf_tensor::{FaultKind, RuntimeError};
-// The fused-kernel compiler behind the lazy backend: its gate and
-// counters surface here so training code can ask "which of my fused
-// kernels got specialized" without depending on `s4tf-xla` directly.
+// The fused-kernel compiler behind the lazy backend: its counters
+// surface here so training code can ask how its fused kernels were
+// compiled and launched without depending on `s4tf-xla` directly.
 pub use s4tf_xla::codegen;
 pub use s4tf_xla::{CacheStats, CodegenStats};

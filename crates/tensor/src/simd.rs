@@ -173,18 +173,12 @@ pub(crate) fn write_f32<T: 'static>(dst: &mut T, v: f32) {
 /// One 8-wide f32 lane: a `[f32; 8]` chunk aligned to the AVX2 register
 /// width. All arithmetic is plain per-element Rust; inside [`vectorize`]
 /// each method compiles to one vector instruction.
-///
-/// Public so downstream register machines (the XLA fused-kernel codegen
-/// in `s4tf-xla`) can run their IR over explicit lanes; the exact-op
-/// methods (`add`/`sub`/`mul`/`div`) are single-rounding IEEE arithmetic
-/// and therefore bit-identical to the scalar spelling on every path.
 #[derive(Clone, Copy, Debug)]
 #[repr(C, align(32))]
-pub struct L8(pub [f32; LANES]);
+pub(crate) struct L8(pub(crate) [f32; LANES]);
 
-// Method-form names (`add`, not `impl Add`) on purpose: these are the
-// *exact-rounding* lane ops, and call sites read as kernel IR, not as
-// operator-overloaded arithmetic.
+// Method-form names (`add`, not `impl Add`) on purpose: call sites read
+// as kernel code, not as operator-overloaded arithmetic.
 #[allow(clippy::should_implement_trait)]
 impl L8 {
     #[inline(always)]
@@ -216,33 +210,6 @@ impl L8 {
         let mut out = [0.0; LANES];
         for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&rhs.0)) {
             *o = a + b;
-        }
-        L8(out)
-    }
-
-    #[inline(always)]
-    pub fn sub(self, rhs: L8) -> L8 {
-        let mut out = [0.0; LANES];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&rhs.0)) {
-            *o = a - b;
-        }
-        L8(out)
-    }
-
-    #[inline(always)]
-    pub fn mul(self, rhs: L8) -> L8 {
-        let mut out = [0.0; LANES];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&rhs.0)) {
-            *o = a * b;
-        }
-        L8(out)
-    }
-
-    #[inline(always)]
-    pub fn div(self, rhs: L8) -> L8 {
-        let mut out = [0.0; LANES];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&rhs.0)) {
-            *o = a / b;
         }
         L8(out)
     }
@@ -502,9 +469,6 @@ mod tests {
         let a = L8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let b = L8::splat(2.0);
         assert_eq!(a.add(b).0[3], 6.0);
-        assert_eq!(a.sub(b).0[3], 2.0);
-        assert_eq!(a.mul(b).0[3], 8.0);
-        assert_eq!(a.div(b).0[3], 2.0);
         assert_eq!(a.mul_add(b, L8::splat(1.0)).0[0], 3.0);
         assert_eq!(
             a.max(L8::splat(4.5)).0,

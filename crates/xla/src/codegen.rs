@@ -1,6 +1,6 @@
 //! Fused-kernel codegen: compiles [`FusedInst`] programs into a
-//! register-allocated linear IR and executes them without per-element
-//! interpretation (DESIGN.md §6j).
+//! register-allocated linear IR and executes them on one register
+//! machine, without per-element interpretation (DESIGN.md §6j).
 //!
 //! The fusion pass emits a stack-machine program — one slot per
 //! instruction, operands referring to earlier slots. This module is the
@@ -8,23 +8,23 @@
 //!
 //! 1. **Lowering** ([`get_or_compile`]): constant folding (the same scalar
 //!    `apply` every execution path uses, so folded values are
-//!    bit-identical), dead-code elimination, a mul+add/mul−sub peephole
-//!    ([`IrInst::MulBin`]
-//!    — still two roundings, never a hardware FMA, so results match the
-//!    two-instruction spelling bit for bit), and liveness-based virtual
-//!    register allocation that replaces the one-row-per-instruction
-//!    scratch stack with the 2–4 rows a typical chain actually needs.
-//! 2. **Specialization**: the compiled IR is pattern-matched against a
-//!    closed set of monomorphized single-pass loop nests — the shapes the
-//!    tracer actually emits (bias+activation epilogues, the SGD
-//!    `p ← p − lr·g` update, `a·k₁ + b·k₂` momentum updates, relu/mul/add
-//!    map chains, mask·dy backward products). Each specialized loop reads
-//!    its operands and writes the output in one traversal: no register
-//!    tile traffic at all.
-//! 3. **Fallback register machine**: everything else runs the IR one
-//!    pass per instruction over [`L8`]-lane register tiles, with operand
-//!    resolution and instruction dispatch hoisted out of the element
-//!    loop.
+//!    bit-identical), dead-code elimination, peepholes that merge a
+//!    single-use producer into its consumer — mul+add/sub
+//!    ([`IrInst::MulBin`]), two products combined ([`IrInst::MulMul`]), a
+//!    unary as its producer's activation epilogue — and liveness-based
+//!    virtual register allocation that replaces the one-row-per-instruction
+//!    scratch stack with the 2–4 rows a typical chain actually needs. A
+//!    merged instruction keeps every rounding of the ones it replaced
+//!    (each product is rounded, then combined, then the activation
+//!    applies — never a hardware FMA), so results match the unmerged
+//!    program bit for bit; the win is fewer traversals, not contraction.
+//! 2. **Execution**: the register machine runs the IR one vectorized
+//!    pass per instruction, with operand resolution and instruction
+//!    dispatch hoisted out of the element loop. Immediates and
+//!    one-element inputs are read as scalars in every pass. A program of
+//!    one instruction with no broadcast or alias input is one traversal
+//!    per task; everything else goes a chunk at a time through a small
+//!    row file (registers, broadcast rows, alias rows).
 //!
 //! Compiled kernels are cached by FNV-1a hash of the instruction
 //! sequence (collisions checked structurally, mirroring the executable
@@ -34,17 +34,13 @@
 //! element `e` of the output is the program evaluated with
 //! `ElemUnary::apply`/`ElemBinary::apply` over input `i` at `e % len(i)`,
 //! bit for bit (a NaN's sign and payload excepted — which operand a NaN
-//! result inherits them from is unspecified): every arithmetic step
-//! applies the same scalar operation in the same order, and the
-//! explicit-lane paths use only exact single-rounding IEEE ops
-//! (`add`/`sub`/`mul`/`div`).
+//! result inherits them from is unspecified): every pass applies those
+//! scalar operations element by element, in the program's order.
 
 use crate::met;
 use crate::op::{ElemBinary, ElemUnary, FusedInst};
-use s4tf_tensor::simd::{L8, LANES};
 use s4tf_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Chunk width of one register row: big enough to amortize instruction
@@ -64,24 +60,22 @@ pub struct CodegenStats {
     pub hits: u64,
     /// Cache lookups that compiled a new kernel.
     pub misses: u64,
-    /// Kernel launches that ran a specialized loop nest.
+    /// Kernel launches of single-instruction programs: one pass, no
+    /// intermediate value stored.
     pub specialized: u64,
-    /// Kernel launches that ran the generic register machine.
+    /// Kernel launches that pass intermediate values through register
+    /// rows (programs of two or more instructions).
     pub fallback: u64,
-    /// Distinct compiled kernels that have executed specialized at least
-    /// once — the "how many fused patterns did codegen close over" number.
-    pub distinct_specialized: u64,
 }
 
 /// Process-wide codegen counters: a view of the registry's
-/// `s4tf_xla_codegen_total{result=…}` and `s4tf_xla_codegen_patterns`.
+/// `s4tf_xla_codegen_total{result=…}`.
 pub fn stats() -> CodegenStats {
     CodegenStats {
         hits: hits().value(),
         misses: misses().value(),
         specialized: specialized().value(),
         fallback: fallback().value(),
-        distinct_specialized: patterns().value(),
     }
 }
 
@@ -98,21 +92,14 @@ fn misses() -> &'static met::Counter {
 fn specialized() -> &'static met::Counter {
     met::counter!(
         "s4tf_xla_codegen_total{result=\"specialized\"}",
-        "Fused-kernel launches that ran a specialized loop nest"
+        "Fused-kernel launches of single-instruction programs"
     )
 }
 
 fn fallback() -> &'static met::Counter {
     met::counter!(
         "s4tf_xla_codegen_total{result=\"fallback\"}",
-        "Fused-kernel launches that ran the generic register machine"
-    )
-}
-
-fn patterns() -> &'static met::Counter {
-    met::counter!(
-        "s4tf_xla_codegen_patterns",
-        "Distinct compiled fused kernels that have run specialized"
+        "Fused-kernel launches that stage values through register rows"
     )
 }
 
@@ -129,14 +116,16 @@ pub const DST_OUT: u8 = u8::MAX;
 pub enum Src {
     /// A virtual register (a `FUSED_CHUNK`-wide row).
     Reg(u8),
-    /// Kernel input `i`, read directly (full-shape) or from a
-    /// materialized broadcast/alias row.
+    /// Kernel input `i`: read directly (full-shape), as a scalar (one
+    /// element) or from a materialized broadcast/alias row.
     In(u8),
-    /// Immediate pool entry `k` (materialized into a row once per task).
+    /// Immediate pool entry `k`, read as a scalar.
     Imm(u8),
 }
 
 /// One compiled instruction. `dst` is a virtual register or [`DST_OUT`].
+/// `act` is an activation epilogue: a single-use unary consumer folded
+/// into the instruction, applied to its rounded result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IrInst {
     /// `dst = a` — degenerate programs whose output is an input or a
@@ -147,19 +136,23 @@ pub enum IrInst {
         /// Source operand.
         a: Src,
     },
-    /// `dst = op(a)`.
+    /// `dst = act(op(a))`.
     Unary {
         /// Operation.
         op: ElemUnary,
+        /// Activation epilogue.
+        act: Option<ElemUnary>,
         /// Destination register.
         dst: u8,
         /// Operand.
         a: Src,
     },
-    /// `dst = op(a, b)`.
+    /// `dst = act(op(a, b))`.
     Binary {
         /// Operation.
         op: ElemBinary,
+        /// Activation epilogue.
+        act: Option<ElemUnary>,
         /// Destination register.
         dst: u8,
         /// Left operand.
@@ -167,14 +160,14 @@ pub enum IrInst {
         /// Right operand.
         b: Src,
     },
-    /// The mul+add/sub peephole: `op(a·b, c)` when `mul_first`, else
-    /// `op(c, a·b)`. Computed as two single-rounding IEEE ops (the
-    /// product is rounded, then combined), so the value is bit-identical
-    /// to the separate mul and add/sub instructions it replaced — the
-    /// win is one traversal instead of two, not contraction.
+    /// The mul+add/sub peephole: `act(op(a·b, c))` when `mul_first`, else
+    /// `act(op(c, a·b))`. The product is rounded, then combined, so the
+    /// value is bit-identical to the separate mul and add/sub it replaced.
     MulBin {
         /// Combining operation (`Add` or `Sub`).
         op: ElemBinary,
+        /// Activation epilogue.
+        act: Option<ElemUnary>,
         /// Destination register.
         dst: u8,
         /// Product left operand.
@@ -186,6 +179,24 @@ pub enum IrInst {
         /// Whether the product is `op`'s left operand.
         mul_first: bool,
     },
+    /// Two products combined: `act(op(a·b, c·d))` — the momentum update
+    /// `v·μ + g·(−lr)`. Both products round, then combine.
+    MulMul {
+        /// Combining operation (`Add` or `Sub`).
+        op: ElemBinary,
+        /// Activation epilogue.
+        act: Option<ElemUnary>,
+        /// Destination register.
+        dst: u8,
+        /// Left product, left operand.
+        a: Src,
+        /// Left product, right operand.
+        b: Src,
+        /// Right product, left operand.
+        c: Src,
+        /// Right product, right operand.
+        d: Src,
+    },
 }
 
 impl IrInst {
@@ -194,47 +205,20 @@ impl IrInst {
             IrInst::Copy { dst, .. }
             | IrInst::Unary { dst, .. }
             | IrInst::Binary { dst, .. }
-            | IrInst::MulBin { dst, .. } => dst,
+            | IrInst::MulBin { dst, .. }
+            | IrInst::MulMul { dst, .. } => dst,
         }
     }
-}
 
-/// The closed set of specialized loop nests, detected by matching the
-/// compiled IR. Operand positions come from the IR at launch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Spec {
-    /// Output is a folded constant.
-    Fill(f32),
-    /// Output is an input passthrough.
-    CopyIn,
-    /// `out = u(x)`.
-    Act1(ElemUnary),
-    /// `out = u2(u1(x))`.
-    Act2(ElemUnary, ElemUnary),
-    /// `out = act(a ⊕ b)` — bias/residual + activation epilogues.
-    BinAct(ElemBinary, Option<ElemUnary>),
-    /// `out = act(op(a·b, c))` (operand order per `mul_first`) — the SGD
-    /// update `p + g·(−lr)`, affine maps `relu(x·m + k)`, saxpy.
-    MulBinAct(ElemBinary, Option<ElemUnary>),
-    /// `out = op₂(op₁(p, q), r)` / `op₂(r, op₁(p, q))` — loss-gradient
-    /// scalings `(softmax − labels)/B`, relu-backward `mask(x)·dy`.
-    BinBin(ElemBinary, ElemBinary),
-    /// `out = op(a·b, c·d)` — the momentum update `v·μ + g·(−lr)`.
-    Axpby(ElemBinary),
-}
-
-impl Spec {
-    fn name(self) -> &'static str {
-        match self {
-            Spec::Fill(_) => "fill",
-            Spec::CopyIn => "copy",
-            Spec::Act1(_) => "act1",
-            Spec::Act2(..) => "act2",
-            Spec::BinAct(..) => "bin_act",
-            Spec::MulBinAct(..) => "mulbin_act",
-            Spec::BinBin(..) => "bin_bin",
-            Spec::Axpby(_) => "axpby",
-        }
+    /// Scalar ops per output element, the epilogue included.
+    fn flops(&self) -> u64 {
+        let (ops, act) = match *self {
+            IrInst::Copy { .. } => (0, None),
+            IrInst::Unary { act, .. } | IrInst::Binary { act, .. } => (1, act),
+            IrInst::MulBin { act, .. } => (2, act),
+            IrInst::MulMul { act, .. } => (3, act),
+        };
+        ops + u64::from(act.is_some())
     }
 }
 
@@ -248,12 +232,10 @@ pub struct CompiledKernel {
     imms: Vec<f32>,
     /// Which kernel inputs the compiled IR actually reads.
     input_live: Vec<bool>,
-    spec: Option<Spec>,
     /// Scalar ops per output element in the compiled IR (`MulBin` = 2,
-    /// `Copy` = 0) — the honest FLOP count for the cost model.
+    /// `MulMul` = 3, an epilogue 1 more, `Copy` = 0) — the honest FLOP
+    /// count for the cost model.
     flops_per_elem: u64,
-    /// First-specialized-run latch for the distinct-pattern counter.
-    ran_specialized: AtomicBool,
 }
 
 impl CompiledKernel {
@@ -262,16 +244,10 @@ impl CompiledKernel {
         &self.ir
     }
 
-    /// Virtual registers the fallback machine needs (liveness reuse, not
-    /// one row per source instruction).
+    /// Virtual registers the machine needs (liveness reuse, not one row
+    /// per source instruction).
     pub fn register_count(&self) -> usize {
         self.n_regs
-    }
-
-    /// Name of the specialized loop nest this kernel dispatches to, or
-    /// `None` when it runs the generic register machine.
-    pub fn specialization(&self) -> Option<&'static str> {
-        self.spec.map(Spec::name)
     }
 
     /// Scalar ops per output element in the compiled IR.
@@ -299,12 +275,24 @@ enum Slot {
 }
 
 /// Pre-allocation instruction: operands are still source-slot indices.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum PreOp {
     Copy(usize),
     Unary(ElemUnary, usize),
     Binary(ElemBinary, usize, usize),
     MulBin(ElemBinary, usize, usize, usize, bool),
+    MulMul(ElemBinary, usize, usize, usize, usize),
+}
+
+impl PreOp {
+    fn operands(self) -> [Option<usize>; 4] {
+        match self {
+            PreOp::Copy(a) | PreOp::Unary(_, a) => [Some(a), None, None, None],
+            PreOp::Binary(_, a, b) => [Some(a), Some(b), None, None],
+            PreOp::MulBin(_, a, b, c, _) => [Some(a), Some(b), Some(c), None],
+            PreOp::MulMul(_, a, b, c, d) => [Some(a), Some(b), Some(c), Some(d)],
+        }
+    }
 }
 
 /// Upper bound on compilable program length (virtual registers are `u8`
@@ -381,12 +369,12 @@ fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
     }
 
     // Degenerate outputs: the whole program is a fill or a passthrough.
-    let mut prog: Vec<(usize, PreOp)> = Vec::new();
+    let mut prog: Vec<(usize, PreOp, Option<ElemUnary>)> = Vec::new();
     match val[out_slot] {
-        Slot::Const(_) | Slot::In(_) => prog.push((out_slot, PreOp::Copy(out_slot))),
+        Slot::Const(_) | Slot::In(_) => prog.push((out_slot, PreOp::Copy(out_slot), None)),
         Slot::Dyn => {
-            // 3. Use counts among live dynamic consumers, for the peephole's
-            // single-use test.
+            // 3. Use counts among live dynamic consumers, for the
+            // peepholes' single-use test.
             let mut uses = vec![0usize; len];
             for i in 0..len {
                 if !live[i] || val[i] != Slot::Dyn {
@@ -402,45 +390,59 @@ fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
                 }
             }
 
-            // 4. Peephole: a single-use dynamic Mul feeding an Add/Sub is
-            // absorbed into one MulBin traversal (operand order preserved).
-            let mut absorbed = vec![false; len];
-            let absorbable = |s: usize, absorbed: &[bool]| {
-                live[s]
-                    && !absorbed[s]
-                    && val[s] == Slot::Dyn
-                    && uses[s] == 1
-                    && matches!(insts[s], FusedInst::Binary(ElemBinary::Mul, _, _))
-            };
+            // 4. Peepholes, in program order: a single-use producer is
+            // merged into its consumer, which takes its place at the
+            // consumer's slot (operand order preserved).
+            //  * a `Mul` feeding an `Add`/`Sub` becomes a `MulBin` — and
+            //    a `MulMul` when both operands are such products;
+            //  * a `Unary` applied to an instruction becomes that
+            //    instruction's activation epilogue.
+            let mut pre: Vec<Option<(PreOp, Option<ElemUnary>)>> = vec![None; len];
+            let mut merged = vec![false; len];
             for i in 0..len {
                 if !live[i] || val[i] != Slot::Dyn {
                     continue;
                 }
-                let pre = match insts[i] {
-                    FusedInst::Unary(u, a) => PreOp::Unary(u, a),
-                    FusedInst::Binary(op @ (ElemBinary::Add | ElemBinary::Sub), a, c) => {
-                        if absorbable(a, &absorbed) {
-                            absorbed[a] = true;
-                            let FusedInst::Binary(_, ma, mb) = insts[a] else {
-                                unreachable!()
-                            };
-                            PreOp::MulBin(op, ma, mb, c, true)
-                        } else if absorbable(c, &absorbed) {
-                            absorbed[c] = true;
-                            let FusedInst::Binary(_, ma, mb) = insts[c] else {
-                                unreachable!()
-                            };
-                            PreOp::MulBin(op, ma, mb, a, false)
-                        } else {
-                            PreOp::Binary(op, a, c)
-                        }
+                // Slot `s` as a product that can be merged.
+                let product = |s: usize, merged: &[bool]| match pre[s] {
+                    Some((PreOp::Binary(ElemBinary::Mul, x, y), None))
+                        if uses[s] == 1 && !merged[s] =>
+                    {
+                        Some((x, y))
                     }
-                    FusedInst::Binary(op, a, c) => PreOp::Binary(op, a, c),
+                    _ => None,
+                };
+                let inst = match insts[i] {
+                    FusedInst::Unary(u, a) => match pre[a] {
+                        Some((producer, None)) if uses[a] == 1 && !merged[a] => {
+                            merged[a] = true;
+                            (producer, Some(u))
+                        }
+                        _ => (PreOp::Unary(u, a), None),
+                    },
+                    FusedInst::Binary(op @ (ElemBinary::Add | ElemBinary::Sub), a, c) => {
+                        let (pa, pc) = (product(a, &merged), product(c, &merged));
+                        merged[a] |= pa.is_some();
+                        merged[c] |= pc.is_some();
+                        let op = match (pa, pc) {
+                            (Some((p, q)), Some((r, s))) => PreOp::MulMul(op, p, q, r, s),
+                            (Some((p, q)), None) => PreOp::MulBin(op, p, q, c, true),
+                            (None, Some((r, s))) => PreOp::MulBin(op, r, s, a, false),
+                            (None, None) => PreOp::Binary(op, a, c),
+                        };
+                        (op, None)
+                    }
+                    FusedInst::Binary(op, a, c) => (PreOp::Binary(op, a, c), None),
                     _ => unreachable!("Input/Imm slots are never Dyn"),
                 };
-                prog.push((i, pre));
+                pre[i] = Some(inst);
             }
-            prog.retain(|(slot, _)| !absorbed[*slot]);
+            prog.extend(
+                pre.iter()
+                    .enumerate()
+                    .filter(|&(slot, _)| !merged[slot])
+                    .filter_map(|(slot, p)| p.map(|(op, act)| (slot, op, act))),
+            );
         }
     }
 
@@ -449,45 +451,38 @@ fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
     // instruction never writes the row it is reading (keeps the
     // execution borrows disjoint).
     let mut last_use: Vec<Option<usize>> = vec![None; len];
-    for (pi, (_, pre)) in prog.iter().enumerate() {
-        let mut mark = |s: usize| {
+    for (pi, (_, pre, _)) in prog.iter().enumerate() {
+        for s in pre.operands().into_iter().flatten() {
             if val[s] == Slot::Dyn {
                 last_use[s] = Some(pi);
-            }
-        };
-        match *pre {
-            PreOp::Copy(a) | PreOp::Unary(_, a) => mark(a),
-            PreOp::Binary(_, a, b) => {
-                mark(a);
-                mark(b);
-            }
-            PreOp::MulBin(_, a, b, c, _) => {
-                mark(a);
-                mark(b);
-                mark(c);
             }
         }
     }
 
     let mut imms: Vec<f32> = Vec::new();
-    let imm_index = |x: f32, imms: &mut Vec<f32>| -> u8 {
-        match imms.iter().position(|v| v.to_bits() == x.to_bits()) {
-            Some(k) => k as u8,
-            None => {
-                imms.push(x);
-                (imms.len() - 1) as u8
-            }
-        }
-    };
     let mut reg_of: Vec<Option<u8>> = vec![None; len];
     let mut free: Vec<u8> = Vec::new();
     let mut n_regs: usize = 0;
     let mut input_live = vec![false; n_inputs];
     let mut ir = Vec::with_capacity(prog.len());
-    for (pi, &(slot, pre)) in prog.iter().enumerate() {
-        let src = |s: usize, imms: &mut Vec<f32>, input_live: &mut [bool]| -> Src {
+    for (pi, &(slot, pre, act)) in prog.iter().enumerate() {
+        let dst = if slot == out_slot {
+            DST_OUT
+        } else {
+            free.pop().unwrap_or_else(|| {
+                n_regs += 1;
+                (n_regs - 1) as u8
+            })
+        };
+        let mut src = |s: usize| -> Src {
             match val[s] {
-                Slot::Const(x) => Src::Imm(imm_index(x, imms)),
+                Slot::Const(x) => match imms.iter().position(|v| v.to_bits() == x.to_bits()) {
+                    Some(k) => Src::Imm(k as u8),
+                    None => {
+                        imms.push(x);
+                        Src::Imm((imms.len() - 1) as u8)
+                    }
+                },
                 Slot::In(i) => {
                     input_live[i] = true;
                     Src::In(i as u8)
@@ -495,161 +490,64 @@ fn lower(insts: &[FusedInst]) -> Result<CompiledKernel, &'static str> {
                 Slot::Dyn => Src::Reg(reg_of[s].expect("operand register allocated")),
             }
         };
-        let (inst, operands): (IrInst, [Option<usize>; 3]) = {
-            let dst = if slot == out_slot {
-                DST_OUT
-            } else {
-                free.pop().unwrap_or_else(|| {
-                    n_regs += 1;
-                    (n_regs - 1) as u8
-                })
-            };
-            match pre {
-                PreOp::Copy(a) => (
-                    IrInst::Copy {
-                        dst,
-                        a: src(a, &mut imms, &mut input_live),
-                    },
-                    [Some(a), None, None],
-                ),
-                PreOp::Unary(op, a) => (
-                    IrInst::Unary {
-                        op,
-                        dst,
-                        a: src(a, &mut imms, &mut input_live),
-                    },
-                    [Some(a), None, None],
-                ),
-                PreOp::Binary(op, a, b) => (
-                    IrInst::Binary {
-                        op,
-                        dst,
-                        a: src(a, &mut imms, &mut input_live),
-                        b: src(b, &mut imms, &mut input_live),
-                    },
-                    [Some(a), Some(b), None],
-                ),
-                PreOp::MulBin(op, a, b, c, mul_first) => (
-                    IrInst::MulBin {
-                        op,
-                        dst,
-                        a: src(a, &mut imms, &mut input_live),
-                        b: src(b, &mut imms, &mut input_live),
-                        c: src(c, &mut imms, &mut input_live),
-                        mul_first,
-                    },
-                    [Some(a), Some(b), Some(c)],
-                ),
-            }
+        let inst = match pre {
+            PreOp::Copy(a) => IrInst::Copy { dst, a: src(a) },
+            PreOp::Unary(op, a) => IrInst::Unary {
+                op,
+                act,
+                dst,
+                a: src(a),
+            },
+            PreOp::Binary(op, a, b) => IrInst::Binary {
+                op,
+                act,
+                dst,
+                a: src(a),
+                b: src(b),
+            },
+            PreOp::MulBin(op, a, b, c, mul_first) => IrInst::MulBin {
+                op,
+                act,
+                dst,
+                a: src(a),
+                b: src(b),
+                c: src(c),
+                mul_first,
+            },
+            PreOp::MulMul(op, a, b, c, d) => IrInst::MulMul {
+                op,
+                act,
+                dst,
+                a: src(a),
+                b: src(b),
+                c: src(c),
+                d: src(d),
+            },
         };
         if slot != out_slot {
-            reg_of[slot] = Some(inst.dst());
+            reg_of[slot] = Some(dst);
         }
-        // Release operand registers at their last use (deduplicated: an
+        // Release operand registers at their last use (once each: an
         // instruction may reference one slot twice).
-        let mut released: [Option<usize>; 3] = [None; 3];
-        for o in operands.into_iter().flatten() {
-            if val[o] == Slot::Dyn && last_use[o] == Some(pi) && !released.contains(&Some(o)) {
-                released[released.iter().position(|r| r.is_none()).unwrap()] = Some(o);
+        let operands = pre.operands();
+        for (k, o) in operands.iter().enumerate() {
+            let Some(o) = *o else { continue };
+            if val[o] == Slot::Dyn && last_use[o] == Some(pi) && !operands[..k].contains(&Some(o)) {
                 free.push(reg_of[o].expect("operand register allocated"));
             }
         }
         ir.push(inst);
     }
 
-    let flops_per_elem: u64 = ir
-        .iter()
-        .map(|i| match i {
-            IrInst::Copy { .. } => 0,
-            IrInst::Unary { .. } | IrInst::Binary { .. } => 1,
-            IrInst::MulBin { .. } => 2,
-        })
-        .sum();
-
-    let spec = detect_spec(&ir, &imms);
+    let flops_per_elem = ir.iter().map(IrInst::flops).sum();
     Ok(CompiledKernel {
         insts: insts.to_vec(),
         ir,
         n_regs,
         imms,
         input_live,
-        spec,
         flops_per_elem,
-        ran_specialized: AtomicBool::new(false),
     })
-}
-
-/// `Src` is not a register?
-fn leaf(s: Src) -> bool {
-    !matches!(s, Src::Reg(_))
-}
-
-/// Matches the compiled IR against the specialized loop-nest set.
-fn detect_spec(ir: &[IrInst], imms: &[f32]) -> Option<Spec> {
-    match *ir {
-        [IrInst::Copy { a: Src::Imm(k), .. }] => Some(Spec::Fill(imms[k as usize])),
-        [IrInst::Copy { a: Src::In(_), .. }] => Some(Spec::CopyIn),
-        [IrInst::Unary { op, a, .. }] if leaf(a) => Some(Spec::Act1(op)),
-        [IrInst::Unary {
-            op: u1,
-            dst: d0,
-            a: a0,
-        }, IrInst::Unary {
-            op: u2,
-            a: Src::Reg(r),
-            ..
-        }] if leaf(a0) && r == d0 => Some(Spec::Act2(u1, u2)),
-        [IrInst::Binary { op, a, b, .. }] if leaf(a) && leaf(b) => Some(Spec::BinAct(op, None)),
-        [IrInst::Binary { op, dst: d0, a, b }, IrInst::Unary {
-            op: act,
-            a: Src::Reg(r),
-            ..
-        }] if leaf(a) && leaf(b) && r == d0 => Some(Spec::BinAct(op, Some(act))),
-        [IrInst::MulBin { op, a, b, c, .. }] if leaf(a) && leaf(b) && leaf(c) => {
-            Some(Spec::MulBinAct(op, None))
-        }
-        [IrInst::MulBin {
-            op,
-            dst: d0,
-            a,
-            b,
-            c,
-            ..
-        }, IrInst::Unary {
-            op: act,
-            a: Src::Reg(r),
-            ..
-        }] if leaf(a) && leaf(b) && leaf(c) && r == d0 => Some(Spec::MulBinAct(op, Some(act))),
-        // Momentum update: a standalone product feeding the non-product
-        // side of a MulBin — `op(a·b, p·q)` in program order.
-        [IrInst::Binary {
-            op: ElemBinary::Mul,
-            dst: d0,
-            a: p,
-            b: q,
-        }, IrInst::MulBin {
-            op,
-            a,
-            b,
-            c: Src::Reg(r),
-            ..
-        }] if leaf(p) && leaf(q) && leaf(a) && leaf(b) && r == d0 => Some(Spec::Axpby(op)),
-        [IrInst::Binary {
-            op: op1,
-            dst: d0,
-            a: p,
-            b: q,
-        }, IrInst::Binary { op: op2, a, b, .. }]
-            if leaf(p) && leaf(q) =>
-        {
-            match (a, b) {
-                (Src::Reg(r), other) if r == d0 && leaf(other) => Some(Spec::BinBin(op1, op2)),
-                (other, Src::Reg(r)) if r == d0 && leaf(other) => Some(Spec::BinBin(op1, op2)),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +615,6 @@ fn lookup(insts: &[FusedInst], count: bool) -> Result<Arc<CompiledKernel>, &'sta
         insts = insts.len(),
         ir = k.ir.len(),
         regs = k.n_regs,
-        spec = k.spec.map(Spec::name).unwrap_or("fallback"),
     );
     c.entry(h).or_default().push(k.clone());
     Ok(k)
@@ -767,6 +664,8 @@ pub(crate) fn fused_table(graph: &crate::graph::HloGraph) -> HashMap<usize, Arc<
 enum InClass {
     /// Full-shape: read directly at the global offset.
     Full,
+    /// One element: read as a scalar.
+    Scalar,
     /// Trailing-suffix broadcast: materialized into a row per chunk.
     Bcast,
     /// Aliases the output buffer (in-place launch): materialized from
@@ -783,10 +682,6 @@ enum InClass {
 /// 512-wide row in 1 + 5 copies, not 32).
 fn fill_cycle(dst: &mut [f32], src: &[f32], global: usize) {
     let m = src.len();
-    if m == 1 {
-        dst.fill(src[0]);
-        return;
-    }
     let pos = global % m;
     let period = m.min(dst.len());
     let head = (m - pos).min(period);
@@ -800,107 +695,24 @@ fn fill_cycle(dst: &mut [f32], src: &[f32], global: usize) {
     }
 }
 
-/// Everything a chunk needs to resolve operands to slices.
-struct ChunkCtx<'a> {
-    slices: &'a [Option<&'a [f32]>],
-    classes: &'a [InClass],
-    input_row: &'a [Option<usize>],
-    imm_base: usize,
-    /// Global element index of this chunk's first element.
-    global: usize,
-    len: usize,
+/// A resolved operand of one pass.
+#[derive(Clone, Copy)]
+enum Opnd<'r> {
+    /// The same value at every position: an immediate or a one-element
+    /// input.
+    Scalar(f32),
+    /// One value per position of the pass.
+    Slice(&'r [f32]),
 }
 
-impl<'a> ChunkCtx<'a> {
-    /// A leaf operand that is constant across the whole launch — an
-    /// immediate, or a scalar input — as a hoistable scalar. Alias
-    /// inputs never qualify (they track the output buffer).
-    #[inline(always)]
-    fn scalar_leaf(&self, imms: &[f32], s: Src) -> Option<f32> {
-        match s {
-            Src::Imm(k) => Some(imms[k as usize]),
-            Src::In(i) => match self.slices[i as usize] {
-                Some(src) if src.len() == 1 => Some(src[0]),
-                _ => None,
-            },
-            Src::Reg(_) => None,
-        }
-    }
-
-    /// Resolves a non-register operand against the read-only row file.
-    /// `rows` is addressed with absolute row indices.
-    #[inline(always)]
-    fn leaf_operand<'r>(&self, rows: &'r [f32], s: Src) -> &'r [f32]
-    where
-        'a: 'r,
-    {
-        match s {
-            Src::Imm(k) => {
-                let off = (self.imm_base + k as usize) * FUSED_CHUNK;
-                &rows[off..off + self.len]
-            }
-            Src::In(i) => match self.classes[i as usize] {
-                InClass::Full => {
-                    let src = self.slices[i as usize].expect("full input has a slice");
-                    &src[self.global..self.global + self.len]
-                }
-                _ => {
-                    let row = self.input_row[i as usize].expect("broadcast/alias input has a row");
-                    let off = row * FUSED_CHUNK;
-                    &rows[off..off + self.len]
-                }
-            },
-            Src::Reg(_) => unreachable!("specialized loops have no register operands"),
-        }
-    }
-
-    /// Resolves any operand when the row file is split around the
-    /// destination row (`lo` = rows `< split`, `hi` = rows `> split`,
-    /// both addressed with absolute row indices).
-    #[inline(always)]
-    fn operand<'r>(&self, lo: &'r [f32], hi: &'r [f32], split: usize, s: Src) -> &'r [f32]
-    where
-        'a: 'r,
-    {
-        let row = match s {
-            Src::Reg(r) => r as usize,
-            Src::Imm(k) => self.imm_base + k as usize,
-            Src::In(i) => match self.classes[i as usize] {
-                InClass::Full => {
-                    let src = self.slices[i as usize].expect("full input has a slice");
-                    return &src[self.global..self.global + self.len];
-                }
-                _ => self.input_row[i as usize].expect("broadcast/alias input has a row"),
-            },
-        };
-        debug_assert_ne!(row, split, "destination row is never an operand");
-        if row < split {
-            let off = row * FUSED_CHUNK;
-            &lo[off..off + self.len]
-        } else {
-            let off = (row - split - 1) * FUSED_CHUNK;
-            &hi[off..off + self.len]
-        }
-    }
-}
-
-// --- elementwise loop drivers -------------------------------------------
-//
-// Each driver is generic over the per-element function; the dispatch
-// matches below instantiate them with *literal* enum values, so every
-// (op, act) combination monomorphizes into its own closed-form loop with
-// the `apply` calls constant-folded — the "macro-monomorphized loop
-// nest" set, realized through generic instantiation.
-
-/// A read stream feeding a specialized loop: either a slice or a
-/// launch-constant scalar (immediates, scalar broadcasts) hoisted into
-/// a register — the hoisted form removes an L1 row read per element and
-/// lets the constant live in a vector register across the whole loop.
+/// A read stream of one pass: a launch-constant scalar (held in a
+/// register, no per-element read) or a slice.
 trait Rd: Copy {
-    /// Narrows a slice stream to the loop extent so per-element reads
+    /// Narrows a slice stream to the pass extent so per-element reads
     /// are provably in bounds (no effect on scalars).
     fn clip(self, n: usize) -> Self;
-    fn at(self, i: usize) -> f32;
+    /// The value at position `j`.
+    fn at(self, j: usize) -> f32;
 }
 
 impl Rd for f32 {
@@ -909,7 +721,7 @@ impl Rd for f32 {
         self
     }
     #[inline(always)]
-    fn at(self, _i: usize) -> f32 {
+    fn at(self, _j: usize) -> f32 {
         self
     }
 }
@@ -920,50 +732,35 @@ impl Rd for &[f32] {
         &self[..n]
     }
     #[inline(always)]
-    fn at(self, i: usize) -> f32 {
-        self[i]
+    fn at(self, j: usize) -> f32 {
+        self[j]
     }
 }
 
-#[inline(always)]
-fn ew1(dst: &mut [f32], a: &[f32], f: impl Fn(f32) -> f32) {
-    for (d, &x) in dst.iter_mut().zip(a) {
-        *d = f(x);
-    }
-}
-
-#[inline(always)]
-fn ew2<A: Rd, B: Rd>(dst: &mut [f32], a: A, b: B, f: impl Fn(f32, f32) -> f32) {
-    let n = dst.len();
-    let (a, b) = (a.clip(n), b.clip(n));
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = f(a.at(i), b.at(i));
-    }
-}
-
-#[inline(always)]
-fn ew3<A: Rd, B: Rd, C: Rd>(dst: &mut [f32], a: A, b: B, c: C, f: impl Fn(f32, f32, f32) -> f32) {
-    let n = dst.len();
-    let (a, b, c) = (a.clip(n), b.clip(n), c.clip(n));
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = f(a.at(i), b.at(i), c.at(i));
-    }
-}
-
-#[inline(always)]
-fn ew4<A: Rd, B: Rd, C: Rd, E: Rd>(
+/// The one pass driver: `dst[j] = f(a[j], b[j], c[j], d[j])`, every
+/// position evaluating the same scalar `f`. Each instantiation runs in
+/// its own [`vectorize`](s4tf_tensor::simd::vectorize) frame, where the
+/// loop compiles to vector instructions however many instantiations the
+/// dispatch in [`exec`] has. The closure takes its streams by value
+/// (`move`): streams it borrowed from this frame would be reloaded after
+/// every store, and the loop would not vectorize. An instruction with
+/// fewer operands passes a scalar for the rest, which compiles to
+/// nothing.
+fn pass<A: Rd, B: Rd, C: Rd, D: Rd>(
     dst: &mut [f32],
-    a: A,
-    b: B,
-    c: C,
-    e: E,
+    (a, b, c, d): (A, B, C, D),
     f: impl Fn(f32, f32, f32, f32) -> f32,
 ) {
     let n = dst.len();
-    let (a, b, c, e) = (a.clip(n), b.clip(n), c.clip(n), e.clip(n));
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = f(a.at(i), b.at(i), c.at(i), e.at(i));
-    }
+    let (a, b, c, d) = (a.clip(n), b.clip(n), c.clip(n), d.clip(n));
+    s4tf_tensor::simd::vectorize(
+        #[inline(always)]
+        move || {
+            for (j, o) in dst.iter_mut().enumerate() {
+                *o = f(a.at(j), b.at(j), c.at(j), d.at(j));
+            }
+        },
+    );
 }
 
 /// Expands `$body` once per [`ElemUnary`] variant with `$f` bound to a
@@ -971,7 +768,7 @@ fn ew4<A: Rd, B: Rd, C: Rd, E: Rd>(
 /// monomorphizes with the scalar op inlined (a function-pointer dispatch
 /// here would cost an indirect call per element and block
 /// vectorization). The scalar expression is the enum's own `apply`, so
-/// folding, interpretation and specialized loops agree bit for bit.
+/// folding, interpretation and the passes agree bit for bit.
 macro_rules! with_unary {
     ($u:expr, $f:ident => $body:expr) => {
         match $u {
@@ -1055,133 +852,93 @@ macro_rules! with_binary {
     };
 }
 
-/// Binds `$x` to either the hoisted launch-constant scalar or the
-/// resolved row slice of a leaf operand — two *distinct types*, so the
-/// loop in `$body` monomorphizes both ways and the scalar form carries
-/// no per-element row read.
+/// An activation epilogue: `$g` is the identity for `None`, else the
+/// unary's own closure (see [`with_unary!`]).
+macro_rules! with_act {
+    ($act:expr, $g:ident => $body:expr) => {
+        match $act {
+            None => {
+                let $g = |x: f32| x;
+                $body
+            }
+            Some(u) => with_unary!(u, $g => $body),
+        }
+    };
+}
+
+/// Binds `$x` to the scalar or the slice of a resolved operand — two
+/// *distinct types*, so the pass in `$body` monomorphizes both ways and
+/// the scalar form carries no per-element read.
 macro_rules! with_rd {
-    ($k:expr, $ctx:expr, $rows:expr, $s:expr, $x:ident => $body:expr) => {
-        match $ctx.scalar_leaf(&$k.imms, $s) {
-            Some(v) => {
+    ($o:expr, $x:ident => $body:expr) => {
+        match $o {
+            Opnd::Scalar(v) => {
                 let $x = v;
                 $body
             }
-            None => {
-                let $x = $ctx.leaf_operand($rows, $s);
+            Opnd::Slice(s) => {
+                let $x = s;
                 $body
             }
         }
     };
 }
 
-/// Optional-activation epilogue over a two-operand loop: expands to one
-/// monomorphized loop per activation (and one without).
-macro_rules! act_over2 {
-    ($dst:expr, $a:expr, $b:expr, $act:expr, $f2:ident) => {
-        match $act {
-            None => ew2($dst, $a, $b, $f2),
-            Some(u) => with_unary!(u, f1 => ew2($dst, $a, $b, |x, y| f1($f2(x, y)))),
+/// One pass of `inst` into `dst`, its operands resolved by `opnd`.
+fn exec<'r>(inst: &IrInst, opnd: impl Fn(Src) -> Opnd<'r>, dst: &mut [f32]) {
+    // The stream of an operand the instruction does not have.
+    const U: f32 = 0.0;
+    match *inst {
+        IrInst::Copy { a, .. } => {
+            with_rd!(opnd(a), a => pass(dst, (a, U, U, U), |x, _, _, _| x))
         }
-    };
-}
-
-/// Three-operand counterpart of [`act_over2!`] (`$f3` is a bound closure
-/// name, so every (combiner, activation) pair gets its own loop).
-macro_rules! act_over3 {
-    ($dst:expr, $a:expr, $b:expr, $c:expr, $act:expr, $f3:ident) => {
-        match $act {
-            None => ew3($dst, $a, $b, $c, $f3),
-            Some(u) => with_unary!(u, f1 => ew3($dst, $a, $b, $c, |x, y, z| f1($f3(x, y, z)))),
-        }
-    };
-}
-
-// --- explicit-lane drivers (fallback machine) ---------------------------
-
-/// `dst[j] = fl(a[j], b[j])` over [`L8`] lanes with a scalar tail. Only
-/// used for exact single-rounding ops (`fl` and `fs` must be the same
-/// IEEE operation), so lane and scalar spellings are bit-identical.
-#[inline(always)]
-fn lanes2(
-    dst: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    fl: impl Fn(L8, L8) -> L8,
-    fs: impl Fn(f32, f32) -> f32,
-) {
-    let n = dst.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        fl(L8::load(&a[j..]), L8::load(&b[j..])).store(&mut dst[j..]);
-        j += LANES;
-    }
-    while j < n {
-        dst[j] = fs(a[j], b[j]);
-        j += 1;
-    }
-}
-
-/// Three-operand lane driver for [`IrInst::MulBin`].
-#[inline(always)]
-fn lanes3(
-    dst: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    fl: impl Fn(L8, L8, L8) -> L8,
-    fs: impl Fn(f32, f32, f32) -> f32,
-) {
-    let n = dst.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        fl(L8::load(&a[j..]), L8::load(&b[j..]), L8::load(&c[j..])).store(&mut dst[j..]);
-        j += LANES;
-    }
-    while j < n {
-        dst[j] = fs(a[j], b[j], c[j]);
-        j += 1;
+        IrInst::Unary { op, act, a, .. } => with_act!(act, g => with_unary!(op, f => {
+            with_rd!(opnd(a), a => pass(dst, (a, U, U, U), |x, _, _, _| g(f(x))))
+        })),
+        IrInst::Binary { op, act, a, b, .. } => with_act!(act, g => with_binary!(op, f => {
+            with_rd!(opnd(a), a => with_rd!(opnd(b), b => {
+                pass(dst, (a, b, U, U), |x, y, _, _| g(f(x, y)))
+            }))
+        })),
+        IrInst::MulBin {
+            op,
+            act,
+            a,
+            b,
+            c,
+            mul_first,
+            ..
+        } => with_act!(act, g => with_rd!(opnd(a), a => with_rd!(opnd(b), b => {
+            with_rd!(opnd(c), c => match (op, mul_first) {
+                // IEEE addition is commutative, so operand order is free.
+                (ElemBinary::Add, _) => pass(dst, (a, b, c, U), |x, y, z, _| g((x * y) + z)),
+                (ElemBinary::Sub, true) => pass(dst, (a, b, c, U), |x, y, z, _| g((x * y) - z)),
+                (ElemBinary::Sub, false) => pass(dst, (a, b, c, U), |x, y, z, _| g(z - (x * y))),
+                _ => unreachable!("peephole emits only Add/Sub MulBin"),
+            })
+        }))),
+        IrInst::MulMul {
+            op,
+            act,
+            a,
+            b,
+            c,
+            d,
+            ..
+        } => with_act!(act, g => with_rd!(opnd(a), a => with_rd!(opnd(b), b => {
+            with_rd!(opnd(c), c => with_rd!(opnd(d), d => match op {
+                ElemBinary::Add => pass(dst, (a, b, c, d), |x, y, z, w| g((x * y) + (z * w))),
+                ElemBinary::Sub => pass(dst, (a, b, c, d), |x, y, z, w| g((x * y) - (z * w))),
+                _ => unreachable!("peephole emits only Add/Sub MulMul"),
+            }))
+        }))),
     }
 }
 
-/// One `MulBin` pass: the product is rounded, then combined — per lane
-/// and per scalar tail element alike, so all spellings agree bitwise.
-#[inline(always)]
-fn mulbin_pass(dst: &mut [f32], a: &[f32], b: &[f32], c: &[f32], op: ElemBinary, mul_first: bool) {
-    match (op, mul_first) {
-        (ElemBinary::Add, _) => {
-            // IEEE addition is commutative, so operand order is free here.
-            lanes3(
-                dst,
-                a,
-                b,
-                c,
-                |x, y, z| x.mul(y).add(z),
-                |x, y, z| (x * y) + z,
-            );
-        }
-        (ElemBinary::Sub, true) => {
-            lanes3(
-                dst,
-                a,
-                b,
-                c,
-                |x, y, z| x.mul(y).sub(z),
-                |x, y, z| (x * y) - z,
-            );
-        }
-        (ElemBinary::Sub, false) => {
-            lanes3(
-                dst,
-                a,
-                b,
-                c,
-                |x, y, z| z.sub(x.mul(y)),
-                |x, y, z| z - (x * y),
-            );
-        }
-        _ => unreachable!("peephole emits only Add/Sub MulBin"),
-    }
-}
+/// A chunk's row file as one pass sees it, split around the pass's
+/// destination row: the rows below it, the rows above it and its index —
+/// both halves addressed with absolute row indices.
+type RowFile<'r> = (&'r [f32], &'r [f32], usize);
 
 /// One launch of a compiled kernel: the operand classification and
 /// row-file layout shared by every task of the launch.
@@ -1189,26 +946,20 @@ struct Launch<'a> {
     kernel: &'a CompiledKernel,
     slices: &'a [Option<&'a [f32]>],
     classes: Vec<InClass>,
+    /// The row of each broadcast/alias input (rows `0..n_regs` are the
+    /// registers).
     input_row: Vec<Option<usize>>,
-    imm_base: usize,
+    /// Rows in a task's row file — none for a launch of one instruction
+    /// with no broadcast or alias input.
     n_rows: usize,
-    /// Whether tasks read the row file at all. A specialized loop with no
-    /// broadcast/alias input to materialize and its immediates hoisted to
-    /// scalars (`BinBin` is the one specialization that still reads
-    /// immediate rows) covers a whole task in one call, with no 512-wide
-    /// chunk stepping.
-    needs_rows: bool,
 }
 
 impl<'a> Launch<'a> {
     /// Classifies the operands of a launch over `n` elements and counts
     /// it. `slices[i] = None` marks input `i` as aliasing the output.
     fn new(kernel: &'a CompiledKernel, slices: &'a [Option<&'a [f32]>], n: usize) -> Self {
-        if kernel.spec.is_some() {
+        if kernel.ir.len() == 1 {
             specialized().inc();
-            if !kernel.ran_specialized.swap(true, Ordering::Relaxed) {
-                patterns().inc();
-            }
         } else {
             fallback().inc();
         }
@@ -1220,119 +971,129 @@ impl<'a> Launch<'a> {
                 match slices[i] {
                     None => InClass::Alias,
                     Some(s) if s.len() == n => InClass::Full,
+                    Some(s) if s.len() == 1 => InClass::Scalar,
                     Some(_) => InClass::Bcast,
                 }
             })
             .collect();
-        // Row layout: registers first (fallback only), immediates, then
-        // one row per broadcast/alias input the IR reads.
-        let imm_base = if kernel.spec.is_some() {
-            0
-        } else {
-            kernel.n_regs
-        };
-        let mut next_row = imm_base + kernel.imms.len();
+        let mut n_rows = kernel.n_regs;
         let input_row: Vec<Option<usize>> = classes
             .iter()
             .map(|c| match c {
                 InClass::Bcast | InClass::Alias => {
-                    next_row += 1;
-                    Some(next_row - 1)
+                    n_rows += 1;
+                    Some(n_rows - 1)
                 }
                 _ => None,
             })
             .collect();
-        let needs_rows = match kernel.spec {
-            Some(spec) => {
-                input_row.iter().any(|r| r.is_some())
-                    || (matches!(spec, Spec::BinBin(..)) && !kernel.imms.is_empty())
-            }
-            None => true,
-        };
         Launch {
             kernel,
             slices,
             classes,
             input_row,
-            imm_base,
-            n_rows: next_row,
-            needs_rows,
+            n_rows,
         }
     }
 
-    fn ctx(&self, global: usize, len: usize) -> ChunkCtx<'_> {
-        ChunkCtx {
-            slices: self.slices,
-            classes: &self.classes,
-            input_row: &self.input_row,
-            imm_base: self.imm_base,
-            global,
-            len,
-        }
+    /// Resolves operand `s` of a pass over elements `global..global +
+    /// len`.
+    fn operand<'r>(
+        &'r self,
+        (lo, hi, split): RowFile<'r>,
+        s: Src,
+        global: usize,
+        len: usize,
+    ) -> Opnd<'r> {
+        let row = match s {
+            Src::Imm(k) => return Opnd::Scalar(self.kernel.imms[k as usize]),
+            Src::Reg(r) => r as usize,
+            Src::In(i) => {
+                let i = i as usize;
+                match (self.classes[i], self.slices[i]) {
+                    (InClass::Full, Some(src)) => {
+                        return Opnd::Slice(&src[global..global + len]);
+                    }
+                    (InClass::Scalar, Some(src)) => return Opnd::Scalar(src[0]),
+                    _ => self.input_row[i].expect("broadcast/alias input has a row"),
+                }
+            }
+        };
+        debug_assert_ne!(row, split, "destination row is never an operand");
+        let (rows, at) = if row < split {
+            (lo, row)
+        } else {
+            (hi, row - split - 1)
+        };
+        Opnd::Slice(&rows[at * FUSED_CHUNK..at * FUSED_CHUNK + len])
     }
 
     /// Computes output elements `task_start .. task_start + out.len()`
     /// into `out` (for an alias input, `out` holds its elements on entry).
-    fn task(&self, task_start: usize, out_chunk: &mut [f32]) {
-        let kernel = self.kernel;
-        if let (Some(spec), false) = (kernel.spec, self.needs_rows) {
-            return s4tf_tensor::simd::vectorize(|| {
-                let ctx = self.ctx(task_start, out_chunk.len());
-                kernel.run_spec(spec, &ctx, &[], out_chunk);
-            });
-        }
-        let rows_len = self.n_rows * FUSED_CHUNK;
-        let mut rows = match s4tf_tensor::pool::take_vec::<f32>(rows_len) {
-            Some(mut v) => {
-                v.resize(rows_len, 0.0);
-                v
-            }
-            None => {
-                let mut v = Vec::with_capacity(rows_len.next_power_of_two());
-                v.resize(rows_len, 0.0);
-                v
-            }
+    fn task(&self, task_start: usize, out: &mut [f32]) {
+        // Without rows the task is one traversal; otherwise it goes
+        // through the row file a chunk at a time.
+        let (chunk, mut rows) = if self.n_rows == 0 {
+            (out.len(), Vec::new())
+        } else {
+            let len = self.n_rows * FUSED_CHUNK;
+            let mut rows = s4tf_tensor::pool::take_vec::<f32>(len)
+                .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()));
+            rows.resize(len, 0.0);
+            (FUSED_CHUNK, rows)
         };
-        s4tf_tensor::simd::vectorize(|| {
-            // Immediates materialize once per task, never per chunk.
-            for (k, &v) in kernel.imms.iter().enumerate() {
-                let off = (self.imm_base + k) * FUSED_CHUNK;
-                rows[off..off + FUSED_CHUNK].fill(v);
-            }
-            let mut start = 0usize;
-            while start < out_chunk.len() {
-                let len = FUSED_CHUNK.min(out_chunk.len() - start);
-                let global = task_start + start;
-                // Materialize broadcast and alias rows for this chunk
-                // (alias rows must copy before the output range is
-                // written). A broadcast row whose cycle divides the chunk
-                // width reads the same in every chunk of the task.
-                for (i, class) in self.classes.iter().enumerate() {
-                    match class {
-                        InClass::Bcast => {
-                            let off = self.input_row[i].unwrap() * FUSED_CHUNK;
-                            let src = self.slices[i].expect("broadcast input has a slice");
-                            if start == 0 || !FUSED_CHUNK.is_multiple_of(src.len()) {
-                                fill_cycle(&mut rows[off..off + len], src, global);
-                            }
-                        }
-                        InClass::Alias => {
-                            let off = self.input_row[i].unwrap() * FUSED_CHUNK;
-                            rows[off..off + len].copy_from_slice(&out_chunk[start..start + len]);
-                        }
-                        _ => {}
+        let mut start = 0usize;
+        while start < out.len() {
+            let len = chunk.min(out.len() - start);
+            let global = task_start + start;
+            self.fill_rows(&mut rows, &out[start..start + len], start == 0, global);
+            self.run_chunk(global, &mut rows, &mut out[start..start + len]);
+            start += len;
+        }
+        if self.n_rows > 0 {
+            s4tf_tensor::pool::give_vec(rows);
+        }
+    }
+
+    /// Materializes the broadcast and alias rows of the chunk at `global`
+    /// (`out` is its not-yet-written output range). A broadcast row whose
+    /// cycle divides the chunk width reads the same in every chunk of a
+    /// task, so only the task's first chunk fills it.
+    fn fill_rows(&self, rows: &mut [f32], out: &[f32], first: bool, global: usize) {
+        for (i, class) in self.classes.iter().enumerate() {
+            let Some(row) = self.input_row[i] else {
+                continue;
+            };
+            let dst = &mut rows[row * FUSED_CHUNK..row * FUSED_CHUNK + out.len()];
+            match (class, self.slices[i]) {
+                (InClass::Bcast, Some(src)) => {
+                    if first || !FUSED_CHUNK.is_multiple_of(src.len()) {
+                        fill_cycle(dst, src, global);
                     }
                 }
-                let ctx = self.ctx(global, len);
-                let dst = &mut out_chunk[start..start + len];
-                match kernel.spec {
-                    Some(spec) => kernel.run_spec(spec, &ctx, &rows, dst),
-                    None => kernel.run_machine(&ctx, &mut rows, dst),
-                }
-                start += len;
+                (InClass::Alias, _) => dst.copy_from_slice(out),
+                _ => unreachable!("only broadcast and alias inputs have rows"),
             }
-        });
-        s4tf_tensor::pool::give_vec(rows);
+        }
+    }
+
+    /// One chunk through the register machine: one pass per instruction,
+    /// the last one writing `out`.
+    fn run_chunk(&self, global: usize, rows: &mut [f32], out: &mut [f32]) {
+        let len = out.len();
+        for inst in &self.kernel.ir {
+            let (file, dst): (RowFile, &mut [f32]) = match inst.dst() {
+                // The whole row file is readable (split past the end).
+                DST_OUT => ((&*rows, &[], usize::MAX), &mut *out),
+                r => {
+                    let row = r as usize;
+                    let (lo, rest) = rows.split_at_mut(row * FUSED_CHUNK);
+                    let (d, hi) = rest.split_at_mut(FUSED_CHUNK);
+                    ((&*lo, &*hi, row), &mut d[..len])
+                }
+            };
+            exec(inst, |s| self.operand(file, s, global, len), dst);
+        }
     }
 }
 
@@ -1375,193 +1136,6 @@ impl CompiledKernel {
             s4tf_tensor::pool::give_vec(block);
         })
     }
-
-    /// One chunk through the matched specialized loop nest: a single
-    /// fused traversal, operands read straight from inputs/rows.
-    #[inline(always)]
-    fn run_spec(&self, spec: Spec, ctx: &ChunkCtx<'_>, rows: &[f32], dst: &mut [f32]) {
-        match spec {
-            Spec::Fill(v) => dst.fill(v),
-            Spec::CopyIn => {
-                let IrInst::Copy { a, .. } = self.ir[0] else {
-                    unreachable!()
-                };
-                dst.copy_from_slice(ctx.leaf_operand(rows, a));
-            }
-            Spec::Act1(u) => {
-                let IrInst::Unary { a, .. } = self.ir[0] else {
-                    unreachable!()
-                };
-                let a = ctx.leaf_operand(rows, a);
-                with_unary!(u, f1 => ew1(dst, a, f1));
-            }
-            Spec::Act2(u1, u2) => {
-                let IrInst::Unary { a, .. } = self.ir[0] else {
-                    unreachable!()
-                };
-                let a = ctx.leaf_operand(rows, a);
-                with_unary!(u1, f1 => with_unary!(u2, f2 => ew1(dst, a, |x| f2(f1(x)))));
-            }
-            Spec::BinAct(op, act) => {
-                let IrInst::Binary { a, b, .. } = self.ir[0] else {
-                    unreachable!()
-                };
-                with_rd!(self, ctx, rows, a, a => with_rd!(self, ctx, rows, b, b => {
-                    with_binary!(op, f2 => act_over2!(dst, a, b, act, f2))
-                }));
-            }
-            Spec::MulBinAct(op, act) => {
-                let IrInst::MulBin {
-                    a, b, c, mul_first, ..
-                } = self.ir[0]
-                else {
-                    unreachable!()
-                };
-                // The product rounds, then combines: never contracted.
-                with_rd!(self, ctx, rows, a, a => with_rd!(self, ctx, rows, b, b => {
-                    with_rd!(self, ctx, rows, c, c => match (op, mul_first) {
-                        (ElemBinary::Add, _) => {
-                            let f3 = |x: f32, y: f32, z: f32| (x * y) + z;
-                            act_over3!(dst, a, b, c, act, f3);
-                        }
-                        (ElemBinary::Sub, true) => {
-                            let f3 = |x: f32, y: f32, z: f32| (x * y) - z;
-                            act_over3!(dst, a, b, c, act, f3);
-                        }
-                        (ElemBinary::Sub, false) => {
-                            let f3 = |x: f32, y: f32, z: f32| z - (x * y);
-                            act_over3!(dst, a, b, c, act, f3);
-                        }
-                        _ => unreachable!("peephole emits only Add/Sub MulBin"),
-                    })
-                }));
-            }
-            Spec::BinBin(op1, op2) => {
-                let IrInst::Binary {
-                    a: p,
-                    b: q,
-                    dst: d0,
-                    ..
-                } = self.ir[0]
-                else {
-                    unreachable!()
-                };
-                let IrInst::Binary { a, b, .. } = self.ir[1] else {
-                    unreachable!()
-                };
-                let (p, q) = (ctx.leaf_operand(rows, p), ctx.leaf_operand(rows, q));
-                let (r, reg_lhs) = match (a, b) {
-                    (Src::Reg(r0), other) if r0 == d0 => (ctx.leaf_operand(rows, other), true),
-                    (other, _) => (ctx.leaf_operand(rows, other), false),
-                };
-                with_binary!(op1, f1 => with_binary!(op2, f2 => {
-                    if reg_lhs {
-                        ew3(dst, p, q, r, |x, y, z| f2(f1(x, y), z));
-                    } else {
-                        ew3(dst, p, q, r, |x, y, z| f2(z, f1(x, y)));
-                    }
-                }));
-            }
-            Spec::Axpby(op) => {
-                let IrInst::Binary { a: p, b: q, .. } = self.ir[0] else {
-                    unreachable!()
-                };
-                let IrInst::MulBin {
-                    a, b, mul_first, ..
-                } = self.ir[1]
-                else {
-                    unreachable!()
-                };
-                // Both products round independently; only the combining
-                // operand order matters for bit-identity. The scale
-                // factors (lr, momentum) hoist to scalars here.
-                with_rd!(self, ctx, rows, a, a => with_rd!(self, ctx, rows, b, b => {
-                    with_rd!(self, ctx, rows, p, p => with_rd!(self, ctx, rows, q, q => {
-                        match (op, mul_first) {
-                            (ElemBinary::Add, _) => {
-                                ew4(dst, a, b, p, q, |x, y, z, w| (x * y) + (z * w));
-                            }
-                            (ElemBinary::Sub, true) => {
-                                ew4(dst, a, b, p, q, |x, y, z, w| (x * y) - (z * w));
-                            }
-                            (ElemBinary::Sub, false) => {
-                                ew4(dst, a, b, p, q, |x, y, z, w| (z * w) - (x * y));
-                            }
-                            _ => unreachable!("Axpby combines with Add/Sub only"),
-                        }
-                    }))
-                }));
-            }
-        }
-    }
-
-    /// One chunk through the generic register machine: one pass per IR
-    /// instruction over `FUSED_CHUNK`-wide register rows, dispatch and
-    /// operand resolution hoisted out of the element loop, arithmetic
-    /// over explicit [`L8`] lanes where the op is exact.
-    #[inline(always)]
-    fn run_machine(&self, ctx: &ChunkCtx<'_>, rows: &mut [f32], out: &mut [f32]) {
-        for inst in &self.ir {
-            let dst = inst.dst();
-            if dst == DST_OUT {
-                // The final instruction writes the output directly; the
-                // whole row file is readable (split point past the end).
-                let split = usize::MAX;
-                Self::exec_inst(inst, ctx, rows, &[], split, out);
-            } else {
-                let row = dst as usize;
-                let off = row * FUSED_CHUNK;
-                let (lo, rest) = rows.split_at_mut(off);
-                let (d, hi) = rest.split_at_mut(FUSED_CHUNK);
-                Self::exec_inst(inst, ctx, lo, hi, row, &mut d[..ctx.len]);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn exec_inst(
-        inst: &IrInst,
-        ctx: &ChunkCtx<'_>,
-        lo: &[f32],
-        hi: &[f32],
-        split: usize,
-        dst: &mut [f32],
-    ) {
-        match *inst {
-            IrInst::Copy { a, .. } => dst.copy_from_slice(ctx.operand(lo, hi, split, a)),
-            IrInst::Unary { op, a, .. } => {
-                let a = ctx.operand(lo, hi, split, a);
-                with_unary!(op, f1 => ew1(dst, a, f1));
-            }
-            IrInst::Binary { op, a, b, .. } => {
-                let (a, b) = (ctx.operand(lo, hi, split, a), ctx.operand(lo, hi, split, b));
-                // Exact ops run over explicit lanes; the rest get one
-                // monomorphized scalar loop per op.
-                match op {
-                    ElemBinary::Add => lanes2(dst, a, b, L8::add, |x, y| x + y),
-                    ElemBinary::Sub => lanes2(dst, a, b, L8::sub, |x, y| x - y),
-                    ElemBinary::Mul => lanes2(dst, a, b, L8::mul, |x, y| x * y),
-                    ElemBinary::Div => lanes2(dst, a, b, L8::div, |x, y| x / y),
-                    op => with_binary!(op, f2 => ew2(dst, a, b, f2)),
-                }
-            }
-            IrInst::MulBin {
-                op,
-                a,
-                b,
-                c,
-                mul_first,
-                ..
-            } => {
-                let (a, b, c) = (
-                    ctx.operand(lo, hi, split, a),
-                    ctx.operand(lo, hi, split, b),
-                    ctx.operand(lo, hi, split, c),
-                );
-                mulbin_pass(dst, a, b, c, op, mul_first);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1598,8 +1172,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Output bits of the compiled kernel and of [`reference`] agree.
+    fn assert_matches_reference(insts: &[FusedInst], inputs: &[Vec<f32>], n: usize) {
+        assert_eq!(
+            bits(&run_compiled(insts, inputs, n)),
+            bits(&reference(insts, inputs, n)),
+            "n={n} insts={insts:?}"
+        );
+    }
+
     #[test]
-    fn sgd_update_compiles_to_one_mulbin_and_specializes() {
+    fn sgd_update_compiles_to_one_mulbin() {
         // p + g·(−lr): Mul(g, imm) absorbed into the Add.
         let insts = vec![
             FusedInst::Input(0),
@@ -1609,27 +1192,26 @@ mod tests {
             FusedInst::Binary(ElemBinary::Add, 3, 2),
         ];
         let k = get_or_compile(&insts);
-        assert_eq!(k.ir().len(), 1);
-        assert!(matches!(
-            k.ir()[0],
-            IrInst::MulBin {
+        assert_eq!(
+            k.ir(),
+            [IrInst::MulBin {
                 op: ElemBinary::Add,
-                ..
-            }
-        ));
-        assert_eq!(k.specialization(), Some("mulbin_act"));
+                act: None,
+                dst: DST_OUT,
+                a: Src::In(0),
+                b: Src::Imm(0),
+                c: Src::In(1),
+                mul_first: false,
+            }]
+        );
         assert_eq!(k.flops_per_elem(), 2);
         let g: Vec<f32> = (0..1000).map(|i| (i as f32) * 0.01 - 3.0).collect();
         let p: Vec<f32> = (0..1000).map(|i| (i as f32) * -0.02 + 1.0).collect();
-        let inputs = vec![g, p];
-        assert_eq!(
-            bits(&run_compiled(&insts, &inputs, 1000)),
-            bits(&reference(&insts, &inputs, 1000))
-        );
+        assert_matches_reference(&insts, &[g, p], 1000);
     }
 
     #[test]
-    fn bias_relu_epilogue_specializes_with_broadcast() {
+    fn bias_relu_is_one_instruction_with_a_relu_epilogue() {
         // relu(x + bias[c]) over a [N, C] output.
         let insts = vec![
             FusedInst::Input(0),
@@ -1638,19 +1220,25 @@ mod tests {
             FusedInst::Unary(ElemUnary::Relu, 2),
         ];
         let k = get_or_compile(&insts);
-        assert_eq!(k.specialization(), Some("bin_act"));
+        assert_eq!(
+            k.ir(),
+            [IrInst::Binary {
+                op: ElemBinary::Add,
+                act: Some(ElemUnary::Relu),
+                dst: DST_OUT,
+                a: Src::In(0),
+                b: Src::In(1),
+            }]
+        );
+        assert_eq!(k.flops_per_elem(), 2);
         let n = 700 * 6;
         let x: Vec<f32> = (0..n).map(|i| (i as f32) * 0.003 - 5.0).collect();
         let bias: Vec<f32> = (0..6).map(|i| i as f32 - 2.5).collect();
-        let inputs = vec![x, bias];
-        assert_eq!(
-            bits(&run_compiled(&insts, &inputs, n)),
-            bits(&reference(&insts, &inputs, n))
-        );
+        assert_matches_reference(&insts, &[x, bias], n);
     }
 
     #[test]
-    fn momentum_update_detects_axpby() {
+    fn momentum_update_is_one_two_product_instruction() {
         // v·μ + g·(−lr).
         let insts = vec![
             FusedInst::Input(0),
@@ -1662,19 +1250,27 @@ mod tests {
             FusedInst::Binary(ElemBinary::Add, 2, 5),
         ];
         let k = get_or_compile(&insts);
-        assert_eq!(k.specialization(), Some("axpby"));
+        assert_eq!(
+            k.ir(),
+            [IrInst::MulMul {
+                op: ElemBinary::Add,
+                act: None,
+                dst: DST_OUT,
+                a: Src::In(0),
+                b: Src::Imm(0),
+                c: Src::In(1),
+                d: Src::Imm(1),
+            }]
+        );
+        assert_eq!(k.flops_per_elem(), 3);
         let v: Vec<f32> = (0..513).map(|i| (i as f32).sin()).collect();
         let g: Vec<f32> = (0..513).map(|i| (i as f32).cos()).collect();
-        let inputs = vec![v, g];
-        assert_eq!(
-            bits(&run_compiled(&insts, &inputs, 513)),
-            bits(&reference(&insts, &inputs, 513))
-        );
+        assert_matches_reference(&insts, &[v, g], 513);
     }
 
     #[test]
-    fn mask_mul_backward_detects_binbin() {
-        // dy · (x > 0): GreaterMask then Mul.
+    fn mask_mul_backward_stages_through_one_register() {
+        // dy · (x > 0): GreaterMask then Mul — no peephole applies.
         let insts = vec![
             FusedInst::Input(0),
             FusedInst::Imm(0.0),
@@ -1683,14 +1279,76 @@ mod tests {
             FusedInst::Binary(ElemBinary::Mul, 3, 2),
         ];
         let k = get_or_compile(&insts);
-        assert_eq!(k.specialization(), Some("bin_bin"));
+        assert_eq!(
+            k.ir(),
+            [
+                IrInst::Binary {
+                    op: ElemBinary::GreaterMask,
+                    act: None,
+                    dst: 0,
+                    a: Src::In(0),
+                    b: Src::Imm(0),
+                },
+                IrInst::Binary {
+                    op: ElemBinary::Mul,
+                    act: None,
+                    dst: DST_OUT,
+                    a: Src::In(1),
+                    b: Src::Reg(0),
+                },
+            ]
+        );
+        assert_eq!(k.register_count(), 1);
         let x: Vec<f32> = (0..100).map(|i| i as f32 - 50.0).collect();
         let dy: Vec<f32> = (0..100).map(|i| (i as f32) * 0.1).collect();
-        let inputs = vec![x, dy];
+        assert_matches_reference(&insts, &[x, dy], 100);
+    }
+
+    #[test]
+    fn epilogues_fold_only_into_single_use_producers() {
+        // s = x + y is read twice, so relu(s) stays its own instruction;
+        // tanh(exp(x)) folds once, and a third unary cannot stack on it.
+        let shared = vec![
+            FusedInst::Input(0),
+            FusedInst::Input(1),
+            FusedInst::Binary(ElemBinary::Add, 0, 1),
+            FusedInst::Unary(ElemUnary::Relu, 2),
+            FusedInst::Binary(ElemBinary::Mul, 3, 2),
+        ];
+        let k = get_or_compile(&shared);
+        assert_eq!(k.ir().len(), 3);
+        assert!(k.ir().iter().all(|i| !matches!(
+            i,
+            IrInst::Binary { act: Some(_), .. } | IrInst::Unary { act: Some(_), .. }
+        )));
+        let chain = vec![
+            FusedInst::Input(0),
+            FusedInst::Unary(ElemUnary::Exp, 0),
+            FusedInst::Unary(ElemUnary::Tanh, 1),
+            FusedInst::Unary(ElemUnary::Neg, 2),
+        ];
+        let k = get_or_compile(&chain);
         assert_eq!(
-            bits(&run_compiled(&insts, &inputs, 100)),
-            bits(&reference(&insts, &inputs, 100))
+            k.ir(),
+            [
+                IrInst::Unary {
+                    op: ElemUnary::Exp,
+                    act: Some(ElemUnary::Tanh),
+                    dst: 0,
+                    a: Src::In(0),
+                },
+                IrInst::Unary {
+                    op: ElemUnary::Neg,
+                    act: None,
+                    dst: DST_OUT,
+                    a: Src::Reg(0),
+                },
+            ]
         );
+        let x: Vec<f32> = (0..77).map(|i| (i as f32) * 0.05 - 2.0).collect();
+        let y: Vec<f32> = (0..77).map(|i| (i as f32) * -0.03 + 1.0).collect();
+        assert_matches_reference(&shared, &[x.clone(), y], 77);
+        assert_matches_reference(&chain, &[x], 77);
     }
 
     #[test]
@@ -1709,11 +1367,7 @@ mod tests {
         assert_eq!(k.flops_per_elem(), 1);
         assert_eq!(k.imms, vec![6.0]);
         let x: Vec<f32> = (0..50).map(|i| i as f32).collect();
-        let inputs = vec![x];
-        assert_eq!(
-            bits(&run_compiled(&insts, &inputs, 50)),
-            bits(&reference(&insts, &inputs, 50))
-        );
+        assert_matches_reference(&insts, &[x], 50);
     }
 
     #[test]
@@ -1731,16 +1385,13 @@ mod tests {
             k.register_count()
         );
         let x: Vec<f32> = (0..40).map(|i| 1.0 + (i as f32) * 1e-4).collect();
-        let inputs = vec![x];
-        assert_eq!(
-            bits(&run_compiled(&insts, &inputs, 40)),
-            bits(&reference(&insts, &inputs, 40))
-        );
+        assert_matches_reference(&insts, &[x], 40);
     }
 
     #[test]
-    fn fallback_machine_handles_long_mixed_programs() {
-        // No specialized shape: a 4-op sigmoid-from-primitives chain.
+    fn long_mixed_programs_straddle_every_boundary() {
+        // 1 / (1 + exp(−x)) from primitives: exp rides on neg and recip
+        // on the add, so two instructions staged through one register.
         let insts = vec![
             FusedInst::Input(0),
             FusedInst::Unary(ElemUnary::Neg, 0),
@@ -1750,17 +1401,35 @@ mod tests {
             FusedInst::Unary(ElemUnary::Recip, 4),
         ];
         let k = get_or_compile(&insts);
-        assert_eq!(k.specialization(), None);
+        assert_eq!(k.ir().len(), 2);
+        assert_eq!(k.flops_per_elem(), 4);
         // Lengths straddling lane, chunk and grain boundaries.
         for n in [1usize, 7, 8, 9, 511, 512, 513, 4095, 4096, 4097] {
             let x: Vec<f32> = (0..n).map(|i| (i as f32) * 0.01 - 2.0).collect();
-            let inputs = vec![x];
-            assert_eq!(
-                bits(&run_compiled(&insts, &inputs, n)),
-                bits(&reference(&insts, &inputs, n)),
-                "n={n}"
-            );
+            assert_matches_reference(&insts, &[x], n);
         }
+    }
+
+    #[test]
+    fn rows_only_where_values_are_staged_or_materialized() {
+        // x·s + k with a one-element s: one instruction over a full input
+        // and two scalars — one traversal, no row file.
+        let insts = vec![
+            FusedInst::Input(0),
+            FusedInst::Input(1),
+            FusedInst::Binary(ElemBinary::Mul, 0, 1),
+            FusedInst::Imm(0.25),
+            FusedInst::Binary(ElemBinary::Sub, 2, 3),
+        ];
+        let k = get_or_compile(&insts);
+        let n = 4100;
+        let x: Vec<f32> = (0..n).map(|i| (i as f32) * 0.001 - 2.0).collect();
+        let (s, c) = (vec![1.5f32], vec![0.5f32, -1.0, 2.0, 0.0]);
+        assert_eq!(Launch::new(&k, &[Some(&x[..]), Some(&s[..])], n).n_rows, 0);
+        assert_matches_reference(&insts, &[x.clone(), s], n);
+        // The same instruction with a `[4]` operand reads it from a row.
+        assert_eq!(Launch::new(&k, &[Some(&x[..]), Some(&c[..])], n).n_rows, 1);
+        assert_matches_reference(&insts, &[x, c], n);
     }
 
     #[test]
@@ -1806,12 +1475,25 @@ mod tests {
     fn degenerate_outputs_fill_and_copy() {
         let fill = vec![FusedInst::Imm(2.0), FusedInst::Unary(ElemUnary::Square, 0)];
         let k = get_or_compile(&fill);
-        assert_eq!(k.specialization(), Some("fill"));
+        assert_eq!(
+            k.ir(),
+            [IrInst::Copy {
+                dst: DST_OUT,
+                a: Src::Imm(0)
+            }]
+        );
+        assert_eq!(k.imms, vec![4.0]);
         assert_eq!(run_compiled(&fill, &[], 10), vec![4.0f32; 10]);
 
         let copy = vec![FusedInst::Input(0), FusedInst::Input(1)];
         let k = get_or_compile(&copy);
-        assert_eq!(k.specialization(), Some("copy"));
+        assert_eq!(
+            k.ir(),
+            [IrInst::Copy {
+                dst: DST_OUT,
+                a: Src::In(1)
+            }]
+        );
         assert!(!k.input_live(0), "unreferenced input is dead");
         assert!(k.input_live(1));
         let a = vec![1.0f32; 4];

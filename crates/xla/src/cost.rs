@@ -281,6 +281,47 @@ mod tests {
     }
 
     #[test]
+    fn fused_cost_counts_merged_instruction_forms() {
+        // Each merged instruction counts every scalar op it replaced: a
+        // binary with an activation epilogue 2, two products combined 3,
+        // and the epilogue on top of that 4 FLOPs per element.
+        let (n, c) = (1200usize, 6usize);
+        let (x, v, bias) = (s(&[n / c, c]), s(&[n / c, c]), s(&[c]));
+        let cost = |insts: Vec<FusedInst>, inputs: &[&Shape]| {
+            let fused = HloOp::Fused {
+                insts,
+                n_inputs: inputs.len(),
+                reduce_to: None,
+            };
+            op_cost(&fused, inputs, &x)
+        };
+        let bias_relu = vec![
+            FusedInst::Input(0),
+            FusedInst::Input(1),
+            FusedInst::Binary(ElemBinary::Add, 0, 1),
+            FusedInst::Unary(ElemUnary::Relu, 2),
+        ];
+        let c1 = cost(bias_relu, &[&x, &bias]);
+        assert_eq!(c1.flops, 2 * n as u64);
+        assert_eq!(c1.bytes, 4 * (n + c + n) as u64, "x and bias in, one out");
+        let momentum = vec![
+            FusedInst::Input(0),
+            FusedInst::Imm(0.9),
+            FusedInst::Binary(ElemBinary::Mul, 0, 1),
+            FusedInst::Input(1),
+            FusedInst::Imm(-0.01),
+            FusedInst::Binary(ElemBinary::Mul, 3, 4),
+            FusedInst::Binary(ElemBinary::Add, 2, 5),
+        ];
+        let c2 = cost(momentum.clone(), &[&v, &x]);
+        assert_eq!(c2.flops, 3 * n as u64);
+        assert_eq!(c2.bytes, 4 * (n + n + n) as u64);
+        let mut relu_momentum = momentum;
+        relu_momentum.push(FusedInst::Unary(ElemUnary::Relu, 6));
+        assert_eq!(cost(relu_momentum, &[&v, &x]).flops, 4 * n as u64);
+    }
+
+    #[test]
     fn shape_ops_cost_no_flops() {
         let x = s(&[2, 3]);
         assert_eq!(

@@ -1,14 +1,18 @@
 //! Property-based bit-exactness contract for the fused-kernel compiler:
-//! on random `FusedInst` programs, the compiled kernel (specialized loop
-//! nests or the register machine) must produce the *same bits* as the
-//! program's per-element scalar semantics — across the SIMD dispatch
-//! toggle and thread counts, for full-shape and trailing-broadcast
+//! on random `FusedInst` programs — and on the shapes the tracer emits
+//! hot, each with its operands drawn from every input kind — the compiled
+//! kernel must produce the *same bits* as the program's per-element
+//! scalar semantics, across the SIMD dispatch toggle and thread counts,
+//! for full-shape, one-element, trailing-broadcast and in-place (aliased)
 //! inputs, at lengths straddling lane (8), chunk (512) and task-grain
 //! (4096) boundaries — and the reduction epilogue must sum those values
 //! exactly as `Tensor::reduce_to_shape` sums the stored ones.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use s4tf_tensor::Tensor;
+use s4tf_xla::codegen::{get_or_compile, IrInst};
+use s4tf_xla::graph::HloGraph;
 use s4tf_xla::op::FusedInst;
 use s4tf_xla::{eval_op, ElemBinary, ElemUnary, HloOp};
 use std::sync::Mutex;
@@ -63,23 +67,37 @@ fn inst_strategy() -> impl Strategy<Value = RawInst> {
 /// (8), dispatch chunk (512), parallel task grain (8·512 = 4096).
 const LENGTHS: &[usize] = &[1, 7, 8, 9, 511, 512, 513, 4095, 4096, 4097, 8200];
 
+/// Appends `raw` to `insts`, each operand index folded onto
+/// `operands(len)` — the slots an instruction at `len` may read.
+fn append(
+    insts: &mut Vec<FusedInst>,
+    raw: &[RawInst],
+    n_inputs: usize,
+    operands: impl Fn(usize) -> Vec<usize>,
+) {
+    for r in raw {
+        let pick = |k: usize| {
+            let slots = operands(insts.len());
+            slots[k % slots.len()]
+        };
+        let inst = match r {
+            RawInst::Input(i) => FusedInst::Input(i % n_inputs),
+            RawInst::Imm(x) => FusedInst::Imm(*x),
+            RawInst::Unary(o, a) => FusedInst::Unary(UNARY[o % UNARY.len()], pick(*a)),
+            RawInst::Binary(o, a, b) => {
+                FusedInst::Binary(BINARY[o % BINARY.len()], pick(*a), pick(*b))
+            }
+        };
+        insts.push(inst);
+    }
+}
+
 /// Assembles a valid program: instruction 0 reads input 0 (full shape,
 /// so the output extent is pinned) and every operand index refers to an
 /// earlier instruction.
 fn assemble(raw: &[RawInst], n_inputs: usize) -> Vec<FusedInst> {
     let mut insts = vec![FusedInst::Input(0)];
-    for r in raw {
-        let len = insts.len();
-        let inst = match r {
-            RawInst::Input(i) => FusedInst::Input(i % n_inputs),
-            RawInst::Imm(x) => FusedInst::Imm(*x),
-            RawInst::Unary(o, a) => FusedInst::Unary(UNARY[o % UNARY.len()], a % len),
-            RawInst::Binary(o, a, b) => {
-                FusedInst::Binary(BINARY[o % BINARY.len()], a % len, b % len)
-            }
-        };
-        insts.push(inst);
-    }
+    append(&mut insts, raw, n_inputs, |len| (0..len).collect());
     insts
 }
 
@@ -157,6 +175,54 @@ fn tensor_bits(t: &Tensor<f32>) -> Vec<u32> {
     t.as_slice().iter().map(|&x| bits(x)).collect()
 }
 
+/// The property: `insts` over `inputs` (input 0 full-shape, `n` elements)
+/// gives the scalar semantics' bits on both SIMD paths at 1 and 4 pool
+/// threads, and its reduction epilogue sums exactly those values, the
+/// same way on every path. The caller holds [`TOGGLES`].
+fn check_bit_identical(insts: &[FusedInst], inputs: &[Tensor<f32>]) -> Result<(), TestCaseError> {
+    let n = inputs[0].num_elements();
+    let slices: Vec<&[f32]> = inputs.iter().map(|t| t.as_slice()).collect();
+    let want = reference(insts, &slices, n);
+    let mut epilogues = Vec::new();
+    for simd in [false, true] {
+        s4tf_tensor::simd::set_simd_enabled(simd);
+        for threads in [1usize, 4] {
+            s4tf_threads::set_num_threads(threads);
+            let stored = run_compiled(insts, inputs, None);
+            prop_assert_eq!(
+                &want,
+                &tensor_bits(&stored),
+                "bits diverged: n={} simd={} threads={} insts={:?}",
+                n,
+                simd,
+                threads,
+                insts
+            );
+            // The reduction epilogue sums the very values the plain
+            // launch stores, in `reduce_to_shape`'s order — one
+            // routine — whatever the path or the pool width.
+            let c = cycle(n);
+            let summed = run_compiled(insts, inputs, Some(vec![c]));
+            prop_assert_eq!(
+                tensor_bits(&stored.reduce_to_shape(&[c])),
+                tensor_bits(&summed),
+                "epilogue diverged: n={} simd={} threads={} insts={:?}",
+                n,
+                simd,
+                threads,
+                insts
+            );
+            epilogues.push(tensor_bits(&summed));
+        }
+    }
+    s4tf_tensor::simd::set_simd_enabled(true);
+    prop_assert!(
+        epilogues.windows(2).all(|w| w[0] == w[1]),
+        "epilogue depends on path/threads"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -168,37 +234,192 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
-        let n = LENGTHS[len_ix];
         let insts = assemble(&raw, n_inputs);
-        let inputs = make_inputs(n, n_inputs, seed);
-        let slices: Vec<&[f32]> = inputs.iter().map(|t| t.as_slice()).collect();
-        let want = reference(&insts, &slices, n);
-        let mut epilogues = Vec::new();
-        for simd in [false, true] {
-            s4tf_tensor::simd::set_simd_enabled(simd);
-            for threads in [1usize, 4] {
-                s4tf_threads::set_num_threads(threads);
-                let stored = run_compiled(&insts, &inputs, None);
-                prop_assert_eq!(
-                    &want, &tensor_bits(&stored),
-                    "bits diverged: n={} simd={} threads={} insts={:?}",
-                    n, simd, threads, insts
-                );
-                // The reduction epilogue sums the very values the plain
-                // launch stores, in `reduce_to_shape`'s order — one
-                // routine — whatever the path or the pool width.
-                let c = cycle(n);
-                let summed = run_compiled(&insts, &inputs, Some(vec![c]));
-                prop_assert_eq!(
-                    tensor_bits(&stored.reduce_to_shape(&[c])), tensor_bits(&summed),
-                    "epilogue diverged: n={} simd={} threads={} insts={:?}",
-                    n, simd, threads, insts
-                );
-                epilogues.push(tensor_bits(&summed));
+        check_bit_identical(&insts, &make_inputs(LENGTHS[len_ix], n_inputs, seed))?;
+    }
+
+    /// A random chain with the two-product and activation peepholes in
+    /// its middle: `act(x₃·h ± x₀·k)`, where `h` is the head's last value
+    /// and nothing but the merged instruction reads the products or
+    /// their sum. The tail reads anything else, and the output reads the
+    /// activation, so the merged instruction is live and its register
+    /// interleaves with the rest.
+    #[test]
+    fn long_chain_merges_the_middle_bit_identically(
+        head in prop::collection::vec(inst_strategy(), 6..24),
+        tail in prop::collection::vec(inst_strategy(), 6..24),
+        act in 0..UNARY.len(),
+        sub in any::<bool>(),
+        k in -2.0f32..2.0,
+        len_ix in 0..LENGTHS.len(),
+        seed in any::<u64>(),
+    ) {
+        let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
+        let mut insts = assemble(&head, 4);
+        let s = insts.len();
+        let combine = if sub { ElemBinary::Sub } else { ElemBinary::Add };
+        insts.extend([
+            FusedInst::Input(3),
+            FusedInst::Binary(ElemBinary::Mul, s, s - 1),
+            FusedInst::Input(0),
+            FusedInst::Imm(k),
+            FusedInst::Binary(ElemBinary::Mul, s + 2, s + 3),
+            FusedInst::Binary(combine, s + 1, s + 4),
+            FusedInst::Unary(UNARY[act], s + 5),
+        ]);
+        let merged = [s + 1, s + 4, s + 5];
+        append(&mut insts, &tail, 4, |len| {
+            (0..len).filter(|i| !merged.contains(i)).collect()
+        });
+        insts.push(FusedInst::Binary(ElemBinary::Add, s + 6, insts.len() - 1));
+
+        let kernel = get_or_compile(&insts);
+        prop_assert!(
+            kernel.ir().iter().any(|i| matches!(
+                *i,
+                IrInst::MulMul { op, act: Some(a), .. } if op == combine && a == UNARY[act]
+            )),
+            "peepholes did not fire: {:?}",
+            kernel.ir()
+        );
+        check_bit_identical(&insts, &make_inputs(LENGTHS[len_ix], 4, seed))?;
+    }
+}
+
+/// The leaves a shape's free operands rotate through (inputs as
+/// [`make_inputs`] builds them): a second full-shape input, an immediate,
+/// a one-element input and a `[c]` broadcast.
+fn leaves() -> [FusedInst; 4] {
+    [
+        FusedInst::Input(3),
+        FusedInst::Imm(-0.75),
+        FusedInst::Input(1),
+        FusedInst::Input(2),
+    ]
+}
+
+/// The shapes the tracer emits hot, as explicit programs over the
+/// full-shape input `x` (slot 0) and the leaves `p, q, r` (slots 1–3):
+/// fill, copy, one and two activations, `act(x ⊕ p)` (bias + relu),
+/// `act(x·p ± q)` (the SGD update), two binaries in a row (loss-gradient
+/// scaling, relu backward) and `x·p ± q·r` (the momentum update).
+/// `v` varies the ops.
+fn hot_shapes(v: usize, leaves: [FusedInst; 3]) -> Vec<(&'static str, Vec<FusedInst>)> {
+    use ElemBinary::{Add, GreaterMask, Mul, Sub};
+    use FusedInst::{Binary as B, Unary as U};
+    let u = |k: usize| UNARY[(v + k) % UNARY.len()];
+    let bin = BINARY[v % BINARY.len()];
+    let pm = if v.is_multiple_of(2) { Add } else { Sub };
+    let mut base = vec![FusedInst::Input(0)];
+    base.extend(leaves);
+    let with = |tail: Vec<FusedInst>| {
+        let mut p = base.clone();
+        p.extend(tail);
+        p
+    };
+    vec![
+        (
+            "fill",
+            with(vec![FusedInst::Imm(1.5), U(ElemUnary::Square, 4)]),
+        ),
+        ("copy", base.clone()),
+        ("act", with(vec![U(u(0), 0)])),
+        ("act2", with(vec![U(u(1), 0), U(u(2), 4)])),
+        ("bin+act", with(vec![B(bin, 0, 1), U(ElemUnary::Relu, 4)])),
+        ("bin+act", with(vec![B(bin, 1, 0), U(u(3), 4)])),
+        (
+            "mulbin+act",
+            with(vec![B(Mul, 0, 1), B(pm, 4, 2), U(u(4), 5)]),
+        ),
+        ("mulbin", with(vec![B(Mul, 1, 0), B(pm, 2, 4)])),
+        ("bin,bin", with(vec![B(GreaterMask, 0, 1), B(Mul, 2, 4)])),
+        (
+            "bin,bin",
+            with(vec![B(bin, 0, 1), B(BINARY[(v + 3) % 8], 4, 2)]),
+        ),
+        (
+            "momentum",
+            with(vec![B(Mul, 0, 1), B(Mul, 2, 3), B(pm, 4, 5)]),
+        ),
+    ]
+}
+
+/// Every hot shape with every leaf kind in every operand position (the
+/// leaves rotate), at every boundary length, on both SIMD paths and pool
+/// widths, stored and reduced.
+#[test]
+fn hot_shapes_are_bit_identical_with_every_operand_kind() {
+    let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
+    for v in 0..4 {
+        let l = leaves();
+        let picked = [0, 1, 2].map(|k| l[(v + k) % l.len()].clone());
+        for (name, insts) in hot_shapes(v, picked) {
+            for (i, &n) in LENGTHS.iter().enumerate() {
+                let inputs = make_inputs(n, 4, (v * 100 + i) as u64);
+                if let Err(e) = check_bit_identical(&insts, &inputs) {
+                    panic!("{name}: {e:?}");
+                }
             }
         }
-        s4tf_tensor::simd::set_simd_enabled(true);
-        prop_assert!(epilogues.windows(2).all(|w| w[0] == w[1]), "epilogue depends on path/threads");
+    }
+}
+
+/// `insts` as a graph of elementwise nodes, compiled and run on owned
+/// inputs: the memory planner donates a dying full-shape input's buffer
+/// to the fused kernel's output, so the kernel reads that operand from
+/// the buffer it is writing. Returns the output and whether it landed
+/// in the buffer of input 0 or 3.
+fn run_donated(insts: &[FusedInst], inputs: &[Tensor<f32>]) -> (Tensor<f32>, bool) {
+    let mut g = HloGraph::new();
+    let params: Vec<_> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, t)| g.parameter(i, t.dims()))
+        .collect();
+    let mut slots = Vec::new();
+    for inst in insts {
+        let node = match *inst {
+            FusedInst::Input(i) => params[i],
+            FusedInst::Imm(x) => g.constant(Tensor::scalar(x)),
+            FusedInst::Unary(u, a) => g.unary(u, slots[a]),
+            FusedInst::Binary(b, a, c) => g.binary(b, slots[a], slots[c]),
+        };
+        slots.push(node);
+    }
+    g.mark_output(*slots.last().expect("non-empty program"));
+    let exe = s4tf_xla::compile(&g);
+    let owned: Vec<Tensor<f32>> = inputs
+        .iter()
+        .map(|t| Tensor::from_vec(t.as_slice().to_vec(), t.dims()))
+        .collect();
+    let donors = [owned[0].as_slice().as_ptr(), owned[3].as_slice().as_ptr()];
+    let out = exe.try_run_owned(owned, "xla").expect("runs").remove(0);
+    let in_place = donors.contains(&out.as_slice().as_ptr());
+    (out, in_place)
+}
+
+/// The hot shapes whose output has the full shape, run in place: the
+/// aliased operand is read from each output chunk before the chunk is
+/// written, bit for bit.
+#[test]
+fn hot_shapes_are_bit_identical_in_place() {
+    let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
+    for v in 0..4 {
+        let l = leaves();
+        let picked = [0, 1, 2].map(|k| l[(v + k) % l.len()].clone());
+        for (name, insts) in hot_shapes(v, picked) {
+            if matches!(name, "fill" | "copy") {
+                continue; // no kernel: the output is a constant or an input
+            }
+            for (i, &n) in [9usize, 513, 4097, 8200].iter().enumerate() {
+                let inputs = make_inputs(n, 4, (v * 10 + i) as u64);
+                let slices: Vec<&[f32]> = inputs.iter().map(|t| t.as_slice()).collect();
+                let want = reference(&insts, &slices, n);
+                let (out, in_place) = run_donated(&insts, &inputs);
+                assert!(in_place, "{name} n={n}: not run in place: {insts:?}");
+                assert_eq!(want, tensor_bits(&out), "{name} n={n}: {insts:?}");
+            }
+        }
     }
 }
 
@@ -207,8 +428,6 @@ proptest! {
 /// planner's aliasing without changing a bit.
 #[test]
 fn donated_in_place_update_is_bit_identical() {
-    use s4tf_xla::graph::HloGraph;
-
     let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
     let n = 4097usize;
     let mut g = HloGraph::new();
