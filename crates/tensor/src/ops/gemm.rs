@@ -12,8 +12,9 @@
 //! * **Register-tile micro-kernels**: the f32 lane kernel computes a
 //!   6-row × 16-column tile as 12 [`L8`] accumulators (two 8-wide lanes
 //!   per row) with fused multiply-add, dropping to one lane per row on
-//!   panels narrower than 8 useful columns so LeNet-scale `out_c = 6`
-//!   convolutions don't burn half the vector width on padding. Its k-loop
+//!   panels with at most 8 useful columns (edge panels such as `n = 84`'s
+//!   last four columns) so they don't burn half the vector width on
+//!   padding. Its k-loop
 //!   checks nothing: the bounds of a call's A rows and B panels are
 //!   established once, before the first tile, and tiles shorter than six
 //!   rows run the full-height loop on clamped row indices (see

@@ -1,7 +1,8 @@
 //! Explicit-width f32 lanes and the runtime SIMD dispatch switch.
 //!
-//! The hot kernels (packed GEMM, matvec, conv2d's im2col strips, the
-//! elementwise engines and the full reductions) are written twice:
+//! The hot kernels (packed GEMM, matvec, conv2d's im2col strips and
+//! single-channel kernels, the elementwise engines and the full
+//! reductions) are written twice:
 //!
 //! * a **scalar reference path** — the original per-element loops, kept
 //!   byte-for-byte so `S4TF_SIMD=0` reproduces the pre-SIMD results

@@ -73,15 +73,16 @@ pub fn conv_case(
 }
 
 /// stride ∈ {1, 2} × {Same, Valid} × `in_c` ∈ {1, 3, 6} (single-channel
-/// k-major dx, odd, LeNet-c2) × `out_c` straddling the 8-wide lane and
+/// direct kernels, odd, LeNet-c2) × `out_c` straddling the 8-wide lane and
 /// the 16-column panel × `out_w` straddling the 6-row micro-tile, 5×5
 /// kernels; then the shapes ResNet-8 runs — 3×3 at 16 and 32 input
-/// channels, stride 1 and 2, and its 1×1 stride-2 shortcut — and one image
-/// taller than a block in each scratch layout (`in_c` 64 at `out_w` 24
-/// fits 3 rows of a 20-row image in the kernels' 192 KiB of scratch; a
-/// single-channel 51 × 45 image is cut 26 + 25). The batch is sized so every
-/// case is past the direct-loop threshold (2^15 MACs) and splits into
-/// several chunks at the kernels' 2^16-MAC grain.
+/// channels, stride 1 and 2, and its 1×1 stride-2 shortcut — an image
+/// taller than a GEMM block (`in_c` 64 at `out_w` 24 fits 3 rows of a
+/// 20-row image in the kernels' 192 KiB of scratch) and a single-channel
+/// 51 × 45 image; then the single-channel sweep
+/// ([`single_channel_conv_cases`]). The batch is sized so every case is
+/// past the direct-loop threshold (2^15 MACs) and splits into several
+/// chunks at the kernels' 2^16-MAC grain.
 pub fn conv_cases() -> Vec<ConvCase> {
     const K: usize = 5;
     const IN_H: usize = 12;
@@ -113,11 +114,44 @@ pub fn conv_cases() -> Vec<ConvCase> {
         }
     }
     cases.extend(resnet_conv_cases());
+    cases.extend(single_channel_conv_cases());
     cases
 }
 
-/// The tail of [`conv_cases`]: ResNet-8's shapes and the two images taller
-/// than a block.
+/// Single-channel inputs at column stride 1, the direct lane kernels'
+/// geometry: `out_w` straddling the 8-lane chunk, the 16-column forward
+/// tile and the 32-column `dx` tile, in both paddings, with `out_c`
+/// straddling the 6-channel group, row strides 1 and 2 and kernels 1, 3
+/// and 5 cycled through them, at an odd batch past the direct-loop
+/// threshold.
+pub fn single_channel_conv_cases() -> Vec<ConvCase> {
+    const OUT_H: usize = 9;
+    let mut cases = Vec::new();
+    for (i, out_w) in [1usize, 7, 8, 9, 15, 16, 17, 28, 33]
+        .into_iter()
+        .enumerate()
+    {
+        for (j, padding) in [Padding::Same, Padding::Valid].into_iter().enumerate() {
+            let at = 2 * i + j;
+            let out_c = [1usize, 5, 6, 7, 12, 13][at % 6];
+            let k = [1usize, 3, 5][at % 3];
+            let sh = 1 + at % 2;
+            let extent = |out: usize, s: usize| match padding {
+                Padding::Same => out * s,
+                Padding::Valid => (out - 1) * s + k,
+            };
+            let img_macs = OUT_H * out_w * out_c * k * k;
+            let batch = (1usize << 15).div_ceil(img_macs).max(3) | 1;
+            let x_dims = [batch, extent(OUT_H, sh), extent(out_w, 1), 1];
+            let seed = 0x3000 + at as u64;
+            cases.push(conv_case(x_dims, (k, out_c), (sh, 1), padding, seed));
+        }
+    }
+    cases
+}
+
+/// ResNet-8's shapes, an image taller than a GEMM block and a large
+/// single-channel image.
 pub fn resnet_conv_cases() -> Vec<ConvCase> {
     let shapes = [
         ([5, 32, 32, 16], (3, 16), 1),
@@ -144,9 +178,10 @@ pub fn resnet_conv_cases() -> Vec<ConvCase> {
 /// The conv kernels as they ran before they moved to blocks: one
 /// `(image, output row)` strip at a time around a k-major im2col scratch
 /// filled element by element, with the packed GEMM replaced by the sum it
-/// computes per element. Kept as the oracle for the block kernels, which
-/// must give the forward output and the input gradient the same bits and
-/// the filter gradient the same value up to rounding.
+/// computes per element. Kept as the oracle for the block kernels and the
+/// single-channel direct kernels, which must give the forward output and
+/// the input gradient the same bits and the filter gradient the same value
+/// up to rounding.
 pub mod conv_strips {
     use s4tf_tensor::{Padding, Tensor};
 
@@ -297,6 +332,10 @@ pub mod conv_strips {
             for kx in 0..g.k_w {
                 let off = kx as isize - g.pad_left as isize;
                 let (ox_lo, ox_hi) = g.ox_range(off);
+                // A kernel column wholly outside a narrow image adds nothing.
+                if ox_lo == ox_hi {
+                    continue;
+                }
                 let src = &dcolt[(ky * g.k_w + kx) * g.out_w..][ox_lo..ox_hi];
                 let dst0 = iy as usize * g.in_w + (ox_lo as isize + off) as usize;
                 for (d, &s) in dx_img[dst0..dst0 + src.len()].iter_mut().zip(src) {

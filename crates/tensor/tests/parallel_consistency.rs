@@ -226,6 +226,33 @@ fn conv2d_and_gradients_consistent() {
     s4tf_threads::set_num_threads(1);
 }
 
+/// LeNet's first convolution on the single-channel direct kernels: the
+/// forward output and the input gradient bit-identical at 1, 2, 3 and 4
+/// threads (each image's outputs are computed whole by one task), the
+/// filter gradient within rounding of the task partials.
+#[test]
+fn lenet_c1_bit_identical_at_one_to_four_threads() {
+    let _guard = pool_lock();
+    let case = common::conv_case(
+        [16, 28, 28, 1],
+        (5, 6),
+        (1, 1),
+        s4tf_tensor::Padding::Same,
+        7,
+    );
+    s4tf_threads::set_num_threads(1);
+    let (y, dx, dw) = case.run();
+    for threads in 2..=4 {
+        s4tf_threads::set_num_threads(threads);
+        let p = case.run();
+        assert_eq!(bits(&y), bits(&p.0), "y @{threads}T");
+        assert_eq!(bits(&dx), bits(&p.1), "dx @{threads}T");
+        let scale = dw.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        assert!(dw.allclose(&p.2, 1e-5 * f64::from(scale)), "dw @{threads}T");
+    }
+    s4tf_threads::set_num_threads(1);
+}
+
 /// A layer of 8 × 8 images — each image one block — still splits evenly:
 /// the forward conv of ResNet-8's last stage at 2 threads runs as 2 tasks
 /// (one handed to the pool, one on the caller), never inline.

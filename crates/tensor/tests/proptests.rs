@@ -268,7 +268,7 @@ proptest! {
     /// The block kernels against the strip-at-a-time kernels they
     /// replaced, over the geometries the scratch walks, the block cut and
     /// the micro-kernel's tile and panel edges distinguish: every stride
-    /// pattern and padding, `in_c` on both sides of the k-major rule and
+    /// pattern and padding, `in_c` on both sides of the single-channel rule and
     /// the lane width, `out_c` across the narrow and the full panel,
     /// `out_w` across the 6-row tile, 1×1 stride-2 included, images of one
     /// block and of two unequal ones (`out_h` 27 at `out_w` 13 and ≥ 16
@@ -307,6 +307,55 @@ proptest! {
             seed,
         );
         assert_matches_strips(&case);
+    }
+
+    /// The single-channel direct kernels against the same strips, over
+    /// what their tiles distinguish: `out_w` across the 8-lane chunk, the
+    /// 16-column forward tile and the 32-column `dx` tile, `out_c` across
+    /// the 6-channel group, row strides 1 and 2, 1×1 to 5×5 kernels, both
+    /// paddings and an odd batch.
+    #[test]
+    fn single_channel_kernels_match_the_strip_kernels(
+        sh in 1usize..=2,
+        same in any::<bool>(),
+        k_ix in 0usize..3,
+        out_c_ix in 0usize..6,
+        out_w_ix in 0usize..9,
+        out_h in 1usize..=9,
+        seed in any::<u64>(),
+    ) {
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let k = [1usize, 3, 5][k_ix];
+        let out_c = [1usize, 5, 6, 7, 12, 13][out_c_ix];
+        let out_w = [1usize, 7, 8, 9, 15, 16, 17, 28, 33][out_w_ix];
+        let extent = |out: usize, s: usize| if same { out * s } else { (out - 1) * s + k };
+        let img_macs = out_h * out_w * out_c * k * k;
+        let batch = (1usize << 15).div_ceil(img_macs).max(3) | 1;
+        let x_dims = [batch, extent(out_h, sh), extent(out_w, 1), 1];
+        assert_matches_strips(&conv_case(x_dims, (k, out_c), (sh, 1), padding, seed));
+    }
+}
+
+/// The single-channel input gradient with an infinite and a NaN weight:
+/// the taps the strips skip at the image's edges must stay skipped (not
+/// `∞·0`), so every cell matches the strips, NaNs compared as NaN.
+#[test]
+fn single_channel_dx_with_non_finite_weights_matches_the_strips() {
+    for padding in [Padding::Same, Padding::Valid] {
+        let mut case = conv_case([5, 12, 20, 1], (5, 6), (1, 1), padding, 9);
+        case.w.as_mut_slice()[3] = f32::INFINITY;
+        case.w.as_mut_slice()[40] = f32::NAN;
+        let common::ConvCase {
+            x, w, dy, strides, ..
+        } = &case;
+        let dx = x.conv2d_backward_input(w, dy, *strides, padding);
+        let strips = conv_strips::backward_input(x, w, dy, *strides, padding);
+        assert_eq!(
+            common::float_bits(&dx),
+            common::float_bits(&strips),
+            "{}",
+            case.label()
+        );
     }
 }
 

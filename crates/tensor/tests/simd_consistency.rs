@@ -104,9 +104,10 @@ fn gemm_remainders_match_scalar_reference() {
     }
 }
 
-/// conv2d and both gradients on the GEMM path, over the shared shape
-/// sweep, under 1 and 4 threads: the lane kernels differ from the scalar
-/// reference by FMA rounding only, bounded by each output's product count.
+/// conv2d and both gradients past the direct loops (the GEMM lowering and
+/// the single-channel kernels), over the shared shape sweep, under 1 and 4
+/// threads: the lane kernels differ from the scalar reference by FMA
+/// rounding only, bounded by each output's product count.
 #[test]
 fn conv2d_paths_agree() {
     for case in common::conv_cases() {
@@ -246,7 +247,7 @@ proptest! {
     }
 
     // Spans the direct/im2col threshold; out_c straddles both the lane
-    // width and the narrow-panel kernel (lenet-c1's out_c = 6).
+    // width and the GEMM's narrow 6×8 panel.
     #[test]
     fn conv2d_small_paths_agree(batch in 1usize..=2, hw in 5usize..=12,
                                 in_c in 1usize..=4, out_c in 1usize..=9,

@@ -156,7 +156,7 @@ fn observation_is_the_only_distinguisher() {
 /// paths agree within FMA-rounding tolerance (the lane kernels use fused
 /// multiply-adds; see `s4tf_tensor::simd`). Runs a LeNet forward so the
 /// comparison covers conv2d, GEMM, elementwise and reduction kernels at
-/// once — including lenet-c1's out_c = 6, the narrow-panel GEMM case.
+/// once — including lenet-c1 on the single-channel direct kernels.
 #[test]
 fn simd_paths_agree_on_every_backend() {
     let data = Dataset::generate(ImageSpec::mnist_like(), 16, 21);
