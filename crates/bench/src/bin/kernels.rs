@@ -165,9 +165,16 @@ fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<
     cases
 }
 
+/// `b(x, y)` through `s4tf_xla::eval_op`: the unfused elementwise kernel
+/// the eager and naive devices launch, per-variant dispatch included.
+fn eval_binary(b: ElemBinary, x: &Tensor<f32>, y: &Tensor<f32>) -> Tensor<f32> {
+    s4tf_xla::eval_op(&HloOp::Binary(b), &[x, y])
+}
+
 /// One pooling shape as four rows sharing a case label — average and max
-/// pooling, forward and gradient — after a same-shape `add` over its input,
-/// the row `ci/compare_bench.py` holds LeNet's average-pool rows to.
+/// pooling, forward and gradient — after a same-shape `add` over its input
+/// (through [`eval_binary`]), the row `ci/compare_bench.py` holds LeNet's
+/// average-pool rows to.
 fn pool_cases(
     name: &str,
     x_dims: [usize; 4],
@@ -201,7 +208,7 @@ fn pool_cases(
             Box::new({
                 let x = x.clone();
                 move || {
-                    black_box(x.add(&other));
+                    black_box(eval_binary(ElemBinary::Add, &x, &other));
                 }
             }),
         ),
@@ -285,7 +292,9 @@ const RESNET_ACTIVATION: [usize; 4] = [16, 32, 32, 16];
 /// The broadcasting rows of an `[N,H,W,C]` activation, each next to the
 /// same-shape `add` the regression gate holds it to per element
 /// (`ci/compare_bench.py`): a `[C]` bias add, a mask against a rank-0
-/// threshold, and the `[C]` column sum that is their pullback.
+/// threshold, and the `[C]` column sum that is their pullback. The
+/// elementwise rows run through [`eval_binary`], so the gate holds the
+/// path the eager and naive devices take.
 fn broadcast_cases(dims: [usize; 4], rng: &mut ChaCha8Rng) -> Vec<Case> {
     let label = dims.map(|d| d.to_string()).join("x");
     let (n, c) = (dims.iter().product::<usize>(), dims[3]);
@@ -308,7 +317,7 @@ fn broadcast_cases(dims: [usize; 4], rng: &mut ChaCha8Rng) -> Vec<Case> {
             Box::new({
                 let x = x.clone();
                 move || {
-                    black_box(x.add(&y));
+                    black_box(eval_binary(ElemBinary::Add, &x, &y));
                 }
             }),
         ),
@@ -319,7 +328,7 @@ fn broadcast_cases(dims: [usize; 4], rng: &mut ChaCha8Rng) -> Vec<Case> {
             Box::new({
                 let x = x.clone();
                 move || {
-                    black_box(x.add(&bias));
+                    black_box(eval_binary(ElemBinary::Add, &x, &bias));
                 }
             }),
         ),
@@ -330,7 +339,7 @@ fn broadcast_cases(dims: [usize; 4], rng: &mut ChaCha8Rng) -> Vec<Case> {
             Box::new({
                 let x = x.clone();
                 move || {
-                    black_box(x.greater_mask(&zero));
+                    black_box(eval_binary(ElemBinary::GreaterMask, &x, &zero));
                 }
             }),
         ),

@@ -1015,7 +1015,22 @@ impl<T: Float> Tensor<T> {
         strides: (usize, usize),
         padding: Padding,
     ) -> Tensor<T> {
-        let g = geometry(self.dims(), filter.dims(), strides, padding);
+        Self::conv2d_backward_input_dims(self.dims(), filter, grad_out, strides, padding)
+    }
+
+    /// [`Tensor::conv2d_backward_input`] given only the forward input's
+    /// dims — for callers that hold the shape, not the input.
+    ///
+    /// # Panics
+    /// Panics on geometry mismatches.
+    pub fn conv2d_backward_input_dims(
+        input_dims: &[usize],
+        filter: &Tensor<T>,
+        grad_out: &Tensor<T>,
+        strides: (usize, usize),
+        padding: Padding,
+    ) -> Tensor<T> {
+        let g = geometry(input_dims, filter.dims(), strides, padding);
         assert_eq!(
             grad_out.dims(),
             &[g.batch, g.out_h, g.out_w, g.out_c],

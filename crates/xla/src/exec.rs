@@ -4,7 +4,7 @@
 use crate::codegen;
 use crate::graph::HloGraph;
 use crate::met;
-use crate::op::{FusedInst, HloOp, ReduceKind};
+use crate::op::{with_binary, with_unary, ElemBinary, ElemUnary, FusedInst, HloOp, ReduceKind};
 use crate::passes::{self, MemoryPlan};
 use crate::prof;
 use crate::scope::KernelScope;
@@ -363,19 +363,8 @@ impl Executable {
             };
         };
         match &node.op {
-            HloOp::Unary(u) => {
-                let u = *u;
-                t.map_assign(move |x| u.apply(x));
-            }
-            HloOp::Binary(b) => {
-                let b = *b;
-                let other = ready(node.inputs[1 - k]);
-                if k == 0 {
-                    t.zip_apply_assign(other, move |x, y| b.apply(x, y));
-                } else {
-                    t.zip_apply_assign_rev(other, move |x, y| b.apply(x, y));
-                }
-            }
+            HloOp::Unary(u) => unary_assign(*u, &mut t),
+            HloOp::Binary(b) => binary_assign(*b, &mut t, ready(node.inputs[1 - k]), k == 0),
             HloOp::Fused { insts, .. } => {
                 // Input positions naming the aliased node read the output
                 // buffer itself (each chunk is read before it is written).
@@ -408,14 +397,8 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
         HloOp::Parameter(_) | HloOp::Constant(_) => {
             unreachable!("leaves are materialized by the caller")
         }
-        HloOp::Unary(u) => {
-            let u = *u;
-            inputs[0].map(move |x| u.apply(x))
-        }
-        HloOp::Binary(b) => {
-            let b = *b;
-            inputs[0].zip_broadcast(inputs[1], move |a, c| b.apply(a, c))
-        }
+        HloOp::Unary(u) => unary(*u, inputs[0]),
+        HloOp::Binary(b) => binary(*b, inputs[0], inputs[1]),
         HloOp::MatMul { t_lhs, t_rhs } => match (t_lhs, t_rhs) {
             (false, false) => inputs[0].matmul(inputs[1]),
             (true, false) => inputs[0].matmul_tn(inputs[1]),
@@ -428,8 +411,7 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
             strides,
             padding,
         } => {
-            let phantom = Tensor::zeros(input_dims);
-            phantom.conv2d_backward_input(inputs[0], inputs[1], *strides, *padding)
+            Tensor::conv2d_backward_input_dims(input_dims, inputs[0], inputs[1], *strides, *padding)
         }
         HloOp::Conv2DBackwardFilter {
             filter_dims,
@@ -502,6 +484,42 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
     }
 }
 
+// The unfused elementwise kernels of every backend. Each dispatches on
+// the op once per launch (`with_unary!`/`with_binary!`), so each variant's
+// loop is its own instantiation of the tensor kernel, with the scalar op
+// inlined and vectorized; per element it is still `apply` on the same
+// operands, in the same order, on the same broadcast route. Kept out of
+// line so the per-variant instantiations do not swell their callers.
+
+/// `u` over every element of `x`.
+#[inline(never)]
+fn unary(u: ElemUnary, x: &Tensor<f32>) -> Tensor<f32> {
+    with_unary!(u, f => x.map(f))
+}
+
+/// `u` over every element of `t`, in place.
+#[inline(never)]
+fn unary_assign(u: ElemUnary, t: &mut Tensor<f32>) {
+    with_unary!(u, f => t.map_assign(f))
+}
+
+/// `b(x, y)` with NumPy broadcasting.
+#[inline(never)]
+fn binary(b: ElemBinary, x: &Tensor<f32>, y: &Tensor<f32>) -> Tensor<f32> {
+    with_binary!(b, f => x.zip_broadcast(y, f))
+}
+
+/// `t ← b(t, other)` when `t_is_lhs`, else `t ← b(other, t)`; `other`
+/// broadcasts up to `t`'s shape.
+#[inline(never)]
+fn binary_assign(b: ElemBinary, t: &mut Tensor<f32>, other: &Tensor<f32>, t_is_lhs: bool) {
+    with_binary!(b, f => if t_is_lhs {
+        t.zip_apply_assign(other, f)
+    } else {
+        t.zip_apply_assign_rev(other, f)
+    })
+}
+
 /// The extent a fused kernel over `inputs` runs across.
 fn input_extent(inputs: &[&Tensor<f32>]) -> Shape {
     let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
@@ -518,24 +536,22 @@ fn input_extent(inputs: &[&Tensor<f32>]) -> Shape {
 pub fn eval_op_owned(op: &HloOp, mut operands: Vec<Tensor<f32>>) -> Tensor<f32> {
     match op {
         HloOp::Unary(u) if operands[0].storage_unique() => {
-            let u = *u;
             let mut t = operands.swap_remove(0);
-            t.map_assign(move |x| u.apply(x));
+            unary_assign(*u, &mut t);
             return t;
         }
         HloOp::Binary(b) => {
-            let b = *b;
             let fits = |t: &Tensor<f32>, other: &Tensor<f32>| {
                 t.storage_unique() && other.shape().broadcasts_to(t.shape())
             };
             if fits(&operands[0], &operands[1]) {
                 let mut t = operands.swap_remove(0);
-                t.zip_apply_assign(&operands[0], move |x, y| b.apply(x, y));
+                binary_assign(*b, &mut t, &operands[0], true);
                 return t;
             }
             if fits(&operands[1], &operands[0]) {
                 let mut t = operands.swap_remove(1);
-                t.zip_apply_assign_rev(&operands[0], move |x, y| b.apply(x, y));
+                binary_assign(*b, &mut t, &operands[0], false);
                 return t;
             }
         }

@@ -88,6 +88,99 @@ impl ElemBinary {
     }
 }
 
+/// Expands `$body` once per [`ElemUnary`] variant with `$f` bound to a
+/// *distinct closure type* over the literal variant — each arm's loop
+/// monomorphizes with the scalar op inlined. A closure over a runtime
+/// variant (`move |x| u.apply(x)`) would match on it per element and not
+/// vectorize; a function pointer would cost an indirect call per
+/// element. The scalar expression is the enum's own `apply`, so every
+/// kernel that dispatches here — fused, unfused, folded — agrees bit for
+/// bit.
+macro_rules! with_unary {
+    ($u:expr, $f:ident => $body:expr) => {
+        match $u {
+            ElemUnary::Neg => {
+                let $f = |x: f32| ElemUnary::Neg.apply(x);
+                $body
+            }
+            ElemUnary::Exp => {
+                let $f = |x: f32| ElemUnary::Exp.apply(x);
+                $body
+            }
+            ElemUnary::Ln => {
+                let $f = |x: f32| ElemUnary::Ln.apply(x);
+                $body
+            }
+            ElemUnary::Sqrt => {
+                let $f = |x: f32| ElemUnary::Sqrt.apply(x);
+                $body
+            }
+            ElemUnary::Tanh => {
+                let $f = |x: f32| ElemUnary::Tanh.apply(x);
+                $body
+            }
+            ElemUnary::Sigmoid => {
+                let $f = |x: f32| ElemUnary::Sigmoid.apply(x);
+                $body
+            }
+            ElemUnary::Relu => {
+                let $f = |x: f32| ElemUnary::Relu.apply(x);
+                $body
+            }
+            ElemUnary::Square => {
+                let $f = |x: f32| ElemUnary::Square.apply(x);
+                $body
+            }
+            ElemUnary::Recip => {
+                let $f = |x: f32| ElemUnary::Recip.apply(x);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_unary;
+
+/// Binary counterpart of [`with_unary!`].
+macro_rules! with_binary {
+    ($b:expr, $f:ident => $body:expr) => {
+        match $b {
+            ElemBinary::Add => {
+                let $f = |x: f32, y: f32| ElemBinary::Add.apply(x, y);
+                $body
+            }
+            ElemBinary::Sub => {
+                let $f = |x: f32, y: f32| ElemBinary::Sub.apply(x, y);
+                $body
+            }
+            ElemBinary::Mul => {
+                let $f = |x: f32, y: f32| ElemBinary::Mul.apply(x, y);
+                $body
+            }
+            ElemBinary::Div => {
+                let $f = |x: f32, y: f32| ElemBinary::Div.apply(x, y);
+                $body
+            }
+            ElemBinary::Max => {
+                let $f = |x: f32, y: f32| ElemBinary::Max.apply(x, y);
+                $body
+            }
+            ElemBinary::Min => {
+                let $f = |x: f32, y: f32| ElemBinary::Min.apply(x, y);
+                $body
+            }
+            ElemBinary::GreaterMask => {
+                let $f = |x: f32, y: f32| ElemBinary::GreaterMask.apply(x, y);
+                $body
+            }
+            ElemBinary::Pow => {
+                let $f = |x: f32, y: f32| ElemBinary::Pow.apply(x, y);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_binary;
+
 /// Reduction kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceKind {

@@ -72,31 +72,18 @@ pub fn constant_fold(g: &mut HloGraph) -> bool {
         if !node.op.is_elementwise() {
             continue;
         }
-        let inputs: Vec<Option<Tensor<f32>>> = node
+        let inputs: Option<Vec<&Tensor<f32>>> = node
             .inputs
             .iter()
             .map(|&id| match &g.node(id).op {
-                HloOp::Constant(t) => Some(t.clone()),
+                HloOp::Constant(t) => Some(t),
                 _ => None,
             })
             .collect();
-        if inputs.iter().any(Option::is_none) {
+        let Some(inputs) = inputs else {
             continue;
-        }
-        let folded = match (&node.op, inputs.len()) {
-            (HloOp::Unary(u), 1) => {
-                let u = *u;
-                inputs[0].as_ref().unwrap().map(move |x| u.apply(x))
-            }
-            (HloOp::Binary(b), 2) => {
-                let b = *b;
-                inputs[0]
-                    .as_ref()
-                    .unwrap()
-                    .zip_broadcast(inputs[1].as_ref().unwrap(), move |x, y| b.apply(x, y))
-            }
-            _ => continue,
         };
+        let folded = crate::exec::eval_op(&node.op, &inputs);
         g.nodes[i].op = HloOp::Constant(folded);
         g.nodes[i].inputs.clear();
         changed = true;

@@ -6,15 +6,18 @@
 //! for full-shape, one-element, trailing-broadcast and in-place (aliased)
 //! inputs, at lengths straddling lane (8), chunk (512) and task-grain
 //! (4096) boundaries — and the reduction epilogue must sum those values
-//! exactly as `Tensor::reduce_to_shape` sums the stored ones.
+//! exactly as `Tensor::reduce_to_shape` sums the stored ones. The unfused
+//! elementwise kernels (`eval_op`, `eval_op_owned` and the executor's
+//! in-place arms — what the eager and naive devices run) are held to the
+//! same scalar semantics on every broadcast route.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use s4tf_tensor::Tensor;
+use s4tf_tensor::{Padding, Shape, Tensor};
 use s4tf_xla::codegen::{get_or_compile, IrInst};
 use s4tf_xla::graph::HloGraph;
 use s4tf_xla::op::FusedInst;
-use s4tf_xla::{eval_op, ElemBinary, ElemUnary, HloOp};
+use s4tf_xla::{eval_op, eval_op_owned, ElemBinary, ElemUnary, HloOp};
 use std::sync::Mutex;
 
 /// The toggles below are process-wide; every test in this binary flips
@@ -461,4 +464,228 @@ fn donated_in_place_update_is_bit_identical() {
     assert_eq!(out[0].as_slice().as_ptr(), ptr, "update should alias p");
     let got: Vec<u32> = out[0].as_slice().iter().map(|&x| bits(x)).collect();
     assert_eq!(want, got, "donated in-place update diverged");
+}
+
+/// Operand values for the unfused kernels: uniform in `[-3, 3)` with
+/// about one element in six drawn from NaN, ±∞ and ±0.
+fn special_values(dims: &[usize], rng: &mut impl rand::Rng) -> Tensor<f32> {
+    const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    let n = dims.iter().product();
+    let v = (0..n)
+        .map(|_| {
+            if rng.gen_range(0..6) == 0 {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen_range(-3.0f32..3.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec(v, dims)
+}
+
+/// A uniquely owned copy of `t` (its own buffer, so a kernel may take it).
+fn owned(t: &Tensor<f32>) -> Tensor<f32> {
+    Tensor::from_vec(t.as_slice().to_vec(), t.dims())
+}
+
+/// `b` over `x` and `y` one output element at a time, each operand
+/// indexed by NumPy broadcasting: the unfused kernels' contract.
+fn broadcast_reference(b: ElemBinary, x: &Tensor<f32>, y: &Tensor<f32>) -> (Vec<usize>, Vec<u32>) {
+    let out = Shape::broadcast(x.shape(), y.shape()).expect("broadcastable");
+    let dims = out.dims().to_vec();
+    let flat = |t: &Tensor<f32>, idx: &[usize]| {
+        let pad = dims.len() - t.rank();
+        (0..t.rank()).fold(0, |acc, j| {
+            let i = if t.dims()[j] == 1 { 0 } else { idx[pad + j] };
+            acc * t.dims()[j] + i
+        })
+    };
+    let mut idx = vec![0usize; dims.len()];
+    let want = (0..out.num_elements())
+        .map(|e| {
+            let mut r = e;
+            for ax in (0..dims.len()).rev() {
+                idx[ax] = r % dims[ax];
+                r /= dims[ax];
+            }
+            let (a, c) = (x.as_slice()[flat(x, &idx)], y.as_slice()[flat(y, &idx)]);
+            bits(b.apply(a, c))
+        })
+        .collect();
+    (dims, want)
+}
+
+/// `op` over `operands` as a one-node program without optimization, run
+/// on owned parameters: the executor's per-node kernel, in place wherever
+/// the memory plan lets a dying full-shape operand take the output.
+fn run_single_node(op: &HloOp, operands: &[&Tensor<f32>]) -> Tensor<f32> {
+    let mut g = HloGraph::new();
+    let params: Vec<_> = operands
+        .iter()
+        .enumerate()
+        .map(|(i, t)| g.parameter(i, t.dims()))
+        .collect();
+    let node = match op {
+        HloOp::Unary(u) => g.unary(*u, params[0]),
+        HloOp::Binary(b) => g.binary(*b, params[0], params[1]),
+        op => unreachable!("elementwise only, got {op:?}"),
+    };
+    g.mark_output(node);
+    let exe = s4tf_xla::compile_unoptimized(&g);
+    let owned = operands.iter().map(|t| owned(t)).collect();
+    exe.try_run_owned(owned, "xla").expect("runs").remove(0)
+}
+
+/// Every `ElemBinary` over `x ⊕ y`, and every `ElemUnary` over `x`, gives
+/// the scalar reference's bits out of place (`eval_op`), in place with
+/// the uniquely owned operand on the left and on the right
+/// (`eval_op_owned`, checked to reuse that buffer unless the other
+/// operand needs a stride walk, which the in-place kernel hands to the
+/// out-of-place one), and through the executor's in-place node.
+fn check_unfused(x: &Tensor<f32>, y: &Tensor<f32>, walk: bool) -> Result<(), TestCaseError> {
+    for &b in BINARY {
+        let op = HloOp::Binary(b);
+        let (dims, want) = broadcast_reference(b, x, y);
+        let out = eval_op(&op, &[x, y]);
+        prop_assert_eq!(out.dims(), &dims[..]);
+        prop_assert_eq!(
+            &want,
+            &tensor_bits(&out),
+            "{:?} {:?}⊕{:?}",
+            b,
+            x.dims(),
+            y.dims()
+        );
+        for lhs in [true, false] {
+            let donor = owned(if lhs { x } else { y });
+            if donor.dims() != &dims[..] {
+                continue;
+            }
+            let ptr = donor.as_slice().as_ptr();
+            // The other operand stays shared, so only the donor is unique.
+            let operands = if lhs {
+                vec![donor, y.clone()]
+            } else {
+                vec![x.clone(), donor]
+            };
+            let out = eval_op_owned(&op, operands);
+            prop_assert!(
+                walk || out.as_slice().as_ptr() == ptr,
+                "{:?} lhs={} not in place",
+                b,
+                lhs
+            );
+            prop_assert_eq!(&want, &tensor_bits(&out), "{:?} in place lhs={}", b, lhs);
+        }
+        let out = run_single_node(&op, &[x, y]);
+        prop_assert_eq!(&want, &tensor_bits(&out), "{:?} executor", b);
+    }
+    for &u in UNARY {
+        let op = HloOp::Unary(u);
+        let want: Vec<u32> = x.as_slice().iter().map(|&v| bits(u.apply(v))).collect();
+        prop_assert_eq!(&want, &tensor_bits(&eval_op(&op, &[x])), "{:?}", u);
+        let donor = owned(x);
+        let ptr = donor.as_slice().as_ptr();
+        let out = eval_op_owned(&op, vec![donor]);
+        prop_assert_eq!(out.as_slice().as_ptr(), ptr, "{:?} not in place", u);
+        prop_assert_eq!(&want, &tensor_bits(&out), "{:?} in place", u);
+        prop_assert_eq!(
+            &want,
+            &tensor_bits(&run_single_node(&op, &[x])),
+            "{:?} executor",
+            u
+        );
+    }
+    Ok(())
+}
+
+/// The routes [`route_dims`] builds; the last [`WALKS`] need a stride walk.
+const ROUTES: usize = 10;
+const WALKS: usize = 3;
+
+/// The operand dims of each broadcast route, over extents `a`, `d`, `c`:
+/// same shape, a rank-0 operand, a `[C]` suffix, a `[B,1]` prefix (each
+/// on either side), and two stride walks — a two-sided `[B,1]⊕[1,C]` and
+/// a middle broadcast `[A,D,C]⊕[A,1,C]` (either side full).
+fn route_dims(route: usize, a: usize, d: usize, c: usize) -> (Vec<usize>, Vec<usize>) {
+    let pairs = [
+        (vec![a, c], vec![a, c]),
+        (vec![a, c], vec![]),
+        (vec![], vec![a, c]),
+        (vec![a, c], vec![c]),
+        (vec![c], vec![a, c]),
+        (vec![a, c], vec![a, 1]),
+        (vec![a, 1], vec![a, c]),
+        (vec![a, 1], vec![1, c]),
+        (vec![a, d, c], vec![a, 1, c]),
+        (vec![a, 1, c], vec![a, d, c]),
+    ];
+    pairs[route].clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every unfused elementwise variant on every broadcast route, on
+    /// both SIMD paths at 1 and 4 pool threads, with NaN, ±∞ and −0.0
+    /// among the operands.
+    #[test]
+    fn unfused_elementwise_is_bit_identical_to_scalar_semantics(
+        route in 0..ROUTES,
+        a in 1usize..80,
+        d in 1usize..6,
+        c in 1usize..70,
+        seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (xd, yd) = route_dims(route, a, d, c);
+        let x = special_values(&xd, &mut rng);
+        let y = special_values(&yd, &mut rng);
+        for simd in [false, true] {
+            s4tf_tensor::simd::set_simd_enabled(simd);
+            for threads in [1usize, 4] {
+                s4tf_threads::set_num_threads(threads);
+                check_unfused(&x, &y, route >= ROUTES - WALKS)?;
+            }
+        }
+        s4tf_tensor::simd::set_simd_enabled(true);
+    }
+}
+
+/// `eval_op(Conv2DBackwardInput)` computes `dx` from the input's dims
+/// alone, with the bits of the tensor method given the input itself —
+/// on the direct loops, the single-channel lane kernel and the GEMM.
+#[test]
+fn conv_backward_input_matches_the_tensor_method() {
+    use rand::SeedableRng;
+    let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let cases: [(&[usize], &[usize], usize, Padding); 4] = [
+        (&[2, 6, 6, 2], &[3, 3, 2, 3], 1, Padding::Same),
+        (&[4, 28, 28, 1], &[5, 5, 1, 6], 1, Padding::Same),
+        (&[4, 14, 14, 6], &[5, 5, 6, 16], 1, Padding::Valid),
+        (&[2, 16, 16, 8], &[3, 3, 8, 16], 2, Padding::Same),
+    ];
+    for (x_dims, w_dims, stride, padding) in cases {
+        let strides = (stride, stride);
+        let x = Tensor::<f32>::randn(x_dims, &mut rng);
+        let w = Tensor::<f32>::randn(w_dims, &mut rng);
+        let y_dims = x.conv2d(&w, strides, padding).dims().to_vec();
+        let dy = Tensor::<f32>::randn(&y_dims, &mut rng);
+        let want = x.conv2d_backward_input(&w, &dy, strides, padding);
+        let op = HloOp::Conv2DBackwardInput {
+            input_dims: x_dims.to_vec(),
+            strides,
+            padding,
+        };
+        let got = eval_op(&op, &[&w, &dy]);
+        assert_eq!(got.dims(), x_dims);
+        assert_eq!(
+            tensor_bits(&want),
+            tensor_bits(&got),
+            "{x_dims:?} * {w_dims:?} /{stride}"
+        );
+    }
 }
