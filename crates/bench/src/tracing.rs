@@ -267,6 +267,8 @@ mod tests {
         );
     }
 
+    /// The step asks for the parameters' gradient only: its trace holds no
+    /// stem `conv2d_bwd_input` for the unfused count to include.
     #[test]
     fn resnet8_step_fuses_to_a_pinned_kernel_count() {
         let step = trace_resnet_training_step(ResNetConfig::resnet8_cifar(), 16, 32, 32);
@@ -274,7 +276,7 @@ mod tests {
         let kernels = assert_fused_where_no_value_must_exist(&step.graph);
         assert_eq!(
             (unfused, kernels),
-            (318, 168),
+            (317, 168),
             "ResNet-8 step kernel count moved"
         );
     }

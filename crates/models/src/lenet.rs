@@ -112,26 +112,33 @@ impl Layer for LeNet {
         )
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
-        let (h1, pb_conv1) = self.conv1.forward_with_pullback(input);
-        let (h2, pb_pool1) = self.pool1.forward_with_pullback(&h1);
-        let (h3, pb_conv2) = self.conv2.forward_with_pullback(&h2);
-        let (h4, pb_pool2) = self.pool2.forward_with_pullback(&h3);
-        let (h5, pb_flat) = self.flatten.forward_with_pullback(&h4);
-        let (h6, pb_fc1) = self.fc1.forward_with_pullback(&h5);
-        let (h7, pb_fc2) = self.fc2.forward_with_pullback(&h6);
-        let (logits, pb_fc3) = self.fc3.forward_with_pullback(&h7);
+    /// The first convolution sees the model's input and gets the caller's
+    /// `wrt`; every later layer's input cotangent feeds the chain rule.
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
+        let chain = Wrt::ParametersAndInput;
+        let (h1, pb_conv1) = self.conv1.forward_with_pullback_wrt(input, wrt);
+        let (h2, pb_pool1) = self.pool1.forward_with_pullback_wrt(&h1, chain);
+        let (h3, pb_conv2) = self.conv2.forward_with_pullback_wrt(&h2, chain);
+        let (h4, pb_pool2) = self.pool2.forward_with_pullback_wrt(&h3, chain);
+        let (h5, pb_flat) = self.flatten.forward_with_pullback_wrt(&h4, chain);
+        let (h6, pb_fc1) = self.fc1.forward_with_pullback_wrt(&h5, chain);
+        let (h7, pb_fc2) = self.fc2.forward_with_pullback_wrt(&h6, chain);
+        let (logits, pb_fc3) = self.fc3.forward_with_pullback_wrt(&h7, chain);
         (
             logits,
             Box::new(move |dy: &DTensor| {
                 let (g_fc3, d7) = pb_fc3(dy);
-                let (g_fc2, d6) = pb_fc2(&d7);
-                let (g_fc1, d5) = pb_fc1(&d6);
-                let ((), d4) = pb_flat(&d5);
-                let ((), d3) = pb_pool2(&d4);
-                let (g_conv2, d2) = pb_conv2(&d3);
-                let ((), d1) = pb_pool1(&d2);
-                let (g_conv1, dx) = pb_conv1(&d1);
+                let (g_fc2, d6) = pb_fc2(input_cotangent(&d7));
+                let (g_fc1, d5) = pb_fc1(input_cotangent(&d6));
+                let ((), d4) = pb_flat(input_cotangent(&d5));
+                let ((), d3) = pb_pool2(input_cotangent(&d4));
+                let (g_conv2, d2) = pb_conv2(input_cotangent(&d3));
+                let ((), d1) = pb_pool1(input_cotangent(&d2));
+                let (g_conv1, dx) = pb_conv1(input_cotangent(&d1));
                 (
                     LeNetTangent {
                         conv1: g_conv1,

@@ -9,7 +9,7 @@
 use rand::Rng;
 use s4tf_core::differentiable_struct;
 use s4tf_nn::layers::Embedding;
-use s4tf_nn::Layer;
+use s4tf_nn::{Layer, Wrt};
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::Tensor;
 
@@ -77,10 +77,12 @@ impl MatrixFactorizer {
     ) -> (DTensor, RecommenderPullback) {
         let batch = users.dims()[0];
         let dim = self.user_factors.dim();
-        let (u, pb_u) = self.user_factors.forward_with_pullback(users);
-        let (v, pb_v) = self.item_factors.forward_with_pullback(items);
-        let (ub, pb_ub) = self.user_bias.forward_with_pullback(users);
-        let (ib, pb_ib) = self.item_bias.forward_with_pullback(items);
+        // Indices have no cotangent worth building: parameters only.
+        let wrt = Wrt::Parameters;
+        let (u, pb_u) = self.user_factors.forward_with_pullback_wrt(users, wrt);
+        let (v, pb_v) = self.item_factors.forward_with_pullback_wrt(items, wrt);
+        let (ub, pb_ub) = self.user_bias.forward_with_pullback_wrt(users, wrt);
+        let (ib, pb_ib) = self.item_bias.forward_with_pullback_wrt(items, wrt);
         let dot = u.mul(&v).sum_axis(1);
         let pred = dot.add(&ub.reshape(&[batch])).add(&ib.reshape(&[batch]));
         (

@@ -93,15 +93,22 @@ impl Layer for BasicBlock {
         h.add(&s).relu()
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
-        let (c1, pb_c1) = self.conv1.forward_with_pullback(input);
-        let (b1, pb_b1) = self.bn1.forward_with_pullback(&c1);
+    /// `conv1` and the projection shortcut see the block's input and get
+    /// the caller's `wrt`; the rest feed the chain rule.
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
+        let chain = Wrt::ParametersAndInput;
+        let (c1, pb_c1) = self.conv1.forward_with_pullback_wrt(input, wrt);
+        let (b1, pb_b1) = self.bn1.forward_with_pullback_wrt(&c1, chain);
         let (r1, pb_r1) = Activation::Relu.vjp(&b1);
-        let (c2, pb_c2) = self.conv2.forward_with_pullback(&r1);
-        let (b2, pb_b2) = self.bn2.forward_with_pullback(&c2);
+        let (c2, pb_c2) = self.conv2.forward_with_pullback_wrt(&r1, chain);
+        let (b2, pb_b2) = self.bn2.forward_with_pullback_wrt(&c2, chain);
         let (s, pb_s) = match self.shortcut.first() {
             Some(proj) => {
-                let (s, pb) = proj.forward_with_pullback(input);
+                let (s, pb) = proj.forward_with_pullback_wrt(input, wrt);
                 (s, Some(pb))
             }
             None => (input.clone(), None),
@@ -114,16 +121,16 @@ impl Layer for BasicBlock {
                 let dsum = pb_out(dy);
                 // Residual fan-in: the gradient flows to both branches.
                 let (g_b2, dc2) = pb_b2(&dsum);
-                let (g_c2, dr1) = pb_c2(&dc2);
-                let db1 = pb_r1(&dr1);
+                let (g_c2, dr1) = pb_c2(input_cotangent(&dc2));
+                let db1 = pb_r1(input_cotangent(&dr1));
                 let (g_b1, dc1) = pb_b1(&db1);
-                let (g_c1, dx_main) = pb_c1(&dc1);
+                let (g_c1, dx_main) = pb_c1(input_cotangent(&dc1));
                 let (g_short, dx_side) = match &pb_s {
                     Some(pb) => {
                         let (g, dx) = pb(&dsum);
                         (vec![g], dx)
                     }
-                    None => (Vec::new(), dsum.clone()),
+                    None => (Vec::new(), wrt.input().then(|| dsum.clone())),
                 };
                 (
                     BasicBlockTangent {
@@ -133,7 +140,7 @@ impl Layer for BasicBlock {
                         bn2: g_b2,
                         shortcut: g_short,
                     },
-                    dx_main.add(&dx_side),
+                    dx_main.zip(dx_side).map(|(main, side)| main.add(&side)),
                 )
             }),
         )
@@ -323,9 +330,16 @@ impl Layer for ResNet {
         self.head.forward(&Self::global_avg_pool(&h))
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
-        let (c, pb_stem) = self.stem.forward_with_pullback(input);
-        let (b, pb_bn) = self.stem_bn.forward_with_pullback(&c);
+    /// The stem convolution sees the model's input and gets the caller's
+    /// `wrt`; every later layer's input cotangent feeds the chain rule.
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
+        let chain = Wrt::ParametersAndInput;
+        let (c, pb_stem) = self.stem.forward_with_pullback_wrt(input, wrt);
+        let (b, pb_bn) = self.stem_bn.forward_with_pullback_wrt(&c, chain);
         let (r, pb_relu) = Activation::Relu.vjp(&b);
         // Stem pooling (ImageNet stem only).
         let pooled = self.stem_pool(&r);
@@ -335,7 +349,7 @@ impl Layer for ResNet {
         let mut h = pooled;
         let mut block_pbs = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            let (next, pb) = block.forward_with_pullback(&h);
+            let (next, pb) = block.forward_with_pullback_wrt(&h, chain);
             block_pbs.push(pb);
             h = next;
         }
@@ -343,11 +357,12 @@ impl Layer for ResNet {
         let (h2, w2, c2) = (feat_dims[1], feat_dims[2], feat_dims[3]);
         let features = Self::global_avg_pool(&h);
         let pre_gap = h;
-        let (logits, pb_head) = self.head.forward_with_pullback(&features);
+        let (logits, pb_head) = self.head.forward_with_pullback_wrt(&features, chain);
         (
             logits,
             Box::new(move |dy: &DTensor| {
                 let (g_head, dfeat) = pb_head(dy);
+                let dfeat = input_cotangent(&dfeat);
                 // Undo global average pool: expand and scale.
                 let batch = dfeat.dims()[0];
                 let dgap = dfeat.reshape(&[batch, 1, 1, c2]);
@@ -357,7 +372,7 @@ impl Layer for ResNet {
                 for pb in block_pbs.iter().rev() {
                     let (g, dx) = pb(&d);
                     g_blocks_rev.push(g);
-                    d = dx;
+                    d = input_cotangent(&dx).clone();
                 }
                 g_blocks_rev.reverse();
                 let d = if imagenet_stem {
@@ -367,7 +382,7 @@ impl Layer for ResNet {
                 };
                 let db = pb_relu(&d);
                 let (g_bn, dc) = pb_bn(&db);
-                let (g_stem, dx) = pb_stem(&dc);
+                let (g_stem, dx) = pb_stem(input_cotangent(&dc));
                 (
                     ResNetTangent {
                         stem: g_stem,

@@ -1,6 +1,6 @@
 //! Batch normalization over the feature (last) axis.
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use s4tf_core::differentiable_struct;
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::Tensor;
@@ -63,7 +63,11 @@ impl Layer for BatchNorm {
         self.normalize(input).0
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let (y, xhat, std) = self.normalize(input);
         let dims = input.dims();
         let c = dims[dims.len() - 1];
@@ -77,12 +81,13 @@ impl Layer for BatchNorm {
                 // dx = γ/σ · (dy − mean(dy) − x̂·mean(dy·x̂))
                 let dbeta = dy.reduce_to_shape(&[c]);
                 let dgamma = dy.mul(&xhat).reduce_to_shape(&[c]);
-                let mean_dy = dbeta.div_scalar(m);
-                let mean_dy_xhat = dgamma.div_scalar(m);
-                let dx = dy
-                    .sub(&mean_dy)
-                    .sub(&xhat.mul(&mean_dy_xhat))
-                    .mul(&gamma.div(&std));
+                let dx = wrt.input().then(|| {
+                    let mean_dy = dbeta.div_scalar(m);
+                    let mean_dy_xhat = dgamma.div_scalar(m);
+                    dy.sub(&mean_dy)
+                        .sub(&xhat.mul(&mean_dy_xhat))
+                        .mul(&gamma.div(&std))
+                });
                 (
                     BatchNormTangent {
                         scale: dgamma,

@@ -6,7 +6,7 @@
 //! parts' tangents (tuples are `Differentiable`), and whose pullback is
 //! the mechanical chain rule.
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{input_cotangent, Layer, PullbackWrtFn, Wrt};
 use s4tf_core::Differentiable;
 use s4tf_runtime::DTensor;
 
@@ -57,19 +57,25 @@ impl<A: Differentiable, B: Differentiable> Differentiable for Chain<A, B> {
     }
 }
 
-impl<A: Layer + 'static, B: Layer + 'static> Layer for Chain<A, B> {
+impl<A: Layer, B: Layer> Layer for Chain<A, B> {
     fn forward(&self, input: &DTensor) -> DTensor {
         self.second.forward(&self.first.forward(input))
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
-        let (h, pb_first) = self.first.forward_with_pullback(input);
-        let (y, pb_second) = self.second.forward_with_pullback(&h);
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
+        let (h, pb_first) = self.first.forward_with_pullback_wrt(input, wrt);
+        let (y, pb_second) = self
+            .second
+            .forward_with_pullback_wrt(&h, Wrt::ParametersAndInput);
         (
             y,
             Box::new(move |dy: &DTensor| {
                 let (g2, dh) = pb_second(dy);
-                let (g1, dx) = pb_first(&dh);
+                let (g1, dx) = pb_first(input_cotangent(&dh));
                 ((g1, g2), dx)
             }),
         )

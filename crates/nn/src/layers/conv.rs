@@ -1,7 +1,7 @@
 //! The 2-D convolution layer.
 
 use crate::activation::Activation;
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use rand::Rng;
 use s4tf_core::differentiable_struct;
 use s4tf_runtime::{DTensor, Device};
@@ -66,7 +66,11 @@ impl Layer for Conv2D {
         self.activation.apply(&conv)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let pre = input
             .conv2d(&self.filter, self.strides, self.padding)
             .add(&self.bias);
@@ -82,7 +86,9 @@ impl Layer for Conv2D {
                 let da = act_pb(dy);
                 let dfilter = x.conv2d_backward_filter(&filter_dims, &da, strides, padding);
                 let dbias = da.reduce_to_shape(&bias_dims);
-                let dx = x.conv2d_backward_input(&filter, &da, strides, padding);
+                let dx = wrt
+                    .input()
+                    .then(|| x.conv2d_backward_input(&filter, &da, strides, padding));
                 (
                     Conv2DTangent {
                         filter: dfilter,

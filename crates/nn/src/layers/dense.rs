@@ -1,7 +1,7 @@
 //! The fully-connected layer.
 
 use crate::activation::Activation;
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use rand::Rng;
 use s4tf_core::differentiable_struct;
 use s4tf_runtime::{DTensor, Device};
@@ -52,7 +52,11 @@ impl Layer for Dense {
         self.activation.apply(&affine)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let affine = input.matmul(&self.weight).add(&self.bias);
         let (y, act_pb) = self.activation.vjp(&affine);
         let x = input.clone();
@@ -64,7 +68,7 @@ impl Layer for Dense {
                 let da = act_pb(dy);
                 let dw = x.matmul_tn(&da);
                 let db = da.reduce_to_shape(&bias_dims);
-                let dx = da.matmul_nt(&w);
+                let dx = wrt.input().then(|| da.matmul_nt(&w));
                 (
                     DenseTangent {
                         weight: dw,

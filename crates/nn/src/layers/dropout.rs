@@ -1,6 +1,6 @@
 //! The dropout layer.
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -62,14 +62,26 @@ impl Layer for Dropout {
         input.mul(&mask)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         if !self.training || self.rate == 0.0 {
             let y = input.clone();
-            return (y, Box::new(|dy: &DTensor| ((), dy.clone())));
+            return (
+                y,
+                Box::new(move |dy: &DTensor| ((), wrt.input().then(|| dy.clone()))),
+            );
         }
+        // The mask is drawn either way: the layer's random stream must not
+        // depend on what its caller differentiates.
         let mask = DTensor::from_tensor(self.sample_mask(&input.dims()), &input.device());
         let y = input.mul(&mask);
-        (y, Box::new(move |dy: &DTensor| ((), dy.mul(&mask))))
+        (
+            y,
+            Box::new(move |dy: &DTensor| ((), wrt.input().then(|| dy.mul(&mask)))),
+        )
     }
 }
 

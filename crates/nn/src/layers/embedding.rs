@@ -1,6 +1,6 @@
 //! The embedding layer (row lookup with a scatter-add gradient).
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use rand::Rng;
 use s4tf_core::differentiable_struct;
 use s4tf_runtime::{DTensor, Device};
@@ -54,7 +54,11 @@ impl Layer for Embedding {
         self.table.gather_rows(input)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let y = self.table.gather_rows(input);
         let table = self.table.clone();
         let indices = input.clone();
@@ -63,7 +67,8 @@ impl Layer for Embedding {
             Box::new(move |dy: &DTensor| {
                 let dtable = table.gather_rows_backward(&indices, dy);
                 // Indices are not differentiable data; their cotangent is 0.
-                (EmbeddingTangent { table: dtable }, indices.zeros_like())
+                let dindices = wrt.input().then(|| indices.zeros_like());
+                (EmbeddingTangent { table: dtable }, dindices)
             }),
         )
     }

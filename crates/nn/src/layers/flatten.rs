@@ -1,6 +1,6 @@
 //! The flatten layer.
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use s4tf_core::Differentiable;
 use s4tf_runtime::DTensor;
 
@@ -30,10 +30,17 @@ impl Layer for Flatten {
         input.reshape(&[batch, rest])
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let original = input.dims();
         let y = self.forward(input);
-        (y, Box::new(move |dy: &DTensor| ((), dy.reshape(&original))))
+        (
+            y,
+            Box::new(move |dy: &DTensor| ((), wrt.input().then(|| dy.reshape(&original)))),
+        )
     }
 }
 

@@ -1,6 +1,6 @@
 //! Pooling layers (parameter-free; their tangent vector is `()`).
 
-use crate::layer::{Layer, PullbackFn};
+use crate::layer::{Layer, PullbackWrtFn, Wrt};
 use s4tf_core::Differentiable;
 use s4tf_runtime::DTensor;
 use s4tf_tensor::Padding;
@@ -38,13 +38,22 @@ impl Layer for AvgPool2D {
         input.avg_pool2d(self.pool_size, self.strides, self.padding)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let y = self.forward(input);
-        let x = input.clone();
+        let x = wrt.input().then(|| input.clone());
         let (pool, strides, padding) = (self.pool_size, self.strides, self.padding);
         (
             y,
-            Box::new(move |dy: &DTensor| ((), x.avg_pool2d_backward(dy, pool, strides, padding))),
+            Box::new(move |dy: &DTensor| {
+                let dx = x
+                    .as_ref()
+                    .map(|x| x.avg_pool2d_backward(dy, pool, strides, padding));
+                ((), dx)
+            }),
         )
     }
 }
@@ -81,13 +90,22 @@ impl Layer for MaxPool2D {
         input.max_pool2d(self.pool_size, self.strides, self.padding)
     }
 
-    fn forward_with_pullback(&self, input: &DTensor) -> (DTensor, PullbackFn<Self>) {
+    fn forward_with_pullback_wrt(
+        &self,
+        input: &DTensor,
+        wrt: Wrt,
+    ) -> (DTensor, PullbackWrtFn<Self>) {
         let y = self.forward(input);
-        let x = input.clone();
+        let x = wrt.input().then(|| input.clone());
         let (pool, strides, padding) = (self.pool_size, self.strides, self.padding);
         (
             y,
-            Box::new(move |dy: &DTensor| ((), x.max_pool2d_backward(dy, pool, strides, padding))),
+            Box::new(move |dy: &DTensor| {
+                let dx = x
+                    .as_ref()
+                    .map(|x| x.max_pool2d_backward(dy, pool, strides, padding));
+                ((), dx)
+            }),
         )
     }
 }

@@ -9,9 +9,11 @@
 //! * **[`Layer`]** ↔ Swift's `Layer` protocol: a `Differentiable` struct of
 //!   parameters whose `callAsFunction` (here [`Layer::forward`]) is
 //!   differentiable. Reverse-mode derivatives are provided as explicit VJPs
-//!   ([`Layer::forward_with_pullback`]), the exact formulation of paper
-//!   Figure 3; the `differentiable_struct!` macro synthesizes each model's
-//!   `TangentVector` like Swift's derived conformances.
+//!   ([`Layer::forward_with_pullback_wrt`]), the exact formulation of paper
+//!   Figure 3, asked for with respect to the parameters alone or the
+//!   parameters and the input ([`Wrt`]); the `differentiable_struct!`
+//!   macro synthesizes each model's `TangentVector` like Swift's derived
+//!   conformances.
 //! * **Models are plain structs of layers** (paper Figure 6) — no
 //!   `Variable` type, no parameter wrappers: composition of mutable value
 //!   semantics and the AD protocol lets types be used directly.
@@ -45,7 +47,7 @@ use s4tf_profile as prof;
 
 pub use activation::Activation;
 pub use checkpoint::{Checkpoint, Checkpointable, TrainingSession};
-pub use layer::{Layer, PullbackFn};
+pub use layer::{input_cotangent, Layer, PullbackFn, PullbackWrtFn, Wrt};
 pub use layers::{
     AvgPool2D, BatchNorm, Chain, Conv2D, Dense, Dropout, Embedding, Flatten, MaxPool2D,
 };
@@ -58,7 +60,7 @@ pub use train::FaultPolicy;
 pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::checkpoint::{Checkpoint, Checkpointable, TrainingSession};
-    pub use crate::layer::{Layer, PullbackFn};
+    pub use crate::layer::{input_cotangent, Layer, PullbackFn, PullbackWrtFn, Wrt};
     pub use crate::layers::{
         AvgPool2D, BatchNorm, Chain, Conv2D, Dense, Dropout, Embedding, Flatten, MaxPool2D,
     };

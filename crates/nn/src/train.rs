@@ -13,7 +13,7 @@
 use crate::checkpoint::Checkpointable;
 use crate::diag;
 use crate::fault;
-use crate::layer::Layer;
+use crate::layer::{Layer, Wrt};
 use crate::loss::softmax_cross_entropy;
 use crate::met;
 use crate::optimizer::Optimizer;
@@ -97,19 +97,20 @@ fn emit_step_metrics<G: VectorSpace>(
 /// `Model::TangentVector` value (paper §4.2: "both the model and its
 /// gradient are first class values").
 ///
-/// Everything else the pullback produced or captured — the predictions,
-/// both pullback closures and the input's cotangent — is dropped before
-/// returning. On the lazy device every live handle is an output of the
-/// step's program, so what is dropped here is never computed past what
-/// the loss and the gradient need (the input gradient of the first layer
-/// is dead code); on every device, `Optimizer::update` then finds no
-/// captured parameter handle sharing a buffer it updates in place.
+/// The VJP is asked for [`Wrt::Parameters`]: no backend computes the
+/// images' cotangent, not even the lazy device's trace records it.
+/// Everything else the pullback produced or captured — the predictions
+/// and both pullback closures — is dropped before returning. On the lazy
+/// device every live handle is an output of the step's program, so what
+/// is dropped here is never computed past what the loss and the gradient
+/// need; on every device, `Optimizer::update` then finds no captured
+/// parameter handle sharing a buffer it updates in place.
 pub fn loss_and_gradient<L: Layer>(
     model: &L,
     images: &DTensor,
     labels: &DTensor,
 ) -> (DTensor, L::TangentVector) {
-    let (logits, pullback) = model.forward_with_pullback(images);
+    let (logits, pullback) = model.forward_with_pullback_wrt(images, Wrt::Parameters);
     let (loss, loss_pullback) = softmax_cross_entropy(&logits, labels);
     let (gradients, _) = pullback(&loss_pullback(&loss.scalar_like(1.0)));
     (loss, gradients)

@@ -81,7 +81,8 @@ fn main() {
                 Tensor::from_vec(env.observation().to_vec(), &[1, 4]),
                 &device,
             );
-            let (h, pb_hidden) = hidden.forward_with_pullback(&obs);
+            // The observation's gradient is never used: parameters only.
+            let (h, pb_hidden) = hidden.forward_with_pullback_wrt(&obs, Wrt::Parameters);
             let (logits, pb_head) = head.forward_with_pullback(&h);
             let probs = logits.softmax().to_tensor();
             let p_right = probs.at(&[0, 1]);
