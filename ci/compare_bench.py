@@ -7,7 +7,7 @@ Usage:
         [--fail-under 0.7] [--notice-over 1.3] [--strict]
 
 Both files must be artifacts of the same bench binary (`kernels` or
-`ops`). For every case present in the baseline, the measured GFLOP/s is
+`dist`). For every case present in the baseline, the measured GFLOP/s is
 compared as a ratio; a case below ``--fail-under`` x baseline is a
 regression, above ``--notice-over`` x is a notice (update the baseline to
 bank the win). The schema of the measured file is validated first, so a
@@ -69,14 +69,6 @@ SCHEMAS = {
             "gflops_1", "gflops_n", "gflops_scalar_1",
         ),
         "metrics": ("gflops_1", "gflops_scalar_1"),
-    },
-    "ops": {
-        "key": ("op", "case", "backend"),
-        "required": (
-            "op", "case", "backend", "path", "median_ms", "iqr_ms",
-            "trials", "flops", "bytes", "gflops", "gbs",
-        ),
-        "metrics": ("gflops",),
     },
     # Multi-process ring all-reduce: throughput gates advisory only (the
     # baseline's 1-worker row records ring_gbps 0, which is skipped); the

@@ -47,18 +47,6 @@ impl TrialStats {
             bytes as f64 / 1e6 / self.median_ms
         }
     }
-
-    /// The stats as JSON fields (merged into a result object).
-    pub fn fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("median_ms", Value::Float(self.median_ms)),
-            ("iqr_ms", Value::Float(self.iqr_ms)),
-            ("mean_ms", Value::Float(self.mean_ms)),
-            ("min_ms", Value::Float(self.min_ms)),
-            ("trials", Value::UInt(self.trials as u64)),
-            ("rejected", Value::UInt(self.rejected as u64)),
-        ]
-    }
 }
 
 /// Times `f` over `trials` runs after `warmup` unmeasured runs, rejecting

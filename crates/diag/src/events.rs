@@ -32,7 +32,8 @@ pub fn set_events_enabled(on: bool) {
 /// One recorded event.
 #[derive(Debug, Clone)]
 pub struct EventRecord {
-    /// Microseconds since the diagnostics epoch.
+    /// Microseconds on the profiler's clock (`s4tf_profile::now_us`), so
+    /// events line up with the spans of a Chrome trace.
     pub ts_us: u64,
     /// Event kind, e.g. `op.dispatch`, `xla.compile.finish`,
     /// `numerics.violation`, `mem.high_water`.

@@ -23,13 +23,11 @@
 //! is the `mem.high_water` event.
 //!
 //! Crate order: `s4tf-profile` ← `s4tf-metrics` ← this crate ← `threads`,
-//! `tensor` and everything above. The gate type, the flag parser and the
-//! JSON writers come from `s4tf-profile`, the JSONL sink and the memory
-//! ledger from `s4tf-metrics`.
+//! `tensor` and everything above. The gate type, the flag parser, the
+//! clock and the JSON writers come from `s4tf-profile`, the JSONL sink and
+//! the memory ledger from `s4tf-metrics`.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 mod dump;
 mod events;
@@ -53,15 +51,10 @@ pub use numerics::{
 
 // ----------------------------------------------------------- shared bits
 
+// `now_us` is the profiler's clock, so an event's `ts_us` lines up with
+// the Chrome trace's timestamps.
 pub(crate) use s4tf_metrics::{
-    env_gate, lock_unpoisoned, push_json_f64, push_json_string, Gate, GATE_OFF, GATE_ON,
+    env_gate, lock_unpoisoned, now_us, push_json_f64, push_json_string, Gate, GATE_OFF, GATE_ON,
 };
-
-/// Microseconds since this crate's (lazily fixed) epoch.
-pub(crate) fn now_us() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    Instant::now().duration_since(epoch).as_micros() as u64
-}
 
 pub(crate) type FieldList = Vec<(Cow<'static, str>, String)>;

@@ -56,11 +56,11 @@ pub use mem::{
     MemoryStats, SiteMem,
 };
 pub use rate::rate_per_sec;
-/// The switch, lock and JSON plumbing of the lowest crate, passed up to crates
-/// (`s4tf-diag`, `s4tf-tensor`) that depend on this one only.
+/// The switch, lock, clock and JSON plumbing of the lowest crate, passed up
+/// to crates (`s4tf-diag`, `s4tf-tensor`) that depend on this one only.
 pub use s4tf_profile::{
-    env_gate, lock_unpoisoned, parse_flag, push_json_f64, push_json_sep, push_json_string, Gate,
-    GATE_OFF, GATE_ON,
+    env_gate, lock_unpoisoned, now_us, parse_flag, push_json_f64, push_json_sep, push_json_string,
+    Gate, GATE_OFF, GATE_ON,
 };
 pub use sampler::{sample_now, start_sampler};
 pub use serve::start_server;

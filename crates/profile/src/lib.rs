@@ -133,7 +133,8 @@ pub(crate) struct GaugeSample {
 /// the analytic work it performed. The eager backend emits one per
 /// dispatched kernel; the lazy backend emits trace/compile phase events
 /// per barrier plus one kernel event per executed HLO node; the naive
-/// backend emits synchronous events chained serially.
+/// backend one per op. Each depends on its data inputs and on the event
+/// recorded before it on the same thread (its lane).
 #[derive(Debug, Clone)]
 pub struct OpEvent {
     /// Process-unique id (ids start at 1; 0 means "no op").
@@ -155,7 +156,8 @@ pub struct OpEvent {
     pub start_us: u64,
     /// When execution finished.
     pub end_us: u64,
-    /// Ids of the ops whose results this op consumed (0 entries ignored).
+    /// Ids of the ops whose results this op consumed, then the previous
+    /// op on its lane (0 entries ignored).
     pub deps: Vec<u64>,
     /// Analytic FLOPs performed.
     pub flops: u64,
@@ -345,9 +347,9 @@ static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh process-unique op id (never 0).
 ///
-/// Backends allocate one per dispatched op even when recording is off so
-/// dependency edges stay valid if profiling is enabled mid-run; the
-/// allocation is a single relaxed fetch-add.
+/// Ids are allocated only for events that get recorded: `s4tf-xla`'s
+/// kernel scope takes one per launch while the profiler is on. A launch
+/// enqueued while it was off has id 0, and no event depends on it.
 #[inline]
 pub fn next_op_id() -> u64 {
     NEXT_OP_ID.fetch_add(1, Ordering::Relaxed)
@@ -360,6 +362,9 @@ pub fn next_flow_id() -> u64 {
 }
 
 /// Records a dispatched-op event (no-op when the profiler is disabled).
+///
+/// The raw primitive: `deps` are taken as given. The runtime records
+/// through `s4tf-xla`'s kernel scope, which adds each event's lane edge.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn op_event(
@@ -397,24 +402,6 @@ pub fn op_event(
 /// Snapshot of all recorded op events (in recording order).
 pub fn op_events() -> Vec<OpEvent> {
     with_recorder(|r| r.ops.clone())
-}
-
-thread_local! {
-    /// An op id that subsequently recorded ops on this thread should
-    /// depend on when they have no data dependency of their own. The lazy
-    /// backend sets this to its compile-phase event so per-node kernel
-    /// events chain after compilation on the critical path.
-    static OP_ROOT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Sets the calling thread's root dependency for op events (0 clears it).
-pub fn set_op_root(id: u64) {
-    OP_ROOT.with(|root| root.set(id));
-}
-
-/// The calling thread's current root op dependency (0 when unset).
-pub fn op_root() -> u64 {
-    OP_ROOT.with(|root| root.get())
 }
 
 // --------------------------------------------------------- thread names

@@ -215,24 +215,16 @@ impl DTensor {
         let result = scope.run(
             &op,
             || s4tf_xla::eval_op_owned(&op, tensors),
-            |out| {
-                // Synchronous execution: each op chains serially after
-                // the previous naive op on this thread.
-                thread_local! {
-                    static LAST_NAIVE_OP: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-                }
-                let shapes = input_shapes();
-                let shape_refs: Vec<&Shape> = shapes.iter().collect();
-                let prev = LAST_NAIVE_OP.with(|last| last.replace(scope.op_id()));
-                (s4tf_xla::op_cost(&op, &shape_refs, out.shape()), vec![prev])
-            },
+            // Host values carry no producing op: the only edge is the
+            // lane's, to the op before on this thread.
+            || (input_shapes(), Vec::new()),
             // Nothing checked these operands before the kernel did: if
             // shape inference rejects them too, the panic was the caller's
             // shape error, and those stay synchronous (paper §4).
             || drop(infer_dims()),
         );
         match result {
-            Ok(result) => {
+            Ok((result, _)) => {
                 scope.scan(&op, &result);
                 DTensor::Cpu(result)
             }

@@ -82,11 +82,6 @@ struct QueueInner {
     sender: Option<Sender<Job>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     dispatched: AtomicU64,
-    /// Profiler op id of the most recently dispatched job: the worker is
-    /// a single FIFO lane, so every job also depends on its predecessor.
-    /// Critical-path analysis uses this edge to model head-of-line
-    /// blocking, not just data dependencies.
-    last_op: AtomicU64,
     /// Kernels the worker has finished. Held behind its own `Arc` so
     /// jobs can bump it without keeping the whole queue alive (which
     /// would make the worker join itself on teardown).
@@ -149,7 +144,6 @@ impl EagerQueue {
                 sender: Some(sender),
                 worker: Mutex::new(Some(worker)),
                 dispatched: AtomicU64::new(0),
-                last_op: AtomicU64::new(0),
                 completed: Arc::new(AtomicU64::new(0)),
                 first_error: Arc::new(Mutex::new(None)),
             }),
@@ -302,14 +296,12 @@ impl EagerTensor {
         } else {
             0
         };
-        // The single worker lane serializes jobs: the previous dispatch is
-        // a scheduling dependency even without a data edge.
-        let prev_op = queue.inner.last_op.swap(op_id, Ordering::Relaxed);
         // What only this side knows about the launch, for its `OpEvent`.
+        // The worker thread is the queue's FIFO lane, so the kernel scope
+        // adds the edge to the job before.
         let attribution = scope.profiling().then(|| {
-            let mut deps: Vec<u64> = inputs.iter().map(|t| t.op_id).collect();
-            deps.push(prev_op);
-            (s4tf_xla::op_cost(&op, &shapes, &shape), deps)
+            let shapes: Vec<Shape> = inputs.iter().map(|t| t.shape.clone()).collect();
+            (shapes, inputs.iter().map(|t| t.op_id).collect())
         });
         let slot = Arc::new(Slot::default());
         let out = Arc::clone(&slot);
@@ -335,9 +327,6 @@ impl EagerTensor {
             if span.is_recording() {
                 span.annotate("op", op.mnemonic());
                 span.annotate_f64("threads_used", s4tf_threads::num_threads() as f64);
-                if let Some((cost, _)) = &attribution {
-                    span.record_work(cost.flops, cost.bytes);
-                }
                 if flow_id != 0 {
                     span.flow_end(flow_id);
                 }
@@ -379,10 +368,14 @@ impl EagerTensor {
                     .run(
                         &op,
                         || eval_op_owned(&op, operands),
-                        |_| attribution.expect("a profiling scope was given its attribution"),
+                        || attribution.expect("a profiling scope was given its attribution"),
                         // `dispatch_op` inferred the shape synchronously.
                         || (),
                     )
+                    .map(|(t, cost)| {
+                        span.record_work(cost.flops, cost.bytes);
+                        t
+                    })
                     .inspect_err(|e| record_first(&first_error, e)),
             };
             // Fill the slot *before* scanning: in Panic mode the scan

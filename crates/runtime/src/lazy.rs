@@ -20,7 +20,7 @@ use crate::prof;
 use parking_lot::Mutex;
 use s4tf_tensor::{RuntimeError, Shape, Tensor};
 use s4tf_xla::graph::HloGraph;
-use s4tf_xla::scope::injected_fault;
+use s4tf_xla::scope::{injected_fault, phase_event};
 use s4tf_xla::{HloOp, NodeId, ProgramCache};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -98,10 +98,6 @@ pub struct LazyContext {
     /// [`take_error`](LazyContext::take_error) (execution failures and
     /// injected faults; not propagation).
     first_error: Mutex<Option<RuntimeError>>,
-    /// Profiler op id of the last event of the previous barrier (its
-    /// final executed kernel): the scheduling edge that chains one step's
-    /// trace after the previous step's execution on the critical path.
-    last_step_op: std::sync::atomic::AtomicU64,
 }
 
 impl std::fmt::Debug for LazyContext {
@@ -123,7 +119,6 @@ impl Default for LazyContext {
             trace: Mutex::new(TraceState::fresh(0)),
             cache: ProgramCache::new(),
             first_error: Mutex::new(None),
-            last_step_op: std::sync::atomic::AtomicU64::new(0),
         }
     }
 }
@@ -248,54 +243,21 @@ impl LazyContext {
 
         // Performance-observatory phase events: the step's trace phase
         // (re-based per trace), then the compile phase, then — inside
-        // `try_run_owned` — one kernel event per executed node, chained
-        // through the thread-local op root. Each phase depends on its
-        // predecessor, and the trace depends on the previous barrier's
-        // last kernel, so critical-path analysis sees the full
+        // `try_run_owned` — one kernel event per executed node. All are
+        // recorded on this thread, and each waits on the event before it
+        // there (the trace on the previous barrier's last kernel, unless
+        // another op ran between): critical-path analysis sees the full
         // trace → compile → execute chain of every step.
-        use std::sync::atomic::Ordering;
-        let profiling = prof::enabled();
-        let mut trace_id = 0;
-        if profiling {
-            let now = prof::now_us();
+        if prof::enabled() {
             let trace_us = trace
                 .trace_time
                 .saturating_sub(trace.trace_time_base)
                 .as_micros() as u64;
-            trace_id = prof::next_op_id();
-            prof::op_event(
-                trace_id,
-                "trace",
-                "lazy",
-                "trace",
-                "",
-                now.saturating_sub(trace_us),
-                now.saturating_sub(trace_us),
-                now,
-                vec![self.last_step_op.load(Ordering::Relaxed)],
-                0,
-                0,
-            );
+            phase_event("lazy", "trace", prof::now_us().saturating_sub(trace_us));
         }
         let compile_start = prof::now_us();
         let exe = self.cache.get_or_compile(&graph);
-        if profiling {
-            let compile_id = prof::next_op_id();
-            prof::op_event(
-                compile_id,
-                "compile",
-                "lazy",
-                "compile",
-                "",
-                compile_start,
-                compile_start,
-                prof::now_us(),
-                vec![trace_id],
-                0,
-                0,
-            );
-            prof::set_op_root(compile_id);
-        }
+        phase_event("lazy", "compile", compile_start);
         // Parameters pass by value: the trace's copies are *donated* to
         // the executor. A parameter whose handle was rebound during
         // tracing (the optimizer-update pattern) is uniquely owned here,
@@ -308,12 +270,6 @@ impl LazyContext {
         let mem_site = met::mem_site("lazy");
         let run_result = exe.try_run_owned(params, "lazy");
         drop(mem_site);
-        if profiling {
-            // The executor left its last kernel's id in the op root; the
-            // next step's trace chains after it.
-            self.last_step_op.store(prof::op_root(), Ordering::Relaxed);
-            prof::set_op_root(0);
-        }
         match run_result {
             Ok(results) => {
                 for ((handle, _), tensor) in outputs.into_iter().zip(results) {

@@ -311,3 +311,49 @@ fn every_backend_runs_the_same_kernel_protocol() {
         teardown();
     }
 }
+
+/// One thread is one lane, whichever backend records on it: each op event
+/// depends on the event recorded before it on the same thread. So a lazy
+/// barrier's trace waits for the naive op before it, and a directly run
+/// executable's first kernel for the barrier's last one.
+#[test]
+fn every_event_waits_for_the_one_before_it_on_its_thread() {
+    let _guard = exclusive_profiler();
+    let naive = Device::naive();
+    let a = s4tf_runtime::DTensor::from_tensor(Tensor::ones(&[2, 3]), &naive);
+    let b = s4tf_runtime::DTensor::from_tensor(Tensor::ones(&[3, 4]), &naive);
+    assert_eq!(a.matmul(&b).to_tensor().as_slice(), &[3.0; 8]);
+    let after_naive = s4tf_profile::op_events().len();
+
+    let ctx = Arc::new(LazyContext::new());
+    let x = LazyTensor::from_host(&ctx, Tensor::from_vec(vec![2.0, 3.0], &[2]));
+    let y = LazyTensor::record_op(&ctx, HloOp::Unary(ElemUnary::Square), &[&x]);
+    assert_eq!(y.to_host().as_slice(), &[4.0, 9.0]);
+    let after_lazy = s4tf_profile::op_events().len();
+
+    let mut g = s4tf_xla::HloGraph::new();
+    let p = g.parameter(0, &[2]);
+    let n = g.unary(ElemUnary::Neg, p);
+    g.mark_output(n);
+    let out = s4tf_xla::compile(&g).run(&[&Tensor::from_vec(vec![1.0, 2.0], &[2])]);
+    assert_eq!(out[0].as_slice(), &[-1.0, -2.0]);
+
+    let ops = s4tf_profile::op_events();
+    let firsts: Vec<_> = [0, after_naive, after_lazy]
+        .iter()
+        .map(|&i| (ops[i].backend, ops[i].phase))
+        .collect();
+    assert_eq!(
+        firsts,
+        [("naive", "kernel"), ("lazy", "trace"), ("xla", "kernel")]
+    );
+    for pair in ops.windows(2) {
+        assert!(
+            pair[1].deps.contains(&pair[0].id),
+            "{:?} does not wait for {:?}",
+            pair[1],
+            pair[0]
+        );
+    }
+    teardown();
+}

@@ -180,20 +180,14 @@ impl Executable {
             self.graph.n_params,
             params.len()
         );
-        // Per-node op events for roofline and critical-path analysis.
-        // `node_ids` maps graph nodes to the op ids of *this run* so data
-        // dependencies become event edges; `prev_id` chains nodes serially
-        // (execution is single-lane) starting from the thread's op root —
-        // the lazy device sets it to its compile-phase event so kernels
-        // chain after compilation.
-        let profiling = prof::enabled();
-        let mut node_ids: Vec<u64> = if profiling {
+        // `node_ids` maps graph nodes to the op ids of *this run*, so data
+        // dependencies become op-event edges (the kernel scope adds the
+        // lane edge to the event before).
+        let mut node_ids: Vec<u64> = if prof::enabled() {
             vec![0; self.graph.nodes.len()]
         } else {
             Vec::new()
         };
-        let entry_root = if profiling { prof::op_root() } else { 0 };
-        let mut prev_id = entry_root;
         let (mut step_flops, mut step_bytes) = (0u64, 0u64);
         let mut values: Vec<Option<Tensor<f32>>> = vec![None; self.graph.nodes.len()];
         for (i, node) in self.graph.nodes.iter().enumerate() {
@@ -214,36 +208,25 @@ impl Executable {
                 HloOp::Constant(c) => c.clone(),
                 op => {
                     let scope = KernelScope::enqueue(backend);
-                    let out = scope.run(
+                    let (out, cost) = scope.run(
                         op,
                         || self.eval_node(i, &mut values),
-                        |_| {
-                            let in_shapes: Vec<&Shape> = node
-                                .inputs
-                                .iter()
-                                .map(|&id| &self.graph.nodes[id.0 as usize].shape)
-                                .collect();
-                            let cost = crate::cost::op_cost(op, &in_shapes, &node.shape);
-                            step_flops += cost.flops;
-                            step_bytes += cost.bytes;
+                        || {
+                            let inputs = node.inputs.iter().map(|&id| id.0 as usize);
                             // `get`: the profiler may have been switched
                             // on after this run sized `node_ids`.
-                            let mut deps: Vec<u64> = node
-                                .inputs
-                                .iter()
-                                .filter_map(|&id| node_ids.get(id.0 as usize).copied())
-                                .collect();
-                            deps.push(prev_id);
-                            (cost, deps)
+                            (
+                                inputs.clone().map(|j| &self.graph.nodes[j].shape).collect(),
+                                inputs.filter_map(|j| node_ids.get(j).copied()).collect(),
+                            )
                         },
                         // Shapes were inferred when the graph was built.
                         || (),
                     )?;
-                    if scope.profiling() {
-                        if let Some(id) = node_ids.get_mut(i) {
-                            *id = scope.op_id();
-                        }
-                        prev_id = scope.op_id();
+                    step_flops += cost.flops;
+                    step_bytes += cost.bytes;
+                    if let Some(id) = node_ids.get_mut(i) {
+                        *id = scope.op_id();
                     }
                     debug_assert_eq!(
                         out.shape(),
@@ -270,15 +253,7 @@ impl Executable {
                 values[dead as usize] = None;
             }
         }
-        if profiling {
-            span.record_work(step_flops, step_bytes);
-            // Leave the last kernel's id in the thread's op root (only
-            // when a root was set, i.e. the lazy device is driving) so the
-            // caller can chain the next step's trace after this execution.
-            if entry_root != 0 {
-                prof::set_op_root(prev_id);
-            }
-        }
+        span.record_work(step_flops, step_bytes);
         Ok(self
             .graph
             .outputs

@@ -434,3 +434,70 @@ fn every_boolean_switch_reads_the_same_spellings() {
         assert_eq!(line.trim(), want.join(" "), "spelling {spelling:?}");
     }
 }
+
+/// Child half of [`diag_events_share_the_profiler_clock`]: with
+/// `CLOCK_PROBE` set, reads the profiler's clock, waits, then records a
+/// diagnostics event inside a span and checks it against the span's
+/// Chrome-trace interval. A no-op in a normal test run.
+#[test]
+fn clock_probe() {
+    if std::env::var_os("CLOCK_PROBE").is_none() {
+        return;
+    }
+    s4tf::profile::set_enabled(true);
+    s4tf::diag::set_events_enabled(true);
+    // Two clocks started by their first reads would now disagree by the
+    // length of this wait.
+    s4tf::profile::now_us();
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    {
+        let _span = s4tf::profile::span("clock.probe");
+        s4tf::diag::event!("clock.probe");
+    }
+    let json = s4tf::profile::chrome_trace_json();
+    let value: serde_json::Value = serde_json::from_str(&json).expect("valid chrome JSON");
+    let Some(serde_json::Value::Array(events)) = value.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    let span = events
+        .iter()
+        .find(|e| e.get("name") == Some(&serde_json::Value::Str("clock.probe".to_string())))
+        .expect("span exported");
+    let int = |key: &str| match span.get(key) {
+        Some(serde_json::Value::Int(v)) => *v as u64,
+        other => panic!("span {key}: {other:?}"),
+    };
+    let (start, end) = (int("ts"), int("ts") + int("dur"));
+    let event = s4tf::diag::events()
+        .into_iter()
+        .find(|e| e.kind == "clock.probe")
+        .expect("event recorded");
+    assert!(
+        (start..=end).contains(&event.ts_us),
+        "event at {} us, span [{start}, {end}] us",
+        event.ts_us
+    );
+    println!("clock probe ok");
+}
+
+/// A diagnostics event is stamped on the profiler's clock: recorded inside
+/// a span, its `ts_us` lies in that span's interval. A clock starts at its
+/// first read, so the probe runs in a fresh process, where nothing has
+/// read either clock before it.
+#[test]
+fn diag_events_share_the_profiler_clock() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["clock_probe", "--exact", "--nocapture", "--test-threads=1"])
+        .env("CLOCK_PROBE", "1")
+        .output()
+        .expect("spawn the probe");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(
+        out.status.success() && stdout.contains("clock probe ok"),
+        "{stdout}\n{stderr}"
+    );
+}
