@@ -127,13 +127,12 @@ impl RingConnection {
         self.write_err.lock().ok().and_then(|slot| slot.clone())
     }
 
-    /// Enqueues one frame toward the right neighbor, applying any injected
-    /// wire fault for this link. Never blocks on the socket.
-    pub fn send(&mut self, frame: &Frame) -> Result<(), RuntimeError> {
+    /// Enqueues one encoded frame toward the right neighbor, applying any
+    /// injected wire fault for this link. Never blocks on the socket.
+    pub fn send(&mut self, mut bytes: Vec<u8>) -> Result<(), RuntimeError> {
         if let Some(e) = self.pending_write_err() {
             return Err(e);
         }
-        let mut bytes = frame.encode();
         let injected = self.faults.next_frame();
         match injected {
             Some((NetFaultMode::Drop, _)) => return Ok(()),
@@ -252,19 +251,21 @@ pub fn bucket_ranges(len: usize, bucket_elems: usize) -> Vec<Range<usize>> {
     out
 }
 
-fn chunk_to_payload(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Encodes one f32 chunk into a frame's payload bytes, little-endian.
+fn put_chunk(out: &mut [u8], chunk: &[f32]) {
+    for (dst, v) in out.chunks_exact_mut(4).zip(chunk) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    out
 }
 
-fn payload_to_chunk(
-    payload: &[u8],
+/// The f32 values of a received chunk's payload, checked against the
+/// chunk's expected element count.
+fn chunk_values(
+    frame: &Frame,
     expect_elems: usize,
     peer: u32,
-) -> Result<Vec<f32>, RuntimeError> {
+) -> Result<impl Iterator<Item = f32> + '_, RuntimeError> {
+    let payload = frame.payload();
     if payload.len() != expect_elems * 4 {
         return Err(RuntimeError::net(
             "dist.recv",
@@ -278,8 +279,28 @@ fn payload_to_chunk(
     }
     Ok(payload
         .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("fixed slice")))
-        .collect())
+        .map(|c| f32::from_le_bytes(c.try_into().expect("fixed slice"))))
+}
+
+/// One ring iteration on the wire: encodes `chunk` straight into a
+/// `DATA_CHUNK` frame tagged `seq`, sends it right, and reads the matching
+/// frame from the left.
+fn exchange(
+    ring: &mut RingConnection,
+    header: RingHeader,
+    seq: u64,
+    chunk: &[f32],
+) -> Result<Frame, RuntimeError> {
+    let mut frame = Frame::control(
+        kind::DATA_CHUNK,
+        header.rank,
+        header.epoch,
+        header.attempt,
+        header.step,
+    );
+    frame.seq = seq;
+    ring.send(frame.encode_with(chunk.len() * 4, |out| put_chunk(out, chunk)))?;
+    ring.recv(header, seq)
 }
 
 /// In-place bucketed ring all-reduce (sum) of `flat` across `k` members,
@@ -309,21 +330,12 @@ pub fn ring_all_reduce(
         for t in 0..k - 1 {
             let send_idx = (position + k - t) % k;
             let recv_idx = (position + 2 * k - t - 1) % k;
-            let mut frame = Frame::control(
-                kind::DATA_CHUNK,
-                header.rank,
-                header.epoch,
-                header.attempt,
-                header.step,
-            );
-            frame.seq = seq_tag(b, PHASE_REDUCE_SCATTER, t);
-            frame.payload = chunk_to_payload(&buf[ranges[send_idx].clone()]);
-            ring.send(&frame)?;
-            let incoming = ring.recv(header, seq_tag(b, PHASE_REDUCE_SCATTER, t))?;
+            let seq = seq_tag(b, PHASE_REDUCE_SCATTER, t);
+            let incoming = exchange(ring, header, seq, &buf[ranges[send_idx].clone()])?;
             let recv_range = ranges[recv_idx].clone();
-            let chunk = payload_to_chunk(&incoming.payload, recv_range.len(), ring.left_rank)?;
-            for (dst, src) in buf[recv_range].iter_mut().zip(chunk.iter()) {
-                *dst += *src;
+            let values = chunk_values(&incoming, recv_range.len(), ring.left_rank)?;
+            for (dst, src) in buf[recv_range].iter_mut().zip(values) {
+                *dst += src;
             }
         }
         // Phase 2: all-gather. Iteration t sends chunk (p+1−t) and
@@ -331,20 +343,13 @@ pub fn ring_all_reduce(
         for t in 0..k - 1 {
             let send_idx = (position + 1 + k - t) % k;
             let recv_idx = (position + k - t) % k;
-            let mut frame = Frame::control(
-                kind::DATA_CHUNK,
-                header.rank,
-                header.epoch,
-                header.attempt,
-                header.step,
-            );
-            frame.seq = seq_tag(b, PHASE_ALL_GATHER, t);
-            frame.payload = chunk_to_payload(&buf[ranges[send_idx].clone()]);
-            ring.send(&frame)?;
-            let incoming = ring.recv(header, seq_tag(b, PHASE_ALL_GATHER, t))?;
+            let seq = seq_tag(b, PHASE_ALL_GATHER, t);
+            let incoming = exchange(ring, header, seq, &buf[ranges[send_idx].clone()])?;
             let recv_range = ranges[recv_idx].clone();
-            let chunk = payload_to_chunk(&incoming.payload, recv_range.len(), ring.left_rank)?;
-            buf[recv_range].copy_from_slice(&chunk);
+            let values = chunk_values(&incoming, recv_range.len(), ring.left_rank)?;
+            for (dst, src) in buf[recv_range].iter_mut().zip(values) {
+                *dst = src;
+            }
         }
     }
     if span.is_recording() {

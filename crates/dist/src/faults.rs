@@ -137,8 +137,7 @@ mod tests {
     #[test]
     fn corrupt_encoded_is_always_detected() {
         for payload_len in [0usize, 1, 5, 1024] {
-            let mut f = Frame::control(2, 1, 0, 0, 3);
-            f.payload = vec![7u8; payload_len];
+            let f = Frame::control(2, 1, 0, 0, 3).with_payload(vec![7u8; payload_len]);
             let mut bytes = f.encode();
             corrupt_encoded(&mut bytes);
             let err = read_frame(&mut bytes.as_slice(), Some(1)).expect_err("corrupt");

@@ -165,15 +165,13 @@ impl Control {
             }
             Control::Shutdown { error } => w.str(error),
         }
-        let mut f = Frame::control(self.kind(), sender, epoch, attempt, step);
-        f.payload = w.0;
-        f
+        Frame::control(self.kind(), sender, epoch, attempt, step).with_payload(w.0)
     }
 
     /// Decodes a control message from a frame. `peer` attributes decode
     /// failures.
     pub fn decode(frame: &Frame, peer: Option<usize>) -> Result<Control, RuntimeError> {
-        let mut r = PayloadReader::new(&frame.payload, peer);
+        let mut r = PayloadReader::new(frame.payload(), peer);
         Ok(match frame.kind {
             kind::REGISTER => Control::Register {
                 data_port: r.u16()?,

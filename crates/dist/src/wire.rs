@@ -12,7 +12,7 @@
 //! seq      u64  data-plane sequence tag (bucket/phase/iteration)
 //! len      u32  payload length in bytes
 //! payload  [u8; len]
-//! digest   u64  FNV-1a over every preceding byte
+//! digest   u64  `s4tf_fault::digest64` over every preceding byte
 //! ```
 //!
 //! A frame that fails magic, bounds, or digest validation surfaces a typed
@@ -21,8 +21,10 @@
 //! the sender's identity travels in the header so attribution survives
 //! multi-peer fan-in.
 
+use s4tf_fault as fault;
 use s4tf_tensor::RuntimeError;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Frame magic: `S4DF`.
 pub const MAGIC: u32 = 0x5334_4446;
@@ -37,8 +39,12 @@ pub const HEADER_LEN: usize = 4 + 1 + 4 + 4 + 4 + 8 + 8 + 4;
 /// unbounded allocation before the digest check can reject the frame.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// One parsed frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One frame: the header fields and its payload.
+///
+/// A frame read off the wire keeps the one buffer [`read_frame`] read it
+/// into (header, payload and trailer); a frame built to send owns just its
+/// payload. [`Frame::payload`] hides the difference.
+#[derive(Debug, Clone)]
 pub struct Frame {
     /// Message discriminant.
     pub kind: u8,
@@ -52,12 +58,21 @@ pub struct Frame {
     pub step: u64,
     /// Data-plane sequence tag.
     pub seq: u64,
-    /// Message payload.
-    pub payload: Vec<u8>,
+    bytes: Vec<u8>,
+    payload_at: Range<usize>,
 }
 
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        let head = |f: &Frame| (f.kind, f.sender, f.epoch, f.attempt, f.step, f.seq);
+        head(self) == head(other) && self.payload() == other.payload()
+    }
+}
+
+impl Eq for Frame {}
+
 impl Frame {
-    /// A control-plane frame (no sequence tag).
+    /// A control-plane frame (no sequence tag, empty payload).
     pub fn control(kind: u8, sender: u32, epoch: u32, attempt: u32, step: u64) -> Frame {
         Frame {
             kind,
@@ -66,13 +81,34 @@ impl Frame {
             attempt,
             step,
             seq: 0,
-            payload: Vec::new(),
+            bytes: Vec::new(),
+            payload_at: 0..0,
         }
+    }
+
+    /// The same frame carrying `payload`.
+    pub fn with_payload(mut self, payload: Vec<u8>) -> Frame {
+        self.payload_at = 0..payload.len();
+        self.bytes = payload;
+        self
+    }
+
+    /// The message payload.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.payload_at.clone()]
     }
 
     /// Serializes the frame, appending the trailing digest.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 8);
+        let payload = self.payload();
+        self.encode_with(payload.len(), |out| out.copy_from_slice(payload))
+    }
+
+    /// Serializes this frame's header with a `len`-byte payload that `fill`
+    /// writes in place (the frame's own payload is not used), then appends
+    /// the digest: one exact-size buffer and no intermediate payload copy.
+    pub fn encode_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + len + 8);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.push(self.kind);
         out.extend_from_slice(&self.sender.to_le_bytes());
@@ -80,22 +116,13 @@ impl Frame {
         out.extend_from_slice(&self.attempt.to_le_bytes());
         out.extend_from_slice(&self.step.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let digest = fnv1a(&out);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        out.resize(HEADER_LEN + len, 0);
+        fill(&mut out[HEADER_LEN..]);
+        let digest = fault::digest64(&out);
         out.extend_from_slice(&digest.to_le_bytes());
         out
     }
-}
-
-/// FNV-1a over `bytes` — matches the checkpoint format's digest.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
 }
 
 /// Maps an I/O failure on a peer stream to a typed net error. Timeouts are
@@ -154,17 +181,22 @@ pub fn read_frame(r: &mut impl Read, peer: Option<usize>) -> Result<Frame, Runti
             format!("frame declares {len} payload bytes (cap {MAX_PAYLOAD}); rejecting"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
+    // Header, payload and trailer land in one buffer (`take` +
+    // `read_to_end` fill its spare capacity without zeroing it first), and
+    // the digest runs over it in place.
+    let total = HEADER_LEN + len + 8;
+    let mut bytes = Vec::with_capacity(total);
+    bytes.extend_from_slice(&header);
+    r.take((len + 8) as u64)
+        .read_to_end(&mut bytes)
         .map_err(|e| io_err("dist.recv", peer, &e))?;
-    let mut tail = [0u8; 8];
-    r.read_exact(&mut tail)
-        .map_err(|e| io_err("dist.recv", peer, &e))?;
-    let stored = u64::from_le_bytes(tail);
-    let mut whole = Vec::with_capacity(HEADER_LEN + len);
-    whole.extend_from_slice(&header);
-    whole.extend_from_slice(&payload);
-    let computed = fnv1a(&whole);
+    if bytes.len() != total {
+        let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+        return Err(io_err("dist.recv", peer, &eof));
+    }
+    let (body, tail) = bytes.split_at(HEADER_LEN + len);
+    let stored = u64::from_le_bytes(tail.try_into().expect("fixed slice"));
+    let computed = fault::digest64(body);
     if stored != computed {
         return Err(RuntimeError::net(
             "dist.recv",
@@ -182,7 +214,8 @@ pub fn read_frame(r: &mut impl Read, peer: Option<usize>) -> Result<Frame, Runti
         attempt,
         step,
         seq,
-        payload,
+        bytes,
+        payload_at: HEADER_LEN..HEADER_LEN + len,
     })
 }
 
@@ -296,15 +329,9 @@ mod tests {
     use s4tf_tensor::FaultKind;
 
     fn sample() -> Frame {
-        Frame {
-            kind: 2,
-            sender: 3,
-            epoch: 1,
-            attempt: 0,
-            step: 7,
-            seq: 42,
-            payload: vec![1, 2, 3, 4, 5],
-        }
+        let mut f = Frame::control(2, 3, 1, 0, 7).with_payload(vec![1, 2, 3, 4, 5]);
+        f.seq = 42;
+        f
     }
 
     #[test]
@@ -336,7 +363,7 @@ mod tests {
         wrong[0] ^= 0x55;
         // Recompute the digest so only the magic is wrong.
         let body = wrong.len() - 8;
-        let digest = fnv1a(&wrong[..body]).to_le_bytes();
+        let digest = fault::digest64(&wrong[..body]).to_le_bytes();
         wrong[body..].copy_from_slice(&digest);
         let err = read_frame(&mut wrong.as_slice(), Some(1)).expect_err("bad magic");
         assert!(err.to_string().contains("magic"), "{err}");

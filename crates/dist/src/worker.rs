@@ -23,9 +23,7 @@ use crate::collective::{
     flatten_tangent, ring_all_reduce, unflatten_tangent, RingConnection, RingHeader,
 };
 use crate::protocol::{kind, Control, Member};
-use crate::wire::{
-    fnv1a, read_frame, write_encoded, Frame, PayloadReader, PayloadWriter, COORDINATOR,
-};
+use crate::wire::{read_frame, write_encoded, Frame, PayloadReader, PayloadWriter, COORDINATOR};
 use s4tf_core::{LossValue, VisitTangent};
 use s4tf_nn::checkpoint::{latest, Checkpoint, Checkpointable};
 use s4tf_nn::train::loss_and_gradient;
@@ -69,13 +67,14 @@ fn bad_env(msg: impl Into<String>) -> RuntimeError {
 
 impl WorkerEnv {
     /// The [`WORKER_VAR`] value: every field through the wire payload
-    /// writer, an FNV-1a digest of those bytes, all in lowercase hex.
+    /// writer, then `s4tf_fault::digest64` of those bytes, all in lowercase
+    /// hex.
     pub(crate) fn encode(&self) -> Result<String, RuntimeError> {
         let mut w = PayloadWriter::default();
         w.u32(self.rank);
         w.u16(self.coord_port);
         self.cfg.write(&mut w)?;
-        let digest = fnv1a(&w.0);
+        let digest = s4tf_fault::digest64(&w.0);
         w.u64(digest);
         let mut hex = String::with_capacity(2 * w.0.len());
         for byte in &w.0 {
@@ -104,7 +103,7 @@ impl WorkerEnv {
             .checked_sub(8)
             .ok_or_else(|| bad_env(format!("{WORKER_VAR} is truncated")))?;
         let (body, digest) = bytes.split_at(body_len);
-        if fnv1a(body).to_le_bytes() != digest {
+        if s4tf_fault::digest64(body).to_le_bytes() != digest {
             return Err(bad_env(format!(
                 "{WORKER_VAR} digest mismatch (truncated or corrupt)"
             )));

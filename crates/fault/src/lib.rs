@@ -39,6 +39,14 @@
 //!
 //! The disabled path is one relaxed atomic load (the gate pattern shared
 //! with `s4tf-profile`/`s4tf-diag`).
+//!
+//! The other half of fault tolerance is *detecting* corruption: this crate
+//! also defines [`digest64`], the one integrity digest that seals wire
+//! frames, worker environment blobs and checkpoint files.
+
+mod digest;
+
+pub use digest::digest64;
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;

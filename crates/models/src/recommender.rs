@@ -146,6 +146,25 @@ mod tests {
     }
 
     #[test]
+    fn a_step_updates_every_table_in_place_while_its_pullback_lives() {
+        let d = Device::naive();
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut m = MatrixFactorizer::new(10, 8, 4, &d, &mut rng);
+        let users = MatrixFactorizer::encode_ids(&[0, 3, 9], &d);
+        let items = MatrixFactorizer::encode_ids(&[7, 7, 1], &d);
+        let (pred, pb) = m.predict_with_pullback(&users, &items);
+        let g = pb(&pred.ones_like());
+        let before = s4tf_tensor::storage::thread_cow_copy_count();
+        m.move_along(&g.scaled_by(-0.1));
+        assert_eq!(
+            s4tf_tensor::storage::thread_cow_copy_count() - before,
+            0,
+            "no pullback may share a table's buffer"
+        );
+        drop(pb);
+    }
+
+    #[test]
     fn gradient_matches_finite_differences() {
         let d = Device::naive();
         let mut rng = ChaCha8Rng::seed_from_u64(2);

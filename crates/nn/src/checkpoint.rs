@@ -12,8 +12,9 @@
 //! * **Atomic writes** — a checkpoint is written to a `*.tmp` file in the
 //!   same directory and then `rename`d into place, so a crash mid-write can
 //!   never leave a truncated file under the final name.
-//! * **Checksummed reads** — the file ends with an FNV-1a digest of every
-//!   preceding byte; corruption surfaces as a typed
+//! * **Checksummed reads** — the file ends with `s4tf_fault::digest64` of
+//!   every preceding byte (format version 2; a version-1 file, sealed with
+//!   FNV-1a, is rejected by its version); corruption surfaces as a typed
 //!   [`RuntimeError`] (`FaultKind::Io`), never as a garbage model.
 //! * **Resumable training** — [`TrainingSession`] checkpoints every *k*
 //!   steps and, on construction, restores from the newest checkpoint in its
@@ -33,7 +34,7 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every checkpoint file.
 const MAGIC: &[u8; 8] = b"S4TFCKPT";
 /// Current format version.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 /// File extension for finished checkpoints.
 const EXTENSION: &str = "ckpt";
 
@@ -191,7 +192,7 @@ impl Checkpoint {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        let digest = fnv1a(&out);
+        let digest = fault::digest64(&out);
         out.extend_from_slice(&digest.to_le_bytes());
         out
     }
@@ -206,14 +207,9 @@ impl Checkpoint {
             return Err(bad(format!("file too short ({} bytes)", bytes.len())));
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(bad(format!(
-                "checksum mismatch: stored {stored:016x}, computed {computed:016x} \
-                 (file is corrupt or truncated)"
-            )));
-        }
+        // Magic and version come before the digest, so a file of another
+        // format version (sealed with another digest) is named as such,
+        // not as corrupt.
         let mut r = Reader { buf: body, pos: 0 };
         if r.take(MAGIC.len())? != MAGIC {
             return Err(bad("bad magic: not an s4tf checkpoint".to_string()));
@@ -222,6 +218,14 @@ impl Checkpoint {
         if version != FORMAT_VERSION {
             return Err(bad(format!(
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+            )));
+        }
+        let stored = u64::from_le_bytes(tail.try_into().unwrap());
+        let computed = fault::digest64(body);
+        if stored != computed {
+            return Err(bad(format!(
+                "checksum mismatch: stored {stored:016x}, computed {computed:016x} \
+                 (file is corrupt or truncated)"
             )));
         }
         let step = r.u64()?;
@@ -324,17 +328,6 @@ impl Checkpoint {
         })?;
         Checkpoint::from_bytes(&bytes)
     }
-}
-
-/// FNV-1a over `bytes` — tiny, dependency-free, and good enough to catch
-/// the torn writes and bit rot checkpointing cares about.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// Bounds-checked cursor over the serialized body.
@@ -641,10 +634,20 @@ mod tests {
         let mut wrong = good.clone();
         wrong[0] = b'X';
         let body_len = wrong.len() - 8;
-        let digest = fnv1a(&wrong[..body_len]).to_le_bytes();
+        let digest = fault::digest64(&wrong[..body_len]).to_le_bytes();
         wrong[body_len..].copy_from_slice(&digest);
         let err = Checkpoint::from_bytes(&wrong).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
+
+        // A version-1 file (FNV-1a trailer) is named by its version.
+        let mut v1 = good.clone();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let err = Checkpoint::from_bytes(&v1).unwrap_err();
+        assert_eq!(err.kind, s4tf_tensor::FaultKind::Io);
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
     }
 
     #[test]

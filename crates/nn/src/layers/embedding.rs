@@ -60,12 +60,14 @@ impl Layer for Embedding {
         wrt: Wrt,
     ) -> (DTensor, PullbackWrtFn<Self>) {
         let y = self.table.gather_rows(input);
-        let table = self.table.clone();
+        // Only the row count: holding the table would make every in-place
+        // update while the pullback lives copy it.
+        let table_rows = self.vocabulary();
         let indices = input.clone();
         (
             y,
             Box::new(move |dy: &DTensor| {
-                let dtable = table.gather_rows_backward(&indices, dy);
+                let dtable = DTensor::scatter_rows(table_rows, &indices, dy);
                 // Indices are not differentiable data; their cotangent is 0.
                 let dindices = wrt.input().then(|| indices.zeros_like());
                 (EmbeddingTangent { table: dtable }, dindices)

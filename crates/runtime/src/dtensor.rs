@@ -493,12 +493,16 @@ impl DTensor {
     /// (`[batch, d…]`) at `indices` into a zero table with `self`'s row
     /// count (`self` is the forward table; only its leading dim is used).
     pub fn gather_rows_backward(&self, indices: &DTensor, grad_out: &DTensor) -> DTensor {
-        DTensor::apply(
-            HloOp::GatherRowsGrad {
-                table_rows: self.dims()[0],
-            },
-            &[indices, grad_out],
-        )
+        DTensor::scatter_rows(self.dims()[0], indices, grad_out)
+    }
+
+    /// [`DTensor::gather_rows_backward`] from the table's row count alone:
+    /// scatter-adds `grad_out` at `indices` into a zero `[table_rows, d…]`
+    /// table. A pullback that keeps only the count does not hold the
+    /// forward table alive, so updating the table in place does not copy
+    /// it.
+    pub fn scatter_rows(table_rows: usize, indices: &DTensor, grad_out: &DTensor) -> DTensor {
+        DTensor::apply(HloOp::GatherRowsGrad { table_rows }, &[indices, grad_out])
     }
 
     // -------------------------------------------- reductions & shape ops
@@ -883,25 +887,39 @@ mod tests {
     #[test]
     fn gather_and_scatter_on_every_device() {
         let table = Tensor::<f32>::from_fn(&[4, 2], |i| i as f32);
-        let idx = Tensor::from_vec(vec![2.0f32, 0.0, 2.0], &[3]);
+        // Indices round to the nearest row, halves away from zero: 2.5 is
+        // row 3 (the last), 2.4999 row 2, −0.0 row 0.
+        let idx = Tensor::from_vec(vec![2.0f32, 0.0, 2.0, 2.5, 2.4999, -0.0, 3.0], &[7]);
         for d in devices() {
             let td = DTensor::from_tensor(table.clone(), &d);
             let id = DTensor::from_tensor(idx.clone(), &d);
             let g = td.gather_rows(&id);
-            assert_eq!(g.dims(), vec![3, 2]);
+            assert_eq!(g.dims(), vec![7, 2]);
             assert_eq!(
                 g.to_tensor().as_slice(),
-                &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0],
+                &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0, 6.0, 7.0, 4.0, 5.0, 0.0, 1.0, 6.0, 7.0],
                 "{}",
                 d.kind()
             );
-            // Scatter-add the ones gradient back: duplicate row 2 gets 2.
+            // Scatter-add the ones gradient back: each row counts its
+            // lookups.
             let back = td.gather_rows_backward(&id, &g.ones_like());
             let bt = back.to_tensor();
             assert_eq!(bt.dims(), &[4, 2]);
-            assert_eq!(bt.at(&[2, 0]), 2.0);
-            assert_eq!(bt.at(&[0, 1]), 1.0);
-            assert_eq!(bt.at(&[1, 0]), 0.0);
+            assert_eq!(
+                bt.as_slice(),
+                &[2.0, 2.0, 0.0, 0.0, 3.0, 3.0, 2.0, 2.0],
+                "{}",
+                d.kind()
+            );
+            // One-element rows (bias tables) take the same indices.
+            let bias = DTensor::from_tensor(Tensor::from_fn(&[4, 1], |i| i as f32), &d);
+            assert_eq!(
+                bias.gather_rows(&id).to_tensor().as_slice(),
+                &[2.0, 0.0, 2.0, 3.0, 2.0, 0.0, 3.0],
+                "{}",
+                d.kind()
+            );
         }
     }
 

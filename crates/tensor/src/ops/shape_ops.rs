@@ -298,6 +298,17 @@ impl<T: Scalar> Tensor<T> {
     /// Panics if shapes disagree beyond axis 0, if `src.dims()[0] !=
     /// indices.len()`, or if any index is out of bounds.
     pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor<T>) {
+        self.scatter_add_rows_iter(indices.iter().copied(), src)
+    }
+
+    /// [`Tensor::scatter_add_rows`] over indices produced on the fly (no
+    /// index buffer).
+    pub fn scatter_add_rows_iter<I>(&mut self, indices: I, src: &Tensor<T>)
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let indices = indices.into_iter();
         assert_eq!(self.rank(), src.rank(), "rank mismatch in scatter_add");
         assert_eq!(src.dims()[0], indices.len(), "one source row per index");
         assert_eq!(&self.dims()[1..], &src.dims()[1..], "row shapes must match");
@@ -305,7 +316,7 @@ impl<T: Scalar> Tensor<T> {
         let n_rows = self.dims()[0];
         let s = src.as_slice();
         let dst = self.as_mut_slice();
-        for (r, &i) in indices.iter().enumerate() {
+        for (r, i) in indices.enumerate() {
             assert!(i < n_rows, "row index {i} out of bounds");
             let d = &mut dst[i * row..(i + 1) * row];
             let v = &s[r * row..(r + 1) * row];
@@ -321,16 +332,38 @@ impl<T: Scalar> Tensor<T> {
     /// # Panics
     /// Panics if any index is out of bounds.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor<T> {
+        self.gather_rows_iter(indices.iter().copied())
+    }
+
+    /// [`Tensor::gather_rows`] over indices produced on the fly (no index
+    /// buffer). Rows are copied into a pre-sized output; one-element rows
+    /// (bias tables) are copied as elements, not as one-element slices.
+    ///
+    /// # Panics
+    /// Panics if any index is out of bounds.
+    pub fn gather_rows_iter<I>(&self, indices: I) -> Tensor<T>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
         assert!(self.rank() >= 1, "gather_rows requires rank >= 1");
-        let row = self.num_elements() / self.dims()[0].max(1);
+        let indices = indices.into_iter();
+        let n = indices.len();
+        let rows = self.dims()[0];
+        let row = self.num_elements() / rows.max(1);
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::empty_vec::<T>(indices.len() * row);
-        for &i in indices {
-            assert!(i < self.dims()[0], "row index {i} out of bounds");
-            out.extend_from_slice(&src[i * row..(i + 1) * row]);
+        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(n * row);
+        let checked = indices.inspect(|&i| assert!(i < rows, "row index {i} out of bounds"));
+        match row {
+            0 => checked.for_each(drop),
+            1 => out.iter_mut().zip(checked).for_each(|(o, i)| *o = src[i]),
+            _ => out
+                .chunks_exact_mut(row)
+                .zip(checked)
+                .for_each(|(o, i)| o.copy_from_slice(&src[i * row..(i + 1) * row])),
         }
         let mut dims = self.dims().to_vec();
-        dims[0] = indices.len();
+        dims[0] = n;
         Tensor::from_pooled_vec((out, out_recycled), &dims)
     }
 }
@@ -472,6 +505,17 @@ mod tests {
         let g = a.gather_rows(&[2, 0, 2]);
         assert_eq!(g.dims(), &[3, 2]);
         assert_eq!(g.as_slice(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
+        // One-element rows, and rows with no elements.
+        let col = Tensor::<f32>::from_fn(&[3, 1], |i| i as f32);
+        assert_eq!(col.gather_rows(&[2, 2, 0]).as_slice(), &[2.0, 2.0, 0.0]);
+        let empty = Tensor::<f32>::zeros(&[3, 0]);
+        assert_eq!(empty.gather_rows(&[1, 2]).dims(), &[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_rows_checks_every_index_even_for_empty_rows() {
+        Tensor::<f32>::zeros(&[3, 0]).gather_rows(&[1, 3]);
     }
 
     #[test]

@@ -414,23 +414,14 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
             padding,
         } => inputs[0].max_pool2d_backward(inputs[1], *pool, *strides, *padding),
         HloOp::GatherRows => {
-            let idx: Vec<usize> = inputs[1]
-                .as_slice()
-                .iter()
-                .map(|&x| x.round() as usize)
-                .collect();
-            inputs[0].gather_rows(&idx)
+            inputs[0].gather_rows_iter(inputs[1].as_slice().iter().map(|&x| row_index(x)))
         }
         HloOp::GatherRowsGrad { table_rows } => {
-            let idx: Vec<usize> = inputs[0]
-                .as_slice()
-                .iter()
-                .map(|&x| x.round() as usize)
-                .collect();
             let mut dims = vec![*table_rows];
             dims.extend_from_slice(&inputs[1].dims()[1..]);
             let mut out = Tensor::zeros(&dims);
-            out.scatter_add_rows(&idx, inputs[1]);
+            let idx = inputs[0].as_slice().iter().map(|&x| row_index(x));
+            out.scatter_add_rows_iter(idx, inputs[1]);
             out
         }
         HloOp::Reduce { kind, axis } => {
@@ -456,6 +447,20 @@ pub fn eval_op(op: &HloOp, inputs: &[&Tensor<f32>]) -> Tensor<f32> {
             &input_extent(inputs),
             reduce_to.as_deref(),
         ),
+    }
+}
+
+/// Decodes a float-encoded row index exactly as `x.round() as usize`
+/// (halves away from zero, saturating). An exactly-integral value — every
+/// index a caller encodes — is a cast; only the rest pay for `roundf`,
+/// which is a libm call on the baseline x86_64 build.
+#[inline]
+fn row_index(x: f32) -> usize {
+    let i = x as usize;
+    if i as f32 == x {
+        i
+    } else {
+        x.round() as usize
     }
 }
 
