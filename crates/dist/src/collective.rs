@@ -12,6 +12,16 @@
 //! on full socket buffers, and bucket `b+1`'s frames stream while bucket
 //! `b`'s are still in flight.
 //!
+//! **Held links.** A [`RingConnection`] serves any number of collectives:
+//! each one restarts the link's fault stream and byte count, stamps its
+//! own `(epoch, attempt, step)` on every frame and checks it on every
+//! frame received, and [`RingConnection::flush`] confirms that the
+//! writer thread wrote all of it. The writer hands written send buffers
+//! back and received frames are read into one buffer, so a held link
+//! encodes and reads a step's frames without allocating. The send socket
+//! has `TCP_NODELAY`: a long-lived link otherwise waits on Nagle's
+//! algorithm and the peer's delayed ACK for every small final frame.
+//!
 //! **Bit-exactness.** f32 addition is commutative but not associative, so
 //! the reduced bits depend on the grouping. The ring's grouping for chunk
 //! `c` is the left fold over positions `c, c+1, …, c+k−1 (mod k)`;
@@ -21,7 +31,7 @@
 
 use crate::faults::{corrupt_encoded, LinkFaults, NetFaultMode, NET_DELAY_MS};
 use crate::protocol::kind;
-use crate::wire::{read_frame, write_encoded, Frame};
+use crate::wire::{read_frame_into, write_encoded, Frame};
 use s4tf_core::VisitTangent;
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::{RuntimeError, Tensor};
@@ -56,10 +66,17 @@ fn seq_tag(bucket: usize, phase: u64, iter: usize) -> u64 {
 enum WriterCmd {
     Frame(Vec<u8>),
     Delay(u64),
+    Flush,
 }
 
 /// One established ring link: a read stream from the left neighbor and a
 /// writer thread feeding the right neighbor.
+///
+/// A link outlives one collective: [`ring_all_reduce`] restarts its fault
+/// stream and byte count, and [`flush`](RingConnection::flush) confirms
+/// that every frame queued so far was written, so a worker can hold the
+/// link — streams, writer thread and frame buffers — from one committed
+/// step to the next.
 pub struct RingConnection {
     /// Rank of the left neighbor (frames are read from it).
     pub left_rank: u32,
@@ -69,15 +86,25 @@ pub struct RingConnection {
     tx: Option<mpsc::Sender<WriterCmd>>,
     writer: Option<JoinHandle<()>>,
     write_err: Arc<Mutex<Option<RuntimeError>>>,
+    /// One `()` per [`WriterCmd::Flush`] the writer thread reached.
+    flushed: mpsc::Receiver<()>,
+    /// Send buffers the writer thread has written, ready to re-encode.
+    spare: mpsc::Receiver<Vec<u8>>,
+    /// The buffer the next received frame is read into.
+    rx_buf: Vec<u8>,
     faults: LinkFaults,
-    /// Bytes actually written to the right neighbor on this link.
+    /// Bytes written to the right neighbor by the current collective.
     pub tx_bytes: u64,
 }
 
 impl RingConnection {
     /// Builds a link from an accepted left-neighbor stream and a dialed
     /// right-neighbor stream. Read/write timeouts must already be set on
-    /// both streams; the writer thread starts immediately.
+    /// both streams; the writer thread starts immediately. The right
+    /// stream gets `TCP_NODELAY` — without it Nagle's algorithm and the
+    /// peer's delayed ACK stall a long-lived link for tens of milliseconds
+    /// per collective — and failing to set it is the link's first send
+    /// error.
     pub fn new(
         my_rank: u32,
         left_rank: u32,
@@ -85,10 +112,19 @@ impl RingConnection {
         right_rank: u32,
         right: TcpStream,
     ) -> RingConnection {
-        let write_err: Arc<Mutex<Option<RuntimeError>>> = Arc::new(Mutex::new(None));
+        let peer = right_rank as usize;
+        let nodelay_err = right.set_nodelay(true).err().map(|e| {
+            RuntimeError::net(
+                "dist.link",
+                Some(peer),
+                format!("could not set TCP_NODELAY: {e}"),
+            )
+        });
+        let write_err = Arc::new(Mutex::new(nodelay_err));
         let err_slot = Arc::clone(&write_err);
         let (tx, rx) = mpsc::channel::<WriterCmd>();
-        let peer = right_rank as usize;
+        let (flush_tx, flushed) = mpsc::channel::<()>();
+        let (spare_tx, spare) = mpsc::channel::<Vec<u8>>();
         let writer = std::thread::spawn(move || {
             let mut right = right;
             let mut dead = false;
@@ -96,6 +132,9 @@ impl RingConnection {
                 match cmd {
                     WriterCmd::Delay(ms) => {
                         std::thread::sleep(std::time::Duration::from_millis(ms))
+                    }
+                    WriterCmd::Flush => {
+                        let _ = flush_tx.send(());
                     }
                     WriterCmd::Frame(bytes) => {
                         if dead {
@@ -107,6 +146,7 @@ impl RingConnection {
                             }
                             dead = true;
                         }
+                        let _ = spare_tx.send(bytes);
                     }
                 }
             }
@@ -118,6 +158,9 @@ impl RingConnection {
             tx: Some(tx),
             writer: Some(writer),
             write_err,
+            flushed,
+            spare,
+            rx_buf: Vec::new(),
             faults: LinkFaults::new(my_rank, right_rank),
             tx_bytes: 0,
         }
@@ -127,48 +170,46 @@ impl RingConnection {
         self.write_err.lock().ok().and_then(|slot| slot.clone())
     }
 
+    fn writer_cmd(&self, cmd: WriterCmd) -> Result<(), RuntimeError> {
+        let peer = Some(self.right_rank as usize);
+        let tx = self
+            .tx
+            .as_ref()
+            .ok_or_else(|| RuntimeError::net("dist.send", peer, "link closed"))?;
+        tx.send(cmd)
+            .map_err(|_| RuntimeError::net("dist.send", peer, "writer thread exited"))
+    }
+
+    /// A buffer to encode the next frame into: one the writer thread has
+    /// finished with when there is one, so steady-state frames allocate
+    /// and zero-fill nothing.
+    fn frame_buffer(&mut self) -> Vec<u8> {
+        self.spare.try_recv().unwrap_or_default()
+    }
+
     /// Enqueues one encoded frame toward the right neighbor, applying any
     /// injected wire fault for this link. Never blocks on the socket.
     pub fn send(&mut self, mut bytes: Vec<u8>) -> Result<(), RuntimeError> {
         if let Some(e) = self.pending_write_err() {
             return Err(e);
         }
-        let injected = self.faults.next_frame();
-        match injected {
+        match self.faults.next_frame() {
             Some((NetFaultMode::Drop, _)) => return Ok(()),
             Some((NetFaultMode::Corrupt, _)) => corrupt_encoded(&mut bytes),
-            Some((NetFaultMode::Delay, _)) => {
-                let tx = self.tx.as_ref().ok_or_else(|| {
-                    RuntimeError::net("dist.send", Some(self.right_rank as usize), "link closed")
-                })?;
-                tx.send(WriterCmd::Delay(NET_DELAY_MS)).map_err(|_| {
-                    RuntimeError::net(
-                        "dist.send",
-                        Some(self.right_rank as usize),
-                        "writer thread exited",
-                    )
-                })?;
-            }
+            Some((NetFaultMode::Delay, _)) => self.writer_cmd(WriterCmd::Delay(NET_DELAY_MS))?,
             None => {}
         }
         self.tx_bytes += bytes.len() as u64;
-        let tx = self.tx.as_ref().ok_or_else(|| {
-            RuntimeError::net("dist.send", Some(self.right_rank as usize), "link closed")
-        })?;
-        tx.send(WriterCmd::Frame(bytes)).map_err(|_| {
-            RuntimeError::net(
-                "dist.send",
-                Some(self.right_rank as usize),
-                "writer thread exited",
-            )
-        })
+        self.writer_cmd(WriterCmd::Frame(bytes))
     }
 
     /// Reads the next data frame from the left neighbor and validates its
-    /// header against the expected collective coordinates.
+    /// header against the expected collective coordinates. The ring hands
+    /// each frame back once folded, so the next one is read into the same
+    /// buffer.
     pub fn recv(&mut self, header: RingHeader, expect_seq: u64) -> Result<Frame, RuntimeError> {
         let peer = Some(self.left_rank as usize);
-        let frame = read_frame(&mut self.left, peer)?;
+        let frame = read_frame_into(&mut self.left, peer, std::mem::take(&mut self.rx_buf))?;
         if frame.kind != kind::DATA_CHUNK
             || frame.sender != self.left_rank
             || frame.epoch != header.epoch
@@ -199,23 +240,33 @@ impl RingConnection {
         Ok(frame)
     }
 
-    /// Tears the link down, surfacing any writer-thread error. Join
-    /// failures are typed, not unwrapped.
-    pub fn shutdown(mut self) -> Result<u64, RuntimeError> {
-        drop(self.tx.take());
-        if let Some(writer) = self.writer.take() {
-            writer.join().map_err(|_| {
-                RuntimeError::net(
-                    "dist.link",
-                    Some(self.right_rank as usize),
-                    "writer thread panicked",
-                )
-            })?;
-        }
+    /// Returns a received frame's buffer to the link.
+    fn reclaim(&mut self, frame: Frame) {
+        self.rx_buf = frame.into_buffer();
+    }
+
+    /// Waits until the writer thread has written every frame queued so
+    /// far, then returns the current collective's byte count — or the
+    /// first write error, so a collective whose frames did not all leave
+    /// is never reported done.
+    pub fn flush(&mut self) -> Result<u64, RuntimeError> {
+        self.writer_cmd(WriterCmd::Flush)?;
+        self.flushed.recv().map_err(|_| {
+            RuntimeError::net(
+                "dist.link",
+                Some(self.right_rank as usize),
+                "writer thread exited",
+            )
+        })?;
         match self.pending_write_err() {
             Some(e) => Err(e),
             None => Ok(self.tx_bytes),
         }
+    }
+
+    /// [`flush`](RingConnection::flush), then tears the link down.
+    pub fn shutdown(mut self) -> Result<u64, RuntimeError> {
+        self.flush()
     }
 }
 
@@ -283,8 +334,8 @@ fn chunk_values(
 }
 
 /// One ring iteration on the wire: encodes `chunk` straight into a
-/// `DATA_CHUNK` frame tagged `seq`, sends it right, and reads the matching
-/// frame from the left.
+/// recycled `DATA_CHUNK` frame buffer tagged `seq`, sends it right, and
+/// reads the matching frame from the left.
 fn exchange(
     ring: &mut RingConnection,
     header: RingHeader,
@@ -299,14 +350,18 @@ fn exchange(
         header.step,
     );
     frame.seq = seq;
-    ring.send(frame.encode_with(chunk.len() * 4, |out| put_chunk(out, chunk)))?;
+    let mut bytes = ring.frame_buffer();
+    frame.encode_into(&mut bytes, chunk.len() * 4, |out| put_chunk(out, chunk));
+    ring.send(bytes)?;
     ring.recv(header, seq)
 }
 
 /// In-place bucketed ring all-reduce (sum) of `flat` across `k` members,
 /// with this worker at `position`. On return every member holds the same
 /// bits: for chunk `c`, the left fold of the members' chunks in position
-/// order `c, c+1, …, c+k−1 (mod k)`.
+/// order `c, c+1, …, c+k−1 (mod k)`. The link's fault stream restarts at
+/// draw 0 and its byte count at 0, so a held link behaves on the wire
+/// exactly like a freshly dialed one.
 pub fn ring_all_reduce(
     flat: &mut [f32],
     position: usize,
@@ -318,6 +373,8 @@ pub fn ring_all_reduce(
     if k <= 1 {
         return Ok(());
     }
+    ring.faults.restart();
+    ring.tx_bytes = 0;
     let mut span = s4tf_profile::span("dist.allreduce");
     for (b, bucket) in bucket_ranges(flat.len(), bucket_elems)
         .into_iter()
@@ -337,6 +394,7 @@ pub fn ring_all_reduce(
             for (dst, src) in buf[recv_range].iter_mut().zip(values) {
                 *dst += src;
             }
+            ring.reclaim(incoming);
         }
         // Phase 2: all-gather. Iteration t sends chunk (p+1−t) and
         // overwrites the incoming chunk (p−t) with the reduced bits.
@@ -350,6 +408,7 @@ pub fn ring_all_reduce(
             for (dst, src) in buf[recv_range].iter_mut().zip(values) {
                 *dst = src;
             }
+            ring.reclaim(incoming);
         }
     }
     if span.is_recording() {
@@ -468,7 +527,9 @@ pub fn unflatten_tangent<T: VisitTangent<DTensor>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s4tf_tensor::FaultKind;
     use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn chunk_and_bucket_geometry() {
@@ -581,5 +642,182 @@ mod tests {
         };
         ring_all_reduce(&mut flat, 0, 1, &mut ring, header, 2).expect("k=1");
         assert_eq!(flat, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// Dials a `k`-member loopback ring in one thread (a dial completes
+    /// in the listener's backlog before `accept`); entry `p` is position
+    /// `p`'s link, with `timeout` on its reads and writes.
+    fn dial_ring(k: usize, timeout: Duration) -> Vec<RingConnection> {
+        let listeners: Vec<TcpListener> = (0..k)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let rights: Vec<TcpStream> = (0..k)
+            .map(|p| {
+                let addr = listeners[(p + 1) % k].local_addr().expect("addr");
+                TcpStream::connect(addr).expect("dial")
+            })
+            .collect();
+        rights
+            .into_iter()
+            .enumerate()
+            .map(|(p, right)| {
+                let (left, _) = listeners[p].accept().expect("accept");
+                left.set_read_timeout(Some(timeout)).expect("timeout");
+                right.set_write_timeout(Some(timeout)).expect("timeout");
+                let left_rank = ((p + k - 1) % k) as u32;
+                let right_rank = ((p + 1) % k) as u32;
+                RingConnection::new(p as u32, left_rank, left, right_rank, right)
+            })
+            .collect()
+    }
+
+    fn header(p: usize, step: u64) -> RingHeader {
+        RingHeader {
+            rank: p as u32,
+            epoch: 1,
+            attempt: 0,
+            step,
+        }
+    }
+
+    /// Position `p`'s shard for collective `c`.
+    fn shard(p: usize, c: usize, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i * 31 + p * 7 + c * 13) as f32 * 0.001).sin() * (1.0 + c as f32))
+            .collect()
+    }
+
+    /// Runs `collectives` collectives on every position's held link at
+    /// once; returns each position's (result, flushed byte count) per
+    /// collective.
+    #[allow(clippy::type_complexity)]
+    fn run_held(
+        rings: &mut [RingConnection],
+        collectives: usize,
+        n: usize,
+        bucket_elems: usize,
+    ) -> Vec<Vec<Result<(Vec<f32>, u64), RuntimeError>>> {
+        let k = rings.len();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rings
+                .iter_mut()
+                .enumerate()
+                .map(|(p, ring)| {
+                    scope.spawn(move || {
+                        (0..collectives)
+                            .map(|c| {
+                                let mut flat = shard(p, c, n);
+                                let head = header(p, 10 + 3 * c as u64);
+                                ring_all_reduce(&mut flat, p, k, ring, head, bucket_elems)?;
+                                Ok((flat, ring.flush()?))
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ring thread"))
+                .collect()
+        })
+    }
+
+    /// One link per position serves many collectives, each with its own
+    /// step and data: every result is the reference fold's bits and every
+    /// collective sends the same bytes.
+    #[test]
+    fn held_link_serves_many_collectives_bit_identically() {
+        let (n, bucket, collectives) = (1000, 173, 20);
+        for k in [2usize, 3, 4] {
+            let mut rings = dial_ring(k, Duration::from_secs(5));
+            let results = run_held(&mut rings, collectives, n, bucket);
+            for c in 0..collectives {
+                let shards: Vec<Vec<f32>> = (0..k).map(|p| shard(p, c, n)).collect();
+                let refs: Vec<&[f32]> = shards.iter().map(|s| s.as_slice()).collect();
+                let expect = reference_ring_sum(&refs, bucket);
+                for (p, per_position) in results.iter().enumerate() {
+                    let (got, tx) = per_position[c].as_ref().expect("clean collective");
+                    assert_eq!(got, &expect, "k={k} collective {c} position {p}");
+                    let (_, first_tx) = per_position[0].as_ref().expect("clean collective");
+                    assert_eq!(tx, first_tx, "k={k} collective {c} position {p} tx bytes");
+                }
+            }
+            for ring in rings {
+                ring.shutdown().expect("clean shutdown");
+            }
+        }
+    }
+
+    /// A frame stamped with the previous step is a typed desync on a held
+    /// link, never folded into the next step's gradient.
+    #[test]
+    fn held_link_rejects_a_frame_from_the_previous_step() {
+        let (n, bucket) = (64, 16);
+        let mut rings = dial_ring(2, Duration::from_secs(5));
+        for per_position in run_held(&mut rings, 1, n, bucket) {
+            per_position[0].as_ref().expect("clean collective");
+        }
+        // Position 1 replays its step-10 opening frame; position 0 runs
+        // step 11.
+        let stale_step = header(1, 10).step;
+        let mut stale = Frame::control(kind::DATA_CHUNK, 1, 1, 0, stale_step);
+        stale.seq = seq_tag(0, PHASE_REDUCE_SCATTER, 0);
+        let chunk = vec![0.0f32; 8];
+        rings[1]
+            .send(stale.encode_with(chunk.len() * 4, |out| put_chunk(out, &chunk)))
+            .expect("queue the stale frame");
+        let mut flat = shard(0, 1, n);
+        let err = ring_all_reduce(&mut flat, 0, 2, &mut rings[0], header(0, 11), bucket)
+            .expect_err("a previous step's frame must not fold");
+        assert_eq!(err.kind, FaultKind::Net, "{err}");
+        assert!(err.to_string().contains("ring desync"), "{err}");
+        assert!(err.to_string().contains("step 10"), "{err}");
+    }
+
+    /// With TCP_NODELAY a held link runs collectives back to back. Two full
+    /// buckets then a short one (8 KB frames, then 512 B ones, like
+    /// LeNet's gradient with its short last bucket) is the shape where
+    /// Nagle's algorithm waits on the peer's delayed ACK: without the
+    /// option these 50 collectives take over 2 s, with it about 0.1 s.
+    #[test]
+    fn held_link_runs_collectives_without_nagle_stalls() {
+        let (n, bucket, collectives) = (2 * 4096 + 256, 4096, 50);
+        let mut rings = dial_ring(2, Duration::from_secs(5));
+        let started = Instant::now();
+        for per_position in run_held(&mut rings, collectives, n, bucket) {
+            for result in per_position {
+                result.expect("clean collective");
+            }
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{collectives} collectives took {elapsed:?}"
+        );
+    }
+
+    /// A peer that vanishes between collectives fails the next one on the
+    /// held link with a typed net error, within the straggler timeout.
+    #[test]
+    fn vanished_peer_fails_the_next_collective_on_a_held_link() {
+        let (n, bucket) = (256, 64);
+        let timeout = Duration::from_secs(2);
+        let mut rings = dial_ring(2, timeout);
+        for per_position in run_held(&mut rings, 1, n, bucket) {
+            per_position[0].as_ref().expect("clean collective");
+        }
+        drop(rings.pop()); // position 1 closes both of its streams
+        let mut flat = shard(0, 1, n);
+        let started = Instant::now();
+        let result = ring_all_reduce(&mut flat, 0, 2, &mut rings[0], header(0, 13), bucket)
+            .and_then(|()| rings[0].flush());
+        let elapsed = started.elapsed();
+        let err = result.expect_err("a collective with a vanished peer must fail");
+        assert_eq!(err.kind, FaultKind::Net, "{err}");
+        assert!(err.to_string().contains("peer rank 1"), "{err}");
+        assert!(
+            elapsed < timeout + Duration::from_millis(500),
+            "the failure took {elapsed:?}"
+        );
     }
 }

@@ -18,7 +18,9 @@
 //! 5. a `Register` from a restarted worker is parked until the next
 //!    commit boundary, where `Commit { then_sync: true }` makes the
 //!    lowest active rank save a sync checkpoint; the rejoiner loads it
-//!    and enters the next `View` bit-identical to the others.
+//!    and enters the next `View` bit-identical to the others. While the
+//!    launcher restarts an expelled rank, the next commit waits for its
+//!    `Register` (bounded), so the rejoin does not race the run's end.
 //!
 //! Every wait is bounded: reader threads impose the straggler timeout on
 //! worker silence, and the run as a whole has a deadline.
@@ -170,6 +172,10 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
     let mut step: u64 = 0;
     let mut attempt: u32 = 0;
     let mut step_started = Instant::now();
+    // Expelled ranks the launcher's supervisor is restarting, and until
+    // when the next commit waits for them to register.
+    let mut returning: Vec<u32> = Vec::new();
+    let mut returning_until = Instant::now();
     broadcast_view(&mut active, epoch, step)?;
 
     // -- main loop: drive steps to completion ----------------------------
@@ -187,6 +193,7 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
                 // A restarted worker asking to rejoin: park it until the
                 // next commit boundary provides a sync checkpoint.
                 let rank = frame.sender;
+                returning.retain(|r| *r != rank);
                 if active.contains_key(&rank) {
                     // A rank we believe alive re-registered: its old
                     // incarnation is gone; treat the old link as dead
@@ -243,6 +250,16 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
                     expelled_ctr,
                 )
                 .map_err(|e| fail_run(&mut active, &mut pending_rejoin, e))?;
+                // The supervisor restarts each dead rank once. Survivors
+                // can finish a short run before the new process registers,
+                // so the next commit waits for it (a restart slower than
+                // the straggler timeout is not waited for).
+                let first_death = report.expelled.iter().filter(|(r, _)| *r == rank).count() == 1;
+                if let Some(restart_ms) = cfg.restart_ms.filter(|_| first_death) {
+                    returning.push(rank);
+                    returning_until =
+                        Instant::now() + Duration::from_millis(restart_ms + cfg.timeout_ms);
+                }
             }
             Event::Msg { rank, frame, ctrl } => {
                 if !active.contains_key(&rank) {
@@ -315,8 +332,10 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
         }
 
         // Commit when every active member has reported the current
-        // (step, attempt).
-        if !active.is_empty() && active.values().all(|w| w.done.is_some()) {
+        // (step, attempt) and no restarted rank is still on its way (the
+        // workers' heartbeats wake this loop to see the wait run out).
+        let awaiting_restart = !returning.is_empty() && Instant::now() < returning_until;
+        if !active.is_empty() && active.values().all(|w| w.done.is_some()) && !awaiting_restart {
             let survivors = active.len() as u32;
             let loss = active
                 .values()

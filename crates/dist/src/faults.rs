@@ -76,6 +76,13 @@ impl LinkFaults {
         }
     }
 
+    /// Rewinds the stream to draw 0. A link held across collectives
+    /// restarts it at each one, so the k-th frame of a collective draws
+    /// the same verdict whether or not the link was re-dialed.
+    pub fn restart(&mut self) {
+        self.index = 0;
+    }
+
     /// Per-link seed: the `net` site seed mixed with the directed pair.
     fn link_seed(&self, site_seed: u64) -> u64 {
         site_seed ^ fault::mix64(((self.src as u64) << 32) | self.dst as u64)

@@ -109,19 +109,41 @@ impl Frame {
     /// the digest: one exact-size buffer and no intermediate payload copy.
     pub fn encode_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + len + 8);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(self.kind);
-        out.extend_from_slice(&self.sender.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.attempt.to_le_bytes());
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        out.resize(HEADER_LEN + len, 0);
-        fill(&mut out[HEADER_LEN..]);
-        let digest = fault::digest64(&out);
-        out.extend_from_slice(&digest.to_le_bytes());
+        self.encode_into(&mut out, len, fill);
         out
+    }
+
+    /// [`encode_with`](Frame::encode_with) into `out`'s allocation, which
+    /// is overwritten. Only bytes past `out`'s current length are
+    /// zero-filled before `fill` runs, so a recycled buffer at least as
+    /// long as the frame is written once.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>, len: usize, fill: impl FnOnce(&mut [u8])) {
+        out.resize(HEADER_LEN + len, 0);
+        let (head, payload) = out.split_at_mut(HEADER_LEN);
+        let fields: [&[u8]; 8] = [
+            &MAGIC.to_le_bytes(),
+            &[self.kind],
+            &self.sender.to_le_bytes(),
+            &self.epoch.to_le_bytes(),
+            &self.attempt.to_le_bytes(),
+            &self.step.to_le_bytes(),
+            &self.seq.to_le_bytes(),
+            &(len as u32).to_le_bytes(),
+        ];
+        let mut at = 0;
+        for field in fields {
+            head[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        }
+        fill(payload);
+        let digest = fault::digest64(out);
+        out.extend_from_slice(&digest.to_le_bytes());
+    }
+
+    /// The frame's buffer, for reuse by [`read_frame_into`] or
+    /// [`encode_into`](Frame::encode_into).
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.bytes
     }
 }
 
@@ -156,6 +178,17 @@ pub fn write_encoded(
 /// Reads one frame from `r`, validating magic, bounds and digest. Every
 /// failure mode is a typed net error attributed to `peer`.
 pub fn read_frame(r: &mut impl Read, peer: Option<usize>) -> Result<Frame, RuntimeError> {
+    read_frame_into(r, peer, Vec::new())
+}
+
+/// [`read_frame`] into `bytes`'s allocation (its contents are discarded):
+/// a long-lived link reads every frame into one buffer, taken back with
+/// [`Frame::into_buffer`].
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    peer: Option<usize>,
+    mut bytes: Vec<u8>,
+) -> Result<Frame, RuntimeError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)
         .map_err(|e| io_err("dist.recv", peer, &e))?;
@@ -185,7 +218,8 @@ pub fn read_frame(r: &mut impl Read, peer: Option<usize>) -> Result<Frame, Runti
     // `read_to_end` fill its spare capacity without zeroing it first), and
     // the digest runs over it in place.
     let total = HEADER_LEN + len + 8;
-    let mut bytes = Vec::with_capacity(total);
+    bytes.clear();
+    bytes.reserve(total);
     bytes.extend_from_slice(&header);
     r.take((len + 8) as u64)
         .read_to_end(&mut bytes)
@@ -340,6 +374,28 @@ mod tests {
         let bytes = f.encode();
         let back = read_frame(&mut bytes.as_slice(), Some(3)).expect("valid frame");
         assert_eq!(back, f);
+    }
+
+    /// Encoding into a recycled buffer, longer or shorter than the frame,
+    /// gives the bytes of a fresh encoding; reading into one reuses its
+    /// allocation.
+    #[test]
+    fn recycled_buffers_round_trip_exactly() {
+        let f = sample();
+        let fresh = f.encode();
+        for old_len in [0usize, 3, fresh.len(), 4 * fresh.len()] {
+            let mut out = vec![0xee; old_len];
+            f.encode_into(&mut out, f.payload().len(), |p| {
+                p.copy_from_slice(f.payload())
+            });
+            assert_eq!(out, fresh, "recycled buffer of {old_len} bytes");
+        }
+        let buf = Vec::with_capacity(4 * fresh.len());
+        let at = buf.as_ptr();
+        let back = read_frame_into(&mut fresh.as_slice(), Some(3), buf).expect("valid frame");
+        assert_eq!(back, f);
+        let reused = back.into_buffer();
+        assert_eq!(reused.as_ptr(), at, "the read reuses the buffer");
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! so a `Retry` or a membership change replays the collective without
 //! recomputing — and without any bit drift.
 //!
+//! Ring links outlive steps. After a collective whose frames all left
+//! (the writer's flush confirmed it) the worker holds its link, and the
+//! next step's collective reuses it when it runs at attempt 0 under the
+//! same epoch and the same neighbors — which, since a `Commit` means every
+//! member finished cleanly, every member decides alike from the
+//! coordinator's broadcasts. A `Retry`, a new `View` or a failed
+//! collective drops the link, and the next collective re-dials it keyed
+//! by `(epoch, step, attempt)` (`establish_ring`).
+//!
 //! Rejoin: a restarted worker registers like a fresh one; its first `View`
 //! carries a `resume_step` ahead of its local progress, which it satisfies
 //! by loading the sync checkpoint the surviving lowest rank saved at the
@@ -358,10 +367,12 @@ impl ViewState {
     }
 }
 
-/// Establishes the per-(epoch, attempt, step) ring: dial the right
-/// neighbor, send `DATA_HELLO`, and claim the left neighbor's incoming
-/// connection from the acceptor queue. Stale pending connections are
-/// discarded; ones from the future are kept for the next attempt.
+/// Dials a ring link for the collective at `(epoch, attempt, step)`: dial
+/// the right neighbor, send `DATA_HELLO`, and claim the left neighbor's
+/// incoming connection from the acceptor queue. Stale pending connections
+/// are discarded; ones from the future are kept for the next attempt. Runs
+/// at a view's first collective and at every retry; the steps after a
+/// clean collective reuse its link instead (see [`run_cycle`]).
 #[allow(clippy::too_many_arguments)]
 fn establish_ring(
     env: &WorkerEnv,
@@ -460,6 +471,13 @@ fn establish_ring(
     }
 }
 
+/// The ring link kept from the last collective that completed, and the
+/// epoch it was dialed under.
+struct HeldRing {
+    epoch: u32,
+    ring: RingConnection,
+}
+
 /// Outcome of one collective attempt.
 enum CycleOutcome {
     Done {
@@ -528,6 +546,7 @@ where
     // retries and view changes; dropped on commit or checkpoint load.
     let mut pristine: Option<(f64, L::TangentVector, Vec<f32>)> = None;
     let mut reduced: Option<Vec<f32>> = None;
+    let mut held: Option<HeldRing> = None;
 
     loop {
         let (frame, ctrl) = ctl.recv()?;
@@ -557,6 +576,7 @@ where
                     pristine = None;
                 }
                 view = Some(v);
+                held = None; // a new view always re-dials
                 run_cycle(
                     env,
                     &mut ctl,
@@ -567,6 +587,7 @@ where
                     &mut pending,
                     &mut pristine,
                     &mut reduced,
+                    &mut held,
                 )?;
             }
             Control::Retry => {
@@ -584,6 +605,7 @@ where
                     &mut pending,
                     &mut pristine,
                     &mut reduced,
+                    &mut held,
                 )?;
             }
             Control::Commit {
@@ -624,6 +646,7 @@ where
                         &mut pending,
                         &mut pristine,
                         &mut reduced,
+                        &mut held,
                     )?;
                 }
             }
@@ -641,6 +664,12 @@ where
 /// the shard gradient if this step has none yet, run the ring, and report
 /// `StepDone` or `CollectiveFailed`. Wire failures are reported and
 /// survived; local compute failures are fatal.
+///
+/// The ring runs on the `held` link when this is attempt 0 under the
+/// epoch and neighbors it was dialed for, and on a freshly dialed one
+/// otherwise. `StepDone` goes out only after the writer flushed every
+/// frame; the link is then held for the next step. A failed collective
+/// drops it.
 #[allow(clippy::too_many_arguments)]
 fn run_cycle<L, D>(
     env: &WorkerEnv,
@@ -652,6 +681,7 @@ fn run_cycle<L, D>(
     pending: &mut Vec<PendingConn>,
     pristine: &mut Option<(f64, L::TangentVector, Vec<f32>)>,
     reduced: &mut Option<Vec<f32>>,
+    held: &mut Option<HeldRing>,
 ) -> Result<(), RuntimeError>
 where
     L: Layer + Checkpointable,
@@ -687,30 +717,45 @@ where
             attempt: ctl.attempt,
             step,
         };
-        match establish_ring(env, view, header, incoming, pending) {
+        let (left_rank, _) = view.left();
+        let (right_rank, _) = view.right();
+        let ring = match held.take() {
+            Some(h)
+                if header.attempt == 0
+                    && h.epoch == header.epoch
+                    && h.ring.left_rank == left_rank
+                    && h.ring.right_rank == right_rank =>
+            {
+                Ok(h.ring)
+            }
+            _ => establish_ring(env, view, header, incoming, pending),
+        };
+        match ring {
             Err(e) => CycleOutcome::Failed(e),
             Ok(mut ring) => {
                 maybe_abort(env, step, "midring");
                 let t0 = Instant::now();
-                match ring_all_reduce(
+                let result = ring_all_reduce(
                     &mut flat,
                     view.position,
                     view.k(),
                     &mut ring,
                     header,
                     env.bucket_elems(),
-                ) {
+                );
+                let allreduce_us = t0.elapsed().as_micros() as u64;
+                match result.and_then(|()| ring.flush()) {
                     Err(e) => CycleOutcome::Failed(e),
-                    Ok(()) => {
-                        let allreduce_us = t0.elapsed().as_micros() as u64;
-                        match ring.shutdown() {
-                            Err(e) => CycleOutcome::Failed(e),
-                            Ok(tx_bytes) => CycleOutcome::Done {
-                                loss,
-                                allreduce_us,
-                                tx_bytes,
-                                reduced: flat,
-                            },
+                    Ok(tx_bytes) => {
+                        *held = Some(HeldRing {
+                            epoch: header.epoch,
+                            ring,
+                        });
+                        CycleOutcome::Done {
+                            loss,
+                            allreduce_us,
+                            tx_bytes,
+                            reduced: flat,
                         }
                     }
                 }

@@ -11,7 +11,9 @@
 //! 3. a killed worker restarts, rejoins from the sync checkpoint, and the
 //!    full run still matches the report-derived schedule bit for bit;
 //! 4. injected wire corruption surfaces a typed `RuntimeError` with peer
-//!    attribution after bounded retries — never a hang.
+//!    attribution after bounded retries — never a hang;
+//! 5. seeded wire delays on ring links held across steps slow the run
+//!    without failing it: no retry, no expulsion, bit-identical.
 
 use s4tf::dist::cluster::{self, ClusterConfig};
 use s4tf::dist::coordinator::ClusterReport;
@@ -258,6 +260,45 @@ fn wire_corruption_is_typed_and_bounded() -> Result<(), String> {
     Ok(())
 }
 
+/// Scenario 5: 2 workers x 12 steps under seeded `delay` wire faults.
+/// Links are held from one committed step to the next and every
+/// collective restarts its links' fault streams, so the same frames of
+/// every step stall on held links; the run must still finish with no
+/// retry and no expulsion, bit-identical to the reference replay.
+fn delays_on_held_links_are_survived() -> Result<(), String> {
+    let dir = scratch_dir("held-delay");
+    let mut cfg = ClusterConfig::new(2, 12, dir.clone());
+    cfg.fault_spec = Some("net:0.1:23".to_string());
+    cfg.net_mode = Some("delay".to_string());
+    let report = cluster::run(&cfg).map_err(|e| format!("cluster failed: {e}"))?;
+    if report.steps_completed != 12 {
+        return Err(format!("completed {} of 12 steps", report.steps_completed));
+    }
+    if !report.expelled.is_empty() || report.retries != 0 {
+        return Err(format!(
+            "delays must not fail a collective: expelled {:?}, {} retries",
+            report.expelled, report.retries
+        ));
+    }
+    let delay_us = s4tf::dist::faults::NET_DELAY_MS * 1000;
+    let delayed = report
+        .steps
+        .iter()
+        .filter(|s| s.allreduce_us >= delay_us)
+        .count();
+    if delayed != report.steps.len() {
+        return Err(format!(
+            "the seeded spec should stall a frame of every step, but {delayed} of {} \
+             all-reduces took {} ms or more",
+            report.steps.len(),
+            delay_us / 1000
+        ));
+    }
+    assert_bit_identical(&report, &cfg, "held-delay")?;
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 fn main() {
     // Worker role: the launcher re-execs this binary with
     // S4TF_DIST_WORKER set; everything below is launcher-only.
@@ -267,7 +308,7 @@ fn main() {
     std::env::set_var("S4TF_NUM_THREADS", "1");
 
     type Scenario = fn() -> Result<(), String>;
-    let scenarios: [(&str, Scenario); 4] = [
+    let scenarios: [(&str, Scenario); 5] = [
         ("fault_free_bit_identical", fault_free_bit_identical),
         ("dropshard_survives_kill", dropshard_survives_kill),
         (
@@ -277,6 +318,10 @@ fn main() {
         (
             "wire_corruption_is_typed_and_bounded",
             wire_corruption_is_typed_and_bounded,
+        ),
+        (
+            "delays_on_held_links_are_survived",
+            delays_on_held_links_are_survived,
         ),
     ];
 
