@@ -5,13 +5,15 @@
 //! table1).
 //!
 //! ```sh
-//! cargo run -p s4tf-bench --release --bin dist            # full steps
-//! cargo run -p s4tf-bench --release --bin dist -- --smoke # CI smoke
+//! cargo run -p s4tf-bench --release --bin dist            # 100 steps each
+//! cargo run -p s4tf-bench --release --bin dist -- --smoke # CI smoke, 4 each
 //! ```
 //!
 //! `--out PATH` overrides the output path. The first step of each run is
 //! excluded from the quantiles as warm-up (worker spawn + first ring
-//! establishment are setup cost, not steady state).
+//! establishment are setup cost, not steady state). Full mode runs 100
+//! steps per worker count: at 16, three runs of the same build on a
+//! 2-core x86_64 host read the 1-worker p50 at 1.20, 1.77 and 1.82 ms.
 
 use s4tf_bench::harness::machine_value;
 use s4tf_dist::{lenet, ClusterConfig};
@@ -115,7 +117,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_dist.json".to_string());
-    let steps = if smoke { 4 } else { 16 };
+    let steps = if smoke { 4 } else { 100 };
 
     println!(
         "dist bench: LeNet data-parallel, worker counts {WORLDS:?}, {steps} steps each{}",

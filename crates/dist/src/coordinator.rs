@@ -26,7 +26,7 @@
 //! worker silence, and the run as a whole has a deadline.
 
 use crate::cluster::ClusterConfig;
-use crate::protocol::{Control, Member};
+use crate::protocol::{control_nodelay, Control, Member};
 use crate::wire::{read_frame, write_encoded, Frame};
 use s4tf_nn::FaultPolicy;
 use s4tf_tensor::RuntimeError;
@@ -642,7 +642,9 @@ fn recv_deadline(
 }
 
 /// Accepts control connections forever, completing the `Register`
-/// handshake off the main thread so a half-open dial can't stall the run.
+/// handshake off the main thread so a half-open dial can't stall the run,
+/// then switching Nagle off; a stream that refuses reports its rank
+/// `Gone` with the typed `dist.control` error.
 fn spawn_acceptor(listener: TcpListener, tx: mpsc::Sender<Event>, timeout_ms: u64) {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
@@ -662,6 +664,11 @@ fn spawn_acceptor(listener: TcpListener, tx: mpsc::Sender<Event>, timeout_ms: u6
                 let Ok(Control::Register { data_port }) = Control::decode(&frame, None) else {
                     return;
                 };
+                let rank = frame.sender;
+                if let Err(error) = control_nodelay(&s, Some(rank as usize)) {
+                    let _ = tx.send(Event::Gone { rank, error });
+                    return;
+                }
                 let _ = tx.send(Event::Connected {
                     stream: s,
                     frame,

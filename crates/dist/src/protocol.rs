@@ -9,6 +9,7 @@
 
 use crate::wire::{Frame, PayloadReader, PayloadWriter};
 use s4tf_tensor::RuntimeError;
+use std::net::TcpStream;
 
 /// One member of the active view: `(rank, data-plane port)`. All workers
 /// live on 127.0.0.1, so an address is just a port.
@@ -79,6 +80,20 @@ pub enum Control {
         /// Error message; empty on clean shutdown.
         error: String,
     },
+}
+
+/// Switches Nagle's algorithm off on a control stream, both ends. A
+/// heartbeat gets no reply, so under Nagle the next control message (a
+/// `StepDone`, say) waits for the peer's delayed ACK, about 40 ms on
+/// Linux.
+pub(crate) fn control_nodelay(stream: &TcpStream, peer: Option<usize>) -> Result<(), RuntimeError> {
+    stream.set_nodelay(true).map_err(|e| {
+        RuntimeError::net(
+            "dist.control",
+            peer,
+            format!("could not set TCP_NODELAY on the control stream: {e}"),
+        )
+    })
 }
 
 /// Frame kind discriminants for [`Control`].

@@ -31,7 +31,7 @@ use crate::cluster::ClusterConfig;
 use crate::collective::{
     flatten_tangent, ring_all_reduce, unflatten_tangent, RingConnection, RingHeader,
 };
-use crate::protocol::{kind, Control, Member};
+use crate::protocol::{control_nodelay, kind, Control, Member};
 use crate::wire::{read_frame, write_encoded, Frame, PayloadReader, PayloadWriter, COORDINATOR};
 use s4tf_core::{LossValue, VisitTangent};
 use s4tf_nn::checkpoint::{latest, Checkpoint, Checkpointable};
@@ -219,6 +219,7 @@ impl ControlLink {
         stream
             .set_read_timeout(Some(Duration::from_millis(env.cfg.deadline_ms.max(1))))
             .map_err(|e| RuntimeError::net("dist.control", None, e.to_string()))?;
+        control_nodelay(&stream, None)?;
         let reader = stream
             .try_clone()
             .map_err(|e| RuntimeError::net("dist.control", None, e.to_string()))?;
@@ -908,5 +909,59 @@ mod tests {
         let err = WorkerEnv::from_env().expect_err("variable is not set");
         assert_eq!(err.op, "dist.worker", "{err}");
         assert!(!is_worker_process());
+    }
+
+    /// A heartbeat gets no reply, so under Nagle's algorithm the control
+    /// message after it waits for the coordinator's delayed ACK (about
+    /// 40 ms). Round trips interleaved with a 10 ms heartbeat pump must
+    /// each stay well under one such stall; without `TCP_NODELAY` on the
+    /// control streams this loop's worst round trip is ≈ 40 ms.
+    #[test]
+    fn control_round_trips_beside_heartbeats_without_nagle_stalls() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let coord_port = listener.local_addr().expect("addr").port();
+        let coordinator = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            control_nodelay(&s, Some(0)).expect("coordinator side");
+            let commit = Control::Commit {
+                survivors: 1,
+                then_sync: false,
+            };
+            let reply = commit.frame(COORDINATOR, 0, 0, 0).encode();
+            while let Ok(frame) = read_frame(&mut s, None) {
+                if frame.kind != kind::HEARTBEAT && write_encoded(&mut s, &reply, None).is_err() {
+                    return;
+                }
+            }
+        });
+        let cfg = ClusterConfig::new(1, 1, PathBuf::from("unused"));
+        let env = WorkerEnv {
+            rank: 0,
+            coord_port,
+            cfg,
+        };
+        let mut link = ControlLink::connect(&env).expect("worker side");
+        let pump = HeartbeatPump::start(Arc::clone(&link.writer), 0, 10);
+        let done = Control::StepDone {
+            loss: 0.0,
+            allreduce_us: 0,
+            tx_bytes: 0,
+        };
+        let mut worst = Duration::ZERO;
+        for _ in 0..150 {
+            std::thread::sleep(Duration::from_millis(1));
+            let started = Instant::now();
+            link.send(&done).expect("send");
+            let (_, reply) = link.recv().expect("reply");
+            assert!(matches!(reply, Control::Commit { .. }), "{reply:?}");
+            worst = worst.max(started.elapsed());
+        }
+        drop(pump);
+        drop(link);
+        coordinator.join().expect("coordinator thread");
+        assert!(
+            worst < Duration::from_millis(25),
+            "worst control round trip {worst:?}"
+        );
     }
 }

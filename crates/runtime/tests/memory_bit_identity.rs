@@ -3,9 +3,9 @@
 //! is computed. Neither has an off-switch, so random programs are checked
 //! against references that need none:
 //!
-//! * **poisoned pool vs. cold pool** — the free lists are pre-loaded with
-//!   NaN-filled buffers of every bucket size a program can reach, then
-//!   emptied; both runs must match *bitwise*. A kernel that reads a
+//! * **poisoned pool vs. cold pool** — NaN-filled tensors of every bucket
+//!   size a program can reach are dropped into the free lists, which are
+//!   then emptied; both runs must match *bitwise*. A kernel that reads a
 //!   recycled buffer before writing it computes on NaN and fails here.
 //! * **devices vs. a host fold** — every backend (owned dispatch, stolen
 //!   eager operands, planned in-place and fused execution) must match
@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use s4tf_runtime::{DTensor, Device};
-use s4tf_tensor::pool::give_vec;
-use s4tf_tensor::{clear_pools, pool_stats, Tensor};
+use s4tf_tensor::pool::stats as pool_stats;
+use s4tf_tensor::{clear_pools, Tensor};
 use s4tf_xla::{eval_op, ElemBinary, ElemUnary, HloOp, ReduceKind};
 use std::sync::Mutex;
 
@@ -123,14 +123,19 @@ fn run_on_host(ops: &[Op], a0: &Tensor<f32>, b0: &Tensor<f32>) -> Tensor<f32> {
 
 /// Parks NaN-filled `f32` buffers in every bucket from one element up to
 /// 64 KiB — scalars, the 4×4 values, kernel scratch — several per bucket
-/// so every take during one program finds one.
+/// so every take during one program finds one: the tensors are all live
+/// before any drops, so each is a fresh power-of-two buffer the pool keeps.
 fn poison_pool() {
     clear_pools();
-    for bucket in 2..=16 {
-        for _ in 0..8 {
-            assert!(give_vec(vec![f32::NAN; (1usize << bucket) / 4]));
-        }
-    }
+    let poison: Vec<Tensor<f32>> = (2..=16)
+        .flat_map(|bucket| (0..8).map(move |_| Tensor::full(f32::NAN, &[(1usize << bucket) / 4])))
+        .collect();
+    let bytes: u64 = poison.iter().map(|t| 4 * t.num_elements() as u64).sum();
+    drop(poison);
+    assert!(
+        pool_stats().pooled_bytes >= bytes,
+        "the pool kept every poisoned buffer"
+    );
 }
 
 fn bits(t: &Tensor<f32>) -> Vec<u32> {

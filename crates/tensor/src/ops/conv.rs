@@ -57,6 +57,7 @@ use std::ops::Range;
 
 use super::gemm::{self, Layout, PackedB};
 use crate::dtype::Float;
+use crate::pool::Scratch;
 use crate::simd::{self, L8, LANES};
 use crate::tensor::Tensor;
 use crate::Padding;
@@ -468,10 +469,10 @@ fn lane_path<T: 'static>() -> bool {
 /// The HWIO filter `w` (`[kdim, out_c]`) in channel groups of [`GROUP`]:
 /// group `gi` is `kdim` runs of its channels' weights, channels past
 /// `out_c` repeating the last one.
-fn pack_groups<T: Float>(w: &[T], g: &ConvGeom) -> Vec<T> {
+fn pack_groups<T: Float>(w: &[T], g: &ConvGeom) -> Scratch<T> {
     let (kdim, out_c) = (g.kdim(), g.out_c);
     let groups = out_c.div_ceil(GROUP);
-    let (mut packed, _) = crate::pool::zeroed_vec::<T>(groups * kdim * GROUP);
+    let mut packed = Scratch::zeroed(groups * kdim * GROUP);
     for (gi, group) in packed.chunks_exact_mut(kdim * GROUP).enumerate() {
         for (w_kk, run) in w.chunks_exact(out_c).zip(group.chunks_exact_mut(GROUP)) {
             for (j, slot) in run.iter_mut().enumerate() {
@@ -942,56 +943,52 @@ impl<T: Float> Tensor<T> {
         let g = geometry(self.dims(), filter.dims(), strides, padding);
         let x = self.as_slice();
         let w = filter.as_slice();
-        let (mut out, out_recycled) =
-            crate::pool::zeroed_vec::<T>(g.batch * g.out_h * g.out_w * g.out_c);
         let kdim = g.kdim();
-        if g.macs() < DIRECT_MAX_MACS {
-            conv2d_direct(x, w, &mut out, &g);
-        } else if g.single_channel() {
-            let wp = pack_groups(w, &g);
-            let (img, img_out) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
-            s4tf_threads::parallel_chunks_mut(
-                &mut out,
-                img_out,
-                g.grain_imgs() * img_out,
-                |start, chunk| {
-                    let (mut plane, _) = crate::pool::zeroed_vec::<T>(g.plane_len());
-                    for (u, y) in chunk.chunks_exact_mut(img_out).enumerate() {
-                        let n = start / img_out + u;
-                        fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
-                        single_channel_forward(&plane, &wp, y, &g);
-                    }
-                    crate::pool::give_vec(plane);
-                },
-            );
-            crate::pool::give_vec(wp);
-        } else {
-            // HWIO row-major is already the [kdim, out_c] GEMM operand.
-            let wp = gemm::pack_b(w, Layout::row_major(g.out_c), kdim, g.out_c);
-            let strip = g.out_w * g.out_c;
-            let block_rows = g.block_rows::<T>();
-            s4tf_threads::parallel_chunks_mut(
-                &mut out,
-                strip,
-                g.grain_rows() * strip,
-                |start, chunk| {
-                    // One im2col scratch per task, reused across blocks;
-                    // every slot a GEMM reads is written first.
-                    let (mut col, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
-                    let row0 = start / strip;
-                    for (n, oys) in blocks(&g, row0..row0 + chunk.len() / strip, block_rows) {
-                        let p = oys.len() * g.out_w;
-                        let y0 = ((n * g.out_h + oys.start) * g.out_w) * g.out_c - start;
-                        let y = &mut chunk[y0..y0 + p * g.out_c];
-                        let col = &mut col[..p * kdim];
-                        im2col_block(x, &g, n, oys, col);
-                        gemm::gemm_rows(col, Layout::row_major(kdim), &wp, y, g.out_c, 0..p);
-                    }
-                    crate::pool::give_vec(col);
-                },
-            );
-        }
-        Tensor::from_pooled_vec((out, out_recycled), &[g.batch, g.out_h, g.out_w, g.out_c])
+        Tensor::build(&[g.batch, g.out_h, g.out_w, g.out_c], T::zero(), |out| {
+            if g.macs() < DIRECT_MAX_MACS {
+                conv2d_direct(x, w, out, &g);
+            } else if g.single_channel() {
+                let wp = pack_groups(w, &g);
+                let (img, img_out) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
+                s4tf_threads::parallel_chunks_mut(
+                    out,
+                    img_out,
+                    g.grain_imgs() * img_out,
+                    |start, chunk| {
+                        let mut plane = Scratch::zeroed(g.plane_len());
+                        for (u, y) in chunk.chunks_exact_mut(img_out).enumerate() {
+                            let n = start / img_out + u;
+                            fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
+                            single_channel_forward(&plane, &wp, y, &g);
+                        }
+                    },
+                );
+            } else {
+                // HWIO row-major is already the [kdim, out_c] GEMM operand.
+                let wp = gemm::pack_b(w, Layout::row_major(g.out_c), kdim, g.out_c);
+                let strip = g.out_w * g.out_c;
+                let block_rows = g.block_rows::<T>();
+                s4tf_threads::parallel_chunks_mut(
+                    out,
+                    strip,
+                    g.grain_rows() * strip,
+                    |start, chunk| {
+                        // One im2col scratch per task, reused across blocks;
+                        // every slot a GEMM reads is written first.
+                        let mut col = Scratch::zeroed(block_rows * g.out_w * kdim);
+                        let row0 = start / strip;
+                        for (n, oys) in blocks(&g, row0..row0 + chunk.len() / strip, block_rows) {
+                            let p = oys.len() * g.out_w;
+                            let y0 = ((n * g.out_h + oys.start) * g.out_w) * g.out_c - start;
+                            let y = &mut chunk[y0..y0 + p * g.out_c];
+                            let col = &mut col[..p * kdim];
+                            im2col_block(x, &g, n, oys, col);
+                            gemm::gemm_rows(col, Layout::row_major(kdim), &wp, y, g.out_c, 0..p);
+                        }
+                    },
+                );
+            }
+        })
     }
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *input*,
@@ -1038,35 +1035,24 @@ impl<T: Float> Tensor<T> {
         );
         let dy = grad_out.as_slice();
         let w = filter.as_slice();
-        let (mut dx, dx_recycled) =
-            crate::pool::zeroed_vec::<T>(g.batch * g.in_h * g.in_w * g.in_c);
         let img = g.in_h * g.in_w * g.in_c;
         let kdim = g.kdim();
-        if g.macs() < DIRECT_MAX_MACS {
-            s4tf_threads::parallel_chunks_mut(
-                &mut dx,
-                img,
-                g.grain_imgs() * img,
-                |start, chunk| {
+        Tensor::build(&[g.batch, g.in_h, g.in_w, g.in_c], T::zero(), |dx| {
+            if g.macs() < DIRECT_MAX_MACS {
+                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
                     for (u, dx_img) in chunk.chunks_mut(img).enumerate() {
                         backward_input_image(dy, w, dx_img, &g, start / img + u);
                     }
-                },
-            );
-        } else if g.single_channel() {
-            let dy_img = g.out_h * g.out_w * g.out_c;
-            let dpw = g.dx_plane_w();
-            s4tf_threads::parallel_chunks_mut(
-                &mut dx,
-                img,
-                g.grain_imgs() * img,
-                |start, chunk| {
-                    let (mut dyt, _) =
-                        crate::pool::zeroed_vec::<T>(g.out_h * g.out_c * g.dy_row_w());
-                    let (mut dxp, _) = crate::pool::zeroed_vec::<T>(g.plane_h() * dpw);
+                });
+            } else if g.single_channel() {
+                let dy_img = g.out_h * g.out_w * g.out_c;
+                let dpw = g.dx_plane_w();
+                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
+                    let mut dyt = Scratch::zeroed(g.out_h * g.out_c * g.dy_row_w());
+                    let mut dxp = Scratch::zeroed(g.plane_h() * dpw);
                     // Only a non-finite weight needs the masks (see `dx_lanes`).
                     let masked = !w.iter().all(|v| v.to_f64().is_finite());
-                    let (mut masks, _) = crate::pool::zeroed_vec::<T>(g.k_w * dpw);
+                    let mut masks = Scratch::zeroed(g.k_w * dpw);
                     for (u, dx_img) in chunk.chunks_exact_mut(img).enumerate() {
                         let n = start / img + u;
                         let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
@@ -1082,23 +1068,15 @@ impl<T: Float> Tensor<T> {
                             dx_row.copy_from_slice(&p_row[g.pad_left..g.pad_left + g.in_w]);
                         }
                     }
-                    for v in [dyt, dxp, masks] {
-                        crate::pool::give_vec(v);
-                    }
-                },
-            );
-        } else {
-            // Wᵀ is the [out_c, kdim] B operand, packed once per call.
-            let wtp = gemm::pack_b(w, Layout::transposed(g.out_c), g.out_c, kdim);
-            let block_rows = g.block_rows::<T>();
-            s4tf_threads::parallel_chunks_mut(
-                &mut dx,
-                img,
-                g.grain_imgs() * img,
-                |start, chunk| {
+                });
+            } else {
+                // Wᵀ is the [out_c, kdim] B operand, packed once per call.
+                let wtp = gemm::pack_b(w, Layout::transposed(g.out_c), g.out_c, kdim);
+                let block_rows = g.block_rows::<T>();
+                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
                     let n0 = start / img;
                     // One patch-gradient scratch per task, reused across blocks.
-                    let (mut dcol, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
+                    let mut dcol = Scratch::zeroed(block_rows * g.out_w * kdim);
                     let rows = n0 * g.out_h..(n0 + chunk.len() / img) * g.out_h;
                     for (n, oys) in blocks(&g, rows, block_rows) {
                         let dx_img = &mut chunk[(n - n0) * img..(n - n0 + 1) * img];
@@ -1114,11 +1092,9 @@ impl<T: Float> Tensor<T> {
                             }
                         });
                     }
-                    crate::pool::give_vec(dcol);
-                },
-            );
-        }
-        Tensor::from_pooled_vec((dx, dx_recycled), &[g.batch, g.in_h, g.in_w, g.in_c])
+                });
+            }
+        })
     }
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *filter*,
@@ -1151,7 +1127,7 @@ impl<T: Float> Tensor<T> {
         let use_gemm = g.macs() >= DIRECT_MAX_MACS;
         let block_rows = g.block_rows::<T>();
         let partials = s4tf_threads::parallel_map_chunks(0..g.batch, g.grain_imgs(), |imgs| {
-            let (mut partial, _) = crate::pool::zeroed_vec::<T>(dw_len);
+            let mut partial = Scratch::zeroed(dw_len);
             if !use_gemm {
                 for n in imgs {
                     backward_filter_image(x, dy, &mut partial, &g, n);
@@ -1160,9 +1136,8 @@ impl<T: Float> Tensor<T> {
             }
             if g.single_channel() {
                 let (img, dy_img) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
-                let (mut plane, _) = crate::pool::zeroed_vec::<T>(g.plane_len());
-                let (mut dyt, _) =
-                    crate::pool::zeroed_vec::<T>(g.out_h * g.tile_cols() * g.dy_chans());
+                let mut plane = Scratch::zeroed(g.plane_len());
+                let mut dyt = Scratch::zeroed(g.out_h * g.tile_cols() * g.dy_chans());
                 for n in imgs {
                     fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
                     let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
@@ -1172,11 +1147,9 @@ impl<T: Float> Tensor<T> {
                     );
                     single_channel_dw(&plane, &dyt, &mut partial, &g);
                 }
-                crate::pool::give_vec(plane);
-                crate::pool::give_vec(dyt);
                 return partial;
             }
-            let (mut col, _) = crate::pool::zeroed_vec::<T>(block_rows * g.out_w * kdim);
+            let mut col = Scratch::zeroed(block_rows * g.out_w * kdim);
             let mut dyp = PackedB::empty();
             for (n, oys) in blocks(&g, imgs.start * g.out_h..imgs.end * g.out_h, block_rows) {
                 let p = oys.len() * g.out_w;
@@ -1189,17 +1162,15 @@ impl<T: Float> Tensor<T> {
                 let la = Layout::row_major(kdim).t();
                 gemm::gemm_rows(col, la, &dyp, &mut partial, g.out_c, 0..kdim);
             }
-            crate::pool::give_vec(col);
             partial
         });
-        let (mut dw, dw_recycled) = crate::pool::zeroed_vec::<T>(dw_len);
-        for partial in partials {
-            for (acc, &p) in dw.iter_mut().zip(&partial) {
-                *acc += p;
+        Tensor::build(filter_dims, T::zero(), |dw| {
+            for partial in partials {
+                for (acc, &p) in dw.iter_mut().zip(partial.iter()) {
+                    *acc += p;
+                }
             }
-            crate::pool::give_vec(partial);
-        }
-        Tensor::from_pooled_vec((dw, dw_recycled), filter_dims)
+        })
     }
 }
 

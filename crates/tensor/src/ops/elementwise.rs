@@ -42,24 +42,26 @@ fn try_broadcast_binary<T: Scalar>(
         }
     })?;
     let n = out_shape.num_elements();
-    let (mut out, recycled) = crate::pool::zeroed_vec::<T>(n);
     let (l, r) = (lhs.as_slice(), rhs.as_slice());
-    if n == 0 {
-        // A zero-extent dim: nothing to compute (and no period to index by).
-    } else if let Some(index) = SmallIndex::of(rhs.shape(), &out_shape).filter(|_| l.len() == n) {
-        broadcast_zip(&mut out, Some(l), r, index, f);
-    } else if let Some(index) = SmallIndex::of(lhs.shape(), &out_shape).filter(|_| r.len() == n) {
-        broadcast_zip(&mut out, Some(r), l, index, |x, s| f(s, x));
-    } else {
-        let (dims, [sl, sr]) = broadcast_walk(&out_shape, [lhs.shape(), rhs.shape()]);
-        let (il, ir) = (sl[sl.len() - 1], sr[sr.len() - 1]);
-        for_each_row(&mut out, &dims, [&sl, &sr], |row, [ol, or]| {
-            for (i, o) in row.iter_mut().enumerate() {
-                *o = f(l[ol + i * il], r[or + i * ir]);
-            }
-        });
-    }
-    Ok(Tensor::from_pooled_vec((out, recycled), out_shape.dims()))
+    Ok(Tensor::build(out_shape.dims(), T::zero(), |out| {
+        if n == 0 {
+            // A zero-extent dim: nothing to compute (and no period to index by).
+        } else if let Some(index) = SmallIndex::of(rhs.shape(), &out_shape).filter(|_| l.len() == n)
+        {
+            broadcast_zip(out, Some(l), r, index, f);
+        } else if let Some(index) = SmallIndex::of(lhs.shape(), &out_shape).filter(|_| r.len() == n)
+        {
+            broadcast_zip(out, Some(r), l, index, |x, s| f(s, x));
+        } else {
+            let (dims, [sl, sr]) = broadcast_walk(&out_shape, [lhs.shape(), rhs.shape()]);
+            let (il, ir) = (sl[sl.len() - 1], sr[sr.len() - 1]);
+            for_each_row(out, &dims, [&sl, &sr], |row, [ol, or]| {
+                for (i, o) in row.iter_mut().enumerate() {
+                    *o = f(l[ol + i * il], r[or + i * ir]);
+                }
+            });
+        }
+    }))
 }
 
 /// How the smaller operand of a broadcasting kernel is indexed against

@@ -34,6 +34,7 @@
 use std::ops::Range;
 
 use crate::dtype::Scalar;
+use crate::pool::Scratch;
 use crate::simd::{self, L8, LANES};
 
 /// Scalar micro-kernel tile height (rows of C per register tile).
@@ -85,10 +86,9 @@ impl Layout {
 
 /// B packed into `ceil(n / NR)` panels; panel `p` holds columns
 /// `p*NR .. p*NR+NR` as `k` contiguous NR-wide rows (zero-padded past
-/// column `n`). The buffer is kernel scratch: taken from and returned to
-/// [`crate::pool`], never tensor storage.
+/// column `n`). The buffer is kernel [`Scratch`], never tensor storage.
 pub(crate) struct PackedB<T: Scalar> {
-    data: Vec<T>,
+    data: Scratch<T>,
     panels: usize,
     k: usize,
 }
@@ -103,7 +103,7 @@ impl<T: Scalar> PackedB<T> {
     /// A `0 × 0` operand holding no allocation, to [`PackedB::repack`] into.
     pub(crate) fn empty() -> PackedB<T> {
         PackedB {
-            data: Vec::new(),
+            data: Scratch::default(),
             panels: 0,
             k: 0,
         }
@@ -116,8 +116,7 @@ impl<T: Scalar> PackedB<T> {
         let panels = n.div_ceil(NR);
         let len = panels * k * NR;
         if self.data.capacity() < len {
-            let grown = crate::pool::empty_vec::<T>(len).0;
-            crate::pool::give_vec(std::mem::replace(&mut self.data, grown));
+            self.data = Scratch::with_capacity(len);
         }
         self.data.clear();
         self.data.resize(len, T::zero());
@@ -139,12 +138,6 @@ impl<T: Scalar> PackedB<T> {
         }
         self.panels = panels;
         self.k = k;
-    }
-}
-
-impl<T: Scalar> Drop for PackedB<T> {
-    fn drop(&mut self) {
-        crate::pool::give_vec(std::mem::take(&mut self.data));
     }
 }
 

@@ -60,21 +60,21 @@ impl<T: Scalar> Tensor<T> {
             // the dedicated row-dot kernel skips packing entirely.
             return self.matvec(&rhs.reshape(&[k])).reshape(&[m, 1]);
         }
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(m * n);
-        if m * k * n < PACKED_MIN_MACS {
-            gemm_serial(self.as_slice(), rhs.as_slice(), &mut out, m, k, n);
-        } else {
-            gemm::gemm_parallel(
-                self.as_slice(),
-                Layout::row_major(k),
-                rhs.as_slice(),
-                Layout::row_major(n),
-                &mut out,
-                k,
-                n,
-            );
-        }
-        Tensor::from_pooled_vec((out, out_recycled), &[m, n])
+        Tensor::build(&[m, n], T::zero(), |out| {
+            if m * k * n < PACKED_MIN_MACS {
+                gemm_serial(self.as_slice(), rhs.as_slice(), out, m, k, n);
+            } else {
+                gemm::gemm_parallel(
+                    self.as_slice(),
+                    Layout::row_major(k),
+                    rhs.as_slice(),
+                    Layout::row_major(n),
+                    out,
+                    k,
+                    n,
+                );
+            }
+        })
     }
 
     /// `selfᵀ × rhs`: `[k,m]ᵀ × [k,n] → [m,n]`, without materializing the
@@ -90,32 +90,24 @@ impl<T: Scalar> Tensor<T> {
         assert_eq!(k, k2, "matmul_tn leading dims differ");
         let a = self.as_slice();
         let b = rhs.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(m * n);
-        if m * k * n < PACKED_MIN_MACS {
-            for kk in 0..k {
-                for i in 0..m {
-                    let av = a[kk * m + i];
-                    let brow = &b[kk * n..(kk + 1) * n];
-                    let crow = &mut out[i * n..(i + 1) * n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
+        Tensor::build(&[m, n], T::zero(), |out| {
+            if m * k * n < PACKED_MIN_MACS {
+                for kk in 0..k {
+                    for i in 0..m {
+                        let av = a[kk * m + i];
+                        let brow = &b[kk * n..(kk + 1) * n];
+                        let crow = &mut out[i * n..(i + 1) * n];
+                        for (cv, &bv) in crow.iter_mut().zip(brow) {
+                            *cv += av * bv;
+                        }
                     }
                 }
+            } else {
+                // The transpose is only a stride swap on A; the micro-kernel
+                // then reads its MR rows as contiguous runs of the stored A.
+                gemm::gemm_parallel(a, Layout::transposed(m), b, Layout::row_major(n), out, k, n);
             }
-        } else {
-            // The transpose is only a stride swap on A; the micro-kernel
-            // then reads its MR rows as contiguous runs of the stored A.
-            gemm::gemm_parallel(
-                a,
-                Layout::transposed(m),
-                b,
-                Layout::row_major(n),
-                &mut out,
-                k,
-                n,
-            );
-        }
-        Tensor::from_pooled_vec((out, out_recycled), &[m, n])
+        })
     }
 
     /// `self × rhsᵀ`: `[m,k] × [n,k]ᵀ → [m,n]`, without materializing the
@@ -131,41 +123,33 @@ impl<T: Scalar> Tensor<T> {
         assert_eq!(k, k2, "matmul_nt trailing dims differ");
         let a = self.as_slice();
         let b = rhs.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(m * n);
-        if m * k * n < PACKED_MIN_MACS {
-            // Serial path: hoist the A row out of the j loop and walk j
-            // in strips of NR accumulators so one pass over the row's k
-            // range feeds NR dot products.
-            const STRIP: usize = gemm::NR;
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let crow = &mut out[i * n..(i + 1) * n];
-                for j0 in (0..n).step_by(STRIP) {
-                    let nr = STRIP.min(n - j0);
-                    let mut acc = [T::zero(); STRIP];
-                    for (s, slot) in acc.iter_mut().enumerate().take(nr) {
-                        let brow = &b[(j0 + s) * k..(j0 + s + 1) * k];
-                        let mut sum = T::zero();
-                        for (&av, &bv) in arow.iter().zip(brow) {
-                            sum += av * bv;
+        Tensor::build(&[m, n], T::zero(), |out| {
+            if m * k * n < PACKED_MIN_MACS {
+                // Serial path: hoist the A row out of the j loop and walk j
+                // in strips of NR accumulators so one pass over the row's k
+                // range feeds NR dot products.
+                const STRIP: usize = gemm::NR;
+                for i in 0..m {
+                    let arow = &a[i * k..(i + 1) * k];
+                    let crow = &mut out[i * n..(i + 1) * n];
+                    for j0 in (0..n).step_by(STRIP) {
+                        let nr = STRIP.min(n - j0);
+                        let mut acc = [T::zero(); STRIP];
+                        for (s, slot) in acc.iter_mut().enumerate().take(nr) {
+                            let brow = &b[(j0 + s) * k..(j0 + s + 1) * k];
+                            let mut sum = T::zero();
+                            for (&av, &bv) in arow.iter().zip(brow) {
+                                sum += av * bv;
+                            }
+                            *slot = sum;
                         }
-                        *slot = sum;
+                        crow[j0..j0 + nr].copy_from_slice(&acc[..nr]);
                     }
-                    crow[j0..j0 + nr].copy_from_slice(&acc[..nr]);
                 }
+            } else {
+                gemm::gemm_parallel(a, Layout::row_major(k), b, Layout::transposed(k), out, k, n);
             }
-        } else {
-            gemm::gemm_parallel(
-                a,
-                Layout::row_major(k),
-                b,
-                Layout::transposed(k),
-                &mut out,
-                k,
-                n,
-            );
-        }
-        Tensor::from_pooled_vec((out, out_recycled), &[m, n])
+        })
     }
 
     /// Matrix–vector product: `[m,k] × [k] → [m]`, one dot product per
@@ -185,33 +169,35 @@ impl<T: Scalar> Tensor<T> {
         );
         let a = self.as_slice();
         let v = rhs.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(m);
-        let grain = (MATVEC_CHUNK_MACS / k.max(1)).max(1);
-        s4tf_threads::parallel_chunks_mut(&mut out, 1, grain, |start, chunk| {
-            if crate::simd::simd_enabled() {
-                if let (Some(af), Some(vf)) =
-                    (crate::simd::as_f32_slice(a), crate::simd::as_f32_slice(v))
-                {
-                    let cf = crate::simd::as_f32_slice_mut(chunk).expect("T is f32");
-                    crate::simd::vectorize(|| {
-                        for (r, slot) in cf.iter_mut().enumerate() {
-                            *slot =
-                                crate::simd::dot_f32(&af[(start + r) * k..(start + r + 1) * k], vf);
-                        }
-                    });
-                    return;
+        Tensor::build(&[m], T::zero(), |out| {
+            let grain = (MATVEC_CHUNK_MACS / k.max(1)).max(1);
+            s4tf_threads::parallel_chunks_mut(out, 1, grain, |start, chunk| {
+                if crate::simd::simd_enabled() {
+                    if let (Some(af), Some(vf)) =
+                        (crate::simd::as_f32_slice(a), crate::simd::as_f32_slice(v))
+                    {
+                        let cf = crate::simd::as_f32_slice_mut(chunk).expect("T is f32");
+                        crate::simd::vectorize(|| {
+                            for (r, slot) in cf.iter_mut().enumerate() {
+                                *slot = crate::simd::dot_f32(
+                                    &af[(start + r) * k..(start + r + 1) * k],
+                                    vf,
+                                );
+                            }
+                        });
+                        return;
+                    }
                 }
-            }
-            for (r, slot) in chunk.iter_mut().enumerate() {
-                let row = &a[(start + r) * k..(start + r + 1) * k];
-                let mut acc = T::zero();
-                for (&av, &vv) in row.iter().zip(v) {
-                    acc += av * vv;
+                for (r, slot) in chunk.iter_mut().enumerate() {
+                    let row = &a[(start + r) * k..(start + r + 1) * k];
+                    let mut acc = T::zero();
+                    for (&av, &vv) in row.iter().zip(v) {
+                        acc += av * vv;
+                    }
+                    *slot = acc;
                 }
-                *slot = acc;
-            }
-        });
-        Tensor::from_pooled_vec((out, out_recycled), &[m])
+            });
+        })
     }
 }
 

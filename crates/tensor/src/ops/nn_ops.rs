@@ -39,12 +39,12 @@ impl<T: Scalar> Tensor<T> {
     /// # Panics
     /// Panics if any label is `>= depth` or negative.
     pub fn one_hot(labels: &[usize], depth: usize) -> Tensor<T> {
-        let (mut data, data_recycled) = crate::pool::zeroed_vec::<T>(labels.len() * depth);
-        for (row, &l) in labels.iter().enumerate() {
-            assert!(l < depth, "label {l} >= depth {depth}");
-            data[row * depth + l] = T::one();
-        }
-        Tensor::from_pooled_vec((data, data_recycled), &[labels.len(), depth])
+        Tensor::build(&[labels.len(), depth], T::zero(), |data| {
+            for (row, &l) in labels.iter().enumerate() {
+                assert!(l < depth, "label {l} >= depth {depth}");
+                data[row * depth + l] = T::one();
+            }
+        })
     }
 }
 

@@ -55,6 +55,7 @@ use std::ops::Range;
 
 use super::conv::{self, ConvGeom};
 use crate::dtype::{Float, Scalar};
+use crate::pool::Scratch;
 use crate::simd::LANES;
 use crate::tensor::Tensor;
 use crate::Padding;
@@ -368,7 +369,6 @@ impl<T: Float> Tensor<T> {
         padding: Padding,
     ) -> Tensor<T> {
         let w = Walk::new(self, pool, strides, padding);
-        let (mut out, out_recycled) = crate::pool::empty_vec::<T>(w.out_len());
         let inv = w.inv_counts::<T>();
         let add = |acc: &mut Lanes<T>, v: &Lanes<T>, _| {
             for (a, &v) in acc.iter_mut().zip(v) {
@@ -380,11 +380,12 @@ impl<T: Float> Tensor<T> {
             acc.map(|a| a * inv)
         };
         let zero = [T::zero(); LANES];
-        crate::simd::vectorize(
-            #[inline(always)]
-            || w.windows(self.as_slice(), &mut out, (zero, add), scale),
-        );
-        Tensor::from_pooled_vec((out, out_recycled), &w.out_dims())
+        Tensor::build_pushed(&w.out_dims(), |out| {
+            crate::simd::vectorize(
+                #[inline(always)]
+                || w.windows(self.as_slice(), out, (zero, add), scale),
+            );
+        })
     }
 
     /// Gradient of [`Tensor::avg_pool2d`] with respect to its input.
@@ -400,20 +401,20 @@ impl<T: Float> Tensor<T> {
     ) -> Tensor<T> {
         let w = Walk::new(self, pool, strides, padding);
         w.check_grad_out(grad_out);
-        let (mut dx, dx_recycled) = crate::pool::empty_vec::<T>(self.num_elements());
-        // The gradient terms, then the zeros that pad each cell's.
-        let zeros = w.out_len();
-        let (mut terms, _) = crate::pool::empty_vec::<T>(zeros + w.zeros_len());
-        crate::simd::vectorize(
-            #[inline(always)]
-            || {
-                w.scaled(grad_out.as_slice(), &mut terms);
-                terms.resize(zeros + w.zeros_len(), T::zero());
-                w.gather(&mut dx, zeros, |at, _| *lanes(&terms, at));
-            },
-        );
-        crate::pool::give_vec(terms);
-        Tensor::from_pooled_vec((dx, dx_recycled), self.dims())
+        Tensor::build_pushed(self.dims(), |dx| {
+            // The gradient terms, then the zeros that pad each cell's.
+            let zeros = w.out_len();
+            let mut terms = Scratch::<T>::with_capacity(zeros + w.zeros_len());
+            let terms: &mut Vec<T> = &mut terms;
+            crate::simd::vectorize(
+                #[inline(always)]
+                || {
+                    w.scaled(grad_out.as_slice(), terms);
+                    terms.resize(zeros + w.zeros_len(), T::zero());
+                    w.gather(dx, zeros, |at, _| *lanes(terms, at));
+                },
+            );
+        })
     }
 
     /// Max pooling over `[N,H,W,C]`.
@@ -427,18 +428,18 @@ impl<T: Float> Tensor<T> {
         padding: Padding,
     ) -> Tensor<T> {
         let w = Walk::new(self, pool, strides, padding);
-        let (mut out, out_recycled) = crate::pool::empty_vec::<T>(w.out_len());
         let max = |acc: &mut Lanes<T>, v: &Lanes<T>, _| {
             for (a, &v) in acc.iter_mut().zip(v) {
                 *a = a.maximum(v);
             }
         };
         let init = [T::neg_infinity(); LANES];
-        crate::simd::vectorize(
-            #[inline(always)]
-            || w.windows(self.as_slice(), &mut out, (init, max), |acc, _| acc),
-        );
-        Tensor::from_pooled_vec((out, out_recycled), &w.out_dims())
+        Tensor::build_pushed(&w.out_dims(), |out| {
+            crate::simd::vectorize(
+                #[inline(always)]
+                || w.windows(self.as_slice(), out, (init, max), |acc, _| acc),
+            );
+        })
     }
 
     /// Gradient of [`Tensor::max_pool2d`]: routes each output gradient to
@@ -455,16 +456,11 @@ impl<T: Float> Tensor<T> {
     ) -> Tensor<T> {
         let w = Walk::new(self, pool, strides, padding);
         w.check_grad_out(grad_out);
-        let (mut dx, dx_recycled) = crate::pool::empty_vec::<T>(self.num_elements());
         // Per output, the tap of its window's first strictly greatest cell
         // (−1 for none) and the output's gradient; then a pad that routes
         // nothing.
         let zeros = w.out_len();
         let none = -T::one();
-        let (mut args, _) = crate::pool::empty_vec::<T>(zeros + w.zeros_len());
-        let (mut dys, _) = crate::pool::empty_vec::<T>(zeros + w.zeros_len());
-        dys.extend_from_slice(grad_out.as_slice());
-        dys.resize(zeros + w.zeros_len(), T::zero());
         let first_max = |(best, arg): &mut (Lanes<T>, Lanes<T>), v: &Lanes<T>, tap| {
             for ((b, a), &v) in best.iter_mut().zip(arg.iter_mut()).zip(v) {
                 if v > *b {
@@ -474,24 +470,28 @@ impl<T: Float> Tensor<T> {
             }
         };
         let init = ([T::neg_infinity(); LANES], [none; LANES]);
-        crate::simd::vectorize(
-            #[inline(always)]
-            || {
-                w.windows(self.as_slice(), &mut args, (init, first_max), |(_, a), _| a);
-                args.resize(zeros + w.zeros_len(), none);
-                w.gather(&mut dx, zeros, |at, tap| {
-                    let (args, dys) = (lanes(&args, at), lanes(&dys, at));
-                    let mut term = *dys;
-                    for (t, &a) in term.iter_mut().zip(args) {
-                        *t = if a == tap { *t } else { T::zero() };
-                    }
-                    term
-                });
-            },
-        );
-        crate::pool::give_vec(dys);
-        crate::pool::give_vec(args);
-        Tensor::from_pooled_vec((dx, dx_recycled), self.dims())
+        Tensor::build_pushed(self.dims(), |dx| {
+            let mut args = Scratch::<T>::with_capacity(zeros + w.zeros_len());
+            let mut dys = Scratch::<T>::with_capacity(zeros + w.zeros_len());
+            let (args, dys): (&mut Vec<T>, &mut Vec<T>) = (&mut args, &mut dys);
+            dys.extend_from_slice(grad_out.as_slice());
+            dys.resize(zeros + w.zeros_len(), T::zero());
+            crate::simd::vectorize(
+                #[inline(always)]
+                || {
+                    w.windows(self.as_slice(), args, (init, first_max), |(_, a), _| a);
+                    args.resize(zeros + w.zeros_len(), none);
+                    w.gather(dx, zeros, |at, tap| {
+                        let (args, dys) = (lanes(args, at), lanes(dys, at));
+                        let mut term = *dys;
+                        for (t, &a) in term.iter_mut().zip(args) {
+                            *t = if a == tap { *t } else { T::zero() };
+                        }
+                        term
+                    });
+                },
+            );
+        })
     }
 }
 

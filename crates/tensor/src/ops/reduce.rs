@@ -2,6 +2,7 @@
 //! plus `argmax` and the gradient helper `unreduce`.
 
 use crate::dtype::{Float, Scalar};
+use crate::pool::Scratch;
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -108,14 +109,16 @@ pub fn column_sums<T: Scalar>(
     cols: usize,
     produce: impl Fn(std::ops::Range<usize>, &mut ColumnAcc<'_, T>) + Sync,
 ) -> Tensor<T> {
-    let (mut total, recycled) = crate::pool::zeroed_vec::<T>(cols);
-    if n > 0 {
+    Tensor::build(&[cols], T::zero(), |total| {
+        if n == 0 {
+            return;
+        }
         assert!(
             n.is_multiple_of(cols),
             "{n} elements are not rows of {cols}"
         );
         let chunk_len = column_chunk_rows(cols) * cols;
-        let (mut partials, _) = crate::pool::zeroed_vec::<T>(n.div_ceil(chunk_len) * cols);
+        let mut partials = Scratch::<T>::zeroed(n.div_ceil(chunk_len) * cols);
         s4tf_threads::parallel_chunks_mut(&mut partials, cols, cols, |first, accs| {
             for (k, acc) in accs.chunks_mut(cols).enumerate() {
                 let start = (first / cols + k) * chunk_len;
@@ -128,9 +131,7 @@ pub fn column_sums<T: Scalar>(
                 *t += p;
             }
         }
-        crate::pool::give_vec(partials);
-    }
-    Tensor::from_pooled_vec((total, recycled), &[cols])
+    })
 }
 
 impl<T: Scalar> Tensor<T> {
@@ -281,13 +282,15 @@ impl<T: Scalar> Tensor<T> {
         assert!(axis < self.rank(), "axis out of range");
         let d = self.dims()[axis];
         assert!(d > 0, "argmax over empty axis");
-        let outer: usize = self.dims()[..axis].iter().product();
         let inner: usize = self.dims()[axis + 1..].iter().product();
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<i64>(outer * inner);
-        if !out.is_empty() {
+        let dims = self.shape().removing(axis);
+        Tensor::build(dims.dims(), 0, |out| {
+            if out.is_empty() {
+                return;
+            }
             let grain = (crate::par::REDUCE_GRAIN / d.max(1)).max(1);
-            s4tf_threads::parallel_chunks_mut(&mut out, inner, grain, |start, chunk| {
+            s4tf_threads::parallel_chunks_mut(out, inner, grain, |start, chunk| {
                 let o0 = start / inner;
                 for (u, orow) in chunk.chunks_mut(inner).enumerate() {
                     let o = o0 + u;
@@ -305,9 +308,7 @@ impl<T: Scalar> Tensor<T> {
                     }
                 }
             });
-        }
-        let dims = self.shape().removing(axis);
-        Tensor::from_pooled_vec((out, out_recycled), dims.dims())
+        })
     }
 
     fn reduce_axis(
@@ -319,16 +320,22 @@ impl<T: Scalar> Tensor<T> {
     ) -> Tensor<T> {
         assert!(axis < self.rank(), "axis {axis} out of range");
         let d = self.dims()[axis];
-        let outer: usize = self.dims()[..axis].iter().product();
         let inner: usize = self.dims()[axis + 1..].iter().product();
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::filled_vec(outer * inner, init);
-        if !out.is_empty() {
+        let shape = if keep_dims {
+            self.shape().keeping(axis)
+        } else {
+            self.shape().removing(axis)
+        };
+        Tensor::build(shape.dims(), init, |out| {
+            if out.is_empty() {
+                return;
+            }
             // Chunks split on whole output rows (quantum = inner), so
             // every output element is reduced by one task in the serial
             // k-order — bit-identical for every thread count.
             let grain = (crate::par::REDUCE_GRAIN / d.max(1)).max(1);
-            s4tf_threads::parallel_chunks_mut(&mut out, inner, grain, |start, chunk| {
+            s4tf_threads::parallel_chunks_mut(out, inner, grain, |start, chunk| {
                 let o0 = start / inner;
                 // Codegen-only vectorization of the inner-stride loop:
                 // the k-order per output element is unchanged, so both
@@ -345,13 +352,7 @@ impl<T: Scalar> Tensor<T> {
                     }
                 });
             });
-        }
-        let shape = if keep_dims {
-            self.shape().keeping(axis)
-        } else {
-            self.shape().removing(axis)
-        };
-        Tensor::from_pooled_vec((out, out_recycled), shape.dims())
+        })
     }
 }
 

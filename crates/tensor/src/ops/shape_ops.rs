@@ -81,22 +81,23 @@ impl<T: Scalar> Tensor<T> {
             target
         );
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(target.num_elements());
-        if !out.is_empty() {
+        Tensor::build(dims, T::zero(), |out| {
+            if out.is_empty() {
+                return;
+            }
             // Whole runs, not elements: each innermost row of the
             // coalesced walk is one contiguous copy of the source, or one
             // source element repeated.
             let (walk, [strides]) = broadcast_walk(&target, [self.shape()]);
             let contiguous = strides[strides.len() - 1] == 1;
-            for_each_row(&mut out, &walk, [&strides], |row, [at]| {
+            for_each_row(out, &walk, [&strides], |row, [at]| {
                 if contiguous {
                     row.copy_from_slice(&src[at..at + row.len()]);
                 } else {
                     row.fill(src[at]);
                 }
             });
-        }
-        Tensor::from_pooled_vec((out, out_recycled), dims)
+        })
     }
 
     /// Permutes the dimensions. `perm` must be a permutation of `0..rank`.
@@ -114,23 +115,23 @@ impl<T: Scalar> Tensor<T> {
         let out_shape = Shape::new(&out_dims);
         let src_strides = self.shape().strides();
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(self.num_elements());
-        let mut idx = vec![0usize; self.rank()];
-        for slot in out.iter_mut() {
-            let mut src_flat = 0;
-            for (o, &p) in perm.iter().enumerate() {
-                src_flat += idx[o] * src_strides[p];
-            }
-            *slot = src[src_flat];
-            for axis in (0..out_shape.rank()).rev() {
-                idx[axis] += 1;
-                if idx[axis] < out_shape.dim(axis) {
-                    break;
+        Tensor::build(&out_dims, T::zero(), |out| {
+            let mut idx = vec![0usize; self.rank()];
+            for slot in out.iter_mut() {
+                let mut src_flat = 0;
+                for (o, &p) in perm.iter().enumerate() {
+                    src_flat += idx[o] * src_strides[p];
                 }
-                idx[axis] = 0;
+                *slot = src[src_flat];
+                for axis in (0..out_shape.rank()).rev() {
+                    idx[axis] += 1;
+                    if idx[axis] < out_shape.dim(axis) {
+                        break;
+                    }
+                    idx[axis] = 0;
+                }
             }
-        }
-        Tensor::from_pooled_vec((out, out_recycled), &out_dims)
+        })
     }
 
     /// Transposes the last two dimensions (matrix transpose for rank 2).
@@ -161,14 +162,14 @@ impl<T: Scalar> Tensor<T> {
         let inner: usize = self.dims()[axis + 1..].iter().product();
         let d = self.dims()[axis];
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::empty_vec::<T>(outer * len * inner);
-        for o in 0..outer {
-            let base = o * d * inner + start * inner;
-            out.extend_from_slice(&src[base..base + len * inner]);
-        }
         let mut dims = self.dims().to_vec();
         dims[axis] = len;
-        Tensor::from_pooled_vec((out, out_recycled), &dims)
+        Tensor::build_pushed(&dims, |out| {
+            for o in 0..outer {
+                let base = o * d * inner + start * inner;
+                out.extend_from_slice(&src[base..base + len * inner]);
+            }
+        })
     }
 
     /// Writes `src` into `[start, start+src.dim(axis))` along `axis` in
@@ -352,19 +353,19 @@ impl<T: Scalar> Tensor<T> {
         let rows = self.dims()[0];
         let row = self.num_elements() / rows.max(1);
         let src = self.as_slice();
-        let (mut out, out_recycled) = crate::pool::zeroed_vec::<T>(n * row);
-        let checked = indices.inspect(|&i| assert!(i < rows, "row index {i} out of bounds"));
-        match row {
-            0 => checked.for_each(drop),
-            1 => out.iter_mut().zip(checked).for_each(|(o, i)| *o = src[i]),
-            _ => out
-                .chunks_exact_mut(row)
-                .zip(checked)
-                .for_each(|(o, i)| o.copy_from_slice(&src[i * row..(i + 1) * row])),
-        }
         let mut dims = self.dims().to_vec();
         dims[0] = n;
-        Tensor::from_pooled_vec((out, out_recycled), &dims)
+        Tensor::build(&dims, T::zero(), |out| {
+            let checked = indices.inspect(|&i| assert!(i < rows, "row index {i} out of bounds"));
+            match row {
+                0 => checked.for_each(drop),
+                1 => out.iter_mut().zip(checked).for_each(|(o, i)| *o = src[i]),
+                _ => out
+                    .chunks_exact_mut(row)
+                    .zip(checked)
+                    .for_each(|(o, i)| o.copy_from_slice(&src[i * row..(i + 1) * row])),
+            }
+        })
     }
 }
 

@@ -1,14 +1,20 @@
-//! Size-bucketed buffer recycling for tensor storage.
+//! Size-bucketed buffer recycling for tensor storage and kernel scratch.
 //!
 //! The paper's lazy backend exists so a compiler can plan resources for a
 //! whole program (§3.3); this module is the allocator-side half of that
 //! plan. Every buffer dropped by [`crate::Storage`] is offered to a
 //! per-element-type free list here instead of going back to the system
-//! allocator, and every sufficiently large storage allocation first asks
-//! the free list for a buffer of at least the requested capacity. On
-//! allocation-bound CPU workloads (small/medium tensors, the common case
-//! for this repo's 1-core kernels) this removes the malloc/free pair from
-//! the steady-state training loop entirely.
+//! allocator, and every storage allocation first asks the free list for
+//! a buffer of at least the requested capacity. On allocation-bound CPU
+//! workloads (small/medium tensors) this removes the malloc/free pair
+//! from the steady-state training loop entirely.
+//!
+//! **One seam.** Only `storage.rs` and this file talk to the free lists.
+//! A kernel builds its output through `Tensor::build` (a zero- or
+//! value-filled slice to write) or `Tensor::build_pushed` (an empty
+//! `Vec` to push into), and `storage.rs` books whether the capacity was
+//! recycled or fresh. Kernel scratch is a [`Scratch`]: taken here, handed
+//! back when it drops. No kernel sees where its bytes came from.
 //!
 //! Buffers are bucketed by power-of-two *capacity in bytes*: a request
 //! for `n` bytes looks only in bucket `ceil(log2 n)`, whose entries are
@@ -29,13 +35,15 @@
 //! live-bytes without counting an allocator free — so
 //! `MemoryStats::allocs`/`frees` keep meaning *real allocator traffic*,
 //! which is what the step benchmark's `tensor.allocs_per_op` reports.
+//! Scratch never becomes storage and is invisible to the ledger both
+//! ways; the pool's hit/miss instruments count it like any other take.
 //! Buffers evicted by [`clear_pools`] are dropped without touching the
 //! alloc/free counters (their original allocation was already counted).
 //!
 //! There is no off-switch: the pool only changes *where* bytes come
 //! from, never what is written into them (every taker fills or pushes
 //! before it reads), which `runtime/tests/memory_bit_identity.rs` checks
-//! by pre-loading the free lists with NaN-filled buffers.
+//! by dropping NaN-filled tensors into the free lists first.
 
 use crate::dtype::Scalar;
 use crate::met;
@@ -54,13 +62,6 @@ pub const MAX_POOLED_BYTES: u64 = 256 * 1024 * 1024;
 /// Buffers larger than this are never pooled (one giant buffer would
 /// crowd out the steady-state working set).
 pub const MAX_BUFFER_BYTES: usize = 64 * 1024 * 1024;
-
-/// Smallest buffer the pool recycles. Everything non-empty qualifies:
-/// tiny buffers are individually cheap to malloc, but scalar constants
-/// dominate a traced graph's allocation *count* (tens per LeNet step),
-/// and the per-step allocator-call number is what the step benchmark
-/// reports and `tests/telemetry.rs` puts a ceiling on.
-pub const MIN_BUFFER_BYTES: usize = 1;
 
 // ------------------------------------------------------------------ stats
 
@@ -91,8 +92,6 @@ pub fn stats() -> PoolStats {
         pooled_bytes: POOLED_BYTES.load(Ordering::Relaxed),
     }
 }
-
-pub use stats as pool_stats;
 
 // -------------------------------------------------- registry instruments
 
@@ -163,6 +162,15 @@ fn resident_gauge() -> &'static met::Gauge {
 
 // -------------------------------------------------------- bucket rounding
 
+/// Whether the pool keeps buffers of `bytes` capacity: anything
+/// non-empty up to [`MAX_BUFFER_BYTES`]. Tiny buffers are individually
+/// cheap to malloc, but scalar constants dominate a traced graph's
+/// allocation *count*, and the per-step allocator-call number is what
+/// the step benchmark reports and `tests/telemetry.rs` bounds.
+fn poolable(bytes: usize) -> bool {
+    (1..=MAX_BUFFER_BYTES).contains(&bytes)
+}
+
 /// Bucket a request for `bytes` looks in: the smallest power-of-two
 /// exponent `b` with `2^b >= bytes`. Every buffer parked in bucket `b`
 /// has capacity `>= 2^b`, so any entry satisfies the request.
@@ -184,7 +192,7 @@ pub(crate) fn bucket_for_capacity(bytes: usize) -> u32 {
 /// this, any non-power-of-two tensor size would miss the pool on every
 /// single step (capacities round *down* into buckets, requests round
 /// *up*). Returns `n` unchanged when the pool would not keep the buffer
-/// anyway (out of the min/max size range). The slack is
+/// anyway (empty, or past [`MAX_BUFFER_BYTES`]). The slack is
 /// real memory and is reported to the live/peak tracker as such.
 #[inline]
 pub(crate) fn recycle_capacity<T>(n: usize) -> usize {
@@ -192,7 +200,7 @@ pub(crate) fn recycle_capacity<T>(n: usize) -> usize {
     let Some(need) = n.checked_mul(size) else {
         return n;
     };
-    if !(MIN_BUFFER_BYTES..=MAX_BUFFER_BYTES).contains(&need) {
+    if !poolable(need) {
         return n;
     }
     // `MAX_BUFFER_BYTES` is itself a power of two, so the round-up never
@@ -231,9 +239,9 @@ impl<T> TypedPool<T> {
 
     /// Takes a buffer with capacity for at least `n` elements, emptied
     /// (`len == 0`). `None` — a miss — means the caller should allocate.
-    pub fn take(&self, n: usize) -> Option<Vec<T>> {
+    fn take(&self, n: usize) -> Option<Vec<T>> {
         let need = n.checked_mul(std::mem::size_of::<T>())?;
-        if !(MIN_BUFFER_BYTES..=MAX_BUFFER_BYTES).contains(&need) {
+        if !poolable(need) {
             return None;
         }
         let bucket = bucket_for_request(need);
@@ -258,9 +266,9 @@ impl<T> TypedPool<T> {
     /// Offers a dead buffer to the free list. Returns `true` if the pool
     /// kept it (the buffer is cleared, its capacity retained); `false`
     /// if it was rejected and dropped to the allocator.
-    pub fn give(&self, mut v: Vec<T>) -> bool {
+    fn give(&self, mut v: Vec<T>) -> bool {
         let cap_bytes = v.capacity() * std::mem::size_of::<T>();
-        if !(MIN_BUFFER_BYTES..=MAX_BUFFER_BYTES).contains(&cap_bytes) {
+        if !poolable(cap_bytes) {
             return false;
         }
         if POOLED_BYTES.load(Ordering::Relaxed) + cap_bytes as u64 > MAX_POOLED_BYTES {
@@ -281,7 +289,7 @@ impl<T> TypedPool<T> {
     }
 
     /// Drops every parked buffer back to the allocator.
-    pub fn clear(&self) {
+    fn clear(&self) {
         let buckets = std::mem::take(&mut *self.lock());
         let bytes: usize = buckets
             .values()
@@ -292,14 +300,10 @@ impl<T> TypedPool<T> {
         resident_gauge().set(pooled as i64);
     }
 
-    /// Parked buffers (for tests).
-    pub fn len(&self) -> usize {
+    /// Parked buffers.
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.lock().values().map(Vec::len).sum()
-    }
-
-    /// True if no buffers are parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -319,74 +323,77 @@ pub fn clear_pools() {
     i64::buffer_pool().clear();
 }
 
-// ------------------------------------------- storage-facing entry points
+// ------------------------------------------------------------- the seam
 
-/// Pool-aware take: `None` when the size is out of range or no parked
-/// buffer fits. Public so runtime layers can recycle
-/// *scratch* buffers (e.g. the fused-kernel register file) that never
-/// become tensor storage; scratch is untracked by the memory stats both
-/// ways, so taking and giving it back keeps the accounting consistent.
+/// Room for at least `n` elements, empty: a parked buffer when one fits
+/// (`true`: recycled), else a fresh allocation rounded up to its bucket
+/// ([`recycle_capacity`]). Only `storage.rs` sees the flag — it decides
+/// whether the memory ledger counts an allocator call.
 #[inline]
-pub fn take_vec<T: Scalar>(n: usize) -> Option<Vec<T>> {
-    T::buffer_pool().take(n)
-}
-
-/// Pool-aware give: `false` (caller drops to the allocator) when the
-/// pool rejects the buffer.
-#[inline]
-pub fn give_vec<T: Scalar>(v: Vec<T>) -> bool {
-    T::buffer_pool().give(v)
-}
-
-/// A `value`-filled output buffer for kernels, recycled when possible.
-/// The flag records provenance so `Tensor::from_pooled_vec` can keep the
-/// alloc accounting honest.
-#[inline]
-pub(crate) fn filled_vec<T: Scalar>(n: usize, value: T) -> (Vec<T>, bool) {
-    match take_vec::<T>(n) {
-        Some(mut v) => {
-            v.resize(n, value);
-            (v, true)
-        }
-        None => {
-            let mut v = Vec::with_capacity(recycle_capacity::<T>(n));
-            v.resize(n, value);
-            (v, false)
-        }
-    }
-}
-
-/// A zero-filled output buffer for kernels, recycled when possible.
-#[inline]
-pub(crate) fn zeroed_vec<T: Scalar>(n: usize) -> (Vec<T>, bool) {
-    filled_vec(n, T::zero())
-}
-
-/// An empty buffer with capacity for at least `n` elements, recycled
-/// when possible (for kernels that build output by pushing).
-#[inline]
-pub(crate) fn empty_vec<T: Scalar>(n: usize) -> (Vec<T>, bool) {
-    match take_vec::<T>(n) {
+pub(crate) fn take<T: Scalar>(n: usize) -> (Vec<T>, bool) {
+    match T::buffer_pool().take(n) {
         Some(v) => (v, true),
         None => (Vec::with_capacity(recycle_capacity::<T>(n)), false),
     }
 }
 
-/// Collects exactly `n` items from `iter` into a pool-aware buffer.
+/// Offers a dead buffer to the free list: `false` when the pool declines
+/// it (too small, too large, or full) and it went back to the allocator.
 #[inline]
-pub(crate) fn collect_n<T: Scalar>(n: usize, iter: impl Iterator<Item = T>) -> (Vec<T>, bool) {
-    match take_vec::<T>(n) {
-        Some(mut v) => {
-            v.extend(iter);
-            debug_assert_eq!(v.len(), n);
-            (v, true)
-        }
-        None => {
-            let mut v = Vec::with_capacity(recycle_capacity::<T>(n));
-            v.extend(iter);
-            debug_assert_eq!(v.len(), n);
-            (v, false)
-        }
+pub(crate) fn give<T: Scalar>(v: Vec<T>) -> bool {
+    T::buffer_pool().give(v)
+}
+
+/// Kernel scratch borrowed from the pool, given back when it drops.
+///
+/// Derefs to its `Vec`, so a kernel slices, fills or pushes into it like
+/// any buffer; `Default` holds no allocation. Scratch never becomes
+/// tensor storage, so the memory ledger does not see it; the pool's
+/// hit and miss instruments count its takes.
+#[derive(Debug)]
+pub struct Scratch<T: Scalar>(Vec<T>);
+
+impl<T: Scalar> Scratch<T> {
+    /// `n` zeros.
+    #[inline]
+    pub fn zeroed(n: usize) -> Self {
+        let mut s = Scratch::with_capacity(n);
+        s.0.resize(n, T::zero());
+        s
+    }
+
+    /// Empty, with room for at least `n` elements.
+    #[inline]
+    pub fn with_capacity(n: usize) -> Self {
+        Scratch(take(n).0)
+    }
+}
+
+impl<T: Scalar> Default for Scratch<T> {
+    fn default() -> Self {
+        Scratch(Vec::new())
+    }
+}
+
+impl<T: Scalar> std::ops::Deref for Scratch<T> {
+    type Target = Vec<T>;
+
+    #[inline(always)]
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T: Scalar> std::ops::DerefMut for Scratch<T> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.0
+    }
+}
+
+impl<T: Scalar> Drop for Scratch<T> {
+    fn drop(&mut self) {
+        give(std::mem::take(&mut self.0));
     }
 }
 
@@ -436,7 +443,7 @@ mod tests {
         let got = pool.take(100).expect("hit");
         assert!(got.capacity() >= 100);
         assert!(got.is_empty());
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
     }
 
     #[test]
@@ -447,7 +454,7 @@ mod tests {
             !pool.give(Vec::with_capacity(MAX_BUFFER_BYTES / 4 + 1)),
             "above MAX_BUFFER_BYTES"
         );
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
     }
 
     #[test]
@@ -476,6 +483,6 @@ mod tests {
         assert!(!pool.give(Vec::with_capacity(64)), "bucket is full");
         assert_eq!(pool.len(), MAX_ENTRIES_PER_BUCKET);
         pool.clear();
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
     }
 }

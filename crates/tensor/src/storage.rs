@@ -67,19 +67,18 @@ impl<T: Scalar> Buf<T> {
         Buf { vec, bytes, site }
     }
 
-    /// Pool-aware copy of a slice.
-    fn copy_of(data: &[T]) -> Self {
-        match pool::take_vec::<T>(data.len()) {
-            Some(mut v) => {
-                v.extend_from_slice(data);
-                Buf::new(v, false)
-            }
-            None => {
-                let mut v = Vec::with_capacity(pool::recycle_capacity::<T>(data.len()));
-                v.extend_from_slice(data);
-                Buf::new(v, true)
-            }
-        }
+    /// The `n` elements `push` appends to a pool-aware empty buffer,
+    /// booked as recycled or fresh by where the capacity came from.
+    fn pushed(n: usize, push: impl FnOnce(&mut Vec<T>)) -> Self {
+        let (mut vec, recycled) = pool::take::<T>(n);
+        push(&mut vec);
+        assert_eq!(
+            vec.len(),
+            n,
+            "a kernel pushed {} of {n} elements",
+            vec.len()
+        );
+        Buf::new(vec, !recycled)
     }
 
     /// Moves the elements out, settling the tracker account immediately
@@ -96,7 +95,7 @@ impl<T: Scalar> Clone for Buf<T> {
     /// capacity — recycled from the pool when possible, and tracked as a
     /// fresh allocation otherwise.
     fn clone(&self) -> Self {
-        Buf::copy_of(&self.vec)
+        Buf::pushed(self.vec.len(), |v| v.extend_from_slice(&self.vec))
     }
 }
 
@@ -116,7 +115,7 @@ impl<T: Scalar> Drop for Buf<T> {
         }
         // The bytes leave tensor-live accounting either way: capacity the
         // pool keeps is reported separately as `s4tf_pool_resident_bytes`.
-        let pooled = pool::give_vec(std::mem::take(&mut self.vec));
+        let pooled = pool::give(std::mem::take(&mut self.vec));
         diag::track_free(self.site, self.bytes, !pooled);
     }
 }
@@ -147,25 +146,33 @@ impl<T: Scalar> Storage<T> {
     /// Creates storage holding a copy of `data`, recycling pooled
     /// capacity when available.
     pub(crate) fn copy_of_slice(data: &[T]) -> Self {
-        Storage {
-            data: Arc::new(Buf::copy_of(data)),
-        }
-    }
-
-    /// Wraps a buffer whose pool provenance the caller tracked (one out
-    /// of [`crate::pool`] is booked as recycled, not as a fresh
-    /// allocation).
-    pub(crate) fn from_vec_flagged(data: Vec<T>, recycled: bool) -> Self {
-        Storage {
-            data: Arc::new(Buf::new(data, !recycled)),
-        }
+        Storage::pushed(data.len(), |v| v.extend_from_slice(data))
     }
 
     /// Creates storage of `n` copies of `value`, recycling pooled
     /// capacity when available.
     pub fn filled(n: usize, value: T) -> Self {
-        let (v, recycled) = pool::filled_vec(n, value);
-        Storage::from_vec_flagged(v, recycled)
+        Storage::build(n, value, |_| ())
+    }
+
+    /// One of the two ways a kernel makes its output: `n` copies of
+    /// `init` in pool-aware capacity, which `write` then overwrites in
+    /// place.
+    #[inline]
+    pub(crate) fn build(n: usize, init: T, write: impl FnOnce(&mut [T])) -> Self {
+        Storage::pushed(n, |v| {
+            v.resize(n, init);
+            write(v);
+        })
+    }
+
+    /// The other way: `push` appends exactly `n` elements to an empty
+    /// buffer with room for them — for kernels that never need a fill.
+    #[inline]
+    pub(crate) fn pushed(n: usize, push: impl FnOnce(&mut Vec<T>)) -> Self {
+        Storage {
+            data: Arc::new(Buf::pushed(n, push)),
+        }
     }
 
     /// Number of elements.

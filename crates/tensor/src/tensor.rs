@@ -121,28 +121,22 @@ impl<T: Scalar> Tensor<T> {
 
     /// The `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
-        let (mut data, recycled) = crate::pool::zeroed_vec::<T>(n * n);
-        for i in 0..n {
-            data[i * n + i] = T::one();
-        }
-        Tensor::from_pooled_vec((data, recycled), &[n, n])
+        Tensor::build(&[n, n], T::zero(), |data| {
+            for i in 0..n {
+                data[i * n + i] = T::one();
+            }
+        })
     }
 
     /// `[0, 1, 2, …, n-1]` as a rank-1 tensor.
     pub fn arange(n: usize) -> Self {
-        let data = crate::pool::collect_n(n, (0..n).map(T::from_usize));
-        Tensor::from_pooled_vec(data, &[n])
+        Tensor::build_pushed(&[n], |data| data.extend((0..n).map(T::from_usize)))
     }
 
     /// Builds a tensor by evaluating `f` at every flat index.
-    pub fn from_fn(dims: &[usize], mut f: impl FnMut(usize) -> T) -> Self {
-        let shape = Shape::new(dims);
-        let n = shape.num_elements();
-        let (data, recycled) = crate::pool::collect_n(n, (0..n).map(&mut f));
-        Tensor {
-            shape,
-            storage: Storage::from_vec_flagged(data, recycled),
-        }
+    pub fn from_fn(dims: &[usize], f: impl FnMut(usize) -> T) -> Self {
+        let n = dims.iter().product();
+        Tensor::build_pushed(dims, |data| data.extend((0..n).map(f)))
     }
 
     // -------------------------------------------------------- crate plumbing
@@ -173,24 +167,26 @@ impl<T: Scalar> Tensor<T> {
         }
     }
 
-    /// Assembles a tensor from a buffer whose pool provenance is known
-    /// (the flag returned by the `crate::pool` allocation helpers), so a
-    /// recycled buffer is not double-counted as a fresh allocation.
+    /// A kernel's output of shape `dims`: every element starts as `init`
+    /// in pool-aware capacity, and `write` overwrites them in place.
+    #[inline]
+    pub(crate) fn build(dims: &[usize], init: T, write: impl FnOnce(&mut [T])) -> Self {
+        let shape = Shape::new(dims);
+        let storage = Storage::build(shape.num_elements(), init, write);
+        Tensor { shape, storage }
+    }
+
+    /// A kernel's output of shape `dims` with no fill pass: `push`
+    /// appends exactly its elements, in order, to an empty pool-aware
+    /// buffer.
     ///
     /// # Panics
-    /// Panics if `data.len()` differs from the shape's element count.
-    pub(crate) fn from_pooled_vec((data, recycled): (Vec<T>, bool), dims: &[usize]) -> Self {
+    /// Panics if `push` leaves a different element count.
+    #[inline]
+    pub(crate) fn build_pushed(dims: &[usize], push: impl FnOnce(&mut Vec<T>)) -> Self {
         let shape = Shape::new(dims);
-        assert_eq!(
-            data.len(),
-            shape.num_elements(),
-            "buffer of {} elements cannot have shape {shape}",
-            data.len()
-        );
-        Tensor {
-            shape,
-            storage: Storage::from_vec_flagged(data, recycled),
-        }
+        let storage = Storage::pushed(shape.num_elements(), push);
+        Tensor { shape, storage }
     }
 
     /// The underlying storage (crate-internal; no CoW trigger).
@@ -285,35 +281,29 @@ impl<T: Scalar> Tensor<T> {
     /// thread count since `f` is applied independently per element.
     pub fn map<U: Scalar>(&self, f: impl Fn(T) -> U + Sync) -> Tensor<U> {
         let src = self.as_slice();
-        let storage = if src.len() >= crate::par::ELEMWISE_GRAIN && s4tf_threads::num_threads() > 1
-        {
-            let (mut out, recycled) = crate::pool::zeroed_vec::<U>(src.len());
-            s4tf_threads::parallel_chunks_mut(
-                &mut out,
-                1,
-                crate::par::ELEMWISE_GRAIN,
-                |start, chunk| {
-                    let src = &src[start..start + chunk.len()];
-                    // `vectorize` only changes codegen (wider registers,
-                    // fused mul_add), never the per-element arithmetic,
-                    // so both dispatch paths are bit-identical here.
-                    crate::simd::vectorize(|| {
-                        for (o, &x) in chunk.iter_mut().zip(src) {
-                            *o = f(x);
-                        }
-                    });
-                },
-            );
-            Storage::from_vec_flagged(out, recycled)
+        if src.len() >= crate::par::ELEMWISE_GRAIN && s4tf_threads::num_threads() > 1 {
+            Tensor::build(self.dims(), U::zero(), |out| {
+                s4tf_threads::parallel_chunks_mut(
+                    out,
+                    1,
+                    crate::par::ELEMWISE_GRAIN,
+                    |start, chunk| {
+                        let src = &src[start..start + chunk.len()];
+                        // `vectorize` only changes codegen (wider registers,
+                        // fused mul_add), never the per-element arithmetic,
+                        // so both dispatch paths are bit-identical here.
+                        crate::simd::vectorize(|| {
+                            for (o, &x) in chunk.iter_mut().zip(src) {
+                                *o = f(x);
+                            }
+                        });
+                    },
+                );
+            })
         } else {
-            let (out, recycled) = crate::simd::vectorize(|| {
-                crate::pool::collect_n(src.len(), src.iter().map(|&x| f(x)))
-            });
-            Storage::from_vec_flagged(out, recycled)
-        };
-        Tensor {
-            shape: self.shape.clone(),
-            storage,
+            Tensor::build_pushed(self.dims(), |out| {
+                crate::simd::vectorize(|| out.extend(src.iter().map(|&x| f(x))));
+            })
         }
     }
 
@@ -348,31 +338,27 @@ impl<T: Scalar> Tensor<T> {
         );
         let lhs = self.as_slice();
         let rhs = other.as_slice();
-        let storage = if lhs.len() >= crate::par::ELEMWISE_GRAIN && s4tf_threads::num_threads() > 1
-        {
-            let (mut out, recycled) = crate::pool::zeroed_vec::<T>(lhs.len());
-            s4tf_threads::parallel_chunks_mut(
-                &mut out,
-                1,
-                crate::par::ELEMWISE_GRAIN,
-                |start, chunk| {
-                    crate::simd::vectorize(|| {
-                        for (i, o) in chunk.iter_mut().enumerate() {
-                            *o = f(lhs[start + i], rhs[start + i]);
-                        }
-                    });
-                },
-            );
-            Storage::from_vec_flagged(out, recycled)
+        if lhs.len() >= crate::par::ELEMWISE_GRAIN && s4tf_threads::num_threads() > 1 {
+            Tensor::build(self.dims(), T::zero(), |out| {
+                s4tf_threads::parallel_chunks_mut(
+                    out,
+                    1,
+                    crate::par::ELEMWISE_GRAIN,
+                    |start, chunk| {
+                        crate::simd::vectorize(|| {
+                            for (i, o) in chunk.iter_mut().enumerate() {
+                                *o = f(lhs[start + i], rhs[start + i]);
+                            }
+                        });
+                    },
+                );
+            })
         } else {
-            let (out, recycled) = crate::simd::vectorize(|| {
-                crate::pool::collect_n(lhs.len(), lhs.iter().zip(rhs).map(|(&a, &b)| f(a, b)))
-            });
-            Storage::from_vec_flagged(out, recycled)
-        };
-        Tensor {
-            shape: self.shape.clone(),
-            storage,
+            Tensor::build_pushed(self.dims(), |out| {
+                crate::simd::vectorize(|| {
+                    out.extend(lhs.iter().zip(rhs).map(|(&a, &b)| f(a, b)));
+                });
+            })
         }
     }
 

@@ -39,6 +39,7 @@
 
 use crate::met;
 use crate::op::{with_binary, with_unary, ElemBinary, ElemUnary, FusedInst};
+use s4tf_tensor::pool::Scratch;
 use s4tf_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -945,13 +946,9 @@ impl<'a> Launch<'a> {
         // Without rows the task is one traversal; otherwise it goes
         // through the row file a chunk at a time.
         let (chunk, mut rows) = if self.n_rows == 0 {
-            (out.len(), Vec::new())
+            (out.len(), Scratch::default())
         } else {
-            let len = self.n_rows * FUSED_CHUNK;
-            let mut rows = s4tf_tensor::pool::take_vec::<f32>(len)
-                .unwrap_or_else(|| Vec::with_capacity(len.next_power_of_two()));
-            rows.resize(len, 0.0);
-            (FUSED_CHUNK, rows)
+            (FUSED_CHUNK, Scratch::zeroed(self.n_rows * FUSED_CHUNK))
         };
         let mut start = 0usize;
         while start < out.len() {
@@ -960,9 +957,6 @@ impl<'a> Launch<'a> {
             self.fill_rows(&mut rows, &out[start..start + len], start == 0, global);
             self.run_chunk(global, &mut rows, &mut out[start..start + len]);
             start += len;
-        }
-        if self.n_rows > 0 {
-            s4tf_tensor::pool::give_vec(rows);
         }
     }
 
@@ -1036,15 +1030,12 @@ impl CompiledKernel {
         let launch = Launch::new(self, slices, n);
         s4tf_tensor::ops::reduce::column_sums(n, cols, |elements, acc| {
             let block_len = FUSED_GRAIN.min(elements.len());
-            let mut block = s4tf_tensor::pool::take_vec::<f32>(block_len)
-                .unwrap_or_else(|| Vec::with_capacity(block_len));
-            block.resize(block_len, 0.0);
+            let mut block = Scratch::zeroed(block_len);
             for start in elements.clone().step_by(FUSED_GRAIN) {
                 let values = &mut block[..block_len.min(elements.end - start)];
                 launch.task(start, values);
                 acc.push(values);
             }
-            s4tf_tensor::pool::give_vec(block);
         })
     }
 }
