@@ -8,6 +8,13 @@
 //! [`crate::worker::is_worker_process`] first thing in `main` and branches
 //! into its worker entry point, so one artifact plays both roles.
 //!
+//! A session's start and stop are event-driven: the supervisor waits
+//! between rounds (and before a respawn) on a channel that teardown
+//! closes, and the reap polls each child with a back-off that starts at
+//! 1 ms, so a run returns a few milliseconds after its workers exit.
+//! [`ClusterReport`]'s `spawn_us`, `register_us` and `teardown_us` time
+//! the spawn, the registration and the teardown around the steps.
+//!
 //! Chaos hooks: [`ClusterConfig::abort`] plants a deterministic
 //! `kill -9`-style death in one worker, and [`ClusterConfig::restart_ms`]
 //! makes the supervisor respawn a dead worker once — with `abort: None`
@@ -22,8 +29,7 @@ use s4tf_tensor::RuntimeError;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything a cluster run needs. Each worker receives the whole value
@@ -221,8 +227,11 @@ fn worker_command(
 
 /// Launches `cfg.world` workers, drives the coordinator to completion,
 /// and reaps every child before returning. The supervisor thread restarts
-/// dead workers when [`ClusterConfig::restart_ms`] asks for it.
+/// dead workers when [`ClusterConfig::restart_ms`] asks for it. The
+/// report's `spawn_us`, `register_us` and `teardown_us` time the launch
+/// around its steps (see [`ClusterReport`]).
 pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
+    let launched = Instant::now();
     if cfg.world == 0 || cfg.steps == 0 {
         return Err(net_err("dist.run", "world and steps must both be nonzero"));
     }
@@ -249,20 +258,27 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
             kids.push((rank, child));
         }
     }
+    let spawn_us = launched.elapsed().as_micros() as u64;
 
-    // Supervisor: reap exits; optionally respawn each dead rank once.
-    let stop = Arc::new(AtomicBool::new(false));
+    // Supervisor: reap exits; optionally respawn each dead rank once. It
+    // waits on `woken` between rounds and before a respawn; teardown drops
+    // `wake`, which ends any wait (and the thread) at once.
+    let (wake, woken) = mpsc::channel::<()>();
     let supervisor = {
-        let stop = Arc::clone(&stop);
         let children = Arc::clone(&children);
         let cfg = ClusterConfig {
             abort: None,
             ..cfg.clone()
         };
         std::thread::spawn(move || {
+            let stopped = |ms: u64| {
+                !matches!(
+                    woken.recv_timeout(Duration::from_millis(ms)),
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                )
+            };
             let mut restarted: Vec<u32> = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(25));
+            while !stopped(25) {
                 let mut respawn: Vec<u32> = Vec::new();
                 {
                     let Ok(mut kids) = children.lock() else { break };
@@ -279,9 +295,8 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
                 }
                 for rank in respawn {
                     restarted.push(rank);
-                    std::thread::sleep(Duration::from_millis(cfg.restart_ms.unwrap_or(0)));
-                    if stop.load(Ordering::Relaxed) {
-                        break;
+                    if stopped(cfg.restart_ms.unwrap_or(0)) {
+                        return;
                     }
                     let Ok(mut cmd) = worker_command(&cfg, coord_port, rank) else {
                         continue;
@@ -296,13 +311,16 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
         })
     };
 
-    let result = coordinator::run(cfg, listener);
+    let result = coordinator::run(cfg, listener, launched);
 
     // Tear down: stop the supervisor, give workers a grace window to act
-    // on their Shutdown message, then force-kill stragglers and reap.
-    stop.store(true, Ordering::Relaxed);
+    // on their Shutdown message, then force-kill stragglers and reap. The
+    // polls back off from 1 ms: a worker exits within a few ms of its
+    // Shutdown, so a fixed 25 ms poll would mostly wait on itself.
+    drop(wake);
     let _ = supervisor.join();
     let grace = Instant::now() + Duration::from_millis(2000);
+    let mut poll = Duration::from_millis(1);
     loop {
         let alive = {
             let Ok(mut kids) = children.lock() else { break };
@@ -312,7 +330,8 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
         if !alive || Instant::now() >= grace {
             break;
         }
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(poll);
+        poll = (poll * 2).min(Duration::from_millis(25));
     }
     if let Ok(mut kids) = children.lock() {
         for (_rank, child) in kids.iter_mut() {
@@ -321,5 +340,8 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, RuntimeError> {
         }
         kids.clear();
     }
-    result
+    let (mut report, last_commit) = result?;
+    report.spawn_us = spawn_us;
+    report.teardown_us = last_commit.elapsed().as_micros() as u64;
+    Ok(report)
 }

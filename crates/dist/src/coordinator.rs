@@ -74,6 +74,16 @@ pub struct ClusterReport {
     pub survivors: Vec<u32>,
     /// Directory holding the final sync checkpoint.
     pub ckpt_dir: PathBuf,
+    /// Launcher time from [`crate::cluster::run`]'s entry to the last
+    /// worker process spawned, microseconds.
+    pub spawn_us: u64,
+    /// Launcher time from `run`'s entry to the whole initial world
+    /// registered, microseconds (includes `spawn_us`).
+    pub register_us: u64,
+    /// Launcher time from the last step's `Commit` to every worker
+    /// process reaped, microseconds: the final sync checkpoint, the
+    /// `Shutdown` and the workers' exits.
+    pub teardown_us: u64,
 }
 
 enum Event {
@@ -101,8 +111,15 @@ struct WorkerConn {
 }
 
 /// Runs the control plane to completion. `listener` must already be
-/// bound; workers are expected to dial it and `Register`.
-pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, RuntimeError> {
+/// bound; workers are expected to dial it and `Register`. `launched` is
+/// when the launcher began: the report's `register_us` runs from it.
+/// Returns the report and the instant the last step committed, from which
+/// the launcher times its teardown.
+pub fn run(
+    cfg: &ClusterConfig,
+    listener: TcpListener,
+    launched: Instant,
+) -> Result<(ClusterReport, Instant), RuntimeError> {
     let mut span = s4tf_profile::span("dist.coordinator");
     let deadline = Instant::now() + Duration::from_millis(cfg.deadline_ms);
     let (tx, events) = mpsc::channel::<Event>();
@@ -140,6 +157,9 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
         retries: 0,
         survivors: Vec::new(),
         ckpt_dir: cfg.ckpt_dir.clone(),
+        spawn_us: 0,
+        register_us: 0,
+        teardown_us: 0,
     };
 
     // -- phase 0: wait for the initial world to register -----------------
@@ -168,10 +188,13 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
         }
     }
 
+    report.register_us = launched.elapsed().as_micros() as u64;
+
     let mut epoch: u32 = 1;
     let mut step: u64 = 0;
     let mut attempt: u32 = 0;
     let mut step_started = Instant::now();
+    let mut last_commit = step_started;
     // Expelled ranks the launcher's supervisor is restarting, and until
     // when the next commit waits for them to register.
     let mut returning: Vec<u32> = Vec::new();
@@ -360,6 +383,7 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
                 attempt,
                 step,
             )?;
+            last_commit = Instant::now();
             report.steps.push(StepRecord {
                 step,
                 epoch,
@@ -427,7 +451,7 @@ pub fn run(cfg: &ClusterConfig, listener: TcpListener) -> Result<ClusterReport, 
         span.annotate_f64("retries", report.retries as f64);
         span.annotate_f64("expelled", report.expelled.len() as f64);
     }
-    Ok(report)
+    Ok((report, last_commit))
 }
 
 /// Waits for the lowest active rank to confirm the sync checkpoint.

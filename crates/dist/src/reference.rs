@@ -57,13 +57,13 @@ where
             }
         }
         let shards: Vec<&[f32]> = flats.iter().map(|f| f.as_slice()).collect();
-        let reduced = reference_ring_sum(&shards, bucket_elems);
+        let mut reduced = reference_ring_sum(&shards, bucket_elems);
         let mut tangent = tangent.expect("members is nonempty");
         apply_reduced(
             model,
             optimizer,
             &mut tangent,
-            &reduced,
+            &mut reduced,
             members.len() as u32,
             device,
         )?;

@@ -1,7 +1,7 @@
 //! The worker process: shard compute, ring collectives, two-phase apply,
 //! checkpoint sync, and deterministic chaos hooks.
 //!
-//! A worker is a child process launched by [`crate::cluster::Cluster`]. It
+//! A worker is a child process launched by [`crate::cluster::run`]. It
 //! dials the coordinator, registers its data-plane port, and then follows
 //! the control protocol: on `View` it (re)builds its ring neighbors and
 //! computes the step's shard gradient; the bucketed ring all-reduce runs
@@ -19,6 +19,11 @@
 //! coordinator's broadcasts. A `Retry`, a new `View` or a failed
 //! collective drops the link, and the next collective re-dials it keyed
 //! by `(epoch, step, attempt)` (`establish_ring`).
+//!
+//! A heartbeat thread writes a `Heartbeat` on the control stream every
+//! `heartbeat_ms`. It waits out each interval on a stop channel, so when
+//! `Shutdown` arrives the worker stops it, joins it and exits at once
+//! rather than after the rest of an interval.
 //!
 //! Rejoin: a restarted worker registers like a fresh one; its first `View`
 //! carries a `resume_step` ahead of its local progress, which it satisfies
@@ -41,7 +46,6 @@ use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::RuntimeError;
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -147,16 +151,16 @@ impl WorkerEnv {
     }
 }
 
-/// Applies a reduced flat gradient to the model: renormalize by the
-/// survivor count, scatter into the tangent, and run the optimizer
-/// update + barrier. Shared verbatim by the worker and by
+/// Applies a reduced flat gradient to the model: renormalize it in place
+/// by the survivor count, scatter it into the tangent, and run the
+/// optimizer update + barrier. Shared verbatim by the worker and by
 /// [`crate::reference`], which is what makes the multi-process run
 /// bit-identical to the in-process baseline.
 pub fn apply_reduced<L, O>(
     model: &mut L,
     optimizer: &mut O,
     tangent: &mut L::TangentVector,
-    reduced: &[f32],
+    reduced: &mut [f32],
     survivors: u32,
     device: &Device,
 ) -> Result<(), RuntimeError>
@@ -166,8 +170,10 @@ where
     O: Optimizer<L>,
 {
     let scale = survivors.max(1) as f32;
-    let averaged: Vec<f32> = reduced.iter().map(|v| v / scale).collect();
-    unflatten_tangent(tangent, &averaged, device)?;
+    for v in reduced.iter_mut() {
+        *v /= scale;
+    }
+    unflatten_tangent(tangent, reduced, device)?;
     optimizer.update(model, tangent);
     device.barrier();
     Ok(())
@@ -257,25 +263,23 @@ impl ControlLink {
     }
 }
 
-/// Heartbeat thread handle; stops and joins on drop.
+/// Heartbeat thread handle. The thread waits out each interval on a stop
+/// channel, so dropping the handle wakes it at once and joins it: a
+/// worker's exit never waits for the rest of a heartbeat interval.
 struct HeartbeatPump {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatPump {
     fn start(writer: Arc<Mutex<TcpStream>>, rank: u32, interval_ms: u64) -> HeartbeatPump {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
+        let interval = Duration::from_millis(interval_ms.max(10));
         let handle = std::thread::spawn(move || {
-            let beat = Control::Heartbeat;
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(interval_ms.max(10)));
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                let frame = beat.frame(rank, 0, 0, 0);
-                let bytes = frame.encode();
+            let bytes = Control::Heartbeat.frame(rank, 0, 0, 0).encode();
+            // Only a timeout sends a beat; a stop (or its sender's drop)
+            // ends the loop.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 let Ok(mut w) = writer.lock() else { break };
                 if write_encoded(&mut *w, &bytes, None).is_err() {
                     break; // coordinator gone; the main thread will notice
@@ -291,7 +295,7 @@ impl HeartbeatPump {
 
 impl Drop for HeartbeatPump {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -619,9 +623,18 @@ where
                 let Some((_, tangent, _)) = pristine.as_mut() else {
                     continue; // stale commit for state we no longer hold
                 };
-                let Some(red) = reduced.take() else { continue };
-                apply_reduced(&mut model, &mut optimizer, tangent, &red, survivors, device)
-                    .inspect_err(|e| report_fatal(&ctl, e))?;
+                let Some(mut red) = reduced.take() else {
+                    continue;
+                };
+                apply_reduced(
+                    &mut model,
+                    &mut optimizer,
+                    tangent,
+                    &mut red,
+                    survivors,
+                    device,
+                )
+                .inspect_err(|e| report_fatal(&ctl, e))?;
                 completed = ctl.step + 1;
                 pristine = None;
                 if then_sync {
@@ -962,6 +975,37 @@ mod tests {
         assert!(
             worst < Duration::from_millis(25),
             "worst control round trip {worst:?}"
+        );
+    }
+
+    /// A worker drops its pump when `Shutdown` arrives, and the process
+    /// exits only after the drop returns. With a 10 s interval, a pump
+    /// that slept out its interval would hold that exit for ≈ 10 s.
+    #[test]
+    fn dropping_the_heartbeat_pump_returns_without_waiting_out_its_interval() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let coord_port = listener.local_addr().expect("addr").port();
+        let coordinator = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            while read_frame(&mut s, None).is_ok() {}
+        });
+        let cfg = ClusterConfig::new(1, 1, PathBuf::from("unused"));
+        let env = WorkerEnv {
+            rank: 0,
+            coord_port,
+            cfg,
+        };
+        let link = ControlLink::connect(&env).expect("worker side");
+        let pump = HeartbeatPump::start(Arc::clone(&link.writer), 0, 10_000);
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        drop(pump);
+        let took = started.elapsed();
+        drop(link);
+        coordinator.join().expect("coordinator thread");
+        assert!(
+            took < Duration::from_millis(500),
+            "dropping the pump took {took:?}"
         );
     }
 }

@@ -69,6 +69,13 @@ fn main() {
         "completed {} steps, final loss {:.6}, survivors {:?}, {} retries",
         report.steps_completed, report.final_loss, report.survivors, report.retries
     );
+    let ms = |us: u64| us as f64 / 1e3;
+    println!(
+        "launch: spawn {:.1} ms, register {:.1} ms, teardown {:.1} ms",
+        ms(report.spawn_us),
+        ms(report.register_us),
+        ms(report.teardown_us)
+    );
     for (rank, step) in &report.expelled {
         println!("  expelled: rank {rank} at step {step}");
     }

@@ -2,7 +2,7 @@
 //! this binary re-execs itself as the worker processes, which the libtest
 //! harness would intercept).
 //!
-//! Four scenarios, each judged against the in-process reference replay
+//! Six scenarios, each judged against the in-process reference replay
 //! ([`s4tf::dist::reference`]) and the sync checkpoint on disk:
 //!
 //! 1. fault-free 4-worker convergence, bit-identical to single-process;
@@ -13,7 +13,9 @@
 //! 4. injected wire corruption surfaces a typed `RuntimeError` with peer
 //!    attribution after bounded retries — never a hang;
 //! 5. seeded wire delays on ring links held across steps slow the run
-//!    without failing it: no retry, no expulsion, bit-identical.
+//!    without failing it: no retry, no expulsion, bit-identical;
+//! 6. a session with a long heartbeat interval ends when its last step
+//!    commits, not when the workers' next heartbeat would have gone out.
 
 use s4tf::dist::cluster::{self, ClusterConfig};
 use s4tf::dist::coordinator::ClusterReport;
@@ -299,6 +301,32 @@ fn delays_on_held_links_are_survived() -> Result<(), String> {
     Ok(())
 }
 
+/// Scenario 6: 2 workers x 4 steps with a 2 s heartbeat interval. The
+/// steps take milliseconds, so a worker whose exit waited for its
+/// heartbeat thread's next wake-up would hold the launcher's reap for
+/// most of 2 s; the teardown must instead follow the last commit at once,
+/// and the run stay bit-identical.
+fn sessions_end_when_their_last_step_commits() -> Result<(), String> {
+    let dir = scratch_dir("teardown");
+    let mut cfg = ClusterConfig::new(2, 4, dir.clone());
+    cfg.heartbeat_ms = 2_000;
+    cfg.timeout_ms = 10_000;
+    let report = cluster::run(&cfg).map_err(|e| format!("cluster failed: {e}"))?;
+    if report.steps_completed != 4 {
+        return Err(format!("completed {} of 4 steps", report.steps_completed));
+    }
+    let teardown_ms = report.teardown_us / 1000;
+    if teardown_ms >= 500 {
+        return Err(format!(
+            "teardown took {teardown_ms} ms after the last commit (heartbeat {} ms)",
+            cfg.heartbeat_ms
+        ));
+    }
+    assert_bit_identical(&report, &cfg, "teardown")?;
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 fn main() {
     // Worker role: the launcher re-execs this binary with
     // S4TF_DIST_WORKER set; everything below is launcher-only.
@@ -308,7 +336,7 @@ fn main() {
     std::env::set_var("S4TF_NUM_THREADS", "1");
 
     type Scenario = fn() -> Result<(), String>;
-    let scenarios: [(&str, Scenario); 5] = [
+    let scenarios: [(&str, Scenario); 6] = [
         ("fault_free_bit_identical", fault_free_bit_identical),
         ("dropshard_survives_kill", dropshard_survives_kill),
         (
@@ -322,6 +350,10 @@ fn main() {
         (
             "delays_on_held_links_are_survived",
             delays_on_held_links_are_survived,
+        ),
+        (
+            "sessions_end_when_their_last_step_commits",
+            sessions_end_when_their_last_step_commits,
         ),
     ];
 
