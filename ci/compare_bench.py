@@ -17,10 +17,11 @@ uncomparable artifact.
 A `kernels` artifact is also checked against itself: each
 `conv2d_backward_*` row must reach at least ``CONV_GRAD_FLOOR`` x the
 GFLOP/s of the `conv2d` row with the same case and dispatch path. The
-gradients run on the same packed GEMM engine as the forward kernel, so a
-row far below it means a gradient fell back to scalar loops while its
-roofline label still says `simd8`. Both rows come from one run on one
-machine, so this check fails on every machine.
+gradients run on vector kernels like the forward kernel (the packed GEMM
+or a lane kernel), so a row far below it means a gradient fell back to
+scalar loops while its roofline label still says `simd8`. Both rows come
+from one run on one machine, their trials interleaved, so this check
+fails on every machine.
 
 And each forward `conv2d` row with at least ``CONV_GEMM_MIN_IN_C`` input
 channels and a kernel larger than 1x1 must reach ``CONV_GEMM_FLOOR`` x the

@@ -16,11 +16,14 @@
 //! regression gate compares against the checked-in baseline. The JSON
 //! records the host's `available_parallelism` verbatim: on a single-core
 //! runner the N-thread column measures pool overhead, not speedup, and
-//! the file says so.
+//! the file says so. The rows of one case (a conv's forward and both
+//! gradients, a pool's four kernels) are timed with their trials
+//! interleaved, so the ratios the gate takes between them do not follow
+//! the host's speed from one row to the next.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use s4tf_bench::harness::{machine_value, measure};
+use s4tf_bench::harness::{machine_value, measure_interleaved, TrialStats};
 use s4tf_tensor::{cost, OpCost, Padding, Shape, Tensor};
 use s4tf_xla::op::FusedInst;
 use s4tf_xla::{ElemBinary, ElemUnary, HloOp};
@@ -141,8 +144,8 @@ fn conv_cases(
 /// The conv shapes of the two training workloads, forward and both
 /// gradients each: LeNet's c1/c2 at batch `lenet_b`; one ResNet-8 3×3 per
 /// stage (`out_w` 32, 16 and 8 — the GEMM's M per output row), its
-/// stride-2 16→32 downsampling conv and the 1×1 stride-2 shortcut beside
-/// it, at batch `resnet_b`.
+/// stride-2 downsampling convs (16→32 and 32→64) and the 1×1 stride-2
+/// shortcut beside each, at batch `resnet_b`.
 fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<Case> {
     let (l, r) = (lenet_b, resnet_b);
     let same = Padding::Same;
@@ -154,6 +157,8 @@ fn all_conv_cases(lenet_b: usize, resnet_b: usize, rng: &mut ChaCha8Rng) -> Vec<
         ("resnet-64", [r, 8, 8, 64], [3, 3, 64, 64], 1, same),
         ("resnet-s2", [r, 32, 32, 16], [3, 3, 16, 32], 2, same),
         ("resnet-sc", [r, 32, 32, 16], [1, 1, 16, 32], 2, same),
+        ("resnet-s3", [r, 16, 16, 32], [3, 3, 32, 64], 2, same),
+        ("resnet-sc3", [r, 16, 16, 32], [1, 1, 32, 64], 2, same),
     ];
     let dims = |d: [usize; 4]| d.map(|v| v.to_string()).join("x");
     let mut cases = Vec::new();
@@ -491,6 +496,13 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
+/// The rows of `group` timed with their runs interleaved
+/// ([`measure_interleaved`]).
+fn measure_group(warmup: usize, trials: usize, group: &mut [Case]) -> Vec<TrialStats> {
+    let mut runs: Vec<&mut dyn FnMut()> = group.iter_mut().map(|c| &mut *c.run as _).collect();
+    measure_interleaved(warmup, trials, &mut runs)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -552,47 +564,57 @@ fn main() {
     let active_simd = s4tf_tensor::simd_enabled();
     let path = s4tf_tensor::path_label();
     let mut results = Vec::new();
-    for case in &mut cases {
+    // Consecutive rows of one case (a conv's forward and both gradients, a
+    // pool's four kernels) run interleaved, so the gates that compare them
+    // see the same host speed.
+    let mut rest = &mut cases[..];
+    while !rest.is_empty() {
+        let name = rest[0].name.clone();
+        let len = rest.iter().take_while(|c| c.name == name).count();
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
         s4tf_threads::set_num_threads(1);
-        let s1 = measure(warmup, trials, &mut case.run);
+        let s1 = measure_group(warmup, trials, group);
         let scalar1 = if active_simd {
             s4tf_tensor::set_simd_enabled(false);
-            let s = measure(warmup, trials, &mut case.run);
+            let s = measure_group(warmup, trials, group);
             s4tf_tensor::set_simd_enabled(true);
             s
         } else {
             s1.clone()
         };
         s4tf_threads::set_num_threads(threads_n);
-        let sn = measure(warmup, trials, &mut case.run);
-        let (t1, tn) = (s1.median_ms, sn.median_ms);
-        let speedup = t1 / tn;
-        let (g1, gn) = (s1.gflops(case.cost.flops), sn.gflops(case.cost.flops));
-        let gs1 = scalar1.gflops(case.cost.flops);
-        let row_path = case.path.unwrap_or(path);
-        println!(
-            "  {:<11} {:<28} 1T {t1:>9.3} ms ({g1:>7.3} GF/s)   \
-             {threads_n}T {tn:>9.3} ms ({gn:>7.3} GF/s)   {speedup:>5.2}x   \
-             [{row_path}; scalar 1T {gs1:>7.3} GF/s]",
-            case.kernel, case.name
-        );
-        results.push(obj(vec![
-            ("kernel", Value::Str(case.kernel.to_string())),
-            ("case", Value::Str(case.name.clone())),
-            ("path", Value::Str(row_path.to_string())),
-            ("threads_1_ms", Value::Float(t1)),
-            ("threads_n_ms", Value::Float(tn)),
-            ("threads_scalar_1_ms", Value::Float(scalar1.median_ms)),
-            ("speedup", Value::Float(speedup)),
-            ("threads_1_iqr_ms", Value::Float(s1.iqr_ms)),
-            ("threads_n_iqr_ms", Value::Float(sn.iqr_ms)),
-            ("flops", Value::UInt(case.cost.flops)),
-            ("bytes", Value::UInt(case.cost.bytes)),
-            ("gflops_1", Value::Float(g1)),
-            ("gflops_n", Value::Float(gn)),
-            ("gflops_scalar_1", Value::Float(gs1)),
-            ("gbs_1", Value::Float(s1.gbps(case.cost.bytes))),
-        ]));
+        let sn = measure_group(warmup, trials, group);
+        for (((case, s1), scalar1), sn) in group.iter().zip(s1).zip(scalar1).zip(sn) {
+            let (t1, tn) = (s1.median_ms, sn.median_ms);
+            let speedup = t1 / tn;
+            let (g1, gn) = (s1.gflops(case.cost.flops), sn.gflops(case.cost.flops));
+            let gs1 = scalar1.gflops(case.cost.flops);
+            let row_path = case.path.unwrap_or(path);
+            println!(
+                "  {:<11} {:<28} 1T {t1:>9.3} ms ({g1:>7.3} GF/s)   \
+                 {threads_n}T {tn:>9.3} ms ({gn:>7.3} GF/s)   {speedup:>5.2}x   \
+                 [{row_path}; scalar 1T {gs1:>7.3} GF/s]",
+                case.kernel, case.name
+            );
+            results.push(obj(vec![
+                ("kernel", Value::Str(case.kernel.to_string())),
+                ("case", Value::Str(case.name.clone())),
+                ("path", Value::Str(row_path.to_string())),
+                ("threads_1_ms", Value::Float(t1)),
+                ("threads_n_ms", Value::Float(tn)),
+                ("threads_scalar_1_ms", Value::Float(scalar1.median_ms)),
+                ("speedup", Value::Float(speedup)),
+                ("threads_1_iqr_ms", Value::Float(s1.iqr_ms)),
+                ("threads_n_iqr_ms", Value::Float(sn.iqr_ms)),
+                ("flops", Value::UInt(case.cost.flops)),
+                ("bytes", Value::UInt(case.cost.bytes)),
+                ("gflops_1", Value::Float(g1)),
+                ("gflops_n", Value::Float(gn)),
+                ("gflops_scalar_1", Value::Float(gs1)),
+                ("gbs_1", Value::Float(s1.gbps(case.cost.bytes))),
+            ]));
+        }
     }
     s4tf_threads::set_num_threads(1);
 

@@ -52,19 +52,39 @@ impl TrialStats {
 /// Times `f` over `trials` runs after `warmup` unmeasured runs, rejecting
 /// outliers outside the Tukey fences (`[q1 − 1.5·IQR, q3 + 1.5·IQR]`).
 pub fn measure(warmup: usize, trials: usize, mut f: impl FnMut()) -> TrialStats {
+    measure_interleaved(warmup, trials, &mut [&mut f]).remove(0)
+}
+
+/// [`measure`] for several functions at once, their runs interleaved:
+/// each warmup round and each trial runs every function once, in order,
+/// so a drift in the host's speed lands on all of them alike and the
+/// ratios between their medians hold up.
+pub fn measure_interleaved(
+    warmup: usize,
+    trials: usize,
+    fs: &mut [&mut dyn FnMut()],
+) -> Vec<TrialStats> {
     assert!(trials > 0, "at least one trial");
     for _ in 0..warmup {
-        f();
+        for f in fs.iter_mut() {
+            f();
+        }
     }
-    let mut times_ms: Vec<f64> = (0..trials)
-        .map(|_| {
+    let mut times_ms = vec![Vec::with_capacity(trials); fs.len()];
+    for _ in 0..trials {
+        for (f, times) in fs.iter_mut().zip(&mut times_ms) {
             let start = Instant::now();
             f();
-            start.elapsed().as_secs_f64() * 1e3
+            times.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    times_ms
+        .into_iter()
+        .map(|mut times| {
+            times.sort_by(|a, b| a.total_cmp(b));
+            stats_of_sorted(&times)
         })
-        .collect();
-    times_ms.sort_by(|a, b| a.total_cmp(b));
-    stats_of_sorted(&times_ms)
+        .collect()
 }
 
 /// The robust statistics of an already-sorted sample.
@@ -208,5 +228,18 @@ mod tests {
         assert_eq!(calls, 7);
         assert_eq!(stats.trials, 5);
         assert!(stats.median_ms >= 0.0);
+    }
+
+    #[test]
+    fn interleaved_runs_alternate() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (mut a, mut b) = (
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        let stats = measure_interleaved(1, 3, &mut [&mut a, &mut b]);
+        assert_eq!(order.into_inner(), "abababab".chars().collect::<Vec<_>>());
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|s| s.trials == 3));
     }
 }

@@ -9,8 +9,8 @@
 //! **Single-channel inputs** with column stride 1 (LeNet's first layer,
 //! [`ConvGeom::single_channel`]) run direct lane kernels. Each image is
 //! copied once into a zero-padded plane, so every `(ky, kx)` tap of an
-//! output row is one unaligned lane load at column offset `kx`: no im2col,
-//! no packed operand. Lanes run along output columns.
+//! output row is one unaligned lane load at column offset `kx`: no patch
+//! matrix, no packed operand. Lanes run along output columns.
 //!
 //! * **forward** — a register tile of 6 channels × 16 columns. Each output
 //!   element is one multiply-add chain from zero over the taps in `kk`
@@ -27,52 +27,96 @@
 //!   horizontal sum into the task's partial: a new summation order,
 //!   different by rounding only.
 //!
-//! **Everything else** lowers to the packed GEMM in [`super::gemm`], one
-//! *block* of output rows at a time: as many rows of one image as fit
-//! [`BLOCK_SCRATCH_BYTES`] of patch-major im2col scratch `col[P, kdim]`
-//! ([`im2col_block`]), `P` positions × `kdim = k_h·k_w·in_c` patch
-//! elements, one GEMM per block. Position `p`'s patch is `k_h` runs of
-//! `k_w·in_c` input floats, each one `copy_from_slice` clipped at the
-//! image's left and right edge — [`col2im_strip`] is the same walk run
-//! backwards, and the two share the clipping ([`ConvGeom::kx_range`]).
+//! **Everything else** lowers to the packed GEMM in [`super::gemm`], whose
+//! A operand is indexed ([`gemm::Index`]): no patch matrix is built. Each
+//! image's rows that a task's output rows read are copied once into a
+//! zero-padded plane ([`patches`]); Valid and 1×1 windows, which never
+//! reach padding, read the image itself ([`ConvGeom::in_place`]). Output
+//! position `p`'s patch is then `k_h` runs of `k_w·in_c` floats at fixed
+//! offsets in the plane ([`ConvGeom::patch_walks`]), and the GEMM reads
+//! them where they lie. Every output element keeps its sum over its whole
+//! window in k-order, the padding's zeros included.
 //!
 //! * **forward** — HWIO filters flatten row-major to exactly the
-//!   `[kdim, out_c]` B operand; each block is `col[P, kdim] · W`.
-//! * **input gradient** — `dcol[P, kdim] = dy_block[P, out_c] · Wᵀ` (`Wᵀ`
-//!   packed once per call, the NHWC `dy` rows read in place), then
-//!   [`col2im_strip`] scatter-adds `dcol` into the image's `dx` rows, one
-//!   output row at a time in row order.
-//! * **filter gradient** — `dw += colᵀ[kdim, P] · dy_block[P, out_c]`: the
-//!   reduction runs over the block's `P` positions in registers, with `dy`
-//!   packed once per block.
+//!   `[kdim, out_c]` B operand (`kdim = k_h·k_w·in_c`); one GEMM per image
+//!   share of a task, split over `batch × out_h` output rows
+//!   ([`forward_patches`]).
+//! * **input gradient** — for stride (1, 1) and at least [`LANES`] input
+//!   channels ([`ConvGeom::dx_as_conv`]), the forward lowering run on the
+//!   transposed problem `dx = dy ⊛ rot180(W)ᵀ` ([`ConvGeom::transposed`],
+//!   [`rotated_filter`]): `dy` padded by `k − 1 − pad` on each side, split
+//!   over `batch × in_h` rows of `dx`. Each `dx` cell is one k-order sum
+//!   over `(ky, kx, out_c)` of its window, a summation order of its own
+//!   (the scatter below added the same products per tap). A filter with a
+//!   non-finite weight takes the scatter, which never multiplies padding.
+//!   Inputs with fewer than [`LANES`] channels ([`ConvGeom::dx_in_batch_lanes`],
+//!   LeNet's c2) run [`dx_batch_lanes`]: lanes along the batch, each `dx`
+//!   cell summed over the taps inside the image only, in the scatter's
+//!   order, so the bits are the scatter's. Strided geometries with at
+//!   least [`LANES`] channels keep `dcol[P, kdim] = dy_block[P, out_c] ·
+//!   Wᵀ` per block of output rows (`Wᵀ` packed once per call, the NHWC `dy`
+//!   rows read in place), then [`col2im_strip`] scatter-adds `dcol` into
+//!   the image's `dx` rows, one output row at a time in row order, split
+//!   over images.
+//! * **filter gradient** — `dw += colᵀ[kdim, P] · dy_block[P, out_c]` with
+//!   `colᵀ` the forward's two walks with their roles swapped: the rows are
+//!   taps and the reduction runs over the block's `P` positions, one run
+//!   per output row, with `dy` packed once per block; split over images.
 //!
-//! Scratch (planes, im2col blocks, packed operands) is per task, taken
-//! from and returned to [`crate::pool`]. Work splits across the thread
-//! pool over images, except the GEMM forward, which splits over
-//! `batch × out_h` output rows; its blocks are cut inside a task's share,
-//! so the block height never limits how evenly a layer splits.
+//! [`ConvGeom::lowering`] and [`ConvGeom::dx_lowering`] name the path each
+//! geometry takes.
+//!
+//! Scratch (planes, `dcol` blocks, the rotated filter, batch-lane `dy`
+//! and `dx`, packed operands) is per task or per call, taken from and
+//! returned to [`crate::pool`].
 
 use std::any::TypeId;
 use std::ops::Range;
 
-use super::gemm::{self, Layout, PackedB};
+use super::gemm::{self, Index, Layout, PackedB, Walk};
 use crate::dtype::Float;
 use crate::pool::Scratch;
 use crate::simd::{self, L8, LANES};
 use crate::tensor::Tensor;
 use crate::Padding;
 
-/// Below this many multiply-accumulates the direct loops beat the
-/// im2col + GEMM lowering (scratch setup dominates).
+/// Below this many multiply-accumulates the direct loops beat the GEMM
+/// lowering (scratch setup dominates).
 const DIRECT_MAX_MACS: usize = 1 << 15;
 
 /// Target multiply-accumulates per parallel task.
 const CHUNK_MACS: usize = 1 << 16;
 
-/// Upper bound on one block's im2col scratch. Blocks of 4 rows, 8 rows and
-/// a whole 32×32×16 image measured within 4 % of each other, so the bound
-/// only keeps a task's scratch inside L2 next to the packed filter.
+/// Upper bound on the patch matrix one block of the filter gradient, or of
+/// the col2im input gradient, reduces over or scatters (`P × kdim`
+/// elements). Blocks of 4 rows, 8 rows and a whole 32×32×16 image measured
+/// within 4 % of each other, so the bound only keeps a task's working set
+/// inside L2 next to the packed operand.
 const BLOCK_SCRATCH_BYTES: usize = 192 << 10;
+
+/// How a kernel runs one geometry: what [`ConvGeom::lowering`] picks for
+/// the forward pass and the filter gradient, and [`ConvGeom::dx_lowering`]
+/// for the input gradient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lowering {
+    /// The direct loops, below [`DIRECT_MAX_MACS`].
+    Direct,
+    /// The single-channel lane kernels ([`ConvGeom::single_channel`]).
+    SingleChannel,
+    /// The packed GEMM reading patches in place, from a zero-padded plane
+    /// or from the image itself ([`ConvGeom::in_place`]).
+    Patches,
+    /// The input gradient as [`Lowering::Patches`] on `dy` and the rotated
+    /// filter ([`ConvGeom::dx_as_conv`]).
+    RotatedConv,
+    /// The input gradient of inputs narrower than a lane
+    /// ([`ConvGeom::dx_in_batch_lanes`]): each `dx` cell summed over the
+    /// taps inside the image, lanes along the batch ([`dx_batch_lanes`]).
+    BatchLanes,
+    /// The input gradient as `dcol = dy · Wᵀ`, block by block, then the
+    /// [`col2im_strip`] scatter.
+    Col2im,
+}
 
 /// Validated geometry for one conv2d application — and, with `k_h × k_w`
 /// the pool and `in_c == out_c` the channels, for one pooling window
@@ -111,7 +155,7 @@ fn clip_window(
 }
 
 impl ConvGeom {
-    /// im2col row width: the GEMM reduction dimension.
+    /// Patch length: the GEMM reduction dimension.
     fn kdim(&self) -> usize {
         self.k_h * self.k_w * self.in_c
     }
@@ -141,6 +185,137 @@ impl ConvGeom {
     /// consecutive columns of one padded input row.
     fn single_channel(&self) -> bool {
         self.in_c == 1 && self.stride.1 == 1
+    }
+
+    /// The lowering of the forward pass and the filter gradient.
+    fn lowering(&self) -> Lowering {
+        if self.macs() < DIRECT_MAX_MACS {
+            Lowering::Direct
+        } else if self.single_channel() {
+            Lowering::SingleChannel
+        } else {
+            Lowering::Patches
+        }
+    }
+
+    /// The lowering of the input gradient for finite weights (a filter with
+    /// a non-finite weight takes [`Lowering::Col2im`] instead of
+    /// [`Lowering::RotatedConv`]: see [`Tensor::conv2d_backward_input`]).
+    fn dx_lowering(&self) -> Lowering {
+        match self.lowering() {
+            Lowering::Patches if self.dx_in_batch_lanes() => Lowering::BatchLanes,
+            Lowering::Patches if self.dx_as_conv() => Lowering::RotatedConv,
+            Lowering::Patches => Lowering::Col2im,
+            other => other,
+        }
+    }
+
+    /// Whether the input gradient runs with lanes along the batch
+    /// ([`dx_batch_lanes`]): fewer than [`LANES`] input channels, too few
+    /// to fill a lane of any GEMM's N. Each cell sums only the taps inside
+    /// the image, so no multiply-add is spent on padding. LeNet's c2
+    /// (`in_c` 6) read 0.3× its forward's GFLOP/s on the col2im scatter,
+    /// whose `dcol` GEMM runs at K = 16, and would double its
+    /// multiply-adds as a transposed conv with full padding; lanes along
+    /// its columns (10 of 16 useful per tap) reached 0.5×. Here it reads
+    /// 0.6–0.7×, in 0.62× the scatter's time (batch 16, 1 thread).
+    fn dx_in_batch_lanes(&self) -> bool {
+        self.in_c < LANES
+    }
+
+    /// Whether the input gradient runs as the forward convolution of `dy`
+    /// with the rotated, transposed filter ([`ConvGeom::transposed`]):
+    /// stride (1, 1), so every `dx` cell is one window of the padded `dy`,
+    /// and at least [`LANES`] input channels, so the transposed GEMM's N
+    /// fills a lane (narrower inputs take [`ConvGeom::dx_in_batch_lanes`]:
+    /// LeNet's Valid c2, `in_c` 6, ran no faster as a transposed conv,
+    /// 0.9–1.3× the scatter's time, whose full padding doubles its
+    /// multiply-adds and whose 6 channels fill 6 of a lane's 8). Strided
+    /// geometries keep the col2im scatter.
+    fn dx_as_conv(&self) -> bool {
+        self.stride == (1, 1) && self.in_c >= LANES
+    }
+
+    /// The geometry of `dx = dy ⊛ rot180(W)ᵀ` at stride (1, 1): `dy` is the
+    /// input, `in_c` the output channels, and each edge is padded by
+    /// `k − 1 − pad` (`pad` the forward's padding there), so that the window
+    /// of `dx` cell `i` covers every `dy` cell whose window covered `i`.
+    fn transposed(&self) -> ConvGeom {
+        debug_assert_eq!(self.stride, (1, 1));
+        ConvGeom {
+            batch: self.batch,
+            in_h: self.out_h,
+            in_w: self.out_w,
+            in_c: self.out_c,
+            k_h: self.k_h,
+            k_w: self.k_w,
+            out_c: self.in_c,
+            out_h: self.in_h,
+            out_w: self.in_w,
+            pad_top: self.k_h - 1 - self.pad_top,
+            pad_left: self.k_w - 1 - self.pad_left,
+            stride: (1, 1),
+        }
+    }
+
+    /// Columns of the GEMM lowering's padded plane: every column an output
+    /// column's window reads, padding included (`pad_left` of it).
+    fn patch_cols(&self) -> usize {
+        (self.out_w - 1) * self.stride.1 + self.k_w
+    }
+
+    /// Rows of the padded plane that `rows` output rows read.
+    fn patch_rows(&self, rows: usize) -> usize {
+        (rows - 1) * self.stride.0 + self.k_h
+    }
+
+    /// Whether every window lies inside the image (no padding reached, as
+    /// for Valid and 1×1 convolutions), so the GEMM lowering reads its
+    /// patches from the input itself, with no plane to fill. Filling the
+    /// plane anyway, at batch 16 on 1 thread (min of 100 calls, 10
+    /// alternating runs), cost ResNet's 1×1/2 shortcuts 21–34 % of their
+    /// forward and filter gradient (the plane copies the strided rows
+    /// whole) and LeNet's Valid c2 1–2 %.
+    fn in_place(&self) -> bool {
+        self.pad_top == 0
+            && self.pad_left == 0
+            && self.patch_rows(self.out_h) <= self.in_h
+            && self.patch_cols() <= self.in_w
+    }
+
+    /// Elements of one row of what the GEMM lowering reads patches from:
+    /// the input image when [`ConvGeom::in_place`], else its padded plane.
+    fn patch_row(&self) -> usize {
+        if self.in_place() {
+            self.in_w * self.in_c
+        } else {
+            self.patch_cols() * self.in_c
+        }
+    }
+
+    /// Elements of the padded plane that `rows` output rows read.
+    fn patch_plane(&self, rows: usize) -> usize {
+        self.patch_rows(rows) * self.patch_row()
+    }
+
+    /// The two walks over the rows patches are read from ([`patches`])
+    /// when the first is the first window's: output position `p` starts
+    /// `p / out_w` output rows and `p % out_w` columns in, and patch
+    /// element `(ky, kx, ic)` lies `ky` rows and `kx·in_c + ic` elements
+    /// past it — `k_h` runs of `k_w·in_c` floats.
+    fn patch_walks(&self) -> (Walk, Walk) {
+        let row = self.patch_row();
+        let position = Walk {
+            len: self.out_w,
+            step: self.stride.1 * self.in_c,
+            outer: self.stride.0 * row,
+        };
+        let tap = Walk {
+            len: self.k_w * self.in_c,
+            step: 1,
+            outer: row,
+        };
+        (position, tap)
     }
 
     /// Columns the single-channel kernels compute per output row: `out_w`
@@ -186,8 +361,9 @@ impl ConvGeom {
         self.k_w - 1 + self.dx_plane_w()
     }
 
-    /// Output rows per block: the most that fit [`BLOCK_SCRATCH_BYTES`],
-    /// evened out over the image so the last block is not a sliver.
+    /// Output rows per gradient block: the most whose patch matrix fits
+    /// [`BLOCK_SCRATCH_BYTES`], evened out over the image so the last block
+    /// is not a sliver.
     fn block_rows<T>(&self) -> usize {
         let row_bytes = (self.out_w * self.kdim() * std::mem::size_of::<T>()).max(1);
         let fit = (BLOCK_SCRATCH_BYTES / row_bytes).max(1);
@@ -202,7 +378,7 @@ impl ConvGeom {
             .max(1)
     }
 
-    /// Images per parallel task of the gradient kernels.
+    /// Images per parallel task of the gradient kernels split over images.
     fn grain_imgs(&self) -> usize {
         self.grain_rows().div_ceil(self.out_h.max(1)).max(1)
     }
@@ -262,38 +438,101 @@ pub(super) fn geometry(
     }
 }
 
-/// Fills patch-major `col` (`P × kdim`, `P = oys.len()·out_w`) with the
-/// patch matrix of output rows `oys` of image `n`; padded positions become
-/// zeros. Each `(position, ky)` is one run of `k_w·in_c` consecutive input
-/// floats, clipped at the image's left and right edge.
-fn im2col_block<T: Float>(x: &[T], g: &ConvGeom, n: usize, oys: Range<usize>, col: &mut [T]) {
-    let kdim = g.kdim();
-    let krow = g.k_w * g.in_c;
+/// What output rows `oys` of image `x_img` read their patches from, first
+/// row first ([`ConvGeom::patch_walks`]): the image itself when
+/// [`ConvGeom::in_place`], else `plane` filled with the input rows they
+/// read, zeros in the padding around them.
+fn patches<'a, T: Float>(
+    x_img: &'a [T],
+    g: &ConvGeom,
+    oys: Range<usize>,
+    plane: &'a mut Scratch<T>,
+) -> &'a [T] {
+    let row = g.patch_row();
+    if g.in_place() {
+        return &x_img[oys.start * g.stride.0 * row..];
+    }
+    let plane = &mut plane[..g.patch_plane(oys.len())];
     let x_row = g.in_w * g.in_c;
-    for (oy, col_strip) in oys.zip(col.chunks_exact_mut(g.out_w * kdim)) {
-        let iy0 = (oy * g.stride.0) as isize - g.pad_top as isize;
-        for (ox, patch) in col_strip.chunks_exact_mut(kdim).enumerate() {
-            let (kx_lo, kx_hi, ix) = g.kx_range(ox);
-            let (lo, hi) = (kx_lo * g.in_c, kx_hi * g.in_c);
-            for (ky, run) in patch.chunks_exact_mut(krow).enumerate() {
-                let iy = iy0 + ky as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    run.fill(T::zero());
-                    continue;
-                }
-                let src0 = (n * g.in_h + iy as usize) * x_row + ix * g.in_c;
-                run[..lo].fill(T::zero());
-                run[hi..].fill(T::zero());
-                run[lo..hi].copy_from_slice(&x[src0..src0 + (hi - lo)]);
+    // The image columns some window reads.
+    let (lo, hi) = (
+        g.pad_left * g.in_c,
+        (g.pad_left + g.in_w).min(g.patch_cols()) * g.in_c,
+    );
+    let y0 = oys.start * g.stride.0;
+    for (r, p_row) in plane.chunks_exact_mut(row).enumerate() {
+        match (y0 + r).checked_sub(g.pad_top).filter(|&iy| iy < g.in_h) {
+            Some(iy) => {
+                p_row[..lo].fill(T::zero());
+                p_row[lo..hi].copy_from_slice(&x_img[iy * x_row..][..hi - lo]);
+                p_row[hi..].fill(T::zero());
             }
+            None => p_row.fill(T::zero()),
         }
+    }
+    plane
+}
+
+/// Scratch for [`patches`] over at most `rows` output rows: none when the
+/// geometry reads in place.
+fn plane_scratch<T: Float>(g: &ConvGeom, rows: usize) -> Scratch<T> {
+    if g.in_place() {
+        Scratch::default()
+    } else {
+        Scratch::zeroed(g.patch_plane(rows))
     }
 }
 
+/// `out += x ⊛ W` on the packed GEMM, `wp` the `[kdim, out_c]` filter:
+/// split over `batch × out_h` output rows, each task copies the input rows
+/// its share of an image reads into a padded plane (unless the windows lie
+/// inside the image, [`patches`]) and multiplies the patches, read in
+/// place, by `wp` in one GEMM. Every output element is one k-order sum over
+/// its whole window, the padding's zeros included, whatever the split.
+fn forward_patches<T: Float>(x: &[T], wp: &PackedB<T>, out: &mut [T], g: &ConvGeom) {
+    let (img, strip) = (g.in_h * g.in_w * g.in_c, g.out_w * g.out_c);
+    let (position, tap) = g.patch_walks();
+    let ia = Index {
+        row: position,
+        red: tap,
+    };
+    s4tf_threads::parallel_chunks_mut(out, strip, g.grain_rows() * strip, |start, chunk| {
+        let rows = start / strip..(start + chunk.len()) / strip;
+        let mut plane = plane_scratch(g, rows.len().min(g.out_h));
+        for (n, oys) in blocks(g, rows, g.out_h) {
+            let p = oys.len() * g.out_w;
+            let y0 = (n * g.out_h + oys.start) * strip - start;
+            let a = patches(&x[n * img..(n + 1) * img], g, oys, &mut plane);
+            let y = &mut chunk[y0..y0 + p * g.out_c];
+            gemm::gemm_rows(a, ia, wp, y, g.out_c, 0..p);
+        }
+    });
+}
+
+/// `rot180(W)ᵀ` in HWIO for [`ConvGeom::transposed`]: tap `(ky, kx)` holds
+/// tap `(k_h − 1 − ky, k_w − 1 − kx)` of `w` with its `in_c × out_c`
+/// block transposed.
+fn rotated_filter<T: Float>(w: &[T], g: &ConvGeom) -> Scratch<T> {
+    let (ci, co) = (g.in_c, g.out_c);
+    let mut wr = Scratch::zeroed(w.len());
+    for (tap, src) in wr
+        .chunks_exact_mut(co * ci)
+        .rev()
+        .zip(w.chunks_exact(ci * co))
+    {
+        for (oc, dst) in tap.chunks_exact_mut(ci).enumerate() {
+            for (d, s) in dst.iter_mut().zip(src.chunks_exact(co)) {
+                *d = s[oc];
+            }
+        }
+    }
+    wr
+}
+
 /// Scatter-adds `dcol` (`out_w × kdim`, patch-major: the gradient of
-/// output row `oy`'s im2col matrix) into one image's `dx` rows — the
-/// inverse of [`im2col_block`]'s walk for one output row, run by run, so
-/// every stride and both paddings go through the same clipping.
+/// output row `oy`'s patch matrix) into one image's `dx` rows, run by run:
+/// each `(position, ky)` is one run of `k_w·in_c` cells, clipped at the
+/// image's edges ([`ConvGeom::kx_range`]).
 ///
 /// `inline(always)` so the add loops compile inside the caller's
 /// [`crate::simd::vectorize`] frame (8-wide on the lane path; plain adds,
@@ -688,6 +927,88 @@ fn dx_lanes<V: Lane>(
     }
 }
 
+/// The output index whose window puts tap `k` on padded input index `i`
+/// (`o·stride + k = i`), if there is one inside `0..out`. No division at
+/// stride 1, where it cost more than the tap's sum.
+#[inline(always)]
+fn window_at(i: usize, k: usize, stride: usize, out: usize) -> Option<usize> {
+    let at = i.checked_sub(k)?;
+    let o = match stride {
+        1 => at,
+        _ if at % stride == 0 => at / stride,
+        _ => return None,
+    };
+    (o < out).then_some(o)
+}
+
+/// Input gradient of a group of up to [`LANES`] images, lane `l` image
+/// `l`: from `dyt` (`dyt[p·LANES + l]` is element `p` of image `l`'s `dy`)
+/// and the filter in channel groups `wd` ([`pack_dx_groups`]), into `dxt`
+/// (likewise `dx` element `p` at `p·LANES + l`).
+///
+/// Per `dx` cell and group of [`GROUP`] channels, the taps whose output
+/// position lies inside `dy` — no others — in the order the col2im scatter
+/// added them: output rows ascending (`ky` descending), then output columns
+/// ascending (`kx` descending). Each tap is a chain from zero over `out_c`
+/// in order, added into the cell's sums: per cell the scatter's arithmetic,
+/// so the bits are the scatter's, on either dispatch path. No padding is
+/// multiplied, so non-finite weights need no masking.
+#[inline(always)]
+fn dx_batch_lanes<V: Lane>(dyt: &[V::E], wd: &[V::E], dxt: &mut [V::E], g: &ConvGeom) {
+    let groups = g.in_c.div_ceil(GROUP);
+    let (w_group, pos) = (g.out_c * GROUP, g.out_c * LANES);
+    for (cell, d_cell) in dxt.chunks_exact_mut(g.in_c * LANES).enumerate() {
+        let (iy, ix) = (cell / g.in_w + g.pad_top, cell % g.in_w + g.pad_left);
+        for (gi, d_group) in d_cell.chunks_mut(GROUP * LANES).enumerate() {
+            let mut d = [V::zero(); GROUP];
+            for ky in (0..g.k_h).rev() {
+                let Some(oy) = window_at(iy, ky, g.stride.0, g.out_h) else {
+                    continue;
+                };
+                for kx in (0..g.k_w).rev() {
+                    let Some(ox) = window_at(ix, kx, g.stride.1, g.out_w) else {
+                        continue;
+                    };
+                    let xs = &dyt[(oy * g.out_w + ox) * pos..][..pos];
+                    let w_tap = &wd[((ky * g.k_w + kx) * groups + gi) * w_group..][..w_group];
+                    let mut s = [V::zero(); GROUP];
+                    for (x, wo) in xs.chunks_exact(LANES).zip(w_tap.chunks_exact(GROUP)) {
+                        let x = V::load(x);
+                        for (sj, &wv) in s.iter_mut().zip(wo) {
+                            *sj = sj.mac(x, V::splat(wv));
+                        }
+                    }
+                    for (dj, sj) in d.iter_mut().zip(s) {
+                        *dj = dj.add(sj);
+                    }
+                }
+            }
+            for (dj, out) in d.iter().zip(d_group.chunks_exact_mut(LANES)) {
+                dj.store(out);
+            }
+        }
+    }
+}
+
+/// The HWIO filter `w` for [`dx_batch_lanes`]: per tap, per group of
+/// [`GROUP`] input channels, `out_c` runs of the group's weights, channels
+/// past `in_c` repeating the last one.
+fn pack_dx_groups<T: Float>(w: &[T], g: &ConvGeom) -> Scratch<T> {
+    let (groups, out_c) = (g.in_c.div_ceil(GROUP), g.out_c);
+    let mut packed = Scratch::zeroed(g.k_h * g.k_w * groups * out_c * GROUP);
+    let taps = w.chunks_exact(g.in_c * out_c);
+    for (w_tap, dst) in taps.zip(packed.chunks_exact_mut(groups * out_c * GROUP)) {
+        for (gi, group) in dst.chunks_exact_mut(out_c * GROUP).enumerate() {
+            for (o, run) in group.chunks_exact_mut(GROUP).enumerate() {
+                for (j, slot) in run.iter_mut().enumerate() {
+                    *slot = w_tap[(gi * GROUP + j).min(g.in_c - 1) * out_c + o];
+                }
+            }
+        }
+    }
+    packed
+}
+
 /// Filter gradient of one image, added into `partial` (`kdim × out_c`):
 /// from its padded `plane` and transposed `dyt` ([`transpose_dy_chunks`]).
 /// A tile of [`DW_TAPS`] taps × [`GROUP`] channels sums lane-wise over one
@@ -807,6 +1128,22 @@ fn single_channel_dx<T: Float>(
     }
 }
 
+/// [`dx_batch_lanes`] on the active dispatch path.
+fn batch_lanes_dx<T: Float>(dyt: &[T], wd: &[T], dxt: &mut [T], g: &ConvGeom) {
+    if lane_path::<T>() {
+        let (dyt, wd, dxt) = (f32s(dyt), f32s(wd), f32s_mut(dxt));
+        simd::vectorize(
+            #[inline(always)]
+            || dx_batch_lanes::<L8>(dyt, wd, dxt, g),
+        );
+    } else {
+        simd::vectorize(
+            #[inline(always)]
+            || dx_batch_lanes::<Plain<T>>(dyt, wd, dxt, g),
+        );
+    }
+}
+
 /// [`dw_lanes`] on the active dispatch path.
 fn single_channel_dw<T: Float>(plane: &[T], dyt: &[T], partial: &mut [T], g: &ConvGeom) {
     if lane_path::<T>() {
@@ -824,7 +1161,7 @@ fn single_channel_dw<T: Float>(plane: &[T], dyt: &[T], partial: &mut [T], g: &Co
 }
 
 /// The original direct (no-scratch) forward loops, kept for small
-/// problems where im2col setup costs more than it saves.
+/// problems where the GEMM's scratch setup costs more than it saves.
 fn conv2d_direct<T: Float>(x: &[T], w: &[T], out: &mut [T], g: &ConvGeom) {
     for n in 0..g.batch {
         for oy in 0..g.out_h {
@@ -926,10 +1263,10 @@ impl<T: Float> Tensor<T> {
     /// `[N,H',W',Cout]`.
     ///
     /// Large problems run the single-channel lane kernel (parallel over
-    /// images) or im2col + packed GEMM, a block of output rows at a time,
-    /// parallel over `batch × out_h` output rows (see the module docs);
-    /// either way every output element is one k-order sum, so results are
-    /// bit-identical for every thread count and block height.
+    /// images) or the packed GEMM over patches read in place from a padded
+    /// plane or the image itself, parallel over `batch × out_h` output rows
+    /// (see the module docs); either way every output element is one k-order
+    /// sum, so results are bit-identical for every thread count.
     ///
     /// # Panics
     /// Panics on rank or channel mismatches, zero strides, or (for
@@ -943,62 +1280,53 @@ impl<T: Float> Tensor<T> {
         let g = geometry(self.dims(), filter.dims(), strides, padding);
         let x = self.as_slice();
         let w = filter.as_slice();
-        let kdim = g.kdim();
         Tensor::build(&[g.batch, g.out_h, g.out_w, g.out_c], T::zero(), |out| {
-            if g.macs() < DIRECT_MAX_MACS {
-                conv2d_direct(x, w, out, &g);
-            } else if g.single_channel() {
-                let wp = pack_groups(w, &g);
-                let (img, img_out) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
-                s4tf_threads::parallel_chunks_mut(
-                    out,
-                    img_out,
-                    g.grain_imgs() * img_out,
-                    |start, chunk| {
-                        let mut plane = Scratch::zeroed(g.plane_len());
-                        for (u, y) in chunk.chunks_exact_mut(img_out).enumerate() {
-                            let n = start / img_out + u;
-                            fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
-                            single_channel_forward(&plane, &wp, y, &g);
-                        }
-                    },
-                );
-            } else {
-                // HWIO row-major is already the [kdim, out_c] GEMM operand.
-                let wp = gemm::pack_b(w, Layout::row_major(g.out_c), kdim, g.out_c);
-                let strip = g.out_w * g.out_c;
-                let block_rows = g.block_rows::<T>();
-                s4tf_threads::parallel_chunks_mut(
-                    out,
-                    strip,
-                    g.grain_rows() * strip,
-                    |start, chunk| {
-                        // One im2col scratch per task, reused across blocks;
-                        // every slot a GEMM reads is written first.
-                        let mut col = Scratch::zeroed(block_rows * g.out_w * kdim);
-                        let row0 = start / strip;
-                        for (n, oys) in blocks(&g, row0..row0 + chunk.len() / strip, block_rows) {
-                            let p = oys.len() * g.out_w;
-                            let y0 = ((n * g.out_h + oys.start) * g.out_w) * g.out_c - start;
-                            let y = &mut chunk[y0..y0 + p * g.out_c];
-                            let col = &mut col[..p * kdim];
-                            im2col_block(x, &g, n, oys, col);
-                            gemm::gemm_rows(col, Layout::row_major(kdim), &wp, y, g.out_c, 0..p);
-                        }
-                    },
-                );
+            match g.lowering() {
+                Lowering::Direct => conv2d_direct(x, w, out, &g),
+                Lowering::SingleChannel => {
+                    let wp = pack_groups(w, &g);
+                    let (img, img_out) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
+                    s4tf_threads::parallel_chunks_mut(
+                        out,
+                        img_out,
+                        g.grain_imgs() * img_out,
+                        |start, chunk| {
+                            let mut plane = Scratch::zeroed(g.plane_len());
+                            for (u, y) in chunk.chunks_exact_mut(img_out).enumerate() {
+                                let n = start / img_out + u;
+                                fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
+                                single_channel_forward(&plane, &wp, y, &g);
+                            }
+                        },
+                    );
+                }
+                _ => {
+                    // HWIO row-major is already the [kdim, out_c] GEMM operand.
+                    let wp = gemm::pack_b(w, Layout::row_major(g.out_c), g.kdim(), g.out_c);
+                    forward_patches(x, &wp, out, &g);
+                }
             }
         })
     }
 
-    /// Gradient of [`Tensor::conv2d`] with respect to its *input*,
-    /// parallel over images (each image's `dx` slice is disjoint).
+    /// Gradient of [`Tensor::conv2d`] with respect to its *input*.
     ///
-    /// Large problems run the single-channel lane kernel, or one packed
-    /// GEMM per block of output rows and then col2im per row in row order
-    /// (see the module docs); every `dx` element's summation order is fixed
-    /// by its image alone, so results are bit-identical for every thread
-    /// count and block height.
+    /// Large problems take one of four lowerings (see the module docs):
+    /// - stride (1, 1) with at least 8 input channels and finite weights:
+    ///   the forward GEMM lowering run on `dy` with the rotated, transposed
+    ///   filter, parallel over `batch × in_h` rows of `dx`, each `dx`
+    ///   element one sum over its window of the padded `dy`;
+    /// - single-channel inputs at column stride 1: the lane kernel,
+    ///   parallel over images;
+    /// - other inputs with fewer than 8 channels: lanes along the batch,
+    ///   each `dx` element a sum over the taps inside the image in the
+    ///   scatter's order, parallel over groups of 8 images;
+    /// - the rest (strides, a non-finite weight, which would turn the
+    ///   padding's zeros into `∞·0`): one packed GEMM per block of output
+    ///   rows, then col2im per row in row order, parallel over images.
+    ///
+    /// Every `dx` element's summation order is fixed by the geometry alone,
+    /// so results are bit-identical for every thread count.
     ///
     /// `self` is the input (only its shape matters for geometry); `grad_out`
     /// has the forward output's shape.
@@ -1037,73 +1365,136 @@ impl<T: Float> Tensor<T> {
         let w = filter.as_slice();
         let img = g.in_h * g.in_w * g.in_c;
         let kdim = g.kdim();
-        Tensor::build(&[g.batch, g.in_h, g.in_w, g.in_c], T::zero(), |dx| {
-            if g.macs() < DIRECT_MAX_MACS {
-                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
-                    for (u, dx_img) in chunk.chunks_mut(img).enumerate() {
-                        backward_input_image(dy, w, dx_img, &g, start / img + u);
-                    }
-                });
-            } else if g.single_channel() {
-                let dy_img = g.out_h * g.out_w * g.out_c;
-                let dpw = g.dx_plane_w();
-                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
-                    let mut dyt = Scratch::zeroed(g.out_h * g.out_c * g.dy_row_w());
-                    let mut dxp = Scratch::zeroed(g.plane_h() * dpw);
-                    // Only a non-finite weight needs the masks (see `dx_lanes`).
-                    let masked = !w.iter().all(|v| v.to_f64().is_finite());
-                    let mut masks = Scratch::zeroed(g.k_w * dpw);
-                    for (u, dx_img) in chunk.chunks_exact_mut(img).enumerate() {
-                        let n = start / img + u;
-                        let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
-                        simd::vectorize(
-                            #[inline(always)]
-                            || transpose_dy_rows(dy_n, &g, &mut dyt),
-                        );
-                        dxp.fill(T::zero());
-                        let masks = masked.then_some(&mut masks[..]);
-                        single_channel_dx(&dyt, w, masks, &mut dxp, &g);
-                        let rows = dxp[g.pad_top * dpw..].chunks_exact(dpw);
-                        for (dx_row, p_row) in dx_img.chunks_exact_mut(g.in_w).zip(rows) {
-                            dx_row.copy_from_slice(&p_row[g.pad_left..g.pad_left + g.in_w]);
-                        }
-                    }
-                });
-            } else {
-                // Wᵀ is the [out_c, kdim] B operand, packed once per call.
-                let wtp = gemm::pack_b(w, Layout::transposed(g.out_c), g.out_c, kdim);
-                let block_rows = g.block_rows::<T>();
-                s4tf_threads::parallel_chunks_mut(dx, img, g.grain_imgs() * img, |start, chunk| {
-                    let n0 = start / img;
-                    // One patch-gradient scratch per task, reused across blocks.
-                    let mut dcol = Scratch::zeroed(block_rows * g.out_w * kdim);
-                    let rows = n0 * g.out_h..(n0 + chunk.len() / img) * g.out_h;
-                    for (n, oys) in blocks(&g, rows, block_rows) {
-                        let dx_img = &mut chunk[(n - n0) * img..(n - n0 + 1) * img];
-                        let p = oys.len() * g.out_w;
-                        let pos0 = (n * g.out_h + oys.start) * g.out_w;
-                        let dcol = &mut dcol[..p * kdim];
-                        dcol.fill(T::zero());
-                        let la = Layout::row_major(g.out_c);
-                        gemm::gemm_rows(dy, la, &wtp, dcol, kdim, pos0..pos0 + p);
-                        simd::vectorize(|| {
-                            for (oy, dcol_strip) in oys.zip(dcol.chunks_exact(g.out_w * kdim)) {
-                                col2im_strip(dcol_strip, &g, oy, dx_img);
+        let mut lowering = g.dx_lowering();
+        if lowering == Lowering::RotatedConv && !w.iter().all(|v| v.to_f64().is_finite()) {
+            lowering = Lowering::Col2im;
+        }
+        Tensor::build(
+            &[g.batch, g.in_h, g.in_w, g.in_c],
+            T::zero(),
+            |dx| match lowering {
+                Lowering::Direct => {
+                    s4tf_threads::parallel_chunks_mut(
+                        dx,
+                        img,
+                        g.grain_imgs() * img,
+                        |start, chunk| {
+                            for (u, dx_img) in chunk.chunks_mut(img).enumerate() {
+                                backward_input_image(dy, w, dx_img, &g, start / img + u);
                             }
-                        });
-                    }
-                });
-            }
-        })
+                        },
+                    );
+                }
+                Lowering::SingleChannel => {
+                    let dy_img = g.out_h * g.out_w * g.out_c;
+                    let dpw = g.dx_plane_w();
+                    s4tf_threads::parallel_chunks_mut(
+                        dx,
+                        img,
+                        g.grain_imgs() * img,
+                        |start, chunk| {
+                            let mut dyt = Scratch::zeroed(g.out_h * g.out_c * g.dy_row_w());
+                            let mut dxp = Scratch::zeroed(g.plane_h() * dpw);
+                            // Only a non-finite weight needs the masks (see `dx_lanes`).
+                            let masked = !w.iter().all(|v| v.to_f64().is_finite());
+                            let mut masks = Scratch::zeroed(g.k_w * dpw);
+                            for (u, dx_img) in chunk.chunks_exact_mut(img).enumerate() {
+                                let n = start / img + u;
+                                let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
+                                simd::vectorize(
+                                    #[inline(always)]
+                                    || transpose_dy_rows(dy_n, &g, &mut dyt),
+                                );
+                                dxp.fill(T::zero());
+                                let masks = masked.then_some(&mut masks[..]);
+                                single_channel_dx(&dyt, w, masks, &mut dxp, &g);
+                                let rows = dxp[g.pad_top * dpw..].chunks_exact(dpw);
+                                for (dx_row, p_row) in dx_img.chunks_exact_mut(g.in_w).zip(rows) {
+                                    dx_row.copy_from_slice(&p_row[g.pad_left..g.pad_left + g.in_w]);
+                                }
+                            }
+                        },
+                    );
+                }
+                Lowering::BatchLanes => {
+                    let dy_img = g.out_h * g.out_w * g.out_c;
+                    let wd = pack_dx_groups(w, &g);
+                    // Tasks of whole lane groups where the batch allows.
+                    let grain = g.grain_imgs().max(LANES) * img;
+                    s4tf_threads::parallel_chunks_mut(dx, img, grain, |start, chunk| {
+                        let mut dyt = Scratch::zeroed(dy_img * LANES);
+                        let mut dxt = Scratch::zeroed(img * LANES);
+                        for (u, lanes) in chunk.chunks_mut(LANES * img).enumerate() {
+                            let n0 = start / img + u * LANES;
+                            // Lanes past the batch keep stale values; their
+                            // sums are never stored.
+                            let imgs = dy[n0 * dy_img..].chunks_exact(dy_img);
+                            for (l, dy_n) in imgs.take(lanes.len() / img).enumerate() {
+                                let t = dyt[l..].iter_mut().step_by(LANES);
+                                for (slot, &v) in t.zip(dy_n) {
+                                    *slot = v;
+                                }
+                            }
+                            batch_lanes_dx(&dyt, &wd, &mut dxt, &g);
+                            for (l, dx_img) in lanes.chunks_exact_mut(img).enumerate() {
+                                for (v, &t) in dx_img.iter_mut().zip(dxt[l..].iter().step_by(LANES))
+                                {
+                                    *v = t;
+                                }
+                            }
+                        }
+                    });
+                }
+                Lowering::RotatedConv => {
+                    let gt = g.transposed();
+                    let wr = rotated_filter(w, &g);
+                    let wp = gemm::pack_b(&wr, Layout::row_major(g.in_c), gt.kdim(), g.in_c);
+                    forward_patches(dy, &wp, dx, &gt);
+                }
+                Lowering::Patches | Lowering::Col2im => {
+                    // Wᵀ is the [out_c, kdim] B operand, packed once per call.
+                    let wtp = gemm::pack_b(w, Layout::transposed(g.out_c), g.out_c, kdim);
+                    let block_rows = g.block_rows::<T>();
+                    s4tf_threads::parallel_chunks_mut(
+                        dx,
+                        img,
+                        g.grain_imgs() * img,
+                        |start, chunk| {
+                            let n0 = start / img;
+                            // One patch-gradient scratch per task, reused across blocks.
+                            let mut dcol = Scratch::zeroed(block_rows * g.out_w * kdim);
+                            let rows = n0 * g.out_h..(n0 + chunk.len() / img) * g.out_h;
+                            for (n, oys) in blocks(&g, rows, block_rows) {
+                                let dx_img = &mut chunk[(n - n0) * img..(n - n0 + 1) * img];
+                                let p = oys.len() * g.out_w;
+                                let pos0 = (n * g.out_h + oys.start) * g.out_w;
+                                let dcol = &mut dcol[..p * kdim];
+                                dcol.fill(T::zero());
+                                let la = Layout::row_major(g.out_c).into();
+                                gemm::gemm_rows(dy, la, &wtp, dcol, kdim, pos0..pos0 + p);
+                                simd::vectorize(|| {
+                                    for (oy, dcol_strip) in
+                                        oys.zip(dcol.chunks_exact(g.out_w * kdim))
+                                    {
+                                        col2im_strip(dcol_strip, &g, oy, dx_img);
+                                    }
+                                });
+                            }
+                        },
+                    );
+                }
+            },
+        )
     }
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *filter*,
     /// parallel over images: each task accumulates a private partial
     /// `dw`, combined in task order afterwards. Large problems add to the
-    /// partial one single-channel lane-kernel sum per image, or one im2col
-    /// GEMM per block of output rows (see the module docs), so the
-    /// summation order is per image or block per task: fixed for a given
-    /// thread count, and different thread counts differ by rounding only.
+    /// partial one single-channel lane-kernel sum per image, or one GEMM
+    /// per block of output rows over the patches of the image's padded
+    /// plane, read in place (see the module docs), so the summation order
+    /// is per image or block per task: fixed for a given thread count, and
+    /// different thread counts differ by rounding only.
     ///
     /// # Panics
     /// Panics on geometry mismatches.
@@ -1124,43 +1515,54 @@ impl<T: Float> Tensor<T> {
         let dy = grad_out.as_slice();
         let kdim = g.kdim();
         let dw_len = kdim * g.out_c;
-        let use_gemm = g.macs() >= DIRECT_MAX_MACS;
-        let block_rows = g.block_rows::<T>();
+        let lowering = g.lowering();
         let partials = s4tf_threads::parallel_map_chunks(0..g.batch, g.grain_imgs(), |imgs| {
             let mut partial = Scratch::zeroed(dw_len);
-            if !use_gemm {
-                for n in imgs {
-                    backward_filter_image(x, dy, &mut partial, &g, n);
+            match lowering {
+                Lowering::Direct => {
+                    for n in imgs {
+                        backward_filter_image(x, dy, &mut partial, &g, n);
+                    }
                 }
-                return partial;
-            }
-            if g.single_channel() {
-                let (img, dy_img) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
-                let mut plane = Scratch::zeroed(g.plane_len());
-                let mut dyt = Scratch::zeroed(g.out_h * g.tile_cols() * g.dy_chans());
-                for n in imgs {
-                    fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
-                    let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
-                    simd::vectorize(
-                        #[inline(always)]
-                        || transpose_dy_chunks(dy_n, &g, &mut dyt),
-                    );
-                    single_channel_dw(&plane, &dyt, &mut partial, &g);
+                Lowering::SingleChannel => {
+                    let (img, dy_img) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
+                    let mut plane = Scratch::zeroed(g.plane_len());
+                    let mut dyt = Scratch::zeroed(g.out_h * g.tile_cols() * g.dy_chans());
+                    for n in imgs {
+                        fill_plane(&x[n * img..(n + 1) * img], &g, &mut plane);
+                        let dy_n = &dy[n * dy_img..(n + 1) * dy_img];
+                        simd::vectorize(
+                            #[inline(always)]
+                            || transpose_dy_chunks(dy_n, &g, &mut dyt),
+                        );
+                        single_channel_dw(&plane, &dyt, &mut partial, &g);
+                    }
                 }
-                return partial;
-            }
-            let mut col = Scratch::zeroed(block_rows * g.out_w * kdim);
-            let mut dyp = PackedB::empty();
-            for (n, oys) in blocks(&g, imgs.start * g.out_h..imgs.end * g.out_h, block_rows) {
-                let p = oys.len() * g.out_w;
-                let dy0 = (n * g.out_h + oys.start) * g.out_w * g.out_c;
-                let dy_block = &dy[dy0..dy0 + p * g.out_c];
-                dyp.repack(dy_block, Layout::row_major(g.out_c), p, g.out_c);
-                let col = &mut col[..p * kdim];
-                im2col_block(x, &g, n, oys, col);
-                // A is the patch matrix transposed: [kdim, P].
-                let la = Layout::row_major(kdim).t();
-                gemm::gemm_rows(col, la, &dyp, &mut partial, g.out_c, 0..kdim);
+                _ => {
+                    // A is the patch matrix transposed, [kdim, P]: the
+                    // forward's two walks with their roles swapped.
+                    let (position, tap) = g.patch_walks();
+                    let ia = Index {
+                        row: tap,
+                        red: position,
+                    };
+                    let img = g.in_h * g.in_w * g.in_c;
+                    let block_rows = g.block_rows::<T>();
+                    let mut plane = plane_scratch(&g, g.out_h);
+                    let mut dyp = PackedB::empty();
+                    for n in imgs {
+                        let img_patches =
+                            patches(&x[n * img..(n + 1) * img], &g, 0..g.out_h, &mut plane);
+                        for (_, oys) in blocks(&g, n * g.out_h..(n + 1) * g.out_h, block_rows) {
+                            let p = oys.len() * g.out_w;
+                            let dy0 = (n * g.out_h + oys.start) * g.out_w * g.out_c;
+                            let dy_block = &dy[dy0..dy0 + p * g.out_c];
+                            dyp.repack(dy_block, Layout::row_major(g.out_c), p, g.out_c);
+                            let a = &img_patches[oys.start * position.outer..];
+                            gemm::gemm_rows(a, ia, &dyp, &mut partial, g.out_c, 0..kdim);
+                        }
+                    }
+                }
             }
             partial
         });
@@ -1232,9 +1634,10 @@ mod tests {
 
     /// The lowerings past `DIRECT_MAX_MACS` — the GEMM and the
     /// single-channel kernels — must match the direct loops, for every
-    /// stride/padding/channel combination the im2col and col2im walks, the
-    /// panel widths and the single-channel tiles distinguish — down to
-    /// one-pixel-wide images, where whole kernel columns clip away.
+    /// stride/padding/channel combination the patch walks, the col2im
+    /// scatter, the rotated input gradient, the panel widths and the
+    /// single-channel tiles distinguish — down to one-pixel-wide images,
+    /// where whole kernel columns clip away.
     #[test]
     fn conv_gemm_paths_match_direct_loops() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -1294,6 +1697,15 @@ mod tests {
                 check(&[8, 40, 1, in_c], (5, 32), strides, Padding::Same);
             }
         }
+        // ResNet-8's stage 3: the 3×3/2 32→64 and its 1×1/2 shortcut, and
+        // its 64→64 at stride 1 (the rotated input gradient).
+        check(&[4, 16, 16, 32], (3, 64), (2, 2), Padding::Same);
+        check(&[4, 16, 16, 32], (1, 64), (2, 2), Padding::Same);
+        check(&[4, 8, 8, 64], (3, 64), (1, 1), Padding::Same);
+        // Stride 1 with an even kernel (one more row and column of Same
+        // padding below and right) and a Valid stride-1 with 8 channels.
+        check(&[4, 12, 14, 16], (4, 16), (1, 1), Padding::Same);
+        check(&[4, 14, 13, 8], (5, 16), (1, 1), Padding::Valid);
     }
 
     /// Finite-difference check of both gradient kernels, on a shape that
@@ -1354,6 +1766,121 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The lowering of every forward, `dx` and `dw` LeNet and ResNet-8 run
+    /// at batch 16, so a change to a predicate shows here by name. `dx` of
+    /// LeNet c1 and of ResNet's stem is never computed in a training step
+    /// (their input is the data); it is pinned all the same.
+    #[test]
+    fn model_convs_take_the_pinned_lowerings() {
+        use Lowering::*;
+        let same = Padding::Same;
+        let cases = [
+            (
+                "lenet c1",
+                [16, 28, 28, 1],
+                [5, 5, 1, 6],
+                1,
+                same,
+                SingleChannel,
+                SingleChannel,
+            ),
+            (
+                "lenet c2",
+                [16, 14, 14, 6],
+                [5, 5, 6, 16],
+                1,
+                Padding::Valid,
+                Patches,
+                BatchLanes,
+            ),
+            (
+                "resnet stem",
+                [16, 32, 32, 3],
+                [3, 3, 3, 16],
+                1,
+                same,
+                Patches,
+                BatchLanes,
+            ),
+            (
+                "resnet 16→16",
+                [16, 32, 32, 16],
+                [3, 3, 16, 16],
+                1,
+                same,
+                Patches,
+                RotatedConv,
+            ),
+            (
+                "resnet 16→32/2",
+                [16, 32, 32, 16],
+                [3, 3, 16, 32],
+                2,
+                same,
+                Patches,
+                Col2im,
+            ),
+            (
+                "resnet 1×1 16→32/2",
+                [16, 32, 32, 16],
+                [1, 1, 16, 32],
+                2,
+                same,
+                Patches,
+                Col2im,
+            ),
+            (
+                "resnet 32→32",
+                [16, 16, 16, 32],
+                [3, 3, 32, 32],
+                1,
+                same,
+                Patches,
+                RotatedConv,
+            ),
+            (
+                "resnet 32→64/2",
+                [16, 16, 16, 32],
+                [3, 3, 32, 64],
+                2,
+                same,
+                Patches,
+                Col2im,
+            ),
+            (
+                "resnet 1×1 32→64/2",
+                [16, 16, 16, 32],
+                [1, 1, 32, 64],
+                2,
+                same,
+                Patches,
+                Col2im,
+            ),
+            (
+                "resnet 64→64",
+                [16, 8, 8, 64],
+                [3, 3, 64, 64],
+                1,
+                same,
+                Patches,
+                RotatedConv,
+            ),
+        ];
+        for (name, x, w, s, padding, forward, dx) in cases {
+            let g = geometry(&x, &w, (s, s), padding);
+            assert_eq!(g.lowering(), forward, "{name} forward and dw");
+            assert_eq!(g.dx_lowering(), dx, "{name} dx");
+        }
+        // Valid and 1×1 windows never reach padding: read in place.
+        for (x, w, s, padding, in_place) in [
+            ([16, 14, 14, 6], [5, 5, 6, 16], 1, Padding::Valid, true),
+            ([16, 32, 32, 16], [1, 1, 16, 32], 2, same, true),
+            ([16, 32, 32, 16], [3, 3, 16, 16], 1, same, false),
+        ] {
+            assert_eq!(geometry(&x, &w, (s, s), padding).in_place(), in_place);
         }
     }
 

@@ -1,5 +1,5 @@
 //! Shared packed-GEMM engine behind `matmul` / `matmul_tn` / `matmul_nt`
-//! and the im2col convolution kernels (forward and both gradients).
+//! and the convolution kernels (forward and both gradients).
 //!
 //! The design is the classic GotoBLAS decomposition, sized for the small
 //! matrices this workload sees (Dense layers, LeNet-scale convs):
@@ -21,6 +21,16 @@
 //!   `gemm_rows_lanes`). The generic scalar kernel keeps the original
 //!   4×8 accumulator tile (the reference path; see `crate::simd` for the
 //!   determinism contract).
+//! * **Indexed A**: element `(i, k)` of A is read at `a[row(i) + red(k)]`
+//!   ([`Index`]), each term a [`Walk`] — runs of evenly spaced elements,
+//!   the runs evenly spaced too. A strided matrix is one run per term; a
+//!   convolution reads its patches in place from a zero-padded image,
+//!   output position `p` at `row(p)` and the patch as `k_h` runs of
+//!   `k_w·in_c` floats (the filter gradient swaps the two terms). Both
+//!   kernels walk a run with plain offset increments and turn to the
+//!   next run between two B rows, so the k-order of every sum is the one
+//!   a materialized A would give. The lane kernel has a second copy for
+//!   one-run reductions (every plain matrix), free of the run loop.
 //! * **Parallelize over row-blocks of C**: each chunk of C rows is
 //!   written by exactly one task, with A and packed-B shared read-only.
 //!
@@ -74,13 +84,112 @@ impl Layout {
     pub(crate) fn transposed(rows: usize) -> Layout {
         Layout { rs: 1, cs: rows }
     }
+}
 
-    /// The same storage read as the transposed logical matrix.
-    pub(crate) fn t(self) -> Layout {
-        Layout {
-            rs: self.cs,
-            cs: self.rs,
+/// `t ↦ (t / len)·outer + (t % len)·step`: runs of `len` elements `step`
+/// apart, the runs `outer` apart. One term of an [`Index`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    pub len: usize,
+    pub step: usize,
+    pub outer: usize,
+}
+
+impl Walk {
+    /// One unbroken run of `step`-spaced elements.
+    pub(crate) fn strided(step: usize) -> Walk {
+        Walk {
+            len: usize::MAX,
+            step,
+            outer: 0,
         }
+    }
+
+    #[cfg(test)]
+    fn at(self, t: usize) -> usize {
+        (t / self.len) * self.outer + (t % self.len) * self.step
+    }
+
+    /// The offsets of `i..i + N`, indices past `last` clamped onto it:
+    /// at most one division for the tile, then a step or a run's jump per
+    /// index.
+    #[inline(always)]
+    fn tile<const N: usize>(self, i: usize, last: usize) -> [usize; N] {
+        let (mut q, mut r) = if i < self.len {
+            (0, i)
+        } else {
+            (i / self.len, i % self.len)
+        };
+        let mut at = q * self.outer + r * self.step;
+        let mut out = [0; N];
+        for (x, slot) in out.iter_mut().enumerate() {
+            *slot = at;
+            if i + x < last {
+                r += 1;
+                if r == self.len {
+                    (q, r) = (q + 1, 0);
+                    at = q * self.outer;
+                } else {
+                    at += self.step;
+                }
+            }
+        }
+        out
+    }
+
+    /// The largest offset over the non-empty `range`, `None` on overflow.
+    /// Offsets grow inside a run, and run ends grow run by run, so it is
+    /// the last one or the end of the run before the last one's.
+    fn max_over(self, range: Range<usize>) -> Option<usize> {
+        let at = |t: usize| {
+            ((t / self.len).checked_mul(self.outer))?
+                .checked_add((t % self.len).checked_mul(self.step)?)
+        };
+        let last = range.end - 1;
+        let run0 = last / self.len * self.len;
+        let before = if run0 > range.start { at(run0 - 1)? } else { 0 };
+        Some(at(last)?.max(before))
+    }
+}
+
+/// Where element `(i, k)` of an A operand lives: `a[row.at(i) + red.at(k)]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Index {
+    pub row: Walk,
+    pub red: Walk,
+}
+
+impl From<Layout> for Index {
+    fn from(l: Layout) -> Index {
+        Index {
+            row: Walk::strided(l.rs),
+            red: Walk::strided(l.cs),
+        }
+    }
+}
+
+impl Index {
+    /// Asserts that every element of rows `rows` × `0..k` lies inside `a`
+    /// (`len` elements): the one check the kernels' reads rely on.
+    fn check(self, rows: &Range<usize>, k: usize, len: usize) {
+        if rows.is_empty() || k == 0 {
+            return;
+        }
+        let max_index = self
+            .row
+            .max_over(rows.clone())
+            .zip(self.red.max_over(0..k))
+            .and_then(|(r, c)| r.checked_add(c));
+        assert!(
+            max_index.is_some_and(|m| m < len),
+            "gemm A operand too short: rows {rows:?} × k {k} by {self:?} in {len} elements"
+        );
+    }
+
+    /// The run length the kernels walk `k` reduction steps in: `red.len`,
+    /// or `k` when one run covers them (at least 1).
+    fn run(self, k: usize) -> usize {
+        self.red.len.min(k).max(1)
     }
 }
 
@@ -143,15 +252,16 @@ impl<T: Scalar> PackedB<T> {
 
 /// `C[rows, :n] += A[rows, :k] × B` for one row range.
 ///
-/// `a` is indexed with the *global* row numbers in `rows`; `c` is the
-/// destination sub-slice covering exactly those rows (`rows.len() * n`
-/// elements). Works on any row split: tiles shorter than the kernel
-/// height at a chunk boundary take the edge path, which computes the
-/// same sums in the same k-order. f32 dispatches to the lane kernel
-/// when [`crate::simd::simd_enabled`] says so.
+/// `a` is indexed with the *global* row numbers in `rows` through `ia`;
+/// `c` is the destination sub-slice covering exactly those rows
+/// (`rows.len() * n` elements). Works on any row split: tiles shorter than
+/// the kernel height at a chunk boundary run the full-height loop on
+/// clamped row indices, which computes the same sums in the same k-order.
+/// f32 dispatches to the lane kernel when [`crate::simd::simd_enabled`]
+/// says so.
 pub(crate) fn gemm_rows<T: Scalar>(
     a: &[T],
-    la: Layout,
+    ia: Index,
     bp: &PackedB<T>,
     c: &mut [T],
     n: usize,
@@ -161,11 +271,25 @@ pub(crate) fn gemm_rows<T: Scalar>(
     if simd::simd_enabled() {
         if let (Some(af), Some(bf)) = (simd::as_f32_slice(a), simd::as_f32_slice(&bp.data)) {
             let cf = simd::as_f32_slice_mut(c).expect("T is f32");
-            simd::vectorize(|| gemm_rows_lanes(af, la, bf, bp.panels, bp.k, cf, n, rows));
+            // A plain matrix's reduction is one run: its own copy of the
+            // kernel, with no run loop around the k-loop. Sharing one copy,
+            // its short-K matmuls (K = 16, 32) ran 3–8 % slower than before
+            // A was indexed; separate, at parity.
+            if ia.red.len >= bp.k {
+                simd::vectorize(
+                    #[inline(always)]
+                    || gemm_rows_lanes::<true>(af, ia, bf, bp.panels, bp.k, cf, n, rows),
+                );
+            } else {
+                simd::vectorize(
+                    #[inline(always)]
+                    || gemm_rows_lanes::<false>(af, ia, bf, bp.panels, bp.k, cf, n, rows),
+                );
+            }
             return;
         }
     }
-    gemm_rows_scalar(a, la, bp, c, n, rows);
+    gemm_rows_scalar(a, ia, bp, c, n, rows);
 }
 
 /// The generic scalar reference kernel: 4-row tiles over 8-wide
@@ -174,7 +298,7 @@ pub(crate) fn gemm_rows<T: Scalar>(
 /// sum regardless of the tile or strip the element lands in.
 fn gemm_rows_scalar<T: Scalar>(
     a: &[T],
-    la: Layout,
+    ia: Index,
     bp: &PackedB<T>,
     c: &mut [T],
     n: usize,
@@ -184,6 +308,7 @@ fn gemm_rows_scalar<T: Scalar>(
     let mut i = rows.start;
     while i < rows.end {
         let mr = MR.min(rows.end - i);
+        let row_off: [usize; MR] = ia.row.tile(i, rows.end - 1);
         let c_base = (i - rows.start) * n;
         for p in 0..bp.panels {
             let panel = &bp.data[p * k * NR..(p + 1) * k * NR];
@@ -193,29 +318,22 @@ fn gemm_rows_scalar<T: Scalar>(
                     break;
                 }
                 let nr = SR.min(n - j0);
-                let mut acc = [[T::zero(); SR]; MR];
-                if mr == MR {
-                    // Full tile: fixed bounds so the 4×8 update unrolls.
-                    for kk in 0..k {
-                        let brow = &panel[kk * NR + s * SR..kk * NR + s * SR + SR];
-                        for (r, accr) in acc.iter_mut().enumerate() {
-                            let av = a[(i + r) * la.rs + kk * la.cs];
-                            for (slot, &bv) in accr.iter_mut().zip(brow) {
-                                *slot += av * bv;
+                // Fixed bounds so the 4×8 update unrolls; a short tile's
+                // missing rows repeat its last one and are not stored.
+                let acc =
+                    over_runs::<_, false>([[T::zero(); SR]; MR], ia, k, |mut acc, ks, mut t| {
+                        for brow in panel[ks.start * NR..ks.end * NR].chunks_exact(NR) {
+                            let brow = &brow[s * SR..s * SR + SR];
+                            for (accr, &off) in acc.iter_mut().zip(&row_off) {
+                                let av = a[off + t];
+                                for (slot, &bv) in accr.iter_mut().zip(brow) {
+                                    *slot += av * bv;
+                                }
                             }
+                            t += ia.red.step;
                         }
-                    }
-                } else {
-                    for kk in 0..k {
-                        let brow = &panel[kk * NR + s * SR..kk * NR + s * SR + SR];
-                        for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                            let av = a[(i + r) * la.rs + kk * la.cs];
-                            for (slot, &bv) in accr.iter_mut().zip(brow) {
-                                *slot += av * bv;
-                            }
-                        }
-                    }
-                }
+                        acc
+                    });
                 for (r, accr) in acc.iter().enumerate().take(mr) {
                     let crow = &mut c[c_base + r * n + j0..c_base + r * n + j0 + nr];
                     for (cv, &av) in crow.iter_mut().zip(accr) {
@@ -236,12 +354,14 @@ fn gemm_rows_scalar<T: Scalar>(
 ///
 /// The k-loop checks nothing. The B panel is walked as exact `NR`-wide
 /// chunks, whose loads need no check, and the one bound every A read
-/// relies on — the address of the last row's last k-step — is asserted
-/// once per call, which is what makes the unchecked read in the loop
-/// sound. A tile shorter than [`MR_SIMD`] at the end of `rows` runs the
-/// same full-height loop with its missing rows clamped onto the last real
-/// row (recomputing it into accumulators nobody stores) and stores only
-/// its `mr` rows: one k-loop per panel width, no edge copy of it.
+/// relies on — the largest offset of `ia` over the call's rows and `k` —
+/// is asserted once per call ([`Index::check`]), which is what makes the
+/// unchecked read in the loop sound. The k-loop walks `ia`'s runs: per
+/// B row one shared offset step, per run one jump. A tile shorter than
+/// [`MR_SIMD`] at the end of `rows` runs the same full-height loop with
+/// its missing rows clamped onto the last real row (recomputing it into
+/// accumulators nobody stores) and stores only its `mr` rows: one k-loop
+/// per panel width, no edge copy of it.
 ///
 /// `inline(always)` is load-bearing: the body must land inside
 /// [`simd::vectorize`]'s `#[target_feature]` frame to compile as AVX2 +
@@ -249,9 +369,9 @@ fn gemm_rows_scalar<T: Scalar>(
 /// would be a libm call.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn gemm_rows_lanes(
+fn gemm_rows_lanes<const ONE_RUN: bool>(
     a: &[f32],
-    la: Layout,
+    ia: Index,
     bdata: &[f32],
     panels: usize,
     k: usize,
@@ -263,37 +383,22 @@ fn gemm_rows_lanes(
         return;
     }
     let last = rows.end - 1;
-    if k > 0 {
-        // Element (row, kk) lives at `row·rs + kk·cs`, largest at
-        // (last, k − 1): checked (so a wrapped product cannot pass) and
-        // inside `a`.
-        let max_index = last
-            .checked_mul(la.rs)
-            .zip((k - 1).checked_mul(la.cs))
-            .and_then(|(r, c)| r.checked_add(c));
-        assert!(
-            max_index.is_some_and(|m| m < a.len()),
-            "gemm A operand too short: rows ..{} × k {k} at strides ({}, {}) in {} elements",
-            rows.end,
-            la.rs,
-            la.cs,
-            a.len()
-        );
-    }
+    ia.check(&rows, k, a.len());
+    let step = ia.red.step;
     let bdata = &bdata[..panels * k * NR];
     let mut i = rows.start;
     while i < rows.end {
         let mr = MR_SIMD.min(rows.end - i);
-        let row_off: [usize; MR_SIMD] = std::array::from_fn(|r| (i + r).min(last) * la.rs);
-        let a_at = |off: usize, kk: usize| {
-            debug_assert!(off + kk * la.cs < a.len());
-            // SAFETY: `off` is `row·rs` for a row in `rows.start..=last`
-            // and `kk < k` (each panel has exactly `k` chunks), so
-            // `off + kk·cs ≤ last·rs + (k − 1)·cs`, which the assertion
-            // at the top of this function holds below `a.len()`. Worth
-            // an `unsafe`: indexed, `gemm 256³` runs at 49.6 GF/s on the
-            // reference host; unchecked, at 70.9.
-            L8::splat(unsafe { *a.get_unchecked(off + kk * la.cs) })
+        let row_off: [usize; MR_SIMD] = ia.row.tile(i, last);
+        let a_at = |off: usize, t: usize| {
+            debug_assert!(off + t < a.len());
+            // SAFETY: `off` is `row.at(i)` for a row in `rows` and `t` is
+            // `red.at(kk)` for a `kk < k` (each panel has exactly `k`
+            // chunks, walked run by run), so `off + t` is at most the
+            // bound `Index::check` held below `a.len()` at the top of this
+            // function. Worth an `unsafe`: indexed, `gemm 256³` runs at
+            // 49.6 GF/s on the reference host; unchecked, at 70.9.
+            L8::splat(unsafe { *a.get_unchecked(off + t) })
         };
         let c_base = (i - rows.start) * n;
         for p in 0..panels {
@@ -301,16 +406,25 @@ fn gemm_rows_lanes(
             let nr = NR.min(n - j0);
             let panel = &bdata[p * k * NR..(p + 1) * k * NR];
             if nr > LANES {
-                let mut acc = [[L8::zero(); 2]; MR_SIMD];
-                for (kk, brow) in panel.chunks_exact(NR).enumerate() {
-                    let b0 = L8::load(brow);
-                    let b1 = L8::load(&brow[LANES..]);
-                    for (accr, &off) in acc.iter_mut().zip(&row_off) {
-                        let av = a_at(off, kk);
-                        accr[0] = av.mul_add(b0, accr[0]);
-                        accr[1] = av.mul_add(b1, accr[1]);
-                    }
-                }
+                let acc = over_runs::<_, ONE_RUN>(
+                    [[L8::zero(); 2]; MR_SIMD],
+                    ia,
+                    k,
+                    #[inline(always)]
+                    |mut acc, ks, mut t| {
+                        for brow in panel[ks.start * NR..ks.end * NR].chunks_exact(NR) {
+                            let b0 = L8::load(brow);
+                            let b1 = L8::load(&brow[LANES..]);
+                            for (accr, &off) in acc.iter_mut().zip(&row_off) {
+                                let av = a_at(off, t);
+                                accr[0] = av.mul_add(b0, accr[0]);
+                                accr[1] = av.mul_add(b1, accr[1]);
+                            }
+                            t += step;
+                        }
+                        acc
+                    },
+                );
                 for (r, accr) in acc.iter().enumerate().take(mr) {
                     let mut lane = [0.0f32; NR];
                     accr[0].store(&mut lane);
@@ -322,13 +436,22 @@ fn gemm_rows_lanes(
                 }
             } else {
                 // Narrow panel (n ≤ 8 useful columns): one lane per row.
-                let mut acc = [L8::zero(); MR_SIMD];
-                for (kk, brow) in panel.chunks_exact(NR).enumerate() {
-                    let b0 = L8::load(brow);
-                    for (accr, &off) in acc.iter_mut().zip(&row_off) {
-                        *accr = a_at(off, kk).mul_add(b0, *accr);
-                    }
-                }
+                let acc = over_runs::<_, ONE_RUN>(
+                    [L8::zero(); MR_SIMD],
+                    ia,
+                    k,
+                    #[inline(always)]
+                    |mut acc, ks, mut t| {
+                        for brow in panel[ks.start * NR..ks.end * NR].chunks_exact(NR) {
+                            let b0 = L8::load(brow);
+                            for (accr, &off) in acc.iter_mut().zip(&row_off) {
+                                *accr = a_at(off, t).mul_add(b0, *accr);
+                            }
+                            t += step;
+                        }
+                        acc
+                    },
+                );
                 for (r, accr) in acc.iter().enumerate().take(mr) {
                     let crow = &mut c[c_base + r * n + j0..c_base + r * n + j0 + nr];
                     for (cv, &av) in crow.iter_mut().zip(&accr.0) {
@@ -339,6 +462,37 @@ fn gemm_rows_lanes(
         }
         i += mr;
     }
+}
+
+/// Folds `run` over the reduction steps `0..k` of `ia`, run by run, in
+/// k-order: `run(acc, steps, t)` walks the steps `steps` from offset
+/// `t = red.at(steps.start)` and returns the accumulators. The first run
+/// starts from `zero` in registers. Between runs the accumulators pass
+/// through memory ([`std::hint::black_box`]): carried in registers through
+/// a loop around the k-loop, LLVM scalarizes them and rebuilds each vector
+/// per step, which made the lane kernel 15× slower. A one-run walk (every
+/// plain matrix) never reaches the barrier; with `ONE_RUN`, which the
+/// caller sets when it has seen `red.len ≥ k`, the fold is that one call
+/// and nothing else.
+#[inline(always)]
+fn over_runs<A: Copy, const ONE_RUN: bool>(
+    zero: A,
+    ia: Index,
+    k: usize,
+    mut run: impl FnMut(A, Range<usize>, usize) -> A,
+) -> A {
+    if ONE_RUN {
+        return run(zero, 0..k, 0);
+    }
+    let len = ia.run(k);
+    let mut acc = run(zero, 0..len.min(k), 0);
+    let (mut k0, mut t) = (len, ia.red.outer);
+    while k0 < k {
+        let k1 = (k0 + len).min(k);
+        acc = run(std::hint::black_box(acc), k0..k1, t);
+        (k0, t) = (k1, t + ia.red.outer);
+    }
+    acc
 }
 
 /// `C += A × B` with C pre-zeroed by the caller: packs B, then splits
@@ -361,7 +515,7 @@ pub(crate) fn gemm_parallel<T: Scalar>(
     let grain_rows = (GEMM_CHUNK_MACS / (k * n).max(1)).max(1);
     s4tf_threads::parallel_chunks_mut(c, n, grain_rows * n, |start, chunk| {
         let row0 = start / n;
-        gemm_rows(a, la, &bp, chunk, n, row0..row0 + chunk.len() / n);
+        gemm_rows(a, la.into(), &bp, chunk, n, row0..row0 + chunk.len() / n);
     });
 }
 
@@ -419,8 +573,8 @@ mod tests {
                             let split = m / 2;
                             let mut c = vec![1.0f32; m * n];
                             let (lo, hi) = c.split_at_mut(split * n);
-                            gemm_rows(a, la, &bp, lo, n, 0..split);
-                            gemm_rows(a, la, &bp, hi, n, split..m);
+                            gemm_rows(a, la.into(), &bp, lo, n, 0..split);
+                            gemm_rows(a, la.into(), &bp, hi, n, split..m);
                             for (x, &got) in c.iter().enumerate() {
                                 let (i, j) = (x / n, x % n);
                                 let want: f32 =
@@ -437,5 +591,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An A read through multi-run walks on both terms (short runs, runs
+    /// farther apart than they are long, a last run cut short, rows
+    /// sharing elements) equals the naive sum over the same addresses, on
+    /// both dispatch paths, from a row range that starts mid-run.
+    #[test]
+    fn indexed_operand_matches_naive() {
+        let ia = Index {
+            row: Walk {
+                len: 5,
+                step: 3,
+                outer: 40,
+            },
+            red: Walk {
+                len: 4,
+                step: 1,
+                outer: 11,
+            },
+        };
+        for (m, k, n) in [(13usize, 10usize, 17usize), (7, 4, 8), (1, 1, 3)] {
+            let len = ia.row.at(m - 1) + ia.red.at(k - 1) + 1;
+            let a: Vec<f32> = (0..len).map(|x| ((x * 7) % 11) as f32 - 5.0).collect();
+            let b: Vec<f32> = (0..k * n).map(|x| (x % 5) as f32 - 2.0).collect();
+            let bp = pack_b(&b, Layout::row_major(n), k, n);
+            for simd_on in [false, true] {
+                crate::simd::set_simd_enabled(simd_on);
+                let rows = m / 3..m;
+                let mut c = vec![0.0f32; rows.len() * n];
+                gemm_rows(&a, ia, &bp, &mut c, n, rows.clone());
+                for (x, &got) in c.iter().enumerate() {
+                    let (i, j) = (rows.start + x / n, x % n);
+                    let want: f32 = (0..k)
+                        .map(|kk| a[ia.row.at(i) + ia.red.at(kk)] * b[kk * n + j])
+                        .sum();
+                    assert_eq!(got, want, "C[{i},{j}] (simd={simd_on}, {m}x{k}x{n})");
+                }
+            }
+            crate::simd::set_simd_enabled(crate::simd::simd_supported());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm A operand too short")]
+    fn indexed_operand_past_its_slice_panics() {
+        let ia = Index {
+            row: Walk::strided(4),
+            red: Walk {
+                len: 2,
+                step: 1,
+                outer: 3,
+            },
+        };
+        // Row 2's last element, 2·4 + 3 + 1 = 12, is past 12 elements.
+        let a = [1.0f32; 12];
+        let bp = pack_b(&[1.0f32; 4 * 2], Layout::row_major(2), 4, 2);
+        let mut c = [0.0f32; 3 * 2];
+        simd::vectorize(|| {
+            gemm_rows_lanes::<false>(&a, ia, &bp.data, bp.panels, 4, &mut c, 2, 0..3)
+        });
     }
 }

@@ -150,25 +150,30 @@ pub fn single_channel_conv_cases() -> Vec<ConvCase> {
     cases
 }
 
-/// ResNet-8's shapes, an image taller than a GEMM block and a large
-/// single-channel image.
+/// ResNet-8's shapes — every stage's 3×3 at stride 1, the stage-2 and
+/// stage-3 3×3/2 downsampling convs and their 1×1/2 shortcuts — an image
+/// taller than a GEMM block, a large single-channel image, an even kernel
+/// at stride 1 (Same pads one side more than the other, so the rotated
+/// input gradient pads the other side more) and a Valid stride-1 conv
+/// with 8 input channels (its rotated input gradient pads `k − 1` on every
+/// side).
 pub fn resnet_conv_cases() -> Vec<ConvCase> {
+    let same = Padding::Same;
     let shapes = [
-        ([5, 32, 32, 16], (3, 16), 1),
-        ([5, 32, 32, 16], (3, 32), 2),
-        ([5, 16, 16, 32], (3, 32), 1),
-        ([5, 32, 32, 16], (1, 32), 2),
-        ([3, 20, 24, 64], (3, 8), 1),
-        ([3, 51, 45, 1], (5, 6), 1),
+        ([5, 32, 32, 16], (3, 16), 1, same),
+        ([5, 32, 32, 16], (3, 32), 2, same),
+        ([5, 16, 16, 32], (3, 32), 1, same),
+        ([5, 32, 32, 16], (1, 32), 2, same),
+        ([5, 16, 16, 32], (3, 64), 2, same),
+        ([5, 16, 16, 32], (1, 64), 2, same),
+        ([5, 8, 8, 64], (3, 64), 1, same),
+        ([3, 20, 24, 64], (3, 8), 1, same),
+        ([3, 51, 45, 1], (5, 6), 1, same),
+        ([4, 12, 14, 16], (4, 16), 1, same),
+        ([4, 14, 13, 8], (5, 16), 1, Padding::Valid),
     ];
-    let case = |(i, (x_dims, filter, stride))| {
-        conv_case(
-            x_dims,
-            filter,
-            (stride, stride),
-            Padding::Same,
-            0x1000 + i as u64,
-        )
+    let case = |(i, (x_dims, filter, stride, padding))| {
+        conv_case(x_dims, filter, (stride, stride), padding, 0x1000 + i as u64)
     };
     shapes.into_iter().enumerate().map(case).collect()
 }
@@ -408,6 +413,55 @@ pub mod conv_strips {
             }
         }
         Tensor::from_vec(dx, x.dims())
+    }
+
+    /// Whether the kernels run this input gradient as the forward
+    /// convolution of `dy` with the rotated filter: stride (1, 1), at least
+    /// 8 input channels and every weight finite.
+    pub fn dx_runs_as_conv(w: &Tensor<f32>, stride: (usize, usize)) -> bool {
+        stride == (1, 1) && w.dims()[2] >= 8 && w.as_slice().iter().all(|v| v.is_finite())
+    }
+
+    /// The stride-(1, 1) input gradient as [`forward`] computes it on the
+    /// rotated problem: `dy` zero-padded by `k − 1 − pad` on each edge
+    /// (`pad` the forward's padding there), ⊛ `rot180(W)ᵀ`, Valid.
+    pub fn backward_input_as_conv(
+        x_dims: &[usize],
+        w: &Tensor<f32>,
+        dy: &Tensor<f32>,
+        padding: Padding,
+    ) -> Tensor<f32> {
+        let g = Geom::new(x_dims, w.dims(), (1, 1), padding);
+        let (pad_bottom, pad_right) = (
+            padding.amounts(g.in_h, g.k_h, 1).1,
+            padding.amounts(g.in_w, g.k_w, 1).1,
+        );
+        let (top, left) = (g.k_h - 1 - g.pad_top, g.k_w - 1 - g.pad_left);
+        let dims = [
+            g.batch,
+            top + g.out_h + g.k_h - 1 - pad_bottom,
+            left + g.out_w + g.k_w - 1 - pad_right,
+            g.out_c,
+        ];
+        let dys = dy.as_slice();
+        let padded = Tensor::from_fn(&dims, |i| {
+            let (c, px) = (i % g.out_c, i / g.out_c);
+            let (col, px) = (px % dims[2], px / dims[2]);
+            let (row, n) = (px % dims[1], px / dims[1]);
+            match (row.checked_sub(top), col.checked_sub(left)) {
+                (Some(oy), Some(ox)) if oy < g.out_h && ox < g.out_w => {
+                    dys[((n * g.out_h + oy) * g.out_w + ox) * g.out_c + c]
+                }
+                _ => 0.0,
+            }
+        });
+        let (taps, ws) = (g.k_h * g.k_w, w.as_slice());
+        let rotated = Tensor::from_fn(&[g.k_h, g.k_w, g.out_c, g.in_c], |i| {
+            let (ic, rest) = (i % g.in_c, i / g.in_c);
+            let (oc, tap) = (rest % g.out_c, rest / g.out_c);
+            ws[((taps - 1 - tap) * g.in_c + ic) * g.out_c + oc]
+        });
+        forward(&padded, &rotated, (1, 1), Padding::Valid)
     }
 
     pub fn backward_filter(

@@ -35,9 +35,12 @@ fn rand(dims: &[usize], seed: u64) -> Tensor<f32> {
     Tensor::rand_uniform(dims, -1.0, 1.0, &mut rng)
 }
 
-/// Both conv dispatch paths past the direct loops: LeNet's first layer
-/// (one input channel: the lane kernels over a padded plane) and its
-/// second (im2col blocks into the packed GEMM).
+/// Every conv lowering past the direct loops: LeNet's first layer (one
+/// input channel: the lane kernels over a padded plane), its second (the
+/// packed GEMM reading patches in place, `dx` with lanes along the batch),
+/// a ResNet-8 3×3 (patches from a padded plane, `dx` as the convolution of
+/// `dy` with the rotated filter) and its stride-2 downsampling 3×3 (`dx` by
+/// the col2im scatter).
 #[test]
 fn conv2d_and_both_gradients() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -46,20 +49,29 @@ fn conv2d_and_both_gradients() {
             "single-channel",
             [4, 28, 28, 1],
             [5, 5, 1, 6],
+            1,
             Padding::Same,
         ),
-        ("gemm", [4, 14, 14, 6], [5, 5, 6, 16], Padding::Valid),
+        ("gemm", [4, 14, 14, 6], [5, 5, 6, 16], 1, Padding::Valid),
+        ("resnet", [4, 16, 16, 32], [3, 3, 32, 32], 1, Padding::Same),
+        (
+            "resnet /2",
+            [4, 32, 32, 16],
+            [3, 3, 16, 32],
+            2,
+            Padding::Same,
+        ),
     ];
-    for (path, x_dims, w_dims, padding) in cases {
+    for (path, x_dims, w_dims, s, padding) in cases {
         let (x, w) = (rand(&x_dims, 1), rand(&w_dims, 2));
-        let y = x.conv2d(&w, (1, 1), padding);
+        let y = x.conv2d(&w, (s, s), padding);
         let dy = rand(y.dims(), 3);
-        assert_steady(&format!("conv2d {path}"), || x.conv2d(&w, (1, 1), padding));
+        assert_steady(&format!("conv2d {path}"), || x.conv2d(&w, (s, s), padding));
         assert_steady(&format!("conv2d dx {path}"), || {
-            x.conv2d_backward_input(&w, &dy, (1, 1), padding)
+            x.conv2d_backward_input(&w, &dy, (s, s), padding)
         });
         assert_steady(&format!("conv2d dw {path}"), || {
-            x.conv2d_backward_filter(&w_dims, &dy, (1, 1), padding)
+            x.conv2d_backward_filter(&w_dims, &dy, (s, s), padding)
         });
     }
 }

@@ -275,7 +275,9 @@ proptest! {
     /// channels), and an odd batch, so no thread count divides it.
     /// Forward and `dx` must match bit for bit — same sums, same order —
     /// and `dw`, whose reduction is now cut per block, to 1e-4 of its
-    /// largest entry.
+    /// largest entry; a `dx` that runs as a convolution of `dy` matches the
+    /// strips on the rotated problem bit for bit instead
+    /// ([`assert_matches_strips`]).
     #[test]
     fn conv_blocks_match_the_strip_kernels(
         stride_ix in 0usize..3,
@@ -336,13 +338,12 @@ proptest! {
     }
 }
 
-/// The single-channel input gradient with an infinite and a NaN weight:
-/// the taps the strips skip at the image's edges must stay skipped (not
-/// `∞·0`), so every cell matches the strips, NaNs compared as NaN.
-#[test]
-fn single_channel_dx_with_non_finite_weights_matches_the_strips() {
+/// An input gradient with an infinite and a NaN weight: the taps the
+/// strips skip at the image's edges must stay skipped (not `∞·0`), so
+/// every cell matches the strips, NaNs compared as NaN.
+fn assert_non_finite_dx_matches_the_strips(x_dims: [usize; 4], filter: (usize, usize)) {
     for padding in [Padding::Same, Padding::Valid] {
-        let mut case = conv_case([5, 12, 20, 1], (5, 6), (1, 1), padding, 9);
+        let mut case = conv_case(x_dims, filter, (1, 1), padding, 9);
         case.w.as_mut_slice()[3] = f32::INFINITY;
         case.w.as_mut_slice()[40] = f32::NAN;
         let common::ConvCase {
@@ -357,6 +358,27 @@ fn single_channel_dx_with_non_finite_weights_matches_the_strips() {
             case.label()
         );
     }
+}
+
+/// The single-channel lane kernel masks the taps outside the image.
+#[test]
+fn single_channel_dx_with_non_finite_weights_matches_the_strips() {
+    assert_non_finite_dx_matches_the_strips([5, 12, 20, 1], (5, 6));
+}
+
+/// LeNet c2's input gradient sums only the taps inside the image (lanes
+/// along the batch), so a non-finite weight needs no masking there.
+#[test]
+fn lenet_c2_dx_with_non_finite_weights_matches_the_strips() {
+    assert_non_finite_dx_matches_the_strips([9, 14, 14, 6], (5, 16));
+}
+
+/// A ResNet-geometry input gradient, which with finite weights runs as a
+/// convolution over a zero-padded `dy`: a non-finite weight sends it back
+/// to the col2im scatter, which never multiplies the padding.
+#[test]
+fn resnet_dx_with_non_finite_weights_matches_the_strips() {
+    assert_non_finite_dx_matches_the_strips([5, 16, 16, 16], (3, 16));
 }
 
 proptest! {
@@ -454,8 +476,12 @@ fn model_pool_shapes_match_the_loops() {
     }
 }
 
-/// Forward and `dx` bit for bit, `dw` to 1e-4 of its largest entry,
-/// against the strip-at-a-time kernels.
+/// Forward bit for bit and `dw` to 1e-4 of its largest entry against the
+/// strip-at-a-time kernels. `dx` bit for bit too, except where it runs as
+/// the forward convolution of `dy` with the rotated filter: then bit for
+/// bit against the forward strips on that rotated problem, and to 1e-4 of
+/// its largest entry against the strips' own `dx`, whose scatter adds the
+/// same products in another order.
 fn assert_matches_strips(case: &common::ConvCase) {
     let (y, dx, dw) = case.run();
     let what = case.label();
@@ -470,7 +496,14 @@ fn assert_matches_strips(case: &common::ConvCase) {
     assert_eq!(y.dims(), strips.dims(), "{what}");
     assert!(bits(&y) == bits(&strips), "y {what}");
     let strips = conv_strips::backward_input(x, w, dy, *strides, *padding);
-    assert!(bits(&dx) == bits(&strips), "dx {what}");
+    if conv_strips::dx_runs_as_conv(w, *strides) {
+        let rotated = conv_strips::backward_input_as_conv(x.dims(), w, dy, *padding);
+        assert!(bits(&dx) == bits(&rotated), "dx as conv {what}");
+        let scale = strips.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        assert!(dx.allclose(&strips, 1e-4 * f64::from(scale)), "dx {what}");
+    } else {
+        assert!(bits(&dx) == bits(&strips), "dx {what}");
+    }
     let strips = conv_strips::backward_filter(x, w.dims(), dy, *strides, *padding);
     let scale = strips.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
     assert!(dw.allclose(&strips, 1e-4 * f64::from(scale)), "dw {what}");
