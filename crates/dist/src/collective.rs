@@ -6,21 +6,37 @@
 //! `bucket_elems`, and each bucket is reduced with the classic two-phase
 //! ring: *reduce-scatter* (k−1 iterations of send/accumulate, after which
 //! position `p` owns the fully reduced chunk `p+1 mod k`) then
-//! *all-gather* (k−1 iterations circulating the reduced chunks). Sends go
-//! through a dedicated writer thread per link, so a worker never blocks on
-//! its own send while a peer is mid-send — the ring cannot self-deadlock
-//! on full socket buffers, and bucket `b+1`'s frames stream while bucket
-//! `b`'s are still in flight.
+//! *all-gather* (k−1 iterations circulating the reduced chunks). Each
+//! iteration is one exchange, run on the calling thread: the worker writes
+//! its frame to the right neighbor's non-blocking stream, reads whatever
+//! the left neighbor has sent whenever the write would block, and once
+//! the incoming frame is whole finishes any rest of its own with a
+//! blocking write under the write timeout.
+//!
+//! **No deadlock.** Suppose every member of a ring waits. A member waits
+//! in one of three places: (a) on a read from the left because its write
+//! would block, (b) on a blocking write, which it starts only once its
+//! incoming frame is whole, or (c) on a read from the left once its own
+//! frame is out. A read never waits while bytes are queued for it, so the
+//! right neighbor of a member in (a) or (b), which has bytes queued for
+//! it, is in (b) with its incoming frame whole: the member writing to it
+//! is an exchange ahead of it. If any member is in (a) or (b), every
+//! member after it is in (b), each an exchange ahead of its right
+//! neighbor. Otherwise every member is in (c) and waits for a frame its
+//! left neighbor has not written, so each is an exchange ahead of its left
+//! neighbor. Either way, going around the ring puts a member ahead of
+//! itself.
 //!
 //! **Held links.** A [`RingConnection`] serves any number of collectives:
 //! each one restarts the link's fault stream and byte count, stamps its
 //! own `(epoch, attempt, step)` on every frame and checks it on every
-//! frame received, and [`RingConnection::flush`] confirms that the
-//! writer thread wrote all of it. The writer hands written send buffers
-//! back and received frames are read into one buffer, so a held link
-//! encodes and reads a step's frames without allocating. The send socket
-//! has `TCP_NODELAY`: a long-lived link otherwise waits on Nagle's
-//! algorithm and the peer's delayed ACK for every small final frame.
+//! frame received. No exchange ends before its frame is written, so a
+//! collective's `Ok` means every frame it sent left. Each frame is encoded
+//! into the link's one send buffer and read into its one receive buffer,
+//! so a held link encodes and reads a step's frames without allocating.
+//! The send socket has `TCP_NODELAY`: a long-lived link otherwise waits on
+//! Nagle's algorithm and the peer's delayed ACK for every small final
+//! frame.
 //!
 //! **Bit-exactness.** f32 addition is commutative but not associative, so
 //! the reduced bits depend on the grouping. The ring's grouping for chunk
@@ -29,17 +45,15 @@
 //! what lets the tests demand *bit-identical* convergence between a real
 //! multi-process run and the single-process baseline.
 
-use crate::faults::{corrupt_encoded, LinkFaults, NetFaultMode, NET_DELAY_MS};
+use crate::faults::{corrupt_encoded, stall, LinkFaults, NetFaultMode};
 use crate::protocol::kind;
-use crate::wire::{read_frame_into, write_encoded, Frame};
+use crate::wire::{io_err, Frame, FrameReader};
 use s4tf_core::VisitTangent;
 use s4tf_runtime::{DTensor, Device};
 use s4tf_tensor::{RuntimeError, Tensor};
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Header fields stamped on every data frame of one collective attempt.
 #[derive(Debug, Clone, Copy)]
@@ -63,33 +77,23 @@ fn seq_tag(bucket: usize, phase: u64, iter: usize) -> u64 {
     ((bucket as u64) << 32) | (phase << 16) | iter as u64
 }
 
-enum WriterCmd {
-    Frame(Vec<u8>),
-    Delay(u64),
-    Flush,
-}
-
-/// One established ring link: a read stream from the left neighbor and a
-/// writer thread feeding the right neighbor.
+/// One established ring link: a read stream from the left neighbor, a
+/// non-blocking write stream to the right neighbor, and one buffer for
+/// each direction. See the module doc for the exchange loop and why it
+/// cannot deadlock.
 ///
 /// A link outlives one collective: [`ring_all_reduce`] restarts its fault
-/// stream and byte count, and [`flush`](RingConnection::flush) confirms
-/// that every frame queued so far was written, so a worker can hold the
-/// link — streams, writer thread and frame buffers — from one committed
-/// step to the next.
+/// stream and byte count, so a worker can hold the link — streams and
+/// buffers — from one committed step to the next.
 pub struct RingConnection {
     /// Rank of the left neighbor (frames are read from it).
     pub left_rank: u32,
     /// Rank of the right neighbor (frames are written to it).
     pub right_rank: u32,
     left: TcpStream,
-    tx: Option<mpsc::Sender<WriterCmd>>,
-    writer: Option<JoinHandle<()>>,
-    write_err: Arc<Mutex<Option<RuntimeError>>>,
-    /// One `()` per [`WriterCmd::Flush`] the writer thread reached.
-    flushed: mpsc::Receiver<()>,
-    /// Send buffers the writer thread has written, ready to re-encode.
-    spare: mpsc::Receiver<Vec<u8>>,
+    right: TcpStream,
+    /// The frame being sent, encoded in place.
+    tx_buf: Vec<u8>,
     /// The buffer the next received frame is read into.
     rx_buf: Vec<u8>,
     faults: LinkFaults,
@@ -100,183 +104,118 @@ pub struct RingConnection {
 impl RingConnection {
     /// Builds a link from an accepted left-neighbor stream and a dialed
     /// right-neighbor stream. Read/write timeouts must already be set on
-    /// both streams; the writer thread starts immediately. The right
-    /// stream gets `TCP_NODELAY` — without it Nagle's algorithm and the
-    /// peer's delayed ACK stall a long-lived link for tens of milliseconds
-    /// per collective — and failing to set it is the link's first send
-    /// error.
+    /// both streams. The right stream is made non-blocking and gets
+    /// `TCP_NODELAY` — without it Nagle's algorithm and the peer's delayed
+    /// ACK stall a long-lived link for tens of milliseconds per
+    /// collective.
     pub fn new(
         my_rank: u32,
         left_rank: u32,
         left: TcpStream,
         right_rank: u32,
         right: TcpStream,
-    ) -> RingConnection {
-        let peer = right_rank as usize;
-        let nodelay_err = right.set_nodelay(true).err().map(|e| {
-            RuntimeError::net(
-                "dist.link",
-                Some(peer),
-                format!("could not set TCP_NODELAY: {e}"),
-            )
-        });
-        let write_err = Arc::new(Mutex::new(nodelay_err));
-        let err_slot = Arc::clone(&write_err);
-        let (tx, rx) = mpsc::channel::<WriterCmd>();
-        let (flush_tx, flushed) = mpsc::channel::<()>();
-        let (spare_tx, spare) = mpsc::channel::<Vec<u8>>();
-        let writer = std::thread::spawn(move || {
-            let mut right = right;
-            let mut dead = false;
-            for cmd in rx {
-                match cmd {
-                    WriterCmd::Delay(ms) => {
-                        std::thread::sleep(std::time::Duration::from_millis(ms))
-                    }
-                    WriterCmd::Flush => {
-                        let _ = flush_tx.send(());
-                    }
-                    WriterCmd::Frame(bytes) => {
-                        if dead {
-                            continue; // drain so senders never block on a dead link
-                        }
-                        if let Err(e) = write_encoded(&mut right, &bytes, Some(peer)) {
-                            if let Ok(mut slot) = err_slot.lock() {
-                                *slot = Some(e);
-                            }
-                            dead = true;
-                        }
-                        let _ = spare_tx.send(bytes);
-                    }
-                }
-            }
-        });
-        RingConnection {
+    ) -> Result<RingConnection, RuntimeError> {
+        right
+            .set_nodelay(true)
+            .and_then(|()| right.set_nonblocking(true))
+            .map_err(|e| {
+                RuntimeError::net("dist.link", Some(right_rank as usize), e.to_string())
+            })?;
+        Ok(RingConnection {
             left_rank,
             right_rank,
             left,
-            tx: Some(tx),
-            writer: Some(writer),
-            write_err,
-            flushed,
-            spare,
+            right,
+            tx_buf: Vec::new(),
             rx_buf: Vec::new(),
             faults: LinkFaults::new(my_rank, right_rank),
             tx_bytes: 0,
-        }
+        })
     }
 
-    fn pending_write_err(&self) -> Option<RuntimeError> {
-        self.write_err.lock().ok().and_then(|slot| slot.clone())
+    /// Writes `bytes` right with the stream blocking, under its write
+    /// timeout: the rest of a frame whose write would block once the
+    /// incoming frame is whole.
+    fn write_blocking(&self, bytes: &[u8]) -> Result<(), RuntimeError> {
+        let mut right = &self.right;
+        right
+            .set_nonblocking(false)
+            .and_then(|()| right.write_all(bytes))
+            .and_then(|()| right.set_nonblocking(true))
+            .map_err(|e| io_err("dist.send", Some(self.right_rank as usize), &e))
     }
 
-    fn writer_cmd(&self, cmd: WriterCmd) -> Result<(), RuntimeError> {
+    /// Writes the send buffer right while reading the left neighbor's
+    /// next frame; returns that frame.
+    fn transfer(&mut self) -> Result<Frame, RuntimeError> {
         let peer = Some(self.right_rank as usize);
-        let tx = self
-            .tx
-            .as_ref()
-            .ok_or_else(|| RuntimeError::net("dist.send", peer, "link closed"))?;
-        tx.send(cmd)
-            .map_err(|_| RuntimeError::net("dist.send", peer, "writer thread exited"))
-    }
-
-    /// A buffer to encode the next frame into: one the writer thread has
-    /// finished with when there is one, so steady-state frames allocate
-    /// and zero-fill nothing.
-    fn frame_buffer(&mut self) -> Vec<u8> {
-        self.spare.try_recv().unwrap_or_default()
-    }
-
-    /// Enqueues one encoded frame toward the right neighbor, applying any
-    /// injected wire fault for this link. Never blocks on the socket.
-    pub fn send(&mut self, mut bytes: Vec<u8>) -> Result<(), RuntimeError> {
-        if let Some(e) = self.pending_write_err() {
-            return Err(e);
+        let left_peer = Some(self.left_rank as usize);
+        let mut incoming = FrameReader::new(std::mem::take(&mut self.rx_buf));
+        let mut whole = false;
+        let mut sent = 0;
+        while sent < self.tx_buf.len() {
+            let rest = &self.tx_buf[sent..];
+            if whole {
+                self.write_blocking(rest)?;
+                break;
+            }
+            match (&self.right).write(rest) {
+                Ok(0) => return Err(io_err("dist.send", peer, &ErrorKind::WriteZero.into())),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    whole = incoming.read_from(&mut self.left, left_peer)?;
+                }
+                Err(e) => return Err(io_err("dist.send", peer, &e)),
+            }
         }
-        match self.faults.next_frame() {
-            Some((NetFaultMode::Drop, _)) => return Ok(()),
-            Some((NetFaultMode::Corrupt, _)) => corrupt_encoded(&mut bytes),
-            Some((NetFaultMode::Delay, _)) => self.writer_cmd(WriterCmd::Delay(NET_DELAY_MS))?,
-            None => {}
+        while !whole {
+            whole = incoming.read_from(&mut self.left, left_peer)?;
         }
-        self.tx_bytes += bytes.len() as u64;
-        self.writer_cmd(WriterCmd::Frame(bytes))
-    }
-
-    /// Reads the next data frame from the left neighbor and validates its
-    /// header against the expected collective coordinates. The ring hands
-    /// each frame back once folded, so the next one is read into the same
-    /// buffer.
-    pub fn recv(&mut self, header: RingHeader, expect_seq: u64) -> Result<Frame, RuntimeError> {
-        let peer = Some(self.left_rank as usize);
-        let frame = read_frame_into(&mut self.left, peer, std::mem::take(&mut self.rx_buf))?;
-        if frame.kind != kind::DATA_CHUNK
-            || frame.sender != self.left_rank
-            || frame.epoch != header.epoch
-            || frame.attempt != header.attempt
-            || frame.step != header.step
-            || frame.seq != expect_seq
-        {
-            return Err(RuntimeError::net(
-                "dist.recv",
-                peer,
-                format!(
-                    "ring desync: got kind {} sender {} epoch {} attempt {} step {} seq {:x}, \
-                     expected sender {} epoch {} attempt {} step {} seq {:x}",
-                    frame.kind,
-                    frame.sender,
-                    frame.epoch,
-                    frame.attempt,
-                    frame.step,
-                    frame.seq,
-                    self.left_rank,
-                    header.epoch,
-                    header.attempt,
-                    header.step,
-                    expect_seq,
-                ),
-            ));
-        }
-        Ok(frame)
+        Ok(incoming.into_frame())
     }
 
     /// Returns a received frame's buffer to the link.
     fn reclaim(&mut self, frame: Frame) {
         self.rx_buf = frame.into_buffer();
     }
-
-    /// Waits until the writer thread has written every frame queued so
-    /// far, then returns the current collective's byte count — or the
-    /// first write error, so a collective whose frames did not all leave
-    /// is never reported done.
-    pub fn flush(&mut self) -> Result<u64, RuntimeError> {
-        self.writer_cmd(WriterCmd::Flush)?;
-        self.flushed.recv().map_err(|_| {
-            RuntimeError::net(
-                "dist.link",
-                Some(self.right_rank as usize),
-                "writer thread exited",
-            )
-        })?;
-        match self.pending_write_err() {
-            Some(e) => Err(e),
-            None => Ok(self.tx_bytes),
-        }
-    }
-
-    /// [`flush`](RingConnection::flush), then tears the link down.
-    pub fn shutdown(mut self) -> Result<u64, RuntimeError> {
-        self.flush()
-    }
 }
 
-impl Drop for RingConnection {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
+/// Checks a received data frame's header against the expected collective
+/// coordinates.
+fn check_header(
+    frame: &Frame,
+    left_rank: u32,
+    header: RingHeader,
+    expect_seq: u64,
+) -> Result<(), RuntimeError> {
+    if frame.kind != kind::DATA_CHUNK
+        || frame.sender != left_rank
+        || frame.epoch != header.epoch
+        || frame.attempt != header.attempt
+        || frame.step != header.step
+        || frame.seq != expect_seq
+    {
+        return Err(RuntimeError::net(
+            "dist.recv",
+            Some(left_rank as usize),
+            format!(
+                "ring desync: got kind {} sender {} epoch {} attempt {} step {} seq {:x}, \
+                 expected sender {} epoch {} attempt {} step {} seq {:x}",
+                frame.kind,
+                frame.sender,
+                frame.epoch,
+                frame.attempt,
+                frame.step,
+                frame.seq,
+                left_rank,
+                header.epoch,
+                header.attempt,
+                header.step,
+                expect_seq,
+            ),
+        ));
     }
+    Ok(())
 }
 
 /// Even chunk partition of `len` elements into `k` ranges
@@ -333,9 +272,11 @@ fn chunk_values(
         .map(|c| f32::from_le_bytes(c.try_into().expect("fixed slice"))))
 }
 
-/// One ring iteration on the wire: encodes `chunk` straight into a
-/// recycled `DATA_CHUNK` frame buffer tagged `seq`, sends it right, and
-/// reads the matching frame from the left.
+/// One ring iteration on the wire: encodes `chunk` straight into the
+/// link's send buffer as a `DATA_CHUNK` frame tagged `seq`, applies the
+/// link's fault draw (a dropped frame empties the buffer), writes it right
+/// while reading the matching frame from the left, and checks that
+/// frame's header.
 fn exchange(
     ring: &mut RingConnection,
     header: RingHeader,
@@ -350,10 +291,19 @@ fn exchange(
         header.step,
     );
     frame.seq = seq;
-    let mut bytes = ring.frame_buffer();
-    frame.encode_into(&mut bytes, chunk.len() * 4, |out| put_chunk(out, chunk));
-    ring.send(bytes)?;
-    ring.recv(header, seq)
+    frame.encode_into(&mut ring.tx_buf, chunk.len() * 4, |out| {
+        put_chunk(out, chunk)
+    });
+    match ring.faults.next_frame() {
+        Some((NetFaultMode::Drop, _)) => ring.tx_buf.clear(),
+        Some((NetFaultMode::Corrupt, _)) => corrupt_encoded(&mut ring.tx_buf),
+        Some((NetFaultMode::Delay, _)) => stall(),
+        None => {}
+    }
+    ring.tx_bytes += ring.tx_buf.len() as u64;
+    let incoming = ring.transfer()?;
+    check_header(&incoming, ring.left_rank, header, seq)?;
+    Ok(incoming)
 }
 
 /// In-place bucketed ring all-reduce (sum) of `flat` across `k` members,
@@ -361,7 +311,10 @@ fn exchange(
 /// bits: for chunk `c`, the left fold of the members' chunks in position
 /// order `c, c+1, …, c+k−1 (mod k)`. The link's fault stream restarts at
 /// draw 0 and its byte count at 0, so a held link behaves on the wire
-/// exactly like a freshly dialed one.
+/// exactly like a freshly dialed one. Every exchange writes and reads in
+/// one loop on this thread, which cannot deadlock (see the module doc),
+/// and `Ok` means every frame was written: `ring.tx_bytes` is then the
+/// collective's byte count.
 pub fn ring_all_reduce(
     flat: &mut [f32],
     position: usize,
@@ -596,7 +549,8 @@ mod tests {
                             let left_rank = ((p + k - 1) % k) as u32;
                             let right_rank = ((p + 1) % k) as u32;
                             let mut ring =
-                                RingConnection::new(p as u32, left_rank, left, right_rank, right);
+                                RingConnection::new(p as u32, left_rank, left, right_rank, right)
+                                    .expect("ring link");
                             let header = RingHeader {
                                 rank: p as u32,
                                 epoch: 0,
@@ -605,7 +559,6 @@ mod tests {
                             };
                             ring_all_reduce(&mut flat, p, k, &mut ring, header, 173)
                                 .expect("ring all-reduce");
-                            ring.shutdown().expect("clean shutdown");
                             flat
                         })
                     })
@@ -633,7 +586,7 @@ mod tests {
         let port = listener.local_addr().expect("addr").port();
         let right = TcpStream::connect(("127.0.0.1", port)).expect("dial");
         let (left, _) = listener.accept().expect("accept");
-        let mut ring = RingConnection::new(0, 0, left, 0, right);
+        let mut ring = RingConnection::new(0, 0, left, 0, right).expect("ring link");
         let header = RingHeader {
             rank: 0,
             epoch: 0,
@@ -667,8 +620,16 @@ mod tests {
                 let left_rank = ((p + k - 1) % k) as u32;
                 let right_rank = ((p + 1) % k) as u32;
                 RingConnection::new(p as u32, left_rank, left, right_rank, right)
+                    .expect("ring link")
             })
             .collect()
+    }
+
+    impl RingConnection {
+        /// Writes one encoded frame right, outside any collective.
+        fn send(&mut self, bytes: Vec<u8>) -> Result<(), RuntimeError> {
+            self.write_blocking(&bytes)
+        }
     }
 
     fn header(p: usize, step: u64) -> RingHeader {
@@ -688,8 +649,7 @@ mod tests {
     }
 
     /// Runs `collectives` collectives on every position's held link at
-    /// once; returns each position's (result, flushed byte count) per
-    /// collective.
+    /// once; returns each position's (result, byte count) per collective.
     #[allow(clippy::type_complexity)]
     fn run_held(
         rings: &mut [RingConnection],
@@ -709,7 +669,7 @@ mod tests {
                                 let mut flat = shard(p, c, n);
                                 let head = header(p, 10 + 3 * c as u64);
                                 ring_all_reduce(&mut flat, p, k, ring, head, bucket_elems)?;
-                                Ok((flat, ring.flush()?))
+                                Ok((flat, ring.tx_bytes))
                             })
                             .collect()
                     })
@@ -742,9 +702,43 @@ mod tests {
                     assert_eq!(tx, first_tx, "k={k} collective {c} position {p} tx bytes");
                 }
             }
-            for ring in rings {
-                ring.shutdown().expect("clean shutdown");
-            }
+        }
+    }
+
+    /// Frames far larger than the kernel's socket buffers (16 MB, against
+    /// a few MB of send buffer at most): every position's write would
+    /// block long before its frame is out, so each must read while it
+    /// writes. An exchange that wrote its whole frame before reading
+    /// would stall every position on its write until the timeout.
+    #[test]
+    fn ring_survives_frames_larger_than_the_socket_buffers() {
+        let chunk = 4 << 20; // f32s: a 16 MB frame
+        for k in [2usize, 3] {
+            let n = k * chunk;
+            let expect = {
+                let shards: Vec<Vec<f32>> = (0..k).map(|p| shard(p, 0, n)).collect();
+                let refs: Vec<&[f32]> = shards.iter().map(|s| s.as_slice()).collect();
+                reference_ring_sum(&refs, n)
+            };
+            let mut rings = dial_ring(k, Duration::from_secs(5));
+            std::thread::scope(|scope| {
+                for (p, ring) in rings.iter_mut().enumerate() {
+                    let expect = &expect;
+                    scope.spawn(move || {
+                        let mut flat = shard(p, 0, n);
+                        ring_all_reduce(&mut flat, p, k, ring, header(p, 0), n)
+                            .expect("ring all-reduce");
+                        let same = flat
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .eq(expect.iter().map(|x| x.to_bits()));
+                        assert!(
+                            same,
+                            "k={k} position {p}: wire bits must equal the reference fold"
+                        );
+                    });
+                }
+            });
         }
     }
 
@@ -809,8 +803,7 @@ mod tests {
         drop(rings.pop()); // position 1 closes both of its streams
         let mut flat = shard(0, 1, n);
         let started = Instant::now();
-        let result = ring_all_reduce(&mut flat, 0, 2, &mut rings[0], header(0, 13), bucket)
-            .and_then(|()| rings[0].flush());
+        let result = ring_all_reduce(&mut flat, 0, 2, &mut rings[0], header(0, 13), bucket);
         let elapsed = started.elapsed();
         let err = result.expect_err("a collective with a vanished peer must fail");
         assert_eq!(err.kind, FaultKind::Net, "{err}");

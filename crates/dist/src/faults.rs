@@ -17,9 +17,9 @@
 //!   so the receiver's checksum rejects it as a typed net error;
 //! * `drop`    — the frame is never written; the receiver hits its
 //!   straggler read timeout;
-//! * `delay`   — the writer stalls [`NET_DELAY_MS`] before sending,
-//!   exercising the timeout/retry path without a failure when the delay
-//!   fits the budget.
+//! * `delay`   — the sender stalls [`NET_DELAY_MS`] in line before
+//!   writing the frame, exercising the timeout/retry path without a
+//!   failure when the delay fits the budget.
 
 use s4tf_fault as fault;
 
@@ -118,9 +118,15 @@ impl LinkFaults {
     }
 }
 
-/// How long a [`NetFaultMode::Delay`] fault stalls the writer: a visible
+/// How long a [`NetFaultMode::Delay`] fault stalls the sender: a visible
 /// straggler, well under the default 3 s timeout.
 pub const NET_DELAY_MS: u64 = 50;
+
+/// A [`NetFaultMode::Delay`] fault: sleeps [`NET_DELAY_MS`] on the
+/// sending thread, before the frame is written.
+pub(crate) fn stall() {
+    std::thread::sleep(std::time::Duration::from_millis(NET_DELAY_MS));
+}
 
 /// Corrupts one byte of an encoded frame *after* the digest trailer was
 /// computed, guaranteeing the receiver's checksum rejects it. The flipped

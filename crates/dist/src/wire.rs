@@ -23,7 +23,7 @@
 
 use s4tf_fault as fault;
 use s4tf_tensor::RuntimeError;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::ops::Range;
 
 /// Frame magic: `S4DF`.
@@ -150,7 +150,6 @@ impl Frame {
 /// Maps an I/O failure on a peer stream to a typed net error. Timeouts are
 /// labelled as straggler timeouts so the failure mode is legible in logs.
 pub fn io_err(op: &'static str, peer: Option<usize>, e: &std::io::Error) -> RuntimeError {
-    use std::io::ErrorKind;
     let detail = match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => {
             format!("straggler timeout waiting on the wire ({e})")
@@ -187,12 +186,22 @@ pub fn read_frame(r: &mut impl Read, peer: Option<usize>) -> Result<Frame, Runti
 pub(crate) fn read_frame_into(
     r: &mut impl Read,
     peer: Option<usize>,
-    mut bytes: Vec<u8>,
+    bytes: Vec<u8>,
 ) -> Result<Frame, RuntimeError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)
-        .map_err(|e| io_err("dist.recv", peer, &e))?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("fixed slice"));
+    let mut reader = FrameReader::new(bytes);
+    while !reader.read_from(r, peer)? {}
+    Ok(reader.into_frame())
+}
+
+/// The frame checks, run on a frame's first bytes as they arrive. On a
+/// whole header it checks the magic and the [`MAX_PAYLOAD`] cap, so a
+/// corrupt length is rejected before the buffer grows for the payload; on
+/// a whole frame it also checks the digest. Returns the frame's total
+/// length (header, payload and digest). `bytes` is at least a header and
+/// either exactly a header or the whole frame.
+fn check_frame(bytes: &[u8], peer: Option<usize>) -> Result<usize, RuntimeError> {
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("fixed slice"));
+    let magic = field(0);
     if magic != MAGIC {
         return Err(RuntimeError::net(
             "dist.recv",
@@ -200,13 +209,7 @@ pub(crate) fn read_frame_into(
             format!("bad frame magic {magic:08x} (stream corrupt or desynchronized)"),
         ));
     }
-    let kind = header[4];
-    let sender = u32::from_le_bytes(header[5..9].try_into().expect("fixed slice"));
-    let epoch = u32::from_le_bytes(header[9..13].try_into().expect("fixed slice"));
-    let attempt = u32::from_le_bytes(header[13..17].try_into().expect("fixed slice"));
-    let step = u64::from_le_bytes(header[17..25].try_into().expect("fixed slice"));
-    let seq = u64::from_le_bytes(header[25..33].try_into().expect("fixed slice"));
-    let len = u32::from_le_bytes(header[33..37].try_into().expect("fixed slice")) as usize;
+    let len = field(HEADER_LEN - 4) as usize;
     if len > MAX_PAYLOAD {
         return Err(RuntimeError::net(
             "dist.recv",
@@ -214,43 +217,88 @@ pub(crate) fn read_frame_into(
             format!("frame declares {len} payload bytes (cap {MAX_PAYLOAD}); rejecting"),
         ));
     }
-    // Header, payload and trailer land in one buffer (`take` +
-    // `read_to_end` fill its spare capacity without zeroing it first), and
-    // the digest runs over it in place.
     let total = HEADER_LEN + len + 8;
-    bytes.clear();
-    bytes.reserve(total);
-    bytes.extend_from_slice(&header);
-    r.take((len + 8) as u64)
-        .read_to_end(&mut bytes)
-        .map_err(|e| io_err("dist.recv", peer, &e))?;
-    if bytes.len() != total {
-        let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
-        return Err(io_err("dist.recv", peer, &eof));
+    if bytes.len() == total {
+        let (body, tail) = bytes.split_at(HEADER_LEN + len);
+        let stored = u64::from_le_bytes(tail.try_into().expect("fixed slice"));
+        let computed = fault::digest64(body);
+        if stored != computed {
+            return Err(RuntimeError::net(
+                "dist.recv",
+                peer,
+                format!(
+                    "frame checksum mismatch: stored {stored:016x}, computed {computed:016x} \
+                     (wire corruption)"
+                ),
+            ));
+        }
     }
-    let (body, tail) = bytes.split_at(HEADER_LEN + len);
-    let stored = u64::from_le_bytes(tail.try_into().expect("fixed slice"));
-    let computed = fault::digest64(body);
-    if stored != computed {
-        return Err(RuntimeError::net(
-            "dist.recv",
-            peer,
-            format!(
-                "frame checksum mismatch: stored {stored:016x}, computed {computed:016x} \
-                 (wire corruption)"
-            ),
-        ));
+    Ok(total)
+}
+
+/// One frame read in pieces into one buffer: first its header, then —
+/// once [`check_frame`] accepts the header — the rest of the frame. The
+/// buffer is zero-filled only where it grows past its previous length, so
+/// a recycled buffer is read into as it is.
+pub(crate) struct FrameReader {
+    bytes: Vec<u8>,
+    filled: usize,
+    /// The length the frame is known to have so far.
+    want: usize,
+}
+
+impl FrameReader {
+    /// A reader into `bytes`'s allocation (its contents are discarded).
+    pub(crate) fn new(bytes: Vec<u8>) -> FrameReader {
+        FrameReader {
+            bytes,
+            filled: 0,
+            want: HEADER_LEN,
+        }
     }
-    Ok(Frame {
-        kind,
-        sender,
-        epoch,
-        attempt,
-        step,
-        seq,
-        bytes,
-        payload_at: HEADER_LEN..HEADER_LEN + len,
-    })
+
+    /// One `read` from `r` toward the frame: whatever bytes it returns.
+    /// `Ok(true)` once the frame is whole and has passed every check. A
+    /// timeout, a closed stream or a failed check is a typed net error
+    /// attributed to `peer`.
+    pub(crate) fn read_from(
+        &mut self,
+        r: &mut impl Read,
+        peer: Option<usize>,
+    ) -> Result<bool, RuntimeError> {
+        if self.bytes.len() < self.want {
+            self.bytes.resize(self.want, 0);
+        }
+        self.filled += match r.read(&mut self.bytes[self.filled..self.want]) {
+            Ok(0) => return Err(io_err("dist.recv", peer, &ErrorKind::UnexpectedEof.into())),
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+            Err(e) => return Err(io_err("dist.recv", peer, &e)),
+        };
+        if self.filled < self.want {
+            return Ok(false);
+        }
+        self.want = check_frame(&self.bytes[..self.filled], peer)?;
+        Ok(self.filled == self.want)
+    }
+
+    /// The whole frame; call once [`read_from`](FrameReader::read_from)
+    /// returned `Ok(true)`.
+    pub(crate) fn into_frame(self) -> Frame {
+        let h = &self.bytes[..HEADER_LEN];
+        let u32_at = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().expect("fixed slice"));
+        let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("fixed slice"));
+        Frame {
+            kind: h[4],
+            sender: u32_at(5),
+            epoch: u32_at(9),
+            attempt: u32_at(13),
+            step: u64_at(17),
+            seq: u64_at(25),
+            payload_at: HEADER_LEN..self.want - 8,
+            bytes: self.bytes,
+        }
+    }
 }
 
 /// Little-endian payload writer for protocol messages.
@@ -431,6 +479,74 @@ mod tests {
         bytes[33..37].copy_from_slice(&(u32::MAX).to_le_bytes());
         let err = read_frame(&mut bytes.as_slice(), Some(2)).expect_err("oversized");
         assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    /// Hands out its bytes in pieces: each `read` stops at the next cut.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        cuts: Vec<usize>,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let cut = self.cuts.iter().copied().find(|&c| c > self.at);
+            let end = cut.unwrap_or(self.bytes.len()).min(self.at + buf.len());
+            let n = end - self.at;
+            buf[..n].copy_from_slice(&self.bytes[self.at..end]);
+            self.at = end;
+            Ok(n)
+        }
+    }
+
+    /// A frame fed in pieces — one byte at a time, split inside the
+    /// header, split inside the payload — decodes to what `read_frame`
+    /// returns, one `read` per piece.
+    #[test]
+    fn incremental_reader_decodes_a_frame_fed_in_pieces() {
+        let mut f = Frame::control(5, 1, 2, 3, 4).with_payload((0..200u8).collect());
+        f.seq = 0x1_0002;
+        let bytes = f.encode();
+        let whole = read_frame(&mut bytes.as_slice(), Some(1)).expect("valid frame");
+        assert_eq!(whole, f);
+        let one_byte: Vec<usize> = (1..bytes.len()).collect();
+        for cuts in [one_byte, vec![10], vec![HEADER_LEN + 77]] {
+            let mut pieces = Pieces {
+                bytes: &bytes,
+                at: 0,
+                cuts: cuts.clone(),
+            };
+            let mut reader = FrameReader::new(Vec::new());
+            let mut reads = 1;
+            while !reader.read_from(&mut pieces, Some(1)).expect("valid frame") {
+                reads += 1;
+            }
+            // A cut at the header's end costs no read of its own.
+            let expect_reads = cuts.len() + 1 + usize::from(!cuts.contains(&HEADER_LEN));
+            assert_eq!(reads, expect_reads, "cuts {cuts:?}");
+            assert_eq!(reader.into_frame(), whole, "cuts {cuts:?}");
+        }
+    }
+
+    /// A header declaring more than `MAX_PAYLOAD` is a typed error before
+    /// the incremental reader's buffer grows past the header.
+    #[test]
+    fn incremental_reader_rejects_an_oversized_header_before_growing() {
+        let mut bytes = sample().encode();
+        bytes[33..37].copy_from_slice(&((MAX_PAYLOAD + 1) as u32).to_le_bytes());
+        let mut reader = FrameReader::new(Vec::new());
+        let mut stream = bytes.as_slice();
+        let err = loop {
+            match reader.read_from(&mut stream, Some(2)) {
+                Ok(whole) => assert!(!whole, "an oversized frame is never whole"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind, FaultKind::Net, "{err}");
+        assert!(err.to_string().contains("cap"), "{err}");
+        assert!(err.to_string().contains("peer rank 2"), "{err}");
+        assert_eq!(reader.bytes.len(), HEADER_LEN);
+        assert!(reader.bytes.capacity() < 2 * HEADER_LEN, "the buffer grew");
     }
 
     #[test]

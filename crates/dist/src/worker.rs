@@ -11,14 +11,14 @@
 //! so a `Retry` or a membership change replays the collective without
 //! recomputing — and without any bit drift.
 //!
-//! Ring links outlive steps. After a collective whose frames all left
-//! (the writer's flush confirmed it) the worker holds its link, and the
-//! next step's collective reuses it when it runs at attempt 0 under the
-//! same epoch and the same neighbors — which, since a `Commit` means every
-//! member finished cleanly, every member decides alike from the
-//! coordinator's broadcasts. A `Retry`, a new `View` or a failed
-//! collective drops the link, and the next collective re-dials it keyed
-//! by `(epoch, step, attempt)` (`establish_ring`).
+//! Ring links outlive steps. After a collective that returned `Ok` —
+//! every exchange wrote its whole frame before it ended — the worker
+//! holds its link, and the next step's collective reuses it when it runs
+//! at attempt 0 under the same epoch and the same neighbors — which,
+//! since a `Commit` means every member finished cleanly, every member
+//! decides alike from the coordinator's broadcasts. A `Retry`, a new
+//! `View` or a failed collective drops the link, and the next collective
+//! re-dials it keyed by `(epoch, step, attempt)` (`establish_ring`).
 //!
 //! A heartbeat thread writes a `Heartbeat` on the control stream every
 //! `heartbeat_ms`. It waits out each interval on a stop channel, so when
@@ -424,35 +424,16 @@ fn establish_ring(
         write_encoded(&mut w, &bytes, Some(right_rank as usize))?;
     }
 
-    // Claim the left neighbor's connection for these exact coordinates.
+    // Claim the left neighbor's connection for these exact coordinates;
+    // keep the future, drop the stale.
     let want = (header.epoch, header.step, header.attempt);
-    let claim = |pending: &mut Vec<PendingConn>| -> Option<TcpStream> {
-        let mut found = None;
-        pending.retain_mut(|(hello, stream)| {
-            if found.is_some() {
-                return true;
-            }
-            let coords = (hello.epoch, hello.step, hello.attempt);
-            if hello.sender == left_rank && coords == want {
-                // `retain_mut` can't move the stream out; swap a dummy in.
-                if let Ok(taken) = stream.try_clone() {
-                    found = Some(taken);
-                    return false;
-                }
-            }
-            coords >= want // keep the future, drop the stale
-        });
-        found
-    };
+    let coords = |hello: &Frame| (hello.epoch, hello.step, hello.attempt);
     loop {
-        if let Some(left) = claim(pending) {
-            return Ok(RingConnection::new(
-                header.rank,
-                left_rank,
-                left,
-                right_rank,
-                right,
-            ));
+        pending.retain(|(hello, _)| coords(hello) >= want);
+        let mine = |(hello, _): &PendingConn| hello.sender == left_rank && coords(hello) == want;
+        if let Some(at) = pending.iter().position(mine) {
+            let (_, left) = pending.swap_remove(at);
+            return RingConnection::new(header.rank, left_rank, left, right_rank, right);
         }
         let now = Instant::now();
         if now >= deadline {
@@ -681,9 +662,10 @@ where
 ///
 /// The ring runs on the `held` link when this is attempt 0 under the
 /// epoch and neighbors it was dialed for, and on a freshly dialed one
-/// otherwise. `StepDone` goes out only after the writer flushed every
-/// frame; the link is then held for the next step. A failed collective
-/// drops it.
+/// otherwise. `StepDone` goes out only once the collective returned `Ok`,
+/// which means every frame was written; it reports the link's `tx_bytes`,
+/// and the link is then held for the next step. A failed collective drops
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn run_cycle<L, D>(
     env: &WorkerEnv,
@@ -758,9 +740,10 @@ where
                     env.bucket_elems(),
                 );
                 let allreduce_us = t0.elapsed().as_micros() as u64;
-                match result.and_then(|()| ring.flush()) {
+                match result {
                     Err(e) => CycleOutcome::Failed(e),
-                    Ok(tx_bytes) => {
+                    Ok(()) => {
+                        let tx_bytes = ring.tx_bytes;
                         *held = Some(HeldRing {
                             epoch: header.epoch,
                             ring,
