@@ -49,16 +49,12 @@ impl TrialStats {
     }
 }
 
-/// Times `f` over `trials` runs after `warmup` unmeasured runs, rejecting
-/// outliers outside the Tukey fences (`[q1 − 1.5·IQR, q3 + 1.5·IQR]`).
-pub fn measure(warmup: usize, trials: usize, mut f: impl FnMut()) -> TrialStats {
-    measure_interleaved(warmup, trials, &mut [&mut f]).remove(0)
-}
-
-/// [`measure`] for several functions at once, their runs interleaved:
-/// each warmup round and each trial runs every function once, in order,
-/// so a drift in the host's speed lands on all of them alike and the
-/// ratios between their medians hold up.
+/// Times each of `fs` over `trials` runs after `warmup` unmeasured runs,
+/// rejecting outliers outside the Tukey fences (`[q1 − 1.5·IQR, q3 +
+/// 1.5·IQR]`). The runs are interleaved: each warmup round and each trial
+/// runs every function once, in order, so a drift in the host's speed
+/// lands on all of them alike and the ratios between their medians hold
+/// up.
 pub fn measure_interleaved(
     warmup: usize,
     trials: usize,
@@ -224,7 +220,7 @@ mod tests {
     #[test]
     fn measure_runs_and_reports() {
         let mut calls = 0u32;
-        let stats = measure(2, 5, || calls += 1);
+        let stats = measure_interleaved(2, 5, &mut [&mut || calls += 1]).remove(0);
         assert_eq!(calls, 7);
         assert_eq!(stats.trials, 5);
         assert!(stats.median_ms >= 0.0);

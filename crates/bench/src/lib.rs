@@ -24,5 +24,5 @@ pub mod harness;
 pub mod report;
 pub mod tracing;
 
-pub use harness::{measure, TrialStats};
+pub use harness::TrialStats;
 pub use report::{print_table, Row};

@@ -82,7 +82,7 @@ impl Padding {
             Padding::Valid => (0, 0),
             Padding::Same => {
                 let out = input.div_ceil(stride);
-                let needed = ((out - 1) * stride + kernel).saturating_sub(input);
+                let needed = (out.saturating_sub(1) * stride + kernel).saturating_sub(input);
                 (needed / 2, needed - needed / 2)
             }
         }

@@ -2,9 +2,8 @@
 //! convention, which the paper's `Conv2D` layer uses) and the two gradient
 //! kernels the `Conv2D` pullback needs.
 //!
-//! Past [`DIRECT_MAX_MACS`] the kernels take one of two lowerings; smaller
-//! problems run the direct loops below, which are also the unit tests'
-//! oracle.
+//! Every geometry takes one of two lowerings, whatever its size; the
+//! direct loops the unit tests hold them to are compiled for tests only.
 //!
 //! **Single-channel inputs** with column stride 1 (LeNet's first layer,
 //! [`ConvGeom::single_channel`]) run direct lane kernels. Each image is
@@ -80,10 +79,6 @@ use crate::simd::{self, L8, LANES};
 use crate::tensor::Tensor;
 use crate::Padding;
 
-/// Below this many multiply-accumulates the direct loops beat the GEMM
-/// lowering (scratch setup dominates).
-const DIRECT_MAX_MACS: usize = 1 << 15;
-
 /// Target multiply-accumulates per parallel task.
 const CHUNK_MACS: usize = 1 << 16;
 
@@ -99,8 +94,6 @@ const BLOCK_SCRATCH_BYTES: usize = 192 << 10;
 /// for the input gradient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lowering {
-    /// The direct loops, below [`DIRECT_MAX_MACS`].
-    Direct,
     /// The single-channel lane kernels ([`ConvGeom::single_channel`]).
     SingleChannel,
     /// The packed GEMM reading patches in place, from a zero-padded plane
@@ -161,6 +154,9 @@ impl ConvGeom {
     }
 
     /// Multiply-accumulates of the forward pass (and of each gradient).
+    /// Zero for an empty batch, image, window or channel set: every
+    /// output is empty or zero, and the kernels return it before any
+    /// lowering sizes a plane or a block (they assume a row to read).
     fn macs(&self) -> usize {
         self.batch * self.out_h * self.out_w * self.out_c * self.kdim()
     }
@@ -189,9 +185,7 @@ impl ConvGeom {
 
     /// The lowering of the forward pass and the filter gradient.
     fn lowering(&self) -> Lowering {
-        if self.macs() < DIRECT_MAX_MACS {
-            Lowering::Direct
-        } else if self.single_channel() {
+        if self.single_channel() {
             Lowering::SingleChannel
         } else {
             Lowering::Patches
@@ -1160,113 +1154,15 @@ fn single_channel_dw<T: Float>(plane: &[T], dyt: &[T], partial: &mut [T], g: &Co
     }
 }
 
-/// The original direct (no-scratch) forward loops, kept for small
-/// problems where the GEMM's scratch setup costs more than it saves.
-fn conv2d_direct<T: Float>(x: &[T], w: &[T], out: &mut [T], g: &ConvGeom) {
-    for n in 0..g.batch {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
-                for ky in 0..g.k_h {
-                    let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
-                    if iy < 0 || iy as usize >= g.in_h {
-                        continue;
-                    }
-                    for kx in 0..g.k_w {
-                        let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
-                        if ix < 0 || ix as usize >= g.in_w {
-                            continue;
-                        }
-                        let in_base = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                        let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
-                        for ic in 0..g.in_c {
-                            let xv = x[in_base + ic];
-                            let wrow = &w[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
-                            let orow = &mut out[out_base..out_base + g.out_c];
-                            for (ov, &wv) in orow.iter_mut().zip(wrow) {
-                                *ov += xv * wv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Input-gradient loops for one image; `dx_img` is that image's
-/// `in_h × in_w × in_c` slice.
-fn backward_input_image<T: Float>(dy: &[T], w: &[T], dx_img: &mut [T], g: &ConvGeom, n: usize) {
-    for oy in 0..g.out_h {
-        for ox in 0..g.out_w {
-            let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
-            for ky in 0..g.k_h {
-                let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.k_w {
-                    let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let in_base = ((iy as usize) * g.in_w + ix as usize) * g.in_c;
-                    let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
-                    for ic in 0..g.in_c {
-                        let wrow = &w[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
-                        let dyrow = &dy[out_base..out_base + g.out_c];
-                        let mut acc = T::zero();
-                        for (&wv, &dyv) in wrow.iter().zip(dyrow) {
-                            acc += wv * dyv;
-                        }
-                        dx_img[in_base + ic] += acc;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Filter-gradient loops for one image, accumulated into `dw`.
-fn backward_filter_image<T: Float>(x: &[T], dy: &[T], dw: &mut [T], g: &ConvGeom, n: usize) {
-    for oy in 0..g.out_h {
-        for ox in 0..g.out_w {
-            let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
-            for ky in 0..g.k_h {
-                let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    continue;
-                }
-                for kx in 0..g.k_w {
-                    let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
-                    if ix < 0 || ix as usize >= g.in_w {
-                        continue;
-                    }
-                    let in_base = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                    let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
-                    for ic in 0..g.in_c {
-                        let xv = x[in_base + ic];
-                        let dyrow = &dy[out_base..out_base + g.out_c];
-                        let dwrow = &mut dw[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
-                        for (dwv, &dyv) in dwrow.iter_mut().zip(dyrow) {
-                            *dwv += xv * dyv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl<T: Float> Tensor<T> {
     /// 2-D convolution: input `[N,H,W,Cin]` ⊛ filter `[Kh,Kw,Cin,Cout]` →
     /// `[N,H',W',Cout]`.
     ///
-    /// Large problems run the single-channel lane kernel (parallel over
-    /// images) or the packed GEMM over patches read in place from a padded
-    /// plane or the image itself, parallel over `batch × out_h` output rows
-    /// (see the module docs); either way every output element is one k-order
-    /// sum, so results are bit-identical for every thread count.
+    /// Runs the single-channel lane kernel (parallel over images) or the
+    /// packed GEMM over patches read in place from a padded plane or the
+    /// image itself, parallel over `batch × out_h` output rows (see the
+    /// module docs); either way every output element is one k-order sum, so
+    /// results are bit-identical for every thread count.
     ///
     /// # Panics
     /// Panics on rank or channel mismatches, zero strides, or (for
@@ -1278,11 +1174,14 @@ impl<T: Float> Tensor<T> {
         padding: Padding,
     ) -> Tensor<T> {
         let g = geometry(self.dims(), filter.dims(), strides, padding);
+        let dims = [g.batch, g.out_h, g.out_w, g.out_c];
+        if g.macs() == 0 {
+            return Tensor::zeros(&dims);
+        }
         let x = self.as_slice();
         let w = filter.as_slice();
-        Tensor::build(&[g.batch, g.out_h, g.out_w, g.out_c], T::zero(), |out| {
+        Tensor::build(&dims, T::zero(), |out| {
             match g.lowering() {
-                Lowering::Direct => conv2d_direct(x, w, out, &g),
                 Lowering::SingleChannel => {
                     let wp = pack_groups(w, &g);
                     let (img, img_out) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
@@ -1311,7 +1210,7 @@ impl<T: Float> Tensor<T> {
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *input*.
     ///
-    /// Large problems take one of four lowerings (see the module docs):
+    /// Takes one of four lowerings (see the module docs):
     /// - stride (1, 1) with at least 8 input channels and finite weights:
     ///   the forward GEMM lowering run on `dy` with the rotated, transposed
     ///   filter, parallel over `batch × in_h` rows of `dx`, each `dx`
@@ -1361,6 +1260,9 @@ impl<T: Float> Tensor<T> {
             &[g.batch, g.out_h, g.out_w, g.out_c],
             "grad_out shape mismatch"
         );
+        if g.macs() == 0 {
+            return Tensor::zeros(input_dims);
+        }
         let dy = grad_out.as_slice();
         let w = filter.as_slice();
         let img = g.in_h * g.in_w * g.in_c;
@@ -1373,18 +1275,6 @@ impl<T: Float> Tensor<T> {
             &[g.batch, g.in_h, g.in_w, g.in_c],
             T::zero(),
             |dx| match lowering {
-                Lowering::Direct => {
-                    s4tf_threads::parallel_chunks_mut(
-                        dx,
-                        img,
-                        g.grain_imgs() * img,
-                        |start, chunk| {
-                            for (u, dx_img) in chunk.chunks_mut(img).enumerate() {
-                                backward_input_image(dy, w, dx_img, &g, start / img + u);
-                            }
-                        },
-                    );
-                }
                 Lowering::SingleChannel => {
                     let dy_img = g.out_h * g.out_w * g.out_c;
                     let dpw = g.dx_plane_w();
@@ -1489,7 +1379,7 @@ impl<T: Float> Tensor<T> {
 
     /// Gradient of [`Tensor::conv2d`] with respect to its *filter*,
     /// parallel over images: each task accumulates a private partial
-    /// `dw`, combined in task order afterwards. Large problems add to the
+    /// `dw`, combined in task order afterwards. Each task adds to its
     /// partial one single-channel lane-kernel sum per image, or one GEMM
     /// per block of output rows over the patches of the image's padded
     /// plane, read in place (see the module docs), so the summation order
@@ -1511,6 +1401,9 @@ impl<T: Float> Tensor<T> {
             &[g.batch, g.out_h, g.out_w, g.out_c],
             "grad_out shape mismatch"
         );
+        if g.macs() == 0 {
+            return Tensor::zeros(filter_dims);
+        }
         let x = self.as_slice();
         let dy = grad_out.as_slice();
         let kdim = g.kdim();
@@ -1519,11 +1412,6 @@ impl<T: Float> Tensor<T> {
         let partials = s4tf_threads::parallel_map_chunks(0..g.batch, g.grain_imgs(), |imgs| {
             let mut partial = Scratch::zeroed(dw_len);
             match lowering {
-                Lowering::Direct => {
-                    for n in imgs {
-                        backward_filter_image(x, dy, &mut partial, &g, n);
-                    }
-                }
                 Lowering::SingleChannel => {
                     let (img, dy_img) = (g.in_h * g.in_w, g.out_h * g.out_w * g.out_c);
                     let mut plane = Scratch::zeroed(g.plane_len());
@@ -1582,6 +1470,104 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// The direct forward loops: the oracle the lowerings are held to.
+    fn conv2d_direct<T: Float>(x: &[T], w: &[T], out: &mut [T], g: &ConvGeom) {
+        for n in 0..g.batch {
+            for oy in 0..g.out_h {
+                for ox in 0..g.out_w {
+                    let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
+                    for ky in 0..g.k_h {
+                        let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
+                        if iy < 0 || iy as usize >= g.in_h {
+                            continue;
+                        }
+                        for kx in 0..g.k_w {
+                            let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
+                            if ix < 0 || ix as usize >= g.in_w {
+                                continue;
+                            }
+                            let in_base =
+                                ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
+                            let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
+                            for ic in 0..g.in_c {
+                                let xv = x[in_base + ic];
+                                let wrow = &w[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
+                                let orow = &mut out[out_base..out_base + g.out_c];
+                                for (ov, &wv) in orow.iter_mut().zip(wrow) {
+                                    *ov += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Input-gradient loops for one image; `dx_img` is that image's
+    /// `in_h × in_w × in_c` slice.
+    fn backward_input_image<T: Float>(dy: &[T], w: &[T], dx_img: &mut [T], g: &ConvGeom, n: usize) {
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
+                for ky in 0..g.k_h {
+                    let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
+                    if iy < 0 || iy as usize >= g.in_h {
+                        continue;
+                    }
+                    for kx in 0..g.k_w {
+                        let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
+                        if ix < 0 || ix as usize >= g.in_w {
+                            continue;
+                        }
+                        let in_base = ((iy as usize) * g.in_w + ix as usize) * g.in_c;
+                        let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
+                        for ic in 0..g.in_c {
+                            let wrow = &w[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
+                            let dyrow = &dy[out_base..out_base + g.out_c];
+                            let mut acc = T::zero();
+                            for (&wv, &dyv) in wrow.iter().zip(dyrow) {
+                                acc += wv * dyv;
+                            }
+                            dx_img[in_base + ic] += acc;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Filter-gradient loops for one image, accumulated into `dw`.
+    fn backward_filter_image<T: Float>(x: &[T], dy: &[T], dw: &mut [T], g: &ConvGeom, n: usize) {
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                let out_base = ((n * g.out_h + oy) * g.out_w + ox) * g.out_c;
+                for ky in 0..g.k_h {
+                    let iy = (oy * g.stride.0 + ky) as isize - g.pad_top as isize;
+                    if iy < 0 || iy as usize >= g.in_h {
+                        continue;
+                    }
+                    for kx in 0..g.k_w {
+                        let ix = (ox * g.stride.1 + kx) as isize - g.pad_left as isize;
+                        if ix < 0 || ix as usize >= g.in_w {
+                            continue;
+                        }
+                        let in_base = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
+                        let w_base = (ky * g.k_w + kx) * g.in_c * g.out_c;
+                        for ic in 0..g.in_c {
+                            let xv = x[in_base + ic];
+                            let dyrow = &dy[out_base..out_base + g.out_c];
+                            let dwrow = &mut dw[w_base + ic * g.out_c..w_base + (ic + 1) * g.out_c];
+                            for (dwv, &dyv) in dwrow.iter_mut().zip(dyrow) {
+                                *dwv += xv * dyv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn conv_identity_filter() {
         // 1x1 filter with weight 1 is the identity.
@@ -1632,52 +1618,65 @@ mod tests {
         assert_eq!(y.as_slice(), &[32.0]);
     }
 
-    /// The lowerings past `DIRECT_MAX_MACS` — the GEMM and the
-    /// single-channel kernels — must match the direct loops, for every
-    /// stride/padding/channel combination the patch walks, the col2im
-    /// scatter, the rotated input gradient, the panel widths and the
-    /// single-channel tiles distinguish — down to one-pixel-wide images,
-    /// where whole kernel columns clip away.
+    /// `conv2d` and both gradients of one geometry against the direct
+    /// loops, within 1e-4.
+    fn check_against_direct<T: Float>(
+        rng: &mut ChaCha8Rng,
+        x_dims: &[usize],
+        (k, out_c): (usize, usize),
+        strides: (usize, usize),
+        padding: Padding,
+    ) {
+        let in_c = x_dims[3];
+        let x = Tensor::<T>::randn(x_dims, rng);
+        let w = Tensor::<T>::randn(&[k, k, in_c, out_c], rng);
+        let g = geometry(x.dims(), w.dims(), strides, padding);
+        let what = format!(
+            "{} {x_dims:?} k={k} out_c={out_c} {strides:?} {padding:?}",
+            std::any::type_name::<T>()
+        );
+        // dw sums ~10³ products per entry: keep them O(1) so the
+        // absolute tolerance bounds rounding, not magnitude.
+        let dy = Tensor::<T>::randn(&[g.batch, g.out_h, g.out_w, g.out_c], rng)
+            .mul_scalar(T::from_f64(0.03));
+
+        let y = x.conv2d(&w, strides, padding);
+        let mut direct = vec![T::zero(); y.num_elements()];
+        conv2d_direct(x.as_slice(), w.as_slice(), &mut direct, &g);
+        let direct = Tensor::from_vec(direct, y.dims());
+        assert!(y.allclose(&direct, 1e-4), "y {what}");
+
+        let dx = x.conv2d_backward_input(&w, &dy, strides, padding);
+        let mut direct = vec![T::zero(); x.num_elements()];
+        let img = g.in_h * g.in_w * g.in_c;
+        for n in 0..g.batch {
+            let dx_img = &mut direct[n * img..(n + 1) * img];
+            backward_input_image(dy.as_slice(), w.as_slice(), dx_img, &g, n);
+        }
+        let direct = Tensor::from_vec(direct, x.dims());
+        assert!(dx.allclose(&direct, 1e-4), "dx {what}");
+
+        let dw = x.conv2d_backward_filter(w.dims(), &dy, strides, padding);
+        let mut direct = vec![T::zero(); w.num_elements()];
+        for n in 0..g.batch {
+            backward_filter_image(x.as_slice(), dy.as_slice(), &mut direct, &g, n);
+        }
+        let direct = Tensor::from_vec(direct, w.dims());
+        assert!(dw.allclose(&direct, 1e-4), "dw {what}");
+    }
+
+    /// Every lowering — the GEMM and the single-channel kernels — must
+    /// match the direct loops, for every stride/padding/channel
+    /// combination the patch walks, the col2im scatter, the rotated input
+    /// gradient, the batch lanes, the panel widths and the single-channel
+    /// tiles distinguish: down to one-pixel images, where whole kernel
+    /// rows and columns clip away, and to empty batches, images, windows
+    /// and channel sets.
     #[test]
     fn conv_gemm_paths_match_direct_loops() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut check = |x_dims: &[usize], (k, out_c): (usize, usize), strides, padding| {
-            let in_c = x_dims[3];
-            let x = Tensor::<f32>::randn(x_dims, &mut rng);
-            let w = Tensor::<f32>::randn(&[k, k, in_c, out_c], &mut rng);
-            let g = geometry(x.dims(), w.dims(), strides, padding);
-            let what = format!("{x_dims:?} k={k} out_c={out_c} {strides:?} {padding:?}");
-            assert!(
-                g.macs() >= DIRECT_MAX_MACS,
-                "{what} must pass the direct loops"
-            );
-            // dw sums ~10³ products per entry: keep them O(1) so the
-            // absolute tolerance bounds rounding, not magnitude.
-            let dy = Tensor::<f32>::randn(&[g.batch, g.out_h, g.out_w, g.out_c], &mut rng)
-                .mul_scalar(0.03);
-
-            let y = x.conv2d(&w, strides, padding);
-            let mut direct = vec![0.0f32; y.num_elements()];
-            conv2d_direct(x.as_slice(), w.as_slice(), &mut direct, &g);
-            let direct = Tensor::from_vec(direct, y.dims());
-            assert!(y.allclose(&direct, 1e-4), "y {what}");
-
-            let dx = x.conv2d_backward_input(&w, &dy, strides, padding);
-            let mut direct = vec![0.0f32; x.num_elements()];
-            let img = g.in_h * g.in_w * g.in_c;
-            for (n, dx_img) in direct.chunks_mut(img).enumerate() {
-                backward_input_image(dy.as_slice(), w.as_slice(), dx_img, &g, n);
-            }
-            let direct = Tensor::from_vec(direct, x.dims());
-            assert!(dx.allclose(&direct, 1e-4), "dx {what}");
-
-            let dw = x.conv2d_backward_filter(w.dims(), &dy, strides, padding);
-            let mut direct = vec![0.0f32; w.num_elements()];
-            for n in 0..g.batch {
-                backward_filter_image(x.as_slice(), dy.as_slice(), &mut direct, &g, n);
-            }
-            let direct = Tensor::from_vec(direct, w.dims());
-            assert!(dw.allclose(&direct, 1e-4), "dw {what}");
+        let mut check = |x_dims: &[usize], filter, strides, padding| {
+            check_against_direct::<f32>(&mut rng, x_dims, filter, strides, padding);
         };
         for (in_c, filter) in [
             (1, (5, 6)),
@@ -1706,30 +1705,59 @@ mod tests {
         // padding below and right) and a Valid stride-1 with 8 channels.
         check(&[4, 12, 14, 16], (4, 16), (1, 1), Padding::Same);
         check(&[4, 14, 13, 8], (5, 16), (1, 1), Padding::Valid);
+
+        // Tiny geometries, in f32 and f64: 1×1 and 2×2 images, kernels
+        // larger than the image under Same, batch 0 and 1, no input
+        // channel up to a lane of them.
+        for batch in [0, 1] {
+            for hw in [1, 2] {
+                for in_c in [0, 1, 2, 3, 8] {
+                    for k in [1, 2, 3, 5] {
+                        for strides in [(1, 1), (2, 2), (2, 1)] {
+                            for padding in [Padding::Same, Padding::Valid] {
+                                if padding == Padding::Valid && k > hw {
+                                    continue;
+                                }
+                                let x_dims = [batch, hw, hw, in_c];
+                                let filter = (k, 3);
+                                check_against_direct::<f32>(
+                                    &mut rng, &x_dims, filter, strides, padding,
+                                );
+                                check_against_direct::<f64>(
+                                    &mut rng, &x_dims, filter, strides, padding,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Empty images and no output channel.
+        for (x_dims, filter) in [
+            ([1, 0, 3, 2], (3, 4)),
+            ([2, 3, 0, 1], (3, 4)),
+            ([2, 3, 3, 8], (3, 0)),
+        ] {
+            check_against_direct::<f32>(&mut rng, &x_dims, filter, (1, 1), Padding::Same);
+            check_against_direct::<f64>(&mut rng, &x_dims, filter, (2, 1), Padding::Same);
+        }
     }
 
-    /// Finite-difference check of both gradient kernels, on a shape that
-    /// runs the direct loops, one past `DIRECT_MAX_MACS` (f64 takes the
-    /// scalar GEMM kernel there) and a single-channel one past it (the
-    /// direct lane kernels on their scalar path).
+    /// Finite-difference check of both gradient kernels in f64, which
+    /// takes the scalar GEMM kernel and the single-channel kernels' scalar
+    /// path: a tiny shape, a larger one and a single-channel one.
     #[test]
     fn conv_gradients_match_finite_differences() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for (x_dims, w_dims, past_direct) in [
-            ([2, 5, 5, 2], [3, 3, 2, 3], false),
-            ([3, 13, 12, 3], [3, 3, 3, 8], true),
-            ([5, 16, 16, 1], [5, 5, 1, 8], true),
+        for (x_dims, w_dims) in [
+            ([2, 5, 5, 2], [3, 3, 2, 3]),
+            ([3, 13, 12, 3], [3, 3, 3, 8]),
+            ([5, 16, 16, 1], [5, 5, 1, 8]),
         ] {
             let x = Tensor::<f64>::randn(&x_dims, &mut rng);
             let w = Tensor::<f64>::randn(&w_dims, &mut rng);
             for padding in [Padding::Same, Padding::Valid] {
                 let strides = (2, 1);
-                let g = geometry(&x_dims, &w_dims, strides, padding);
-                assert_eq!(
-                    g.macs() >= DIRECT_MAX_MACS,
-                    past_direct,
-                    "{x_dims:?} {padding:?}"
-                );
                 let y = x.conv2d(&w, strides, padding);
                 // loss = sum(y); dL/dy = ones
                 let dy = Tensor::<f64>::ones(y.dims());

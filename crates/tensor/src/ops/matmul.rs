@@ -1,45 +1,15 @@
-//! Matrix multiplication: a packed, multi-threaded GEMM (see
-//! [`super::gemm`]) with a cache-blocked serial path for small products,
-//! plus the transposed variants needed by the Dense layer's pullback.
+//! Matrix multiplication: every product of two matrices, and both
+//! transposed variants the Dense layer's pullback needs, runs the packed,
+//! multi-threaded GEMM (see [`super::gemm`]), which keeps products too
+//! small to split inline on the calling thread. A column vector on the
+//! right takes the row-dot [`Tensor::matvec`] instead.
 
 use super::gemm::{self, Layout};
 use crate::dtype::Scalar;
 use crate::tensor::Tensor;
 
-/// Cache block edge (elements) for the serial kernel. 64×64 f32 blocks
-/// fit comfortably in L1.
-const BLOCK: usize = 64;
-
-/// Products below this many multiply-accumulates (≈32³) run the serial
-/// kernels: packing and pool dispatch cost more than they save.
-const PACKED_MIN_MACS: usize = 1 << 15;
-
 /// Dot products per matvec chunk (so tiny row counts stay inline).
 const MATVEC_CHUNK_MACS: usize = 1 << 14;
-
-fn gemm_serial<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
-    // C[m,n] += A[m,k] * B[k,n], blocked over all three loops with an
-    // i-k-j inner order so the innermost loop streams B and C rows.
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    for kk in k0..k1 {
-                        let aik = a[i * k + kk];
-                        let brow = &b[kk * n + j0..kk * n + j1];
-                        let crow = &mut c[i * n + j0..i * n + j1];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 impl<T: Scalar> Tensor<T> {
     /// Matrix product of two rank-2 tensors: `[m,k] × [k,n] → [m,n]`.
@@ -61,19 +31,15 @@ impl<T: Scalar> Tensor<T> {
             return self.matvec(&rhs.reshape(&[k])).reshape(&[m, 1]);
         }
         Tensor::build(&[m, n], T::zero(), |out| {
-            if m * k * n < PACKED_MIN_MACS {
-                gemm_serial(self.as_slice(), rhs.as_slice(), out, m, k, n);
-            } else {
-                gemm::gemm_parallel(
-                    self.as_slice(),
-                    Layout::row_major(k),
-                    rhs.as_slice(),
-                    Layout::row_major(n),
-                    out,
-                    k,
-                    n,
-                );
-            }
+            gemm::gemm_parallel(
+                self.as_slice(),
+                Layout::row_major(k),
+                rhs.as_slice(),
+                Layout::row_major(n),
+                out,
+                k,
+                n,
+            );
         })
     }
 
@@ -88,25 +54,18 @@ impl<T: Scalar> Tensor<T> {
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (rhs.dims()[0], rhs.dims()[1]);
         assert_eq!(k, k2, "matmul_tn leading dims differ");
-        let a = self.as_slice();
-        let b = rhs.as_slice();
+        // The transpose is only a stride swap on A; the micro-kernel then
+        // reads its MR rows as contiguous runs of the stored A.
         Tensor::build(&[m, n], T::zero(), |out| {
-            if m * k * n < PACKED_MIN_MACS {
-                for kk in 0..k {
-                    for i in 0..m {
-                        let av = a[kk * m + i];
-                        let brow = &b[kk * n..(kk + 1) * n];
-                        let crow = &mut out[i * n..(i + 1) * n];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            } else {
-                // The transpose is only a stride swap on A; the micro-kernel
-                // then reads its MR rows as contiguous runs of the stored A.
-                gemm::gemm_parallel(a, Layout::transposed(m), b, Layout::row_major(n), out, k, n);
-            }
+            gemm::gemm_parallel(
+                self.as_slice(),
+                Layout::transposed(m),
+                rhs.as_slice(),
+                Layout::row_major(n),
+                out,
+                k,
+                n,
+            );
         })
     }
 
@@ -121,34 +80,16 @@ impl<T: Scalar> Tensor<T> {
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (n, k2) = (rhs.dims()[0], rhs.dims()[1]);
         assert_eq!(k, k2, "matmul_nt trailing dims differ");
-        let a = self.as_slice();
-        let b = rhs.as_slice();
         Tensor::build(&[m, n], T::zero(), |out| {
-            if m * k * n < PACKED_MIN_MACS {
-                // Serial path: hoist the A row out of the j loop and walk j
-                // in strips of NR accumulators so one pass over the row's k
-                // range feeds NR dot products.
-                const STRIP: usize = gemm::NR;
-                for i in 0..m {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let crow = &mut out[i * n..(i + 1) * n];
-                    for j0 in (0..n).step_by(STRIP) {
-                        let nr = STRIP.min(n - j0);
-                        let mut acc = [T::zero(); STRIP];
-                        for (s, slot) in acc.iter_mut().enumerate().take(nr) {
-                            let brow = &b[(j0 + s) * k..(j0 + s + 1) * k];
-                            let mut sum = T::zero();
-                            for (&av, &bv) in arow.iter().zip(brow) {
-                                sum += av * bv;
-                            }
-                            *slot = sum;
-                        }
-                        crow[j0..j0 + nr].copy_from_slice(&acc[..nr]);
-                    }
-                }
-            } else {
-                gemm::gemm_parallel(a, Layout::row_major(k), b, Layout::transposed(k), out, k, n);
-            }
+            gemm::gemm_parallel(
+                self.as_slice(),
+                Layout::row_major(k),
+                rhs.as_slice(),
+                Layout::transposed(k),
+                out,
+                k,
+                n,
+            );
         })
     }
 
@@ -238,6 +179,52 @@ mod tests {
         t(&[1.0, 2.0], &[1, 2]).matmul(&t(&[1.0], &[1, 1]));
     }
 
+    /// `C[i, j] = Σ_kk a(i, kk)·b(kk, j)`, one k-order sum from zero per
+    /// element.
+    fn naive<T: Scalar>(
+        a: impl Fn(usize, usize) -> T,
+        b: impl Fn(usize, usize) -> T,
+        (m, k, n): (usize, usize, usize),
+    ) -> Tensor<T> {
+        Tensor::from_fn(&[m, n], |x| {
+            (0..k).fold(T::zero(), |acc, kk| acc + a(x / n, kk) * b(kk, x % n))
+        })
+    }
+
+    /// Small integer values: every partial sum is exact in f32, so the
+    /// packed GEMM must equal the triple loop bit for bit whatever its
+    /// order or FMA rounding.
+    fn small_int<T: Scalar>(i: usize, j: usize, salt: usize) -> T {
+        T::from_usize((i * 31 + j * 7 + salt) % 13) - T::from_usize(6)
+    }
+
+    /// `matmul`, `matmul_tn` and `matmul_nt` on `[m,k] × [k,n]`, each
+    /// against the triple loop.
+    fn check_products<T: Scalar>((m, k, n): (usize, usize, usize)) {
+        let a = |i, kk| small_int::<T>(i, kk, 0);
+        let b = |kk, j| small_int::<T>(kk, j, 5);
+        let want = naive(a, b, (m, k, n));
+        let what = format!("{m}x{k}x{n} {}", std::any::type_name::<T>());
+        let a_mk = Tensor::from_fn(&[m, k], |x| a(x / k, x % k));
+        let a_km = Tensor::from_fn(&[k, m], |x| a(x % m, x / m));
+        let b_kn = Tensor::from_fn(&[k, n], |x| b(x / n, x % n));
+        let b_nk = Tensor::from_fn(&[n, k], |x| b(x % k, x / k));
+        assert_eq!(a_mk.matmul(&b_kn), want, "nn {what}");
+        assert_eq!(a_km.matmul_tn(&b_kn), want, "tn {what}");
+        assert_eq!(a_mk.matmul_nt(&b_nk), want, "nt {what}");
+    }
+
+    /// Every small and degenerate shape (empty operands, an empty
+    /// reduction, one row or column, tile edges) and the two dense heads
+    /// LeNet and ResNet-8 run at batch 16.
+    fn product_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        const DIMS: [usize; 7] = [0, 1, 2, 3, 5, 16, 17];
+        let cube = DIMS
+            .into_iter()
+            .flat_map(|m| DIMS.into_iter().flat_map(move |k| DIMS.map(|n| (m, k, n))));
+        cube.chain([(16, 84, 10), (16, 64, 10)])
+    }
+
     #[test]
     fn transposed_variants_match_explicit_transpose() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -247,12 +234,26 @@ mod tests {
         let c = Tensor::<f32>::randn(&[6, 5], &mut rng);
         let d = Tensor::<f32>::randn(&[9, 5], &mut rng);
         assert!(c.matmul_nt(&d).allclose(&c.matmul(&d.t()), 1e-4));
+        for shape in product_shapes() {
+            check_products::<f32>(shape);
+            check_products::<f64>(shape);
+        }
+        // Random values through the dense heads: the triple loop within
+        // rounding.
+        for (m, k, n) in [(16, 84, 10), (16, 64, 10)] {
+            let x = Tensor::<f32>::randn(&[m, k], &mut rng);
+            let w = Tensor::<f32>::randn(&[k, n], &mut rng);
+            let want = naive(|i, kk| x.at(&[i, kk]), |kk, j| w.at(&[kk, j]), (m, k, n));
+            assert!(x.matmul(&w).allclose(&want, 1e-4), "nn {m}x{k}x{n}");
+            assert!(x.t().matmul_tn(&w).allclose(&want, 1e-4), "tn {m}x{k}x{n}");
+            assert!(x.matmul_nt(&w.t()).allclose(&want, 1e-4), "nt {m}x{k}x{n}");
+        }
     }
 
     #[test]
     fn transposed_variants_match_above_packed_threshold() {
-        // Sizes past PACKED_MIN_MACS so the packed engine (with its
-        // stride-swapped layouts) is what actually runs.
+        // Sizes past one GEMM chunk, so the stride-swapped layouts run
+        // split across the pool's tasks.
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let a = Tensor::<f32>::randn(&[90, 40], &mut rng);
         let b = Tensor::<f32>::randn(&[90, 35], &mut rng);
@@ -312,5 +313,9 @@ mod tests {
         let a = Tensor::from_vec(vec![1i32, 2, 3, 4], &[2, 2]);
         let b = Tensor::from_vec(vec![1i32, 0, 0, 1], &[2, 2]);
         assert_eq!(a.matmul(&b), a);
+        for shape in product_shapes() {
+            check_products::<i32>(shape);
+            check_products::<i64>(shape);
+        }
     }
 }

@@ -323,6 +323,66 @@ pub fn clear_pools() {
     i64::buffer_pool().clear();
 }
 
+/// Calls after the first within which [`assert_steady`] asks for
+/// [`STEADY_CALLS`] clean calls in a row.
+const WARM_CALLS: usize = 16;
+
+/// Clean calls in a row [`assert_steady`] asks for.
+const STEADY_CALLS: usize = 2;
+
+/// Test support for the steady-state suites (`kernel_steady_state.rs` in
+/// this crate, `fused_steady_state.rs` in `s4tf-xla`): runs `kernel` once
+/// from empty free lists, then until [`STEADY_CALLS`] calls in a row each
+/// make no allocator call the memory ledger counts, miss the pool nowhere
+/// and take from it. Panics naming `name` if that takes more than
+/// [`WARM_CALLS`] calls, or if the calls after the first together
+/// allocate and miss more often than the first call did, times the
+/// thread count.
+///
+/// Which call is the first clean one depends on the schedule, not on the
+/// kernel: a call's tasks may run in turn, each taking the scratch the
+/// last one returned, or side by side, each holding its own, so a call
+/// can hold more buffers at once than any call before it. The first call
+/// starts from empty lists, so it misses at least as often as one task,
+/// or the caller, holds buffers at once; a call runs at most one task per
+/// thread; and each miss parks the buffer it allocated. So the later
+/// misses stay within the budget, and a kernel that allocates on every
+/// call, or on every other call, fails.
+#[doc(hidden)]
+pub fn assert_steady<R>(name: &str, mut kernel: impl FnMut() -> R) {
+    let counts = || (s4tf_diag::memory_stats().allocs, stats().misses);
+    clear_pools();
+    let before = counts();
+    drop(kernel());
+    let after = counts();
+    let first = (after.0 - before.0) + (after.1 - before.1);
+    let budget = first * s4tf_threads::num_threads() as u64;
+    let (mut spent, mut clean) = (0, 0);
+    for _ in 0..WARM_CALLS {
+        let (before, hits) = (counts(), stats().hits);
+        drop(kernel());
+        let after = counts();
+        let (allocs, misses) = (after.0 - before.0, after.1 - before.1);
+        spent += allocs + misses;
+        assert!(
+            spent <= budget,
+            "{name}: calls after the first made {spent} allocator calls and pool misses, \
+             past {budget} (the first call's {first} × {} threads)",
+            s4tf_threads::num_threads()
+        );
+        if (allocs, misses) != (0, 0) {
+            clean = 0;
+            continue;
+        }
+        assert!(stats().hits > hits, "{name}: took nothing from the pool");
+        clean += 1;
+        if clean == STEADY_CALLS {
+            return;
+        }
+    }
+    panic!("{name}: no {STEADY_CALLS} calls in a row took everything from the pool");
+}
+
 // ------------------------------------------------------------- the seam
 
 /// Room for at least `n` elements, empty: a parked buffer when one fits

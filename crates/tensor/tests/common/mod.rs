@@ -80,9 +80,8 @@ pub fn conv_case(
 /// taller than a GEMM block (`in_c` 64 at `out_w` 24 fits 3 rows of a
 /// 20-row image in the kernels' 192 KiB of scratch) and a single-channel
 /// 51 × 45 image; then the single-channel sweep
-/// ([`single_channel_conv_cases`]). The batch is sized so every case is
-/// past the direct-loop threshold (2^15 MACs) and splits into several
-/// chunks at the kernels' 2^16-MAC grain.
+/// ([`single_channel_conv_cases`]). The batch is sized so every case
+/// splits into several chunks at the kernels' 2^16-MAC grain.
 pub fn conv_cases() -> Vec<ConvCase> {
     const K: usize = 5;
     const IN_H: usize = 12;
@@ -122,8 +121,8 @@ pub fn conv_cases() -> Vec<ConvCase> {
 /// geometry: `out_w` straddling the 8-lane chunk, the 16-column forward
 /// tile and the 32-column `dx` tile, in both paddings, with `out_c`
 /// straddling the 6-channel group, row strides 1 and 2 and kernels 1, 3
-/// and 5 cycled through them, at an odd batch past the direct-loop
-/// threshold.
+/// and 5 cycled through them, at an odd batch that splits into several
+/// chunks.
 pub fn single_channel_conv_cases() -> Vec<ConvCase> {
     const OUT_H: usize = 9;
     let mut cases = Vec::new();
@@ -225,13 +224,6 @@ pub mod conv_strips {
 
         fn kdim(&self) -> usize {
             self.k_h * self.k_w * self.in_c
-        }
-
-        /// Multiply-accumulates of one pass: the kernels switch to direct
-        /// loops below 2^15, which this oracle does not model.
-        fn assert_gemm_path(&self) {
-            let macs = self.batch * self.out_h * self.out_w * self.out_c * self.kdim();
-            assert!(macs >= 1 << 15, "case below the direct-loop threshold");
         }
 
         /// Output columns whose tap at `off = kx − pad_left` is inside.
@@ -357,7 +349,6 @@ pub mod conv_strips {
         padding: Padding,
     ) -> Tensor<f32> {
         let g = Geom::new(x.dims(), w.dims(), stride, padding);
-        g.assert_gemm_path();
         let (xs, ws) = (x.as_slice(), w.as_slice());
         let (kdim, strip) = (g.kdim(), g.out_w * g.out_c);
         let mut out = vec![0.0f32; g.batch * g.out_h * strip];
@@ -382,7 +373,6 @@ pub mod conv_strips {
         padding: Padding,
     ) -> Tensor<f32> {
         let g = Geom::new(x.dims(), w.dims(), stride, padding);
-        g.assert_gemm_path();
         let (ws, dys) = (w.as_slice(), dy.as_slice());
         let (kdim, img) = (g.kdim(), g.in_h * g.in_w * g.in_c);
         let mut dx = vec![0.0f32; g.batch * img];
@@ -472,7 +462,6 @@ pub mod conv_strips {
         padding: Padding,
     ) -> Tensor<f32> {
         let g = Geom::new(x.dims(), w_dims, stride, padding);
-        g.assert_gemm_path();
         let (xs, dys) = (x.as_slice(), dy.as_slice());
         let kdim = g.kdim();
         let mut dw = vec![0.0f32; kdim * g.out_c];

@@ -1,33 +1,18 @@
-//! Steady state per kernel: once a kernel has run at a shape, a second
-//! call at that shape takes every output and scratch buffer from the
+//! Steady state per kernel: once a kernel has warmed the pool at a shape,
+//! a call at that shape takes every output and scratch buffer from the
 //! pool. It makes no allocator call the memory ledger counts
 //! (`memory_stats().allocs`) and no pool take misses (`pool::stats()`),
-//! on every dispatch path a training step reaches.
+//! on every dispatch path a training step reaches. `pool::assert_steady`
+//! says how many calls warming takes and what bounds it.
 
-use s4tf_diag::memory_stats;
 use s4tf_tensor::ops::reduce::column_sums;
-use s4tf_tensor::{clear_pools, pool, Padding, Tensor};
+use s4tf_tensor::pool::assert_steady;
+use s4tf_tensor::{Padding, Tensor};
 use std::sync::Mutex;
 
 // The counters are process-global; concurrent tests would tear each
 // other's baselines.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Runs `kernel` once to warm the pool, then again, and fails if the
-/// second call allocated a tensor buffer or missed the pool.
-fn assert_steady<R>(name: &str, mut kernel: impl FnMut() -> R) {
-    clear_pools();
-    drop(kernel());
-    let (allocs, misses) = (memory_stats().allocs, pool::stats().misses);
-    let hits = pool::stats().hits;
-    drop(kernel());
-    assert_eq!(memory_stats().allocs, allocs, "{name}: allocator call");
-    assert_eq!(pool::stats().misses, misses, "{name}: pool miss");
-    assert!(
-        pool::stats().hits > hits,
-        "{name}: took nothing from the pool"
-    );
-}
 
 fn rand(dims: &[usize], seed: u64) -> Tensor<f32> {
     use rand::SeedableRng;
@@ -35,12 +20,12 @@ fn rand(dims: &[usize], seed: u64) -> Tensor<f32> {
     Tensor::rand_uniform(dims, -1.0, 1.0, &mut rng)
 }
 
-/// Every conv lowering past the direct loops: LeNet's first layer (one
-/// input channel: the lane kernels over a padded plane), its second (the
-/// packed GEMM reading patches in place, `dx` with lanes along the batch),
-/// a ResNet-8 3×3 (patches from a padded plane, `dx` as the convolution of
-/// `dy` with the rotated filter) and its stride-2 downsampling 3×3 (`dx` by
-/// the col2im scatter).
+/// Every conv lowering: LeNet's first layer (one input channel: the lane
+/// kernels over a padded plane), its second (the packed GEMM reading
+/// patches in place, `dx` with lanes along the batch), a ResNet-8 3×3
+/// (patches from a padded plane, `dx` as the convolution of `dy` with the
+/// rotated filter) and its stride-2 downsampling 3×3 (`dx` by the col2im
+/// scatter).
 #[test]
 fn conv2d_and_both_gradients() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -76,7 +61,8 @@ fn conv2d_and_both_gradients() {
     }
 }
 
-/// The serial loops and the packed GEMM, for each operand layout.
+/// The packed GEMM, for each operand layout, on a product that runs as one
+/// inline task and on one split across the pool; and the matvec.
 #[test]
 fn matmul_variants() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

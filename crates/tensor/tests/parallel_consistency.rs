@@ -62,9 +62,9 @@ fn randi(dims: &[usize], seed: u64) -> Tensor<i32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Spans the serial/packed-parallel threshold (PACKED_MIN_MACS = 2^15
-    // multiply-accumulates: 32^3 is the boundary), so both code paths get
-    // compared.
+    // Spans the packed GEMM's one-task size (2^16 multiply-accumulates,
+    // about 40^3), so products that run inline and products split across
+    // the pool both get compared.
     #[test]
     fn matmul_variants_bit_identical(m in 16usize..=48, k in 16usize..=64,
                                      n in 16usize..=48, seed in any::<u64>()) {

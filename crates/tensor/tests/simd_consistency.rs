@@ -104,10 +104,10 @@ fn gemm_remainders_match_scalar_reference() {
     }
 }
 
-/// conv2d and both gradients past the direct loops (the GEMM lowering and
-/// the single-channel kernels), over the shared shape sweep, under 1 and 4
-/// threads: the lane kernels differ from the scalar reference by FMA
-/// rounding only, bounded by each output's product count.
+/// conv2d and both gradients (the GEMM lowering and the single-channel
+/// kernels), over the shared shape sweep, under 1 and 4 threads: the lane
+/// kernels differ from the scalar reference by FMA rounding only, bounded
+/// by each output's product count.
 #[test]
 fn conv2d_paths_agree() {
     for case in common::conv_cases() {
@@ -213,7 +213,7 @@ fn reduction_remainders_follow_contract() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Spans the serial/packed-parallel GEMM threshold (2^15 MACs).
+    // Spans the packed GEMM's one-chunk size (2^16 MACs).
     #[test]
     fn matmul_paths_agree(m in 1usize..=48, k in 1usize..=64,
                           n in 1usize..=48, threads in 1usize..=4,
@@ -246,8 +246,8 @@ proptest! {
                      "matvec paths diverged beyond FMA tolerance");
     }
 
-    // Spans the direct/im2col threshold; out_c straddles both the lane
-    // width and the GEMM's narrow 6×8 panel.
+    // Small geometries, down to a few hundred MACs; out_c straddles both
+    // the lane width and the GEMM's narrow 6×8 panel.
     #[test]
     fn conv2d_small_paths_agree(batch in 1usize..=2, hw in 5usize..=12,
                                 in_c in 1usize..=4, out_c in 1usize..=9,

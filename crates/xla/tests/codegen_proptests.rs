@@ -656,7 +656,7 @@ proptest! {
 
 /// `eval_op(Conv2DBackwardInput)` computes `dx` from the input's dims
 /// alone, with the bits of the tensor method given the input itself —
-/// on the direct loops, the single-channel lane kernel and the GEMM.
+/// on a tiny geometry, the single-channel lane kernel and the GEMM.
 #[test]
 fn conv_backward_input_matches_the_tensor_method() {
     use rand::SeedableRng;

@@ -1,33 +1,17 @@
-//! Steady state for the fused-kernel executor: once a program has run at
-//! a length, a second launch takes its output, its register rows and its
-//! `reduce_to` block from the pool — no allocator call the memory ledger
-//! counts, no pool miss. (The tensor kernels' cases live in
-//! `s4tf-tensor`'s `kernel_steady_state.rs`.)
+//! Steady state for the fused-kernel executor: once a program has warmed
+//! the pool at a length, a launch takes its output, its register rows and
+//! its `reduce_to` block from the pool — no allocator call the memory
+//! ledger counts, no pool miss. The first launch also compiles; both
+//! suites warm through `s4tf_tensor::pool::assert_steady`, and the tensor
+//! kernels' cases live in `s4tf-tensor`'s `kernel_steady_state.rs`.
 
-use s4tf_diag::memory_stats;
-use s4tf_tensor::{clear_pools, pool, Tensor};
+use s4tf_tensor::pool::assert_steady;
+use s4tf_tensor::Tensor;
 use s4tf_xla::op::FusedInst::{Binary, Input, Unary};
 use s4tf_xla::{eval_op, ElemBinary, ElemUnary, HloOp};
 use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Runs `kernel` once to compile it and warm the pool, then again, and
-/// fails if the second launch allocated a tensor buffer or missed the
-/// pool.
-fn assert_steady(name: &str, kernel: impl Fn() -> Tensor<f32>) {
-    clear_pools();
-    drop(kernel());
-    let (allocs, misses) = (memory_stats().allocs, pool::stats().misses);
-    let hits = pool::stats().hits;
-    drop(kernel());
-    assert_eq!(memory_stats().allocs, allocs, "{name}: allocator call");
-    assert_eq!(pool::stats().misses, misses, "{name}: pool miss");
-    assert!(
-        pool::stats().hits > hits,
-        "{name}: took nothing from the pool"
-    );
-}
 
 /// `exp(x · b) + x` over `[rows, 40]` with a `[40]` bias `b`: the
 /// broadcast input gets a register row, and the product a second one.
